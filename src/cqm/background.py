@@ -46,10 +46,26 @@ class NotPositiveDefinite(ValueError):
 
 
 def as_point(x) -> np.ndarray:
-    p = np.asarray(x, dtype=float).reshape(4)
+    """A point as a (4,) array, or a cloud of N points as a coordinate-major
+    (4, N) array."""
+    p = np.asarray(x, dtype=float)
+    if p.ndim != 2 or p.shape[0] != 4:
+        p = p.reshape(4)
     if not np.all(np.isfinite(p)):
         raise ValueError(f"non-finite evaluation point {x!r}")
     return p
+
+
+def _require_positive(j: Jet, what: str, point: np.ndarray):
+    """NotPositiveDefinite unless the value slot of j is positive at the point
+    or at every point of the cloud."""
+    value = j.value
+    bad = np.asarray(value <= 0.0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        where = point if point.ndim == 1 else point[:, k]
+        value = value if bad.ndim == 0 else value[k]
+        raise NotPositiveDefinite(what.format(value=value, where=where.tolist()))
 
 
 @dataclass(frozen=True)
@@ -177,7 +193,12 @@ class Background:
     # -- pointwise jet bundles ----------------------------------------------
 
     def jets(self, point) -> "BackgroundJets":
-        key = tuple(as_point(point))
+        """The jet bundle at a point (cached by point) or on a (4, N) cloud
+        (built afresh: grid paths visit each node once per chunk)."""
+        p = as_point(point)
+        if p.ndim == 2:
+            return BackgroundJets(self, p)
+        key = tuple(p)
         bundle = self._jet_cache.get(key)
         if bundle is None:
             if len(self._jet_cache) > 256:
@@ -300,7 +321,8 @@ def _zeros(shape, order):
 
 
 class BackgroundJets:
-    """All derived background quantities at one point, as jets, with caching.
+    """All derived background quantities at one point or on a (4, N) cloud of
+    points, as jets, with caching.
 
     Each accessor takes the jet order of its *output*; primitives are pulled
     at whatever deeper order the derivative chain needs.
@@ -359,8 +381,7 @@ class BackgroundJets:
     def sqrt_det(self, order: int) -> Jet:
         def build():
             d = self.det(order)
-            if d.value <= 0.0:
-                raise NotPositiveDefinite(f"det g = {d.value} at {self.point.tolist()}")
+            _require_positive(d, "det g = {value} at {where}", self.point)
             return d.sqrt()
         return self._get(("sqrtg", order), build)
 
@@ -368,8 +389,7 @@ class BackgroundJets:
         def build():
             g = self.metric(order)
             det = self.det(order)
-            if det.value <= 0.0:
-                raise NotPositiveDefinite(f"det g = {det.value} at {self.point.tolist()}")
+            _require_positive(det, "det g = {value} at {where}", self.point)
             inv_det = det.recip()
             adj = [
                 [g[1][1] * g[2][2] - g[1][2] * g[2][1],
@@ -390,20 +410,16 @@ class BackgroundJets:
         Cholesky factor of g, positive diagonal, positive orientation."""
         def build():
             g = self.metric(order)
-            try:
-                l00 = g[0][0].sqrt()
-            except Exception:
-                raise NotPositiveDefinite(f"g00 = {g[0][0].value} at {self.point.tolist()}")
+            _require_positive(g[0][0], "g00 = {value} at {where}", self.point)
+            l00 = g[0][0].sqrt()
             l10 = g[1][0] / l00
             l20 = g[2][0] / l00
             d1 = g[1][1] - l10 * l10
-            if d1.value <= 0.0:
-                raise NotPositiveDefinite(f"metric not positive definite at {self.point.tolist()}")
+            _require_positive(d1, "metric not positive definite at {where}", self.point)
             l11 = d1.sqrt()
             l21 = (g[2][1] - l20 * l10) / l11
             d2 = g[2][2] - l20 * l20 - l21 * l21
-            if d2.value <= 0.0:
-                raise NotPositiveDefinite(f"metric not positive definite at {self.point.tolist()}")
+            _require_positive(d2, "metric not positive definite at {where}", self.point)
             l22 = d2.sqrt()
             zero = Jet.const(0.0, order)
             lmat = [[l00, zero, zero], [l10, l11, zero], [l20, l21, l22]]

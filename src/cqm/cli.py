@@ -7,14 +7,15 @@
     cqm bracket <scenario.json> F G --at x0,x1,x2,x3
 
 Exit codes: 0 all checks pass / success, 1 check or run failure, 2 load or
-usage error.  Reports are JSON-first; --table renders the same data as text.
-CQM_THREADS caps suite parallelism.
+usage error (an `error:` line on stderr, no traceback).  Reports are
+JSON-first; --table renders the same data as text.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -69,7 +70,7 @@ def cmd_verify(args) -> int:
         if args.seed is not None:
             sc.seed = args.seed
         checks = run_suites(sc, args.suite)
-    except (ScenarioError, ValueError) as exc:
+    except (ScenarioError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = {
@@ -97,15 +98,22 @@ def cmd_verify(args) -> int:
 
 def cmd_evolve(args) -> int:
     try:
+        if args.steps < 1:
+            raise ScenarioError(f"--steps must be a positive integer, got {args.steps}")
+        if not (math.isfinite(args.dt) and args.dt > 0.0):
+            raise ScenarioError(f"--dt must be a positive finite number, got {args.dt}")
+        if args.snapshot_every < 0:
+            raise ScenarioError(f"--snapshot-every must be nonnegative, got {args.snapshot_every}")
         sc = load_scenario(args.scenario)
-        grid = sc.initial_grid()
-    except ScenarioError as exc:
+        # one geometry serves both the psi0 normalisation and the evolution
+        geom = GridGeometry(sc.qd, sc.grid) if sc.grid is not None else None
+        grid = sc.initial_grid(geom)
+    except (ScenarioError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        geom = GridGeometry(sc.qd, grid.spec)
         traj = evolve_pauli(sc.qd, grid, args.dt, args.steps, geom=geom,
                             snapshot_every=args.snapshot_every)
     except (NonStaticMetric, SolverDivergence) as exc:
@@ -146,12 +154,12 @@ def cmd_bracket(args) -> int:
         f = sc.function(args.f)
         g = sc.function(args.g)
         point = [float(v) for v in args.at.split(",")]
-        if len(point) != 4:
-            raise ScenarioError("--at needs 4 comma-separated coordinates")
-    except (ScenarioError, ValueError) as exc:
+        if len(point) != 4 or not all(math.isfinite(v) for v in point):
+            raise ScenarioError("--at needs 4 comma-separated finite coordinates")
+        val = extended_bracket(f, g, sc.background, point)
+    except (ScenarioError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    val = extended_bracket(f, g, sc.background, point)
     dimless = DIMLESS.to_json()
     out = {
         "f": args.f,

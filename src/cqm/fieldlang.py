@@ -27,7 +27,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .jets import CJet, DomainError, Jet, jet_vars
+from .jets import DomainError, Jet, jet_vars
 from .units import DIMLESS, Dim, DimensionMismatch, ScaledReal
 
 
@@ -604,7 +604,3 @@ class DerivedField:
 
 def zero_field(name: str = "0", dim: Dim = DIMLESS) -> FieldDef:
     return FieldDef(name, dim, _ZERO)
-
-
-def field_eval_spinor(re_expr: FieldDef, im_expr: FieldDef, point, order) -> CJet:
-    return CJet(re_expr.eval_jet(point, order), im_expr.eval_jet(point, order))

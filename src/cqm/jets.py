@@ -7,6 +7,19 @@ operations between jets of different orders truncate to the lower order.
 Jets do not store their base point; mixing jets from different points is the
 caller's responsibility.
 
+Points and clouds
+-----------------
+A jet holds one base point or a cloud of N base points.  At one point the
+coefficients have shape (size,); on a cloud they have shape (N, size), with
+the batch axis first and the layout below along the last axis.  Base points
+are passed as (4,) arrays and clouds as coordinate-major (4, N) arrays, so
+point[k] is coordinate k in both cases.  Every operation takes both shapes,
+and a point-shaped jet (a constant, say) broadcasts against a cloud, so code
+written for one point runs unchanged on a cloud.  On a cloud, value and
+extract return (N,) arrays, and a domain error is raised if any point fails.
+Cloud coefficients are stored coefficient-major (the transpose of a
+C-contiguous (size, N) array), so products gather whole rows of points.
+
 Coefficient layout
 ------------------
 Coefficients are stored densely in a fixed global order: multi-indices
@@ -22,9 +35,10 @@ complex jets are limited to exp plus the polynomial operations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -47,6 +61,8 @@ def _build_layout():
 
 MULTI_INDICES = _build_layout()
 INDEX_OF = {a: i for i, a in enumerate(MULTI_INDICES)}
+# slot of the first-order coefficient d/dx_v
+_UNIT_SLOT = tuple(INDEX_OF[tuple(int(k == v) for k in range(N_VARS))] for v in range(N_VARS))
 SIZES = (1, 5, 15, 35)
 
 
@@ -87,10 +103,27 @@ def _build_deriv_tables():
 _DERIV_SRC, _DERIV_FAC = _build_deriv_tables()
 
 Scalar = Union[int, float]
+_NUMBER = (int, float, np.floating, np.integer)
+
+
+@functools.lru_cache(maxsize=32)
+def _scatter_bins(order: int, npoints: int) -> np.ndarray:
+    """Bincount bins that sum a (terms, npoints) product array of the order's
+    table into a flat (size, npoints) coefficient-major result."""
+    kk = _MUL_TABLES[order][2]
+    bins = (kk[:, None] * npoints + np.arange(npoints)).ravel()
+    bins.flags.writeable = False  # shared by every caller through the cache
+    return bins
+
+
+def _first_failure(values, failed):
+    """The first value slot for which `failed` holds, as a float."""
+    return float(np.ravel(values)[np.argmax(np.ravel(failed))])
 
 
 class Jet:
-    """Truncated multivariate Taylor expansion of a real scalar field."""
+    """Truncated multivariate Taylor expansion of a real scalar field, at one
+    point (coefficients of shape (size,)) or on a cloud of N points (N, size)."""
 
     __slots__ = ("order", "c")
 
@@ -108,24 +141,28 @@ class Jet:
 
     @staticmethod
     def seed(point: Sequence[float], var_index: int, order: int) -> "Jet":
-        """Jet of the coordinate function x^var_index at the given point."""
+        """Jet of the coordinate function x^var_index at a point (4,) or on a
+        coordinate-major cloud (4, N)."""
         if not 0 <= order <= MAX_ORDER:
             raise ValueError(f"order {order} out of range 0..{MAX_ORDER}")
         if not 0 <= var_index < N_VARS:
             raise ValueError(f"var_index {var_index} out of range")
-        c = np.zeros(SIZES[order])
-        c[0] = float(point[var_index])
+        x = np.asarray(point[var_index], dtype=float)
+        c = np.zeros((SIZES[order],) + x.shape)  # coefficient-major
+        c[0] = x
         if order >= 1:
-            c[INDEX_OF[tuple(1 if k == var_index else 0 for k in range(N_VARS))]] = 1.0
-        return Jet(order, c)
+            c[_UNIT_SLOT[var_index]] = 1.0
+        return Jet(order, c.T)
 
     # -- inspection ---------------------------------------------------------
 
     @property
-    def value(self) -> float:
-        return float(self.c[0])
+    def value(self):
+        """The value slot: a float at a point, an (N,) array on a cloud."""
+        c = self.c
+        return float(c[0]) if c.ndim == 1 else c[:, 0]
 
-    def extract(self, alpha: Sequence[int]) -> float:
+    def extract(self, alpha: Sequence[int]):
         """Partial derivative d^alpha f at the base point (= alpha! c_alpha)."""
         alpha = tuple(int(a) for a in alpha)
         if sum(alpha) > self.order:
@@ -133,14 +170,15 @@ class Jet:
         fact = 1.0
         for a in alpha:
             fact *= math.factorial(a)
-        return fact * float(self.c[INDEX_OF[alpha]])
+        slot = self.c[..., INDEX_OF[alpha]]
+        return fact * (float(slot) if self.c.ndim == 1 else slot)
 
     def truncate(self, order: int) -> "Jet":
         if order > self.order:
             raise ValueError("cannot raise jet order by truncation")
         if order == self.order:
             return self
-        return Jet(order, self.c[: SIZES[order]])
+        return Jet(order, self.c[..., : SIZES[order]])
 
     def derive(self, var: int) -> "Jet":
         """Exact partial derivative; drops one order."""
@@ -148,15 +186,16 @@ class Jet:
             raise ValueError("cannot differentiate an order-0 jet")
         n = self.order - 1
         size = SIZES[n]
-        out = self.c[_DERIV_SRC[var, :size]] * _DERIV_FAC[var, :size]
-        return Jet(n, out)
+        src = _DERIV_SRC[var, :size]
+        c = self.c
+        return Jet(n, (c[src] if c.ndim == 1 else c.T[src].T) * _DERIV_FAC[var, :size])
 
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other) -> "Jet | None":
         if isinstance(other, Jet):
             return other
-        if isinstance(other, (int, float, np.floating, np.integer)):
+        if isinstance(other, _NUMBER):
             return Jet.const(float(other), self.order)
         return None
 
@@ -164,8 +203,10 @@ class Jet:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.order == o.order:
+            return Jet(self.order, self.c + o.c)
         n = min(self.order, o.order)
-        return Jet(n, self.c[: SIZES[n]] + o.c[: SIZES[n]])
+        return Jet(n, self.c[..., : SIZES[n]] + o.c[..., : SIZES[n]])
 
     __radd__ = __add__
 
@@ -173,8 +214,10 @@ class Jet:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.order == o.order:
+            return Jet(self.order, self.c - o.c)
         n = min(self.order, o.order)
-        return Jet(n, self.c[: SIZES[n]] - o.c[: SIZES[n]])
+        return Jet(n, self.c[..., : SIZES[n]] - o.c[..., : SIZES[n]])
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -186,21 +229,30 @@ class Jet:
         return Jet(self.order, -self.c)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return Jet(self.order, self.c * float(other))
         if not isinstance(other, Jet):
+            if isinstance(other, _NUMBER):
+                return Jet(self.order, self.c * float(other))
             return NotImplemented
-        n = min(self.order, other.order)
-        if n == 0:
-            return Jet(0, self.c[:1] * other.c[0])
+        n = self.order if self.order <= other.order else other.order
         ii, jj, kk = _MUL_TABLES[n]
-        out = np.bincount(kk, weights=self.c[ii] * other.c[jj], minlength=SIZES[n])
-        return Jet(n, out)
+        # Gather the coefficient pairs of every table term, multiply, and
+        # scatter-add each product into its result slot.  The work runs
+        # coefficient-major, so a cloud's points ride along in the trailing
+        # axis and a point-shaped operand broadcasts against them.
+        a, b = self.c.T, other.c.T
+        if a.ndim != b.ndim:
+            a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
+        prod = a[ii] * b[jj]
+        if prod.ndim == 1:
+            return Jet(n, np.bincount(kk, weights=prod, minlength=SIZES[n]))
+        npoints = prod.shape[1]
+        out = np.bincount(_scatter_bins(n, npoints), weights=prod.ravel(), minlength=SIZES[n] * npoints)
+        return Jet(n, out.reshape(SIZES[n], npoints).T)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float, np.floating, np.integer)):
+        if isinstance(other, _NUMBER):
             if float(other) == 0.0:
                 raise DomainError("division by zero")
             return Jet(self.order, self.c / float(other))
@@ -219,53 +271,62 @@ class Jet:
 
     # -- composition with univariate functions ------------------------------
 
-    def _compose(self, derivs: Iterable[float]) -> "Jet":
-        """g(f) for univariate g with derivatives [g(f0), g'(f0), ...] at the
-        value slot; exact at the stored order since (f - f0) is nilpotent."""
-        derivs = list(derivs)
-        out = Jet.const(derivs[0], self.order)
+    def _compose(self, taylor: Sequence) -> "Jet":
+        """g(f) for univariate g from its Taylor coefficients g^(k)(f0) / k!,
+        k = 0..3, at the value slot f0 (scalars at a point, (N,) arrays on a
+        cloud); exact at the stored order since (f - f0) is nilpotent."""
         if self.order == 0:
-            return out
+            c = np.zeros(self.c.shape)
+            c[..., 0] = taylor[0]
+            return Jet(0, c)
         nil = Jet(self.order, self.c.copy())
-        nil.c[0] = 0.0
-        power = None
-        fact = 1.0
-        for k in range(1, min(self.order, len(derivs) - 1) + 1):
-            power = nil if power is None else power * nil
-            fact *= k
-            out = out + power * (derivs[k] / fact)
-        return out
+        nil.c[..., 0] = 0.0
+        # coefficient-major products, so an (N,) coefficient scales each point
+        c = (nil.c.T * taylor[1]).T
+        c[..., 0] = taylor[0]
+        power = nil
+        for k in range(2, self.order + 1):
+            power = power * nil
+            c += (power.c.T * taylor[k]).T
+        return Jet(self.order, c)
 
     def recip(self) -> "Jet":
-        v = self.value
-        if v == 0.0:
+        v = self.c[..., 0]
+        if (v == 0.0).any():
             raise DomainError("division by a jet with zero value slot")
-        return self._compose([1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4])
+        r = 1.0 / v
+        r2 = r * r
+        return self._compose([r, -r2, r2 * r, -(r2 * r2)])
 
     def sqrt(self) -> "Jet":
-        v = self.value
-        if v <= 0.0:
-            raise DomainError(f"sqrt of nonpositive value slot {v}")
-        s = math.sqrt(v)
-        return self._compose([s, 0.5 / s, -0.25 / (s * v), 0.375 / (s * v * v)])
+        v = self.c[..., 0]
+        bad = v <= 0.0
+        if bad.any():
+            raise DomainError(f"sqrt of nonpositive value slot {_first_failure(v, bad)}")
+        s = np.sqrt(v)
+        return self._compose([s, 0.5 / s, -0.125 / (s * v), 0.0625 / (s * v * v)])
 
     def exp(self) -> "Jet":
-        e = math.exp(self.value)
-        return self._compose([e, e, e, e])
+        e = np.exp(self.c[..., 0])
+        return self._compose([e, e, 0.5 * e, e / 6.0])
 
     def log(self) -> "Jet":
-        v = self.value
-        if v <= 0.0:
-            raise DomainError(f"log of nonpositive value slot {v}")
-        return self._compose([math.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3])
+        v = self.c[..., 0]
+        bad = v <= 0.0
+        if bad.any():
+            raise DomainError(f"log of nonpositive value slot {_first_failure(v, bad)}")
+        r = 1.0 / v
+        return self._compose([np.log(v), r, -0.5 * r * r, r * r * r / 3.0])
 
     def sin(self) -> "Jet":
-        s, c = math.sin(self.value), math.cos(self.value)
-        return self._compose([s, c, -s, -c])
+        v = self.c[..., 0]
+        s, c = np.sin(v), np.cos(v)
+        return self._compose([s, c, -0.5 * s, -c / 6.0])
 
     def cos(self) -> "Jet":
-        s, c = math.sin(self.value), math.cos(self.value)
-        return self._compose([c, -s, -c, s])
+        v = self.c[..., 0]
+        s, c = np.sin(v), np.cos(v)
+        return self._compose([c, -s, -0.5 * c, s / 6.0])
 
     def powi(self, k: int) -> "Jet":
         k = int(k)
@@ -281,7 +342,9 @@ class Jet:
         return out
 
     def __repr__(self):
-        return f"Jet(order={self.order}, value={self.value!r})"
+        if self.c.ndim == 1:
+            return f"Jet(order={self.order}, value={self.value!r})"
+        return f"Jet(order={self.order}, points={self.c.shape[0]})"
 
 
 def jet_vars(point: Sequence[float], order: int) -> list[Jet]:
@@ -291,6 +354,15 @@ def jet_vars(point: Sequence[float], order: int) -> list[Jet]:
 
 def jet_seed(point: Sequence[float], var_index: int, order: int) -> Jet:
     return Jet.seed(point, var_index, order)
+
+
+def value_array(jets, batch: tuple = ()) -> np.ndarray:
+    """Value slots of a jet or a nested list of jets as one array, with the
+    points of a cloud along the last axis.  `batch` is the cloud's batch
+    shape, () at a point; point-shaped jets (constants) are broadcast to it."""
+    if isinstance(jets, Jet):
+        return np.broadcast_to(jets.c[..., 0], batch)
+    return np.array([value_array(j, batch) for j in jets])
 
 
 _UNARY = {
@@ -351,8 +423,12 @@ class CJet:
         return self.re.order
 
     @property
-    def value(self) -> complex:
-        return complex(self.re.value, self.im.value)
+    def value(self):
+        """The value slot: a complex at a point, an (N,) array on a cloud."""
+        re, im = self.re.value, self.im.value
+        if isinstance(re, float) and isinstance(im, float):
+            return complex(re, im)
+        return re + 1j * im
 
     def conj(self) -> "CJet":
         return CJet(self.re, -self.im)
@@ -422,4 +498,4 @@ class CJet:
         return CJet(r * self.im.cos(), r * self.im.sin())
 
     def __repr__(self):
-        return f"CJet(order={self.order}, value={self.value!r})"
+        return f"CJet(re={self.re!r}, im={self.im!r})"

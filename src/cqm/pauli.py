@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jets import Jet
+from .jets import Jet, value_array
 
 SIGMA0 = np.eye(2, dtype=complex)
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -124,6 +124,8 @@ def _build_solver() -> np.ndarray:
 
 
 _EPS_PINV = _build_solver()
+# EPS[i, j, k] laid out as [i, row] with row = 3 k + j, the rows of that system
+_EPS_ROWS = np.transpose(EPS, (0, 2, 1)).reshape(3, 9)
 
 
 class SpinConnection:
@@ -145,12 +147,15 @@ class SpinConnection:
         return self.coeffs_from(self.bg.jets(point), order)
 
     def coeffs_from(self, bundle, order: int) -> list:
+        """C_lambda^a jets from a background bundle at a point or on a cloud;
+        InconsistentSystem if the system's residual fails at any point."""
         ktilde = bundle.ktilde(self.which, order)
+        batch = np.shape(bundle.point)[1:]
         out = []
         for lam in range(4):
             kt = ktilde[lam]
             vec = [kt[k][j] for k in range(3) for j in range(3)]
-            vals = np.array([v.value for v in vec])
+            vals = value_array(vec, batch)
             c = []
             for i in range(3):
                 acc = Jet.const(0.0, order)
@@ -161,10 +166,9 @@ class SpinConnection:
                 c.append(acc)
             # Residual of the 9-equation system; nonzero means Ktilde was not
             # antisymmetric (non-metric input connection).
-            recon = np.zeros(9)
-            for row, (k, j) in enumerate((k, j) for k in range(3) for j in range(3)):
-                recon[row] = sum(EPS[i, j, k] * c[i].value for i in range(3))
-            if np.max(np.abs(recon - vals)) > 1e-8 * (1.0 + np.max(np.abs(vals))):
+            recon = np.einsum("ir,i...->r...", _EPS_ROWS, value_array(c, batch))
+            scale = 1.0 + np.max(np.abs(vals), axis=0)
+            if np.any(np.max(np.abs(recon - vals), axis=0) > 1e-8 * scale):
                 raise InconsistentSystem(
                     f"frame coefficients not antisymmetric at lambda={lam} (which={self.which})"
                 )
@@ -172,8 +176,8 @@ class SpinConnection:
         return out
 
     def coeff_values(self, point) -> np.ndarray:
-        c = self.coeffs(point, 0)
-        return np.array([[c[lam][a].value for a in range(3)] for lam in range(4)])
+        """C_lambda^a values: (4, 3) at a point, (4, 3, N) on a (4, N) cloud."""
+        return value_array(self.coeffs(point, 0), np.shape(point)[1:])
 
     def matrix_coeff(self, point, lam: int) -> np.ndarray:
         """C_lambda^A_B = C_lambda^i xi_i as a numeric 2x2 matrix."""

@@ -24,14 +24,15 @@ from typing import Callable
 
 import numpy as np
 
-from .background import divergence_eta
+from .background import NotPositiveDefinite
 from .fieldlang import derive_expr, eval_array
-from .hermitian import QuantumData, ch_components
+from .hermitian import QuantumData
+from .jets import value_array
 from .pauli import SIGMA, XI, XI_ALL
-from .special import SpecialFunction
+from .special import SpecialFunction, component_jets
 
 __all__ = [
-    "QuantumData", "ch_components", "divergence_eta", "GridSpec", "SpinorGrid",
+    "GridSpec", "SpinorGrid", "node_map",
     "GridGeometry", "GridOperator", "observed_laplacian", "pauli_generator",
     "prequantum", "operator_bracket", "inner_product", "evolve_pauli",
     "Trajectory", "measure_frequency", "write_snapshot", "read_snapshot",
@@ -123,17 +124,29 @@ def _shift(arr: np.ndarray, axis: int, d: int) -> np.ndarray:
     return out
 
 
+# Grid nodes per batched jet evaluation.  An order-1 bracket bundle holds
+# about 4,800 coefficients per node, so one chunk's bundle stays near 10 MiB
+# however large the grid.
+NODE_CHUNK = 256
+
+
+def node_map(mesh4, evaluate) -> np.ndarray:
+    """Per-node quantities of a grid, evaluated NODE_CHUNK nodes at a time.
+
+    `evaluate` takes a coordinate-major (4, n) cloud of nodes and returns an
+    array whose last axis runs over those n nodes.  The result has the grid
+    shape of mesh4 followed by the remaining axes of that array."""
+    shape = mesh4[1].shape
+    cloud = np.stack([np.broadcast_to(m, shape).ravel() for m in mesh4])
+    parts = [evaluate(cloud[:, s:s + NODE_CHUNK]) for s in range(0, cloud.shape[1], NODE_CHUNK)]
+    out = np.concatenate(parts, axis=-1)
+    return np.moveaxis(out, -1, 0).reshape(shape + out.shape[:-1])
+
+
 def _field_array(fld, coords_mesh) -> np.ndarray:
     if hasattr(fld, "eval_array"):
         return fld.eval_array(coords_mesh)
-    shape = coords_mesh[1].shape
-    out = np.zeros(shape)
-    it = np.nditer(coords_mesh[1], flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        point = [float(coords_mesh[k][idx]) for k in range(4)]
-        out[idx] = fld(point)
-    return out
+    return node_map(coords_mesh, lambda cloud: value_array(fld.eval_jet(cloud, 0), cloud.shape[1:]))
 
 
 class GridGeometry:
@@ -156,7 +169,7 @@ class GridGeometry:
         g = np.moveaxis(g, (0, 1), (-2, -1))
         self.det = np.linalg.det(g)
         if np.any(self.det <= 0):
-            raise ValueError("metric not positive definite on the grid")
+            raise NotPositiveDefinite("metric not positive definite on the grid")
         self.sqrtg = np.sqrt(self.det)
         self.ginv = np.linalg.inv(g)
         self.g = g
@@ -198,18 +211,12 @@ class GridGeometry:
             self.dvol *= self.spec.spacing(ax)
 
     def _spin_coeff_arrays(self) -> np.ndarray:
-        out = np.zeros(self.spec.shape + (4, 3))
         if self.qd.bg.fields_constant:
+            out = np.zeros(self.spec.shape + (4, 3))
             xs = [float(np.mean(self.mesh4[k])) for k in range(4)]
-            vals = self.qd.spin.coeff_values(xs)
-            out[...] = vals
+            out[...] = self.qd.spin.coeff_values(xs)
             return out
-        it = np.nditer(self.mesh4[1], flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            point = [float(self.mesh4[k][idx]) for k in range(4)]
-            out[idx] = self.qd.spin.coeff_values(point)
-        return out
+        return node_map(self.mesh4, self.qd.spin.coeff_values)
 
     # -- differential helpers ------------------------------------------------
 
@@ -328,18 +335,28 @@ def pauli_generator(geom: GridGeometry) -> GridOperator:
     return GridOperator("pauli_generator", apply_fn, symmetric=True)
 
 
-def _component_array(fld, geom: GridGeometry) -> np.ndarray:
-    return _field_array(fld, geom.mesh4)
+def _component_arrays(f: SpecialFunction, geom: GridGeometry):
+    """Node arrays of the components (f0, f^1..f^3, fbrev, phi_1..phi_3) of f,
+    and of d_i f^i keyed by active axis i.
 
+    Fields with an array evaluator use it.  Whatever is left comes from one
+    order-1 jet evaluation of f per chunk of nodes, which gives values and
+    first derivatives alike."""
+    active = geom.spec.active
+    comps = [f.f0, *f.fi, f.fbrev, *f.phi]
+    vals = [c.eval_array(geom.mesh4) if hasattr(c, "eval_array") else None for c in comps]
+    dfi = [f.fi[i].derivative(i + 1).eval_array(geom.mesh4) if hasattr(f.fi[i], "derivative") else None
+           for i in active]
+    if any(a is None for a in vals + dfi):
+        def evaluate(cloud):
+            cj = component_jets(f, cloud, 1)
+            jets = [cj.f0, *cj.fi, cj.fbrev, *cj.phi] + [cj.fi[i].derive(i + 1) for i in active]
+            return value_array(jets, cloud.shape[1:])
 
-def _jet_derivative_array(fld, geom: GridGeometry, var: int) -> np.ndarray:
-    out = np.zeros(geom.spec.shape)
-    it = np.nditer(geom.mesh4[1], flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        point = [float(geom.mesh4[k][idx]) for k in range(4)]
-        out[idx] = fld.eval_jet(point, 1).derive(var).value
-    return out
+        batched = node_map(geom.mesh4, evaluate)
+        vals = [batched[..., k] if a is None else a for k, a in enumerate(vals)]
+        dfi = [batched[..., 8 + k] if a is None else a for k, a in enumerate(dfi)]
+    return vals, dict(zip(active, dfi))
 
 
 def prequantum(qd: QuantumData, geom: GridGeometry, f: SpecialFunction) -> GridOperator:
@@ -347,10 +364,8 @@ def prequantum(qd: QuantumData, geom: GridGeometry, f: SpecialFunction) -> GridO
     cancelled (no d0 psi term is ever formed)."""
     if qd is not geom.qd:
         raise GridMismatch("geometry was built for different quantum data")
-    f0 = _component_array(f.f0, geom)
-    fi = [_component_array(c, geom) for c in f.fi]
-    fbrev = _component_array(f.fbrev, geom)
-    phi = [_component_array(c, geom) for c in f.phi]
+    vals, dfi = _component_arrays(f, geom)
+    f0, fi, fbrev, phi = vals[0], vals[1:4], vals[4], vals[5:8]
     xi_sp = [-fi[i] for i in range(3)]
     y0 = f0 * geom.a[0] + fbrev
     for j in range(3):
@@ -364,11 +379,7 @@ def prequantum(qd: QuantumData, geom: GridGeometry, f: SpecialFunction) -> GridO
     # div_eta X = (X^0 d0 sqrtg + d_i(X^i sqrtg)) / sqrtg, active axes only
     div = f0 * geom.d0sqrtg / geom.sqrtg
     for i in geom.spec.active:
-        if hasattr(f.fi[i], "derivative"):
-            dxi = _component_array(f.fi[i].derivative(i + 1), geom)
-        else:
-            dxi = _jet_derivative_array(f.fi[i], geom, i + 1)
-        div += -dxi + xi_sp[i] * geom.dsqrtg[..., i] / geom.sqrtg
+        div += -dfi[i] + xi_sp[i] * geom.dsqrtg[..., i] / geom.sqrtg
     ymat = np.zeros(geom.spec.shape + (2, 2), dtype=complex)
     for nu in range(4):
         coeff = y0 if nu == 0 else ya[nu - 1]

@@ -97,21 +97,31 @@ class Scenario:
         lo, hi = self.box[:, 0], self.box[:, 1]
         return lo + (hi - lo) * rng.random((n, 4))
 
-    def initial_grid(self) -> SpinorGrid:
+    def initial_grid(self, geom=None) -> SpinorGrid:
+        """psi0 on the scenario grid, normalised when the scenario asks for
+        it.  `geom`, a GridGeometry of this scenario's grid, saves building
+        one for the normalisation."""
         if self.grid is None or self.psi0 is None:
             raise ScenarioError("scenario has no grid/psi0 section")
         xs = self.grid.coords()
         mesh = np.meshgrid(*xs, indexing="ij")
         coords = [np.full(self.grid.shape, self.grid.time)] + list(mesh)
         psi = np.zeros(self.grid.shape + (2,), dtype=complex)
-        for comp in range(2):
-            re_f, im_f = self.psi0.components[comp]
-            psi[..., comp] = re_f.eval_array(coords) + 1j * im_f.eval_array(coords)
+        # non-finite values are reported as one error below, not as warnings
+        with np.errstate(all="ignore"):
+            for comp in range(2):
+                re_f, im_f = self.psi0.components[comp]
+                psi[..., comp] = re_f.eval_array(coords) + 1j * im_f.eval_array(coords)
+        if not np.all(np.isfinite(psi)):
+            raise ScenarioError("psi0 is not finite on the grid")
         grid = SpinorGrid(self.grid, psi)
         if self.normalize:
             from .quantum import GridGeometry, grid_norm
 
-            geom = GridGeometry(self.qd, self.grid)
+            if geom is None:
+                geom = GridGeometry(self.qd, self.grid)
+            elif geom.spec != self.grid or geom.qd is not self.qd:
+                raise ScenarioError("geometry was built for a different grid or quantum data")
             nrm = grid_norm(geom, grid)
             if nrm == 0.0:
                 raise ScenarioError("psi0 is identically zero")

@@ -35,11 +35,16 @@ class NonAdaptedObserver(ValueError):
 
 @dataclass(frozen=True)
 class SpecialFunction:
+    """Component fields (f0, f^i, fbrev, phi_a).  `jets_fn`, when set, is a
+    (point, order) -> ComponentJets evaluator that computes all eight
+    components in one pass; component_jets uses it in place of the fields."""
+
     f0: object
     fi: tuple
     fbrev: object
     phi: tuple
     name: str = ""
+    jets_fn: object = None
 
     @classmethod
     def scalar(cls, f0, fi, fbrev, name: str = "") -> "SpecialFunction":
@@ -92,7 +97,10 @@ class ComponentJets:
 
 
 def component_jets(f: SpecialFunction, point, order: int) -> ComponentJets:
+    """Component jets at a point or on a (4, N) cloud."""
     point = as_point(point)
+    if f.jets_fn is not None:
+        return f.jets_fn(point, order)
     return ComponentJets(
         f.f0.eval_jet(point, order),
         [c.eval_jet(point, order) for c in f.fi],

@@ -9,9 +9,7 @@ ratio, or when the residual is already at roundoff).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +28,7 @@ from .hermitian import (
     pair_bracket,
     vertical_projection,
 )
+from .jets import value_array
 from .pauli import EPS, XI_ALL, spin_curvature_from_jets
 from .quantum import (
     GridGeometry,
@@ -37,6 +36,7 @@ from .quantum import (
     SpinorGrid,
     check_linearity,
     inner_product,
+    node_map,
     observed_laplacian,
     operator_bracket,
     pauli_generator,
@@ -149,25 +149,19 @@ def random_special_function(rng: np.random.Generator, consts, with_spin: bool = 
 
 
 def bracket_as_function(f: SpecialFunction, fp: SpecialFunction, sc: Scenario) -> SpecialFunction:
-    """The extended bracket as a jet-evaluable special function (components
-    are closures over the bracket engine; one evaluation per point is shared
-    across all eight component fields)."""
+    """The extended bracket as a jet-evaluable special function.  One bracket
+    evaluation gives all eight components (its `jets_fn`, which grid paths
+    call once per chunk of nodes); each component field also evaluates on
+    its own."""
     bg = sc.background
-    cache: dict = {}
 
-    def bracket_at(point, order):
-        key = (tuple(float(v) for v in point), order)
-        if key not in cache:
-            if len(cache) > 4096:
-                cache.clear()
-            b = bg.jets(point)
-            a = component_jets(f, point, order + 1)
-            c = component_jets(fp, point, order + 1)
-            cache[key] = extended_bracket_jets(a, c, b, order)
-        return cache[key]
+    def bracket_jets(point, order):
+        a = component_jets(f, point, order + 1)
+        c = component_jets(fp, point, order + 1)
+        return extended_bracket_jets(a, c, bg.jets(point), order)
 
     def comp(selector, name):
-        return DerivedField(name, DIMLESS, lambda point, order: selector(bracket_at(point, order)))
+        return DerivedField(name, DIMLESS, lambda point, order: selector(bracket_jets(point, order)))
 
     return SpecialFunction(
         comp(lambda r: r.f0, "br.f0"),
@@ -175,6 +169,7 @@ def bracket_as_function(f: SpecialFunction, fp: SpecialFunction, sc: Scenario) -
         comp(lambda r: r.fbrev, "br.fb"),
         tuple(comp(lambda r, a=a: r.phi[a], f"br.phi{a}") for a in range(3)),
         name=f"[{f.name},{fp.name}]",
+        jets_fn=bracket_jets,
     )
 
 
@@ -534,16 +529,13 @@ def _closed_form_ops(sc: Scenario, geom: GridGeometry):
         c0mat += geom.c_coeffs[..., 0, a, None, None] * XI_ALL[1 + a]
     lap = observed_laplacian(geom)
     a0 = geom.a[0]
-    c = sc.background.constants
-    bvals = np.zeros(geom.spec.shape + (3,))
-    if sc.background.fields_constant:
-        bvals[...] = [s.value for s in sc.background.magnetic_field((0, 0, 0, 0))]
+    bg = sc.background
+    c = bg.constants
+    if bg.fields_constant:
+        bvals = np.zeros(geom.spec.shape + (3,))
+        bvals[...] = [s.value for s in bg.magnetic_field((0, 0, 0, 0))]
     else:
-        it = np.nditer(geom.mesh4[1], flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            pt = [float(geom.mesh4[k][idx]) for k in range(4)]
-            bvals[idx] = [s.value for s in sc.background.magnetic_field(pt)]
+        bvals = node_map(geom.mesh4, lambda cloud: value_array(bg.jets(cloud).magnetic(0), cloud.shape[1:]))
     w = c.u0.value * c.mu.value
 
     def op_x1(psi):
@@ -692,12 +684,6 @@ def run_suites(sc: Scenario, suites=None) -> list:
     for name in names:
         if name not in _SUITE_FNS:
             raise ValueError(f"unknown suite {name!r} (available: {', '.join(SUITES)})")
-    workers = int(os.environ.get("CQM_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda n: _SUITE_FNS[n](sc), names))
-    else:
-        results = [_SUITE_FNS[n](sc) for n in names]
-    checks = [c for group in results for c in group]
+    checks = [c for n in names for c in _SUITE_FNS[n](sc)]
     checks.sort(key=lambda c: c.name)
     return checks

@@ -40,16 +40,6 @@ def test_verify_reports_are_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_verify_parallel_suites_match_serial(tmp_path):
-    a, b = tmp_path / "serial.json", tmp_path / "par.json"
-    args = ["verify", str(SCENARIO_DIR / "flat.json"), "--suite", "curvature",
-            "--suite", "observer", "--samples", "15"]
-    res1 = run_cli(*args, "--out", str(a), env={"CQM_THREADS": "1"})
-    res2 = run_cli(*args, "--out", str(b), env={"CQM_THREADS": "4"})
-    assert res1.returncode == 0 and res2.returncode == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_verify_corrupted_metricity_fails(tmp_path):
     scn = scenario_dict("curved_magnetic")
     scn["Kgrav"]["1_11"] = "0.3*x1"  # not the Levi-Civita coefficient
@@ -127,3 +117,52 @@ def test_evolve_missing_grid(tmp_path):
     res = run_cli("evolve", str(path), "--steps", "5", "--dt", "0.1",
                   "--out", str(tmp_path / "o"))
     assert res.returncode == 2
+
+
+def _scenario_file(tmp_path, name, **changes):
+    scn = json.loads((SCENARIO_DIR / "larmor.json").read_text())
+    scn.update(changes)
+    path = tmp_path / name
+    path.write_text(json.dumps(scn))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["bracket_nan_point", "evolve_negative_steps", "evolve_nan_dt",
+                                  "evolve_metric_not_positive", "evolve_nonfinite_psi0"])
+def test_bad_input_exits_2_with_error_line(tmp_path, case):
+    larmor = str(SCENARIO_DIR / "larmor.json")
+    out = ["--out", str(tmp_path / "out")]
+    args = {
+        "bracket_nan_point": ["bracket", str(SCENARIO_DIR / "flat.json"), "x1", "P1", "--at", "0,0,nan,0"],
+        "evolve_negative_steps": ["evolve", larmor, "--steps", "-3", "--dt", "0.1", *out],
+        "evolve_nan_dt": ["evolve", larmor, "--steps", "5", "--dt", "nan", *out],
+        "evolve_metric_not_positive": [
+            "evolve", _scenario_file(tmp_path, "bad_metric.json",
+                                     metric=[["-1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+            "--steps", "5", "--dt", "0.1", *out],
+        "evolve_nonfinite_psi0": [
+            "evolve", _scenario_file(tmp_path, "bad_psi0.json",
+                                     grid={"axes": [[-0.5, 0.5, 1]] * 3, "psi0": [["log(x1-5)", "0"], ["1", "0"]]}),
+            "--steps", "5", "--dt", "0.1", *out],
+    }[case]
+    res = run_cli(*args)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: ")
+    assert "Traceback" not in res.stderr
+
+
+def test_evolve_builds_one_geometry(tmp_path, monkeypatch):
+    from cqm import cli, quantum
+
+    builds = []
+    original = quantum.GridGeometry.__init__
+
+    def counting(self, qd, spec):
+        builds.append(spec)
+        original(self, qd, spec)
+
+    monkeypatch.setattr(quantum.GridGeometry, "__init__", counting)
+    rc = cli.main(["evolve", str(SCENARIO_DIR / "larmor.json"), "--steps", "20", "--dt", "0.1",
+                   "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert len(builds) == 1

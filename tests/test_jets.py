@@ -221,3 +221,119 @@ def test_cjet_exp():
     assert e.value == pytest.approx(expected)
     # d/dx0 exp(x0 + i x1) = exp
     assert complex(e.re.extract((1, 0, 0, 0)), e.im.extract((1, 0, 0, 0))) == pytest.approx(expected)
+
+
+# -- clouds: a (N, size) jet must equal the N stacked point jets ------------
+
+def _stacked(op, *clouds):
+    """op applied point by point to the rows of the cloud operands."""
+    rows = [op(*(Jet(c.order, c.c[k].copy()) for c in clouds)) for k in range(clouds[0].c.shape[0])]
+    if isinstance(rows[0], CJet):
+        return np.stack([r.re.c for r in rows]), np.stack([r.im.c for r in rows])
+    return np.stack([r.c for r in rows])
+
+
+def _assert_ulps(got, want):
+    # a few ulps of the largest coefficient
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * scale
+
+
+_UNARY_OPS = {
+    "neg": lambda a: -a,
+    "recip": Jet.recip,
+    "sqrt": Jet.sqrt,
+    "exp": Jet.exp,
+    "log": Jet.log,
+    "sin": Jet.sin,
+    "cos": Jet.cos,
+    "powi3": lambda a: a.powi(3),
+    "powi-2": lambda a: a.powi(-2),
+    "scale": lambda a: a * 0.7,
+    "div_number": lambda a: a / 1.3,
+}
+_BINARY_OPS = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: a / b,
+}
+_COMPLEX_OPS = {
+    "add": lambda z, w: z + w,
+    "sub": lambda z, w: z - w,
+    "mul": lambda z, w: z * w,
+    "div": lambda z, w: z / w,
+    "exp": lambda z, w: z.exp(),
+    "conj_mul": lambda z, w: z.conj() * w,
+}
+
+
+@st.composite
+def clouds(draw):
+    """Two clouds of one order: coefficients in [-2, 2], value slots in
+    [0.5, 2.5] so that every domain-restricted operation is defined."""
+    order = draw(st.integers(0, 3))
+    n = draw(st.sampled_from([1, 7]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(2):
+        c = rng.uniform(-2.0, 2.0, (n, SIZES[order]))
+        c[:, 0] = rng.uniform(0.5, 2.5, n)
+        out.append(Jet(order, c))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(clouds())
+def test_cloud_operations_match_stacked_points(pair):
+    a, b = pair
+    for op in _UNARY_OPS.values():
+        _assert_ulps(op(a).c, _stacked(op, a))
+    for op in _BINARY_OPS.values():
+        _assert_ulps(op(a, b).c, _stacked(op, a, b))
+    for v in range(4):
+        if a.order > 0:
+            _assert_ulps(a.derive(v).c, _stacked(lambda j: j.derive(v), a))
+    for order in range(a.order + 1):
+        _assert_ulps(a.truncate(order).c, _stacked(lambda j: j.truncate(order), a))
+    z, w = CJet(a, b), CJet(b, a * 0.5)
+    for op in _COMPLEX_OPS.values():
+        got = op(z, w)
+        want_re, want_im = _stacked(lambda ar, br: op(CJet(ar, br), CJet(br, ar * 0.5)), a, b)
+        _assert_ulps(got.re.c, want_re)
+        _assert_ulps(got.im.c, want_im)
+
+
+@settings(max_examples=20, deadline=None)
+@given(clouds())
+def test_point_jets_broadcast_against_clouds(pair):
+    a, b = pair
+    point = Jet(b.order, b.c[0].copy())
+    for op in _BINARY_OPS.values():
+        _assert_ulps(op(a, point).c, _stacked(lambda j: op(j, point), a))
+        _assert_ulps(op(point, a).c, _stacked(lambda j: op(point, j), a))
+
+
+def test_cloud_seeds_value_and_extract():
+    cloud = np.array([[0.1, 0.2, 0.3], [1.0, 2.0, 3.0], [-1.0, 0.0, 1.0], [0.5, 0.5, 0.5]])
+    x1 = Jet.seed(cloud, 1, 2)
+    assert x1.c.shape == (3, 15)
+    assert np.array_equal(x1.value, [1.0, 2.0, 3.0])
+    sq = x1 * x1
+    assert np.array_equal(sq.extract((0, 1, 0, 0)), [2.0, 4.0, 6.0])
+    assert np.array_equal(sq.extract((0, 2, 0, 0)), [2.0, 2.0, 2.0])
+    for k in range(3):
+        point = Jet.seed(cloud[:, k], 1, 2) * Jet.seed(cloud[:, k], 1, 2)
+        assert np.array_equal(sq.c[k], point.c)
+
+
+@pytest.mark.parametrize("op", [Jet.sqrt, Jet.log, Jet.recip, lambda j: Jet.const(1.0, 2) / j])
+def test_cloud_with_one_bad_point_raises(op):
+    c = np.zeros((5, SIZES[2]))
+    c[:, 0] = [1.0, 2.0, 0.0, 3.0, 4.0]
+    with pytest.raises(DomainError):
+        op(Jet(2, c))
+    c[2, 0] = 0.5
+    op(Jet(2, c))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from cqm import quantum
+from cqm.background import BackgroundJets, NotPositiveDefinite
 from cqm.fieldlang import FieldDef
 from cqm.hermitian import SpinorSection, act_on_section, from_special
 from cqm.quantum import (
@@ -23,7 +25,9 @@ from cqm.quantum import (
     write_snapshot,
 )
 from cqm.scenario import load_scenario
+from cqm.special import extended_bracket
 from cqm.units import DIMLESS
+from cqm.verify import bracket_as_function
 
 from conftest import make_special, scenario_dict
 
@@ -272,3 +276,84 @@ def test_geometry_rejects_foreign_quantum_data(flat_scenario, flat_magnetic_scen
     geom = GridGeometry(flat_scenario.qd, spec)
     with pytest.raises(GridMismatch):
         prequantum(flat_magnetic_scenario.qd, geom, flat_magnetic_scenario.function("x1"))
+
+
+# -- batched node evaluation: the per-point scalar path is the oracle --------
+
+
+@pytest.fixture(params=[None, 10], ids=["one_chunk", "chunks_of_10"])
+def node_chunk(request, monkeypatch):
+    """Run a test with the default chunk and with 10-node chunks, so that a
+    7x7 grid is split across five chunks."""
+    if request.param is not None:
+        monkeypatch.setattr(quantum, "NODE_CHUNK", request.param)
+    return request.param
+
+
+def curved_7x7(sc):
+    spec = GridSpec(((-2, 2, 7), (-1.5, 2.5, 7), (0, 0, 1)), 0.3)
+    return GridGeometry(sc.qd, spec)
+
+
+def node_points(geom):
+    return [tuple(float(m[idx]) for m in geom.mesh4) for idx in np.ndindex(geom.spec.shape)]
+
+
+def test_geometry_spin_coefficients_match_points(curved_magnetic_scenario, node_chunk):
+    sc = curved_magnetic_scenario
+    geom = curved_7x7(sc)
+    want = np.array([sc.qd.spin.coeff_values(p) for p in node_points(geom)])
+    assert geom.c_coeffs.shape == geom.spec.shape + (4, 3)
+    np.testing.assert_allclose(geom.c_coeffs.reshape(-1, 4, 3), want, rtol=0, atol=1e-14)
+
+
+def test_bracket_arrays_match_points(curved_magnetic_scenario, node_chunk):
+    sc = curved_magnetic_scenario
+    consts = sc.background.constants.table()
+    f = make_special(consts, fi=("0.4*x2", "x2*x1", "0.1"), fbrev="x1*x2*x0",
+                     phi=("x1", "0.2*x2*x2", "x2"), name="F")
+    g = make_special(consts, fi=("x1*x1", "0.3", "x1*x2"), fbrev="0.5*x2",
+                     phi=("0.1", "x1*x2", "-x1"), name="G")
+    br = bracket_as_function(f, g, sc)
+    geom = curved_7x7(sc)
+    vals, dfi = quantum._component_arrays(br, geom)
+    points = node_points(geom)
+    want = np.array([extended_bracket(f, g, sc.background, p).as_array() for p in points])
+    got = np.stack([v.reshape(-1) for v in vals], axis=-1)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    assert sorted(dfi) == geom.spec.active == [0, 1]
+    for i, arr in dfi.items():
+        want_d = [br.fi[i].eval_jet(p, 1).derive(i + 1).value for p in points]
+        np.testing.assert_allclose(arr.reshape(-1), want_d, rtol=0, atol=1e-13)
+
+
+def test_bracket_grid_pass_builds_one_bundle_per_chunk(curved_magnetic_scenario, monkeypatch):
+    sc = curved_magnetic_scenario
+    consts = sc.background.constants.table()
+    f = make_special(consts, fi=("x2", "x1", "0"), fbrev="x1", name="F")
+    g = make_special(consts, fi=("0", "x1*x2", "0"), phi=("x2", "0", "0"), name="G")
+    geom = curved_7x7(sc)
+    monkeypatch.setattr(quantum, "NODE_CHUNK", 10)
+    built = []
+    original = BackgroundJets.__init__
+
+    def counting(self, bg, point):
+        built.append(np.shape(point))
+        original(self, bg, point)
+
+    monkeypatch.setattr(BackgroundJets, "__init__", counting)
+    quantum._component_arrays(bracket_as_function(f, g, sc), geom)
+    assert built == [(4, 10)] * 4 + [(4, 9)]
+
+
+def test_cloud_with_one_bad_point_is_not_positive_definite():
+    scn = scenario_dict("flat")
+    scn["metric"] = [["1 - x1*x1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    bg = load_scenario(scn).background
+    cloud = np.zeros((4, 5))
+    cloud[1] = [0.0, 0.5, 1.5, -0.5, 0.2]
+    for build in (lambda b: b.frame(1), lambda b: b.sqrt_det(1), lambda b: b.metric_inv(0)):
+        with pytest.raises(NotPositiveDefinite, match=r"1\.5"):
+            build(bg.jets(cloud))
+    cloud[1, 2] = 0.9
+    bg.jets(cloud).frame(1)
