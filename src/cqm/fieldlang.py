@@ -13,10 +13,10 @@ case-sensitive, whitespace is insignificant, literals are reals (scientific
 notation allowed).  Note that per the grammar "^" applies to a whole base,
 so "-x1^2" parses as (-x1)^2.
 
-Expressions evaluate either to jets (exact derivatives at a point), to plain
-floats, or elementwise to numpy arrays.  A symbolic derivative on the AST is
-provided; it is used by the scenario helpers and as an independent oracle for
-the jet kernel.
+Expressions evaluate to jets (exact derivatives at a point or on a cloud of
+points; arrays over a mesh are order-0 jets on one cloud) or, through the
+independent oracle eval_float, to plain floats.  A symbolic derivative on the
+AST is used by the scenario helpers and as an oracle for the jet kernel.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .jets import DomainError, Jet, jet_vars
+from .jets import DomainError, Jet, jet_vars, value_array
 from .units import DIMLESS, Dim, DimensionMismatch, ScaledReal
 
 
@@ -496,39 +496,11 @@ def eval_float(expr: Expr, point: Sequence[float], consts: ConstTable) -> float:
 
 
 def eval_array(expr: Expr, coords: Sequence[np.ndarray], consts: ConstTable) -> np.ndarray:
-    """Elementwise evaluation over coordinate meshes (coords = X0..X3)."""
+    """Values over coordinate meshes (coords = X0..X3, broadcast together):
+    an order-0 jet evaluation with every mesh node in one cloud."""
     shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
-
-    def ev(node: Expr):
-        if isinstance(node, Const):
-            return node.value
-        if isinstance(node, UnitConst):
-            try:
-                return consts[node.name].value
-            except KeyError:
-                raise UnknownIdentifier(node.name) from None
-        if isinstance(node, Var):
-            return np.asarray(coords[node.index], dtype=float)
-        if isinstance(node, Unary):
-            u = ev(node.arg)
-            if node.op == "neg":
-                return -u
-            return getattr(np, node.op)(u)
-        if isinstance(node, Binary):
-            a, b = ev(node.left), ev(node.right)
-            if node.op == "add":
-                return a + b
-            if node.op == "sub":
-                return a - b
-            if node.op == "mul":
-                return a * b
-            return a / b
-        if isinstance(node, PowInt):
-            base = ev(node.base)
-            return np.asarray(base, dtype=float) ** node.exponent
-        raise TypeError(f"not an expression node: {node!r}")
-
-    return np.broadcast_to(np.asarray(ev(expr), dtype=float), shape).copy()
+    cloud = np.stack([np.broadcast_to(np.asarray(c, dtype=float), shape).ravel() for c in coords])
+    return np.array(value_array(eval_jet(expr, cloud, 0, consts), cloud.shape[1:])).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -564,9 +536,6 @@ class FieldDef:
 
     def __call__(self, point: Sequence[float]) -> float:
         return eval_float(self.expr, point, self.consts)
-
-    def derivative(self, var: int) -> "FieldDef":
-        return FieldDef(f"d{var}({self.name})", self.dim, derive_expr(self.expr, var), self.consts)
 
     @property
     def constant(self) -> bool:

@@ -4,7 +4,8 @@ Spinor fields live on a rectangular spatial grid with Dirichlet-zero boundary
 (the finite surrogate of compactly supported sections).  Axes with a single
 node are inactive: the scenario is treated as invariant along them and they
 contribute no derivative or potential terms (dimensional reduction).  All
-stencils are second-order central differences.
+stencils are second-order central differences.  Node coefficients come from
+chunked jet passes over the grid nodes and are stored component-major.
 
 The generator H with i d0 psi = H psi on the Pauli kernel is
 
@@ -24,10 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .background import NotPositiveDefinite
-from .fieldlang import derive_expr, eval_array
 from .hermitian import QuantumData
-from .jets import value_array
+from .jets import SIZES, value_array
 from .pauli import SIGMA, XI, XI_ALL
 from .special import SpecialFunction, component_jets
 
@@ -134,89 +133,66 @@ def node_map(mesh4, evaluate) -> np.ndarray:
     """Per-node quantities of a grid, evaluated NODE_CHUNK nodes at a time.
 
     `evaluate` takes a coordinate-major (4, n) cloud of nodes and returns an
-    array whose last axis runs over those n nodes.  The result has the grid
-    shape of mesh4 followed by the remaining axes of that array."""
+    array whose last axis runs over those n nodes (length 1 for a value that
+    all of them share).  The result is component-major: the leading axes of
+    that array, then the grid shape of mesh4, so that each component is one
+    contiguous grid array."""
     shape = mesh4[1].shape
     cloud = np.stack([np.broadcast_to(m, shape).ravel() for m in mesh4])
-    parts = [evaluate(cloud[:, s:s + NODE_CHUNK]) for s in range(0, cloud.shape[1], NODE_CHUNK)]
-    out = np.concatenate(parts, axis=-1)
-    return np.moveaxis(out, -1, 0).reshape(shape + out.shape[:-1])
-
-
-def _field_array(fld, coords_mesh) -> np.ndarray:
-    if hasattr(fld, "eval_array"):
-        return fld.eval_array(coords_mesh)
-    return node_map(coords_mesh, lambda cloud: value_array(fld.eval_jet(cloud, 0), cloud.shape[1:]))
+    out = None
+    for s in range(0, cloud.shape[1], NODE_CHUNK):
+        part = evaluate(cloud[:, s:s + NODE_CHUNK])
+        if out is None:
+            out = np.empty(part.shape[:-1] + (cloud.shape[1],))
+        out[..., s:s + NODE_CHUNK] = part
+    return out.reshape(out.shape[:-1] + shape)
 
 
 class GridGeometry:
-    """Node-level coefficient arrays for one (quantum data, grid) pair."""
+    """Node-level coefficient arrays for one (quantum data, grid) pair.
+
+    One chunked jet pass, with one background bundle per chunk, gives them
+    all: sqrt|g|, g^{ij} and A_lam as order-1 jets, whose coefficients
+    (value, d0, d1, d2, d3) are values and first derivatives, and the spin
+    connection C_lam^a at order 0.  The attributes are grid-major views of
+    the component-major result (CONVENTIONS.md)."""
 
     def __init__(self, qd: QuantumData, spec: GridSpec):
         self.qd = qd
         self.spec = spec
-        xs = spec.coords()
-        mesh = np.meshgrid(*xs, indexing="ij")
-        self.x0 = np.full(spec.shape, spec.time)
-        self.mesh4 = [self.x0] + list(mesh)
+        self.mesh4 = [np.full(spec.shape, spec.time), *np.meshgrid(*spec.coords(), indexing="ij")]
         bg = qd.bg
         consts = bg.constants
-        self.u0 = consts.u0.value
         self.kinetic = consts.u0.value * consts.hbar.value / consts.m.value  # u0 hbar / m
-        g = np.stack(
-            [np.stack([_field_array(bg.g[i][j], self.mesh4) for j in range(3)]) for i in range(3)]
-        )  # (3,3,nodes)
-        g = np.moveaxis(g, (0, 1), (-2, -1))
-        self.det = np.linalg.det(g)
-        if np.any(self.det <= 0):
-            raise NotPositiveDefinite("metric not positive definite on the grid")
-        self.sqrtg = np.sqrt(self.det)
-        self.ginv = np.linalg.inv(g)
-        self.g = g
-        # d0 sqrt|g| through d0 det = det tr(g^-1 d0 g)
-        d0g = np.zeros_like(g)
-        for i in range(3):
-            for j in range(3):
-                if hasattr(bg.g[i][j], "expr"):
-                    d0g[..., i, j] = eval_array(derive_expr(bg.g[i][j].expr, 0), self.mesh4, bg.g[i][j].consts)
-        self.d0sqrtg = 0.5 * self.sqrtg * np.einsum("...ij,...ji->...", self.ginv, d0g)
-        self.a = [_field_array(f, self.mesh4) for f in qd.a_fields]
-        self.da = np.zeros(spec.shape + (3, 3))
-        for i in range(3):
-            for j in range(3):
-                self.da[..., i, j] = _field_array(qd.a_fields[j + 1].derivative(i + 1), self.mesh4)
-        # spatial connection coefficients K^h_{ij} (grav = charge-joined spatial part)
-        self.gamma = np.zeros(spec.shape + (3, 3, 3))  # [h, i, j]
-        for (h, lam, mu), fld in bg.kgrav.items():
-            if lam >= 1 and mu >= 1:
-                arr = _field_array(fld, self.mesh4)
-                self.gamma[..., h - 1, lam - 1, mu - 1] = arr
-                if lam != mu:
-                    self.gamma[..., h - 1, mu - 1, lam - 1] = arr
-        self.c_coeffs = self._spin_coeff_arrays()
-        self.dsqrtg = np.zeros(spec.shape + (3,))
-        self.dginv = np.zeros(spec.shape + (3, 3, 3))  # [axis, j, h] = d_axis g^{jh}
-        for ax in spec.active:
-            dgi = np.zeros_like(g)
-            for i in range(3):
-                for j in range(3):
-                    if hasattr(bg.g[i][j], "expr"):
-                        dgi[..., i, j] = eval_array(
-                            derive_expr(bg.g[i][j].expr, ax + 1), self.mesh4, bg.g[i][j].consts
-                        )
-            self.dsqrtg[..., ax] = 0.5 * self.sqrtg * np.einsum("...ij,...ji->...", self.ginv, dgi)
-            self.dginv[..., ax, :, :] = -np.einsum("...ij,...jk,...kl->...il", self.ginv, dgi, self.ginv)
+        c_point = None
+        if bg.fields_constant:
+            # a constant background has the same spin connection at every node
+            c_point = qd.spin.coeff_values([float(np.mean(m)) for m in self.mesh4])[..., None]
+
+        def evaluate(cloud):
+            n = cloud.shape[1]
+            bundle = bg.jets(cloud)
+            ginv = bundle.metric_inv(1)
+            jets = [bundle.sqrt_det(1), *(ginv[i][j] for i in range(3) for j in range(3)), *qd.a_jets(cloud, 1)]
+            spin = value_array(qd.spin.coeffs_from(bundle, 0), (n,)) if c_point is None else c_point
+            rows = [np.broadcast_to(j.c, (n, SIZES[1])).T for j in jets]
+            return np.concatenate(rows + [np.broadcast_to(spin, (4, 3, n)).reshape(12, n)])
+
+        nodes = node_map(self.mesh4, evaluate)
+        jets = nodes[:-12].reshape((14, SIZES[1]) + spec.shape)  # [sqrtg, g^11..g^33, A_0..A_3][coeff]
+        # inactive axes carry no derivative terms (dimensional reduction)
+        jets[:10, [2 + ax for ax in range(3) if ax not in spec.active]] = 0.0
+        self.sqrtg, self.d0sqrtg = jets[0, 0], jets[0, 1]
+        self.dsqrtg = np.moveaxis(jets[0, 2:], 0, -1)  # [..., i] = d_i sqrt|g|
+        ginv = jets[1:10].reshape((3, 3, SIZES[1]) + spec.shape)
+        self.ginv = np.moveaxis(ginv[:, :, 0], (0, 1), (-2, -1))
+        self.dginv = np.moveaxis(ginv[:, :, 2:], (2, 0, 1), (-3, -2, -1))  # [..., axis, j, h] = d_axis g^{jh}
+        self.a = list(jets[10:, 0])
+        self.da = np.moveaxis(jets[11:, 2:], (1, 0), (-2, -1))  # [..., i, j] = d_i A_j
+        self.c_coeffs = np.moveaxis(nodes[-12:].reshape((4, 3) + spec.shape), (0, 1), (-2, -1))
         self.dvol = 1.0
         for ax in spec.active:
             self.dvol *= self.spec.spacing(ax)
-
-    def _spin_coeff_arrays(self) -> np.ndarray:
-        if self.qd.bg.fields_constant:
-            out = np.zeros(self.spec.shape + (4, 3))
-            xs = [float(np.mean(self.mesh4[k])) for k in range(4)]
-            out[...] = self.qd.spin.coeff_values(xs)
-            return out
-        return node_map(self.mesh4, self.qd.spin.coeff_values)
 
     # -- differential helpers ------------------------------------------------
 
@@ -337,26 +313,17 @@ def pauli_generator(geom: GridGeometry) -> GridOperator:
 
 def _component_arrays(f: SpecialFunction, geom: GridGeometry):
     """Node arrays of the components (f0, f^1..f^3, fbrev, phi_1..phi_3) of f,
-    and of d_i f^i keyed by active axis i.
-
-    Fields with an array evaluator use it.  Whatever is left comes from one
-    order-1 jet evaluation of f per chunk of nodes, which gives values and
-    first derivatives alike."""
+    and of d_i f^i keyed by active axis i, from one order-1 jet evaluation of
+    f per chunk of nodes, which gives values and first derivatives alike."""
     active = geom.spec.active
-    comps = [f.f0, *f.fi, f.fbrev, *f.phi]
-    vals = [c.eval_array(geom.mesh4) if hasattr(c, "eval_array") else None for c in comps]
-    dfi = [f.fi[i].derivative(i + 1).eval_array(geom.mesh4) if hasattr(f.fi[i], "derivative") else None
-           for i in active]
-    if any(a is None for a in vals + dfi):
-        def evaluate(cloud):
-            cj = component_jets(f, cloud, 1)
-            jets = [cj.f0, *cj.fi, cj.fbrev, *cj.phi] + [cj.fi[i].derive(i + 1) for i in active]
-            return value_array(jets, cloud.shape[1:])
 
-        batched = node_map(geom.mesh4, evaluate)
-        vals = [batched[..., k] if a is None else a for k, a in enumerate(vals)]
-        dfi = [batched[..., 8 + k] if a is None else a for k, a in enumerate(dfi)]
-    return vals, dict(zip(active, dfi))
+    def evaluate(cloud):
+        cj = component_jets(f, cloud, 1)
+        jets = [cj.f0, *cj.fi, cj.fbrev, *cj.phi] + [cj.fi[i].derive(i + 1) for i in active]
+        return value_array(jets, cloud.shape[1:])
+
+    arrays = node_map(geom.mesh4, evaluate)
+    return list(arrays[:8]), dict(zip(active, arrays[8:]))
 
 
 def prequantum(qd: QuantumData, geom: GridGeometry, f: SpecialFunction) -> GridOperator:

@@ -41,8 +41,9 @@ from . import fieldlang as fl
 from .background import Background, Constants, Observer, christoffel_expressions
 from .fieldlang import DerivedField, FieldDef
 from .hermitian import QuantumData, SpinorSection
+from .jets import DomainError
 from .quantum import GridSpec, SpinorGrid
-from .special import SpecialFunction
+from .special import ComponentJets, SpecialFunction
 from .units import (
     CHARGE_DIM,
     DIMLESS,
@@ -107,12 +108,17 @@ class Scenario:
         mesh = np.meshgrid(*xs, indexing="ij")
         coords = [np.full(self.grid.shape, self.grid.time)] + list(mesh)
         psi = np.zeros(self.grid.shape + (2,), dtype=complex)
-        # non-finite values are reported as one error below, not as warnings
-        with np.errstate(all="ignore"):
-            for comp in range(2):
-                re_f, im_f = self.psi0.components[comp]
-                psi[..., comp] = re_f.eval_array(coords) + 1j * im_f.eval_array(coords)
-        if not np.all(np.isfinite(psi)):
+        # a domain error (log(0), 1/0) and an overflow are reported as the same
+        # error, not as warnings
+        try:
+            with np.errstate(all="ignore"):
+                for comp in range(2):
+                    re_f, im_f = self.psi0.components[comp]
+                    psi[..., comp] = re_f.eval_array(coords) + 1j * im_f.eval_array(coords)
+            finite = np.all(np.isfinite(psi))
+        except DomainError:
+            finite = False
+        if not finite:
             raise ScenarioError("psi0 is not finite on the grid")
         grid = SpinorGrid(self.grid, psi)
         if self.normalize:
@@ -229,14 +235,18 @@ def _builtin_functions(bg: Background, a_exprs, consts) -> dict:
     if bg.fields_constant:
         b_vals = [sr.value for sr in bg.magnetic_field((0.0, 0.0, 0.0, 0.0))]
         phi = tuple(FieldDef(f"phiB{a}", DIMLESS, fl.Const(w * b_vals[a]), consts) for a in range(3))
+        jets_fn = None
     else:
-        def make(a):
-            return DerivedField(
-                f"phiB{a}", DIMLESS, lambda point, order, a=a: bg.jets(point).magnetic(order)[a] * w
-            )
+        def phi_jets(point, order):
+            return [b * w for b in bg.jets(point).magnetic(order)]
 
-        phi = tuple(make(a) for a in range(3))
-    funcs["H0prime"] = SpecialFunction(one, (zero, zero, zero), neg_a0, phi, name="H0prime")
+        def jets_fn(point, order):  # one bundle gives all three spin components
+            return ComponentJets(one.eval_jet(point, order), [zero.eval_jet(point, order) for _ in range(3)],
+                                 neg_a0.eval_jet(point, order), phi_jets(point, order), order)
+
+        phi = tuple(DerivedField(f"phiB{a}", DIMLESS, lambda point, order, a=a: phi_jets(point, order)[a])
+                    for a in range(3))
+    funcs["H0prime"] = SpecialFunction(one, (zero, zero, zero), neg_a0, phi, name="H0prime", jets_fn=jets_fn)
     return funcs
 
 

@@ -532,8 +532,7 @@ def _closed_form_ops(sc: Scenario, geom: GridGeometry):
     bg = sc.background
     c = bg.constants
     if bg.fields_constant:
-        bvals = np.zeros(geom.spec.shape + (3,))
-        bvals[...] = [s.value for s in bg.magnetic_field((0, 0, 0, 0))]
+        bvals = np.array([s.value for s in bg.magnetic_field((0, 0, 0, 0))]).reshape(3, 1, 1, 1)
     else:
         bvals = node_map(geom.mesh4, lambda cloud: value_array(bg.jets(cloud).magnetic(0), cloud.shape[1:]))
     w = c.u0.value * c.mu.value
@@ -549,7 +548,7 @@ def _closed_form_ops(sc: Scenario, geom: GridGeometry):
         out = -0.5 * lap.apply_fn(psi) - a0[..., None] * psi
         smat = np.zeros(geom.spec.shape + (2, 2), dtype=complex)
         for a in range(3):
-            smat += 0.5 * w * bvals[..., a, None, None] * SIGMA[a]
+            smat += 0.5 * w * bvals[a, ..., None, None] * SIGMA[a]
         return out + np.einsum("...ab,...b->...a", smat, psi)
 
     def op_spin3(psi):

@@ -3,7 +3,7 @@ import pytest
 
 from cqm import quantum
 from cqm.background import BackgroundJets, NotPositiveDefinite
-from cqm.fieldlang import FieldDef
+from cqm.fieldlang import FieldDef, derive_expr, eval_float
 from cqm.hermitian import SpinorSection, act_on_section, from_special
 from cqm.quantum import (
     GridGeometry,
@@ -29,7 +29,7 @@ from cqm.special import extended_bracket
 from cqm.units import DIMLESS
 from cqm.verify import bracket_as_function
 
-from conftest import make_special, scenario_dict
+from conftest import SCENARIO_DIR, make_special, scenario_dict
 
 
 def flat_1d_spec(n=201, half=12.0):
@@ -228,6 +228,23 @@ def test_norm_conservation_long_run(flat_magnetic_scenario):
     assert drift < 1e-12
 
 
+def test_crank_nicolson_is_second_order():
+    """Halving dt to the same final time shrinks the Larmor phase error
+    against u0 mu |B| t about 4x (Cayley turns by 4 atan(omega dt / 4))."""
+    sc = load_scenario(SCENARIO_DIR / "larmor.json")
+    grid = sc.initial_grid()
+    c = sc.background.constants
+    b = [s.value for s in sc.background.magnetic_field((0.0, 0.0, 0.0, 0.0))]
+    omega = c.u0.value * c.mu.value * float(np.linalg.norm(b))
+    errors = []
+    for dt in (0.4, 0.2):
+        traj = evolve_pauli(sc.qd, grid, dt, round(50.0 / dt))
+        phase = np.arctan2(traj.sy, traj.sx)
+        errors.append(float(np.max(np.abs(np.angle(np.exp(1j * (phase - omega * traj.times)))))))
+    assert errors[1] > 1e-5  # well above roundoff, so the ratio measures the scheme
+    assert errors[0] / errors[1] >= 3.5
+
+
 def test_step_guard(flat_scenario):
     spec = GridSpec(((-2, 2, 65), (0, 0, 1), (0, 0, 1)), 0.0)
     packet = gaussian_1d(spec, sigma=0.4)
@@ -290,8 +307,8 @@ def node_chunk(request, monkeypatch):
     return request.param
 
 
-def curved_7x7(sc):
-    spec = GridSpec(((-2, 2, 7), (-1.5, 2.5, 7), (0, 0, 1)), 0.3)
+def curved_7x7(sc, x3=0.0):
+    spec = GridSpec(((-2, 2, 7), (-1.5, 2.5, 7), (x3, x3, 1)), 0.3)
     return GridGeometry(sc.qd, spec)
 
 
@@ -305,6 +322,59 @@ def test_geometry_spin_coefficients_match_points(curved_magnetic_scenario, node_
     want = np.array([sc.qd.spin.coeff_values(p) for p in node_points(geom)])
     assert geom.c_coeffs.shape == geom.spec.shape + (4, 3)
     np.testing.assert_allclose(geom.c_coeffs.reshape(-1, 4, 3), want, rtol=0, atol=1e-14)
+
+
+def reference_geometry(sc, point):
+    """sqrt|g|, d_lam sqrt|g|, g^-1, d_lam g^-1, A and d_i A_j at one node from
+    numpy det/inv of the metric values and symbolic derivatives."""
+    bg = sc.background
+
+    def d(fld, lam):
+        return eval_float(derive_expr(fld.expr, lam), point, fld.consts)
+
+    g = np.array([[bg.g[i][j](point) for j in range(3)] for i in range(3)])
+    dg = np.array([[[d(bg.g[i][j], lam) for j in range(3)] for i in range(3)] for lam in range(4)])
+    ginv = np.linalg.inv(g)
+    sqrtg = np.sqrt(np.linalg.det(g))
+    dsqrtg = np.array([0.5 * sqrtg * np.trace(ginv @ dg[lam]) for lam in range(4)])
+    dginv = np.array([-ginv @ dg[lam] @ ginv for lam in range(4)])
+    a = np.array([f(point) for f in sc.qd.a_fields])
+    da = np.array([[d(sc.qd.a_fields[j + 1], i + 1) for j in range(3)] for i in range(3)])
+    return sqrtg, dsqrtg, ginv, dginv, a, da
+
+
+@pytest.mark.parametrize("name, x3", [("curved_magnetic", 0.0), ("anisotropic", 0.4)])
+def test_geometry_arrays_match_points(name, x3, node_chunk, monkeypatch):
+    """The one-pass geometry against the per-node det/inv oracle.  The
+    anisotropic metric depends on x3, which the grid leaves inactive at
+    x3 = 0.4, so its derivative slots there must read zero."""
+    sc = load_scenario(scenario_dict(name))
+    built = []
+    original = BackgroundJets.__init__
+
+    def counting(self, bg, point):
+        built.append(np.shape(point))
+        original(self, bg, point)
+
+    monkeypatch.setattr(BackgroundJets, "__init__", counting)
+    geom = curved_7x7(sc, x3)
+    nodes = int(np.prod(geom.spec.shape))
+    assert len(built) == -(-nodes // quantum.NODE_CHUNK)
+    active = geom.spec.active
+    assert active == [0, 1]
+    close = dict(rtol=0, atol=1e-13)
+    for idx, point in zip(np.ndindex(geom.spec.shape), node_points(geom)):
+        sqrtg, dsqrtg, ginv, dginv, a, da = reference_geometry(sc, point)
+        np.testing.assert_allclose(geom.sqrtg[idx], sqrtg, **close)
+        np.testing.assert_allclose(geom.d0sqrtg[idx], dsqrtg[0], **close)
+        np.testing.assert_allclose(geom.dsqrtg[idx][active], dsqrtg[1:][active], **close)
+        np.testing.assert_allclose(geom.ginv[idx], ginv, **close)
+        np.testing.assert_allclose(geom.dginv[idx][active], dginv[1:][active], **close)
+        np.testing.assert_allclose([geom.a[k][idx] for k in range(4)], a, **close)
+        np.testing.assert_allclose(geom.da[idx], da, **close)
+        assert geom.dsqrtg[idx][2] == 0.0 and not geom.dginv[idx][2].any()
+    if name == "anisotropic":
+        assert np.abs(reference_geometry(sc, node_points(geom)[0])[3][3]).max() > 1e-3
 
 
 def test_bracket_arrays_match_points(curved_magnetic_scenario, node_chunk):
@@ -342,8 +412,11 @@ def test_bracket_grid_pass_builds_one_bundle_per_chunk(curved_magnetic_scenario,
         original(self, bg, point)
 
     monkeypatch.setattr(BackgroundJets, "__init__", counting)
-    quantum._component_arrays(bracket_as_function(f, g, sc), geom)
-    assert built == [(4, 10)] * 4 + [(4, 9)]
+    # H0prime's three spin components share one bundle as well
+    for func in (bracket_as_function(f, g, sc), sc.function("H0prime")):
+        built.clear()
+        quantum._component_arrays(func, geom)
+        assert built == [(4, 10)] * 4 + [(4, 9)]
 
 
 def test_cloud_with_one_bad_point_is_not_positive_definite():

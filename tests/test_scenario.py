@@ -4,7 +4,7 @@ import pytest
 from cqm.background import PhasePoint
 from cqm.quantum import GridGeometry, grid_norm
 from cqm.scenario import ScenarioError, load_scenario
-from cqm.special import eval_special
+from cqm.special import component_jets, eval_special
 
 from conftest import SCENARIO_DIR, scenario_dict
 
@@ -99,6 +99,11 @@ def test_builtin_h0prime_curved_uses_derived_fields(curved_magnetic_scenario):
     pt = (0.0, 0.5, 0.2, -0.1)
     b3 = sc.background.magnetic_field(pt)[2].value
     assert f.phi[2](pt) == pytest.approx(-c.u0.value * c.mu.value * b3)
+    # the one-pass evaluator gives the same jets as the component fields
+    cj = component_jets(f, pt, 1)
+    for a in range(3):
+        assert np.array_equal(cj.phi[a].c, f.phi[a].eval_jet(pt, 1).c)
+    assert np.array_equal(cj.fbrev.c, f.fbrev.eval_jet(pt, 1).c)
 
 
 def test_spin_n_function_entry(flat_scenario):
@@ -128,6 +133,16 @@ def test_initial_grid_normalized():
     grid = sc.initial_grid()
     geom = GridGeometry(sc.qd, grid.spec)
     assert grid_norm(geom, grid) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("expr", ["log(x1-5)", "1/x1", "exp(1000*x1)"],
+                         ids=["log_domain", "division_by_zero", "overflow"])
+def test_initial_grid_rejects_nonfinite_psi0(expr):
+    scn = scenario_dict("flat")
+    scn["grid"] = {"axes": [[-1, 1, 5], [-0.5, 0.5, 1], [-0.5, 0.5, 1]], "psi0": [[expr, "0"], ["1", "0"]]}
+    sc = load_scenario(scn)
+    with pytest.raises(ScenarioError, match="psi0 is not finite on the grid"):
+        sc.initial_grid()
 
 
 def test_sample_points_deterministic():
