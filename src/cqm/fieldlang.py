@@ -27,7 +27,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .jets import DomainError, Jet, jet_vars, value_array
+from .jets import DomainError, Jet, value_array
 from .units import DIMLESS, Dim, DimensionMismatch, ScaledReal
 
 
@@ -416,7 +416,7 @@ def infer_dim(expr: Expr, consts: ConstTable) -> Dim | None:
 
 
 def eval_jet(expr: Expr, point: Sequence[float], order: int, consts: ConstTable) -> Jet:
-    seeds = jet_vars(point, order)
+    seeds = {}  # coordinate jets, seeded when the walk first reaches each Var
 
     def ev(node: Expr) -> Jet:
         if isinstance(node, Const):
@@ -427,6 +427,8 @@ def eval_jet(expr: Expr, point: Sequence[float], order: int, consts: ConstTable)
             except KeyError:
                 raise UnknownIdentifier(node.name) from None
         if isinstance(node, Var):
+            if node.index not in seeds:
+                seeds[node.index] = Jet.seed(point, node.index, order)
             return seeds[node.index]
         if isinstance(node, Unary):
             u = ev(node.arg)

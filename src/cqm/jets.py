@@ -347,11 +347,6 @@ class Jet:
         return f"Jet(order={self.order}, points={self.c.shape[0]})"
 
 
-def jet_vars(point: Sequence[float], order: int) -> list[Jet]:
-    """Seeds of the four coordinate functions at a point."""
-    return [Jet.seed(point, v, order) for v in range(N_VARS)]
-
-
 def jet_seed(point: Sequence[float], var_index: int, order: int) -> Jet:
     return Jet.seed(point, var_index, order)
 

@@ -7,6 +7,12 @@ contribute no derivative or potential terms (dimensional reduction).  All
 stencils are second-order central differences.  Node coefficients come from
 chunked jet passes over the grid nodes and are stored component-major.
 
+Each grid operator is built once as a Stencil: a (..., 2, 2) centre matrix and
+one coefficient array per neighbour offset, with offsets whose coefficients
+are all zero dropped (the mixed derivatives of a diagonal metric, say).  An
+apply is one einsum with the centre and one in-place slice accumulation per
+kept offset; the Dirichlet zeros come from the slicing.
+
 The generator H with i d0 psi = H psi on the Pauli kernel is
 
     H = -1/2 Delta0 - A0 + i C_0^k xi_k,
@@ -200,18 +206,6 @@ class GridGeometry:
         h = self.spec.spacing(axis)
         return (_shift(arr, axis, 1) - _shift(arr, axis, -1)) / (2.0 * h)
 
-    def d2(self, arr: np.ndarray, axis: int) -> np.ndarray:
-        h = self.spec.spacing(axis)
-        return (_shift(arr, axis, 1) - 2.0 * arr + _shift(arr, axis, -1)) / (h * h)
-
-    def d_cross(self, arr: np.ndarray, ax1: int, ax2: int) -> np.ndarray:
-        h1, h2 = self.spec.spacing(ax1), self.spec.spacing(ax2)
-        pp = _shift(_shift(arr, ax1, 1), ax2, 1)
-        pm = _shift(_shift(arr, ax1, 1), ax2, -1)
-        mp = _shift(_shift(arr, ax1, -1), ax2, 1)
-        mm = _shift(_shift(arr, ax1, -1), ax2, -1)
-        return (pp - pm - mp + mm) / (4.0 * h1 * h2)
-
 
 @dataclass
 class GridOperator:
@@ -225,6 +219,64 @@ class GridOperator:
         return SpinorGrid(grid.spec, self.apply_fn(grid.psi))
 
 
+# (dst, src) slices along one axis for a neighbour step of +1, -1 or 0
+_STEP_SLICES = {1: (slice(None, -1), slice(1, None)), -1: (slice(1, None), slice(None, -1)),
+                0: (slice(None), slice(None))}
+
+
+def _offset_slices(offset: tuple):
+    """(dst, src) node slices that pair each node with its neighbour at
+    `offset`; neighbours past the edge are left out (Dirichlet zero)."""
+    return tuple(_STEP_SLICES[d][0] for d in offset), tuple(_STEP_SLICES[d][1] for d in offset)
+
+
+class Stencil:
+    """A nearest-neighbour grid operator as coefficient arrays (CONVENTIONS.md).
+
+    (H psi)[k] = centre[k] psi[k] + sum over offsets d of coef_d[k] psi[k + d],
+    with a (..., 2, 2) complex centre matrix and, per offset d in {-1, 0, 1}^3,
+    a grid-shaped complex coefficient array.  Stencils add, and premultiply by
+    a scalar or a grid-shaped node array."""
+
+    __array_ufunc__ = None  # ndarray * Stencil defers to __rmul__
+
+    def __init__(self, centre: np.ndarray, offsets: dict):
+        self.centre = centre
+        self.offsets = offsets
+
+    def __add__(self, other: "Stencil") -> "Stencil":
+        offsets = dict(self.offsets)
+        for d, coef in other.offsets.items():
+            offsets[d] = offsets[d] + coef if d in offsets else coef
+        return Stencil(self.centre + other.centre, offsets)
+
+    def __rmul__(self, factor) -> "Stencil":
+        factor = np.asarray(factor)
+        return Stencil(factor[..., None, None] * self.centre,
+                       {d: factor * coef for d, coef in self.offsets.items()})
+
+    def live_offsets(self) -> dict:
+        """The offsets whose coefficients are not all zero."""
+        return {d: coef for d, coef in self.offsets.items() if np.any(coef)}
+
+    def operator(self, label: str, symmetric: bool) -> GridOperator:
+        """The operator that applies this stencil: one einsum with the centre,
+        then one in-place slice accumulation per live offset."""
+        centre = self.centre
+        terms = []
+        for d, coef in self.live_offsets().items():
+            dst, src = _offset_slices(d)
+            terms.append((dst, src, coef[dst][..., None]))
+
+        def apply_fn(psi: np.ndarray) -> np.ndarray:
+            out = np.einsum("...ab,...b->...a", centre, psi)
+            for dst, src, coef in terms:
+                out[dst] += coef * psi[src]
+            return out
+
+        return GridOperator(label, apply_fn, symmetric)
+
+
 def inner_product(geom: GridGeometry, a: SpinorGrid, b: SpinorGrid) -> complex:
     """<a, b> = sum conj(a) . b sqrt|g| dV (plain Riemann sum)."""
     _check_same(a, b)
@@ -236,7 +288,11 @@ def grid_norm(geom: GridGeometry, a: SpinorGrid) -> float:
     return float(np.sqrt(inner_product(geom, a, a).real))
 
 
-def observed_laplacian(geom: GridGeometry) -> GridOperator:
+def _axis_offset(i: int, d: int) -> tuple:
+    return tuple(d if k == i else 0 for k in range(3))
+
+
+def _laplacian_stencil(geom: GridGeometry) -> Stencil:
     """Delta0[o] = u0 (hbar/m) g^{ij} ((d_i - iA_i)(d_j - iA_j) - K^h_{ij}(d_h - iA_h)).
 
     The connection term carries the covariant-Hessian sign (-Gamma); it is
@@ -245,41 +301,40 @@ def observed_laplacian(geom: GridGeometry) -> GridOperator:
     operator of the spatial metric (symmetric with the sqrt|g| weight).  Sums
     run over active axes only: a single-node axis removes its whole
     (d_i - iA_i) factor, and the divergence form keeps the reduction
-    self-adjoint for the full 3-d volume weight."""
+    self-adjoint for the full 3-d volume weight.  Second derivatives are
+    central differences, mixed ones the four-corner product of two."""
     active = geom.spec.active
     ginv = geom.ginv
     a_sp = [geom.a[i + 1] for i in range(3)]
-    da_term = np.zeros(geom.spec.shape)
-    aa_term = np.zeros(geom.spec.shape)
-    w = np.zeros(geom.spec.shape + (3,))
+    h = [geom.spec.spacing(i) for i in range(3)]
+    real = np.zeros(geom.spec.shape)  # centre = real + i imag
+    imag = np.zeros(geom.spec.shape)
+    offsets = {}
     for i in active:
+        # w_i = d_j g^{ji} + g^{ji} d_j sqrt|g| / sqrt|g|, the divergence vector
+        w = np.zeros(geom.spec.shape)
+        ga = np.zeros(geom.spec.shape)  # g^{ij} A_j
         for j in active:
-            da_term += ginv[..., i, j] * geom.da[..., i, j]
-            aa_term += ginv[..., i, j] * a_sp[i] * a_sp[j]
-        for h in active:
-            w[..., h] += geom.dginv[..., i, i, h] + ginv[..., i, h] * geom.dsqrtg[..., i] / geom.sqrtg
+            w += geom.dginv[..., j, j, i] + ginv[..., j, i] * geom.dsqrtg[..., j] / geom.sqrtg
+            ga += ginv[..., i, j] * a_sp[j]
+            imag -= ginv[..., i, j] * geom.da[..., i, j]
+            if j > i:
+                cross = ginv[..., i, j] + ginv[..., j, i]  # both orderings of d_i d_j
+                if np.any(cross):
+                    for si in (1, -1):
+                        for sj in (1, -1):
+                            d = tuple(si if k == i else sj if k == j else 0 for k in range(3))
+                            offsets[d] = si * sj * cross / (4.0 * h[i] * h[j])
+        for s in (1, -1):
+            offsets[_axis_offset(i, s)] = ginv[..., i, i] / h[i] ** 2 + s * (w - 2j * ga) / (2.0 * h[i])
+        real -= 2.0 * ginv[..., i, i] / h[i] ** 2 + ga * a_sp[i]
+        imag -= w * a_sp[i]
+    return geom.kinetic * Stencil((real + 1j * imag)[..., None, None] * np.eye(2), offsets)
 
-    def apply_fn(psi: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(psi)
-        grads = {}
-        for i in active:
-            grads[i] = geom.d1(psi, i)
-        for i in active:
-            out += ginv[..., i, i, None] * geom.d2(psi, i)
-            for j in active:
-                if j != i:
-                    out += ginv[..., i, j, None] * geom.d_cross(psi, i, j)
-        for i in active:
-            coef = np.zeros(psi.shape[:-1])
-            for j in active:
-                coef += 2.0 * ginv[..., i, j] * a_sp[j]
-            out += -1j * coef[..., None] * grads[i]
-        out += (-1j * da_term - aa_term)[..., None] * psi
-        for h in active:
-            out += w[..., h, None] * (grads[h] - 1j * a_sp[h][..., None] * psi)
-        return geom.kinetic * out
 
-    return GridOperator("Delta0", apply_fn, symmetric=False)
+def observed_laplacian(geom: GridGeometry) -> GridOperator:
+    """Delta0 on the grid (see _laplacian_stencil)."""
+    return _laplacian_stencil(geom).operator("Delta0", symmetric=False)
 
 
 def _static_check(geom: GridGeometry, tol: float = 1e-12):
@@ -298,17 +353,9 @@ def _spin_matrix(coeff: np.ndarray) -> np.ndarray:
 def pauli_generator(geom: GridGeometry) -> GridOperator:
     """H with i d0 psi = H psi on the Pauli kernel: -1/2 Delta0 - A0 + i C_0^k xi_k."""
     _static_check(geom)
-    lap = observed_laplacian(geom)
-    hmat = _spin_matrix(geom.c_coeffs[..., 0, :])
-    a0 = geom.a[0]
-
-    def apply_fn(psi: np.ndarray) -> np.ndarray:
-        out = -0.5 * lap.apply_fn(psi)
-        out -= a0[..., None] * psi
-        out += np.einsum("...ab,...b->...a", hmat, psi)
-        return out
-
-    return GridOperator("pauli_generator", apply_fn, symmetric=True)
+    local = _spin_matrix(geom.c_coeffs[..., 0, :]) - geom.a[0][..., None, None] * np.eye(2)
+    stencil = -0.5 * _laplacian_stencil(geom) + Stencil(local, {})
+    return stencil.operator("pauli_generator", symmetric=True)
 
 
 def _component_arrays(f: SpecialFunction, geom: GridGeometry):
@@ -352,25 +399,20 @@ def prequantum(qd: QuantumData, geom: GridGeometry, f: SpecialFunction) -> GridO
         coeff = y0 if nu == 0 else ya[nu - 1]
         ymat += coeff[..., None, None] * XI_ALL[nu]
     ymat += (-0.5 * div)[..., None, None] * np.eye(2)
-    lap = observed_laplacian(geom)
     c0mat = np.zeros(geom.spec.shape + (2, 2), dtype=complex)
     for a in range(3):
         c0mat += geom.c_coeffs[..., 0, a, None, None] * XI[a]
-    a0 = geom.a[0]
-    active = geom.spec.active
     p_factor = geom.d0sqrtg / (2.0 * geom.sqrtg)
-
-    def apply_fn(psi: np.ndarray) -> np.ndarray:
-        ypsi = -np.einsum("...ab,...b->...a", ymat, psi)
-        for i in active:
-            ypsi += xi_sp[i][..., None] * geom.d1(psi, i)
-        ppsi = (-1j * a0 + p_factor)[..., None] * psi
-        ppsi += -0.5j * lap.apply_fn(psi)
-        ppsi -= np.einsum("...ab,...b->...a", c0mat, psi)
-        return 1j * (ypsi - f0[..., None] * ppsi)
-
-    label = f.name or "prequantum"
-    return GridOperator(label, apply_fn, symmetric=True)
+    # Y.psi - f0 (P psi without its Laplacian part); P's -i/2 Delta0 is added below
+    pmat = (-1j * geom.a[0] + p_factor)[..., None, None] * np.eye(2) - c0mat
+    offsets = {}
+    for i in geom.spec.active:
+        h = geom.spec.spacing(i)
+        for s in (1, -1):
+            offsets[_axis_offset(i, s)] = s * xi_sp[i] / (2.0 * h)
+    local = Stencil(-ymat - f0[..., None, None] * pmat, offsets)
+    stencil = 1j * local + (-0.5 * f0) * _laplacian_stencil(geom)
+    return stencil.operator(f.name or "prequantum", symmetric=True)
 
 
 def operator_bracket(o1: GridOperator, o2: GridOperator, probe: SpinorGrid) -> SpinorGrid:

@@ -5,6 +5,7 @@ from cqm import quantum
 from cqm.background import BackgroundJets, NotPositiveDefinite
 from cqm.fieldlang import FieldDef, derive_expr, eval_float
 from cqm.hermitian import SpinorSection, act_on_section, from_special
+from cqm.pauli import XI_ALL
 from cqm.quantum import (
     GridGeometry,
     GridMismatch,
@@ -245,6 +246,22 @@ def test_crank_nicolson_is_second_order():
     assert errors[0] / errors[1] >= 3.5
 
 
+def test_crank_nicolson_keeps_the_norm_each_step(flat_magnetic_scenario):
+    """The Cayley step is unitary for the sqrt|g|-weighted product, so the
+    norm moves only by roundoff per step; any other theta-method (implicit
+    Euler, say) loses norm every step, which the phase test cannot see."""
+    sc = flat_magnetic_scenario
+    spec = GridSpec(((-3, 3, 8),) * 3, 0.0)
+    geom = GridGeometry(sc.qd, spec)
+    x1, x2, x3 = geom.mesh4[1:]
+    envelope = np.exp(-0.5 * (x1**2 + x2**2 + x3**2) + 0.7j * x1)
+    grid = SpinorGrid(spec, np.stack([0.8 * envelope, 0.6j * envelope], axis=-1))
+    grid.psi /= grid_norm(geom, grid)
+    traj = evolve_pauli(sc.qd, grid, 0.05, 10, geom=geom)
+    assert len(traj.norms) == 11
+    assert np.max(np.abs(np.diff(traj.norms))) <= 1e-13
+
+
 def test_step_guard(flat_scenario):
     spec = GridSpec(((-2, 2, 65), (0, 0, 1), (0, 0, 1)), 0.0)
     packet = gaussian_1d(spec, sigma=0.4)
@@ -430,3 +447,134 @@ def test_cloud_with_one_bad_point_is_not_positive_definite():
             build(bg.jets(cloud))
     cloud[1, 2] = 0.9
     bg.jets(cloud).frame(1)
+
+
+# -- stencils: the per-apply composition from shifted copies is the oracle ---
+
+
+def oracle_d2(geom, arr, axis):
+    h = geom.spec.spacing(axis)
+    return (quantum._shift(arr, axis, 1) - 2.0 * arr + quantum._shift(arr, axis, -1)) / (h * h)
+
+
+def oracle_d_cross(geom, arr, ax1, ax2):
+    h1, h2 = geom.spec.spacing(ax1), geom.spec.spacing(ax2)
+    pp = quantum._shift(quantum._shift(arr, ax1, 1), ax2, 1)
+    pm = quantum._shift(quantum._shift(arr, ax1, 1), ax2, -1)
+    mp = quantum._shift(quantum._shift(arr, ax1, -1), ax2, 1)
+    mm = quantum._shift(quantum._shift(arr, ax1, -1), ax2, -1)
+    return (pp - pm - mp + mm) / (4.0 * h1 * h2)
+
+
+def oracle_laplacian(geom, psi):
+    """Delta0 psi term by term: g^{ij} times second and mixed differences,
+    -2i g^{ij} A_j d_i, -i g^{ij} d_i A_j - g^{ij} A_i A_j, and the divergence
+    vector w_h times (d_h - i A_h)."""
+    active = geom.spec.active
+    ginv = geom.ginv
+    a_sp = [geom.a[i + 1] for i in range(3)]
+    da_term = np.zeros(geom.spec.shape)
+    aa_term = np.zeros(geom.spec.shape)
+    w = np.zeros(geom.spec.shape + (3,))
+    for i in active:
+        for j in active:
+            da_term += ginv[..., i, j] * geom.da[..., i, j]
+            aa_term += ginv[..., i, j] * a_sp[i] * a_sp[j]
+        for h in active:
+            w[..., h] += geom.dginv[..., i, i, h] + ginv[..., i, h] * geom.dsqrtg[..., i] / geom.sqrtg
+    out = np.zeros_like(psi)
+    grads = {i: geom.d1(psi, i) for i in active}
+    for i in active:
+        out += ginv[..., i, i, None] * oracle_d2(geom, psi, i)
+        for j in active:
+            if j != i:
+                out += ginv[..., i, j, None] * oracle_d_cross(geom, psi, i, j)
+    for i in active:
+        coef = np.zeros(psi.shape[:-1])
+        for j in active:
+            coef += 2.0 * ginv[..., i, j] * a_sp[j]
+        out += -1j * coef[..., None] * grads[i]
+    out += (-1j * da_term - aa_term)[..., None] * psi
+    for h in active:
+        out += w[..., h, None] * (grads[h] - 1j * a_sp[h][..., None] * psi)
+    return geom.kinetic * out
+
+
+def oracle_generator(geom, psi):
+    hmat = quantum._spin_matrix(geom.c_coeffs[..., 0, :])
+    out = -0.5 * oracle_laplacian(geom, psi) - geom.a[0][..., None] * psi
+    return out + np.einsum("...ab,...b->...a", hmat, psi)
+
+
+def oracle_prequantum(geom, f, psi):
+    """i (Y.psi - f0 P psi) with Y.psi = -f^i d_i psi - Y psi and
+    P psi = (-i A0 + d0 sqrt|g| / 2 sqrt|g|) psi - i/2 Delta0 psi - C_0^a xi_a psi."""
+    vals, dfi = quantum._component_arrays(f, geom)
+    f0, fi, fbrev, phi = vals[0], vals[1:4], vals[4], vals[5:8]
+    y0 = f0 * geom.a[0] + fbrev - sum(fi[j] * geom.a[j + 1] for j in range(3))
+    ya = [phi[a] + f0 * geom.c_coeffs[..., 0, a] - sum(fi[j] * geom.c_coeffs[..., j + 1, a] for j in range(3))
+          for a in range(3)]
+    div = f0 * geom.d0sqrtg / geom.sqrtg
+    for i in geom.spec.active:
+        div += -dfi[i] - fi[i] * geom.dsqrtg[..., i] / geom.sqrtg
+    ymat = sum(c[..., None, None] * XI_ALL[nu] for nu, c in enumerate([y0, *ya]))
+    ymat = ymat + (-0.5 * div)[..., None, None] * np.eye(2)
+    c0mat = sum(geom.c_coeffs[..., 0, a, None, None] * XI_ALL[a + 1] for a in range(3))
+    ypsi = -np.einsum("...ab,...b->...a", ymat, psi)
+    for i in geom.spec.active:
+        ypsi -= fi[i][..., None] * geom.d1(psi, i)
+    ppsi = (-1j * geom.a[0] + geom.d0sqrtg / (2.0 * geom.sqrtg))[..., None] * psi
+    ppsi += -0.5j * oracle_laplacian(geom, psi)
+    ppsi -= np.einsum("...ab,...b->...a", c0mat, psi)
+    return 1j * (ypsi - f0[..., None] * ppsi)
+
+
+STENCIL_GRIDS = {
+    "anisotropic_6x7x8": (lambda: load_scenario(scenario_dict("anisotropic")),
+                          GridSpec(((-0.8, 0.8, 6), (-0.7, 0.9, 7), (-0.6, 0.8, 8)), 0.0)),
+    "curved_magnetic_15x15x1": (lambda: load_scenario(SCENARIO_DIR / "curved_magnetic.json"), None),
+    "flat_magnetic_8^3": (lambda: load_scenario(SCENARIO_DIR / "flat_magnetic.json"),
+                          GridSpec(((-3, 3, 8),) * 3, 0.0)),
+    "larmor_one_node": (lambda: load_scenario(SCENARIO_DIR / "larmor.json"), None),
+    "free_packet_1d": (lambda: load_scenario(SCENARIO_DIR / "free_packet.json"), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STENCIL_GRIDS))
+def test_stencil_operators_match_shifted_copy_oracle(name):
+    make, spec = STENCIL_GRIDS[name]
+    sc = make()
+    spec = spec or sc.grid
+    geom = GridGeometry(sc.qd, spec)
+    rng = np.random.default_rng(8)
+    psi = rng.standard_normal(spec.shape + (2,)) + 1j * rng.standard_normal(spec.shape + (2,))
+    consts = sc.background.constants.table()
+    f = make_special(consts, f0="0.3+0.1*x1", fi=("0.4*x2", "x2*x1", "0.1"), fbrev="x1*x2",
+                     phi=("x1", "0.2*x2", "x2"), name="F")
+    g = make_special(consts, fi=("x1*x1", "0.3", "x1*x2"), fbrev="0.5*x2",
+                     phi=("0.1", "x1*x2", "-x1"), name="G")
+    pairs = [(observed_laplacian(geom), oracle_laplacian(geom, psi)),
+             (pauli_generator(geom), oracle_generator(geom, psi))]
+    for func in (sc.function("P1"), sc.function("H0prime"), bracket_as_function(f, g, sc)):
+        pairs.append((prequantum(sc.qd, geom, func), oracle_prequantum(geom, func, psi)))
+    for op, want in pairs:
+        got = op.apply_fn(psi)
+        assert got.shape == psi.shape
+        scale = float(np.max(np.abs(want)))  # 0 for Delta0 on one node: then exact
+        assert float(np.max(np.abs(got - want))) <= 1e-14 * scale, op.label
+
+
+def test_stencil_drops_zero_offsets(flat_magnetic_scenario):
+    """A diagonal constant metric has no mixed-derivative offsets; the
+    anisotropic metric keeps all 6 axis and 12 mixed ones."""
+    axis = {tuple(s if k == i else 0 for k in range(3)) for i in range(3) for s in (1, -1)}
+    flat = GridGeometry(flat_magnetic_scenario.qd, GridSpec(((-3, 3, 8),) * 3, 0.0))
+    assert set(quantum._laplacian_stencil(flat).live_offsets()) == axis
+    aniso = GridGeometry(load_scenario(scenario_dict("anisotropic")).qd, STENCIL_GRIDS["anisotropic_6x7x8"][1])
+    live = set(quantum._laplacian_stencil(aniso).live_offsets())
+    assert len(live) == 18 and axis <= live
+    assert all(sum(map(abs, d)) in (1, 2) and d.count(0) >= 1 for d in live)
+    # an operator without f0 or f^i is its centre alone
+    x1 = prequantum(flat_magnetic_scenario.qd, flat, flat_magnetic_scenario.function("x1"))
+    psi = np.ones(flat.spec.shape + (2,), dtype=complex)
+    np.testing.assert_array_equal(x1.apply_fn(psi), flat.mesh4[1][..., None] * psi)

@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cqm.units import (
     CHARGE_DIM,
@@ -103,6 +104,7 @@ def test_pow_composition(d, p, q):
 
 @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), dims, dims,
        st.sampled_from(["add", "sub", "mul", "div"]))
+@example(1.0, 2.2250738585e-313, DIMLESS, LENGTH, "div")  # the quotient overflows
 def test_scaled_arith_dim_rule(x, y, dx, dy, op):
     a, b = ScaledReal(x, dx), ScaledReal(y, dy)
     if op in ("add", "sub") and dx != dy:
@@ -111,6 +113,11 @@ def test_scaled_arith_dim_rule(x, y, dx, dy, op):
         return
     if op == "div" and y == 0.0:
         with pytest.raises(DivisionByZero):
+            scaled_arith(a, b, op)
+        return
+    if op == "div" and not math.isfinite(x / y):
+        # a ScaledReal is a finite real: an overflowed quotient is rejected
+        with pytest.raises(ValueError, match="non-finite"):
             scaled_arith(a, b, op)
         return
     r = scaled_arith(a, b, op)
