@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cqm.quantum import evolve_pauli
+from cqm.quantum import GridGeometry, evolve_pauli
 from cqm.scenario import load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -23,7 +23,8 @@ def main():
     sc = load_scenario(args.scenario)
     c = sc.background.constants
     diffusivity = c.u0.value * c.hbar.value / (2.0 * c.m.value)
-    traj = evolve_pauli(sc.qd, sc.initial_grid(), args.dt, args.steps)
+    geom = GridGeometry(sc.qd, sc.grid)  # serves the psi0 normalisation and the evolution
+    traj = evolve_pauli(sc.qd, sc.initial_grid(geom), args.dt, args.steps, geom=geom)
     sigma0 = traj.widths[0]
     print(f"D = u0 hbar / 2m = {diffusivity}; sigma0 = {sigma0:.4f}")
     print(f"{'t':>8} {'width':>10} {'analytic':>10} {'rel dev':>10}")

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cqm.quantum import evolve_pauli, measure_frequency
+from cqm.quantum import GridGeometry, evolve_pauli, measure_frequency
 from cqm.scenario import load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -30,7 +30,8 @@ def main():
     steps = int(np.ceil(args.periods * 2 * np.pi / omega / args.dt))
     print(f"expected omega = u0 mu |B| = {omega:.6f}; running {steps} steps at dt = {args.dt}")
 
-    traj = evolve_pauli(sc.qd, sc.initial_grid(), args.dt, steps)
+    geom = GridGeometry(sc.qd, sc.grid)  # serves the psi0 normalisation and the evolution
+    traj = evolve_pauli(sc.qd, sc.initial_grid(geom), args.dt, steps, geom=geom)
     measured = measure_frequency(traj.sx, args.dt)
     drift = float(np.max(np.abs(traj.norms - traj.norms[0])))
     print(f"measured omega   = {measured:.6f}  (rel err {abs(measured - omega) / omega:.2e})")

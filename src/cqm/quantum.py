@@ -20,7 +20,9 @@ The generator H with i d0 psi = H psi on the Pauli kernel is
 and the pre-quantum operator of a special function F is assembled as
 i (Y.psi - u0 f0 P psi) with the d0 psi contributions cancelled structurally
 (they are never formed).  Crank-Nicolson steps are solved matrix-free by
-fixed-point iteration on the Cayley system, guarded by a step-size check.
+fixed-point iteration on the Cayley system; the iteration's own update norms
+decide each step: it ends when an update falls to 1e-14 |b|, and a step size
+at which the updates stop shrinking is reported as SolverDivergence.
 """
 
 from __future__ import annotations
@@ -235,10 +237,7 @@ class Stencil:
 
     (H psi)[k] = centre[k] psi[k] + sum over offsets d of coef_d[k] psi[k + d],
     with a (..., 2, 2) complex centre matrix and, per offset d in {-1, 0, 1}^3,
-    a grid-shaped complex coefficient array.  Stencils add, and premultiply by
-    a scalar or a grid-shaped node array."""
-
-    __array_ufunc__ = None  # ndarray * Stencil defers to __rmul__
+    a grid-shaped complex coefficient array.  Stencils add."""
 
     def __init__(self, centre: np.ndarray, offsets: dict):
         self.centre = centre
@@ -249,11 +248,6 @@ class Stencil:
         for d, coef in other.offsets.items():
             offsets[d] = offsets[d] + coef if d in offsets else coef
         return Stencil(self.centre + other.centre, offsets)
-
-    def __rmul__(self, factor) -> "Stencil":
-        factor = np.asarray(factor)
-        return Stencil(factor[..., None, None] * self.centre,
-                       {d: factor * coef for d, coef in self.offsets.items()})
 
     def live_offsets(self) -> dict:
         """The offsets whose coefficients are not all zero."""
@@ -292,8 +286,8 @@ def _axis_offset(i: int, d: int) -> tuple:
     return tuple(d if k == i else 0 for k in range(3))
 
 
-def _laplacian_stencil(geom: GridGeometry) -> Stencil:
-    """Delta0[o] = u0 (hbar/m) g^{ij} ((d_i - iA_i)(d_j - iA_j) - K^h_{ij}(d_h - iA_h)).
+def _laplacian_stencil(geom: GridGeometry, scale=1.0) -> Stencil:
+    """Delta0[o] = u0 (hbar/m) g^{ij} ((d_i - iA_i)(d_j - iA_j) - K^h_{ij}(d_h - iA_h)), times `scale`.
 
     The connection term carries the covariant-Hessian sign (-Gamma); it is
     assembled through the divergence identity -g^{ij} K^h_{ij} =
@@ -302,8 +296,12 @@ def _laplacian_stencil(geom: GridGeometry) -> Stencil:
     run over active axes only: a single-node axis removes its whole
     (d_i - iA_i) factor, and the divergence form keeps the reduction
     self-adjoint for the full 3-d volume weight.  Second derivatives are
-    central differences, mixed ones the four-corner product of two."""
+    central differences, mixed ones the four-corner product of two.  `scale`,
+    a scalar or a grid-shaped node array, enters the prefactor u0 hbar/m
+    before the centre and the offsets are formed, so no scaled copy of
+    them is made."""
     active = geom.spec.active
+    pref = geom.kinetic * scale
     ginv = geom.ginv
     a_sp = [geom.a[i + 1] for i in range(3)]
     h = [geom.spec.spacing(i) for i in range(3)]
@@ -324,12 +322,12 @@ def _laplacian_stencil(geom: GridGeometry) -> Stencil:
                     for si in (1, -1):
                         for sj in (1, -1):
                             d = tuple(si if k == i else sj if k == j else 0 for k in range(3))
-                            offsets[d] = si * sj * cross / (4.0 * h[i] * h[j])
+                            offsets[d] = pref * (si * sj * cross / (4.0 * h[i] * h[j]))
         for s in (1, -1):
-            offsets[_axis_offset(i, s)] = ginv[..., i, i] / h[i] ** 2 + s * (w - 2j * ga) / (2.0 * h[i])
+            offsets[_axis_offset(i, s)] = pref * (ginv[..., i, i] / h[i] ** 2 + s * (w - 2j * ga) / (2.0 * h[i]))
         real -= 2.0 * ginv[..., i, i] / h[i] ** 2 + ga * a_sp[i]
         imag -= w * a_sp[i]
-    return geom.kinetic * Stencil((real + 1j * imag)[..., None, None] * np.eye(2), offsets)
+    return Stencil((pref * (real + 1j * imag))[..., None, None] * np.eye(2), offsets)
 
 
 def observed_laplacian(geom: GridGeometry) -> GridOperator:
@@ -354,7 +352,7 @@ def pauli_generator(geom: GridGeometry) -> GridOperator:
     """H with i d0 psi = H psi on the Pauli kernel: -1/2 Delta0 - A0 + i C_0^k xi_k."""
     _static_check(geom)
     local = _spin_matrix(geom.c_coeffs[..., 0, :]) - geom.a[0][..., None, None] * np.eye(2)
-    stencil = -0.5 * _laplacian_stencil(geom) + Stencil(local, {})
+    stencil = _laplacian_stencil(geom, -0.5) + Stencil(local, {})
     return stencil.operator("pauli_generator", symmetric=True)
 
 
@@ -409,9 +407,9 @@ def prequantum(qd: QuantumData, geom: GridGeometry, f: SpecialFunction) -> GridO
     for i in geom.spec.active:
         h = geom.spec.spacing(i)
         for s in (1, -1):
-            offsets[_axis_offset(i, s)] = s * xi_sp[i] / (2.0 * h)
-    local = Stencil(-ymat - f0[..., None, None] * pmat, offsets)
-    stencil = 1j * local + (-0.5 * f0) * _laplacian_stencil(geom)
+            offsets[_axis_offset(i, s)] = 1j * (s * xi_sp[i] / (2.0 * h))
+    local = Stencil(1j * (-ymat - f0[..., None, None] * pmat), offsets)
+    stencil = local + _laplacian_stencil(geom, -0.5 * f0)
     return stencil.operator(f.name or "prequantum", symmetric=True)
 
 
@@ -450,42 +448,27 @@ class Trajectory:
     snapshots: list = field(default_factory=list)
 
 
-def _spin_expectations(geom: GridGeometry, grid: SpinorGrid):
-    nn = inner_product(geom, grid, grid).real
-    if nn == 0.0:
-        return 0.0, [0.0, 0.0, 0.0]
-    out = []
-    for s in SIGMA:
-        spsi = np.einsum("ab,...b->...a", s, grid.psi)
-        out.append(float(np.sum(np.einsum("...s,...s->...", grid.psi.conj(), spsi) * geom.sqrtg).real * geom.dvol / nn))
-    return nn, out
-
-
-def _width(geom: GridGeometry, grid: SpinorGrid) -> float:
-    dens = np.einsum("...s,...s->...", grid.psi.conj(), grid.psi).real * geom.sqrtg
-    total = float(np.sum(dens))
+def _observables(geom: GridGeometry, psi: np.ndarray):
+    """(norm, [<sigma_1>, <sigma_2>, <sigma_3>], width) of psi from one pass
+    over the weighted spinor psi sqrt|g|.  Its 2x2 density
+    rho_ab = sum conj(psi_a) psi_b sqrt|g| gives the norm sqrt(tr rho dV) and
+    <sigma_k> = sum_ab sigma_k,ab rho_ab / tr rho (not tr(sigma rho), which
+    flips the sign of the antisymmetric sigma_2); the node density gives the
+    width, the root of the summed variances along the active axes."""
+    conj = psi.conj()
+    weighted = psi * geom.sqrtg[..., None]
+    rho = conj.reshape(-1, 2).T @ weighted.reshape(-1, 2)
+    total = float(np.trace(rho).real)
     if total == 0.0:
-        return 0.0
+        return 0.0, [0.0, 0.0, 0.0], 0.0
+    dens = np.einsum("...s,...s->...", conj, weighted).real
     var = 0.0
     for ax in geom.spec.active:
         x = geom.mesh4[ax + 1]
         mean = float(np.sum(dens * x)) / total
         var += float(np.sum(dens * (x - mean) ** 2)) / total
-    return float(np.sqrt(var))
-
-
-def _estimate_norm(op: GridOperator, spec: GridSpec, iters: int = 12) -> float:
-    rng = np.random.default_rng(20240901)
-    v = rng.standard_normal(spec.shape + (2,)) + 1j * rng.standard_normal(spec.shape + (2,))
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = op.apply_fn(v)
-        lam = float(np.linalg.norm(w))
-        if lam == 0.0:
-            return 0.0
-        v = w / lam
-    return lam
+    sigma = [float(np.sum(s * rho).real) / total for s in SIGMA]
+    return float(np.sqrt(total * geom.dvol)), sigma, float(np.sqrt(var))
 
 
 def evolve_pauli(
@@ -497,27 +480,27 @@ def evolve_pauli(
     snapshot_every: int = 0,
 ) -> Trajectory:
     """Crank-Nicolson evolution (1 + i dt/2 H) psi+ = (1 - i dt/2 H) psi,
-    solved matrix-free by fixed-point iteration to near machine tolerance."""
+    solved matrix-free by the fixed-point iteration x <- b - i dt/2 H x from
+    x = b.  A step ends when an update is at most 1e-14 |b|, which certifies
+    it; an update no smaller than the one before it means the iteration does
+    not contract at this dt, and SolverDivergence is raised at once, as it
+    is after 500 updates without convergence.  Norm, <sigma> and width are
+    recorded at every step."""
     geom = geom or GridGeometry(qd, psi0.spec)
     h_op = pauli_generator(geom)
-    hnorm = _estimate_norm(h_op, psi0.spec)
-    if dt * hnorm > 1.5:
-        raise SolverDivergence(
-            f"step-size guard: dt*|H| ~ {dt * hnorm:.2f} > 1.5; reduce dt for the fixed-point solver"
-        )
     grid = psi0.copy()
     rows = {k: [] for k in ("step", "time", "norm", "sx", "sy", "sz", "width")}
     snaps = []
 
     def record(step):
-        nn, (sx, sy, sz) = _spin_expectations(geom, grid)
+        norm, (sx, sy, sz), width = _observables(geom, grid.psi)
         rows["step"].append(step)
         rows["time"].append(psi0.spec.time + step * dt)
-        rows["norm"].append(float(np.sqrt(nn)))
+        rows["norm"].append(norm)
         rows["sx"].append(sx)
         rows["sy"].append(sy)
         rows["sz"].append(sz)
-        rows["width"].append(_width(geom, grid))
+        rows["width"].append(width)
         if snapshot_every and step % snapshot_every == 0:
             snaps.append((step, grid.copy()))
 
@@ -529,6 +512,7 @@ def evolve_pauli(
         x = b.copy()
         bnorm = float(np.linalg.norm(b)) or 1.0
         converged = False
+        last = np.inf
         for _ in range(500):
             x_new = b - half * h_op.apply_fn(x)
             delta = float(np.linalg.norm(x_new - x))
@@ -536,6 +520,9 @@ def evolve_pauli(
             if delta <= 1e-14 * bnorm:
                 converged = True
                 break
+            if not delta < last:
+                raise SolverDivergence(f"fixed-point iteration stopped contracting at step {n}; reduce dt")
+            last = delta
         if not converged:
             raise SolverDivergence(f"fixed-point iteration stalled at step {n}")
         grid = SpinorGrid(grid.spec, x)

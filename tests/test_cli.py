@@ -9,12 +9,16 @@ import pytest
 from conftest import SCENARIO_DIR, scenario_dict
 
 CLI = [sys.executable, "-m", "cqm.cli"]
+SRC = str(SCENARIO_DIR.parent / "src")
 
 
 def run_cli(*args, env=None):
+    """Run the CLI in a child process that imports cqm from this checkout's
+    src (pytest's own pythonpath setting does not reach the child)."""
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
+    full_env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, full_env.get("PYTHONPATH")) if p)
     return subprocess.run(CLI + list(args), capture_output=True, text=True, env=full_env)
 
 
@@ -117,6 +121,17 @@ def test_evolve_missing_grid(tmp_path):
     res = run_cli("evolve", str(path), "--steps", "5", "--dt", "0.1",
                   "--out", str(tmp_path / "o"))
     assert res.returncode == 2
+
+
+def test_evolve_too_large_dt_exits_1_with_error_line(tmp_path):
+    """A step at which the Cayley iteration does not contract is a solver
+    failure: exit 1, one error line, before any overflow."""
+    res = run_cli("evolve", str(SCENARIO_DIR / "free_packet.json"), "--dt", "0.008", "--steps", "2",
+                  "--out", str(tmp_path / "out"))
+    assert res.returncode == 1, res.stderr
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "reduce dt" in lines[0], res.stderr
+    assert "Traceback" not in res.stderr and "RuntimeWarning" not in res.stderr
 
 
 def _scenario_file(tmp_path, name, **changes):

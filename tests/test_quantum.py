@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from cqm import quantum
 from cqm.background import BackgroundJets, NotPositiveDefinite
 from cqm.fieldlang import FieldDef, derive_expr, eval_float
 from cqm.hermitian import SpinorSection, act_on_section, from_special
-from cqm.pauli import XI_ALL
+from cqm.pauli import SIGMA, XI_ALL
 from cqm.quantum import (
     GridGeometry,
     GridMismatch,
@@ -262,11 +264,82 @@ def test_crank_nicolson_keeps_the_norm_each_step(flat_magnetic_scenario):
     assert np.max(np.abs(np.diff(traj.norms))) <= 1e-13
 
 
-def test_step_guard(flat_scenario):
+def test_step_guard(flat_scenario, monkeypatch):
+    """A dt at which the fixed-point updates grow fails at step 1 after a
+    few generator applies, before anything overflows."""
     spec = GridSpec(((-2, 2, 65), (0, 0, 1), (0, 0, 1)), 0.0)
     packet = gaussian_1d(spec, sigma=0.4)
-    with pytest.raises(SolverDivergence):
-        evolve_pauli(flat_scenario.qd, packet, 1.0, 2)
+    applies = []
+    original = quantum.pauli_generator
+
+    def counting(geom):
+        op = original(geom)
+        return quantum.GridOperator(op.label, lambda psi: applies.append(1) or op.apply_fn(psi), op.symmetric)
+
+    monkeypatch.setattr(quantum, "pauli_generator", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SolverDivergence, match="at step 1;"):
+            evolve_pauli(flat_scenario.qd, packet, 1.0, 2)
+    assert 1 <= len(applies) <= 5
+
+
+def test_cayley_residual_certifies_each_step():
+    """free_packet at dt 0.006, beyond what a dt |H| <= 1.5 rule admits:
+    every step solves (1 + i tau H) x = (1 - i tau H) psi to 1e-13 |b| and
+    keeps the norm."""
+    sc = load_scenario(SCENARIO_DIR / "free_packet.json")
+    geom = GridGeometry(sc.qd, sc.grid)
+    dt, tau = 0.006, 0.003
+    traj = evolve_pauli(sc.qd, sc.initial_grid(geom), dt, 10, geom=geom, snapshot_every=1)
+    assert [step for step, _ in traj.snapshots] == list(range(11))
+    h_apply = pauli_generator(geom).apply_fn
+    for (_, before), (_, after) in zip(traj.snapshots, traj.snapshots[1:]):
+        b = before.psi - 1j * tau * h_apply(before.psi)
+        residual = after.psi + 1j * tau * h_apply(after.psi) - b
+        assert np.linalg.norm(residual) <= 1e-13 * np.linalg.norm(b)
+    assert np.max(np.abs(np.diff(traj.norms))) <= 1e-13
+
+
+def oracle_spin_expectations(geom, grid):
+    """Norm squared and <sigma_k> from three sigma-weighted density sums."""
+    nn = inner_product(geom, grid, grid).real
+    if nn == 0.0:
+        return 0.0, [0.0, 0.0, 0.0]
+    out = []
+    for s in SIGMA:
+        spsi = np.einsum("ab,...b->...a", s, grid.psi)
+        out.append(float(np.sum(np.einsum("...s,...s->...", grid.psi.conj(), spsi) * geom.sqrtg).real * geom.dvol / nn))
+    return nn, out
+
+
+def oracle_width(geom, grid):
+    dens = np.einsum("...s,...s->...", grid.psi.conj(), grid.psi).real * geom.sqrtg
+    total = float(np.sum(dens))
+    if total == 0.0:
+        return 0.0
+    var = 0.0
+    for ax in geom.spec.active:
+        x = geom.mesh4[ax + 1]
+        mean = float(np.sum(dens * x)) / total
+        var += float(np.sum(dens * (x - mean) ** 2)) / total
+    return float(np.sqrt(var))
+
+
+def test_observables_match_separate_density_sums(curved_magnetic_scenario):
+    spec = GridSpec(((-0.8, 0.8, 7), (-0.7, 0.9, 7), (0.0, 0.0, 1)), 0.0)
+    geom = GridGeometry(curved_magnetic_scenario.qd, spec)
+    assert np.ptp(geom.sqrtg) > 0.01  # a non-uniform weight
+    rng = np.random.default_rng(5)
+    grid = SpinorGrid(spec, rng.standard_normal(spec.shape + (2,)) + 1j * rng.standard_normal(spec.shape + (2,)))
+    norm, sigma, width = quantum._observables(geom, grid.psi)
+    nn, want = oracle_spin_expectations(geom, grid)
+    assert abs(norm - np.sqrt(nn)) <= 1e-14 * np.sqrt(nn)
+    assert np.max(np.abs(np.array(sigma) - want)) <= 1e-14
+    assert min(map(abs, want)) > 1e-3  # each component, sigma_2's sign included, is tested
+    assert abs(width - oracle_width(geom, grid)) <= 1e-14 * width
+    zero = quantum._observables(geom, np.zeros_like(grid.psi))
+    assert zero == (0.0, [0.0, 0.0, 0.0], 0.0)
 
 
 def test_nonstatic_metric_rejected():
