@@ -24,7 +24,7 @@ import numpy as np
 
 from . import fieldlang as fl
 from .fieldlang import FieldDef
-from .jets import Jet
+from .jets import Jet, value_array
 from .pauli import EPS, _eps_axis_jets
 from .units import (
     BFIELD_FRAME_DIM,
@@ -273,41 +273,38 @@ class Background:
         return [ScaledReal(j.value, BFIELD_FRAME_DIM) for j in jets]
 
     def validate(self, samples: Sequence) -> dict:
-        """Residuals of the spacetime-connection axioms at sample points."""
+        """Worst residuals of the spacetime-connection axioms over the sample
+        points (rows), evaluated as one (4, N) cloud."""
+        cloud = np.asarray(samples, dtype=float).reshape(-1, 4).T
+        batch = cloud.shape[1:]
+        b = self.jets(cloud)
         res = {"metricity": 0.0, "torsion": 0.0, "curvature_symmetry": 0.0, "dF": 0.0}
-        for x in samples:
-            b = self.jets(x)
-            g1 = b.metric(1)
-            k = b.kgrav(0)
-            # nabla_lam g_ij = d_lam g_ij - K_lam^h_i g_hj - K_lam^h_j g_ih
-            g0 = b.metric(0)
-            for lam in range(4):
-                for i in range(3):
-                    for j in range(3):
-                        r = g1[i][j].derive(lam).value
-                        for h in range(3):
-                            r -= k[lam][h][i + 1].value * g0[h][j].value
-                            r -= k[lam][h][j + 1].value * g0[i][h].value
-                        res["metricity"] = max(res["metricity"], abs(r))
-            # pair symmetry of the all-spatial curvature R_ijhk = R_hkij
-            riem = b.riemann_lowered_spatial()
+
+        def worst(key, r):
+            res[key] = max(res[key], float(np.max(np.abs(r))))
+
+        g1 = b.metric(1)
+        k = value_array(b.kgrav(0), batch)
+        # nabla_lam g_ij = d_lam g_ij - K_lam^h_i g_hj - K_lam^h_j g_ih
+        g0 = value_array(b.metric(0), batch)
+        for lam in range(4):
             for i in range(3):
                 for j in range(3):
+                    r = value_array(g1[i][j].derive(lam), batch)
                     for h in range(3):
-                        for kk in range(3):
-                            res["curvature_symmetry"] = max(
-                                res["curvature_symmetry"], abs(riem[i, j, h, kk] - riem[h, kk, i, j])
-                            )
-            f1 = b.f_jets(1)
-            for lam in range(4):
-                for mu in range(lam + 1, 4):
-                    for nu in range(mu + 1, 4):
-                        r = (
-                            f1[lam][mu].derive(nu).value
-                            + f1[mu][nu].derive(lam).value
-                            + f1[nu][lam].derive(mu).value
-                        )
-                        res["dF"] = max(res["dF"], abs(r))
+                        r = r - k[lam][h][i + 1] * g0[h][j]
+                        r = r - k[lam][h][j + 1] * g0[i][h]
+                    worst("metricity", r)
+        # pair symmetry of the all-spatial curvature R_ijhk = R_hkij
+        riem = b.riemann_lowered_spatial()
+        worst("curvature_symmetry", riem - riem.transpose((2, 3, 0, 1, 4)))
+        f1 = b.f_jets(1)
+        for lam in range(4):
+            for mu in range(lam + 1, 4):
+                for nu in range(mu + 1, 4):
+                    d = [value_array(f1[a][c].derive(e), batch) for a, c, e in
+                         ((lam, mu, nu), (mu, nu, lam), (nu, lam, mu))]
+                    worst("dF", d[0] + d[1] + d[2])
         return res
 
 
@@ -545,20 +542,23 @@ class BackgroundJets:
         """R_{ij h k} = g_{hm} R^m_{k ij} of the gravitational connection,
         all-spatial slots, numeric, in the standard curvature-operator
         convention (the one under which a Levi-Civita connection has the
-        pair symmetry R_{ijhk} = R_{hkij})."""
+        pair symmetry R_{ijhk} = R_{hkij}).  Shape (3, 3, 3, 3), with a
+        trailing (N,) axis on a cloud."""
+        batch = self.point.shape[1:]
         k1 = self.kgrav(1)
-        k0 = self.kgrav(0)
-        g0 = self.metric(0)
-        riem = np.zeros((3, 3, 3, 3))
+        k0 = value_array(self.kgrav(0), batch)
+        g0 = value_array(self.metric(0), batch)
+        riem = np.zeros((3, 3, 3, 3) + batch)
         for i in range(3):
             for j in range(3):
                 for m in range(3):
                     for kk in range(3):
-                        r = k1[j + 1][m][kk + 1].derive(i + 1).value - k1[i + 1][m][kk + 1].derive(j + 1).value
+                        r = value_array(k1[j + 1][m][kk + 1].derive(i + 1), batch) \
+                            - value_array(k1[i + 1][m][kk + 1].derive(j + 1), batch)
                         for h in range(3):
-                            r += k0[i + 1][m][h + 1].value * k0[j + 1][h][kk + 1].value
-                            r -= k0[j + 1][m][h + 1].value * k0[i + 1][h][kk + 1].value
-                        riem[i, j, :, kk] += r * np.array([g0[h2][m].value for h2 in range(3)])
+                            r = r + k0[i + 1][m][h + 1] * k0[j + 1][h][kk + 1]
+                            r = r - k0[j + 1][m][h + 1] * k0[i + 1][h][kk + 1]
+                        riem[i, j, :, kk] += r * g0[:, m]
         return riem
 
     def magnetic(self, order: int) -> list:

@@ -64,6 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_verify(args) -> int:
     try:
+        if args.samples is not None and args.samples < 1:
+            raise ScenarioError(f"--samples must be a positive integer, got {args.samples}")
         sc = load_scenario(args.scenario)
         if args.samples is not None:
             sc.samples = args.samples

@@ -28,7 +28,7 @@ from .background import (
     divergence_eta_jets,
 )
 from .fieldlang import FieldDef
-from .jets import CJet, Jet
+from .jets import CJet, Jet, max_abs, value_array
 from .pauli import XI_ALL, SpinConnection, spin_connection_from, spin_curvature_jets
 from .special import SpecialFunction, SpecialValue, component_jets, eval_special
 
@@ -112,8 +112,11 @@ class Mat2:
     def truncate(self, order: int) -> "Mat2":
         return Mat2([[self.m[r][c].truncate(order) for c in range(2)] for r in range(2)])
 
-    def values(self) -> np.ndarray:
-        return np.array([[self.m[r][c].value for c in range(2)] for r in range(2)])
+    def values(self, batch: tuple = ()) -> np.ndarray:
+        """Entry values: (2, 2) at a point, (2, 2, N) on a cloud of batch
+        shape (N,); point-shaped entries (constants) broadcast to the cloud,
+        as jets.value_array does."""
+        return np.array([[np.broadcast_to(self.m[r][c].value, batch) for c in range(2)] for r in range(2)])
 
     def apply(self, psi: Sequence) -> list:
         return [
@@ -291,7 +294,7 @@ def act_on_section(y: HermitianField, psi: SpinorSection, point) -> np.ndarray:
 
 
 def lie_bracket_y(y: HermitianField, yp: HermitianField, point, order: int = 0):
-    """Lie bracket at a point: ([X,X'] jets, matrix part
+    """Lie bracket at a point or on a (4, N) cloud: ([X,X'] jets, matrix part
     Z = X.dY' - X'.dY + Y'Y - YY')."""
     point = as_point(point)
     x1 = y.x_jets(point, order + 1)
@@ -341,7 +344,8 @@ def connection_lift(qd: QuantumData, x_fields: Sequence, o: Observer, name: str 
 
 
 def vertical_projection(y: HermitianField, qd: QuantumData, o: Observer, point, order: int = 0) -> Mat2:
-    """nu[c] Y = Ymat - X^lam c_lam: anti-Hermitian when Y is plain-Hermitian."""
+    """nu[c] Y = Ymat - X^lam c_lam at a point or on a (4, N) cloud:
+    anti-Hermitian when Y is plain-Hermitian."""
     point = as_point(point)
     x = y.x_jets(point, order)
     return y.ymat(point, order) - _lift_mat(qd, x, o, point, order)
@@ -352,7 +356,8 @@ def pair_bracket(pair, pair_p, qd: QuantumData, o: Observer, point, order: int =
     ([X,X'], -R(X,X') + nabla_X Y' - nabla_X' Y + [Y', Y]).
 
     Each pair is (x_fields, vertical_mat_eval) with vertical_mat_eval a
-    callable (point, order) -> Mat2.
+    callable (point, order) -> Mat2.  Jets and Mat2 at a point or on a
+    (4, N) cloud.
     """
     point = as_point(point)
     x_fields, yv = pair
@@ -440,12 +445,15 @@ def invariant_combination(f: SpecialFunction, qd: QuantumData, o: Observer, poin
     return f0 * ch0 - float(fi @ chi) + f_at_o
 
 
-def hermiticity_residual(y: HermitianField, qd: QuantumData, point) -> float:
-    """max |Y + Y^dagger (+ div_eta X for volume-weighted fields)|."""
+def hermiticity_residual(y: HermitianField, qd: QuantumData, point):
+    """max |Y + Y^dagger (+ div_eta X for volume-weighted fields)|: a float
+    at a point, an (N,) array of per-point values on a (4, N) cloud."""
     point = as_point(point)
-    mval = y.ymat(point, 0).values()
+    batch = point.shape[1:]
+    mval = y.ymat(point, 0).values(batch)
     div = 0.0
     if y.div_corrected:
         xj = y.x_jets(point, 1)
-        div = divergence_eta_jets(xj, qd.bg.jets(point), 0).value
-    return float(np.max(np.abs(mval + mval.conj().T + div * np.eye(2))))
+        div = value_array(divergence_eta_jets(xj, qd.bg.jets(point), 0), batch)
+    eye = np.eye(2).reshape((2, 2) + (1,) * len(batch))
+    return max_abs(mval + mval.conj().swapaxes(0, 1) + div * eye, batch)

@@ -234,6 +234,10 @@ class Jet:
                 return Jet(self.order, self.c * float(other))
             return NotImplemented
         n = self.order if self.order <= other.order else other.order
+        if n == 0:
+            # One table term: the scatter below would give 0.0 + a*b, and
+            # adding 0.0 keeps its sign of zero.
+            return Jet(0, self.c[..., :1] * other.c[..., :1] + 0.0)
         ii, jj, kk = _MUL_TABLES[n]
         # Gather the coefficient pairs of every table term, multiply, and
         # scatter-add each product into its result slot.  The work runs
@@ -345,6 +349,13 @@ class Jet:
         if self.c.ndim == 1:
             return f"Jet(order={self.order}, value={self.value!r})"
         return f"Jet(order={self.order}, points={self.c.shape[0]})"
+
+
+def max_abs(values, batch: tuple = ()):
+    """max |values| over every axis but the trailing batch axes: a float at a
+    point (batch ()), an (N,) array on a cloud (batch (N,)), as Jet.value."""
+    worst = np.max(np.abs(np.asarray(values)).reshape((-1,) + batch), axis=0)
+    return worst if batch else float(worst)
 
 
 def jet_seed(point: Sequence[float], var_index: int, order: int) -> Jet:

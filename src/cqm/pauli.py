@@ -198,17 +198,20 @@ def spin_curvature(conn: SpinConnection, point) -> np.ndarray:
     return spin_curvature_from_jets(jets)
 
 
-def spin_curvature_from_jets(cjets, out_order: int = 0) -> np.ndarray:
-    r = np.zeros((4, 4, 4))
+def spin_curvature_from_jets(cjets, batch: tuple = ()) -> np.ndarray:
+    """spin_curvature from C jets of order >= 1: (4, 4, 4) at a point,
+    (4, 4, 4, N) on a cloud of batch shape (N,)."""
+    c = value_array(cjets, batch)
+    r = np.zeros((4, 4, 4) + batch)
     for lam in range(4):
         for mu in range(lam + 1, 4):
             for k in range(3):
-                term = (-cjets[mu][k].derive(lam) + cjets[lam][k].derive(mu)).value
+                term = value_array(-cjets[mu][k].derive(lam) + cjets[lam][k].derive(mu), batch)
                 quad = 0.0
                 for i in range(3):
                     for j in range(3):
                         if EPS[i, j, k] != 0.0:
-                            quad += cjets[lam][i].value * cjets[mu][j].value * EPS[i, j, k]
+                            quad = quad + c[lam][i] * c[mu][j] * EPS[i, j, k]
                 r[lam, mu, 1 + k] = term + quad
                 r[mu, lam, 1 + k] = -(term + quad)
     return r

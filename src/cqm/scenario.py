@@ -356,6 +356,9 @@ def load_scenario(source) -> Scenario:
     box = np.array(suite.get("box", [[-1.0, 1.0]] * 4), dtype=float)
     if box.shape != (4, 2):
         raise ScenarioError("suite.box must be 4 [lo, hi] pairs")
+    samples = int(suite.get("samples", 100))
+    if samples < 1:
+        raise ScenarioError(f"suite.samples must be a positive integer, got {samples}")
     return Scenario(
         background=bg,
         observers=observers,
@@ -364,7 +367,7 @@ def load_scenario(source) -> Scenario:
         grid=grid,
         psi0=psi0,
         normalize=normalize,
-        samples=int(suite.get("samples", 100)),
+        samples=samples,
         seed=int(suite.get("seed", 20240101)),
         box=box,
         tolerances=dict(suite.get("tolerances", {})),

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .background import Background, BackgroundJets, Observer, PhasePoint, as_point
-from .jets import Jet
+from .jets import Jet, max_abs, value_array
 from .pauli import EPS
 
 
@@ -83,13 +83,12 @@ class ComponentJets:
             order,
         )
 
-    def values(self) -> SpecialValue:
-        return SpecialValue(
-            self.f0.value,
-            np.array([j.value for j in self.fi]),
-            self.fbrev.value,
-            np.array([j.value for j in self.phi]),
-        )
+    def values(self, batch: tuple = ()) -> SpecialValue:
+        """Component values at a point (batch ()) or as (N,) arrays on a
+        cloud (batch (N,)); point-shaped components broadcast to the cloud."""
+        v = value_array([self.f0, *self.fi, self.fbrev, *self.phi], batch)
+        f0, fbrev = (v[0], v[4]) if batch else (float(v[0]), float(v[4]))
+        return SpecialValue(f0, v[1:4], fbrev, v[5:])
 
     def x_components(self) -> list:
         """Chart components of X[f]: (f0, -f^i)."""
@@ -219,19 +218,25 @@ def scalar_bracket(f: SpecialFunction, fp: SpecialFunction, bg: Background, o: O
 
 
 def extended_bracket(f: SpecialFunction, fp: SpecialFunction, bg: Background, point) -> SpecialValue:
+    """The bracket's component values at a point, or (N,) arrays of them on
+    a (4, N) cloud."""
+    point = as_point(point)
     b = bg.jets(point)
     a = component_jets(f, point, 1)
     c = component_jets(fp, point, 1)
-    return extended_bracket_jets(a, c, b, 0).values()
+    return extended_bracket_jets(a, c, b, 0).values(point.shape[1:])
 
 
-def jacobi_residual(f1: SpecialFunction, f2: SpecialFunction, f3: SpecialFunction, bg: Background, point) -> float:
-    """Max-norm of the cyclic sum [[F1,[F2,F3]]] + cyc at the point."""
+def jacobi_residual(f1: SpecialFunction, f2: SpecialFunction, f3: SpecialFunction, bg: Background, point):
+    """Max-norm of the cyclic sum [[F1,[F2,F3]]] + cyc: a float at a point,
+    an (N,) array of per-point values on a (4, N) cloud."""
+    point = as_point(point)
+    batch = point.shape[1:]
     b = bg.jets(point)
     comps = [component_jets(f, point, 2) for f in (f1, f2, f3)]
-    total = np.zeros(8)
+    total = np.zeros((8,) + batch)
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         inner = extended_bracket_jets(comps[j], comps[k], b, 1)
         outer = extended_bracket_jets(comps[i].truncate(1), inner, b, 0)
-        total += outer.values().as_array()
-    return float(np.max(np.abs(total)))
+        total += outer.values(batch).as_array()
+    return max_abs(total, batch)

@@ -5,6 +5,14 @@ worst residual of a family of identities.  Two kinds of checks exist:
 residual checks (pass when max residual <= tolerance) and convergence checks
 (pass when halving the step shrinks an O(h^2) residual by >= the stated
 ratio, or when the residual is already at roundoff).
+
+The point suites (background, curvature, isomorphism, jacobi) draw their
+samples as (n, 4) rows and evaluate them as one (4, n) cloud, `points.T`.
+Every residual function they call takes a point (4,) or a cloud (4, n); a
+residual is a float at a point and an (n,) array of per-point values on a
+cloud, and a suite reports the largest.  The finite-difference ratio checks
+and the observer suite (which uses the independent float evaluator) stay
+pointwise.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fieldlang as fl
-from .background import Observer, PhasePoint, divergence_eta_jets
+from .background import Observer, PhasePoint, as_point, divergence_eta_jets
 from .fieldlang import DerivedField, FieldDef
 from .hermitian import (
     HermitianField,
@@ -28,7 +36,7 @@ from .hermitian import (
     pair_bracket,
     vertical_projection,
 )
-from .jets import value_array
+from .jets import max_abs, value_array
 from .pauli import EPS, XI_ALL, spin_curvature_from_jets
 from .quantum import (
     GridGeometry,
@@ -189,21 +197,16 @@ def suite_background(sc: Scenario) -> list:
               _tol(sc, "background.curvature_symmetry")),
         Check("background.dF", len(points), rep["dF"], _tol(sc, "background.dF")),
     ]
-    worst_frame = 0.0
-    worst_anti = 0.0
-    for x in points:
-        b = bg.jets(x)
-        e, _ = b.frame(0)
-        g = b.metric(0)
-        for a in range(3):
-            for bb in range(3):
-                acc = sum(e[i][a].value * g[i][j].value * e[j][bb].value for i in range(3) for j in range(3))
-                worst_frame = max(worst_frame, abs(acc - (1.0 if a == bb else 0.0)))
-        kt = b.ktilde("charge", 0)
-        for lam in range(4):
-            for a in range(3):
-                for bb in range(3):
-                    worst_anti = max(worst_anti, abs(kt[lam][a][bb].value + kt[lam][bb][a].value))
+    cloud = points.T
+    batch = cloud.shape[1:]
+    b = bg.jets(cloud)
+    e = value_array(b.frame(0)[0], batch)
+    g = value_array(b.metric(0), batch)
+    frame = [sum(e[i][a] * g[i][j] * e[j][bb] for i in range(3) for j in range(3)) - (1.0 if a == bb else 0.0)
+             for a in range(3) for bb in range(3)]
+    worst_frame = float(np.max(np.abs(frame)))
+    kt = value_array(b.ktilde("charge", 0), batch)
+    worst_anti = float(np.max(np.abs(kt + kt.swapaxes(1, 2))))
     checks.append(Check("background.frame_orthonormality", len(points), worst_frame,
                         _tol(sc, "background.frame_orthonormality")))
     checks.append(Check("background.ktilde_antisymmetry", len(points), worst_anti,
@@ -284,46 +287,28 @@ def _dphi_check(sc: Scenario, rng) -> Check:
 def suite_curvature(sc: Scenario) -> list:
     rng = _rng_for(sc, "curvature")
     points = sc.sample_points(rng)
+    cloud = points.T
+    batch = cloud.shape[1:]
     bg = sc.background
-    qd = sc.qd
-    worst_rrho = 0.0
-    worst_rt = 0.0
-    worst_round = 0.0
-    worst_slots = 0.0
     c = bg.constants
     coupling_ratio = (-c.mu.value * c.u0.value) / (c.q.value * c.u0.value / (2.0 * c.m.value))
-    for x in points:
-        b = bg.jets(x)
-        cjets = qd.spin.coeffs_from(b, 1)
-        r = spin_curvature_from_jets(cjets)
-        rho = b.rho("moment", 0)
-        rcheck = b.rcheck("moment", 0)
-        for lam in range(4):
-            for mu in range(4):
-                for k in range(3):
-                    worst_rrho = max(worst_rrho, abs(r[lam, mu, 1 + k] - rho[lam][mu][k].value))
-                    for j in range(3):
-                        pred = sum(r[lam, mu, 1 + i] * EPS[i, j, k] for i in range(3))
-                        worst_rt = max(worst_rt, abs(pred - rcheck[lam][mu][k][j].value))
-        # round trip: rebuild Ktilde from C and compare
-        kt = b.ktilde("moment", 0)
-        for lam in range(4):
-            for k in range(3):
-                for j in range(3):
-                    recon = sum(EPS[i, j, k] * cjets[lam][i].value for i in range(3))
-                    worst_round = max(worst_round, abs(recon - kt[lam][k][j].value))
-        # charge vs moment rho differ only in (0, j) slots, by the coupling ratio
-        rho_c = b.rho("charge", 0)
-        for lam in range(1, 4):
-            for mu in range(1, 4):
-                for k in range(3):
-                    worst_slots = max(worst_slots, abs(rho[lam][mu][k].value - rho_c[lam][mu][k].value))
-        rho_g = b.rho("grav", 0)
-        for mu in range(4):
-            for k in range(3):
-                dm = rho[0][mu][k].value - rho_g[0][mu][k].value
-                dc = rho_c[0][mu][k].value - rho_g[0][mu][k].value
-                worst_slots = max(worst_slots, abs(dm - coupling_ratio * dc))
+    b = bg.jets(cloud)
+    cjets = sc.qd.spin.coeffs_from(b, 1)
+    r = spin_curvature_from_jets(cjets, batch)[:, :, 1:]  # [lam, mu, k, point]
+    rho = value_array(b.rho("moment", 0), batch)
+    worst_rrho = float(np.max(np.abs(r - rho)))
+    # Rcheck_{lam mu}^k_j = r_{lam mu i} eps_ijk, laid out [lam, mu, k, j, point]
+    pred = sum(r[:, :, i, None, None] * EPS[i].T[:, :, None] for i in range(3))
+    worst_rt = float(np.max(np.abs(pred - value_array(b.rcheck("moment", 0), batch))))
+    # round trip: rebuild Ktilde_lam^k_j = eps_ijk C_lam^i from C and compare
+    cvals = value_array(cjets, batch)
+    recon = sum(EPS[i].T[:, :, None] * cvals[:, i, None, None] for i in range(3))
+    worst_round = float(np.max(np.abs(recon - value_array(b.ktilde("moment", 0), batch))))
+    # charge vs moment rho differ only in (0, j) slots, by the coupling ratio
+    rho_c = value_array(b.rho("charge", 0), batch)
+    rho_g = value_array(b.rho("grav", 0), batch)
+    worst_slots = max(float(np.max(np.abs(rho[1:, 1:] - rho_c[1:, 1:]))),
+                      float(np.max(np.abs((rho[0] - rho_g[0]) - coupling_ratio * (rho_c[0] - rho_g[0])))))
     return [
         Check("curvature.r_equals_rho", len(points), worst_rrho, _tol(sc, "curvature.r_equals_rho")),
         Check("curvature.rtilde_relation", len(points), worst_rt, _tol(sc, "curvature.rtilde_relation")),
@@ -340,36 +325,38 @@ def suite_jacobi(sc: Scenario) -> list:
         tuple(random_special_function(rng, consts, name=f"J{t}{i}") for i in range(3))
         for t in range(3)
     ]
-    worst = 0.0
-    for x in points:
-        for f1, f2, f3 in triples:
-            worst = max(worst, jacobi_residual(f1, f2, f3, sc.background, x))
+    worst = float(np.max([jacobi_residual(*triple, sc.background, points.T) for triple in triples]))
     return [Check("jacobi.residual", len(points), worst, _tol(sc, "jacobi.residual"))]
+
+
+def _xi(batch: tuple) -> list:
+    """xi_0..xi_3 shaped to broadcast against (N,)-batched values."""
+    return [m.reshape((2, 2) + (1,) * len(batch)) for m in XI_ALL]
 
 
 def main_theorem_residual(f: SpecialFunction, fp: SpecialFunction, sc: Scenario, point):
     """(vector residual, matrix residual) of
-    from_special([[F,F']]) == [from_special F, from_special F'] at a point."""
+    from_special([[F,F']]) == [from_special F, from_special F']: floats at a
+    point, (N,) arrays of per-point values on a (4, N) cloud."""
+    point = as_point(point)
+    batch = point.shape[1:]
     qd = sc.qd
     bg = sc.background
     br = extended_bracket(f, fp, bg, point)
     y1, y2 = from_special(f, qd), from_special(fp, qd)
     xb1, _ = lie_bracket_y(y1, y2, point, 1)
-    xb_vals = np.array([j.value for j in xb1])
     expected_x = np.concatenate(([br.f0], -br.fi))
-    vec_res = float(np.max(np.abs(xb_vals - expected_x)))
+    vec_res = max_abs(value_array(xb1, batch) - expected_x, batch)
     bundle = bg.jets(point)
-    a = [fld.eval_jet(point, 0).value for fld in qd.a_fields]
-    cc = qd.spin.coeffs_from(bundle, 0)
+    a = value_array([fld.eval_jet(point, 0) for fld in qd.a_fields], batch)
+    cc = value_array(qd.spin.coeffs_from(bundle, 0), batch)
     y0 = br.f0 * a[0] - sum(br.fi[j] * a[j + 1] for j in range(3)) + br.fbrev
-    div = divergence_eta_jets(xb1, bundle, 0).value
-    yi = [
-        br.f0 * cc[0][ai].value - sum(br.fi[j] * cc[j + 1][ai].value for j in range(3)) + br.phi[ai]
-        for ai in range(3)
-    ]
-    mat = y0 * XI_ALL[0] + sum(yi[ai] * XI_ALL[1 + ai] for ai in range(3)) - 0.5 * div * np.eye(2)
+    div = value_array(divergence_eta_jets(xb1, bundle, 0), batch)
+    yi = [br.f0 * cc[0][ai] - sum(br.fi[j] * cc[j + 1][ai] for j in range(3)) + br.phi[ai] for ai in range(3)]
+    xi = _xi(batch)
+    mat = y0 * xi[0] + sum(yi[ai] * xi[1 + ai] for ai in range(3)) - 0.5 * div * np.eye(2).reshape(xi[0].shape)
     _, z0 = lie_bracket_y(y1, y2, point, 0)
-    mat_res = float(np.max(np.abs(mat - z0.values())))
+    mat_res = max_abs(mat - z0.values(batch), batch)
     return vec_res, mat_res
 
 
@@ -413,32 +400,25 @@ def suite_isomorphism(sc: Scenario) -> list:
          random_special_function(rng, consts, name=f"I{t}b"))
         for t in range(4)
     ]
-    worst_main = 0.0
-    worst_vec = 0.0
-    worst_herm = 0.0
-    for x in points:
-        for f, fp in pairs:
-            vec_res, mat_res = main_theorem_residual(f, fp, sc, x)
-            worst_vec = max(worst_vec, vec_res)
-            worst_main = max(worst_main, vec_res, mat_res)
-            worst_herm = max(worst_herm, hermiticity_residual(from_special(f, qd), qd, x))
-    worst_round = 0.0
-    worst_pair = 0.0
+    cloud = points.T
+    theorem = [main_theorem_residual(f, fp, sc, cloud) for f, fp in pairs]
+    worst_vec = float(np.max([vec for vec, _ in theorem]))
+    worst_main = max(worst_vec, float(np.max([mat for _, mat in theorem])))
+    worst_herm = float(np.max([hermiticity_residual(from_special(f, qd), qd, cloud) for f, _ in pairs]))
     p1 = random_raw_pair(rng, consts, "a")
     p2 = random_raw_pair(rng, consts, "b")
-    for x in points[: max(len(points) // 2, 1)]:
-        y_full = assemble_pair(qd, p1[0], p1[1], ref)
-        y2_full = assemble_pair(qd, p2[0], p2[1], ref)
-        back = vertical_projection(y_full, qd, ref, x)
-        worst_round = max(worst_round, float(np.max(np.abs(back.values() - p1[1](x, 0).values()))))
-        xb, zmat = lie_bracket_y(y_full, y2_full, x)
-        xpair, mpair = pair_bracket(p1, p2, qd, ref, x)
-        lift_vals = _lift_values(qd, [j.value for j in xb], ref, x)
-        worst_pair = max(worst_pair, float(np.max(np.abs((zmat.values() - lift_vals) - mpair.values()))))
-        worst_pair = max(
-            worst_pair,
-            float(np.max(np.abs(np.array([j.value for j in xb]) - np.array([j.value for j in xpair])))),
-        )
+    half = points[: max(len(points) // 2, 1)].T
+    batch = half.shape[1:]
+    y_full = assemble_pair(qd, p1[0], p1[1], ref)
+    y2_full = assemble_pair(qd, p2[0], p2[1], ref)
+    back = vertical_projection(y_full, qd, ref, half)
+    worst_round = float(np.max(np.abs(back.values(batch) - p1[1](half, 0).values(batch))))
+    xb, zmat = lie_bracket_y(y_full, y2_full, half)
+    xpair, mpair = pair_bracket(p1, p2, qd, ref, half)
+    xb_vals = value_array(xb, batch)
+    lift_vals = _lift_values(qd, xb_vals, ref, half)
+    worst_pair = max(float(np.max(np.abs((zmat.values(batch) - lift_vals) - mpair.values(batch)))),
+                     float(np.max(np.abs(xb_vals - value_array(xpair, batch)))))
     return [
         Check("isomorphism.main_theorem", len(points), worst_main, _tol(sc, "isomorphism.main_theorem")),
         Check("isomorphism.vector_morphism", len(points), worst_vec, _tol(sc, "isomorphism.vector_morphism")),
@@ -449,12 +429,17 @@ def suite_isomorphism(sc: Scenario) -> list:
 
 
 def _lift_values(qd, x_vals, o, point) -> np.ndarray:
+    """X^lam (i Ch_lam[o] 1 + C_lam^a xi_a) for values x_vals of X: (2, 2) at
+    a point, (2, 2, N) on a (4, N) cloud with x_vals of shape (4, N)."""
+    point = as_point(point)
+    batch = point.shape[1:]
     ch = ch_along_jets(qd, o, point, 0)
     cc = qd.spin.coeffs_from(qd.bg.jets(point), 0)
-    out = np.zeros((2, 2), dtype=complex)
+    xi = _xi(batch)
+    out = np.zeros((2, 2) + batch, dtype=complex)
     for lam in range(4):
-        coeff = np.array([ch[lam].value] + [cc[lam][a].value for a in range(3)])
-        out += x_vals[lam] * sum(coeff[nu] * XI_ALL[nu] for nu in range(4))
+        coeff = value_array([ch[lam]] + cc[lam], batch)
+        out += x_vals[lam] * sum(coeff[nu] * xi[nu] for nu in range(4))
     return out
 
 

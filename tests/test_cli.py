@@ -143,7 +143,8 @@ def _scenario_file(tmp_path, name, **changes):
 
 
 @pytest.mark.parametrize("case", ["bracket_nan_point", "evolve_negative_steps", "evolve_nan_dt",
-                                  "evolve_metric_not_positive", "evolve_nonfinite_psi0"])
+                                  "evolve_metric_not_positive", "evolve_nonfinite_psi0",
+                                  "verify_zero_samples", "verify_negative_samples"])
 def test_bad_input_exits_2_with_error_line(tmp_path, case):
     larmor = str(SCENARIO_DIR / "larmor.json")
     out = ["--out", str(tmp_path / "out")]
@@ -159,10 +160,14 @@ def test_bad_input_exits_2_with_error_line(tmp_path, case):
             "evolve", _scenario_file(tmp_path, "bad_psi0.json",
                                      grid={"axes": [[-0.5, 0.5, 1]] * 3, "psi0": [["log(x1-5)", "0"], ["1", "0"]]}),
             "--steps", "5", "--dt", "0.1", *out],
+        "verify_zero_samples": ["verify", str(SCENARIO_DIR / "flat.json"), "--suite", "jacobi", "--samples", "0"],
+        "verify_negative_samples": ["verify", str(SCENARIO_DIR / "flat.json"), "--suite", "jacobi",
+                                    "--samples", "-1"],
     }[case]
     res = run_cli(*args)
     assert res.returncode == 2, res.stderr
     assert res.stderr.startswith("error: ")
+    assert len(res.stderr.strip().splitlines()) == 1, res.stderr
     assert "Traceback" not in res.stderr
 
 

@@ -1,0 +1,307 @@
+"""The point suites evaluate their samples as one (4, n) cloud.
+
+Every residual function they call must give on a cloud exactly the values it
+gives point by point, and the suites must report what the per-point loops
+(kept here as the oracle) report.
+"""
+
+import numpy as np
+import pytest
+
+from cqm.background import Observer
+from cqm.hermitian import (
+    Mat2,
+    from_special,
+    hermiticity_residual,
+    lie_bracket_y,
+    pair_bracket,
+    vertical_projection,
+)
+from cqm.jets import value_array
+from cqm.pauli import EPS, spin_curvature_from_jets
+from cqm.scenario import load_scenario
+from cqm.special import extended_bracket, jacobi_residual
+from cqm.verify import (
+    Check,
+    _domega_check,
+    _dphi_check,
+    _lift_values,
+    _rng_for,
+    _tol,
+    assemble_pair,
+    main_theorem_residual,
+    random_raw_pair,
+    random_special_function,
+    run_suites,
+)
+
+from conftest import sample_box, scenario_dict
+
+SIZES = (1, 4, 7)
+
+
+@pytest.fixture(scope="module", params=["curved_magnetic", "flat_magnetic"])
+def sc(request):
+    return load_scenario(scenario_dict(request.param))
+
+
+@pytest.fixture(scope="module")
+def funcs(sc):
+    rng = np.random.default_rng(31)
+    consts = sc.background.constants.table()
+    return [random_special_function(rng, consts, name=f"C{i}") for i in range(3)]
+
+
+@pytest.fixture(scope="module")
+def raw_pairs(sc):
+    rng = np.random.default_rng(32)
+    consts = sc.background.constants.table()
+    return random_raw_pair(rng, consts, "a"), random_raw_pair(rng, consts, "b")
+
+
+def rows(n):
+    return sample_box(np.random.default_rng([33, n]), n)
+
+
+def assert_cloud_matches(cloud_value, point_values):
+    """The cloud result equals the point results stacked along the last axis."""
+    stacked = np.stack([np.asarray(v) for v in point_values], axis=-1)
+    assert np.shape(cloud_value) == stacked.shape
+    assert np.array_equal(cloud_value, stacked)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_jacobi_and_bracket_on_a_cloud(sc, funcs, n):
+    pts = rows(n)
+    bg = sc.background
+    got = jacobi_residual(*funcs, bg, pts.T)
+    assert isinstance(jacobi_residual(*funcs, bg, pts[0]), float)
+    assert_cloud_matches(got, [jacobi_residual(*funcs, bg, x) for x in pts])
+    assert_cloud_matches(extended_bracket(funcs[0], funcs[1], bg, pts.T).as_array(),
+                         [extended_bracket(funcs[0], funcs[1], bg, x).as_array() for x in pts])
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_main_theorem_and_hermiticity_on_a_cloud(sc, funcs, n):
+    pts = rows(n)
+    vec, mat = main_theorem_residual(funcs[0], funcs[1], sc, pts.T)
+    at_points = [main_theorem_residual(funcs[0], funcs[1], sc, x) for x in pts]
+    assert all(isinstance(v, float) for v in at_points[0])
+    assert_cloud_matches(vec, [v for v, _ in at_points])
+    assert_cloud_matches(mat, [m for _, m in at_points])
+    y = from_special(funcs[2], sc.qd)
+    assert_cloud_matches(hermiticity_residual(y, sc.qd, pts.T),
+                         [hermiticity_residual(y, sc.qd, x) for x in pts])
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_projection_pair_bracket_and_lift_on_a_cloud(sc, raw_pairs, n):
+    pts = rows(n)
+    batch = (n,)
+    qd, ref = sc.qd, Observer.reference()
+    p1, p2 = raw_pairs
+    y1 = assemble_pair(qd, p1[0], p1[1], ref)
+    y2 = assemble_pair(qd, p2[0], p2[1], ref)
+    assert_cloud_matches(vertical_projection(y1, qd, ref, pts.T).values(batch),
+                         [vertical_projection(y1, qd, ref, x).values() for x in pts])
+    xb, mb = pair_bracket(p1, p2, qd, ref, pts.T)
+    at_points = [pair_bracket(p1, p2, qd, ref, x) for x in pts]
+    assert_cloud_matches(value_array(xb, batch), [value_array(x) for x, _ in at_points])
+    assert_cloud_matches(mb.values(batch), [m.values() for _, m in at_points])
+    xl = value_array(lie_bracket_y(y1, y2, pts.T)[0], batch)
+    assert_cloud_matches(_lift_values(qd, xl, ref, pts.T),
+                         [_lift_values(qd, xl[:, k], ref, x) for k, x in enumerate(pts)])
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_curvature_riemann_and_validate_on_a_cloud(sc, n):
+    pts = rows(n)
+    bg = sc.background
+    cloud = bg.jets(pts.T)
+    assert_cloud_matches(spin_curvature_from_jets(sc.qd.spin.coeffs_from(cloud, 1), (n,)),
+                         [spin_curvature_from_jets(sc.qd.spin.coeffs_from(bg.jets(x), 1)) for x in pts])
+    assert_cloud_matches(cloud.riemann_lowered_spatial(),
+                         [bg.jets(x).riemann_lowered_spatial() for x in pts])
+    rep = bg.validate(pts)
+    singles = [bg.validate([x]) for x in pts]
+    assert rep == {k: max(s[k] for s in singles) for k in rep}
+    assert rep == _oracle_validate(bg, pts)
+
+
+def test_mat2_values_broadcast_constants():
+    m = Mat2.constant(np.array([[1.0, 2j], [-2j, 3.0]]), 1)
+    assert m.values().shape == (2, 2)
+    got = m.values((5,))
+    assert got.shape == (2, 2, 5)
+    assert np.array_equal(got, np.repeat(m.values()[..., None], 5, axis=-1))
+
+
+# ---------------------------------------------------------------------------
+# the per-point suite loops, kept as the oracle of the cloud suites
+
+
+def _oracle_validate(bg, samples):
+    res = {"metricity": 0.0, "torsion": 0.0, "curvature_symmetry": 0.0, "dF": 0.0}
+    for x in samples:
+        b = bg.jets(x)
+        g1 = b.metric(1)
+        k = b.kgrav(0)
+        g0 = b.metric(0)
+        for lam in range(4):
+            for i in range(3):
+                for j in range(3):
+                    r = g1[i][j].derive(lam).value
+                    for h in range(3):
+                        r -= k[lam][h][i + 1].value * g0[h][j].value
+                        r -= k[lam][h][j + 1].value * g0[i][h].value
+                    res["metricity"] = max(res["metricity"], abs(r))
+        riem = b.riemann_lowered_spatial()
+        for i in range(3):
+            for j in range(3):
+                for h in range(3):
+                    for kk in range(3):
+                        res["curvature_symmetry"] = max(
+                            res["curvature_symmetry"], abs(riem[i, j, h, kk] - riem[h, kk, i, j]))
+        f1 = b.f_jets(1)
+        for lam in range(4):
+            for mu in range(lam + 1, 4):
+                for nu in range(mu + 1, 4):
+                    r = (f1[lam][mu].derive(nu).value + f1[mu][nu].derive(lam).value
+                         + f1[nu][lam].derive(mu).value)
+                    res["dF"] = max(res["dF"], abs(r))
+    return res
+
+
+def _oracle_background(sc):
+    rng = _rng_for(sc, "background")
+    points = sc.sample_points(rng)
+    bg = sc.background
+    rep = _oracle_validate(bg, points)
+    checks = [Check(f"background.{key}", len(points), rep[key], _tol(sc, f"background.{key}"))
+              for key in ("metricity", "torsion", "curvature_symmetry", "dF")]
+    worst_frame = 0.0
+    worst_anti = 0.0
+    for x in points:
+        b = bg.jets(x)
+        e, _ = b.frame(0)
+        g = b.metric(0)
+        for a in range(3):
+            for bb in range(3):
+                acc = sum(e[i][a].value * g[i][j].value * e[j][bb].value for i in range(3) for j in range(3))
+                worst_frame = max(worst_frame, abs(acc - (1.0 if a == bb else 0.0)))
+        kt = b.ktilde("charge", 0)
+        for lam in range(4):
+            for a in range(3):
+                for bb in range(3):
+                    worst_anti = max(worst_anti, abs(kt[lam][a][bb].value + kt[lam][bb][a].value))
+    checks.append(Check("background.frame_orthonormality", len(points), worst_frame,
+                        _tol(sc, "background.frame_orthonormality")))
+    checks.append(Check("background.ktilde_antisymmetry", len(points), worst_anti,
+                        _tol(sc, "background.ktilde_antisymmetry")))
+    checks.append(_domega_check(sc, rng))
+    checks.append(_dphi_check(sc, rng))
+    return checks
+
+
+def _oracle_curvature(sc):
+    rng = _rng_for(sc, "curvature")
+    points = sc.sample_points(rng)
+    bg = sc.background
+    worst_rrho = worst_rt = worst_round = worst_slots = 0.0
+    c = bg.constants
+    coupling_ratio = (-c.mu.value * c.u0.value) / (c.q.value * c.u0.value / (2.0 * c.m.value))
+    for x in points:
+        b = bg.jets(x)
+        cjets = sc.qd.spin.coeffs_from(b, 1)
+        r = spin_curvature_from_jets(cjets)
+        rho = b.rho("moment", 0)
+        rcheck = b.rcheck("moment", 0)
+        for lam in range(4):
+            for mu in range(4):
+                for k in range(3):
+                    worst_rrho = max(worst_rrho, abs(r[lam, mu, 1 + k] - rho[lam][mu][k].value))
+                    for j in range(3):
+                        pred = sum(r[lam, mu, 1 + i] * EPS[i, j, k] for i in range(3))
+                        worst_rt = max(worst_rt, abs(pred - rcheck[lam][mu][k][j].value))
+        kt = b.ktilde("moment", 0)
+        for lam in range(4):
+            for k in range(3):
+                for j in range(3):
+                    recon = sum(EPS[i, j, k] * cjets[lam][i].value for i in range(3))
+                    worst_round = max(worst_round, abs(recon - kt[lam][k][j].value))
+        rho_c = b.rho("charge", 0)
+        for lam in range(1, 4):
+            for mu in range(1, 4):
+                for k in range(3):
+                    worst_slots = max(worst_slots, abs(rho[lam][mu][k].value - rho_c[lam][mu][k].value))
+        rho_g = b.rho("grav", 0)
+        for mu in range(4):
+            for k in range(3):
+                dm = rho[0][mu][k].value - rho_g[0][mu][k].value
+                dc = rho_c[0][mu][k].value - rho_g[0][mu][k].value
+                worst_slots = max(worst_slots, abs(dm - coupling_ratio * dc))
+    return [Check(name, len(points), worst, _tol(sc, name)) for name, worst in (
+        ("curvature.r_equals_rho", worst_rrho), ("curvature.rtilde_relation", worst_rt),
+        ("curvature.c_roundtrip", worst_round), ("curvature.rho_coupling_slots", worst_slots))]
+
+
+def _oracle_jacobi(sc):
+    rng = _rng_for(sc, "jacobi")
+    points = sc.sample_points(rng)
+    consts = sc.background.constants.table()
+    triples = [tuple(random_special_function(rng, consts, name=f"J{t}{i}") for i in range(3))
+               for t in range(3)]
+    worst = 0.0
+    for x in points:
+        for f1, f2, f3 in triples:
+            worst = max(worst, jacobi_residual(f1, f2, f3, sc.background, x))
+    return [Check("jacobi.residual", len(points), worst, _tol(sc, "jacobi.residual"))]
+
+
+def _oracle_isomorphism(sc):
+    rng = _rng_for(sc, "isomorphism")
+    points = sc.sample_points(rng)
+    consts = sc.background.constants.table()
+    qd = sc.qd
+    ref = Observer.reference()
+    pairs = [(random_special_function(rng, consts, name=f"I{t}a"),
+              random_special_function(rng, consts, name=f"I{t}b")) for t in range(4)]
+    worst_main = worst_vec = worst_herm = 0.0
+    for x in points:
+        for f, fp in pairs:
+            vec_res, mat_res = main_theorem_residual(f, fp, sc, x)
+            worst_vec = max(worst_vec, vec_res)
+            worst_main = max(worst_main, vec_res, mat_res)
+            worst_herm = max(worst_herm, hermiticity_residual(from_special(f, qd), qd, x))
+    worst_round = worst_pair = 0.0
+    p1 = random_raw_pair(rng, consts, "a")
+    p2 = random_raw_pair(rng, consts, "b")
+    for x in points[: max(len(points) // 2, 1)]:
+        y_full = assemble_pair(qd, p1[0], p1[1], ref)
+        y2_full = assemble_pair(qd, p2[0], p2[1], ref)
+        back = vertical_projection(y_full, qd, ref, x)
+        worst_round = max(worst_round, float(np.max(np.abs(back.values() - p1[1](x, 0).values()))))
+        xb, zmat = lie_bracket_y(y_full, y2_full, x)
+        xpair, mpair = pair_bracket(p1, p2, qd, ref, x)
+        lift_vals = _lift_values(qd, [j.value for j in xb], ref, x)
+        worst_pair = max(worst_pair, float(np.max(np.abs((zmat.values() - lift_vals) - mpair.values()))))
+        worst_pair = max(worst_pair, float(np.max(np.abs(
+            np.array([j.value for j in xb]) - np.array([j.value for j in xpair])))))
+    return [Check(name, len(points), worst, _tol(sc, name)) for name, worst in (
+        ("isomorphism.main_theorem", worst_main), ("isomorphism.vector_morphism", worst_vec),
+        ("isomorphism.hj_roundtrip", worst_round), ("isomorphism.pair_bracket", worst_pair),
+        ("isomorphism.eta_hermiticity", worst_herm))]
+
+
+_ORACLES = {"background": _oracle_background, "curvature": _oracle_curvature,
+            "isomorphism": _oracle_isomorphism, "jacobi": _oracle_jacobi}
+
+
+@pytest.mark.parametrize("samples", [4, 7])
+def test_cloud_suites_report_what_the_point_loops_report(samples):
+    sc = load_scenario(scenario_dict("curved_magnetic"))
+    sc.samples = samples
+    want = sorted((c for fn in _ORACLES.values() for c in fn(sc)), key=lambda c: c.name)
+    got = run_suites(sc, list(_ORACLES))
+    assert [c.to_json() for c in got] == [c.to_json() for c in want]
+    assert {c.samples for c in got if not c.name.endswith("_ratio")} == {samples}

@@ -145,6 +145,14 @@ def test_initial_grid_rejects_nonfinite_psi0(expr):
         sc.initial_grid()
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_suite_samples_below_one_rejected(samples):
+    scn = scenario_dict("flat")
+    scn["suite"]["samples"] = samples
+    with pytest.raises(ScenarioError, match="suite.samples must be a positive integer"):
+        load_scenario(scn)
+
+
 def test_sample_points_deterministic():
     sc1 = load_scenario(scenario_dict("flat"))
     sc2 = load_scenario(scenario_dict("flat"))
