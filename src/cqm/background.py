@@ -4,8 +4,9 @@ A Background bundles the spatial metric g_ij (L^2-scaled), the gravitational
 spacetime connection coefficients K^i_{lm} (with vanishing time row), the
 electromagnetic 2-form F and the coupling constants.  Everything downstream
 (joined connections, orthonormal frames, curvatures, the cosymplectic table,
-observer pullbacks, the magnetic field) is evaluated pointwise through jets,
-so derivatives are exact to the requested order.
+observer pullbacks, the magnetic field) is evaluated through jets at a point
+or on a (4, N) cloud of points, so derivatives are exact to the requested
+order.
 
 Chart conventions: a single global chart (x0..x3), dimensionless coordinates,
 dt = u0 dx0, reference observer = chart-adapted (zero velocity components).
@@ -71,16 +72,21 @@ def _require_positive(j: Jet, what: str, point: np.ndarray):
 @dataclass(frozen=True)
 class PhasePoint:
     """Spacetime point, velocity coordinates x^i_0, and orthonormal-frame
-    spin components."""
+    spin components: x (4,), v and s (3,) at a phase point; x (4, N), v and
+    s (3, N) on a cloud of N phase points.  v and s default to zero."""
 
     x: np.ndarray
-    v: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    s: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    v: np.ndarray = None
+    s: np.ndarray = None
 
     def __post_init__(self):
-        object.__setattr__(self, "x", as_point(self.x))
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float).reshape(3))
-        object.__setattr__(self, "s", np.asarray(self.s, dtype=float).reshape(3))
+        x = as_point(self.x)
+        object.__setattr__(self, "x", x)
+        shape = (3,) + x.shape[1:]
+        for name in ("v", "s"):
+            a = getattr(self, name)
+            a = np.zeros(shape) if a is None else np.asarray(a, dtype=float).reshape(shape)
+            object.__setattr__(self, name, a)
         if not (np.all(np.isfinite(self.v)) and np.all(np.isfinite(self.s))):
             raise ValueError("non-finite phase point data")
 
@@ -104,7 +110,9 @@ class Observer:
         )
 
     def velocity(self, point) -> np.ndarray:
-        return np.array([c(point) for c in self.components])
+        """Values o^i_0: (3,) at a point, (3, N) on a (4, N) cloud."""
+        point = as_point(point)
+        return value_array(self.jets(point, 0), point.shape[1:])
 
     def jets(self, point, order: int) -> list:
         return [c.eval_jet(point, order) for c in self.components]
@@ -188,24 +196,13 @@ class Background:
         ):
             if not combo.dim.is_dimensionless:
                 raise DimensionMismatch(f"coupling combination has residual dimension {combo.dim}")
-        self._jet_cache: dict = {}
 
-    # -- pointwise jet bundles ----------------------------------------------
+    # -- jet bundles -----------------------------------------------------------
 
     def jets(self, point) -> "BackgroundJets":
-        """The jet bundle at a point (cached by point) or on a (4, N) cloud
-        (built afresh: grid paths visit each node once per chunk)."""
-        p = as_point(point)
-        if p.ndim == 2:
-            return BackgroundJets(self, p)
-        key = tuple(p)
-        bundle = self._jet_cache.get(key)
-        if bundle is None:
-            if len(self._jet_cache) > 256:
-                self._jet_cache.clear()
-            bundle = BackgroundJets(self, np.array(key))
-            self._jet_cache[key] = bundle
-        return bundle
+        """A new jet bundle at a point (4,) or on a (4, N) cloud; a caller that
+        needs several quantities at the same points keeps the bundle."""
+        return BackgroundJets(self, as_point(point))
 
     @property
     def fields_constant(self) -> bool:
@@ -244,19 +241,19 @@ class Background:
 
     def cosymplectic_and_gamma(self, p: PhasePoint):
         """Numeric component table of the cosymplectic form over the basis
-        (dx^0..dx^3, dx^1_0..dx^3_0) and the second-order connection gamma^i."""
+        (dx^0..dx^3, dx^1_0..dx^3_0) and the second-order connection gamma^i:
+        (7, 7) and (3,) at a phase point, (7, 7, N) and (3, N) on a cloud."""
+        batch = p.x.shape[1:]
         b = self.jets(p.x)
-        omega_jets = b.omega_table([Jet.const(v, 1) for v in p.v], 0)
-        omega = np.array([[omega_jets[a][bb].value for bb in range(7)] for a in range(7)])
-        k = b.k_joined("charge", 0)
-        kval = [[[k[lam][i][mu].value for mu in range(4)] for i in range(3)] for lam in range(4)]
-        gamma = np.zeros(3)
+        omega = value_array(b.omega_table([Jet.const(v, 1) for v in p.v], 0), batch)
+        kval = value_array(b.k_joined("charge", 0), batch)
+        gamma = np.zeros((3,) + batch)
         for i in range(3):
             acc = kval[0][i][0]
             for j in range(3):
-                acc += 2.0 * kval[0][i][j + 1] * p.v[j]
+                acc = acc + 2.0 * kval[0][i][j + 1] * p.v[j]
                 for h in range(3):
-                    acc += kval[h + 1][i][j + 1] * p.v[h] * p.v[j]
+                    acc = acc + kval[h + 1][i][j + 1] * p.v[h] * p.v[j]
             gamma[i] = acc
         return omega, gamma
 
@@ -481,20 +478,14 @@ class BackgroundJets:
             k = self.k_joined(which, order)
             kt = []
             for lam in range(4):
-                mat = []
-                for a in range(3):
-                    row = []
+                # d_lam e_b^i + K_lam^i_j e_b^j, shared by every row a
+                inner = [[e1[i][b].derive(lam) for b in range(3)] for i in range(3)]
+                for i in range(3):
                     for b in range(3):
-                        acc = None
-                        for i in range(3):
-                            inner = e1[i][b].derive(lam)
-                            for j in range(3):
-                                inner = inner + k[lam][i][j + 1] * e0[j][b]
-                            term = einv[a][i] * inner
-                            acc = term if acc is None else acc + term
-                        row.append(acc)
-                    mat.append(row)
-                kt.append(mat)
+                        for j in range(3):
+                            inner[i][b] = inner[i][b] + k[lam][i][j + 1] * e0[j][b]
+                kt.append([[einv[a][0] * inner[0][b] + einv[a][1] * inner[1][b] + einv[a][2] * inner[2][b]
+                            for b in range(3)] for a in range(3)])
             return kt
         return self._get(("ktilde", which, order), build)
 

@@ -35,8 +35,16 @@ from .units import DIMLESS
 from .verify import SUITES, run_suites
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are one `error:` line on stderr and exit code 2."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="cqm", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="cqm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run property suites against a scenario")
@@ -158,7 +166,11 @@ def cmd_bracket(args) -> int:
         point = [float(v) for v in args.at.split(",")]
         if len(point) != 4 or not all(math.isfinite(v) for v in point):
             raise ScenarioError("--at needs 4 comma-separated finite coordinates")
-        val = extended_bracket(f, g, sc.background, point)
+        # overflow at a far point is reported as a non-finite bracket below
+        with np.errstate(all="ignore"):
+            val = extended_bracket(f, g, sc.background, point)
+        if not np.all(np.isfinite(val.as_array())):
+            raise ScenarioError(f"the bracket of {args.f} and {args.g} is not finite at {point}")
     except (ScenarioError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

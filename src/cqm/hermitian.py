@@ -147,29 +147,31 @@ class QuantumData:
         return [f.eval_jet(point, order) for f in self.a_fields]
 
     def check_potential(self, samples) -> float:
-        """max |dA - Phi[reference]| over samples; a consistency warning
-        level, not an error (A is primary input)."""
+        """max |dA - Phi[reference]| over the sample points (rows), evaluated
+        as one (4, N) cloud; a consistency warning level, not an error (A is
+        primary input)."""
+        cloud = np.asarray(samples, dtype=float).reshape(-1, 4).T
+        batch = cloud.shape[1:]
+        a1 = self.a_jets(cloud, 1)
+        phi = value_array(self.bg.jets(cloud).phi_ref(0), batch)
         worst = 0.0
-        for x in samples:
-            b = self.bg.jets(x)
-            a1 = self.a_jets(x, 1)
-            phi = b.phi_ref(0)
-            for lam in range(4):
-                for mu in range(lam + 1, 4):
-                    da = a1[mu].derive(lam).value - a1[lam].derive(mu).value
-                    worst = max(worst, abs(da - phi[lam][mu].value))
+        for lam in range(4):
+            for mu in range(lam + 1, 4):
+                da = value_array(a1[mu].derive(lam), batch) - value_array(a1[lam].derive(mu), batch)
+                worst = max(worst, float(np.max(np.abs(da - phi[lam][mu]))))
         return worst
 
 
 def ch_components(qd: QuantumData, p: PhasePoint):
-    """(Ch_0, Ch_i) at a phase point; the classical Hamiltonian and momentum
-    are H0 = -Ch_0 and P_i = Ch_i."""
-    b = qd.bg.jets(p.x)
-    g = np.array([[b.metric(0)[i][j].value for j in range(3)] for i in range(3)])
+    """(Ch_0, Ch_i) at a phase point, (N,) and (3, N) arrays on a cloud; the
+    classical Hamiltonian and momentum are H0 = -Ch_0 and P_i = Ch_i."""
+    batch = p.x.shape[1:]
+    g = value_array(qd.bg.jets(p.x).metric(0), batch)
     pref = qd.bg.constants.metric_prefactor
-    a = [f(p.x) for f in qd.a_fields]
-    ch0 = -0.5 * pref * float(p.v @ g @ p.v) + a[0]
-    chi = pref * (g @ p.v) + np.array(a[1:])
+    a = value_array(qd.a_jets(p.x, 0), batch)
+    gv = np.array([sum(g[i][j] * p.v[j] for j in range(3)) for i in range(3)])
+    ch0 = -0.5 * pref * sum(p.v[i] * gv[i] for i in range(3)) + a[0]
+    chi = pref * gv + a[1:]
     return ch0, chi
 
 
@@ -432,17 +434,17 @@ def to_special(y: HermitianField, qd: QuantumData, o: Observer, point, tol: floa
     return SpecialValue(f0, fi, fbrev, phi)
 
 
-def invariant_combination(f: SpecialFunction, qd: QuantumData, o: Observer, point) -> float:
+def invariant_combination(f: SpecialFunction, qd: QuantumData, o: Observer, point):
     """f0 Ch_0(o) - f^j Ch_j(o) + f(o): the scalar that the main theorem shows
-    to be observer-independent (it equals f0 A0 - f^j A_j + fbrev)."""
+    to be observer-independent (it equals f0 A0 - f^j A_j + fbrev).  A float
+    at a point, an (N,) array of per-point values on a (4, N) cloud."""
     point = as_point(point)
     vo = o.velocity(point)
-    p = PhasePoint(point, vo, np.zeros(3))
+    p = PhasePoint(point, vo)
     ch0, chi = ch_components(qd, p)
-    f0 = f.f0(point)
-    fi = np.array([c(point) for c in f.fi])
+    c = component_jets(f, point, 0).values(point.shape[1:])
     f_at_o = eval_special(f, qd.bg, p)
-    return f0 * ch0 - float(fi @ chi) + f_at_o
+    return c.f0 * ch0 - sum(c.fi[j] * chi[j] for j in range(3)) + f_at_o
 
 
 def hermiticity_residual(y: HermitianField, qd: QuantumData, point):

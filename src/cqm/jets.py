@@ -134,10 +134,12 @@ class Jet:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def const(value: float, order: int) -> "Jet":
-        c = np.zeros(SIZES[order])
+    def const(value, order: int) -> "Jet":
+        """Constant jet: of a float at a point, of an (N,) array of values
+        on a cloud."""
+        c = np.zeros((SIZES[order],) + getattr(value, "shape", ()))  # coefficient-major
         c[0] = value
-        return Jet(order, c)
+        return Jet(order, c.T)
 
     @staticmethod
     def seed(point: Sequence[float], var_index: int, order: int) -> "Jet":

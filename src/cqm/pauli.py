@@ -201,20 +201,8 @@ def spin_curvature(conn: SpinConnection, point) -> np.ndarray:
 def spin_curvature_from_jets(cjets, batch: tuple = ()) -> np.ndarray:
     """spin_curvature from C jets of order >= 1: (4, 4, 4) at a point,
     (4, 4, 4, N) on a cloud of batch shape (N,)."""
-    c = value_array(cjets, batch)
-    r = np.zeros((4, 4, 4) + batch)
-    for lam in range(4):
-        for mu in range(lam + 1, 4):
-            for k in range(3):
-                term = value_array(-cjets[mu][k].derive(lam) + cjets[lam][k].derive(mu), batch)
-                quad = 0.0
-                for i in range(3):
-                    for j in range(3):
-                        if EPS[i, j, k] != 0.0:
-                            quad = quad + c[lam][i] * c[mu][j] * EPS[i, j, k]
-                r[lam, mu, 1 + k] = term + quad
-                r[mu, lam, 1 + k] = -(term + quad)
-    return r
+    c1 = [[c.truncate(1) for c in row] for row in cjets]
+    return value_array(spin_curvature_jets(c1, 0), batch)
 
 
 def spin_curvature_jets(cjets, order: int):

@@ -109,14 +109,18 @@ def component_jets(f: SpecialFunction, point, order: int) -> ComponentJets:
     )
 
 
-def eval_special(f: SpecialFunction, bg: Background, p: PhasePoint) -> float:
-    b = bg.jets(p.x)
-    g = [[b.metric(0)[i][j].value for j in range(3)] for i in range(3)]
+def eval_special(f: SpecialFunction, bg: Background, p: PhasePoint):
+    """The function's value: a float at a phase point, an (N,) array on a
+    cloud of them."""
+    batch = p.x.shape[1:]
+    g = value_array(bg.jets(p.x).metric(0), batch)
+    c = component_jets(f, p.x, 0).values(batch)
     pref = bg.constants.metric_prefactor
-    quad = float(p.v @ np.array(g) @ p.v)
-    lin = float(np.array([c(p.x) for c in f.fi]) @ np.array(g) @ p.v)
-    spin = float(np.array([c(p.x) for c in f.phi]) @ p.s)
-    return f.f0(p.x) * 0.5 * pref * quad + pref * lin + f.fbrev(p.x) + spin
+    gv = [sum(g[i][j] * p.v[j] for j in range(3)) for i in range(3)]
+    quad = sum(p.v[i] * gv[i] for i in range(3))
+    lin = sum(c.fi[i] * gv[i] for i in range(3))
+    spin = sum(c.phi[a] * p.s[a] for a in range(3))
+    return c.f0 * 0.5 * pref * quad + pref * lin + c.fbrev + spin
 
 
 def vector_of(f: SpecialFunction, point) -> np.ndarray:

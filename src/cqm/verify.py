@@ -6,17 +6,17 @@ residual checks (pass when max residual <= tolerance) and convergence checks
 (pass when halving the step shrinks an O(h^2) residual by >= the stated
 ratio, or when the residual is already at roundoff).
 
-The point suites (background, curvature, isomorphism, jacobi) draw their
-samples as (n, 4) rows and evaluate them as one (4, n) cloud, `points.T`.
-Every residual function they call takes a point (4,) or a cloud (4, n); a
-residual is a float at a point and an (n,) array of per-point values on a
-cloud, and a suite reports the largest.  The finite-difference ratio checks
-and the observer suite (which uses the independent float evaluator) stay
-pointwise.
+Every suite but operators draws its samples as (n, 4) rows and evaluates
+them as one (4, n) cloud, `points.T`.  Every residual function the suites
+call takes a point (4,) or a cloud (4, n); a residual is a float at a point
+and an (n,) array of per-point values on a cloud, and a suite reports the
+largest.  The finite-difference ratio checks put every offset point of
+their stencils into one cloud per step size.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,33 +225,39 @@ def _fd_ratio_check(name, residual_fn, h0, tol, n_samples) -> Check:
     return Check(name, n_samples, ratio, tol, comparator="ge")
 
 
+def _fd_derivatives(form_at, base: np.ndarray, h: float) -> np.ndarray:
+    """Central differences of step h along every axis at the rows of `base`
+    (n, dim), from one evaluation of form_at on the cloud of all 2 dim n
+    offset points: form_at maps a (dim, M) cloud to (..., M) values, and the
+    result is laid out [..., axis, row]."""
+    n, dim = base.shape
+    z = np.broadcast_to(base.T, (2, dim, dim, n)).copy()  # [sign, axis, coordinate, row]
+    for a in range(dim):
+        z[0, a, a] += h
+        z[1, a, a] -= h
+    w = form_at(z.transpose(2, 0, 1, 3).reshape(dim, -1))
+    w = w.reshape(w.shape[:-1] + (2, dim, n))
+    return (w[..., 0, :, :] - w[..., 1, :, :]) / (2 * h)
+
+
+def _closure_residual(d: np.ndarray) -> float:
+    """Worst |d_a w_bc - d_b w_ac + d_c w_ab| over a < b < c and the rows,
+    for derivatives d[b, c, a, row] of a 2-form's component table w."""
+    return max(float(np.max(np.abs(d[b, c, a] - d[a, c, b] + d[a, b, c])))
+               for a, b, c in itertools.combinations(range(d.shape[0]), 3))
+
+
 def _domega_check(sc: Scenario, rng) -> Check:
     bg = sc.background
     pts = sc.sample_points(rng, min(5, sc.samples))
     vels = rng.uniform(-0.5, 0.5, (len(pts), 3))
+    base = np.hstack([pts, vels])
 
     def omega_at(z):
-        p = PhasePoint(z[:4], z[4:])
-        om, _ = bg.cosymplectic_and_gamma(p)
-        return om
+        return bg.cosymplectic_and_gamma(PhasePoint(z[:4], z[4:]))[0]
 
-    def residual(h):
-        worst = 0.0
-        for x, v in zip(pts, vels):
-            z0 = np.concatenate([x, v])
-            dom = np.zeros((7, 7, 7))
-            for a in range(7):
-                zp, zm = z0.copy(), z0.copy()
-                zp[a] += h
-                zm[a] -= h
-                dom[a] = (omega_at(zp) - omega_at(zm)) / (2 * h)
-            for a in range(7):
-                for b in range(a + 1, 7):
-                    for c in range(b + 1, 7):
-                        worst = max(worst, abs(dom[a][b, c] - dom[b][a, c] + dom[c][a, b]))
-        return worst
-
-    return _fd_ratio_check("background.domega_ratio", residual, 1e-3,
+    return _fd_ratio_check("background.domega_ratio",
+                           lambda h: _closure_residual(_fd_derivatives(omega_at, base, h)), 1e-3,
                            _tol(sc, "background.domega_ratio"), len(pts))
 
 
@@ -262,25 +268,10 @@ def _dphi_check(sc: Scenario, rng) -> Check:
     obs = sc.observers[names[0]] if names else Observer.reference()
 
     def phi_at(x):
-        phi = bg.observer_phi(obs, x, 0)
-        return np.array([[phi[a][b].value for b in range(4)] for a in range(4)])
+        return value_array(bg.observer_phi(obs, x, 0), x.shape[1:])
 
-    def residual(h):
-        worst = 0.0
-        for x in pts:
-            dphi = np.zeros((4, 4, 4))
-            for a in range(4):
-                xp, xm = np.array(x, dtype=float), np.array(x, dtype=float)
-                xp[a] += h
-                xm[a] -= h
-                dphi[a] = (phi_at(xp) - phi_at(xm)) / (2 * h)
-            for a in range(4):
-                for b in range(a + 1, 4):
-                    for c in range(b + 1, 4):
-                        worst = max(worst, abs(dphi[a][b, c] - dphi[b][a, c] + dphi[c][a, b]))
-        return worst
-
-    return _fd_ratio_check("background.dphi_ratio", residual, 1e-3,
+    return _fd_ratio_check("background.dphi_ratio",
+                           lambda h: _closure_residual(_fd_derivatives(phi_at, pts, h)), 1e-3,
                            _tol(sc, "background.dphi_ratio"), len(pts))
 
 
@@ -461,12 +452,12 @@ def suite_observer(sc: Scenario) -> list:
         )
         observers.append(Observer(comps))
     funcs = [random_special_function(rng, consts, name=f"O{t}") for t in range(3)]
+    cloud = points.T
     worst = 0.0
-    for x in points:
-        for f in funcs:
-            vals = [invariant_combination(f, qd, o, x) for o in observers]
-            scale = max(1.0, max(abs(v) for v in vals))
-            worst = max(worst, (max(vals) - min(vals)) / scale)
+    for f in funcs:
+        vals = np.array([invariant_combination(f, qd, o, cloud) for o in observers])
+        scale = np.maximum(1.0, np.max(np.abs(vals), axis=0))
+        worst = max(worst, float(np.max((np.max(vals, axis=0) - np.min(vals, axis=0)) / scale)))
     checks = [Check("observer.invariant_combination", len(points), worst,
                     _tol(sc, "observer.invariant_combination"))]
     pot = qd.check_potential(points[: min(10, len(points))])

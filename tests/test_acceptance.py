@@ -14,12 +14,13 @@ import pytest
 from cqm.background import Observer
 from cqm.fieldlang import FieldDef, eval_float, eval_jet, parse, to_source
 from cqm.hermitian import (
+    HermitianField,
     invariant_combination,
     lie_bracket_y,
     pair_bracket,
     vertical_projection,
 )
-from cqm.jets import MULTI_INDICES, SIZES
+from cqm.jets import MULTI_INDICES, SIZES, value_array
 from cqm.pauli import EPS, SIGMA, XI, XI_ALL, gtilde, spin_curvature_from_jets
 from cqm.quantum import (
     GridGeometry,
@@ -134,11 +135,10 @@ def test_criterion_04_observer_independence(curved_sc):
     funcs = [random_special_function(rng, consts, name=f"O{t}") for t in range(3)]
     points = sc.sample_points(rng, 100)
     worst = 0.0
-    for x in points:
-        for f in funcs:
-            vals = [invariant_combination(f, sc.qd, o, x) for o in observers]
-            scale = max(1.0, max(abs(v) for v in vals))
-            worst = max(worst, (max(vals) - min(vals)) / scale)
+    for f in funcs:
+        vals = np.array([invariant_combination(f, sc.qd, o, points.T) for o in observers])
+        scale = np.maximum(1.0, np.max(np.abs(vals), axis=0))
+        worst = max(worst, float(np.max((np.max(vals, axis=0) - np.min(vals, axis=0)) / scale)))
     report(4, "observer independence of the invariant combination", worst < 1e-11,
            f"max spread {worst:.2e} across 6 observers x 100 points")
 
@@ -147,21 +147,13 @@ def test_criterion_05_curvature_identity(curved_sc):
     sc = curved_sc
     rng = np.random.default_rng([sc.seed, 5])
     points = sc.sample_points(rng, 100)
-    worst_rrho = 0.0
-    worst_rt = 0.0
-    for x in points:
-        b = sc.background.jets(x)
-        cjets = sc.qd.spin.coeffs_from(b, 1)
-        r = spin_curvature_from_jets(cjets)
-        rho = b.rho("moment", 0)
-        rcheck = b.rcheck("moment", 0)
-        for lam in range(4):
-            for mu in range(4):
-                for k in range(3):
-                    worst_rrho = max(worst_rrho, abs(r[lam, mu, 1 + k] - rho[lam][mu][k].value))
-                    for j in range(3):
-                        pred = sum(r[lam, mu, 1 + i] * EPS[i, j, k] for i in range(3))
-                        worst_rt = max(worst_rt, abs(pred - rcheck[lam][mu][k][j].value))
+    batch = (len(points),)
+    b = sc.background.jets(points.T)
+    r = spin_curvature_from_jets(sc.qd.spin.coeffs_from(b, 1), batch)[:, :, 1:]  # [lam, mu, k, point]
+    worst_rrho = float(np.max(np.abs(r - value_array(b.rho("moment", 0), batch))))
+    # Rcheck_{lam mu}^k_j = r_{lam mu i} eps_ijk, laid out [lam, mu, k, j, point]
+    pred = sum(r[:, :, i, None, None] * EPS[i].T[:, :, None] for i in range(3))
+    worst_rt = float(np.max(np.abs(pred - value_array(b.rcheck("moment", 0), batch))))
     report(5, "curvature identity R[C] = rho and Rtilde relation",
            worst_rrho < 1e-9 and worst_rt < 1e-10,
            f"|R - rho| {worst_rrho:.2e}, |Rtilde - R eps| {worst_rt:.2e} at 100 curved points")
@@ -178,21 +170,17 @@ def test_criterion_06_isomorphism_machinery(curved_sc):
     y1 = assemble_pair(qd, p1[0], p1[1], ref)
     y2 = assemble_pair(qd, p2[0], p2[1], ref)
     points = sc.sample_points(rng, 100)
-    worst_round = 0.0
-    worst_dual = 0.0
-    for x in points:
-        back = vertical_projection(y1, qd, ref, x)
-        worst_round = max(worst_round, float(np.max(np.abs(back.values() - p1[1](x, 0).values()))))
-        xb, z = lie_bracket_y(y1, y2, x)
-        xp, mp = pair_bracket(p1, p2, qd, ref, x)
-        worst_dual = max(worst_dual, float(np.max(np.abs(
-            np.array([j.value for j in xb]) - np.array([j.value for j in xp])))))
-        from cqm.hermitian import HermitianField
-
-        y_br = HermitianField(lambda p, n: lie_bracket_y(y1, y2, p, n)[0],
-                              lambda p, n: lie_bracket_y(y1, y2, p, n)[1], False)
-        proj = vertical_projection(y_br, qd, ref, x)
-        worst_dual = max(worst_dual, float(np.max(np.abs(proj.values() - mp.values()))))
+    cloud = points.T
+    batch = cloud.shape[1:]
+    back = vertical_projection(y1, qd, ref, cloud)
+    worst_round = float(np.max(np.abs(back.values(batch) - p1[1](cloud, 0).values(batch))))
+    xb, _ = lie_bracket_y(y1, y2, cloud)
+    xp, mp = pair_bracket(p1, p2, qd, ref, cloud)
+    worst_dual = float(np.max(np.abs(value_array(xb, batch) - value_array(xp, batch))))
+    y_br = HermitianField(lambda p, n: lie_bracket_y(y1, y2, p, n)[0],
+                          lambda p, n: lie_bracket_y(y1, y2, p, n)[1], False)
+    proj = vertical_projection(y_br, qd, ref, cloud)
+    worst_dual = max(worst_dual, float(np.max(np.abs(proj.values(batch) - mp.values(batch)))))
     report(6, "h[c]/j[c] inverses and pair-bracket dual route",
            worst_round < 1e-10 and worst_dual < 1e-10,
            f"round-trip {worst_round:.2e}, dual-route {worst_dual:.2e} at 100 points")

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import SCENARIO_DIR, scenario_dict
 
@@ -142,14 +147,17 @@ def _scenario_file(tmp_path, name, **changes):
     return str(path)
 
 
-@pytest.mark.parametrize("case", ["bracket_nan_point", "evolve_negative_steps", "evolve_nan_dt",
-                                  "evolve_metric_not_positive", "evolve_nonfinite_psi0",
+@pytest.mark.parametrize("case", ["bracket_nan_point", "bracket_far_point", "evolve_negative_steps",
+                                  "evolve_nan_dt", "evolve_metric_not_positive", "evolve_nonfinite_psi0",
                                   "verify_zero_samples", "verify_negative_samples"])
 def test_bad_input_exits_2_with_error_line(tmp_path, case):
     larmor = str(SCENARIO_DIR / "larmor.json")
     out = ["--out", str(tmp_path / "out")]
     args = {
         "bracket_nan_point": ["bracket", str(SCENARIO_DIR / "flat.json"), "x1", "P1", "--at", "0,0,nan,0"],
+        # the curved metric overflows there, so the bracket is not finite
+        "bracket_far_point": ["bracket", str(SCENARIO_DIR / "curved_magnetic.json"), "P1", "x1",
+                              "--at", "0,1e300,0,0"],
         "evolve_negative_steps": ["evolve", larmor, "--steps", "-3", "--dt", "0.1", *out],
         "evolve_nan_dt": ["evolve", larmor, "--steps", "5", "--dt", "nan", *out],
         "evolve_metric_not_positive": [
@@ -169,6 +177,49 @@ def test_bad_input_exits_2_with_error_line(tmp_path, case):
     assert res.stderr.startswith("error: ")
     assert len(res.stderr.strip().splitlines()) == 1, res.stderr
     assert "Traceback" not in res.stderr
+
+
+_COORD = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -5e-324]),
+)
+_AT = st.one_of(
+    st.lists(_COORD, min_size=4, max_size=4).map(lambda xs: ",".join(repr(x) for x in xs)),
+    st.lists(st.sampled_from(["0.5", "-1", "nan", "1e", "", " ", "0x1", "--", "1;2", "٣"]),
+             max_size=6).map(",".join),
+    st.text(max_size=20),
+)
+
+
+def _numbers(obj):
+    if isinstance(obj, dict):
+        return [x for v in obj.values() for x in _numbers(v)]
+    if isinstance(obj, list):
+        return [x for v in obj for x in _numbers(v)]
+    return [obj] if isinstance(obj, float) else []
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@settings(max_examples=50, deadline=None)
+@given(at=_AT)
+def test_bracket_at_any_point_keeps_the_exit_contract(at):
+    from cqm import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(["bracket", str(SCENARIO_DIR / "curved_magnetic.json"), "P1", "x1", "--at", at])
+    assert rc in (0, 2)
+    if rc == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+    else:
+        report = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert all(math.isfinite(x) for x in _numbers(report))
 
 
 def test_evolve_builds_one_geometry(tmp_path, monkeypatch):

@@ -1,18 +1,23 @@
-"""The point suites evaluate their samples as one (4, n) cloud.
+"""The sample suites evaluate their samples as one (4, n) cloud.
 
 Every residual function they call must give on a cloud exactly the values it
 gives point by point, and the suites must report what the per-point loops
 (kept here as the oracle) report.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from cqm.background import Observer
+from cqm.background import Observer, PhasePoint
+from cqm.fieldlang import FieldDef
 from cqm.hermitian import (
     Mat2,
+    ch_components,
     from_special,
     hermiticity_residual,
+    invariant_combination,
     lie_bracket_y,
     pair_bracket,
     vertical_projection,
@@ -20,11 +25,12 @@ from cqm.hermitian import (
 from cqm.jets import value_array
 from cqm.pauli import EPS, spin_curvature_from_jets
 from cqm.scenario import load_scenario
-from cqm.special import extended_bracket, jacobi_residual
+from cqm.special import eval_special, extended_bracket, jacobi_residual
+from cqm.units import DIMLESS
 from cqm.verify import (
     Check,
-    _domega_check,
-    _dphi_check,
+    _fd_derivatives,
+    _fd_ratio_check,
     _lift_values,
     _rng_for,
     _tol,
@@ -57,6 +63,14 @@ def raw_pairs(sc):
     rng = np.random.default_rng(32)
     consts = sc.background.constants.table()
     return random_raw_pair(rng, consts, "a"), random_raw_pair(rng, consts, "b")
+
+
+@pytest.fixture(scope="module")
+def observers(sc):
+    consts = sc.background.constants.table()
+    shear = Observer(tuple(FieldDef(f"s{i}", DIMLESS, src, consts)
+                           for i, src in enumerate(("0.1*x2", "-0.05*x1 + 0.2", "0.08*x3"))))
+    return [Observer.reference(), shear]
 
 
 def rows(n):
@@ -126,6 +140,45 @@ def test_curvature_riemann_and_validate_on_a_cloud(sc, n):
     singles = [bg.validate([x]) for x in pts]
     assert rep == {k: max(s[k] for s in singles) for k in rep}
     assert rep == _oracle_validate(bg, pts)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_phase_point_functions_on_a_cloud(sc, funcs, observers, n):
+    pts = rows(n)
+    v, s = np.random.default_rng([34, n]).uniform(-0.5, 0.5, (2, n, 3))
+    bg, qd = sc.background, sc.qd
+    cloud = PhasePoint(pts.T, v.T, s.T)
+    singles = [PhasePoint(*row) for row in zip(pts, v, s)]
+    for fn in (bg.cosymplectic_and_gamma, lambda p: ch_components(qd, p)):
+        got = fn(cloud)
+        at_points = [fn(p) for p in singles]
+        for k in range(2):
+            assert_cloud_matches(got[k], [r[k] for r in at_points])
+    assert_cloud_matches(eval_special(funcs[0], bg, cloud), [eval_special(funcs[0], bg, p) for p in singles])
+    assert isinstance(invariant_combination(funcs[1], qd, observers[1], pts[0]), float)
+    for o in observers:
+        assert_cloud_matches(value_array(bg.observer_phi(o, pts.T, 0), (n,)),
+                             [value_array(bg.observer_phi(o, x, 0)) for x in pts])
+        assert_cloud_matches(invariant_combination(funcs[1], qd, o, pts.T),
+                             [invariant_combination(funcs[1], qd, o, x) for x in pts])
+
+
+def test_invariant_combination_matches_the_float_oracle(sc, funcs, observers):
+    pts = rows(7)
+    for f in funcs:
+        for o in observers:
+            got = invariant_combination(f, sc.qd, o, pts.T)
+            want = np.array([_oracle_invariant_combination(f, sc.qd, o, x) for x in pts])
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_fd_derivatives_are_central_differences_along_every_axis():
+    base = rows(3)
+    c = np.array([0.3, -1.1, 0.7, 1.9])
+    # central differences of a quadratic are exact up to rounding
+    d = _fd_derivatives(lambda z: (c @ z) ** 2, base, 1e-3)
+    assert d.shape == (4, 3)
+    assert np.max(np.abs(d - 2.0 * c[:, None] * (base @ c))) < 1e-10
 
 
 def test_mat2_values_broadcast_constants():
@@ -198,9 +251,67 @@ def _oracle_background(sc):
                         _tol(sc, "background.frame_orthonormality")))
     checks.append(Check("background.ktilde_antisymmetry", len(points), worst_anti,
                         _tol(sc, "background.ktilde_antisymmetry")))
-    checks.append(_domega_check(sc, rng))
-    checks.append(_dphi_check(sc, rng))
+    checks.append(_oracle_domega(sc, rng))
+    checks.append(_oracle_dphi(sc, rng))
     return checks
+
+
+def _oracle_domega(sc, rng):
+    bg = sc.background
+    pts = sc.sample_points(rng, min(5, sc.samples))
+    vels = rng.uniform(-0.5, 0.5, (len(pts), 3))
+
+    def omega_at(z):
+        om, _ = bg.cosymplectic_and_gamma(PhasePoint(z[:4], z[4:]))
+        return om
+
+    def residual(h):
+        worst = 0.0
+        for x, v in zip(pts, vels):
+            z0 = np.concatenate([x, v])
+            dom = np.zeros((7, 7, 7))
+            for a in range(7):
+                zp, zm = z0.copy(), z0.copy()
+                zp[a] += h
+                zm[a] -= h
+                dom[a] = (omega_at(zp) - omega_at(zm)) / (2 * h)
+            for a in range(7):
+                for b in range(a + 1, 7):
+                    for c in range(b + 1, 7):
+                        worst = max(worst, abs(dom[a][b, c] - dom[b][a, c] + dom[c][a, b]))
+        return worst
+
+    return _fd_ratio_check("background.domega_ratio", residual, 1e-3,
+                           _tol(sc, "background.domega_ratio"), len(pts))
+
+
+def _oracle_dphi(sc, rng):
+    bg = sc.background
+    pts = sc.sample_points(rng, min(5, sc.samples))
+    names = [n for n in sc.observers if n != "reference"]
+    obs = sc.observers[names[0]] if names else Observer.reference()
+
+    def phi_at(x):
+        phi = bg.observer_phi(obs, x, 0)
+        return np.array([[phi[a][b].value for b in range(4)] for a in range(4)])
+
+    def residual(h):
+        worst = 0.0
+        for x in pts:
+            dphi = np.zeros((4, 4, 4))
+            for a in range(4):
+                xp, xm = np.array(x, dtype=float), np.array(x, dtype=float)
+                xp[a] += h
+                xm[a] -= h
+                dphi[a] = (phi_at(xp) - phi_at(xm)) / (2 * h)
+            for a in range(4):
+                for b in range(a + 1, 4):
+                    for c in range(b + 1, 4):
+                        worst = max(worst, abs(dphi[a][b, c] - dphi[b][a, c] + dphi[c][a, b]))
+        return worst
+
+    return _fd_ratio_check("background.dphi_ratio", residual, 1e-3,
+                           _tol(sc, "background.dphi_ratio"), len(pts))
 
 
 def _oracle_curvature(sc):
@@ -293,8 +404,57 @@ def _oracle_isomorphism(sc):
         ("isomorphism.eta_hermiticity", worst_herm))]
 
 
+def _oracle_invariant_combination(f, qd, o, x):
+    """invariant_combination from the independent float evaluator."""
+    g = value_array(qd.bg.jets(x).metric(0))
+    pref = qd.bg.constants.metric_prefactor
+    vo = np.array([c(x) for c in o.components])
+    a = [fld(x) for fld in qd.a_fields]
+    ch0 = -0.5 * pref * float(vo @ g @ vo) + a[0]
+    chi = pref * (g @ vo) + np.array(a[1:])
+    fi = np.array([c(x) for c in f.fi])
+    f_at_o = f.f0(x) * 0.5 * pref * float(vo @ g @ vo) + pref * float(fi @ g @ vo) + f.fbrev(x)
+    return f.f0(x) * ch0 - float(fi @ chi) + f_at_o
+
+
+def _oracle_potential(qd, samples):
+    worst = 0.0
+    for x in samples:
+        a1 = qd.a_jets(x, 1)
+        phi = qd.bg.jets(x).phi_ref(0)
+        for lam in range(4):
+            for mu in range(lam + 1, 4):
+                da = a1[mu].derive(lam).value - a1[lam].derive(mu).value
+                worst = max(worst, abs(da - phi[lam][mu].value))
+    return worst
+
+
+def _oracle_observer(sc):
+    rng = _rng_for(sc, "observer")
+    points = sc.sample_points(rng)
+    consts = sc.background.constants.table()
+    observers = [Observer.reference()]
+    for t in range(5):
+        coeffs = [(round(float(rng.uniform(-0.4, 0.4)), 6), round(float(rng.uniform(-0.3, 0.3)), 6))
+                  for _ in range(3)]
+        observers.append(Observer(tuple(FieldDef(f"o{t}{i}", DIMLESS, f"{c0} + {c1}*x{i + 1}", consts)
+                                        for i, (c0, c1) in enumerate(coeffs))))
+    funcs = [random_special_function(rng, consts, name=f"O{t}") for t in range(3)]
+    worst = 0.0
+    for x in points:
+        for f in funcs:
+            vals = [_oracle_invariant_combination(f, sc.qd, o, x) for o in observers]
+            scale = max(1.0, max(abs(v) for v in vals))
+            worst = max(worst, (max(vals) - min(vals)) / scale)
+    n_pot = min(10, len(points))
+    return [Check("observer.invariant_combination", len(points), worst,
+                  _tol(sc, "observer.invariant_combination")),
+            Check("observer.potential_consistency", n_pot, _oracle_potential(sc.qd, points[:n_pot]),
+                  _tol(sc, "observer.potential_consistency"))]
+
+
 _ORACLES = {"background": _oracle_background, "curvature": _oracle_curvature,
-            "isomorphism": _oracle_isomorphism, "jacobi": _oracle_jacobi}
+            "isomorphism": _oracle_isomorphism, "jacobi": _oracle_jacobi, "observer": _oracle_observer}
 
 
 @pytest.mark.parametrize("samples", [4, 7])
@@ -303,5 +463,11 @@ def test_cloud_suites_report_what_the_point_loops_report(samples):
     sc.samples = samples
     want = sorted((c for fn in _ORACLES.values() for c in fn(sc)), key=lambda c: c.name)
     got = run_suites(sc, list(_ORACLES))
-    assert [c.to_json() for c in got] == [c.to_json() for c in want]
+    assert [c.name for c in got] == [c.name for c in want]
+    for g, w in zip(got, want):
+        if g.name == "observer.invariant_combination":
+            # the float oracle rounds differently from the order-0 jets
+            assert abs(g.max_residual - w.max_residual) <= 1e-15
+            g = dataclasses.replace(g, max_residual=w.max_residual)
+        assert g.to_json() == w.to_json()
     assert {c.samples for c in got if not c.name.endswith("_ratio")} == {samples}
