@@ -5,14 +5,14 @@ operators and Pauli evolution, over an exact-derivative jet kernel."""
 from .background import Background, Constants, Observer, PhasePoint
 from .fieldlang import FieldDef, parse, to_source
 from .hermitian import QuantumData, from_special, to_special
-from .jets import CJet, Jet
+from .jets import Jet
 from .pauli import pauli_constants, pauli_map, pauli_unmap, spin_connection_from
 from .scenario import Scenario, load_scenario
 from .special import SpecialFunction, eval_special, extended_bracket, jacobi_residual
 from .units import Dim, Gauge, ScaledReal
 
 __all__ = [
-    "Background", "CJet", "Constants", "Dim", "FieldDef", "Gauge", "Jet",
+    "Background", "Constants", "Dim", "FieldDef", "Gauge", "Jet",
     "Observer", "PhasePoint", "QuantumData", "ScaledReal", "Scenario",
     "SpecialFunction", "eval_special", "extended_bracket", "from_special",
     "jacobi_residual", "load_scenario", "parse", "pauli_constants",

@@ -6,9 +6,10 @@
                 [--snapshot-every K]
     cqm bracket <scenario.json> F G --at x0,x1,x2,x3
 
-Exit codes: 0 all checks pass / success, 1 check or run failure, 2 load or
-usage error (an `error:` line on stderr, no traceback).  Reports are
-JSON-first; --table renders the same data as text.
+Exit codes: 0 all checks pass / success, 1 check or run failure (or stdout
+closed before the output was written), 2 load or usage error (an `error:`
+line on stderr, no traceback).  Reports are JSON-first; --table renders the
+same data as text.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -163,7 +165,8 @@ def cmd_bracket(args) -> int:
         sc = load_scenario(args.scenario)
         f = sc.function(args.f)
         g = sc.function(args.g)
-        point = [float(v) for v in args.at.split(",")]
+        at = args.at if isinstance(args.at, str) else ""  # argparse reads `--at=--` as []
+        point = [float(v) for v in at.split(",")]
         if len(point) != 4 or not all(math.isfinite(v) for v in point):
             raise ScenarioError("--at needs 4 comma-separated finite coordinates")
         # overflow at a far point is reported as a non-finite bracket below
@@ -188,14 +191,37 @@ def cmd_bracket(args) -> int:
     return 0
 
 
+def _join_at(argv: list) -> list:
+    """`--at V` as `--at=V`, so that a point such as -1,0,0,0 is read as the
+    option's value and not as an option of its own ("--" still ends the
+    options)."""
+    out, k = [], 0
+    while k < len(argv):
+        if argv[k] == "--at" and k + 1 < len(argv) and argv[k + 1] != "--":
+            out.append(f"--at={argv[k + 1]}")
+            k += 2
+        else:
+            out.append(argv[k])
+            k += 1
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_at(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     handlers = {"verify": cmd_verify, "evolve": cmd_evolve, "bracket": cmd_bracket}
-    return handlers[args.command](args)
+    try:
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`cqm ... | head -1`); point stdout
+        # at devnull so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

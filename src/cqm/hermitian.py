@@ -28,7 +28,7 @@ from .background import (
     divergence_eta_jets,
 )
 from .fieldlang import FieldDef
-from .jets import CJet, Jet, max_abs, value_array
+from .jets import Jet, max_abs, value_array
 from .pauli import XI_ALL, SpinConnection, spin_connection_from, spin_curvature_jets
 from .special import SpecialFunction, SpecialValue, component_jets, eval_special
 
@@ -38,7 +38,7 @@ class NotHermitian(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# small complex 2x2 matrices with jet entries
+# small complex 2x2 matrices with complex jet entries
 
 
 class Mat2:
@@ -49,7 +49,7 @@ class Mat2:
 
     @staticmethod
     def zero(order: int) -> "Mat2":
-        z = CJet.const(0.0, order)
+        z = Jet.const(0j, order)
         return Mat2([[z, z], [z, z]])
 
     @staticmethod
@@ -64,17 +64,17 @@ class Mat2:
                     w = XI_ALL[nu][r, c]
                     if w == 0:
                         continue
-                    term = CJet.from_jet(coeffs[nu]) * w
+                    term = coeffs[nu] * w
                     acc = term if acc is None else acc + term
                 if acc is None:
-                    acc = CJet.const(0.0, coeffs[0].order)
+                    acc = Jet.const(0j, coeffs[0].order)
                 row.append(acc)
             entries.append(row)
         return Mat2(entries)
 
     @staticmethod
     def constant(mat: np.ndarray, order: int) -> "Mat2":
-        return Mat2([[CJet.const(complex(mat[r, c]), order) for c in range(2)] for r in range(2)])
+        return Mat2([[Jet.const(complex(mat[r, c]), order) for c in range(2)] for r in range(2)])
 
     def __add__(self, other: "Mat2") -> "Mat2":
         return Mat2([[self.m[r][c] + other.m[r][c] for c in range(2)] for r in range(2)])
@@ -261,7 +261,7 @@ def from_special(f: SpecialFunction, qd: QuantumData) -> HermitianField:
             yi.append(acc)
         div = divergence_eta_jets(x_full, bundle, order)
         mat = Mat2.from_xi([y0] + yi)
-        return mat.add_identity(CJet.from_jet(div * (-0.5)))
+        return mat.add_identity(div * -0.5)
 
     return HermitianField(x_eval, y_eval, div_corrected=True, name=f.name or "from_special")
 
@@ -272,11 +272,8 @@ class SpinorSection:
 
     components: tuple
 
-    def eval_cjets(self, point, order: int) -> list:
-        return [
-            CJet(re.eval_jet(point, order), im.eval_jet(point, order))
-            for (re, im) in self.components
-        ]
+    def eval_jets(self, point, order: int) -> list:
+        return [re.eval_jet(point, order) + im.eval_jet(point, order) * 1j for (re, im) in self.components]
 
 
 def act_on_section(y: HermitianField, psi: SpinorSection, point) -> np.ndarray:
@@ -284,7 +281,7 @@ def act_on_section(y: HermitianField, psi: SpinorSection, point) -> np.ndarray:
     point = as_point(point)
     x = y.x_jets(point, 0)
     mat = y.ymat(point, 0)
-    pj = psi.eval_cjets(point, 1)
+    pj = psi.eval_jets(point, 1)
     mp = mat.apply([p.truncate(0) for p in pj])
     out = []
     for a_idx in range(2):
@@ -389,7 +386,7 @@ def pair_bracket(pair, pair_p, qd: QuantumData, o: Observer, point, order: int =
             w = (x1[lam] * x2[mu]).truncate(order)
             if lam != mu:
                 dch = ch1[mu].derive(lam) - ch1[lam].derive(mu)
-                scalar_part = CJet(dch * 0.0, -dch) * CJet.from_jet(w)  # -i dch * w
+                scalar_part = dch * w * -1j
                 spin_part = Mat2.from_xi([dch * 0.0] + [rc[lam][mu][1 + a] for a in range(3)]).scale(w)
                 out = out - (spin_part.add_identity(scalar_part))
     # transport of the vertical parts: nabla_lam Y = d_lam Y - [C_lam, Y]

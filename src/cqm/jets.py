@@ -1,7 +1,8 @@
 """Forward-mode truncated Taylor (jet) arithmetic in 4 chart variables.
 
 A ``Jet`` of order n stores the Taylor coefficients c_alpha = (d^alpha f)/alpha!
-of a real scalar field at a base point, for all multi-indices |alpha| <= n <= 3.
+of a real or complex scalar field at a base point, for all multi-indices
+|alpha| <= n <= 3.
 Arithmetic is closed at fixed order (higher terms are truncated); binary
 operations between jets of different orders truncate to the lower order.
 Jets do not store their base point; mixing jets from different points is the
@@ -29,8 +30,14 @@ lexicographic comparison of the exponent tuple.  Degree blocks have sizes
 jet's coefficients are a prefix of the order-3 layout.  This layout is fixed
 so that coefficient dumps are bit-comparable across implementations.
 
-Complex scalars are pairs of real jets (``CJet``); transcendental functions on
-complex jets are limited to exp plus the polynomial operations.
+Complex fields
+--------------
+Coefficients are float64 for a real field and complex128 for a complex one,
+in the same layout.  A jet is complex when it is built from a complex value
+(``Jet.const(1j, n)``) or combined with a complex number or jet, so real code
+never pays for complex arithmetic.  Arithmetic, conj, exp, recip, sin and
+cos take complex jets; sqrt and log are for real jets only (their domain
+checks order the value slot against zero).
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -102,8 +109,7 @@ def _build_deriv_tables():
 
 _DERIV_SRC, _DERIV_FAC = _build_deriv_tables()
 
-Scalar = Union[int, float]
-_NUMBER = (int, float, np.floating, np.integer)
+_NUMBER = (int, float, complex, np.number)
 
 
 @functools.lru_cache(maxsize=32)
@@ -122,8 +128,9 @@ def _first_failure(values, failed):
 
 
 class Jet:
-    """Truncated multivariate Taylor expansion of a real scalar field, at one
-    point (coefficients of shape (size,)) or on a cloud of N points (N, size)."""
+    """Truncated multivariate Taylor expansion of a real or complex scalar
+    field, at one point (coefficients of shape (size,)) or on a cloud of N
+    points (N, size)."""
 
     __slots__ = ("order", "c")
 
@@ -135,9 +142,10 @@ class Jet:
 
     @staticmethod
     def const(value, order: int) -> "Jet":
-        """Constant jet: of a float at a point, of an (N,) array of values
-        on a cloud."""
-        c = np.zeros((SIZES[order],) + getattr(value, "shape", ()))  # coefficient-major
+        """Constant jet: of a number at a point, of an (N,) array of values
+        on a cloud; complex only for a complex value."""
+        dtype = complex if np.dtype(getattr(value, "dtype", type(value))).kind == "c" else float
+        c = np.zeros((SIZES[order],) + getattr(value, "shape", ()), dtype)  # coefficient-major
         c[0] = value
         return Jet(order, c.T)
 
@@ -160,9 +168,10 @@ class Jet:
 
     @property
     def value(self):
-        """The value slot: a float at a point, an (N,) array on a cloud."""
+        """The value slot: a float (a complex for a complex jet) at a point,
+        an (N,) array on a cloud."""
         c = self.c
-        return float(c[0]) if c.ndim == 1 else c[:, 0]
+        return c[0].item() if c.ndim == 1 else c[:, 0]
 
     def extract(self, alpha: Sequence[int]):
         """Partial derivative d^alpha f at the base point (= alpha! c_alpha)."""
@@ -173,7 +182,7 @@ class Jet:
         for a in alpha:
             fact *= math.factorial(a)
         slot = self.c[..., INDEX_OF[alpha]]
-        return fact * (float(slot) if self.c.ndim == 1 else slot)
+        return fact * (slot.item() if self.c.ndim == 1 else slot)
 
     def truncate(self, order: int) -> "Jet":
         if order > self.order:
@@ -192,13 +201,17 @@ class Jet:
         c = self.c
         return Jet(n, (c[src] if c.ndim == 1 else c.T[src].T) * _DERIV_FAC[var, :size])
 
+    def conj(self) -> "Jet":
+        """Complex conjugate (the jet of the conjugate field)."""
+        return Jet(self.order, self.c.conj())
+
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other) -> "Jet | None":
         if isinstance(other, Jet):
             return other
         if isinstance(other, _NUMBER):
-            return Jet.const(float(other), self.order)
+            return Jet.const(other, self.order)
         return None
 
     def __add__(self, other):
@@ -233,7 +246,7 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             if isinstance(other, _NUMBER):
-                return Jet(self.order, self.c * float(other))
+                return Jet(self.order, self.c * other)
             return NotImplemented
         n = self.order if self.order <= other.order else other.order
         if n == 0:
@@ -249,6 +262,14 @@ class Jet:
         if a.ndim != b.ndim:
             a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
         prod = a[ii] * b[jj]
+        if prod.dtype.kind == "c":
+            # bincount takes real weights only: scatter the interleaved real
+            # and imaginary parts as two float columns per point.
+            m = prod.size // len(prod)
+            flat = prod.reshape(len(prod), m).view(float).ravel()
+            out = np.bincount(_scatter_bins(n, 2 * m), weights=flat, minlength=SIZES[n] * 2 * m)
+            out = out.view(complex).reshape(SIZES[n], m)
+            return Jet(n, out[:, 0] if prod.ndim == 1 else out.T)
         if prod.ndim == 1:
             return Jet(n, np.bincount(kk, weights=prod, minlength=SIZES[n]))
         npoints = prod.shape[1]
@@ -259,9 +280,9 @@ class Jet:
 
     def __truediv__(self, other):
         if isinstance(other, _NUMBER):
-            if float(other) == 0.0:
+            if other == 0:
                 raise DomainError("division by zero")
-            return Jet(self.order, self.c / float(other))
+            return Jet(self.order, self.c / other)
         if not isinstance(other, Jet):
             return NotImplemented
         return self * other.recip()
@@ -282,7 +303,7 @@ class Jet:
         k = 0..3, at the value slot f0 (scalars at a point, (N,) arrays on a
         cloud); exact at the stored order since (f - f0) is nilpotent."""
         if self.order == 0:
-            c = np.zeros(self.c.shape)
+            c = np.zeros(self.c.shape, np.result_type(taylor[0]))
             c[..., 0] = taylor[0]
             return Jet(0, c)
         nil = Jet(self.order, self.c.copy())
@@ -360,10 +381,6 @@ def max_abs(values, batch: tuple = ()):
     return worst if batch else float(worst)
 
 
-def jet_seed(point: Sequence[float], var_index: int, order: int) -> Jet:
-    return Jet.seed(point, var_index, order)
-
-
 def value_array(jets, batch: tuple = ()) -> np.ndarray:
     """Value slots of a jet or a nested list of jets as one array, with the
     points of a cloud along the last axis.  `batch` is the cloud's batch
@@ -371,139 +388,3 @@ def value_array(jets, batch: tuple = ()) -> np.ndarray:
     if isinstance(jets, Jet):
         return np.broadcast_to(jets.c[..., 0], batch)
     return np.array([value_array(j, batch) for j in jets])
-
-
-_UNARY = {
-    "neg": lambda j: -j,
-    "sqrt": Jet.sqrt,
-    "exp": Jet.exp,
-    "log": Jet.log,
-    "sin": Jet.sin,
-    "cos": Jet.cos,
-}
-
-_BINARY = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-}
-
-
-def jet_apply(fn: str, *args):
-    """Apply a named elementary operation to one or two jets."""
-    if fn in _UNARY:
-        (j,) = args
-        return _UNARY[fn](j)
-    if fn in _BINARY:
-        a, b = args
-        return _BINARY[fn](a, b)
-    if fn == "pow_int":
-        j, k = args
-        return j.powi(k)
-    raise ValueError(f"unknown jet function {fn!r}")
-
-
-def jet_extract(j: Jet, alpha: Sequence[int]) -> float:
-    return j.extract(alpha)
-
-
-class CJet:
-    """Complex jet as a pair of real jets."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: Jet, im: Jet):
-        n = min(re.order, im.order)
-        self.re = re.truncate(n)
-        self.im = im.truncate(n)
-
-    @staticmethod
-    def const(z: complex, order: int) -> "CJet":
-        return CJet(Jet.const(z.real, order), Jet.const(z.imag, order))
-
-    @staticmethod
-    def from_jet(j: Jet) -> "CJet":
-        return CJet(j, Jet.const(0.0, j.order))
-
-    @property
-    def order(self) -> int:
-        return self.re.order
-
-    @property
-    def value(self):
-        """The value slot: a complex at a point, an (N,) array on a cloud."""
-        re, im = self.re.value, self.im.value
-        if isinstance(re, float) and isinstance(im, float):
-            return complex(re, im)
-        return re + 1j * im
-
-    def conj(self) -> "CJet":
-        return CJet(self.re, -self.im)
-
-    def derive(self, var: int) -> "CJet":
-        return CJet(self.re.derive(var), self.im.derive(var))
-
-    def truncate(self, order: int) -> "CJet":
-        return CJet(self.re.truncate(order), self.im.truncate(order))
-
-    def _coerce(self, other) -> "CJet | None":
-        if isinstance(other, CJet):
-            return other
-        if isinstance(other, Jet):
-            return CJet.from_jet(other)
-        if isinstance(other, (int, float, complex, np.number)):
-            return CJet.const(complex(other), self.order)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CJet(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CJet(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self):
-        return CJet(-self.re, -self.im)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CJet(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        den = (o.re * o.re + o.im * o.im).recip()
-        num = self * o.conj()
-        return CJet(num.re * den, num.im * den)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def exp(self) -> "CJet":
-        r = self.re.exp()
-        return CJet(r * self.im.cos(), r * self.im.sin())
-
-    def __repr__(self):
-        return f"CJet(re={self.re!r}, im={self.im!r})"

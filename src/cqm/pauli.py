@@ -136,8 +136,6 @@ class SpinConnection:
     C_lambda^i xi_i, anti-Hermitian by construction.
     """
 
-    trace_free = True
-
     def __init__(self, bg, which: str):
         self.bg = bg
         self.which = which

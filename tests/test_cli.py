@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import SCENARIO_DIR, scenario_dict
 
@@ -203,23 +203,86 @@ def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
 
-@settings(max_examples=50, deadline=None)
-@given(at=_AT)
-def test_bracket_at_any_point_keeps_the_exit_contract(at):
+def _finite_point(at):
+    """True when --at names four finite floats, as the CLI parses them."""
+    try:
+        xs = [float(v) for v in at.split(",")]
+    except ValueError:
+        return False
+    return len(xs) == 4 and all(math.isfinite(x) for x in xs)
+
+
+def _main(*argv):
+    """cli.main in this process, with RuntimeWarnings as errors: (exit code,
+    stdout, stderr)."""
     from cqm import cli
 
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = cli.main(["bracket", str(SCENARIO_DIR / "curved_magnetic.json"), "P1", "x1", "--at", at])
-    assert rc in (0, 2)
-    if rc == 2:
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
-    else:
-        report = json.loads(out.getvalue(), parse_constant=_reject_constant)
-        assert all(math.isfinite(x) for x in _numbers(report))
+            rc = cli.main(list(argv))
+    return rc, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=50, deadline=None)
+@given(at=_AT)
+@example(at="-1,0,0,0")
+@example(at="-.5,0,0,0")
+@example(at="-1e-3,0.2,-0.4,0")
+@example(at="0,1e300,0,0")
+@example(at="--")
+def test_bracket_at_any_point_keeps_the_exit_contract(at):
+    """Exit 0 with finite JSON or exit 2 with one `error:` line, for --at as
+    its own token and after '='."""
+    for argv in (["--at", at], [f"--at={at}"]):
+        rc, out, err = _main("bracket", str(SCENARIO_DIR / "curved_magnetic.json"), "P1", "x1", *argv)
+        assert rc in (0, 2)
+        if rc == 2:
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), err
+            # four finite coordinates are always a point: the only way to
+            # fail there is a bracket that overflows far out
+            if _finite_point(at):
+                assert "is not finite" in lines[0], err
+        else:
+            report = json.loads(out, parse_constant=_reject_constant)
+            assert all(math.isfinite(x) for x in _numbers(report))
+
+
+@pytest.mark.parametrize("at", ["-1,0,0,0", "-.5,0,0,0", "-1e-3,0,0,0"])
+def test_bracket_at_negative_first_coordinate(at):
+    """A point that starts with a minus sign is the value of --at, whether it
+    follows as its own token or after '='."""
+    flat = str(SCENARIO_DIR / "flat.json")
+    rc, out, err = _main("bracket", flat, "x1", "P1", "--at", at)
+    assert rc == 0, err
+    assert (rc, out, err) == _main("bracket", flat, "x1", "P1", f"--at={at}")
+    assert json.loads(out)["at"] == [float(v) for v in at.split(",")]
+
+
+@pytest.mark.parametrize("command", ["bracket", "verify", "verify_table", "evolve"])
+def test_closed_stdout_exits_1_without_traceback(tmp_path, command):
+    """Output into a pipe whose reader has gone (`cqm ... | head -1`): exit 1,
+    no traceback and no 'Exception ignored' report at interpreter exit."""
+    args = {
+        "bracket": ["bracket", str(SCENARIO_DIR / "flat.json"), "x1", "P1", "--at", "0,0,0,0"],
+        "verify": ["verify", str(SCENARIO_DIR / "flat.json"), "--suite", "curvature", "--samples", "5"],
+        "verify_table": ["verify", str(SCENARIO_DIR / "flat.json"), "--suite", "curvature", "--samples", "5",
+                         "--table"],
+        "evolve": ["evolve", str(SCENARIO_DIR / "larmor.json"), "--steps", "3", "--dt", "0.1",
+                   "--out", str(tmp_path / "out")],
+    }[command]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = subprocess.run(CLI + args, stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert res.returncode == 1, res.stderr
+    assert "Traceback" not in res.stderr and "Exception ignored" not in res.stderr, res.stderr
 
 
 def test_evolve_builds_one_geometry(tmp_path, monkeypatch):

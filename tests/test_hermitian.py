@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,12 +22,14 @@ from cqm.hermitian import (
     to_special,
     vertical_projection,
 )
+from cqm.jets import Jet
 from cqm.pauli import XI
-
+from cqm.quantum import GridGeometry, GridSpec
+from cqm.special import component_jets
 from cqm.units import DIMLESS
 from cqm.verify import assemble_pair, main_theorem_residual, random_raw_pair, random_special_function
 
-from conftest import make_special
+from conftest import make_special, sample_box
 
 
 def spinor(consts, exprs):
@@ -427,3 +431,42 @@ def test_ch_components(flat_magnetic_scenario):
     ch0, chi = ch_components(sc.qd, p1)
     assert ch0 == pytest.approx(-0.5 * pref)
     assert chi[0] == pytest.approx(pref)
+
+
+def _dtypes(jets) -> set:
+    """Coefficient dtypes of a jet or of a nested list of jets."""
+    if isinstance(jets, Jet):
+        return {jets.c.dtype}
+    return set().union(*(_dtypes(j) for j in jets))
+
+
+def test_only_the_matrix_part_is_complex(curved_magnetic_scenario):
+    """The background, the spin connection, the component jets and the grid
+    geometry stay float64; only the matrix part Y^A_B is complex."""
+    sc = curved_magnetic_scenario
+    rng = np.random.default_rng(36)
+    cloud = sample_box(rng, 7).T
+    f = random_special_function(rng, sc.background.constants.table())
+    b = sc.background.jets(cloud)
+    c = component_jets(f, cloud, 2)
+    real = {
+        "metric": b.metric(2),
+        "frame": b.frame(2),
+        "ktilde": b.ktilde("moment", 2),
+        "rho": b.rho("moment", 1),
+        "phi_ref": b.phi_ref(1),
+        "spin": sc.qd.spin.coeffs_from(b, 2),
+        "components": [c.f0, *c.fi, c.fbrev, *c.phi],
+    }
+    for name, jets in real.items():
+        assert _dtypes(jets) == {np.dtype(np.float64)}, name
+    assert _dtypes(from_special(f, sc.qd).ymat(cloud, 1).m) == {np.dtype(np.complex128)}
+
+    with warnings.catch_warnings():
+        # a complex jet cast into a real node array would only warn
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        geom = GridGeometry(sc.qd, GridSpec(((-2, 2, 7), (-1.5, 2.5, 7), (0.0, 0.0, 1)), 0.3))
+    arrays = {name: v for name, v in vars(geom).items() if isinstance(v, (np.ndarray, list))}
+    assert {"sqrtg", "ginv", "dginv", "a", "da", "c_coeffs", "mesh4"} <= set(arrays)
+    for name, v in arrays.items():
+        assert {np.asarray(x).dtype for x in (v if isinstance(v, list) else [v])} == {np.dtype(np.float64)}, name
