@@ -48,7 +48,9 @@ class NotPositiveDefinite(ValueError):
 
 def as_point(x) -> np.ndarray:
     """A point as a (4,) array, or a cloud of N points as a coordinate-major
-    (4, N) array."""
+    (4, N) array; a bundle stands for its points."""
+    if isinstance(x, BackgroundJets):
+        return x.point
     p = np.asarray(x, dtype=float)
     if p.ndim != 2 or p.shape[0] != 4:
         p = p.reshape(4)
@@ -199,10 +201,16 @@ class Background:
 
     # -- jet bundles -----------------------------------------------------------
 
-    def jets(self, point) -> "BackgroundJets":
-        """A new jet bundle at a point (4,) or on a (4, N) cloud; a caller that
-        needs several quantities at the same points keeps the bundle."""
-        return BackgroundJets(self, as_point(point))
+    def jets(self, where) -> "BackgroundJets":
+        """The jet bundle at a point (4,) or on a (4, N) cloud: a new one for a
+        point or a cloud, `where` itself for a bundle of this background.  A
+        caller that needs several quantities at the same points passes the
+        bundle on in place of the points."""
+        if isinstance(where, BackgroundJets):
+            if where.bg is not self:
+                raise ValueError("the bundle belongs to another background")
+            return where
+        return BackgroundJets(self, as_point(where))
 
     @property
     def fields_constant(self) -> bool:
@@ -663,10 +671,10 @@ class BackgroundJets:
         return phi
 
 
-def divergence_eta(x_fields: Sequence, bg: Background, point) -> float:
+def divergence_eta(x_fields: Sequence, bg: Background, where) -> float:
     """div_eta X = (X^0 d0 sqrt|g| + d_i(X^i sqrt|g|)) / sqrt|g|."""
-    b = bg.jets(point)
-    xj = [f.eval_jet(point, 1) for f in x_fields]
+    b = bg.jets(where)
+    xj = [f.eval_jet(b.point, 1) for f in x_fields]
     return divergence_eta_jets(xj, b, 0).value
 
 

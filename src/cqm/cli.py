@@ -8,8 +8,9 @@
 
 Exit codes: 0 all checks pass / success, 1 check or run failure (or stdout
 closed before the output was written), 2 load or usage error (an `error:`
-line on stderr, no traceback).  Reports are JSON-first; --table renders the
-same data as text.
+line on stderr, no traceback).  Options are spelled in full: an abbreviation
+such as `--a` is an unrecognized argument.  Reports are JSON-first; --table
+renders the same data as text.
 """
 
 from __future__ import annotations
@@ -46,10 +47,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="cqm", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="cqm", description=__doc__.splitlines()[0], allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="run property suites against a scenario")
+    p_verify = sub.add_parser("verify", help="run property suites against a scenario", allow_abbrev=False)
     p_verify.add_argument("scenario")
     p_verify.add_argument("--suite", action="append", choices=SUITES, default=None)
     p_verify.add_argument("--samples", type=int, default=None)
@@ -57,18 +58,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", default=None)
     p_verify.add_argument("--table", action="store_true", help="print a text table instead of JSON")
 
-    p_evolve = sub.add_parser("evolve", help="Crank-Nicolson Pauli evolution")
+    p_evolve = sub.add_parser("evolve", help="Crank-Nicolson Pauli evolution", allow_abbrev=False)
     p_evolve.add_argument("scenario")
     p_evolve.add_argument("--steps", type=int, required=True)
     p_evolve.add_argument("--dt", type=float, required=True)
     p_evolve.add_argument("--out", required=True)
     p_evolve.add_argument("--snapshot-every", type=int, default=0)
 
-    p_bracket = sub.add_parser("bracket", help="extended bracket of two named functions")
+    p_bracket = sub.add_parser("bracket", help="extended bracket of two named functions", allow_abbrev=False)
     p_bracket.add_argument("scenario")
     p_bracket.add_argument("f")
     p_bracket.add_argument("g")
-    p_bracket.add_argument("--at", required=True, help="comma-separated x0,x1,x2,x3")
+    # required, but checked in cmd_bracket: argparse would report a missing
+    # --at before an unrecognized option such as `--a`
+    p_bracket.add_argument("--at", help="comma-separated x0,x1,x2,x3 (required)")
     return parser
 
 
@@ -162,6 +165,8 @@ def cmd_evolve(args) -> int:
 
 def cmd_bracket(args) -> int:
     try:
+        if args.at is None:
+            raise ScenarioError("the following arguments are required: --at")
         sc = load_scenario(args.scenario)
         f = sc.function(args.f)
         g = sc.function(args.g)

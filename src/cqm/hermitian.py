@@ -1,10 +1,18 @@
 """Linear projectable vector fields on the rank-2 quantum bundle.
 
 A field is the pair (X^lambda, Y^A_B): chart components of the projection and
-a 2x2 complex matrix field, stored through its xi-basis coefficients.  Raw
-fields carry an anti-Hermitian matrix part; fields built from special
-functions carry the volume-weighted variant, whose matrix part is the
-anti-Hermitian combination shifted by -1/2 (div_eta X) 1.
+a 2x2 complex matrix field Y = y_nu xi_nu, stored as its four xi-basis
+coefficient jets (a `Mat2`).  xi_0 = i 1 is central and [xi_a, xi_b] =
+eps_abc xi_c, so the commutators of the brackets are cross products of
+y_1..y_3, the bracket the spin part phi of a special function carries.  Raw
+fields carry an anti-Hermitian matrix part (real coefficients); fields built
+from special functions carry the volume-weighted variant, whose matrix part
+is the anti-Hermitian combination shifted by -1/2 (div_eta X) 1, which makes
+y_0 complex.
+
+Every operation evaluates at a point (4,), on a (4, N) cloud, or on the
+points of a `BackgroundJets` bundle, which it then shares with every
+background quantity it needs instead of building its own.
 
 The module implements the action on sections, the Lie bracket, the lift and
 vertical projection along the connection i Ch[o] 1 + C, the pair bracket with
@@ -38,91 +46,63 @@ class NotHermitian(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# small complex 2x2 matrices with complex jet entries
+# 2x2 complex matrix fields through their xi-basis coefficient jets
 
 
 class Mat2:
-    __slots__ = ("m",)
+    """The matrix field Y = sum_nu y_nu xi_nu, stored as its coefficient jets
+    y_0..y_3 (real or complex).  xi_0 = i 1 is central and [xi_a, xi_b] =
+    eps_abc xi_c, so a commutator is the cross product of y_1..y_3."""
 
-    def __init__(self, entries):
-        self.m = entries
+    __slots__ = ("y",)
+
+    def __init__(self, coeffs: Sequence):
+        self.y = tuple(coeffs)
 
     @staticmethod
     def zero(order: int) -> "Mat2":
-        z = Jet.const(0j, order)
-        return Mat2([[z, z], [z, z]])
-
-    @staticmethod
-    def from_xi(coeffs: Sequence) -> "Mat2":
-        """sum_nu coeffs[nu] xi_nu for real jet coefficients (xi_0 = i 1)."""
-        entries = []
-        for r in range(2):
-            row = []
-            for c in range(2):
-                acc = None
-                for nu in range(4):
-                    w = XI_ALL[nu][r, c]
-                    if w == 0:
-                        continue
-                    term = coeffs[nu] * w
-                    acc = term if acc is None else acc + term
-                if acc is None:
-                    acc = Jet.const(0j, coeffs[0].order)
-                row.append(acc)
-            entries.append(row)
-        return Mat2(entries)
+        return Mat2([Jet.const(0.0, order)] * 4)
 
     @staticmethod
     def constant(mat: np.ndarray, order: int) -> "Mat2":
-        return Mat2([[Jet.const(complex(mat[r, c]), order) for c in range(2)] for r in range(2)])
+        """The constant field of a numeric matrix M: y_0 = -(i/2) tr M and
+        y_a = -2 tr(M xi_a)."""
+        coeffs = [-0.5j * np.trace(mat)] + [-2.0 * np.trace(mat @ XI_ALL[1 + a]) for a in range(3)]
+        return Mat2([Jet.const(complex(c), order) for c in coeffs])
 
     def __add__(self, other: "Mat2") -> "Mat2":
-        return Mat2([[self.m[r][c] + other.m[r][c] for c in range(2)] for r in range(2)])
+        return Mat2([a + b for a, b in zip(self.y, other.y)])
 
     def __sub__(self, other: "Mat2") -> "Mat2":
-        return Mat2([[self.m[r][c] - other.m[r][c] for c in range(2)] for r in range(2)])
-
-    def __neg__(self) -> "Mat2":
-        return Mat2([[-self.m[r][c] for c in range(2)] for r in range(2)])
+        return Mat2([a - b for a, b in zip(self.y, other.y)])
 
     def scale(self, w) -> "Mat2":
-        return Mat2([[self.m[r][c] * w for c in range(2)] for r in range(2)])
-
-    def matmul(self, other: "Mat2") -> "Mat2":
-        out = []
-        for r in range(2):
-            row = []
-            for c in range(2):
-                row.append(self.m[r][0] * other.m[0][c] + self.m[r][1] * other.m[1][c])
-            out.append(row)
-        return Mat2(out)
+        return Mat2([c * w for c in self.y])
 
     def commutator(self, other: "Mat2") -> "Mat2":
-        return self.matmul(other) - other.matmul(self)
+        """[Y, Y'] = eps_abc y_a y'_b xi_c; it has no xi_0 part."""
+        _, a1, a2, a3 = self.y
+        _, b1, b2, b3 = other.y
+        cross = [a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1]
+        return Mat2([Jet.const(0.0, cross[0].order)] + cross)
 
     def add_identity(self, w) -> "Mat2":
-        return Mat2([
-            [self.m[0][0] + w, self.m[0][1]],
-            [self.m[1][0], self.m[1][1] + w],
-        ])
+        """Y + w 1, with 1 = -i xi_0."""
+        return Mat2((self.y[0] - w * 1j,) + self.y[1:])
 
     def derive(self, lam: int) -> "Mat2":
-        return Mat2([[self.m[r][c].derive(lam) for c in range(2)] for r in range(2)])
+        return Mat2([c.derive(lam) for c in self.y])
 
     def truncate(self, order: int) -> "Mat2":
-        return Mat2([[self.m[r][c].truncate(order) for c in range(2)] for r in range(2)])
+        return Mat2([c.truncate(order) for c in self.y])
 
     def values(self, batch: tuple = ()) -> np.ndarray:
-        """Entry values: (2, 2) at a point, (2, 2, N) on a cloud of batch
-        shape (N,); point-shaped entries (constants) broadcast to the cloud,
-        as jets.value_array does."""
-        return np.array([[np.broadcast_to(self.m[r][c].value, batch) for c in range(2)] for r in range(2)])
-
-    def apply(self, psi: Sequence) -> list:
-        return [
-            self.m[0][0] * psi[0] + self.m[0][1] * psi[1],
-            self.m[1][0] * psi[0] + self.m[1][1] * psi[1],
-        ]
+        """Entry values sum_nu y_nu xi_nu: (2, 2) at a point, (2, 2, N) on a
+        cloud of batch shape (N,); point-shaped coefficients (constants)
+        broadcast to the cloud, as jets.value_array does."""
+        v = value_array(self.y, batch)
+        shape = (2, 2) + (1,) * len(batch)
+        return sum(v[nu] * XI_ALL[nu].reshape(shape) for nu in range(4))
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +155,10 @@ def ch_components(qd: QuantumData, p: PhasePoint):
     return ch0, chi
 
 
-def ch_along_jets(qd: QuantumData, o: Observer, point, order: int) -> list:
+def ch_along_jets(qd: QuantumData, o: Observer, where, order: int) -> list:
     """Jets of Ch_lambda evaluated along the observer section."""
-    b = qd.bg.jets(point)
-    g = b.metric(order)
+    point = as_point(where)
+    g = qd.bg.jets(where).metric(order)
     pref = qd.bg.constants.metric_prefactor
     a = qd.a_jets(point, order)
     v = o.jets(point, order)
@@ -203,7 +183,8 @@ def ch_along_jets(qd: QuantumData, o: Observer, point, order: int) -> list:
 
 class HermitianField:
     """Recipe for a linear projectable vector field: evaluators for the chart
-    components X^lambda and the matrix part."""
+    components X^lambda, called with the point or cloud, and for the matrix
+    part, called with `where` as given (a point, a cloud or a bundle)."""
 
     def __init__(self, x_eval: Callable, ymat_eval: Callable, div_corrected: bool, name: str = ""):
         self._x = x_eval
@@ -211,14 +192,14 @@ class HermitianField:
         self.div_corrected = div_corrected
         self.name = name
 
-    def x_jets(self, point, order: int) -> list:
-        return self._x(as_point(point), order)
+    def x_jets(self, where, order: int) -> list:
+        return self._x(as_point(where), order)
 
-    def ymat(self, point, order: int) -> Mat2:
-        return self._y(as_point(point), order)
+    def ymat(self, where, order: int) -> Mat2:
+        return self._y(where, order)
 
-    def x_values(self, point) -> np.ndarray:
-        return np.array([j.value for j in self.x_jets(point, 0)])
+    def x_values(self, where) -> np.ndarray:
+        return np.array([j.value for j in self.x_jets(where, 0)])
 
 
 def hermitian_raw(x_fields: Sequence, y0_field, yi_fields: Sequence, name: str = "") -> HermitianField:
@@ -227,9 +208,9 @@ def hermitian_raw(x_fields: Sequence, y0_field, yi_fields: Sequence, name: str =
     def x_eval(point, order):
         return [f.eval_jet(point, order) for f in x_fields]
 
-    def y_eval(point, order):
-        coeffs = [y0_field.eval_jet(point, order)] + [f.eval_jet(point, order) for f in yi_fields]
-        return Mat2.from_xi(coeffs)
+    def y_eval(where, order):
+        point = as_point(where)
+        return Mat2([y0_field.eval_jet(point, order)] + [f.eval_jet(point, order) for f in yi_fields])
 
     return HermitianField(x_eval, y_eval, div_corrected=False, name=name)
 
@@ -243,10 +224,10 @@ def from_special(f: SpecialFunction, qd: QuantumData) -> HermitianField:
         c = component_jets(f, point, order)
         return c.x_components()
 
-    def y_eval(point, order):
-        bundle = qd.bg.jets(point)
-        c = component_jets(f, point, order + 1)
-        a = qd.a_jets(point, order)
+    def y_eval(where, order):
+        bundle = qd.bg.jets(where)
+        c = component_jets(f, bundle.point, order + 1)
+        a = qd.a_jets(bundle.point, order)
         x_full = c.x_components()
         x = [j.truncate(order) for j in x_full]
         y0 = c.f0.truncate(order) * a[0] + c.fbrev.truncate(order)
@@ -260,8 +241,7 @@ def from_special(f: SpecialFunction, qd: QuantumData) -> HermitianField:
                 acc = acc + x[lam] * cc[lam][aidx]
             yi.append(acc)
         div = divergence_eta_jets(x_full, bundle, order)
-        mat = Mat2.from_xi([y0] + yi)
-        return mat.add_identity(div * -0.5)
+        return Mat2([y0] + yi).add_identity(div * -0.5)
 
     return HermitianField(x_eval, y_eval, div_corrected=True, name=f.name or "from_special")
 
@@ -276,30 +256,22 @@ class SpinorSection:
         return [re.eval_jet(point, order) + im.eval_jet(point, order) * 1j for (re, im) in self.components]
 
 
-def act_on_section(y: HermitianField, psi: SpinorSection, point) -> np.ndarray:
-    """(Y.psi)^A = X^lam d_lam psi^A - Y^A_B psi^B."""
-    point = as_point(point)
-    x = y.x_jets(point, 0)
-    mat = y.ymat(point, 0)
+def act_on_section(y: HermitianField, psi: SpinorSection, where) -> np.ndarray:
+    """(Y.psi)^A = X^lam d_lam psi^A - Y^A_B psi^B at a point."""
+    point = as_point(where)
     pj = psi.eval_jets(point, 1)
-    mp = mat.apply([p.truncate(0) for p in pj])
-    out = []
-    for a_idx in range(2):
-        acc = -mp[a_idx]
-        for lam in range(4):
-            acc = acc + pj[a_idx].derive(lam) * x[lam]
-        out.append(acc.value)
-    return np.array(out)
+    dpsi = np.array([[p.derive(lam).value for lam in range(4)] for p in pj])
+    psi0 = np.array([p.value for p in pj])
+    return dpsi @ y.x_values(point) - y.ymat(where, 0).values() @ psi0
 
 
-def lie_bracket_y(y: HermitianField, yp: HermitianField, point, order: int = 0):
-    """Lie bracket at a point or on a (4, N) cloud: ([X,X'] jets, matrix part
-    Z = X.dY' - X'.dY + Y'Y - YY')."""
-    point = as_point(point)
-    x1 = y.x_jets(point, order + 1)
-    x2 = yp.x_jets(point, order + 1)
-    m1 = y.ymat(point, order + 1)
-    m2 = yp.ymat(point, order + 1)
+def lie_bracket_y(y: HermitianField, yp: HermitianField, where, order: int = 0):
+    """Lie bracket at a point, on a (4, N) cloud or on a bundle's points:
+    ([X,X'] jets, matrix part Z = X.dY' - X'.dY + [Y', Y])."""
+    x1 = y.x_jets(where, order + 1)
+    x2 = yp.x_jets(where, order + 1)
+    m1 = y.ymat(where, order + 1)
+    m2 = yp.ymat(where, order + 1)
     xb = []
     for mu in range(4):
         acc = None
@@ -310,15 +282,14 @@ def lie_bracket_y(y: HermitianField, yp: HermitianField, point, order: int = 0):
     z = Mat2.zero(order)
     for lam in range(4):
         z = z + m2.derive(lam).scale(x1[lam].truncate(order)) - m1.derive(lam).scale(x2[lam].truncate(order))
-    m1t = m1.truncate(order)
-    m2t = m2.truncate(order)
-    z = z + m2t.matmul(m1t) - m1t.matmul(m2t)
+    z = z + m2.truncate(order).commutator(m1.truncate(order))
     return xb, z
 
 
-def _lift_mat(qd: QuantumData, x_jets: Sequence, o: Observer, point, order: int) -> Mat2:
-    ch = ch_along_jets(qd, o, point, order)
-    cc = qd.spin.coeffs_from(qd.bg.jets(point), order)
+def _lift_mat(qd: QuantumData, x_jets: Sequence, o: Observer, where, order: int) -> Mat2:
+    """X^lam (i Ch_lam[o] 1 + C_lam^a xi_a) for the jets x_jets of X."""
+    ch = ch_along_jets(qd, o, where, order)
+    cc = qd.spin.coeffs_from(qd.bg.jets(where), order)
     coeffs = []
     for nu in range(4):
         acc = None
@@ -327,7 +298,7 @@ def _lift_mat(qd: QuantumData, x_jets: Sequence, o: Observer, point, order: int)
             term = x_jets[lam].truncate(order) * base
             acc = term if acc is None else acc + term
         coeffs.append(acc)
-    return Mat2.from_xi(coeffs)
+    return Mat2(coeffs)
 
 
 def connection_lift(qd: QuantumData, x_fields: Sequence, o: Observer, name: str = "") -> HermitianField:
@@ -336,39 +307,37 @@ def connection_lift(qd: QuantumData, x_fields: Sequence, o: Observer, name: str 
     def x_eval(point, order):
         return [f.eval_jet(point, order) for f in x_fields]
 
-    def y_eval(point, order):
-        return _lift_mat(qd, x_eval(point, order), o, point, order)
+    def y_eval(where, order):
+        return _lift_mat(qd, x_eval(as_point(where), order), o, where, order)
 
     return HermitianField(x_eval, y_eval, div_corrected=False, name=name or "lift")
 
 
-def vertical_projection(y: HermitianField, qd: QuantumData, o: Observer, point, order: int = 0) -> Mat2:
-    """nu[c] Y = Ymat - X^lam c_lam at a point or on a (4, N) cloud:
-    anti-Hermitian when Y is plain-Hermitian."""
-    point = as_point(point)
-    x = y.x_jets(point, order)
-    return y.ymat(point, order) - _lift_mat(qd, x, o, point, order)
+def vertical_projection(y: HermitianField, qd: QuantumData, o: Observer, where, order: int = 0) -> Mat2:
+    """nu[c] Y = Ymat - X^lam c_lam at a point, on a (4, N) cloud or on a
+    bundle's points: anti-Hermitian when Y is plain-Hermitian."""
+    x = y.x_jets(where, order)
+    return y.ymat(where, order) - _lift_mat(qd, x, o, where, order)
 
 
-def pair_bracket(pair, pair_p, qd: QuantumData, o: Observer, point, order: int = 0):
+def pair_bracket(pair, pair_p, qd: QuantumData, o: Observer, where, order: int = 0):
     """Bracket of (X, Ycheck) pairs through the connection:
     ([X,X'], -R(X,X') + nabla_X Y' - nabla_X' Y + [Y', Y]).
 
     Each pair is (x_fields, vertical_mat_eval) with vertical_mat_eval a
-    callable (point, order) -> Mat2.  Jets and Mat2 at a point or on a
-    (4, N) cloud.
+    callable (where, order) -> Mat2.  Jets and Mat2 at a point, on a (4, N)
+    cloud or on a bundle's points.
     """
-    point = as_point(point)
+    point = as_point(where)
     x_fields, yv = pair
     xp_fields, yvp = pair_p
     x1 = [f.eval_jet(point, order + 1) for f in x_fields]
     x2 = [f.eval_jet(point, order + 1) for f in xp_fields]
-    bundle = qd.bg.jets(point)
-    cc1 = qd.spin.coeffs_from(bundle, order + 1)
+    cc1 = qd.spin.coeffs_from(qd.bg.jets(where), order + 1)
     cc = [[cj.truncate(order) for cj in row] for row in cc1]
-    ch1 = ch_along_jets(qd, o, point, order + 1)
-    m1 = yv(point, order + 1)
-    m2 = yvp(point, order + 1)
+    ch1 = ch_along_jets(qd, o, where, order + 1)
+    m1 = yv(where, order + 1)
+    m2 = yvp(where, order + 1)
 
     xb = []
     for mu in range(4):
@@ -379,21 +348,20 @@ def pair_bracket(pair, pair_p, qd: QuantumData, o: Observer, point, order: int =
         xb.append(acc)
 
     # curvature R_{lam mu} = -i (dCh[o])_{lam mu} 1 + R[C]_{lam mu}^a xi_a
+    # = -(dCh[o])_{lam mu} xi_0 + R[C]_{lam mu}^a xi_a
     rc = spin_curvature_jets(cc1, order)
     out = Mat2.zero(order)
     for lam in range(4):
         for mu in range(4):
-            w = (x1[lam] * x2[mu]).truncate(order)
             if lam != mu:
+                w = (x1[lam] * x2[mu]).truncate(order)
                 dch = ch1[mu].derive(lam) - ch1[lam].derive(mu)
-                scalar_part = dch * w * -1j
-                spin_part = Mat2.from_xi([dch * 0.0] + [rc[lam][mu][1 + a] for a in range(3)]).scale(w)
-                out = out - (spin_part.add_identity(scalar_part))
+                out = out - Mat2([-dch] + rc[lam][mu][1:]).scale(w)
     # transport of the vertical parts: nabla_lam Y = d_lam Y - [C_lam, Y]
     # (the sign the vertical-field identification induces; it makes this
     # formula agree with the plain Lie bracket route)
     for lam in range(4):
-        cmat = Mat2.from_xi([cc[lam][0] * 0.0, cc[lam][0], cc[lam][1], cc[lam][2]])
+        cmat = Mat2([Jet.const(0.0, order)] + cc[lam])
         d2 = m2.derive(lam) - cmat.commutator(m2.truncate(order))
         d1 = m1.derive(lam) - cmat.commutator(m1.truncate(order))
         out = out + d2.scale(x1[lam].truncate(order)) - d1.scale(x2[lam].truncate(order))
@@ -401,27 +369,25 @@ def pair_bracket(pair, pair_p, qd: QuantumData, o: Observer, point, order: int =
     return xb, out
 
 
-def to_special(y: HermitianField, qd: QuantumData, o: Observer, point, tol: float = 1e-8) -> SpecialValue:
-    """Invert the correspondence: (f0, f^i) from X, fbrev from the trace of
-    the vertical projection, phi from the traceless part."""
-    point = as_point(point)
-    x = y.x_values(point)
-    mval = y.ymat(point, 0).values()
-    bundle = qd.bg.jets(point)
+def to_special(y: HermitianField, qd: QuantumData, o: Observer, where, tol: float = 1e-8) -> SpecialValue:
+    """Invert the correspondence: (f0, f^i) from X, then fbrev and phi from
+    the xi_0 and xi_a coefficients of the vertical projection."""
+    bundle = qd.bg.jets(where)
+    point = bundle.point
+    x_jets = y.x_jets(point, 0)
+    x = np.array([j.value for j in x_jets])
+    mat = y.ymat(bundle, 0)
+    mval = mat.values()
     div = 0.0
     if y.div_corrected:
-        xj = y.x_jets(point, 1)
-        div = divergence_eta_jets(xj, bundle, 0).value
+        div = divergence_eta_jets(y.x_jets(point, 1), bundle, 0).value
     herm = mval + mval.conj().T + div * np.eye(2)
     if np.max(np.abs(herm)) > tol:
         raise NotHermitian(f"Hermiticity residual {np.max(np.abs(herm)):.3e} at {point.tolist()}")
     # remove the divergence shift, then split off the lift along o
-    mat = mval + 0.5 * div * np.eye(2)
-    x_jets = [Jet.const(v, 0) for v in x]
-    lift = _lift_mat(qd, x_jets, o, point, 0).values()
-    ycheck = mat - lift
-    f_o = float((-0.5j * np.trace(ycheck)).real)
-    phi = np.array([float((-2.0 * np.trace(ycheck @ XI_ALL[1 + a])).real) for a in range(3)])
+    ycheck = mat.add_identity(0.5 * div) - _lift_mat(qd, x_jets, o, bundle, 0)
+    f_o = float(np.real(ycheck.y[0].value))
+    phi = np.array([float(np.real(c.value)) for c in ycheck.y[1:]])
     f0 = x[0]
     fi = -x[1:]
     g = np.array([[bundle.metric(0)[i][j].value for j in range(3)] for i in range(3)])
@@ -444,15 +410,15 @@ def invariant_combination(f: SpecialFunction, qd: QuantumData, o: Observer, poin
     return c.f0 * ch0 - sum(c.fi[j] * chi[j] for j in range(3)) + f_at_o
 
 
-def hermiticity_residual(y: HermitianField, qd: QuantumData, point):
+def hermiticity_residual(y: HermitianField, qd: QuantumData, where):
     """max |Y + Y^dagger (+ div_eta X for volume-weighted fields)|: a float
-    at a point, an (N,) array of per-point values on a (4, N) cloud."""
-    point = as_point(point)
-    batch = point.shape[1:]
-    mval = y.ymat(point, 0).values(batch)
+    at a point, an (N,) array of per-point values on a (4, N) cloud or on a
+    bundle's points."""
+    batch = as_point(where).shape[1:]
+    mval = y.ymat(where, 0).values(batch)
     div = 0.0
     if y.div_corrected:
-        xj = y.x_jets(point, 1)
-        div = value_array(divergence_eta_jets(xj, qd.bg.jets(point), 0), batch)
+        xj = y.x_jets(where, 1)
+        div = value_array(divergence_eta_jets(xj, qd.bg.jets(where), 0), batch)
     eye = np.eye(2).reshape((2, 2) + (1,) * len(batch))
     return max_abs(mval + mval.conj().swapaxes(0, 1) + div * eye, batch)

@@ -36,8 +36,9 @@ Coefficients are float64 for a real field and complex128 for a complex one,
 in the same layout.  A jet is complex when it is built from a complex value
 (``Jet.const(1j, n)``) or combined with a complex number or jet, so real code
 never pays for complex arithmetic.  Arithmetic, conj, exp, recip, sin and
-cos take complex jets; sqrt and log are for real jets only (their domain
-checks order the value slot against zero).
+cos take complex jets; sqrt and log take real jets only and raise TypeError
+on complex coefficients (their domain checks order the value slot against
+zero, and their branch would be a choice).
 """
 
 from __future__ import annotations
@@ -325,8 +326,13 @@ class Jet:
         r2 = r * r
         return self._compose([r, -r2, r2 * r, -(r2 * r2)])
 
+    def _real_value_slot(self, name: str):
+        if self.c.dtype.kind == "c":
+            raise TypeError(f"{name} takes a real jet, not complex coefficients")
+        return self.c[..., 0]
+
     def sqrt(self) -> "Jet":
-        v = self.c[..., 0]
+        v = self._real_value_slot("sqrt")
         bad = v <= 0.0
         if bad.any():
             raise DomainError(f"sqrt of nonpositive value slot {_first_failure(v, bad)}")
@@ -338,7 +344,7 @@ class Jet:
         return self._compose([e, e, 0.5 * e, e / 6.0])
 
     def log(self) -> "Jet":
-        v = self.c[..., 0]
+        v = self._real_value_slot("log")
         bad = v <= 0.0
         if bad.any():
             raise DomainError(f"log of nonpositive value slot {_first_failure(v, bad)}")

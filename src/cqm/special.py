@@ -221,23 +221,22 @@ def scalar_bracket(f: SpecialFunction, fp: SpecialFunction, bg: Background, o: O
     return SpecialValue(f0.value, np.array([j.value for j in fi]), fb.value, np.zeros(3))
 
 
-def extended_bracket(f: SpecialFunction, fp: SpecialFunction, bg: Background, point) -> SpecialValue:
+def extended_bracket(f: SpecialFunction, fp: SpecialFunction, bg: Background, where) -> SpecialValue:
     """The bracket's component values at a point, or (N,) arrays of them on
-    a (4, N) cloud."""
-    point = as_point(point)
-    b = bg.jets(point)
-    a = component_jets(f, point, 1)
-    c = component_jets(fp, point, 1)
-    return extended_bracket_jets(a, c, b, 0).values(point.shape[1:])
+    a (4, N) cloud or on a bundle's points."""
+    b = bg.jets(where)
+    a = component_jets(f, b.point, 1)
+    c = component_jets(fp, b.point, 1)
+    return extended_bracket_jets(a, c, b, 0).values(b.point.shape[1:])
 
 
-def jacobi_residual(f1: SpecialFunction, f2: SpecialFunction, f3: SpecialFunction, bg: Background, point):
+def jacobi_residual(f1: SpecialFunction, f2: SpecialFunction, f3: SpecialFunction, bg: Background, where):
     """Max-norm of the cyclic sum [[F1,[F2,F3]]] + cyc: a float at a point,
-    an (N,) array of per-point values on a (4, N) cloud."""
-    point = as_point(point)
-    batch = point.shape[1:]
-    b = bg.jets(point)
-    comps = [component_jets(f, point, 2) for f in (f1, f2, f3)]
+    an (N,) array of per-point values on a (4, N) cloud or on a bundle's
+    points."""
+    b = bg.jets(where)
+    batch = b.point.shape[1:]
+    comps = [component_jets(f, b.point, 2) for f in (f1, f2, f3)]
     total = np.zeros((8,) + batch)
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         inner = extended_bracket_jets(comps[j], comps[k], b, 1)

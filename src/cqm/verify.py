@@ -10,7 +10,9 @@ Every suite but operators draws its samples as (n, 4) rows and evaluates
 them as one (4, n) cloud, `points.T`.  Every residual function the suites
 call takes a point (4,) or a cloud (4, n); a residual is a float at a point
 and an (n,) array of per-point values on a cloud, and a suite reports the
-largest.  The finite-difference ratio checks put every offset point of
+largest.  The isomorphism and Jacobi suites build one background bundle per
+cloud and pass the bundle in place of the cloud, so every residual function
+shares its background quantities.  The finite-difference ratio checks put every offset point of
 their stencils into one cloud per step size.
 """
 
@@ -27,7 +29,7 @@ from .fieldlang import DerivedField, FieldDef
 from .hermitian import (
     HermitianField,
     Mat2,
-    ch_along_jets,
+    _lift_mat,
     connection_lift,
     from_special,
     hermiticity_residual,
@@ -316,7 +318,8 @@ def suite_jacobi(sc: Scenario) -> list:
         tuple(random_special_function(rng, consts, name=f"J{t}{i}") for i in range(3))
         for t in range(3)
     ]
-    worst = float(np.max([jacobi_residual(*triple, sc.background, points.T) for triple in triples]))
+    bundle = sc.background.jets(points.T)
+    worst = float(np.max([jacobi_residual(*triple, sc.background, bundle) for triple in triples]))
     return [Check("jacobi.residual", len(points), worst, _tol(sc, "jacobi.residual"))]
 
 
@@ -325,28 +328,28 @@ def _xi(batch: tuple) -> list:
     return [m.reshape((2, 2) + (1,) * len(batch)) for m in XI_ALL]
 
 
-def main_theorem_residual(f: SpecialFunction, fp: SpecialFunction, sc: Scenario, point):
+def main_theorem_residual(f: SpecialFunction, fp: SpecialFunction, sc: Scenario, where):
     """(vector residual, matrix residual) of
     from_special([[F,F']]) == [from_special F, from_special F']: floats at a
-    point, (N,) arrays of per-point values on a (4, N) cloud."""
-    point = as_point(point)
-    batch = point.shape[1:]
+    point, (N,) arrays of per-point values on a (4, N) cloud or on a
+    bundle's points."""
     qd = sc.qd
     bg = sc.background
-    br = extended_bracket(f, fp, bg, point)
+    bundle = bg.jets(where)
+    batch = bundle.point.shape[1:]
+    br = extended_bracket(f, fp, bg, bundle)
     y1, y2 = from_special(f, qd), from_special(fp, qd)
-    xb1, _ = lie_bracket_y(y1, y2, point, 1)
+    xb1, _ = lie_bracket_y(y1, y2, bundle, 1)
     expected_x = np.concatenate(([br.f0], -br.fi))
     vec_res = max_abs(value_array(xb1, batch) - expected_x, batch)
-    bundle = bg.jets(point)
-    a = value_array([fld.eval_jet(point, 0) for fld in qd.a_fields], batch)
+    a = value_array(qd.a_jets(bundle.point, 0), batch)
     cc = value_array(qd.spin.coeffs_from(bundle, 0), batch)
     y0 = br.f0 * a[0] - sum(br.fi[j] * a[j + 1] for j in range(3)) + br.fbrev
     div = value_array(divergence_eta_jets(xb1, bundle, 0), batch)
     yi = [br.f0 * cc[0][ai] - sum(br.fi[j] * cc[j + 1][ai] for j in range(3)) + br.phi[ai] for ai in range(3)]
     xi = _xi(batch)
     mat = y0 * xi[0] + sum(yi[ai] * xi[1 + ai] for ai in range(3)) - 0.5 * div * np.eye(2).reshape(xi[0].shape)
-    _, z0 = lie_bracket_y(y1, y2, point, 0)
+    _, z0 = lie_bracket_y(y1, y2, bundle, 0)
     mat_res = max_abs(mat - z0.values(batch), batch)
     return vec_res, mat_res
 
@@ -363,9 +366,9 @@ def random_raw_pair(rng, consts, tag):
     y0f = rnd_field(f"Y0{tag}")
     yif = tuple(rnd_field(f"Yi{tag}{a}") for a in range(3))
 
-    def mat_eval(point, order):
-        coeffs = [y0f.eval_jet(point, order)] + [f.eval_jet(point, order) for f in yif]
-        return Mat2.from_xi(coeffs)
+    def mat_eval(where, order):
+        point = as_point(where)
+        return Mat2([y0f.eval_jet(point, order)] + [f.eval_jet(point, order) for f in yif])
 
     return x_fields, mat_eval
 
@@ -374,8 +377,8 @@ def assemble_pair(qd, x_fields, vert, o) -> HermitianField:
     """j[c](X, Ycheck) = lift + vertical."""
     lifted = connection_lift(qd, x_fields, o)
 
-    def y_eval(point, order):
-        return lifted.ymat(point, order) + vert(point, order)
+    def y_eval(where, order):
+        return lifted.ymat(where, order) + vert(where, order)
 
     return HermitianField(lambda p, n: [f.eval_jet(p, n) for f in x_fields], y_eval, False)
 
@@ -391,25 +394,24 @@ def suite_isomorphism(sc: Scenario) -> list:
          random_special_function(rng, consts, name=f"I{t}b"))
         for t in range(4)
     ]
-    cloud = points.T
+    cloud = sc.background.jets(points.T)
     theorem = [main_theorem_residual(f, fp, sc, cloud) for f, fp in pairs]
     worst_vec = float(np.max([vec for vec, _ in theorem]))
     worst_main = max(worst_vec, float(np.max([mat for _, mat in theorem])))
     worst_herm = float(np.max([hermiticity_residual(from_special(f, qd), qd, cloud) for f, _ in pairs]))
     p1 = random_raw_pair(rng, consts, "a")
     p2 = random_raw_pair(rng, consts, "b")
-    half = points[: max(len(points) // 2, 1)].T
-    batch = half.shape[1:]
+    half = sc.background.jets(points[: max(len(points) // 2, 1)].T)
+    batch = half.point.shape[1:]
     y_full = assemble_pair(qd, p1[0], p1[1], ref)
     y2_full = assemble_pair(qd, p2[0], p2[1], ref)
     back = vertical_projection(y_full, qd, ref, half)
     worst_round = float(np.max(np.abs(back.values(batch) - p1[1](half, 0).values(batch))))
     xb, zmat = lie_bracket_y(y_full, y2_full, half)
     xpair, mpair = pair_bracket(p1, p2, qd, ref, half)
-    xb_vals = value_array(xb, batch)
-    lift_vals = _lift_values(qd, xb_vals, ref, half)
+    lift_vals = _lift_mat(qd, xb, ref, half, 0).values(batch)
     worst_pair = max(float(np.max(np.abs((zmat.values(batch) - lift_vals) - mpair.values(batch)))),
-                     float(np.max(np.abs(xb_vals - value_array(xpair, batch)))))
+                     float(np.max(np.abs(value_array(xb, batch) - value_array(xpair, batch)))))
     return [
         Check("isomorphism.main_theorem", len(points), worst_main, _tol(sc, "isomorphism.main_theorem")),
         Check("isomorphism.vector_morphism", len(points), worst_vec, _tol(sc, "isomorphism.vector_morphism")),
@@ -417,21 +419,6 @@ def suite_isomorphism(sc: Scenario) -> list:
         Check("isomorphism.pair_bracket", len(points), worst_pair, _tol(sc, "isomorphism.pair_bracket")),
         Check("isomorphism.eta_hermiticity", len(points), worst_herm, _tol(sc, "isomorphism.eta_hermiticity")),
     ]
-
-
-def _lift_values(qd, x_vals, o, point) -> np.ndarray:
-    """X^lam (i Ch_lam[o] 1 + C_lam^a xi_a) for values x_vals of X: (2, 2) at
-    a point, (2, 2, N) on a (4, N) cloud with x_vals of shape (4, N)."""
-    point = as_point(point)
-    batch = point.shape[1:]
-    ch = ch_along_jets(qd, o, point, 0)
-    cc = qd.spin.coeffs_from(qd.bg.jets(point), 0)
-    xi = _xi(batch)
-    out = np.zeros((2, 2) + batch, dtype=complex)
-    for lam in range(4):
-        coeff = value_array([ch[lam]] + cc[lam], batch)
-        out += x_vals[lam] * sum(coeff[nu] * xi[nu] for nu in range(4))
-    return out
 
 
 def suite_observer(sc: Scenario) -> list:
@@ -617,8 +604,8 @@ def _bracket_homomorphism_defect(sc: Scenario, spec: GridSpec, rng) -> float:
     geom = GridGeometry(qd, spec)
     consts = sc.background.constants.table()
     # f0-free pairs, independent of the inactive x3 axis, so the grid
-    # reduction is exact on both routes (see ledger: the energy-energy case
-    # is reported, not gated).
+    # reduction is exact on both routes.  Pairs with f0 != 0 are neither
+    # gated nor reported yet (ROADMAP item 5).
     def rand_f(name):
         g = random_special_function(rng, consts, name=name, active_vars=(0, 1, 2))
         return SpecialFunction(fl.zero_field(), g.fi, g.fbrev, g.phi, name=name)

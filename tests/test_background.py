@@ -6,6 +6,7 @@ from cqm.background import (
     NotPositiveDefinite,
     Observer,
     PhasePoint,
+    as_point,
     christoffel_expressions,
     divergence_eta,
 )
@@ -22,7 +23,7 @@ from cqm.units import (
     ScaledReal,
 )
 
-from conftest import scenario_dict
+from conftest import sample_box, scenario_dict
 
 
 def numeric_christoffel(sc, point, i, j, k, h=1e-5):
@@ -452,3 +453,13 @@ def test_anisotropic_metric_full_stack():
         vec_res, mat_res = main_theorem_residual(f, fp, sc, pt)
         assert max(vec_res, mat_res) < 1e-10
         assert jacobi_residual(f, fp, f3, sc.background, pt) < 1e-10
+
+
+def test_jets_returns_a_bundle_of_its_own_background(flat_scenario, curved_magnetic_scenario):
+    bg = curved_magnetic_scenario.background
+    cloud = sample_box(np.random.default_rng(5), 3).T
+    b = bg.jets(cloud)
+    assert bg.jets(b) is b
+    assert np.array_equal(as_point(b), cloud)
+    with pytest.raises(ValueError, match="another background"):
+        flat_scenario.background.jets(b)

@@ -261,6 +261,26 @@ def test_bracket_at_negative_first_coordinate(at):
     assert json.loads(out)["at"] == [float(v) for v in at.split(",")]
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["bracket", "flat.json", "x1", "P1", "--a", "-1,0,0,0"], "--a"),
+    (["verify", "flat.json", "--sam", "3"], "--sam"),
+])
+def test_abbreviated_options_are_unrecognized(argv, option):
+    """Options are spelled in full: an abbreviation is reported as itself,
+    not taken for the option it begins."""
+    argv = [str(SCENARIO_DIR / a) if a.endswith(".json") else a for a in argv]
+    rc, out, err = _main(*argv)
+    assert (rc, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: unrecognized arguments: "), err
+    assert option in lines[0].split(), err
+
+
+def test_bracket_without_at_is_a_usage_error():
+    rc, out, err = _main("bracket", str(SCENARIO_DIR / "flat.json"), "x1", "P1")
+    assert (rc, out, err) == (2, "", "error: the following arguments are required: --at\n")
+
+
 @pytest.mark.parametrize("command", ["bracket", "verify", "verify_table", "evolve"])
 def test_closed_stdout_exits_1_without_traceback(tmp_path, command):
     """Output into a pipe whose reader has gone (`cqm ... | head -1`): exit 1,

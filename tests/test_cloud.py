@@ -10,10 +10,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cqm.background import Observer, PhasePoint
+from cqm.background import BackgroundJets, Observer, PhasePoint
 from cqm.fieldlang import FieldDef
 from cqm.hermitian import (
     Mat2,
+    _lift_mat,
     ch_components,
     from_special,
     hermiticity_residual,
@@ -31,7 +32,6 @@ from cqm.verify import (
     Check,
     _fd_derivatives,
     _fd_ratio_check,
-    _lift_values,
     _rng_for,
     _tol,
     assemble_pair,
@@ -122,9 +122,9 @@ def test_projection_pair_bracket_and_lift_on_a_cloud(sc, raw_pairs, n):
     at_points = [pair_bracket(p1, p2, qd, ref, x) for x in pts]
     assert_cloud_matches(value_array(xb, batch), [value_array(x) for x, _ in at_points])
     assert_cloud_matches(mb.values(batch), [m.values() for _, m in at_points])
-    xl = value_array(lie_bracket_y(y1, y2, pts.T)[0], batch)
-    assert_cloud_matches(_lift_values(qd, xl, ref, pts.T),
-                         [_lift_values(qd, xl[:, k], ref, x) for k, x in enumerate(pts)])
+    xl = lie_bracket_y(y1, y2, pts.T)[0]
+    assert_cloud_matches(_lift_mat(qd, xl, ref, pts.T, 0).values(batch),
+                         [_lift_mat(qd, lie_bracket_y(y1, y2, x)[0], ref, x, 0).values() for x in pts])
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -179,6 +179,47 @@ def test_fd_derivatives_are_central_differences_along_every_axis():
     d = _fd_derivatives(lambda z: (c @ z) ** 2, base, 1e-3)
     assert d.shape == (4, 3)
     assert np.max(np.abs(d - 2.0 * c[:, None] * (base @ c))) < 1e-10
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_a_bundle_stands_for_its_cloud(sc, funcs, raw_pairs, n):
+    """Passing the cloud's bundle gives what passing the cloud gives, bit for
+    bit."""
+    cloud = rows(n).T
+    bundle = sc.background.jets(cloud)
+    y1, y2 = (from_special(f, sc.qd) for f in funcs[:2])
+    for order in (0, 1):
+        xc, zc = lie_bracket_y(y1, y2, cloud, order)
+        xb, zb = lie_bracket_y(y1, y2, bundle, order)
+        assert np.array_equal(value_array(xb, (n,)), value_array(xc, (n,)))
+        assert np.array_equal(zb.values((n,)), zc.values((n,)))
+    for got, want in zip(main_theorem_residual(funcs[0], funcs[1], sc, bundle),
+                         main_theorem_residual(funcs[0], funcs[1], sc, cloud)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(hermiticity_residual(y1, sc.qd, bundle), hermiticity_residual(y1, sc.qd, cloud))
+    ref = Observer.reference()
+    y_raw = assemble_pair(sc.qd, raw_pairs[0][0], raw_pairs[0][1], ref)
+    assert np.array_equal(hermiticity_residual(y_raw, sc.qd, bundle), hermiticity_residual(y_raw, sc.qd, cloud))
+
+
+def test_isomorphism_and_jacobi_build_one_bundle_per_cloud(monkeypatch):
+    """The isomorphism suite evaluates on two clouds (its samples and their
+    first half) and the Jacobi suite on one; each builds one bundle per cloud
+    and hands it to every residual function."""
+    sc = load_scenario(scenario_dict("curved_magnetic"))
+    built = []
+    original = BackgroundJets.__init__
+
+    def counting(self, bg, point):
+        built.append(point.shape)
+        original(self, bg, point)
+
+    monkeypatch.setattr(BackgroundJets, "__init__", counting)
+    run_suites(sc, ["isomorphism"])
+    assert built == [(4, sc.samples), (4, sc.samples // 2)]
+    built.clear()
+    run_suites(sc, ["jacobi"])
+    assert built == [(4, sc.samples)]
 
 
 def test_mat2_values_broadcast_constants():
@@ -394,7 +435,7 @@ def _oracle_isomorphism(sc):
         worst_round = max(worst_round, float(np.max(np.abs(back.values() - p1[1](x, 0).values()))))
         xb, zmat = lie_bracket_y(y_full, y2_full, x)
         xpair, mpair = pair_bracket(p1, p2, qd, ref, x)
-        lift_vals = _lift_values(qd, [j.value for j in xb], ref, x)
+        lift_vals = _lift_mat(qd, xb, ref, x, 0).values()
         worst_pair = max(worst_pair, float(np.max(np.abs((zmat.values() - lift_vals) - mpair.values()))))
         worst_pair = max(worst_pair, float(np.max(np.abs(
             np.array([j.value for j in xb]) - np.array([j.value for j in xpair])))))

@@ -48,6 +48,36 @@ def vertical_const_field(consts, y0, yi, name="v"):
     )
 
 
+def test_mat2_commutator_is_the_matrix_commutator(curved_magnetic_scenario):
+    """The cross product of the xi_a coefficients is the commutator of the
+    matrices, on a cloud of complex fields."""
+    sc = curved_magnetic_scenario
+    cloud = sample_box(np.random.default_rng(38), 7).T
+    rng = np.random.default_rng(39)
+    consts = sc.background.constants.table()
+
+    def random_mat2(tag):
+        pair = random_raw_pair(rng, consts, tag)
+        shift = FieldDef(f"s{tag}", DIMLESS, "0.3*x1 - 0.2*x0*x2", consts)
+        # a complex y_0 and xi_a parts, as from_special gives
+        return pair[1](cloud, 1).add_identity(shift.eval_jet(cloud, 1))
+
+    m1, m2 = random_mat2("a"), random_mat2("b")
+    a = np.moveaxis(m1.values((7,)), -1, 0)
+    b = np.moveaxis(m2.values((7,)), -1, 0)
+    got = np.moveaxis(m1.commutator(m2).values((7,)), -1, 0)
+    want = a @ b - b @ a
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_mat2_constant_round_trips_a_complex_matrix():
+    rng = np.random.default_rng(40)
+    for _ in range(5):
+        m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        got = Mat2.constant(m, 2).values()
+        assert np.max(np.abs(got - m)) <= 1e-15 * np.max(np.abs(m))
+
+
 def test_act_vertical_identity(flat_scenario):
     consts = flat_scenario.background.constants.table()
     y = vertical_const_field(consts, "1", ("0", "0", "0"))  # Ymat = i 1
@@ -201,7 +231,7 @@ def test_pair_bracket_pure_vertical(flat_scenario):
             coeffs = [FieldDef("a", DIMLESS, y0, consts).eval_jet(point, order)] + [
                 FieldDef("b", DIMLESS, c, consts).eval_jet(point, order) for c in yi
             ]
-            return Mat2.from_xi(coeffs)
+            return Mat2(coeffs)
 
         return ev
 
@@ -442,7 +472,8 @@ def _dtypes(jets) -> set:
 
 def test_only_the_matrix_part_is_complex(curved_magnetic_scenario):
     """The background, the spin connection, the component jets and the grid
-    geometry stay float64; only the matrix part Y^A_B is complex."""
+    geometry stay float64; of the matrix part Y^A_B = y_nu xi_nu only y_0,
+    which carries the -1/2 div shift, is complex."""
     sc = curved_magnetic_scenario
     rng = np.random.default_rng(36)
     cloud = sample_box(rng, 7).T
@@ -460,7 +491,9 @@ def test_only_the_matrix_part_is_complex(curved_magnetic_scenario):
     }
     for name, jets in real.items():
         assert _dtypes(jets) == {np.dtype(np.float64)}, name
-    assert _dtypes(from_special(f, sc.qd).ymat(cloud, 1).m) == {np.dtype(np.complex128)}
+    y = from_special(f, sc.qd).ymat(cloud, 1).y
+    assert _dtypes(y[0]) == {np.dtype(np.complex128)}
+    assert _dtypes(y[1:]) == {np.dtype(np.float64)}
 
     with warnings.catch_warnings():
         # a complex jet cast into a real node array would only warn

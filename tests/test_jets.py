@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,19 @@ def test_domain_errors():
         Jet.const(0.0, 2).log()
     with pytest.raises(DomainError):
         Jet.const(1.0, 2) / Jet.const(0.0, 2)
+
+
+@pytest.mark.parametrize("re", [0.5, -0.5])
+@pytest.mark.parametrize("name", ["sqrt", "log"])
+def test_sqrt_and_log_reject_complex_jets(name, re):
+    """No branch is picked and no complex value is ordered against zero."""
+    z = Jet.seed((re, 0, 0, 0), 0, 1) + 1j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TypeError, match="real jet"):
+            getattr(z, name)()
+        with pytest.raises(TypeError, match="real jet"):
+            getattr(Jet(1, np.repeat(z.c[None], 3, axis=0)), name)()
 
 
 def test_powi():
