@@ -4,9 +4,10 @@ A Background bundles the spatial metric g_ij (L^2-scaled), the gravitational
 spacetime connection coefficients K^i_{lm} (with vanishing time row), the
 electromagnetic 2-form F and the coupling constants.  Everything downstream
 (joined connections, orthonormal frames, curvatures, the cosymplectic table,
-observer pullbacks, the magnetic field) is evaluated through jets at a point
-or on a (4, N) cloud of points, so derivatives are exact to the requested
-order.
+observer pullbacks, the magnetic field) is read off one `BackgroundJets`
+bundle, `Background.jets(where)`, at a point or on a (4, N) cloud of points,
+as jets, so derivatives are exact to the requested order.  A bundle stands
+for its points: passed on in place of them, it shares what it has computed.
 
 Chart conventions: a single global chart (x0..x3), dimensionless coordinates,
 dt = u0 dx0, reference observer = chart-adapted (zero velocity components).
@@ -19,7 +20,7 @@ the closed 2-form Phi[o] directly (no extra doubling).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -75,16 +76,17 @@ def _require_positive(j: Jet, what: str, point: np.ndarray):
 class PhasePoint:
     """Spacetime point, velocity coordinates x^i_0, and orthonormal-frame
     spin components: x (4,), v and s (3,) at a phase point; x (4, N), v and
-    s (3, N) on a cloud of N phase points.  v and s default to zero."""
+    s (3, N) on a cloud of N phase points.  v and s default to zero.  x may
+    be a `BackgroundJets` bundle, kept as given; it stands for its points."""
 
-    x: np.ndarray
+    x: object
     v: np.ndarray = None
     s: np.ndarray = None
 
     def __post_init__(self):
-        x = as_point(self.x)
-        object.__setattr__(self, "x", x)
-        shape = (3,) + x.shape[1:]
+        if not isinstance(self.x, BackgroundJets):
+            object.__setattr__(self, "x", as_point(self.x))
+        shape = (3,) + as_point(self.x).shape[1:]
         for name in ("v", "s"):
             a = getattr(self, name)
             a = np.zeros(shape) if a is None else np.asarray(a, dtype=float).reshape(shape)
@@ -145,16 +147,6 @@ class Constants:
     def metric_prefactor(self) -> float:
         """m u^0 / hbar, the velocity-form weight; dimension L^-2."""
         return self.m.value / (self.hbar.value * self.u0.value)
-
-
-@dataclass(frozen=True)
-class FramePacket:
-    """Orthonormal triad e_a^i (stored as e[i][a]), its inverse e^a_i, and the
-    frame coefficients Ktilde_lambda^a_b of the restricted connection."""
-
-    e: list
-    einv: list
-    ktilde: list
 
 
 class Background:
@@ -221,38 +213,12 @@ class Background:
 
     # -- public operations ---------------------------------------------------
 
-    def joined_connection(self, which: str) -> Callable:
-        """Evaluator returning the joined connection coefficient jets
-        K[lam][i][mu] at a point (i = upper spatial index - 1)."""
-
-        def evaluate(point, order: int = 0):
-            return self.jets(point).k_joined(which, order)
-
-        return evaluate
-
-    def orthonormal_frame(self, point, order: int = 0, which: str = "grav") -> FramePacket:
-        b = self.jets(point)
-        e, einv = b.frame(order)
-        return FramePacket(e=e, einv=einv, ktilde=b.ktilde(which, order))
-
-    def vertical_curvature_rho(self, which: str, point):
-        """(Rcheck, rho): frame curvature values of the restricted connection
-        and its axial covector rho_{lam mu k} (so that Rcheck = ad(rho))."""
-        b = self.jets(point)
-        rcheck_jets = b.rcheck(which, 0)
-        rho_jets = b.rho(which, 0)
-        rcheck = np.array(
-            [[[[rcheck_jets[l][m][a][c].value for c in range(3)] for a in range(3)] for m in range(4)] for l in range(4)]
-        )
-        rho = np.array([[[rho_jets[l][m][k].value for k in range(3)] for m in range(4)] for l in range(4)])
-        return rcheck, rho
-
     def cosymplectic_and_gamma(self, p: PhasePoint):
         """Numeric component table of the cosymplectic form over the basis
         (dx^0..dx^3, dx^1_0..dx^3_0) and the second-order connection gamma^i:
         (7, 7) and (3,) at a phase point, (7, 7, N) and (3, N) on a cloud."""
-        batch = p.x.shape[1:]
         b = self.jets(p.x)
+        batch = b.point.shape[1:]
         omega = value_array(b.omega_table([Jet.const(v, 1) for v in p.v], 0), batch)
         kval = value_array(b.k_joined("charge", 0), batch)
         gamma = np.zeros((3,) + batch)
@@ -264,12 +230,6 @@ class Background:
                     acc = acc + kval[h + 1][i][j + 1] * p.v[h] * p.v[j]
             gamma[i] = acc
         return omega, gamma
-
-    def observer_phi(self, o: Observer, point, order: int = 0):
-        """Phi[o]: the closed 2-form obtained by pulling the cosymplectic
-        table back along the observer section; 4x4 antisymmetric jets."""
-        b = self.jets(point)
-        return b.phi_observer(o, order)
 
     def magnetic_field(self, point) -> list:
         """Orthonormal-frame components B^a = 1/2 eps^{abc} Fcheck_{bc}."""
@@ -671,15 +631,9 @@ class BackgroundJets:
         return phi
 
 
-def divergence_eta(x_fields: Sequence, bg: Background, where) -> float:
-    """div_eta X = (X^0 d0 sqrt|g| + d_i(X^i sqrt|g|)) / sqrt|g|."""
-    b = bg.jets(where)
-    xj = [f.eval_jet(b.point, 1) for f in x_fields]
-    return divergence_eta_jets(xj, b, 0).value
-
-
 def divergence_eta_jets(x_jets: Sequence, bundle: BackgroundJets, order: int) -> Jet:
-    """Jet version; x_jets must be at order+1."""
+    """div_eta X = (X^0 d0 sqrt|g| + d_i(X^i sqrt|g|)) / sqrt|g| at `order`;
+    x_jets must be at order+1."""
     sg = bundle.sqrt_det(order + 1)
     acc = x_jets[0].truncate(order) * sg.derive(0)
     for i in range(3):

@@ -145,10 +145,11 @@ class QuantumData:
 def ch_components(qd: QuantumData, p: PhasePoint):
     """(Ch_0, Ch_i) at a phase point, (N,) and (3, N) arrays on a cloud; the
     classical Hamiltonian and momentum are H0 = -Ch_0 and P_i = Ch_i."""
-    batch = p.x.shape[1:]
-    g = value_array(qd.bg.jets(p.x).metric(0), batch)
+    b = qd.bg.jets(p.x)
+    batch = b.point.shape[1:]
+    g = value_array(b.metric(0), batch)
     pref = qd.bg.constants.metric_prefactor
-    a = value_array(qd.a_jets(p.x, 0), batch)
+    a = value_array(qd.a_jets(b.point, 0), batch)
     gv = np.array([sum(g[i][j] * p.v[j] for j in range(3)) for i in range(3)])
     ch0 = -0.5 * pref * sum(p.v[i] * gv[i] for i in range(3)) + a[0]
     chi = pref * gv + a[1:]
@@ -233,7 +234,7 @@ def from_special(f: SpecialFunction, qd: QuantumData) -> HermitianField:
         y0 = c.f0.truncate(order) * a[0] + c.fbrev.truncate(order)
         for j in range(3):
             y0 = y0 - c.fi[j].truncate(order) * a[j + 1]
-        cc = qd.spin.coeffs_from(bundle, order)
+        cc = qd.spin.coeffs(bundle, order)
         yi = []
         for aidx in range(3):
             acc = c.phi[aidx].truncate(order)
@@ -265,13 +266,9 @@ def act_on_section(y: HermitianField, psi: SpinorSection, where) -> np.ndarray:
     return dpsi @ y.x_values(point) - y.ymat(where, 0).values() @ psi0
 
 
-def lie_bracket_y(y: HermitianField, yp: HermitianField, where, order: int = 0):
-    """Lie bracket at a point, on a (4, N) cloud or on a bundle's points:
-    ([X,X'] jets, matrix part Z = X.dY' - X'.dY + [Y', Y])."""
-    x1 = y.x_jets(where, order + 1)
-    x2 = yp.x_jets(where, order + 1)
-    m1 = y.ymat(where, order + 1)
-    m2 = yp.ymat(where, order + 1)
+def _vector_bracket(x1: Sequence, x2: Sequence, order: int) -> list:
+    """[X, X']^mu = X^lam d_lam X'^mu - X'^lam d_lam X^mu at `order`; the
+    component jets must be at order+1."""
     xb = []
     for mu in range(4):
         acc = None
@@ -279,6 +276,17 @@ def lie_bracket_y(y: HermitianField, yp: HermitianField, where, order: int = 0):
             term = x1[lam].truncate(order) * x2[mu].derive(lam) - x2[lam].truncate(order) * x1[mu].derive(lam)
             acc = term if acc is None else acc + term
         xb.append(acc)
+    return xb
+
+
+def lie_bracket_y(y: HermitianField, yp: HermitianField, where, order: int = 0):
+    """Lie bracket at a point, on a (4, N) cloud or on a bundle's points:
+    ([X,X'] jets, matrix part Z = X.dY' - X'.dY + [Y', Y])."""
+    x1 = y.x_jets(where, order + 1)
+    x2 = yp.x_jets(where, order + 1)
+    m1 = y.ymat(where, order + 1)
+    m2 = yp.ymat(where, order + 1)
+    xb = _vector_bracket(x1, x2, order)
     z = Mat2.zero(order)
     for lam in range(4):
         z = z + m2.derive(lam).scale(x1[lam].truncate(order)) - m1.derive(lam).scale(x2[lam].truncate(order))
@@ -289,7 +297,7 @@ def lie_bracket_y(y: HermitianField, yp: HermitianField, where, order: int = 0):
 def _lift_mat(qd: QuantumData, x_jets: Sequence, o: Observer, where, order: int) -> Mat2:
     """X^lam (i Ch_lam[o] 1 + C_lam^a xi_a) for the jets x_jets of X."""
     ch = ch_along_jets(qd, o, where, order)
-    cc = qd.spin.coeffs_from(qd.bg.jets(where), order)
+    cc = qd.spin.coeffs(where, order)
     coeffs = []
     for nu in range(4):
         acc = None
@@ -333,19 +341,12 @@ def pair_bracket(pair, pair_p, qd: QuantumData, o: Observer, where, order: int =
     xp_fields, yvp = pair_p
     x1 = [f.eval_jet(point, order + 1) for f in x_fields]
     x2 = [f.eval_jet(point, order + 1) for f in xp_fields]
-    cc1 = qd.spin.coeffs_from(qd.bg.jets(where), order + 1)
+    cc1 = qd.spin.coeffs(where, order + 1)
     cc = [[cj.truncate(order) for cj in row] for row in cc1]
     ch1 = ch_along_jets(qd, o, where, order + 1)
     m1 = yv(where, order + 1)
     m2 = yvp(where, order + 1)
-
-    xb = []
-    for mu in range(4):
-        acc = None
-        for lam in range(4):
-            term = x1[lam].truncate(order) * x2[mu].derive(lam) - x2[lam].truncate(order) * x1[mu].derive(lam)
-            acc = term if acc is None else acc + term
-        xb.append(acc)
+    xb = _vector_bracket(x1, x2, order)
 
     # curvature R_{lam mu} = -i (dCh[o])_{lam mu} 1 + R[C]_{lam mu}^a xi_a
     # = -(dCh[o])_{lam mu} xi_0 + R[C]_{lam mu}^a xi_a
@@ -397,13 +398,15 @@ def to_special(y: HermitianField, qd: QuantumData, o: Observer, where, tol: floa
     return SpecialValue(f0, fi, fbrev, phi)
 
 
-def invariant_combination(f: SpecialFunction, qd: QuantumData, o: Observer, point):
+def invariant_combination(f: SpecialFunction, qd: QuantumData, o: Observer, where):
     """f0 Ch_0(o) - f^j Ch_j(o) + f(o): the scalar that the main theorem shows
     to be observer-independent (it equals f0 A0 - f^j A_j + fbrev).  A float
-    at a point, an (N,) array of per-point values on a (4, N) cloud."""
-    point = as_point(point)
+    at a point, an (N,) array of per-point values on a (4, N) cloud or on a
+    bundle's points."""
+    bundle = qd.bg.jets(where)
+    point = bundle.point
     vo = o.velocity(point)
-    p = PhasePoint(point, vo)
+    p = PhasePoint(bundle, vo)
     ch0, chi = ch_components(qd, p)
     c = component_jets(f, point, 0).values(point.shape[1:])
     f_at_o = eval_special(f, qd.bg, p)

@@ -5,7 +5,10 @@ Conventions (see CONVENTIONS.md):
   xi_0 = i*1, xi_i = -(i/2) sigma_i, so [xi_i, xi_j] = eps_ijk xi_k with
   eps_123 = +1 and gtilde(A,B) = -2 Tr(AB) makes (xi_i) orthonormal.
 The vector map Sigma sends orthonormal-frame components v^a to v^a xi_a and
-intertwines the cross product with the commutator.
+intertwines the cross product with the commutator.  The spin connection reads
+its coefficients off the background bundle `bg.jets(where)`, so
+`SpinConnection.coeffs` and `coeff_values` take a point, a (4, N) cloud or a
+bundle, which they share with the caller.
 """
 
 from __future__ import annotations
@@ -140,13 +143,11 @@ class SpinConnection:
         self.bg = bg
         self.which = which
 
-    def coeffs(self, point, order: int) -> list:
-        """C_lambda^a jets, shape [4][3], at the given order."""
-        return self.coeffs_from(self.bg.jets(point), order)
-
-    def coeffs_from(self, bundle, order: int) -> list:
-        """C_lambda^a jets from a background bundle at a point or on a cloud;
-        InconsistentSystem if the system's residual fails at any point."""
+    def coeffs(self, where, order: int) -> list:
+        """C_lambda^a jets, shape [4][3], at the given order, at a point, on a
+        (4, N) cloud or on a background bundle's points; InconsistentSystem
+        if the system's residual fails at any point."""
+        bundle = self.bg.jets(where)
         ktilde = bundle.ktilde(self.which, order)
         batch = np.shape(bundle.point)[1:]
         out = []
@@ -173,14 +174,11 @@ class SpinConnection:
             out.append(c)
         return out
 
-    def coeff_values(self, point) -> np.ndarray:
-        """C_lambda^a values: (4, 3) at a point, (4, 3, N) on a (4, N) cloud."""
-        return value_array(self.coeffs(point, 0), np.shape(point)[1:])
-
-    def matrix_coeff(self, point, lam: int) -> np.ndarray:
-        """C_lambda^A_B = C_lambda^i xi_i as a numeric 2x2 matrix."""
-        c = self.coeff_values(point)
-        return sum(c[lam, a] * XI[a] for a in range(3))
+    def coeff_values(self, where) -> np.ndarray:
+        """C_lambda^a values: (4, 3) at a point, (4, 3, N) on a (4, N) cloud
+        or on a bundle of N points."""
+        bundle = self.bg.jets(where)
+        return value_array(self.coeffs(bundle, 0), bundle.point.shape[1:])
 
 
 def spin_connection_from(bg, which: str) -> SpinConnection:
@@ -189,23 +187,18 @@ def spin_connection_from(bg, which: str) -> SpinConnection:
     return SpinConnection(bg, which)
 
 
-def spin_curvature(conn: SpinConnection, point) -> np.ndarray:
-    """R_{lambda mu}^nu components (nu = 0..3); nu = 0 vanishes in the
-    trace-free gauge.  R^k = -d_lam C_mu^k + d_mu C_lam^k + C_lam^i C_mu^j eps_ijk."""
-    jets = conn.coeffs(point, 1)
-    return spin_curvature_from_jets(jets)
-
-
 def spin_curvature_from_jets(cjets, batch: tuple = ()) -> np.ndarray:
-    """spin_curvature from C jets of order >= 1: (4, 4, 4) at a point,
-    (4, 4, 4, N) on a cloud of batch shape (N,)."""
+    """Spin curvature R_{lambda mu}^nu (nu = 0..3) from C jets of order >= 1:
+    (4, 4, 4) at a point, (4, 4, 4, N) on a cloud of batch shape (N,).  The
+    nu = 0 part vanishes in the trace-free gauge, and
+    R^k = -d_lam C_mu^k + d_mu C_lam^k + C_lam^i C_mu^j eps_ijk."""
     c1 = [[c.truncate(1) for c in row] for row in cjets]
     return value_array(spin_curvature_jets(c1, 0), batch)
 
 
 def spin_curvature_jets(cjets, order: int):
-    """Same as spin_curvature but returning jets of the given order; cjets
-    must be at order+1."""
+    """Same as spin_curvature_from_jets but returning jets of the given
+    order; cjets must be at order+1."""
     r = [[[None] * 4 for _ in range(4)] for _ in range(4)]
     zero = None
     for lam in range(4):

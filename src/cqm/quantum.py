@@ -182,7 +182,7 @@ class GridGeometry:
             bundle = bg.jets(cloud)
             ginv = bundle.metric_inv(1)
             jets = [bundle.sqrt_det(1), *(ginv[i][j] for i in range(3) for j in range(3)), *qd.a_jets(cloud, 1)]
-            spin = value_array(qd.spin.coeffs_from(bundle, 0), (n,)) if c_point is None else c_point
+            spin = qd.spin.coeff_values(bundle) if c_point is None else c_point
             rows = [np.broadcast_to(j.c, (n, SIZES[1])).T for j in jets]
             return np.concatenate(rows + [np.broadcast_to(spin, (4, 3, n)).reshape(12, n)])
 

@@ -112,9 +112,10 @@ def component_jets(f: SpecialFunction, point, order: int) -> ComponentJets:
 def eval_special(f: SpecialFunction, bg: Background, p: PhasePoint):
     """The function's value: a float at a phase point, an (N,) array on a
     cloud of them."""
-    batch = p.x.shape[1:]
-    g = value_array(bg.jets(p.x).metric(0), batch)
-    c = component_jets(f, p.x, 0).values(batch)
+    b = bg.jets(p.x)
+    batch = b.point.shape[1:]
+    g = value_array(b.metric(0), batch)
+    c = component_jets(f, b.point, 0).values(batch)
     pref = bg.constants.metric_prefactor
     gv = [sum(g[i][j] * p.v[j] for j in range(3)) for i in range(3)]
     quad = sum(p.v[i] * gv[i] for i in range(3))

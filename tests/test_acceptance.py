@@ -149,7 +149,7 @@ def test_criterion_05_curvature_identity(curved_sc):
     points = sc.sample_points(rng, 100)
     batch = (len(points),)
     b = sc.background.jets(points.T)
-    r = spin_curvature_from_jets(sc.qd.spin.coeffs_from(b, 1), batch)[:, :, 1:]  # [lam, mu, k, point]
+    r = spin_curvature_from_jets(sc.qd.spin.coeffs(b, 1), batch)[:, :, 1:]  # [lam, mu, k, point]
     worst_rrho = float(np.max(np.abs(r - value_array(b.rho("moment", 0), batch))))
     # Rcheck_{lam mu}^k_j = r_{lam mu i} eps_ijk, laid out [lam, mu, k, j, point]
     pred = sum(r[:, :, i, None, None] * EPS[i].T[:, :, None] for i in range(3))

@@ -8,9 +8,10 @@ from cqm.background import (
     PhasePoint,
     as_point,
     christoffel_expressions,
-    divergence_eta,
+    divergence_eta_jets,
 )
 from cqm.fieldlang import FieldDef, eval_float
+from cqm.jets import value_array
 from cqm.scenario import load_scenario
 from cqm.units import (
     CHARGE_DIM,
@@ -44,6 +45,12 @@ def numeric_christoffel(sc, point, i, j, k, h=1e-5):
     return 0.5 * sum(
         ginv[i, m] * (dg[j, m, k] + dg[k, m, j] - dg[m, j, k]) for m in range(3)
     )
+
+
+def divergence_eta(x_fields, bg, where) -> float:
+    """div_eta X at a point, from the bundle and the fields' order-1 jets."""
+    b = bg.jets(where)
+    return divergence_eta_jets([f.eval_jet(b.point, 1) for f in x_fields], b, 0).value
 
 
 def test_flat_validation_zero(flat_scenario):
@@ -96,7 +103,7 @@ def test_scenario_auto_kgrav_matches_explicit():
 
 
 def test_joined_connection_reduces_without_f(flat_scenario):
-    k = flat_scenario.background.joined_connection("charge")((0.1, 0.2, 0.3, 0.4), 0)
+    k = flat_scenario.background.jets((0.1, 0.2, 0.3, 0.4)).k_joined("charge", 0)
     assert all(
         k[lam][i][mu].value == 0.0 for lam in range(4) for i in range(3) for mu in range(4)
     )
@@ -105,7 +112,7 @@ def test_joined_connection_reduces_without_f(flat_scenario):
 def test_charge_coupling_formula(flat_magnetic_scenario):
     sc = flat_magnetic_scenario
     c = sc.background.constants
-    k = sc.background.joined_connection("charge")((0, 0, 0, 0), 0)
+    k = sc.background.jets((0, 0, 0, 0)).k_joined("charge", 0)
     # K^1_{02} = (q/2m) u0 F^1_2 with F^1_2 = F_12 = b under the flat metric
     expect = c.q.value * c.u0.value / (2 * c.m.value) * 0.4
     assert k[0][0][2].value == pytest.approx(expect)
@@ -121,8 +128,9 @@ def test_moment_vs_charge_slot_ratio(flat_magnetic_scenario):
     # of the antisymmetric 0jk parts equals (2 mu)/(q/m) up to the lock sign.
     sc = flat_magnetic_scenario
     c = sc.background.constants
-    kc = sc.background.joined_connection("charge")((0, 0, 0, 0), 0)
-    km = sc.background.joined_connection("moment")((0, 0, 0, 0), 0)
+    b = sc.background.jets((0, 0, 0, 0))
+    kc = b.k_joined("charge", 0)
+    km = b.k_joined("moment", 0)
     ratio = -(2 * c.mu.value) / (c.q.value / c.m.value)
     for i in range(3):
         for kk in range(3):
@@ -130,20 +138,17 @@ def test_moment_vs_charge_slot_ratio(flat_magnetic_scenario):
 
 
 def test_orthonormal_frame_examples(flat_scenario, curved_magnetic_scenario):
-    fp = flat_scenario.background.orthonormal_frame((0.2, 0.1, 0.5, -0.3), 0)
-    e = np.array([[fp.e[i][a].value for a in range(3)] for i in range(3)])
+    flat = flat_scenario.background.jets((0.2, 0.1, 0.5, -0.3))
+    e = value_array(flat.frame(0)[0])
     assert np.allclose(e, np.eye(3))
-    assert all(
-        fp.ktilde[lam][a][b].value == 0.0 for lam in range(4) for a in range(3) for b in range(3)
-    )
+    assert np.all(value_array(flat.ktilde("grav", 0)) == 0.0)
     pt = (0.0, 0.7, 0.1, -0.2)
-    fp2 = curved_magnetic_scenario.background.orthonormal_frame(pt, 0)
-    phi = 1 + 0.1 * 0.7 ** 2
-    assert fp2.e[0][0].value == pytest.approx(phi ** -0.5)
-    # defining property e^T g e = 1
     b = curved_magnetic_scenario.background.jets(pt)
-    g = np.array([[b.metric(0)[i][j].value for j in range(3)] for i in range(3)])
-    e2 = np.array([[fp2.e[i][a].value for a in range(3)] for i in range(3)])
+    e2 = value_array(b.frame(0)[0])
+    phi = 1 + 0.1 * 0.7 ** 2
+    assert e2[0][0] == pytest.approx(phi ** -0.5)
+    # defining property e^T g e = 1
+    g = value_array(b.metric(0))
     assert np.max(np.abs(e2.T @ g @ e2 - np.eye(3))) < 1e-12
 
 
@@ -159,11 +164,9 @@ def test_ktilde_antisymmetry_random(curved_magnetic_scenario):
 
 
 def test_rho_flat_zero_and_antisymmetric(flat_scenario, curved_magnetic_scenario):
-    _, rho = flat_scenario.background.vertical_curvature_rho("charge", (0.1, 0.2, 0.3, 0.4))
+    rho = value_array(flat_scenario.background.jets((0.1, 0.2, 0.3, 0.4)).rho("charge", 0))
     assert np.max(np.abs(rho)) == 0.0
-    _, rho_c = curved_magnetic_scenario.background.vertical_curvature_rho(
-        "moment", (0.3, 0.5, -0.2, 0.1)
-    )
+    rho_c = value_array(curved_magnetic_scenario.background.jets((0.3, 0.5, -0.2, 0.1)).rho("moment", 0))
     assert np.max(np.abs(rho_c + np.swapaxes(rho_c, 0, 1))) == 0.0
 
 
@@ -178,7 +181,7 @@ def test_rho_matches_fd_curvature_oracle(curved_magnetic_scenario):
 
     h = 1e-5
     kt0 = ktilde_vals(pt)
-    rcheck, _ = bg.vertical_curvature_rho("moment", pt)
+    rcheck = value_array(bg.jets(pt).rcheck("moment", 0))
     for lam in range(4):
         for mu in range(4):
             pp, pm = pt.copy(), pt.copy()
@@ -244,10 +247,10 @@ def test_domega_closed_fd(curved_magnetic_scenario):
 
 def test_observer_phi_examples(flat_scenario, flat_magnetic_scenario):
     ref = Observer.reference()
-    phi = flat_scenario.background.observer_phi(ref, (0.1, 0.2, 0.3, 0.4))
+    phi = flat_scenario.background.jets((0.1, 0.2, 0.3, 0.4)).phi_observer(ref, 0)
     assert all(phi[a][b].value == 0.0 for a in range(4) for b in range(4))
     sc = flat_magnetic_scenario
-    phi2 = sc.background.observer_phi(ref, (0.3, -0.1, 0.2, 0.5))
+    phi2 = sc.background.jets((0.3, -0.1, 0.2, 0.5)).phi_observer(ref, 0)
     c = sc.background.constants
     expect = c.q.value / c.hbar.value * 0.4
     assert phi2[1][2].value == pytest.approx(expect)
@@ -266,7 +269,7 @@ def test_phi_equals_dch_for_observers(curved_magnetic_scenario):
         o = sc.observers[name]
         for _ in range(3):
             pt = rng.uniform(-0.7, 0.7, 4)
-            phi = sc.background.observer_phi(o, pt, 0)
+            phi = sc.background.jets(pt).phi_observer(o, 0)
             ch = ch_along_jets(sc.qd, o, pt, 1)
             for lam in range(4):
                 for mu in range(4):
@@ -280,7 +283,7 @@ def test_dphi_closed_fd(curved_magnetic_scenario):
     bg = sc.background
 
     def phi_at(x):
-        p = bg.observer_phi(o, x, 0)
+        p = bg.jets(x).phi_observer(o, 0)
         return np.array([[p[a][b].value for b in range(4)] for a in range(4)])
 
     x0 = np.array([0.1, 0.3, -0.2, 0.4])
@@ -316,7 +319,7 @@ def test_free_gravitational_phi_part():
     assert rep["metricity"] == 0.0
     from cqm.background import Observer
 
-    phi = sc.background.observer_phi(Observer.reference(), (0, 0, 0, 0))
+    phi = sc.background.jets((0, 0, 0, 0)).phi_observer(Observer.reference(), 0)
     c = sc.background.constants.metric_prefactor
     assert phi[1][2].value == pytest.approx(0.6 * c)
     # pick A with dA = Phi[ref] and check the main theorem end to end
@@ -375,7 +378,7 @@ def test_not_positive_definite():
     scn["metric"] = [["1-x1*x1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
     sc = load_scenario(scn)
     with pytest.raises(NotPositiveDefinite):
-        sc.background.orthonormal_frame((0.0, 2.0, 0.0, 0.0), 0)
+        sc.background.jets((0.0, 2.0, 0.0, 0.0)).frame(0)
 
 
 def test_divergence_examples(flat_scenario, curved_magnetic_scenario):
@@ -424,7 +427,7 @@ def test_constants_dimension_check():
 def test_anisotropic_metric_full_stack():
     """Off-diagonal metric with auto Levi-Civita: metricity, frame
     orthonormality, the curvature identity and the main theorem all hold."""
-    from cqm.pauli import spin_curvature
+    from cqm.pauli import spin_curvature_from_jets
     from cqm.verify import main_theorem_residual, random_special_function
     from cqm.special import jacobi_residual
 
@@ -441,8 +444,8 @@ def test_anisotropic_metric_full_stack():
         g = np.array([[b.metric(0)[i][j].value for j in range(3)] for i in range(3)])
         emat = np.array([[e[i][a].value for a in range(3)] for i in range(3)])
         assert np.max(np.abs(emat.T @ g @ emat - np.eye(3))) < 1e-12
-        r = spin_curvature(sc.qd.spin, pt)
-        _, rho = sc.background.vertical_curvature_rho("moment", pt)
+        r = spin_curvature_from_jets(sc.qd.spin.coeffs(b, 1))
+        rho = value_array(b.rho("moment", 0))
         assert np.max(np.abs(r[:, :, 1:] - rho)) < 1e-10
     assert np.max(np.abs(rho)) > 1e-3  # genuinely curved data
     consts = sc.background.constants.table()

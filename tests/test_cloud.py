@@ -132,8 +132,8 @@ def test_curvature_riemann_and_validate_on_a_cloud(sc, n):
     pts = rows(n)
     bg = sc.background
     cloud = bg.jets(pts.T)
-    assert_cloud_matches(spin_curvature_from_jets(sc.qd.spin.coeffs_from(cloud, 1), (n,)),
-                         [spin_curvature_from_jets(sc.qd.spin.coeffs_from(bg.jets(x), 1)) for x in pts])
+    assert_cloud_matches(spin_curvature_from_jets(sc.qd.spin.coeffs(cloud, 1), (n,)),
+                         [spin_curvature_from_jets(sc.qd.spin.coeffs(x, 1)) for x in pts])
     assert_cloud_matches(cloud.riemann_lowered_spatial(),
                          [bg.jets(x).riemann_lowered_spatial() for x in pts])
     rep = bg.validate(pts)
@@ -148,17 +148,24 @@ def test_phase_point_functions_on_a_cloud(sc, funcs, observers, n):
     v, s = np.random.default_rng([34, n]).uniform(-0.5, 0.5, (2, n, 3))
     bg, qd = sc.background, sc.qd
     cloud = PhasePoint(pts.T, v.T, s.T)
+    # a phase point keeps the bundle it stands on and gives the same values bit for bit
+    bundle = bg.jets(pts.T)
+    on_bundle = PhasePoint(bundle, v.T, s.T)
+    assert on_bundle.x is bundle
     singles = [PhasePoint(*row) for row in zip(pts, v, s)]
     for fn in (bg.cosymplectic_and_gamma, lambda p: ch_components(qd, p)):
         got = fn(cloud)
         at_points = [fn(p) for p in singles]
         for k in range(2):
             assert_cloud_matches(got[k], [r[k] for r in at_points])
-    assert_cloud_matches(eval_special(funcs[0], bg, cloud), [eval_special(funcs[0], bg, p) for p in singles])
+            assert np.array_equal(fn(on_bundle)[k], got[k])
+    got = eval_special(funcs[0], bg, cloud)
+    assert_cloud_matches(got, [eval_special(funcs[0], bg, p) for p in singles])
+    assert np.array_equal(eval_special(funcs[0], bg, on_bundle), got)
     assert isinstance(invariant_combination(funcs[1], qd, observers[1], pts[0]), float)
     for o in observers:
-        assert_cloud_matches(value_array(bg.observer_phi(o, pts.T, 0), (n,)),
-                             [value_array(bg.observer_phi(o, x, 0)) for x in pts])
+        assert_cloud_matches(value_array(bg.jets(pts.T).phi_observer(o, 0), (n,)),
+                             [value_array(bg.jets(x).phi_observer(o, 0)) for x in pts])
         assert_cloud_matches(invariant_combination(funcs[1], qd, o, pts.T),
                              [invariant_combination(funcs[1], qd, o, x) for x in pts])
 
@@ -187,6 +194,12 @@ def test_a_bundle_stands_for_its_cloud(sc, funcs, raw_pairs, n):
     bit."""
     cloud = rows(n).T
     bundle = sc.background.jets(cloud)
+    spin = sc.qd.spin
+    assert spin.coeff_values(bundle).shape == (4, 3, n)
+    assert np.array_equal(spin.coeff_values(bundle), spin.coeff_values(cloud))
+    for row_b, row_c in zip(spin.coeffs(bundle, 1), spin.coeffs(cloud, 1)):
+        for jb, jc in zip(row_b, row_c):
+            assert np.array_equal(jb.c, jc.c)
     y1, y2 = (from_special(f, sc.qd) for f in funcs[:2])
     for order in (0, 1):
         xc, zc = lie_bracket_y(y1, y2, cloud, order)
@@ -204,8 +217,9 @@ def test_a_bundle_stands_for_its_cloud(sc, funcs, raw_pairs, n):
 
 def test_isomorphism_and_jacobi_build_one_bundle_per_cloud(monkeypatch):
     """The isomorphism suite evaluates on two clouds (its samples and their
-    first half) and the Jacobi suite on one; each builds one bundle per cloud
-    and hands it to every residual function."""
+    first half), the Jacobi suite on one and the observer suite on two (its
+    samples and the first ten for the potential check); each builds one
+    bundle per cloud and hands it to every residual function."""
     sc = load_scenario(scenario_dict("curved_magnetic"))
     built = []
     original = BackgroundJets.__init__
@@ -220,6 +234,9 @@ def test_isomorphism_and_jacobi_build_one_bundle_per_cloud(monkeypatch):
     built.clear()
     run_suites(sc, ["jacobi"])
     assert built == [(4, sc.samples)]
+    built.clear()
+    run_suites(sc, ["observer"])
+    assert built == [(4, sc.samples), (4, 10)]
 
 
 def test_mat2_values_broadcast_constants():
@@ -333,7 +350,7 @@ def _oracle_dphi(sc, rng):
     obs = sc.observers[names[0]] if names else Observer.reference()
 
     def phi_at(x):
-        phi = bg.observer_phi(obs, x, 0)
+        phi = bg.jets(x).phi_observer(obs, 0)
         return np.array([[phi[a][b].value for b in range(4)] for a in range(4)])
 
     def residual(h):
@@ -364,7 +381,7 @@ def _oracle_curvature(sc):
     coupling_ratio = (-c.mu.value * c.u0.value) / (c.q.value * c.u0.value / (2.0 * c.m.value))
     for x in points:
         b = bg.jets(x)
-        cjets = sc.qd.spin.coeffs_from(b, 1)
+        cjets = sc.qd.spin.coeffs(b, 1)
         r = spin_curvature_from_jets(cjets)
         rho = b.rho("moment", 0)
         rcheck = b.rcheck("moment", 0)

@@ -22,7 +22,7 @@ from cqm.hermitian import (
     to_special,
     vertical_projection,
 )
-from cqm.jets import Jet
+from cqm.jets import Jet, value_array
 from cqm.pauli import XI
 from cqm.quantum import GridGeometry, GridSpec
 from cqm.special import component_jets
@@ -260,8 +260,9 @@ def test_pair_bracket_curvature_isolation(curved_magnetic_scenario):
 
     pt = (0.1, 0.4, -0.3, 0.2)
     _, mat = pair_bracket((x1, zero_vert), (x2, zero_vert), qd, ref, pt)
-    phi = sc.background.observer_phi(ref, pt, 0)
-    _, rho = sc.background.vertical_curvature_rho("moment", pt)
+    b = sc.background.jets(pt)
+    phi = b.phi_observer(ref, 0)
+    rho = value_array(b.rho("moment", 0))
     xv1 = np.array([f(pt) for f in x1])
     xv2 = np.array([f(pt) for f in x2])
     expected = np.zeros((2, 2), dtype=complex)
@@ -352,7 +353,7 @@ def test_eta_hermiticity_and_div_sign(curved_magnetic_scenario):
     b = sc.background.jets(pt)
     sg = b.sqrt_det(1)
     dlog = sg.derive(1).value / (2.0 * sg.value)
-    cjets = sc.qd.spin.coeffs_from(b, 0)
+    cjets = sc.qd.spin.coeffs(b, 0)
     expected = dlog * np.eye(2) - sum(cjets[1][a].value * XI[a] for a in range(3))
     assert np.allclose(y.ymat(pt, 0).values(), expected, atol=1e-13)
 
@@ -486,7 +487,7 @@ def test_only_the_matrix_part_is_complex(curved_magnetic_scenario):
         "ktilde": b.ktilde("moment", 2),
         "rho": b.rho("moment", 1),
         "phi_ref": b.phi_ref(1),
-        "spin": sc.qd.spin.coeffs_from(b, 2),
+        "spin": sc.qd.spin.coeffs(b, 2),
         "components": [c.f0, *c.fi, c.fbrev, *c.phi],
     }
     for name, jets in real.items():

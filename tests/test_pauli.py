@@ -18,9 +18,10 @@ from cqm.pauli import (
     pauli_map,
     pauli_unmap,
     spin_connection_from,
-    spin_curvature,
+    spin_curvature_from_jets,
     triangle,
 )
+from cqm.jets import value_array
 from cqm.scenario import load_scenario
 
 from conftest import scenario_dict
@@ -142,8 +143,9 @@ def test_coefficient_matrices_anti_hermitian(curved_magnetic_scenario):
     rng = np.random.default_rng(5)
     for _ in range(5):
         pt = rng.uniform(-0.8, 0.8, 4)
+        c = sc.qd.spin.coeff_values(pt)
         for lam in range(4):
-            m = sc.qd.spin.matrix_coeff(pt, lam)
+            m = sum(c[lam, a] * XI[a] for a in range(3))
             assert is_anti_hermitian(m, tol=1e-12)
 
 
@@ -153,7 +155,7 @@ def test_roundtrip_c_to_ktilde(curved_magnetic_scenario):
     for _ in range(5):
         pt = rng.uniform(-0.8, 0.8, 4)
         b = sc.background.jets(pt)
-        cj = sc.qd.spin.coeffs_from(b, 0)
+        cj = sc.qd.spin.coeffs(b, 0)
         kt = b.ktilde("moment", 0)
         for lam in range(4):
             for k in range(3):
@@ -163,7 +165,7 @@ def test_roundtrip_c_to_ktilde(curved_magnetic_scenario):
 
 
 def test_spin_curvature_zero_for_flat(flat_scenario):
-    r = spin_curvature(flat_scenario.qd.spin, (0.1, 0.2, 0.3, 0.4))
+    r = spin_curvature_from_jets(flat_scenario.qd.spin.coeffs((0.1, 0.2, 0.3, 0.4), 1))
     assert np.max(np.abs(r)) == 0.0
 
 
@@ -174,8 +176,8 @@ def test_spin_curvature_abelian_case():
     scn["A"] = ["0", "0", "0.5*q*b/hbar*x1*x1", "0"]
     sc = load_scenario(scn)
     pt = (0.0, 0.3, 0.2, -0.1)
-    cj = sc.qd.spin.coeffs_from(sc.background.jets(pt), 1)
-    r = spin_curvature(sc.qd.spin, pt)
+    cj = sc.qd.spin.coeffs(pt, 1)
+    r = spin_curvature_from_jets(cj)
     for lam in range(4):
         for mu in range(4):
             expect = (-cj[mu][2].derive(lam) + cj[lam][2].derive(mu)).value if lam != mu else 0.0
@@ -190,8 +192,9 @@ def test_curvature_identity_r_equals_rho(curved_magnetic_scenario):
     saw_nonzero = False
     for _ in range(5):
         pt = rng.uniform(-0.8, 0.8, 4)
-        r = spin_curvature(sc.qd.spin, pt)
-        _, rho = sc.background.vertical_curvature_rho("moment", pt)
+        b = sc.background.jets(pt)
+        r = spin_curvature_from_jets(sc.qd.spin.coeffs(b, 1))
+        rho = value_array(b.rho("moment", 0))
         saw_nonzero = saw_nonzero or np.max(np.abs(rho)) > 1e-3
         for lam in range(4):
             for mu in range(4):

@@ -30,7 +30,7 @@ from cqm.quantum import (
 from cqm.scenario import load_scenario
 from cqm.special import component_jets, extended_bracket
 from cqm.units import DIMLESS
-from cqm.verify import bracket_as_function
+from cqm.verify import bracket_as_function, run_suites
 
 from conftest import SCENARIO_DIR, make_special, scenario_dict
 
@@ -508,6 +508,22 @@ def test_bracket_grid_pass_builds_one_bundle_per_chunk(curved_magnetic_scenario,
         built.clear()
         quantum._component_arrays(func, geom)
         assert built == [(4, 10)] * 4 + [(4, 9)]
+
+
+def test_operators_suite_builds_one_geometry_per_distinct_grid(monkeypatch):
+    """On curved_magnetic the scenario grid (15x15x1 on [-3, 3]^2) is the
+    coarse level of both step-halving sweeps, and their fine levels agree."""
+    sc = load_scenario(SCENARIO_DIR / "curved_magnetic.json")
+    built = []
+    original = GridGeometry.__init__
+
+    def counting(self, qd, spec):
+        built.append(spec.shape)
+        original(self, qd, spec)
+
+    monkeypatch.setattr(GridGeometry, "__init__", counting)
+    run_suites(sc, ["operators"])
+    assert built == [(15, 15, 1), (29, 29, 1)]
 
 
 def test_cloud_with_one_bad_point_is_not_positive_definite():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cqm.background import Observer, PhasePoint
+from cqm.jets import value_array
 from cqm.special import (
     NonAdaptedObserver,
     component_jets,
@@ -123,7 +124,7 @@ def test_extended_bracket_scalar_reduction(flat_magnetic_scenario, curved_magnet
     ext_c = extended_bracket(fc, fpc, curved_magnetic_scenario.background, pt)
     sca_c = scalar_bracket(fc, fpc, curved_magnetic_scenario.background, ref, pt)
     assert ext_c.fbrev == pytest.approx(sca_c.fbrev)
-    _, rho = curved_magnetic_scenario.background.vertical_curvature_rho("moment", pt)
+    rho = value_array(curved_magnetic_scenario.background.jets(pt).rho("moment", 0))
     xf = vector_of(fc, pt)
     xfp = vector_of(fpc, pt)
     expect = -np.einsum("lmk,l,m->k", rho, xf, xfp)
