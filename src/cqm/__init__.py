@@ -9,10 +9,10 @@ from .jets import Jet
 from .pauli import pauli_constants, pauli_map, pauli_unmap, spin_connection_from
 from .scenario import Scenario, load_scenario
 from .special import SpecialFunction, eval_special, extended_bracket, jacobi_residual
-from .units import Dim, Gauge, ScaledReal
+from .units import Dim, ScaledReal
 
 __all__ = [
-    "Background", "Constants", "Dim", "FieldDef", "Gauge", "Jet",
+    "Background", "Constants", "Dim", "FieldDef", "Jet",
     "Observer", "PhasePoint", "QuantumData", "ScaledReal", "Scenario",
     "SpecialFunction", "eval_special", "extended_bracket", "from_special",
     "jacobi_residual", "load_scenario", "parse", "pauli_constants",

@@ -38,7 +38,6 @@ from .units import (
     MOMENT_DIM,
     TIME,
     DimensionMismatch,
-    Gauge,
     ScaledReal,
 )
 
@@ -108,10 +107,7 @@ class Observer:
 
     @property
     def is_reference(self) -> bool:
-        return all(
-            getattr(c, "constant", False) and c((0.0, 0.0, 0.0, 0.0)) == 0.0
-            for c in self.components
-        )
+        return all(c.constant and c((0.0, 0.0, 0.0, 0.0)) == 0.0 for c in self.components)
 
     def velocity(self, point) -> np.ndarray:
         """Values o^i_0: (3,) at a point, (3, N) on a (4, N) cloud."""
@@ -158,7 +154,6 @@ class Background:
         kgrav: Mapping[tuple, FieldDef],
         f_em: Mapping[tuple, FieldDef],
         constants: Constants,
-        gauge: Gauge = Gauge(),
     ):
         self.g = [[g[i][j] for j in range(3)] for i in range(3)]
         for i in range(3):
@@ -179,7 +174,6 @@ class Background:
                 raise DimensionMismatch(f"F[{lam}{mu}] must have dimension {EM_FIELD_DIM}")
             self.f_em[(lam, mu)] = fld
         self.constants = constants
-        self.gauge = gauge
         # Sanity: coupling combinations must come out dimensionless.
         c = constants
         for combo in (
@@ -209,7 +203,7 @@ class Background:
         """True when g, Kgrav and F are all constant expressions."""
         entries = [e for row in self.g for e in row]
         entries += list(self.kgrav.values()) + list(self.f_em.values())
-        return all(getattr(e, "constant", False) for e in entries)
+        return all(e.constant for e in entries)
 
     # -- public operations ---------------------------------------------------
 

@@ -7,8 +7,9 @@
     cqm bracket <scenario.json> F G --at x0,x1,x2,x3
 
 Exit codes: 0 all checks pass / success, 1 check or run failure (or stdout
-closed before the output was written), 2 load or usage error (an `error:`
-line on stderr, no traceback).  Options are spelled in full: an abbreviation
+closed before the output was written), 2 load or usage error, an --out path
+that cannot be written among them (an `error:` line on stderr, no
+traceback).  Options are spelled in full: an abbreviation
 such as `--a` is an unrecognized argument.  Reports are JSON-first; --table
 renders the same data as text.
 """
@@ -226,6 +227,11 @@ def main(argv=None) -> int:
         # at devnull so that the flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except OSError as exc:
+        # --out names a path that cannot be written: a usage error
+        name = f": {exc.filename}" if exc.filename else ""
+        print(f"error: cannot write output{name}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -371,8 +371,7 @@ ConstTable = Mapping[str, ScaledReal]
 
 def infer_dim(expr: Expr, consts: ConstTable) -> Dim | None:
     """Dimension of an expression, or None when it only combines bare literals
-    and chart variables (such expressions adopt the field's declared dim via
-    the gauge)."""
+    and chart variables (such expressions adopt the field's declared dim)."""
     if isinstance(expr, Const) or isinstance(expr, Var):
         return None
     if isinstance(expr, UnitConst):
@@ -514,7 +513,7 @@ class FieldDef:
 
     The dimension check runs once at construction: if the expression combines
     unit constants into a definite dimension it must match the declared one;
-    bare numeric expressions adopt the declared dimension through the gauge.
+    bare numeric expressions adopt the declared dimension.
     """
 
     __slots__ = ("name", "dim", "expr", "consts")
@@ -545,32 +544,6 @@ class FieldDef:
 
     def __repr__(self):
         return f"FieldDef({self.name!r}, {self.dim}, {to_source(self.expr)!r})"
-
-
-class DerivedField:
-    """A scalar field backed by a jet-valued closure instead of an AST.
-
-    Used for components that are not naturally expressible in the DSL (for
-    example frame components of the magnetic field on a curved metric); it
-    satisfies the same evaluation interface as FieldDef.
-    """
-
-    __slots__ = ("name", "dim", "fn", "constant")
-
-    def __init__(self, name: str, dim: Dim, fn, constant: bool = False):
-        self.name = name
-        self.dim = dim
-        self.fn = fn
-        self.constant = constant
-
-    def eval_jet(self, point: Sequence[float], order: int) -> Jet:
-        return self.fn(point, order)
-
-    def __call__(self, point: Sequence[float]) -> float:
-        return self.fn(point, 0).value
-
-    def __repr__(self):
-        return f"DerivedField({self.name!r}, {self.dim})"
 
 
 def zero_field(name: str = "0", dim: Dim = DIMLESS) -> FieldDef:

@@ -100,9 +100,32 @@ class Mat2:
         """Entry values sum_nu y_nu xi_nu: (2, 2) at a point, (2, 2, N) on a
         cloud of batch shape (N,); point-shaped coefficients (constants)
         broadcast to the cloud, as jets.value_array does."""
-        v = value_array(self.y, batch)
-        shape = (2, 2) + (1,) * len(batch)
-        return sum(v[nu] * XI_ALL[nu].reshape(shape) for nu in range(4))
+        return xi_combination(value_array(self.y, batch), batch)
+
+
+def xi_combination(values, batch: tuple = ()) -> np.ndarray:
+    """sum_nu values[nu] xi_nu for four coefficient values of batch shape
+    `batch`: a (2, 2) matrix at a point, (2, 2) + batch arrays otherwise."""
+    shape = (2, 2) + (1,) * len(batch)
+    return sum(values[nu] * XI_ALL[nu].reshape(shape) for nu in range(4))
+
+
+def y_coefficients(c, a, cc) -> list:
+    """[y_0, y_1, y_2, y_3] of Y[F] before its -1/2 (div_eta X) shift:
+    y_0 = (f0 A_0 + fbrev) - f^j A_j and y_a = (phi_a + f0 C_0^a) - f^j C_j^a,
+    from the components c (f0, fi, fbrev, phi), A_lam and C_lam^a (indexed
+    [lam][a]).  Jets and value arrays alike; this is the one place the
+    correspondence F -> Y[F] forms them."""
+    y0 = c.f0 * a[0] + c.fbrev
+    for j in range(3):
+        y0 = y0 - c.fi[j] * a[j + 1]
+    ya = []
+    for k in range(3):
+        acc = c.phi[k] + c.f0 * cc[0][k]
+        for j in range(3):
+            acc = acc - c.fi[j] * cc[j + 1][k]
+        ya.append(acc)
+    return [y0] + ya
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +240,9 @@ def hermitian_raw(x_fields: Sequence, y0_field, yi_fields: Sequence, name: str =
 
 
 def from_special(f: SpecialFunction, qd: QuantumData) -> HermitianField:
-    """The Hermitian field of a special function: X = (f0, -f^i),
-    Y0 = f0 A0 - f^j A_j + fbrev, Y^a = X^lam C_lam^a + phi^a, matrix part
-    shifted by -1/2 (div_eta X) 1 so the volume-weighted Hermiticity holds."""
+    """The Hermitian field of a special function: X = (f0, -f^i), matrix
+    part y_coefficients(F) shifted by -1/2 (div_eta X) 1 so the
+    volume-weighted Hermiticity holds."""
 
     def x_eval(point, order):
         c = component_jets(f, point, order)
@@ -228,21 +251,9 @@ def from_special(f: SpecialFunction, qd: QuantumData) -> HermitianField:
     def y_eval(where, order):
         bundle = qd.bg.jets(where)
         c = component_jets(f, bundle.point, order + 1)
-        a = qd.a_jets(bundle.point, order)
-        x_full = c.x_components()
-        x = [j.truncate(order) for j in x_full]
-        y0 = c.f0.truncate(order) * a[0] + c.fbrev.truncate(order)
-        for j in range(3):
-            y0 = y0 - c.fi[j].truncate(order) * a[j + 1]
-        cc = qd.spin.coeffs(bundle, order)
-        yi = []
-        for aidx in range(3):
-            acc = c.phi[aidx].truncate(order)
-            for lam in range(4):
-                acc = acc + x[lam] * cc[lam][aidx]
-            yi.append(acc)
-        div = divergence_eta_jets(x_full, bundle, order)
-        return Mat2([y0] + yi).add_identity(div * -0.5)
+        y = y_coefficients(c.truncate(order), qd.a_jets(bundle.point, order), qd.spin.coeffs(bundle, order))
+        div = divergence_eta_jets(c.x_components(), bundle, order)
+        return Mat2(y).add_identity(div * -0.5)
 
     return HermitianField(x_eval, y_eval, div_corrected=True, name=f.name or "from_special")
 

@@ -27,16 +27,18 @@ at which the updates stop shrinking is reported as SolverDivergence.
 
 from __future__ import annotations
 
+import math
+import numbers
 import struct
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .hermitian import QuantumData
+from .hermitian import QuantumData, xi_combination, y_coefficients
 from .jets import SIZES, value_array
-from .pauli import SIGMA, XI, XI_ALL
-from .special import SpecialFunction, component_jets
+from .pauli import SIGMA, XI
+from .special import SpecialFunction, SpecialValue, component_jets
 
 __all__ = [
     "GridSpec", "SpinorGrid", "node_map",
@@ -69,8 +71,11 @@ class GridSpec:
     def __post_init__(self):
         if len(self.axes) != 3:
             raise ValueError("three axes required")
-        for lo, hi, n in self.axes:
-            if n < 1 or (n >= 2 and hi <= lo):
+        for ax in self.axes:
+            if len(ax) != 3 or not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in ax):
+                raise ValueError(f"bad axis {ax!r}: expected finite (lo, hi, n)")
+            lo, hi, n = ax
+            if n < 1 or n != int(n) or (n >= 2 and hi <= lo):
                 raise ValueError(f"bad axis ({lo}, {hi}, {n})")
 
     @property
@@ -377,26 +382,16 @@ def prequantum(qd: QuantumData, geom: GridGeometry, f: SpecialFunction) -> GridO
     if qd is not geom.qd:
         raise GridMismatch("geometry was built for different quantum data")
     vals, dfi = _component_arrays(f, geom)
-    f0, fi, fbrev, phi = vals[0], vals[1:4], vals[4], vals[5:8]
-    xi_sp = [-fi[i] for i in range(3)]
-    y0 = f0 * geom.a[0] + fbrev
-    for j in range(3):
-        y0 = y0 - fi[j] * geom.a[j + 1]
-    ya = []
-    for a in range(3):
-        acc = phi[a] + f0 * geom.c_coeffs[..., 0, a]
-        for j in range(3):
-            acc = acc - fi[j] * geom.c_coeffs[..., j + 1, a]
-        ya.append(acc)
+    c = SpecialValue(vals[0], vals[1:4], vals[4], vals[5:8])
+    y = y_coefficients(c, geom.a, np.moveaxis(geom.c_coeffs, (-2, -1), (0, 1)))
+    f0 = c.f0
+    xi_sp = [-fi for fi in c.fi]
     # div_eta X = (X^0 d0 sqrtg + d_i(X^i sqrtg)) / sqrtg, active axes only
     div = f0 * geom.d0sqrtg / geom.sqrtg
     for i in geom.spec.active:
         div += -dfi[i] + xi_sp[i] * geom.dsqrtg[..., i] / geom.sqrtg
-    ymat = np.zeros(geom.spec.shape + (2, 2), dtype=complex)
-    for nu in range(4):
-        coeff = y0 if nu == 0 else ya[nu - 1]
-        ymat += coeff[..., None, None] * XI_ALL[nu]
-    ymat += (-0.5 * div)[..., None, None] * np.eye(2)
+    ymat = np.moveaxis(xi_combination(y, geom.spec.shape), (0, 1), (-2, -1))
+    ymat = ymat + (-0.5 * div)[..., None, None] * np.eye(2)
     c0mat = np.zeros(geom.spec.shape + (2, 2), dtype=complex)
     for a in range(3):
         c0mat += geom.c_coeffs[..., 0, a, None, None] * XI[a]

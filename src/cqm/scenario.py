@@ -6,7 +6,6 @@ Schema (all field values are expression strings in the field language):
     {
       "constants": {"m": 1.0, "q": 1.0, "hbar": 1.0, "mu": 1.0, "u0": 1.0,
                     "b": {"value": 0.4, "dim": {"l": "1/2", "t": "0", "m": "1/2"}}},
-      "gauge":     {"length": 1.0, "time": 1.0, "mass": 1.0},
       "metric":    [["1","0","0"],["0","1","0"],["0","0","1"]],
       "Kgrav":     "auto" | {"1_11": "...", ...},        # keys i_lm, upper index first
       "F":         {"12": "b", ...},                      # keys lm with l < m
@@ -22,10 +21,14 @@ Schema (all field values are expression strings in the field language):
     }
 
 Missing metric defaults to the identity, missing connection/F entries to "0".
+A section of another shape (a list where a mapping belongs, a list of the
+wrong length, a non-number where a number belongs) is a ScenarioError.
 The builtins x0..x3, P1..P3, H0 and H0prime are always registered; H0prime
-includes the spin term phi = -u0 mu B_flat, and spin_n(n) is the spin
-observable along the unit covector n (phi = -n), so its pre-quantum operator
-is (1/2) n^i sigma_i.
+includes the spin term phi = -u0 mu B_flat.  On a constant background its
+phi is three constant fields; otherwise H0prime is a derived function whose
+one evaluator reads phi off the background bundle's magnetic field.
+spin_n(n) is the spin observable along the unit covector n (phi = -n), so
+its pre-quantum operator is (1/2) n^i sigma_i.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import numpy as np
 
 from . import fieldlang as fl
 from .background import Background, Constants, Observer, christoffel_expressions
-from .fieldlang import DerivedField, FieldDef
+from .fieldlang import FieldDef
 from .hermitian import QuantumData, SpinorSection
 from .jets import DomainError
 from .quantum import GridSpec, SpinorGrid
@@ -54,7 +57,6 @@ from .units import (
     MOMENT_DIM,
     TIME,
     Dim,
-    Gauge,
     ScaledReal,
 )
 
@@ -135,6 +137,25 @@ class Scenario:
         return grid
 
 
+def _shaped(obj, kind, where: str, length: int | None = None):
+    """`obj` when it is a mapping (kind Mapping) or a list (kind list) of
+    `length` entries, else a ScenarioError naming `where`."""
+    ok = isinstance(obj, Mapping) if kind is Mapping else isinstance(obj, (list, tuple))
+    if not ok or (length is not None and len(obj) != length):
+        what = "a mapping" if kind is Mapping else f"a list of {length}" if length else "a list"
+        raise ScenarioError(f"{where} must be {what}, got {obj!r}")
+    return obj
+
+
+def _converted(raw, kind, where: str, what: str = "a number"):
+    """`raw` converted by `kind` (float, int, Dim.from_json, ...), or a
+    ScenarioError saying that `where` must be `what`."""
+    try:
+        return kind(raw)
+    except (TypeError, ValueError, KeyError, ZeroDivisionError):
+        raise ScenarioError(f"{where} must be {what}, got {raw!r}") from None
+
+
 def _parse_constants(obj: Mapping) -> Constants:
     table = {}
     extras = {}
@@ -142,15 +163,16 @@ def _parse_constants(obj: Mapping) -> Constants:
         raw = obj.get(name, 1.0)
         if isinstance(raw, Mapping):
             raw = raw.get("value", 1.0)
-        table[name] = ScaledReal(float(raw), dim)
+        table[name] = ScaledReal(_converted(raw, float, f"constants.{name}"), dim)
     for name, raw in obj.items():
         if name in _CANONICAL_DIMS:
             continue
         if isinstance(raw, Mapping):
-            dim = Dim.from_json(raw.get("dim", {"l": "0", "t": "0", "m": "0"}))
-            extras[name] = ScaledReal(float(raw["value"]), dim)
+            dim = _converted(raw.get("dim", {"l": "0", "t": "0", "m": "0"}), Dim.from_json,
+                             f"constants.{name}.dim", 'a mapping of "l", "t", "m" to rationals')
+            extras[name] = ScaledReal(_converted(raw.get("value"), float, f"constants.{name}.value"), dim)
         else:
-            extras[name] = ScaledReal(float(raw), DIMLESS)
+            extras[name] = ScaledReal(_converted(raw, float, f"constants.{name}"), DIMLESS)
     return Constants(extras=extras, **table)
 
 
@@ -164,12 +186,12 @@ def _fdef(name: str, dim: Dim, source: str, consts, where: str) -> FieldDef:
 def _parse_metric(obj, consts) -> list:
     if obj is None:
         obj = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    obj = _shaped(obj, list, "metric", 3)
     rows = []
     for i in range(3):
-        row = []
-        for j in range(3):
-            row.append(_fdef(f"g{i + 1}{j + 1}", METRIC_DIM, str(obj[i][j]), consts, f"metric[{i}][{j}]"))
-        rows.append(row)
+        row = _shaped(obj[i], list, f"metric[{i}]", 3)
+        rows.append([_fdef(f"g{i + 1}{j + 1}", METRIC_DIM, str(row[j]), consts, f"metric[{i}][{j}]")
+                     for j in range(3)])
     for i in range(3):
         for j in range(i + 1, 3):
             if rows[i][j].expr != rows[j][i].expr:
@@ -188,7 +210,7 @@ def _parse_kgrav(obj, metric_obj, consts) -> dict:
             raise ScenarioError(f"Kgrav must be a mapping or 'auto', got {obj!r}")
         auto = True
     else:
-        entries = dict(obj)
+        entries = dict(_shaped(obj, Mapping, "Kgrav"))
         auto = bool(entries.pop("auto", False))
     if auto:
         g_exprs = metric_obj if metric_obj is not None else [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
@@ -208,7 +230,7 @@ def _parse_kgrav(obj, metric_obj, consts) -> dict:
 
 def _parse_f(obj, consts) -> dict:
     out = {}
-    for key, source in (obj or {}).items():
+    for key, source in _shaped(obj or {}, Mapping, "F").items():
         try:
             lam, mu = int(key[0]), int(key[1])
             assert 0 <= lam < mu <= 3
@@ -235,18 +257,14 @@ def _builtin_functions(bg: Background, a_exprs, consts) -> dict:
     if bg.fields_constant:
         b_vals = [sr.value for sr in bg.magnetic_field((0.0, 0.0, 0.0, 0.0))]
         phi = tuple(FieldDef(f"phiB{a}", DIMLESS, fl.Const(w * b_vals[a]), consts) for a in range(3))
-        jets_fn = None
+        funcs["H0prime"] = SpecialFunction(one, (zero, zero, zero), neg_a0, phi, name="H0prime")
     else:
-        def phi_jets(point, order):
-            return [b * w for b in bg.jets(point).magnetic(order)]
-
         def jets_fn(point, order):  # one bundle gives all three spin components
+            phi = [b * w for b in bg.jets(point).magnetic(order)]
             return ComponentJets(one.eval_jet(point, order), [zero.eval_jet(point, order) for _ in range(3)],
-                                 neg_a0.eval_jet(point, order), phi_jets(point, order), order)
+                                 neg_a0.eval_jet(point, order), phi, order)
 
-        phi = tuple(DerivedField(f"phiB{a}", DIMLESS, lambda point, order, a=a: phi_jets(point, order)[a])
-                    for a in range(3))
-    funcs["H0prime"] = SpecialFunction(one, (zero, zero, zero), neg_a0, phi, name="H0prime", jets_fn=jets_fn)
+        funcs["H0prime"] = SpecialFunction(name="H0prime", jets_fn=jets_fn)
     return funcs
 
 
@@ -256,9 +274,7 @@ def _parse_function(name: str, obj: Mapping, consts) -> SpecialFunction:
         kind = obj["builtin"]
         if kind != "spin_n":
             raise ScenarioError(f"functions[{name}]: unknown builtin {kind!r}")
-        n_exprs = obj.get("n")
-        if not n_exprs or len(n_exprs) != 3:
-            raise ScenarioError(f"functions[{name}]: spin_n needs a 3-entry 'n'")
+        n_exprs = _shaped(obj.get("n"), list, f"functions[{name}].n", 3)
         phi = tuple(
             _fdef(f"{name}.phi{a}", DIMLESS, f"-({n_exprs[a]})", consts, f"functions[{name}]")
             for a in range(3)
@@ -267,8 +283,8 @@ def _parse_function(name: str, obj: Mapping, consts) -> SpecialFunction:
     def get(field_name, default="0"):
         return str(obj.get(field_name, default))
 
-    fi = obj.get("fi", ["0", "0", "0"])
-    phi = obj.get("phi", ["0", "0", "0"])
+    fi = _shaped(obj.get("fi", ["0", "0", "0"]), list, f"functions[{name}].fi", 3)
+    phi = _shaped(obj.get("phi", ["0", "0", "0"]), list, f"functions[{name}].phi", 3)
     return SpecialFunction(
         _fdef(f"{name}.f0", DIMLESS, get("f0"), consts, f"functions[{name}].f0"),
         tuple(_fdef(f"{name}.f{i + 1}", DIMLESS, str(fi[i]), consts, f"functions[{name}].fi") for i in range(3)),
@@ -284,7 +300,10 @@ def load_scenario(source) -> Scenario:
         path = Path(source)
         if not path.exists():
             raise ScenarioError(f"scenario file not found: {source}")
-        text = path.read_text()
+        try:
+            text = path.read_text()
+        except OSError as exc:
+            raise ScenarioError(f"cannot read scenario {source}: {exc.strerror or exc}") from exc
     elif isinstance(source, str):
         text = source
     else:
@@ -296,52 +315,43 @@ def load_scenario(source) -> Scenario:
             raise ScenarioError(f"invalid scenario JSON: {exc}") from exc
     else:
         data = source
-    constants = _parse_constants(data.get("constants", {}))
+    data = _shaped(data, Mapping, "the scenario")
+    constants = _parse_constants(_shaped(data.get("constants", {}), Mapping, "constants"))
     consts = constants.table()
-    gauge_obj = data.get("gauge", {})
-    gauge = Gauge(
-        length=float(gauge_obj.get("length", 1.0)),
-        time=float(gauge_obj.get("time", 1.0)),
-        mass=float(gauge_obj.get("mass", 1.0)),
-    )
     metric_obj = data.get("metric")
     g = _parse_metric(metric_obj, consts)
     kgrav = _parse_kgrav(data.get("Kgrav"), metric_obj, consts)
     f_em = _parse_f(data.get("F"), consts)
-    bg = Background(g, kgrav, f_em, constants, gauge)
+    bg = Background(g, kgrav, f_em, constants)
 
     observers = {"reference": Observer.reference()}
-    for name, comps in (data.get("observers") or {}).items():
-        if len(comps) != 3:
-            raise ScenarioError(f"observers[{name}] needs 3 components")
+    for name, comps in _shaped(data.get("observers") or {}, Mapping, "observers").items():
+        _shaped(comps, list, f"observers[{name}]", 3)
         observers[name] = Observer(
             tuple(_fdef(f"{name}.o{i + 1}", DIMLESS, str(comps[i]), consts, f"observers[{name}]") for i in range(3))
         )
 
-    a_exprs = tuple(str(e) for e in data.get("A", ["0", "0", "0", "0"]))
-    if len(a_exprs) != 4:
-        raise ScenarioError("A must have 4 components")
+    a_exprs = tuple(str(e) for e in _shaped(data.get("A", ["0", "0", "0", "0"]), list, "A", 4))
     a_fields = tuple(_fdef(f"A{lam}", DIMLESS, a_exprs[lam], consts, f"A[{lam}]") for lam in range(4))
     qd = QuantumData.standard(bg, a_fields)
 
     functions = _builtin_functions(bg, a_exprs, consts)
-    for name, obj in (data.get("functions") or {}).items():
-        functions[name] = _parse_function(name, obj, consts)
+    for name, obj in _shaped(data.get("functions") or {}, Mapping, "functions").items():
+        functions[name] = _parse_function(name, _shaped(obj, Mapping, f"functions[{name}]"), consts)
 
     grid_obj = data.get("grid")
     grid = None
     psi0 = None
     normalize = True
     if grid_obj:
-        axes = grid_obj.get("axes")
-        if not axes or len(axes) != 3:
-            raise ScenarioError("grid.axes must list 3 axes")
-        grid = GridSpec(tuple(tuple(ax) for ax in axes), float(grid_obj.get("time", 0.0)))
+        axes = _shaped(_shaped(grid_obj, Mapping, "grid").get("axes"), list, "grid.axes", 3)
+        axes = tuple(tuple(_shaped(ax, list, f"grid.axes[{k}]", 3)) for k, ax in enumerate(axes))
+        grid = GridSpec(axes, _converted(grid_obj.get("time", 0.0), float, "grid.time"))
         normalize = bool(grid_obj.get("normalize", True))
         if "psi0" in grid_obj:
-            comps = grid_obj["psi0"]
-            if len(comps) != 2 or any(len(c) != 2 for c in comps):
-                raise ScenarioError("grid.psi0 must be [[re,im],[re,im]]")
+            comps = _shaped(grid_obj["psi0"], list, "grid.psi0", 2)
+            for a in range(2):
+                _shaped(comps[a], list, f"grid.psi0[{a}]", 2)
             psi0 = SpinorSection(
                 tuple(
                     (
@@ -352,11 +362,12 @@ def load_scenario(source) -> Scenario:
                 )
             )
 
-    suite = data.get("suite", {})
-    box = np.array(suite.get("box", [[-1.0, 1.0]] * 4), dtype=float)
+    suite = _shaped(data.get("suite", {}), Mapping, "suite")
+    box = _converted(suite.get("box", [[-1.0, 1.0]] * 4), lambda v: np.array(v, dtype=float), "suite.box",
+                     "4 [lo, hi] pairs")
     if box.shape != (4, 2):
         raise ScenarioError("suite.box must be 4 [lo, hi] pairs")
-    samples = int(suite.get("samples", 100))
+    samples = _converted(suite.get("samples", 100), int, "suite.samples")
     if samples < 1:
         raise ScenarioError(f"suite.samples must be a positive integer, got {samples}")
     return Scenario(
@@ -368,9 +379,10 @@ def load_scenario(source) -> Scenario:
         psi0=psi0,
         normalize=normalize,
         samples=samples,
-        seed=int(suite.get("seed", 20240101)),
+        seed=_converted(suite.get("seed", 20240101), int, "suite.seed"),
         box=box,
-        tolerances=dict(suite.get("tolerances", {})),
-        flags=dict(data.get("flags", {})),
+        tolerances={key: _converted(tol, float, f"suite.tolerances[{key}]")
+                    for key, tol in _shaped(suite.get("tolerances", {}), Mapping, "suite.tolerances").items()},
+        flags=dict(_shaped(data.get("flags", {}), Mapping, "flags")),
         a_exprs=a_exprs,
     )

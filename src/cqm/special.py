@@ -8,13 +8,15 @@ phase space is
     f0 (m u^0 / 2 hbar) g_ij v^i v^j + f^i (m u^0 / hbar) g_ij v^j + fbrev
     + phi_a s^a.
 
-Brackets are computed from the adapted-coordinate component formulas; direct
-bracket evaluation therefore requires the reference observer.  The spin part
-uses the moment-joined restricted connection (frame coefficients Ktilde and
-the curvature axial covector rho), the scalar part the charge-joined
-cosymplectic pullback Phi.  Nested brackets are evaluated with jet-valued
-components so outer derivatives are exact; this is what caps the jet order
-at 3 (rho carries two metric derivatives, one more for the outer bracket).
+Every function has one evaluator, `jets_fn`, which gives its component
+jets; a bracket of two functions is again a function, evaluated through
+theirs.  The extended bracket is computed from the component formulas in
+reference-adapted coordinates.  Its spin part uses the moment-joined
+restricted connection (frame coefficients Ktilde and the curvature axial
+covector rho), its scalar part the charge-joined cosymplectic pullback Phi.
+Nested brackets are evaluated with jet-valued components so outer
+derivatives are exact; this is what caps the jet order at 3 (rho carries two
+metric derivatives, one more for the outer bracket).
 """
 
 from __future__ import annotations
@@ -23,28 +25,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .background import Background, BackgroundJets, Observer, PhasePoint, as_point
+from .background import Background, BackgroundJets, PhasePoint, as_point
 from .jets import Jet, max_abs, value_array
 from .pauli import EPS
 
 
-class NonAdaptedObserver(ValueError):
-    """Direct bracket evaluation requires the chart-adapted (reference)
-    observer; other observers go through the invariant-combination route."""
-
-
 @dataclass(frozen=True)
 class SpecialFunction:
-    """Component fields (f0, f^i, fbrev, phi_a).  `jets_fn`, when set, is a
-    (point, order) -> ComponentJets evaluator that computes all eight
-    components in one pass; component_jets uses it in place of the fields."""
+    """A special function and its one evaluator `jets_fn`, a
+    (point, order) -> ComponentJets map that gives all eight components in
+    one pass at a point or on a (4, N) cloud.
 
-    f0: object
-    fi: tuple
-    fbrev: object
-    phi: tuple
+    A function built from component fields (f0, f^i, fbrev, phi_a) gets the
+    evaluator of those fields; they stay as data for `vector_of` and as
+    float oracles.  A derived function (a bracket, say) passes only `name`
+    and `jets_fn` and has no component fields."""
+
+    f0: object = None
+    fi: tuple = ()
+    fbrev: object = None
+    phi: tuple = ()
     name: str = ""
     jets_fn: object = None
+
+    def __post_init__(self):
+        if self.jets_fn is None:
+            fields = (self.f0, *self.fi, self.fbrev, *self.phi)
+
+            def jets_fn(point, order):
+                j = [c.eval_jet(point, order) for c in fields]
+                return ComponentJets(j[0], j[1:4], j[4], j[5:], order)
+
+            object.__setattr__(self, "jets_fn", jets_fn)
 
     @classmethod
     def scalar(cls, f0, fi, fbrev, name: str = "") -> "SpecialFunction":
@@ -97,16 +109,7 @@ class ComponentJets:
 
 def component_jets(f: SpecialFunction, point, order: int) -> ComponentJets:
     """Component jets at a point or on a (4, N) cloud."""
-    point = as_point(point)
-    if f.jets_fn is not None:
-        return f.jets_fn(point, order)
-    return ComponentJets(
-        f.f0.eval_jet(point, order),
-        [c.eval_jet(point, order) for c in f.fi],
-        f.fbrev.eval_jet(point, order),
-        [c.eval_jet(point, order) for c in f.phi],
-        order,
-    )
+    return f.jets_fn(as_point(point), order)
 
 
 def eval_special(f: SpecialFunction, bg: Background, p: PhasePoint):
@@ -125,7 +128,9 @@ def eval_special(f: SpecialFunction, bg: Background, p: PhasePoint):
 
 
 def vector_of(f: SpecialFunction, point) -> np.ndarray:
-    """Chart components of X[f] = f0 d0 - f^i d_i."""
+    """Chart components of X[f] = f0 d0 - f^i d_i from the component fields
+    (float evaluation, an oracle independent of the jets); a derived
+    function has none."""
     point = as_point(point)
     return np.array([f.f0(point), -f.fi[0](point), -f.fi[1](point), -f.fi[2](point)])
 
@@ -134,8 +139,9 @@ def vector_of(f: SpecialFunction, point) -> np.ndarray:
 # bracket engines (jet-generic so brackets nest exactly)
 
 
-def scalar_bracket_jets(a: ComponentJets, b: ComponentJets, bundle: BackgroundJets, order: int):
-    """(f0'', fi'', fbrev'') jets at `order`; inputs must be at order+1."""
+def extended_bracket_jets(a: ComponentJets, b: ComponentJets, bundle: BackgroundJets, order: int) -> ComponentJets:
+    """Full bracket at `order`; inputs at order+1."""
+    # scalar part: the component brackets and the cosymplectic term Phi
     phi2 = bundle.phi_ref(order)
 
     def lam_component(fa: Jet, fb: Jet) -> Jet:
@@ -159,12 +165,7 @@ def scalar_bracket_jets(a: ComponentJets, b: ComponentJets, bundle: BackgroundJe
         fb_out = fb_out - (a0 * bh - b0 * ah) * phi2[0][h + 1]
         for k in range(3):
             fb_out = fb_out + ah * b.fi[k].truncate(order) * phi2[h + 1][k + 1]
-    return f0_out, fi_out, fb_out
-
-
-def extended_bracket_jets(a: ComponentJets, b: ComponentJets, bundle: BackgroundJets, order: int) -> ComponentJets:
-    """Full bracket at `order`; inputs at order+1."""
-    f0_out, fi_out, fb_out = scalar_bracket_jets(a, b, bundle, order)
+    # spin part
     kt = bundle.ktilde("moment", order)
     rho = bundle.rho("moment", order)
     xa = [j.truncate(order) for j in a.x_components()]
@@ -206,20 +207,6 @@ def extended_bracket_jets(a: ComponentJets, b: ComponentJets, bundle: Background
 
 # ---------------------------------------------------------------------------
 # public operations
-
-
-def _require_reference(o: Observer):
-    if not o.is_reference:
-        raise NonAdaptedObserver("bracket formulas are stated in reference-adapted coordinates")
-
-
-def scalar_bracket(f: SpecialFunction, fp: SpecialFunction, bg: Background, o: Observer, point) -> SpecialValue:
-    _require_reference(o)
-    b = bg.jets(point)
-    a = component_jets(f, point, 1)
-    c = component_jets(fp, point, 1)
-    f0, fi, fb = scalar_bracket_jets(a, c, b, 0)
-    return SpecialValue(f0.value, np.array([j.value for j in fi]), fb.value, np.zeros(3))
 
 
 def extended_bracket(f: SpecialFunction, fp: SpecialFunction, bg: Background, where) -> SpecialValue:

@@ -1,9 +1,8 @@
 """Dimension-tracked scalar arithmetic over rational powers of length, time, mass.
 
-Dimensions are exact rational exponent triples; values are plain floats whose
-numeric meaning is fixed by a gauge record (numeric representatives of the
-base units, all 1.0 by default).  Checking happens at runtime so that fields
-assembled from config data stay dimension-aware.
+Dimensions are exact rational exponent triples; values are plain floats, the
+numerics in the base units.  Checking happens at
+runtime so that fields assembled from config data stay dimension-aware.
 """
 
 from __future__ import annotations
@@ -74,18 +73,6 @@ class Dim:
         return cls(Fraction(obj["l"]), Fraction(obj["t"]), Fraction(obj["m"]))
 
 
-def dim_combine(a: Dim, b: Dim, mode: str = "product") -> Dim:
-    if mode == "product":
-        return a * b
-    if mode == "quotient":
-        return a / b
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def dim_pow(d: Dim, r: RationalLike) -> Dim:
-    return d ** r
-
-
 DIMLESS = Dim()
 LENGTH = Dim(l=1)
 TIME = Dim(t=1)
@@ -143,28 +130,3 @@ class ScaledReal:
     def __pow__(self, r: RationalLike) -> "ScaledReal":
         r = _frac(r)
         return ScaledReal(self.value ** float(r), self.dim ** r)
-
-
-def scaled_arith(x: ScaledReal, y: ScaledReal, op: str) -> ScaledReal:
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise ValueError(f"unknown op {op!r}")
-
-
-@dataclass(frozen=True)
-class Gauge:
-    """Numeric representatives of the base units; all downstream numerics are
-    plain floats understood relative to this record."""
-
-    length: float = 1.0
-    time: float = 1.0
-    mass: float = 1.0
-
-    def representative(self, d: Dim) -> float:
-        return self.length ** float(d.l) * self.time ** float(d.t) * self.mass ** float(d.m)

@@ -15,7 +15,14 @@ observer suites build one background bundle per cloud and pass the bundle in
 place of the cloud, so every residual function shares its background
 quantities.  The finite-difference ratio checks put every offset point of
 their stencils into one cloud per step size.  The operators suite builds one
-grid geometry per distinct grid and shares it between its sweeps.
+grid geometry per distinct grid and shares it between its sweeps; a scenario
+without a grid gets the probe box _BOX_GRID, which is also the symmetry
+sweep's coarse level.
+
+The main theorem is checked against the same Y[F] formula,
+hermitian.y_coefficients, that from_special and the grid operators use; a
+bracket [[F, F']] enters as a derived special function (bracket_as_function)
+whose one evaluator is the extended bracket of the two.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import numpy as np
 
 from . import fieldlang as fl
 from .background import Observer, PhasePoint, as_point, divergence_eta_jets
-from .fieldlang import DerivedField, FieldDef
+from .fieldlang import FieldDef
 from .hermitian import (
     HermitianField,
     Mat2,
@@ -39,6 +46,8 @@ from .hermitian import (
     lie_bracket_y,
     pair_bracket,
     vertical_projection,
+    xi_combination,
+    y_coefficients,
 )
 from .jets import max_abs, value_array
 from .pauli import EPS, XI_ALL, spin_curvature_from_jets
@@ -161,10 +170,9 @@ def random_special_function(rng: np.random.Generator, consts, with_spin: bool = 
 
 
 def bracket_as_function(f: SpecialFunction, fp: SpecialFunction, sc: Scenario) -> SpecialFunction:
-    """The extended bracket as a jet-evaluable special function.  One bracket
-    evaluation gives all eight components (its `jets_fn`, which grid paths
-    call once per chunk of nodes); each component field also evaluates on
-    its own."""
+    """The extended bracket as a special function with no component fields:
+    its one evaluator gives all eight components from one bracket
+    evaluation, which grid paths call once per chunk of nodes."""
     bg = sc.background
 
     def bracket_jets(point, order):
@@ -172,17 +180,7 @@ def bracket_as_function(f: SpecialFunction, fp: SpecialFunction, sc: Scenario) -
         c = component_jets(fp, point, order + 1)
         return extended_bracket_jets(a, c, bg.jets(point), order)
 
-    def comp(selector, name):
-        return DerivedField(name, DIMLESS, lambda point, order: selector(bracket_jets(point, order)))
-
-    return SpecialFunction(
-        comp(lambda r: r.f0, "br.f0"),
-        tuple(comp(lambda r, i=i: r.fi[i], f"br.f{i}") for i in range(3)),
-        comp(lambda r: r.fbrev, "br.fb"),
-        tuple(comp(lambda r, a=a: r.phi[a], f"br.phi{a}") for a in range(3)),
-        name=f"[{f.name},{fp.name}]",
-        jets_fn=bracket_jets,
-    )
+    return SpecialFunction(name=f"[{f.name},{fp.name}]", jets_fn=bracket_jets)
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +327,6 @@ def suite_jacobi(sc: Scenario) -> list:
     return [Check("jacobi.residual", len(points), worst, _tol(sc, "jacobi.residual"))]
 
 
-def _xi(batch: tuple) -> list:
-    """xi_0..xi_3 shaped to broadcast against (N,)-batched values."""
-    return [m.reshape((2, 2) + (1,) * len(batch)) for m in XI_ALL]
-
-
 def main_theorem_residual(f: SpecialFunction, fp: SpecialFunction, sc: Scenario, where):
     """(vector residual, matrix residual) of
     from_special([[F,F']]) == [from_special F, from_special F']: floats at a
@@ -349,12 +342,10 @@ def main_theorem_residual(f: SpecialFunction, fp: SpecialFunction, sc: Scenario,
     expected_x = np.concatenate(([br.f0], -br.fi))
     vec_res = max_abs(value_array(xb1, batch) - expected_x, batch)
     a = value_array(qd.a_jets(bundle.point, 0), batch)
-    cc = qd.spin.coeff_values(bundle)
-    y0 = br.f0 * a[0] - sum(br.fi[j] * a[j + 1] for j in range(3)) + br.fbrev
+    y = y_coefficients(br, a, qd.spin.coeff_values(bundle))
     div = value_array(divergence_eta_jets(xb1, bundle, 0), batch)
-    yi = [br.f0 * cc[0][ai] - sum(br.fi[j] * cc[j + 1][ai] for j in range(3)) + br.phi[ai] for ai in range(3)]
-    xi = _xi(batch)
-    mat = y0 * xi[0] + sum(yi[ai] * xi[1 + ai] for ai in range(3)) - 0.5 * div * np.eye(2).reshape(xi[0].shape)
+    eye = np.eye(2).reshape((2, 2) + (1,) * len(batch))
+    mat = xi_combination(y, batch) - 0.5 * div * eye
     mat_res = max_abs(mat - z1.truncate(0).values(batch), batch)
     return vec_res, mat_res
 
@@ -525,13 +516,18 @@ def _closed_form_ops(sc: Scenario, geom: GridGeometry):
     return {"x1": op_x1, "P1": op_p1, "H0prime": op_h0p, "spin3": op_spin3}
 
 
+# The probe box of the operators suite for a scenario without a grid: the
+# named displays and the symmetry sweep's coarse level share its geometry.
+_BOX_GRID = GridSpec(((-4.0, 4.0, 16),) * 3, 0.0)
+
+
 def suite_operators(sc: Scenario) -> list:
     rng = _rng_for(sc, "operators")
     # the named-display dual route needs the x1 axis active (P1 differentiates
-    # along it); reduced scenario grids fall back to a probe box
+    # along it); reduced scenario grids fall back to the probe box
     spec = sc.grid
     if spec is None or 0 not in spec.active:
-        spec = GridSpec(((-4.0, 4.0, 16), (-4.0, 4.0, 16), (-4.0, 4.0, 16)), 0.0)
+        spec = _BOX_GRID
     qd = sc.qd
     geoms = {}
 
@@ -599,7 +595,7 @@ def _symmetry_defect(sc: Scenario, geom: GridGeometry, rng) -> float:
 
 
 def _symmetry_sweep(sc: Scenario, rng, geometry) -> float:
-    base = sc.grid or GridSpec(((-4.0, 4.0, 17), (-4.0, 4.0, 17), (-4.0, 4.0, 17)), 0.0)
+    base = sc.grid or _BOX_GRID
     axes1 = tuple((lo, hi, n if n == 1 else min(n, 17)) for (lo, hi, n) in base.axes)
     spec1 = GridSpec(axes1, base.time)
     axes2 = tuple((lo, hi, n if n == 1 else 2 * n - 1) for (lo, hi, n) in axes1)

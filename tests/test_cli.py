@@ -149,10 +149,22 @@ def _scenario_file(tmp_path, name, **changes):
 
 @pytest.mark.parametrize("case", ["bracket_nan_point", "bracket_far_point", "evolve_negative_steps",
                                   "evolve_nan_dt", "evolve_metric_not_positive", "evolve_nonfinite_psi0",
-                                  "verify_zero_samples", "verify_negative_samples"])
+                                  "verify_zero_samples", "verify_negative_samples",
+                                  "verify_out_in_missing_dir", "evolve_out_is_a_file", "verify_directory",
+                                  "verify_short_metric_row", "verify_observer_not_a_list",
+                                  "verify_function_not_a_mapping", "verify_a_not_a_list",
+                                  "verify_grid_axis_not_a_number", "bracket_grid_axis_not_a_number",
+                                  "verify_top_level_list"])
 def test_bad_input_exits_2_with_error_line(tmp_path, case):
     larmor = str(SCENARIO_DIR / "larmor.json")
     out = ["--out", str(tmp_path / "out")]
+    (tmp_path / "a_file").write_text("")
+    (tmp_path / "list.json").write_text("[1, 2]")
+    bad_axes = {"axes": [[0, 1, "x"], [0, 1, 2], [0, 1, 2]]}
+
+    def verify_bad(name, **changes):
+        return ["verify", _scenario_file(tmp_path, name, **changes), "--suite", "jacobi"]
+
     args = {
         "bracket_nan_point": ["bracket", str(SCENARIO_DIR / "flat.json"), "x1", "P1", "--at", "0,0,nan,0"],
         # the curved metric overflows there, so the bracket is not finite
@@ -171,6 +183,19 @@ def test_bad_input_exits_2_with_error_line(tmp_path, case):
         "verify_zero_samples": ["verify", str(SCENARIO_DIR / "flat.json"), "--suite", "jacobi", "--samples", "0"],
         "verify_negative_samples": ["verify", str(SCENARIO_DIR / "flat.json"), "--suite", "jacobi",
                                     "--samples", "-1"],
+        "verify_out_in_missing_dir": ["verify", str(SCENARIO_DIR / "flat.json"), "--suite", "jacobi",
+                                      "--out", str(tmp_path / "missing" / "r.json")],
+        "evolve_out_is_a_file": ["evolve", larmor, "--steps", "2", "--dt", "0.1",
+                                 "--out", str(tmp_path / "a_file")],
+        "verify_directory": ["verify", str(SCENARIO_DIR)],
+        "verify_short_metric_row": verify_bad("short_row.json", metric=[["1"]]),
+        "verify_observer_not_a_list": verify_bad("observer.json", observers={"a": 5}),
+        "verify_function_not_a_mapping": verify_bad("function.json", functions={"f": 3}),
+        "verify_a_not_a_list": verify_bad("a.json", A=5),
+        "verify_grid_axis_not_a_number": verify_bad("axes.json", grid=bad_axes),
+        "bracket_grid_axis_not_a_number": ["bracket", _scenario_file(tmp_path, "axes.json", grid=bad_axes),
+                                           "x1", "P1", "--at", "0,0,0,0"],
+        "verify_top_level_list": ["verify", str(tmp_path / "list.json")],
     }[case]
     res = run_cli(*args)
     assert res.returncode == 2, res.stderr

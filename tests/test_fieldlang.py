@@ -6,7 +6,6 @@ import pytest
 from cqm.fieldlang import (
     Binary,
     Const,
-    DerivedField,
     FieldDef,
     ParseError,
     PowInt,
@@ -213,11 +212,3 @@ def test_field_declared_dim_check():
     FieldDef("neutral", METRIC_DIM, "1 + x1*x1", consts)  # neutral adopts declared
     with pytest.raises(DimensionMismatch):
         FieldDef("bad", METRIC_DIM, "ell", consts)
-
-
-def test_derived_field_interface():
-    from cqm.jets import Jet
-
-    d = DerivedField("d", DIMLESS, lambda point, order: Jet.const(2.0 * point[1], order))
-    assert d((0, 3, 0, 0)) == 6.0
-    assert d.eval_jet((0, 3, 0, 0), 1).value == 6.0

@@ -21,6 +21,7 @@ from cqm.hermitian import (
     pair_bracket,
     to_special,
     vertical_projection,
+    y_coefficients,
 )
 from cqm.jets import Jet, value_array
 from cqm.pauli import XI
@@ -29,7 +30,9 @@ from cqm.special import component_jets
 from cqm.units import DIMLESS
 from cqm.verify import assemble_pair, main_theorem_residual, random_raw_pair, random_special_function
 
-from conftest import make_special, sample_box
+from cqm.scenario import load_scenario
+
+from conftest import make_special, sample_box, scenario_dict
 
 
 def spinor(consts, exprs):
@@ -504,3 +507,43 @@ def test_only_the_matrix_part_is_complex(curved_magnetic_scenario):
     assert {"sqrtg", "ginv", "dginv", "a", "da", "c_coeffs", "mesh4"} <= set(arrays)
     for name, v in arrays.items():
         assert {np.asarray(x).dtype for x in (v if isinstance(v, list) else [v])} == {np.dtype(np.float64)}, name
+
+
+@pytest.mark.parametrize("name", ["random", "H0prime", "P1"])
+def test_y_coefficients_agree_on_jets_and_value_arrays(curved_magnetic_scenario, name):
+    """The one Y[F] formula gives the same numbers from order-0 jets (the
+    from_special route) as from value arrays (the grid and main-theorem
+    routes) on a 7-point cloud."""
+    sc = curved_magnetic_scenario
+    qd = sc.qd
+    rng = np.random.default_rng(7)
+    f = random_special_function(rng, sc.background.constants.table()) if name == "random" else sc.function(name)
+    bundle = sc.background.jets(sc.sample_points(rng, 7).T)
+    batch = (7,)
+    c = component_jets(f, bundle, 0)
+    a = qd.a_jets(bundle.point, 0)
+    from_jets = value_array(y_coefficients(c, a, qd.spin.coeffs(bundle, 0)), batch)
+    from_values = y_coefficients(c.values(batch), value_array(a, batch), qd.spin.coeff_values(bundle))
+    assert np.array_equal(from_jets, np.array(from_values))
+    # P1's y_0 = A_1 - A_1 and its y_a = -C_1^a vanish on this conformally flat metric
+    assert (np.max(np.abs(from_jets)) > 0.0) == (name != "P1")
+
+
+def test_main_theorem_sees_the_electric_potential():
+    """A static electric field, F_01 = e with A_0 = -q e x1 / hbar, on the
+    curved metric: the f0 A_0 term of Y[F] is then nonzero (A_0 = 0 in every
+    shipped scenario), and the main theorem still holds."""
+    scn = scenario_dict("curved_magnetic")
+    scn["constants"]["e"] = {"value": 0.3, "dim": {"l": "1/2", "t": "0", "m": "1/2"}}
+    scn["F"]["01"] = "e"
+    scn["A"][0] = "-q*e/hbar*x1"
+    sc = load_scenario(scn)
+    rng = np.random.default_rng(5)
+    points = sc.sample_points(rng, 20)
+    assert sc.qd.check_potential(points) < 1e-12
+    consts = sc.background.constants.table()
+    for _ in range(3):
+        f, fp = random_special_function(rng, consts), random_special_function(rng, consts)
+        vec, mat = main_theorem_residual(f, fp, sc, points.T)
+        assert max(np.max(vec), np.max(mat)) < 1e-12
+

@@ -510,10 +510,23 @@ def test_bracket_grid_pass_builds_one_bundle_per_chunk(curved_magnetic_scenario,
         assert built == [(4, 10)] * 4 + [(4, 9)]
 
 
+def test_derived_functions_have_no_component_fields(curved_magnetic_scenario, flat_magnetic_scenario):
+    """A bracket and H0prime on a curved background are evaluated by their
+    one evaluator only; a constant background's H0prime has fields."""
+    sc = curved_magnetic_scenario
+    consts = sc.background.constants.table()
+    f = make_special(consts, fi=("x2", "x1", "0"), fbrev="x1", name="F")
+    g = make_special(consts, fi=("0", "x1*x2", "0"), phi=("x2", "0", "0"), name="G")
+    for func in (bracket_as_function(f, g, sc), sc.function("H0prime")):
+        assert (func.f0, func.fi, func.fbrev, func.phi) == (None, (), None, ())
+        assert component_jets(func, (0.1, 0.2, 0.3, 0.0), 1).order == 1
+    assert len(flat_magnetic_scenario.function("H0prime").phi) == 3
+
+
 def test_operators_suite_builds_one_geometry_per_distinct_grid(monkeypatch):
     """On curved_magnetic the scenario grid (15x15x1 on [-3, 3]^2) is the
-    coarse level of both step-halving sweeps, and their fine levels agree."""
-    sc = load_scenario(SCENARIO_DIR / "curved_magnetic.json")
+    coarse level of both step-halving sweeps, and their fine levels agree.
+    Without a grid, the probe box is the symmetry sweep's coarse level."""
     built = []
     original = GridGeometry.__init__
 
@@ -522,8 +535,11 @@ def test_operators_suite_builds_one_geometry_per_distinct_grid(monkeypatch):
         original(self, qd, spec)
 
     monkeypatch.setattr(GridGeometry, "__init__", counting)
-    run_suites(sc, ["operators"])
+    run_suites(load_scenario(SCENARIO_DIR / "curved_magnetic.json"), ["operators"])
     assert built == [(15, 15, 1), (29, 29, 1)]
+    built.clear()
+    run_suites(load_scenario(scenario_dict("curved_magnetic")), ["operators"])
+    assert built == [(16, 16, 16), (31, 31, 31), (15, 15, 1), (29, 29, 1)]
 
 
 def test_cloud_with_one_bad_point_is_not_positive_definite():

@@ -92,18 +92,17 @@ def test_builtin_h0prime_spin_term(flat_magnetic_scenario):
     assert val == pytest.approx(-c.u0.value * c.mu.value * 0.4)
 
 
-def test_builtin_h0prime_curved_uses_derived_fields(curved_magnetic_scenario):
+def test_builtin_h0prime_curved_spin_term(curved_magnetic_scenario):
     sc = curved_magnetic_scenario
     f = sc.function("H0prime")
     c = sc.background.constants
     pt = (0.0, 0.5, 0.2, -0.1)
-    b3 = sc.background.magnetic_field(pt)[2].value
-    assert f.phi[2](pt) == pytest.approx(-c.u0.value * c.mu.value * b3)
-    # the one-pass evaluator gives the same jets as the component fields
+    b = [s.value for s in sc.background.magnetic_field(pt)]
     cj = component_jets(f, pt, 1)
     for a in range(3):
-        assert np.array_equal(cj.phi[a].c, f.phi[a].eval_jet(pt, 1).c)
-    assert np.array_equal(cj.fbrev.c, f.fbrev.eval_jet(pt, 1).c)
+        assert cj.phi[a].value == pytest.approx(-c.u0.value * c.mu.value * b[a])
+    assert cj.f0.value == 1.0 and [j.value for j in cj.fi] == [0.0, 0.0, 0.0]
+    assert cj.fbrev.value == pytest.approx(-sc.qd.a_fields[0](pt))
 
 
 def test_spin_n_function_entry(flat_scenario):
@@ -165,3 +164,23 @@ def test_shipped_scenarios_load():
     for name in ("flat", "flat_magnetic", "curved_magnetic", "larmor", "free_packet"):
         sc = load_scenario(SCENARIO_DIR / f"{name}.json")
         assert sc.background is not None
+
+
+@pytest.mark.parametrize("section", [
+    {"constants": 3}, {"constants": {"m": [1]}}, {"constants": {"b": {"value": [1]}}},
+    {"constants": {"b": {"value": 1, "dim": {"l": "1"}}}}, {"metric": [["1"], ["1"], ["1"]]},
+    {"Kgrav": [1]}, {"F": [1]}, {"observers": 5}, {"functions": {"f": {"fi": ["1"]}}},
+    {"functions": {"f": {"builtin": "spin_n", "n": 5}}}, {"grid": 5},
+    {"grid": {"axes": [[0, 1, 2]] * 3, "time": [1]}}, {"grid": {"axes": [[0, 1, 2]] * 3, "psi0": [1, 2]}},
+    {"suite": 3}, {"suite": {"box": {}}}, {"suite": {"seed": {}}}, {"suite": {"tolerances": {"a": [1]}}},
+    {"flags": [1]},
+])
+def test_malformed_section_is_a_scenario_error(section):
+    with pytest.raises(ScenarioError):
+        load_scenario(section)
+
+
+def test_grid_axes_must_be_finite_whole_node_counts():
+    for axis in ([0, 1, 2.5], [0, float("nan"), 3], [0, 1, "3"]):
+        with pytest.raises(ValueError, match="bad axis"):
+            load_scenario({"grid": {"axes": [axis, [0, 1, 2], [0, 1, 2]]}})

@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from cqm.background import Observer, PhasePoint
+from cqm.background import PhasePoint
 from cqm.jets import value_array
 from cqm.special import (
-    NonAdaptedObserver,
     component_jets,
     eval_special,
     extended_bracket,
     extended_bracket_jets,
     jacobi_residual,
-    scalar_bracket,
     vector_of,
 )
 from cqm.verify import random_special_function
@@ -51,10 +49,9 @@ def test_vector_of_examples(flat_scenario):
 
 def test_canonical_pair(flat_magnetic_scenario):
     sc = flat_magnetic_scenario
-    ref = Observer.reference()
     x1 = sc.function("x1")
     p1 = sc.function("P1")  # fbrev = A1 (arbitrary A present)
-    val = scalar_bracket(x1, p1, sc.background, ref, (0.2, -0.3, 0.4, 0.1))
+    val = extended_bracket(x1, p1, sc.background, (0.2, -0.3, 0.4, 0.1))
     assert val.f0 == 0.0
     assert np.allclose(val.fi, 0.0)
     assert val.fbrev == pytest.approx(1.0, abs=1e-14)
@@ -62,8 +59,7 @@ def test_canonical_pair(flat_magnetic_scenario):
 
 def test_coordinate_brackets_vanish(flat_scenario):
     sc = flat_scenario
-    ref = Observer.reference()
-    val = scalar_bracket(sc.function("x1"), sc.function("x2"), sc.background, ref, (0, 0, 0, 0))
+    val = extended_bracket(sc.function("x1"), sc.function("x2"), sc.background, (0, 0, 0, 0))
     assert np.max(np.abs(val.as_array())) == 0.0
 
 
@@ -72,23 +68,15 @@ def test_h0_p1_force_term(flat_magnetic_scenario):
     # present the 01-slot vanishes, so probe the 12-force through bare P1, P2
     sc = flat_magnetic_scenario
     consts = sc.background.constants.table()
-    ref = Observer.reference()
     h0 = make_special(consts, f0="1", name="H0bare")
     p1 = make_special(consts, fi=("1", "0", "0"), name="P1bare")
     p2 = make_special(consts, fi=("0", "1", "0"), name="P2bare")
     phi12 = sc.background.constants.q.value / sc.background.constants.hbar.value * 0.4
-    v01 = scalar_bracket(h0, p1, sc.background, ref, (0.1, 0.2, 0.3, 0.4))
+    v01 = extended_bracket(h0, p1, sc.background, (0.1, 0.2, 0.3, 0.4))
     assert v01.fbrev == pytest.approx(0.0, abs=1e-15)  # -(f0 f'^1) Phi_01 = 0
-    v12 = scalar_bracket(p1, p2, sc.background, ref, (0.1, 0.2, 0.3, 0.4))
+    v12 = extended_bracket(p1, p2, sc.background, (0.1, 0.2, 0.3, 0.4))
     # f^h f'^k Phi_hk = Phi_12
     assert v12.fbrev == pytest.approx(phi12)
-
-
-def test_nonadapted_observer_rejected(flat_scenario):
-    sc = flat_scenario
-    with pytest.raises(NonAdaptedObserver):
-        scalar_bracket(sc.function("x1"), sc.function("P1"), sc.background,
-                       sc.observers["drift"], (0, 0, 0, 0))
 
 
 def test_extended_bracket_constant_spins(flat_scenario):
@@ -103,32 +91,27 @@ def test_extended_bracket_constant_spins(flat_scenario):
 
 
 def test_extended_bracket_scalar_reduction(flat_magnetic_scenario, curved_magnetic_scenario):
-    # scalar-only inputs reduce to the scalar bracket; the spin part vanishes
-    # wherever rho(X, X') does (always in the flat scenario)
-    consts = flat_magnetic_scenario.background.constants.table()
-    ref = Observer.reference()
-    f = make_special(consts, f0="0.2", fi=("x2", "0", "x1"), fbrev="x1*x3")
-    fp = make_special(consts, fi=("0.3", "x3", "0"), fbrev="x2")
+    # scalar-only inputs: the scalar part is the component formula worked by
+    # hand, f0'' = 0, f''^i = (x3, -x1, 0.3) and
+    # fbrev'' = 0.3 x3 - f0 f'^h Phi_0h + f^h f'^k Phi_hk; the spin part
+    # vanishes wherever rho(X, X') does (always in the flat scenario)
     pt = (0.1, 0.4, -0.2, 0.3)
-    ext = extended_bracket(f, fp, flat_magnetic_scenario.background, pt)
-    sca = scalar_bracket(f, fp, flat_magnetic_scenario.background, ref, pt)
-    assert np.allclose(ext.phi, 0.0)
-    assert ext.f0 == pytest.approx(sca.f0)
-    assert np.allclose(ext.fi, sca.fi)
-    assert ext.fbrev == pytest.approx(sca.fbrev)
-    # in the curved scenario the scalar parts still agree while the curvature
-    # correction -rho(X, X') populates the spin slot
-    consts_c = curved_magnetic_scenario.background.constants.table()
-    fc = make_special(consts_c, f0="0.2", fi=("x2", "0", "x1"), fbrev="x1*x3")
-    fpc = make_special(consts_c, fi=("0.3", "x3", "0"), fbrev="x2")
-    ext_c = extended_bracket(fc, fpc, curved_magnetic_scenario.background, pt)
-    sca_c = scalar_bracket(fc, fpc, curved_magnetic_scenario.background, ref, pt)
-    assert ext_c.fbrev == pytest.approx(sca_c.fbrev)
-    rho = value_array(curved_magnetic_scenario.background.jets(pt).rho("moment", 0))
-    xf = vector_of(fc, pt)
-    xfp = vector_of(fpc, pt)
-    expect = -np.einsum("lmk,l,m->k", rho, xf, xfp)
-    assert np.allclose(ext_c.phi, expect, atol=1e-13)
+    x1, x2, x3 = pt[1:]
+    fi, fpi = np.array([x2, 0.0, x1]), np.array([0.3, x3, 0.0])
+    for sc in (flat_magnetic_scenario, curved_magnetic_scenario):
+        consts = sc.background.constants.table()
+        f = make_special(consts, f0="0.2", fi=("x2", "0", "x1"), fbrev="x1*x3")
+        fp = make_special(consts, fi=("0.3", "x3", "0"), fbrev="x2")
+        ext = extended_bracket(f, fp, sc.background, pt)
+        phi = value_array(sc.background.jets(pt).phi_ref(0))
+        assert ext.f0 == 0.0
+        assert np.allclose(ext.fi, [x3, -x1, 0.3], rtol=0, atol=1e-15)
+        fbrev = 0.3 * x3 - 0.2 * fpi @ phi[0, 1:] + fi @ phi[1:, 1:] @ fpi
+        assert ext.fbrev == pytest.approx(fbrev, abs=1e-14)
+        rho = value_array(sc.background.jets(pt).rho("moment", 0))
+        expect = -np.einsum("lmk,l,m->k", rho, vector_of(f, pt), vector_of(fp, pt))
+        assert np.allclose(ext.phi, expect, rtol=0, atol=1e-13)
+    assert np.max(np.abs(ext.phi)) > 1e-3  # the curved scenario populates the spin slot
 
 
 def test_extended_bracket_transport_term_fd(flat_magnetic_scenario):
