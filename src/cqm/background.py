@@ -3,10 +3,11 @@
 A Background bundles the spatial metric g_ij (L^2-scaled), the gravitational
 spacetime connection coefficients K^i_{lm} (with vanishing time row), the
 electromagnetic 2-form F and the coupling constants.  Everything downstream
-(joined connections, orthonormal frames, curvatures, the cosymplectic table,
-observer pullbacks, the magnetic field) is read off one `BackgroundJets`
-bundle, `Background.jets(where)`, at a point or on a (4, N) cloud of points,
-as jets, so derivatives are exact to the requested order.  A bundle stands
+(joined connections, orthonormal frames, curvatures, the spin connection as
+the axial vector of Ktilde, the cosymplectic table, observer pullbacks, the
+magnetic field) is read off one `BackgroundJets` bundle,
+`Background.jets(where)`, at a point or on a (4, N) cloud of points, as
+jets, so derivatives are exact to the requested order.  A bundle stands
 for its points: passed on in place of them, it shares what it has computed.
 
 Chart conventions: a single global chart (x0..x3), dimensionless coordinates,
@@ -27,7 +28,7 @@ import numpy as np
 from . import fieldlang as fl
 from .fieldlang import FieldDef
 from .jets import Jet, value_array
-from .pauli import EPS, _eps_axis_jets
+from .pauli import InconsistentSystem, axis_vector
 from .units import (
     BFIELD_FRAME_DIM,
     CHARGE_DIM,
@@ -174,16 +175,6 @@ class Background:
                 raise DimensionMismatch(f"F[{lam}{mu}] must have dimension {EM_FIELD_DIM}")
             self.f_em[(lam, mu)] = fld
         self.constants = constants
-        # Sanity: coupling combinations must come out dimensionless.
-        c = constants
-        for combo in (
-            c.q * c.u0 / c.m * ScaledReal(1.0, EM_FIELD_DIM / METRIC_DIM),
-            c.mu * c.u0 * ScaledReal(1.0, EM_FIELD_DIM / METRIC_DIM),
-            ScaledReal(c.metric_prefactor, MASS / (HBAR_DIM * TIME)) * ScaledReal(1.0, METRIC_DIM),
-            c.mu * c.u0 * ScaledReal(1.0, BFIELD_FRAME_DIM),
-        ):
-            if not combo.dim.is_dimensionless:
-                raise DimensionMismatch(f"coupling combination has residual dimension {combo.dim}")
 
     # -- jet bundles -----------------------------------------------------------
 
@@ -484,12 +475,22 @@ class BackgroundJets:
         curvature vector built from the same connection."""
         def build():
             rc = self.rcheck(which, order)
-            out = [[None] * 4 for _ in range(4)]
-            for lam in range(4):
-                for mu in range(4):
-                    out[lam][mu] = _eps_axis_jets(rc[lam][mu])
-            return out
+            return [[axis_vector(rc[lam][mu]) for mu in range(4)] for lam in range(4)]
         return self._get(("rho", which, order), build)
+
+    def spin(self, which: str, order: int) -> list:
+        """Spin connection C_lam^a, [4][3] jets: the axial vector of
+        Ktilde_lam, so Ktilde_lam^k_j = C_lam^i eps_ijk.  InconsistentSystem
+        where a Ktilde_lam is not antisymmetric (a non-metric connection)."""
+        def build():
+            kt = self.ktilde(which, order)
+            vals = value_array(kt, self.point.shape[1:])  # [lam, k, j, point]
+            for lam in range(4):
+                scale = 1.0 + np.max(np.abs(vals[lam]), axis=(0, 1))
+                if np.any(np.max(np.abs(vals[lam] + vals[lam].swapaxes(0, 1)), axis=(0, 1)) > 2e-8 * scale):
+                    raise InconsistentSystem(f"frame coefficients not antisymmetric at lambda={lam} (which={which})")
+            return [axis_vector(kt[lam]) for lam in range(4)]
+        return self._get(("spin", which, order), build)
 
     def riemann_lowered_spatial(self) -> np.ndarray:
         """R_{ij h k} = g_{hm} R^m_{k ij} of the gravitational connection,
@@ -527,17 +528,7 @@ class BackgroundJets:
                             term = f[i + 1][j + 1] * e[i][a] * e[j][b]
                             acc = term if acc is None else acc + term
                     fcheck[a][b] = acc
-            out = []
-            for a in range(3):
-                acc = None
-                for b in range(3):
-                    for c in range(3):
-                        if EPS[a, b, c] == 0.0:
-                            continue
-                        term = fcheck[b][c] * (0.5 * EPS[a, b, c])
-                        acc = term if acc is None else acc + term
-                out.append(acc)
-            return out
+            return [-w for w in axis_vector(fcheck)]
         return self._get(("B", order), build)
 
     # -- cosymplectic sector ---------------------------------------------------

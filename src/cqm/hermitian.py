@@ -37,7 +37,7 @@ from .background import (
 )
 from .fieldlang import FieldDef
 from .jets import Jet, max_abs, value_array
-from .pauli import XI_ALL, SpinConnection, spin_connection_from, spin_curvature_jets
+from .pauli import XI_ALL, SpinConnection, cross, spin_connection_from, spin_curvature_jets, xi_combination
 from .special import SpecialFunction, SpecialValue, component_jets, eval_special
 
 
@@ -81,10 +81,8 @@ class Mat2:
 
     def commutator(self, other: "Mat2") -> "Mat2":
         """[Y, Y'] = eps_abc y_a y'_b xi_c; it has no xi_0 part."""
-        _, a1, a2, a3 = self.y
-        _, b1, b2, b3 = other.y
-        cross = [a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1]
-        return Mat2([Jet.const(0.0, cross[0].order)] + cross)
+        c = cross(self.y[1:], other.y[1:])
+        return Mat2([Jet.const(0.0, c[0].order)] + c)
 
     def add_identity(self, w) -> "Mat2":
         """Y + w 1, with 1 = -i xi_0."""
@@ -101,13 +99,6 @@ class Mat2:
         cloud of batch shape (N,); point-shaped coefficients (constants)
         broadcast to the cloud, as jets.value_array does."""
         return xi_combination(value_array(self.y, batch), batch)
-
-
-def xi_combination(values, batch: tuple = ()) -> np.ndarray:
-    """sum_nu values[nu] xi_nu for four coefficient values of batch shape
-    `batch`: a (2, 2) matrix at a point, (2, 2) + batch arrays otherwise."""
-    shape = (2, 2) + (1,) * len(batch)
-    return sum(values[nu] * XI_ALL[nu].reshape(shape) for nu in range(4))
 
 
 def y_coefficients(c, a, cc) -> list:

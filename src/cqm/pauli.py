@@ -4,18 +4,23 @@ Conventions (see CONVENTIONS.md):
   sigma_1 = [[0,1],[1,0]], sigma_2 = [[0,-i],[i,0]], sigma_3 = [[1,0],[0,-1]];
   xi_0 = i*1, xi_i = -(i/2) sigma_i, so [xi_i, xi_j] = eps_ijk xi_k with
   eps_123 = +1 and gtilde(A,B) = -2 Tr(AB) makes (xi_i) orthonormal.
-The vector map Sigma sends orthonormal-frame components v^a to v^a xi_a and
-intertwines the cross product with the commutator.  The spin connection reads
-its coefficients off the background bundle `bg.jets(where)`, so
-`SpinConnection.coeffs` and `coeff_values` take a point, a (4, N) cloud or a
-bundle, which they share with the caller.
+The spin dictionary links the xi_a, spatial vectors with the cross product,
+and antisymmetric frame endomorphisms: it is written once, here, as
+`xi_combination` (the xi-sum), `cross` and `axis_vector` (a = ad(w) -> w),
+each on jets, floats or arrays alike.  The vector map Sigma sends
+orthonormal-frame components v^a to v^a xi_a and intertwines the cross
+product with the commutator.  The spin connection C_lam is the axial vector
+of Ktilde_lam, formed and cached by the background bundle
+(`BackgroundJets.spin`); `SpinConnection.coeffs` and `coeff_values` read it
+off `bg.jets(where)`, so they take a point, a (4, N) cloud or a bundle,
+which they share with the caller.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .jets import Jet, value_array
+from .jets import value_array
 
 SIGMA0 = np.eye(2, dtype=complex)
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -68,10 +73,17 @@ def is_traceless(m: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(abs(np.trace(m)) <= tol)
 
 
+def xi_combination(values, batch: tuple = ()) -> np.ndarray:
+    """sum_nu values[nu] xi_nu for four coefficient values (floats, or arrays
+    of batch shape `batch`): a (2, 2) matrix at a point, (2, 2) + batch
+    arrays otherwise."""
+    shape = (2, 2) + (1,) * len(batch)
+    return sum(values[nu] * XI_ALL[nu].reshape(shape) for nu in range(4))
+
+
 def pauli_map(v) -> np.ndarray:
     """Sigma(v) = v^a xi_a for orthonormal-frame components v."""
-    v = np.asarray(v, dtype=float)
-    return v[0] * XI[0] + v[1] * XI[1] + v[2] * XI[2]
+    return xi_combination([0.0, *np.asarray(v, dtype=float)])
 
 
 def pauli_unmap(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -85,50 +97,26 @@ def gtilde(a: np.ndarray, b: np.ndarray) -> float:
     return float((-2.0 * np.trace(a @ b)).real)
 
 
+def axis_vector(a) -> list:
+    """Vector w with a = ad(w), i.e. a(v) = w x v, for antisymmetric a:
+    w_k = -1/2 a^{ij} eps_ijk.  The 3x3 entries may be jets, floats or
+    arrays; only the antisymmetric part of a enters."""
+    return [(a[1][2] - a[2][1]) * -0.5, (a[2][0] - a[0][2]) * -0.5, (a[0][1] - a[1][0]) * -0.5]
+
+
+def cross(a, b) -> list:
+    """The cross product a x b of two 3-vectors of jets, floats or arrays."""
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
 def triangle(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """(A)^{ij} eps_{ijk}: the raw epsilon contraction of an antisymmetric
-    frame endomorphism; -1/2 of it is the Lie-algebra isomorphism onto
-    cross-product vectors."""
+    frame endomorphism; -1/2 of it (the axis vector) is the Lie-algebra
+    isomorphism onto cross-product vectors."""
     a = np.asarray(a, dtype=float)
     if np.max(np.abs(a + a.T)) > tol * (1.0 + np.max(np.abs(a))):
         raise NotAntisymmetric("endomorphism is not antisymmetric")
-    return np.einsum("ij,ijk->k", a, EPS)
-
-
-def axis_vector(a: np.ndarray) -> np.ndarray:
-    """Vector w with a = ad(w), i.e. a(v) = w x v, for antisymmetric a."""
-    return -0.5 * triangle(a)
-
-
-def _eps_axis_jets(a) -> list:
-    # -1/2 eps contraction on a 3x3 nested list with jet (or float) entries.
-    out = []
-    for k in range(3):
-        acc = None
-        for i in range(3):
-            for j in range(3):
-                if EPS[i, j, k] == 0.0:
-                    continue
-                term = a[i][j] * (-0.5 * EPS[i, j, k])
-                acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
-
-
-# Linear system for the spin-connection coefficients: Ctilde^k_j = C^i eps_ijk.
-# Solved through a precomputed pseudo-inverse so no hand epsilon-inversion
-# signs enter; the curvature identity test pins the convention.
-def _build_solver() -> np.ndarray:
-    m = np.zeros((9, 3))
-    for row, (k, j) in enumerate((k, j) for k in range(3) for j in range(3)):
-        for i in range(3):
-            m[row, i] = EPS[i, j, k]
-    return np.linalg.pinv(m)
-
-
-_EPS_PINV = _build_solver()
-# EPS[i, j, k] laid out as [i, row] with row = 3 k + j, the rows of that system
-_EPS_ROWS = np.transpose(EPS, (0, 2, 1)).reshape(3, 9)
+    return -2.0 * np.array(axis_vector(a))
 
 
 class SpinConnection:
@@ -145,34 +133,9 @@ class SpinConnection:
 
     def coeffs(self, where, order: int) -> list:
         """C_lambda^a jets, shape [4][3], at the given order, at a point, on a
-        (4, N) cloud or on a background bundle's points; InconsistentSystem
-        if the system's residual fails at any point."""
-        bundle = self.bg.jets(where)
-        ktilde = bundle.ktilde(self.which, order)
-        batch = np.shape(bundle.point)[1:]
-        out = []
-        for lam in range(4):
-            kt = ktilde[lam]
-            vec = [kt[k][j] for k in range(3) for j in range(3)]
-            vals = value_array(vec, batch)
-            c = []
-            for i in range(3):
-                acc = Jet.const(0.0, order)
-                for row in range(9):
-                    w = _EPS_PINV[i, row]
-                    if w != 0.0:
-                        acc = acc + vec[row] * w
-                c.append(acc)
-            # Residual of the 9-equation system; nonzero means Ktilde was not
-            # antisymmetric (non-metric input connection).
-            recon = np.einsum("ir,i...->r...", _EPS_ROWS, value_array(c, batch))
-            scale = 1.0 + np.max(np.abs(vals), axis=0)
-            if np.any(np.max(np.abs(recon - vals), axis=0) > 1e-8 * scale):
-                raise InconsistentSystem(
-                    f"frame coefficients not antisymmetric at lambda={lam} (which={self.which})"
-                )
-            out.append(c)
-        return out
+        (4, N) cloud or on a background bundle's points: the bundle's
+        `spin`, so InconsistentSystem if Ktilde is not antisymmetric."""
+        return self.bg.jets(where).spin(self.which, order)
 
     def coeff_values(self, where) -> np.ndarray:
         """C_lambda^a values: (4, 3) at a point, (4, 3, N) on a (4, N) cloud
@@ -191,7 +154,7 @@ def spin_curvature_from_jets(cjets, batch: tuple = ()) -> np.ndarray:
     """Spin curvature R_{lambda mu}^nu (nu = 0..3) from C jets of order >= 1:
     (4, 4, 4) at a point, (4, 4, 4, N) on a cloud of batch shape (N,).  The
     nu = 0 part vanishes in the trace-free gauge, and
-    R^k = -d_lam C_mu^k + d_mu C_lam^k + C_lam^i C_mu^j eps_ijk."""
+    R^k = -d_lam C_mu^k + d_mu C_lam^k + (C_lam x C_mu)^k."""
     c1 = [[c.truncate(1) for c in row] for row in cjets]
     return value_array(spin_curvature_jets(c1, 0), batch)
 
@@ -210,12 +173,9 @@ def spin_curvature_jets(cjets, order: int):
                     r[lam][mu][nu] = zero
     for lam in range(4):
         for mu in range(lam + 1, 4):
+            quad = cross([c.truncate(order) for c in cjets[lam]], [c.truncate(order) for c in cjets[mu]])
             for k in range(3):
-                acc = -cjets[mu][k].derive(lam) + cjets[lam][k].derive(mu)
-                for i in range(3):
-                    for j in range(3):
-                        if EPS[i, j, k] != 0.0:
-                            acc = acc + cjets[lam][i].truncate(order) * cjets[mu][j].truncate(order) * EPS[i, j, k]
+                acc = -cjets[mu][k].derive(lam) + cjets[lam][k].derive(mu) + quad[k]
                 r[lam][mu][1 + k] = acc
                 r[mu][lam][1 + k] = -acc
     return r

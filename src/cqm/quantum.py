@@ -35,9 +35,9 @@ from typing import Callable
 
 import numpy as np
 
-from .hermitian import QuantumData, xi_combination, y_coefficients
+from .hermitian import QuantumData, y_coefficients
 from .jets import SIZES, value_array
-from .pauli import SIGMA, XI
+from .pauli import SIGMA, xi_combination
 from .special import SpecialFunction, SpecialValue, component_jets
 
 __all__ = [
@@ -345,18 +345,21 @@ def _static_check(geom: GridGeometry, tol: float = 1e-12):
         raise NonStaticMetric("metric volume is time-dependent; evolution unsupported")
 
 
-def _spin_matrix(coeff: np.ndarray) -> np.ndarray:
-    """i C^a xi_a as a (..., 2, 2) array for real coefficient arrays (..., 3)."""
-    out = np.zeros(coeff.shape[:-1] + (2, 2), dtype=complex)
-    for a in range(3):
-        out += coeff[..., a, None, None] * (1j * XI[a])
-    return out
+def _node_matrices(geom: GridGeometry, coeffs) -> np.ndarray:
+    """sum_nu coeffs[nu] xi_nu at every node, as a (..., 2, 2) array, for
+    four coefficients (numbers or node arrays)."""
+    return np.moveaxis(xi_combination(coeffs, geom.spec.shape), (0, 1), (-2, -1))
+
+
+def _spin_c0(geom: GridGeometry) -> np.ndarray:
+    """C_0^a xi_a at every node, as a (..., 2, 2) array."""
+    return _node_matrices(geom, [0.0, *np.moveaxis(geom.c_coeffs[..., 0, :], -1, 0)])
 
 
 def pauli_generator(geom: GridGeometry) -> GridOperator:
     """H with i d0 psi = H psi on the Pauli kernel: -1/2 Delta0 - A0 + i C_0^k xi_k."""
     _static_check(geom)
-    local = _spin_matrix(geom.c_coeffs[..., 0, :]) - geom.a[0][..., None, None] * np.eye(2)
+    local = 1j * _spin_c0(geom) - geom.a[0][..., None, None] * np.eye(2)
     stencil = _laplacian_stencil(geom, -0.5) + Stencil(local, {})
     return stencil.operator("pauli_generator", symmetric=True)
 
@@ -390,14 +393,10 @@ def prequantum(qd: QuantumData, geom: GridGeometry, f: SpecialFunction) -> GridO
     div = f0 * geom.d0sqrtg / geom.sqrtg
     for i in geom.spec.active:
         div += -dfi[i] + xi_sp[i] * geom.dsqrtg[..., i] / geom.sqrtg
-    ymat = np.moveaxis(xi_combination(y, geom.spec.shape), (0, 1), (-2, -1))
-    ymat = ymat + (-0.5 * div)[..., None, None] * np.eye(2)
-    c0mat = np.zeros(geom.spec.shape + (2, 2), dtype=complex)
-    for a in range(3):
-        c0mat += geom.c_coeffs[..., 0, a, None, None] * XI[a]
+    ymat = _node_matrices(geom, y) + (-0.5 * div)[..., None, None] * np.eye(2)
     p_factor = geom.d0sqrtg / (2.0 * geom.sqrtg)
     # Y.psi - f0 (P psi without its Laplacian part); P's -i/2 Delta0 is added below
-    pmat = (-1j * geom.a[0] + p_factor)[..., None, None] * np.eye(2) - c0mat
+    pmat = (-1j * geom.a[0] + p_factor)[..., None, None] * np.eye(2) - _spin_c0(geom)
     offsets = {}
     for i in geom.spec.active:
         h = geom.spec.spacing(i)

@@ -81,7 +81,6 @@ class Scenario:
     box: np.ndarray
     tolerances: dict
     flags: dict
-    a_exprs: tuple
 
     def observer(self, name: str) -> Observer:
         try:
@@ -295,8 +294,9 @@ def _parse_function(name: str, obj: Mapping, consts) -> SpecialFunction:
 
 
 def load_scenario(source) -> Scenario:
-    """Load a scenario from a path, JSON string, or parsed mapping."""
-    if isinstance(source, Path) or (isinstance(source, str) and not source.lstrip().startswith("{")):
+    """Load a scenario from a path, JSON string, or parsed mapping.  A string
+    that starts with `{` or `[` is JSON text; any other string is a path."""
+    if isinstance(source, Path) or (isinstance(source, str) and not source.lstrip().startswith(("{", "["))):
         path = Path(source)
         if not path.exists():
             raise ScenarioError(f"scenario file not found: {source}")
@@ -384,5 +384,4 @@ def load_scenario(source) -> Scenario:
         tolerances={key: _converted(tol, float, f"suite.tolerances[{key}]")
                     for key, tol in _shaped(suite.get("tolerances", {}), Mapping, "suite.tolerances").items()},
         flags=dict(_shaped(data.get("flags", {}), Mapping, "flags")),
-        a_exprs=a_exprs,
     )

@@ -27,7 +27,7 @@ import numpy as np
 
 from .background import Background, BackgroundJets, PhasePoint, as_point
 from .jets import Jet, max_abs, value_array
-from .pauli import EPS
+from .pauli import cross
 
 
 @dataclass(frozen=True)
@@ -196,12 +196,8 @@ def extended_bracket_jets(a: ComponentJets, b: ComponentJets, bundle: Background
         dphi_a = covariant(a.phi, lam)
         for k in range(3):
             phi_out[k] = phi_out[k] + xa[lam] * dphi_b[k] - xb[lam] * dphi_a[k]
-    # phi' x phi
-    for k in range(3):
-        for i in range(3):
-            for j in range(3):
-                if EPS[k, i, j] != 0.0:
-                    phi_out[k] = phi_out[k] + b.phi[i].truncate(order) * a.phi[j].truncate(order) * EPS[k, i, j]
+    spin = cross([p.truncate(order) for p in b.phi], [p.truncate(order) for p in a.phi])  # phi' x phi
+    phi_out = [phi_out[k] + spin[k] for k in range(3)]
     return ComponentJets(f0_out, fi_out, fb_out, phi_out, order)
 
 

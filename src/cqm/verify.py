@@ -46,11 +46,10 @@ from .hermitian import (
     lie_bracket_y,
     pair_bracket,
     vertical_projection,
-    xi_combination,
     y_coefficients,
 )
 from .jets import max_abs, value_array
-from .pauli import EPS, XI_ALL, spin_curvature_from_jets
+from .pauli import EPS, XI_ALL, spin_curvature_from_jets, xi_combination
 from .quantum import (
     GridGeometry,
     GridSpec,

@@ -12,6 +12,7 @@ from cqm.background import (
 )
 from cqm.fieldlang import FieldDef, eval_float
 from cqm.jets import value_array
+from cqm.pauli import EPS
 from cqm.scenario import load_scenario
 from cqm.units import (
     CHARGE_DIM,
@@ -466,3 +467,42 @@ def test_jets_returns_a_bundle_of_its_own_background(flat_scenario, curved_magne
     assert np.array_equal(as_point(b), cloud)
     with pytest.raises(ValueError, match="another background"):
         flat_scenario.background.jets(b)
+
+
+def _magnetic_by_eps_loop(bundle, order):
+    """B^a = 1/2 eps_abc Fcheck_bc with Fcheck_ab = F_ij e_a^i e_b^j, as the
+    explicit epsilon loop over jets."""
+    f = bundle.f_jets(order)
+    e, _ = bundle.frame(order)
+    fcheck = [[None] * 3 for _ in range(3)]
+    for a in range(3):
+        for b in range(3):
+            acc = None
+            for i in range(3):
+                for j in range(3):
+                    term = f[i + 1][j + 1] * e[i][a] * e[j][b]
+                    acc = term if acc is None else acc + term
+            fcheck[a][b] = acc
+    out = []
+    for a in range(3):
+        acc = None
+        for b in range(3):
+            for c in range(3):
+                if EPS[a, b, c] != 0.0:
+                    term = fcheck[b][c] * (0.5 * EPS[a, b, c])
+                    acc = term if acc is None else acc + term
+        out.append(acc)
+    return out
+
+
+def test_magnetic_matches_the_epsilon_loop_bit_for_bit():
+    scn = scenario_dict("anisotropic")
+    scn["F"].update({"13": "b*0.2*x2", "23": "b*(0.1+0.3*x3)"})
+    sc = load_scenario(scn)
+    for order in (0, 1):
+        bundle = sc.background.jets(np.random.default_rng(15).uniform(-0.8, 0.8, (4, 6)))
+        want = _magnetic_by_eps_loop(bundle, order)
+        got = bundle.magnetic(order)
+        assert all(np.max(np.abs(w.c)) > 1e-3 for w in want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.c, w.c)

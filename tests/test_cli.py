@@ -154,7 +154,7 @@ def _scenario_file(tmp_path, name, **changes):
                                   "verify_short_metric_row", "verify_observer_not_a_list",
                                   "verify_function_not_a_mapping", "verify_a_not_a_list",
                                   "verify_grid_axis_not_a_number", "bracket_grid_axis_not_a_number",
-                                  "verify_top_level_list"])
+                                  "verify_top_level_list", "verify_list_text"])
 def test_bad_input_exits_2_with_error_line(tmp_path, case):
     larmor = str(SCENARIO_DIR / "larmor.json")
     out = ["--out", str(tmp_path / "out")]
@@ -196,6 +196,7 @@ def test_bad_input_exits_2_with_error_line(tmp_path, case):
         "bracket_grid_axis_not_a_number": ["bracket", _scenario_file(tmp_path, "axes.json", grid=bad_axes),
                                            "x1", "P1", "--at", "0,0,0,0"],
         "verify_top_level_list": ["verify", str(tmp_path / "list.json")],
+        "verify_list_text": ["verify", "[1, 2]"],
     }[case]
     res = run_cli(*args)
     assert res.returncode == 2, res.stderr

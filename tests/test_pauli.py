@@ -10,6 +10,7 @@ from cqm.pauli import (
     NotAntisymmetric,
     NotInL0,
     axis_vector,
+    cross,
     gtilde,
     is_anti_hermitian,
     is_hermitian,
@@ -21,7 +22,7 @@ from cqm.pauli import (
     spin_curvature_from_jets,
     triangle,
 )
-from cqm.jets import value_array
+from cqm.jets import SIZES, Jet, value_array
 from cqm.scenario import load_scenario
 
 from conftest import scenario_dict
@@ -216,3 +217,75 @@ def test_inconsistent_system_for_nonmetric_connection():
 def test_spin_connection_unknown_coupling(flat_scenario):
     with pytest.raises(ValueError):
         spin_connection_from(flat_scenario.background, "nope")
+
+
+def _eps_system() -> np.ndarray:
+    """The 9x3 linear system C^i eps_ijk = Ktilde^k_j (row 3 k + j) that the
+    spin connection used to be solved from; kept here as an oracle."""
+    m = np.zeros((9, 3))
+    for k in range(3):
+        for j in range(3):
+            m[3 * k + j] = EPS[:, j, k]
+    return m
+
+
+@pytest.mark.parametrize("name", ["curved_magnetic", "anisotropic"])
+def test_spin_connection_matches_least_squares_solve(name):
+    """C_lam = axis_vector(Ktilde_lam) agrees with the least-squares solve of
+    the 9x3 system, coefficient by coefficient of the order-1 jets."""
+    sc = load_scenario(scenario_dict(name))
+    n, size = 7, SIZES[1]
+    bundle = sc.background.jets(np.random.default_rng(11).uniform(-0.8, 0.8, (4, n)))
+    cj = sc.qd.spin.coeffs(bundle, 1)
+    kt = bundle.ktilde("moment", 1)
+    worst = 0.0
+    for lam in range(4):
+        rhs = np.array([np.broadcast_to(kt[lam][k][j].c, (n, size)) for k in range(3) for j in range(3)])
+        want = np.linalg.lstsq(_eps_system(), rhs.reshape(9, -1), rcond=None)[0].reshape(3, n, size)
+        got = np.array([np.broadcast_to(c.c, (n, size)) for c in cj[lam]])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        worst = max(worst, float(np.max(np.abs(want))))
+    assert worst > 1e-2  # the connection is not trivially zero there
+
+
+def test_spin_connection_is_built_once_per_bundle_and_order(curved_magnetic_scenario):
+    sc = curved_magnetic_scenario
+    bundle = sc.background.jets(np.random.default_rng(12).uniform(-0.8, 0.8, (4, 5)))
+    for order in (0, 1):
+        first = sc.qd.spin.coeffs(bundle, order)
+        assert sc.qd.spin.coeffs(bundle, order) is first
+        assert bundle.spin("moment", order) is first
+    assert sc.qd.spin.coeffs(bundle, 0) is not sc.qd.spin.coeffs(bundle, 1)
+
+
+def _ad(w):
+    """ad(w), the endomorphism v -> w x v, as a nested 3x3 list."""
+    return [[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]]
+
+
+def test_axis_vector_and_cross_on_floats_and_arrays():
+    rng = np.random.default_rng(13)
+    u, v = rng.standard_normal((2, 3))
+    assert axis_vector(_ad(u)) == list(u)
+    np.testing.assert_allclose(cross(u, v), np.cross(u, v), rtol=0, atol=1e-15)
+    ua, va = rng.standard_normal((2, 3, 6))
+    assert np.array_equal(axis_vector(_ad(ua)), ua)
+    np.testing.assert_allclose(cross(ua, va), np.cross(ua, va, axis=0), rtol=0, atol=1e-15)
+
+
+def test_axis_vector_and_cross_on_jets_on_a_cloud():
+    cloud = np.random.default_rng(14).uniform(-0.8, 0.8, (4, 6))
+    x = [Jet.seed(cloud, lam, 1) for lam in range(4)]
+    a = [x[1] * x[2], x[0] + 0.3, x[3] * 0.5 - x[1]]
+    b = [x[2] - 0.2, x[0] * x[3], x[1] + x[2]]
+    for w, got in zip(a, axis_vector(_ad(a))):
+        assert np.array_equal(got.c, w.c)
+    batch = cloud.shape[1:]
+    c = cross(a, b)
+    np.testing.assert_allclose(value_array(c, batch), np.cross(value_array(a, batch), value_array(b, batch), axis=0),
+                               rtol=0, atol=1e-15)
+    for lam in range(4):
+        da = value_array([w.derive(lam) for w in a], batch)
+        db = value_array([w.derive(lam) for w in b], batch)
+        want = np.cross(da, value_array(b, batch), axis=0) + np.cross(value_array(a, batch), db, axis=0)
+        np.testing.assert_allclose(value_array([w.derive(lam) for w in c], batch), want, rtol=0, atol=1e-15)

@@ -607,7 +607,7 @@ def oracle_laplacian(geom, psi):
 
 
 def oracle_generator(geom, psi):
-    hmat = quantum._spin_matrix(geom.c_coeffs[..., 0, :])
+    hmat = sum(geom.c_coeffs[..., 0, a, None, None] * (1j * XI_ALL[a + 1]) for a in range(3))  # i C_0^a xi_a
     out = -0.5 * oracle_laplacian(geom, psi) - geom.a[0][..., None] * psi
     return out + np.einsum("...ab,...b->...a", hmat, psi)
 

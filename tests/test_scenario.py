@@ -5,6 +5,7 @@ from cqm.background import PhasePoint
 from cqm.quantum import GridGeometry, grid_norm
 from cqm.scenario import ScenarioError, load_scenario
 from cqm.special import component_jets, eval_special
+from cqm.verify import SUITES, run_suites
 
 from conftest import SCENARIO_DIR, scenario_dict
 
@@ -161,9 +162,19 @@ def test_sample_points_deterministic():
 
 
 def test_shipped_scenarios_load():
-    for name in ("flat", "flat_magnetic", "curved_magnetic", "larmor", "free_packet"):
-        sc = load_scenario(SCENARIO_DIR / f"{name}.json")
-        assert sc.background is not None
+    """Every shipped scenario loads and passes the five point suites (the
+    operators suite is left out for time)."""
+    paths = sorted(SCENARIO_DIR.glob("*.json"))
+    assert len(paths) >= 6
+    for path in paths:
+        checks = run_suites(load_scenario(path), [s for s in SUITES if s != "operators"])
+        failed = [(c.name, c.max_residual) for c in checks if not c.passed]
+        assert checks and not failed, (path.name, failed)
+
+
+def test_json_list_text_is_a_shape_error():
+    with pytest.raises(ScenarioError, match="the scenario must be a mapping"):
+        load_scenario("[1, 2]")
 
 
 @pytest.mark.parametrize("section", [

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from cqm.units import (
+    BFIELD_FRAME_DIM,
     CHARGE_DIM,
     DIMLESS,
     EM_FIELD_DIM,
     HBAR_DIM,
     LENGTH,
     MASS,
+    METRIC_DIM,
     MOMENT_DIM,
     TIME,
     Dim,
@@ -125,3 +127,16 @@ def test_scaled_arith_dim_rule(x, y, dx, dy, op):
         assert r.dim == dx * dy
     else:
         assert r.dim == dx / dy
+
+
+def test_coupling_combinations_are_dimensionless():
+    """The dimensions that Constants enforces for m, q, hbar, mu and u0 make
+    every coupling the background forms dimensionless: q u0 F / m, mu u0 F,
+    the velocity-form weight m / (hbar u0) against the metric, and mu u0 B."""
+    for combo in (
+        CHARGE_DIM * TIME / MASS * EM_FIELD_DIM / METRIC_DIM,
+        MOMENT_DIM * TIME * EM_FIELD_DIM / METRIC_DIM,
+        MASS / (HBAR_DIM * TIME) * METRIC_DIM,
+        MOMENT_DIM * TIME * BFIELD_FRAME_DIM,
+    ):
+        assert combo.is_dimensionless, combo
