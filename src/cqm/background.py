@@ -55,8 +55,11 @@ def as_point(x) -> np.ndarray:
     p = np.asarray(x, dtype=float)
     if p.ndim != 2 or p.shape[0] != 4:
         p = p.reshape(4)
-    if not np.all(np.isfinite(p)):
-        raise ValueError(f"non-finite evaluation point {x!r}")
+    finite = np.isfinite(p)
+    if not np.all(finite):
+        # name one point: the repr of a whole cloud runs to many lines
+        first = p if p.ndim == 1 else p[:, int(np.argmin(np.all(finite, axis=0)))]
+        raise ValueError(f"non-finite evaluation point {first.tolist()}")
     return p
 
 
@@ -222,19 +225,19 @@ class Background:
         jets = b.magnetic(0)
         return [ScaledReal(j.value, BFIELD_FRAME_DIM) for j in jets]
 
-    def validate(self, samples: Sequence) -> dict:
-        """Worst residuals of the spacetime-connection axioms over the sample
-        points (rows), evaluated as one (4, N) cloud."""
-        cloud = np.asarray(samples, dtype=float).reshape(-1, 4).T
-        batch = cloud.shape[1:]
-        b = self.jets(cloud)
+    def validate(self, where) -> dict:
+        """Worst residuals of the spacetime-connection axioms at a point, on
+        a (4, N) cloud or on a bundle's points."""
+        b = self.jets(where)
+        batch = b.point.shape[1:]
         res = {"metricity": 0.0, "torsion": 0.0, "curvature_symmetry": 0.0, "dF": 0.0}
 
         def worst(key, r):
             res[key] = max(res[key], float(np.max(np.abs(r))))
 
         g1 = b.metric(1)
-        k = value_array(b.kgrav(0), batch)
+        k = value_array(b.kgrav(0), batch)  # [lam, i, mu, ...]
+        worst("torsion", k - k.swapaxes(0, 2))
         # nabla_lam g_ij = d_lam g_ij - K_lam^h_i g_hj - K_lam^h_j g_ih
         g0 = value_array(b.metric(0), batch)
         for lam in range(4):
@@ -247,7 +250,7 @@ class Background:
                     worst("metricity", r)
         # pair symmetry of the all-spatial curvature R_ijhk = R_hkij
         riem = b.riemann_lowered_spatial()
-        worst("curvature_symmetry", riem - riem.transpose((2, 3, 0, 1, 4)))
+        worst("curvature_symmetry", riem - riem.swapaxes(0, 2).swapaxes(1, 3))
         f1 = b.f_jets(1)
         for lam in range(4):
             for mu in range(lam + 1, 4):

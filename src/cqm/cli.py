@@ -154,11 +154,13 @@ def cmd_evolve(args) -> int:
         "width_initial": float(traj.widths[0]),
         "width_final": float(traj.widths[-1]),
     }
-    if sc.flags.get("uniform_B"):
-        c = sc.background.constants
-        b_norm = float(np.linalg.norm([s.value for s in sc.background.magnetic_field((0, 0, 0, 0))]))
-        summary["measured_frequency"] = measure_frequency(traj.sx, args.dt)
-        summary["expected_frequency"] = c.u0.value * c.mu.value * b_norm
+    bg = sc.background
+    if bg.fields_constant:  # in a uniform magnetic field the spin precesses at u0 mu |B|
+        b_norm = float(np.linalg.norm([s.value for s in bg.magnetic_field((0, 0, 0, 0))]))
+        if b_norm > 0.0:
+            c = bg.constants
+            summary["measured_frequency"] = measure_frequency(traj.sx, args.dt)
+            summary["expected_frequency"] = c.u0.value * c.mu.value * b_norm
     (out_dir / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     print(json.dumps(summary, sort_keys=True, indent=2))
     return 0

@@ -14,15 +14,16 @@ Schema (all field values are expression strings in the field language):
       "functions": {"name": {"f0": "...", "fi": [...], "fbrev": "...", "phi": [...]}
                     | {"builtin": "spin_n", "n": ["...","...","..."]}},
       "grid":      {"axes": [[lo,hi,n],[lo,hi,n],[lo,hi,n]], "time": 0.0,
-                    "psi0": [["re","im"],["re","im"]], "normalize": true},
-      "suite":     {"samples": 100, "seed": 1234, "box": [[lo,hi] x4],
-                    "tolerances": {...}},
-      "flags":     {"uniform_B": true}
+                    "psi0": [["re","im"],["re","im"]]},
+      "suite":     {"samples": 100, "seed": 1234, "box": [[lo,hi] x4]}
     }
 
 Missing metric defaults to the identity, missing connection/F entries to "0".
 A section of another shape (a list where a mapping belongs, a list of the
-wrong length, a non-number where a number belongs) is a ScenarioError.
+wrong length, a non-number where a number belongs, a non-finite grid time or
+box) is a ScenarioError, and so are two Kgrav keys for one slot ('1_02' and
+'1_20').  Unknown keys are ignored.  psi0 is normalised on the grid.  The
+check bounds of `cqm verify` are constants (verify.TOLERANCES).
 The builtins x0..x3, P1..P3, H0 and H0prime are always registered; H0prime
 includes the spin term phi = -u0 mu B_flat.  On a constant background its
 phi is three constant fields; otherwise H0prime is a derived function whose
@@ -45,7 +46,7 @@ from .background import Background, Constants, Observer, christoffel_expressions
 from .fieldlang import FieldDef
 from .hermitian import QuantumData, SpinorSection
 from .jets import DomainError
-from .quantum import GridSpec, SpinorGrid
+from .quantum import GridGeometry, GridSpec, SpinorGrid, grid_norm
 from .special import ComponentJets, SpecialFunction
 from .units import (
     CHARGE_DIM,
@@ -75,18 +76,9 @@ class Scenario:
     functions: dict
     grid: GridSpec | None
     psi0: SpinorSection | None
-    normalize: bool
     samples: int
     seed: int
     box: np.ndarray
-    tolerances: dict
-    flags: dict
-
-    def observer(self, name: str) -> Observer:
-        try:
-            return self.observers[name]
-        except KeyError:
-            raise ScenarioError(f"unknown observer {name!r}") from None
 
     def function(self, name: str) -> SpecialFunction:
         try:
@@ -100,9 +92,8 @@ class Scenario:
         return lo + (hi - lo) * rng.random((n, 4))
 
     def initial_grid(self, geom=None) -> SpinorGrid:
-        """psi0 on the scenario grid, normalised when the scenario asks for
-        it.  `geom`, a GridGeometry of this scenario's grid, saves building
-        one for the normalisation."""
+        """psi0 on the scenario grid, normalised.  `geom`, a GridGeometry of
+        this scenario's grid, saves building one for the normalisation."""
         if self.grid is None or self.psi0 is None:
             raise ScenarioError("scenario has no grid/psi0 section")
         xs = self.grid.coords()
@@ -122,17 +113,14 @@ class Scenario:
         if not finite:
             raise ScenarioError("psi0 is not finite on the grid")
         grid = SpinorGrid(self.grid, psi)
-        if self.normalize:
-            from .quantum import GridGeometry, grid_norm
-
-            if geom is None:
-                geom = GridGeometry(self.qd, self.grid)
-            elif geom.spec != self.grid or geom.qd is not self.qd:
-                raise ScenarioError("geometry was built for a different grid or quantum data")
-            nrm = grid_norm(geom, grid)
-            if nrm == 0.0:
-                raise ScenarioError("psi0 is identically zero")
-            grid.psi /= nrm
+        if geom is None:
+            geom = GridGeometry(self.qd, self.grid)
+        elif geom.spec != self.grid or geom.qd is not self.qd:
+            raise ScenarioError("geometry was built for a different grid or quantum data")
+        nrm = grid_norm(geom, grid)
+        if nrm == 0.0:
+            raise ScenarioError("psi0 is identically zero")
+        grid.psi /= nrm
         return grid
 
 
@@ -151,7 +139,7 @@ def _converted(raw, kind, where: str, what: str = "a number"):
     ScenarioError saying that `where` must be `what`."""
     try:
         return kind(raw)
-    except (TypeError, ValueError, KeyError, ZeroDivisionError):
+    except (TypeError, ValueError, KeyError, ArithmeticError):
         raise ScenarioError(f"{where} must be {what}, got {raw!r}") from None
 
 
@@ -215,6 +203,7 @@ def _parse_kgrav(obj, metric_obj, consts) -> dict:
         g_exprs = metric_obj if metric_obj is not None else [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
         for (i, j, k), expr in christoffel_expressions([[str(e) for e in row] for row in g_exprs]).items():
             out[(i, j, k)] = FieldDef(f"K{i}_{j}{k}", DIMLESS, expr, consts)
+    set_by = {}
     for key, source in entries.items():
         try:
             i_str, lm = key.split("_")
@@ -223,7 +212,11 @@ def _parse_kgrav(obj, metric_obj, consts) -> dict:
             assert 1 <= i <= 3 and 0 <= lam <= 3 and 0 <= mu <= 3
         except Exception:
             raise ScenarioError(f"bad Kgrav key {key!r} (expected e.g. '1_02')") from None
-        out[(i, min(lam, mu), max(lam, mu))] = _fdef(f"K{key}", DIMLESS, str(source), consts, f"Kgrav[{key}]")
+        slot = (i, min(lam, mu), max(lam, mu))
+        if slot in set_by:
+            raise ScenarioError(f"Kgrav keys {set_by[slot]!r} and {key!r} set the same symmetric slot")
+        set_by[slot] = key
+        out[slot] = _fdef(f"K{key}", DIMLESS, str(source), consts, f"Kgrav[{key}]")
     return out
 
 
@@ -254,7 +247,10 @@ def _builtin_functions(bg: Background, a_exprs, consts) -> dict:
     c = bg.constants
     w = -c.u0.value * c.mu.value
     if bg.fields_constant:
-        b_vals = [sr.value for sr in bg.magnetic_field((0.0, 0.0, 0.0, 0.0))]
+        try:
+            b_vals = [sr.value for sr in bg.magnetic_field((0.0, 0.0, 0.0, 0.0))]
+        except DomainError as exc:  # a constant such as log(0) in the metric or F
+            raise ScenarioError(f"the constant background is undefined: {exc}") from exc
         phi = tuple(FieldDef(f"phiB{a}", DIMLESS, fl.Const(w * b_vals[a]), consts) for a in range(3))
         funcs["H0prime"] = SpecialFunction(one, (zero, zero, zero), neg_a0, phi, name="H0prime")
     else:
@@ -342,12 +338,13 @@ def load_scenario(source) -> Scenario:
     grid_obj = data.get("grid")
     grid = None
     psi0 = None
-    normalize = True
     if grid_obj:
         axes = _shaped(_shaped(grid_obj, Mapping, "grid").get("axes"), list, "grid.axes", 3)
         axes = tuple(tuple(_shaped(ax, list, f"grid.axes[{k}]", 3)) for k, ax in enumerate(axes))
-        grid = GridSpec(axes, _converted(grid_obj.get("time", 0.0), float, "grid.time"))
-        normalize = bool(grid_obj.get("normalize", True))
+        time = _converted(grid_obj.get("time", 0.0), float, "grid.time")
+        if not np.isfinite(time):
+            raise ScenarioError(f"grid.time must be finite, got {time}")
+        grid = GridSpec(axes, time)
         if "psi0" in grid_obj:
             comps = _shaped(grid_obj["psi0"], list, "grid.psi0", 2)
             for a in range(2):
@@ -367,6 +364,8 @@ def load_scenario(source) -> Scenario:
                      "4 [lo, hi] pairs")
     if box.shape != (4, 2):
         raise ScenarioError("suite.box must be 4 [lo, hi] pairs")
+    if not np.all(np.isfinite(box)):
+        raise ScenarioError(f"suite.box must be finite, got {box.tolist()}")
     samples = _converted(suite.get("samples", 100), int, "suite.samples")
     if samples < 1:
         raise ScenarioError(f"suite.samples must be a positive integer, got {samples}")
@@ -377,11 +376,7 @@ def load_scenario(source) -> Scenario:
         functions=functions,
         grid=grid,
         psi0=psi0,
-        normalize=normalize,
         samples=samples,
         seed=_converted(suite.get("seed", 20240101), int, "suite.seed"),
         box=box,
-        tolerances={key: _converted(tol, float, f"suite.tolerances[{key}]")
-                    for key, tol in _shaped(suite.get("tolerances", {}), Mapping, "suite.tolerances").items()},
-        flags=dict(_shaped(data.get("flags", {}), Mapping, "flags")),
     )

@@ -1,10 +1,11 @@
 """Property suites behind `cqm verify`.
 
 Each suite draws seeded sample points from the scenario box and reports the
-worst residual of a family of identities.  Two kinds of checks exist:
-residual checks (pass when max residual <= tolerance) and convergence checks
-(pass when halving the step shrinks an O(h^2) residual by >= the stated
-ratio, or when the residual is already at roundoff).
+worst residual of a family of identities.  Every check's bound is a constant
+of TOLERANCES, which no scenario can change.  Two kinds of checks exist:
+residual checks (pass when max residual <= bound) and the `*_ratio`
+convergence checks (pass when halving the step shrinks an O(h^2) residual
+by a ratio >= the bound, or when the residual is already at roundoff).
 
 Every suite but operators draws its samples as (n, 4) rows and evaluates
 them as one (4, n) cloud, `points.T`.  Every residual function the suites
@@ -74,7 +75,7 @@ from .units import DIMLESS
 
 SUITES = ("background", "curvature", "isomorphism", "jacobi", "observer", "operators")
 
-DEFAULT_TOLERANCES = {
+TOLERANCES = {
     "background.metricity": 1e-10,
     "background.torsion": 1e-15,
     "background.curvature_symmetry": 1e-10,
@@ -87,7 +88,6 @@ DEFAULT_TOLERANCES = {
     "curvature.rtilde_relation": 1e-10,
     "curvature.c_roundtrip": 1e-11,
     "curvature.rho_coupling_slots": 1e-9,
-    "jacobi.flat_constant": 1e-12,
     "jacobi.residual": 1e-8,
     "isomorphism.main_theorem": 1e-9,
     "isomorphism.vector_morphism": 1e-9,
@@ -106,11 +106,22 @@ DEFAULT_TOLERANCES = {
 
 @dataclass
 class Check:
+    """The worst residual of the identity `name` over `samples` samples,
+    gated by TOLERANCES[name]."""
+
     name: str
     samples: int
     max_residual: float
-    tolerance: float
-    comparator: str = "le"  # "le": residual <= tol; "ge": residual >= tol
+
+    @property
+    def tolerance(self) -> float:
+        return TOLERANCES[self.name]
+
+    @property
+    def comparator(self) -> str:
+        """The convergence checks (`*_ratio`) pass at ratio >= bound ("ge"),
+        every other at residual <= bound ("le")."""
+        return "ge" if self.name.endswith("_ratio") else "le"
 
     @property
     def passed(self) -> bool:
@@ -129,16 +140,12 @@ class Check:
         }
 
 
-def _tol(sc: Scenario, key: str) -> float:
-    return float(sc.tolerances.get(key, DEFAULT_TOLERANCES[key]))
-
-
 def _rng_for(sc: Scenario, suite: str) -> np.random.Generator:
     return np.random.default_rng([sc.seed, SUITES.index(suite)])
 
 
-def random_special_function(rng: np.random.Generator, consts, with_spin: bool = True,
-                            name: str = "rand", active_vars=(0, 1, 2, 3)) -> SpecialFunction:
+def random_special_function(rng: np.random.Generator, consts, name: str = "rand",
+                            active_vars=(0, 1, 2, 3)) -> SpecialFunction:
     """Random low-degree polynomial special function; f0 depends on time only
     (the physically meaningful projectable subalgebra, closed under the
     bracket)."""
@@ -161,10 +168,7 @@ def random_special_function(rng: np.random.Generator, consts, with_spin: bool = 
     f0 = FieldDef("f0", DIMLESS, poly_expr([0]), consts)
     fi = tuple(FieldDef(f"f{i}", DIMLESS, poly_expr(spatial), consts) for i in range(3))
     fbrev = FieldDef("fb", DIMLESS, poly_expr(spatial), consts)
-    if with_spin:
-        phi = tuple(FieldDef(f"phi{a}", DIMLESS, poly_expr(spatial), consts) for a in range(3))
-    else:
-        phi = tuple(fl.zero_field() for _ in range(3))
+    phi = tuple(FieldDef(f"phi{a}", DIMLESS, poly_expr(spatial), consts) for a in range(3))
     return SpecialFunction(f0, fi, fbrev, phi, name=name)
 
 
@@ -189,18 +193,11 @@ def bracket_as_function(f: SpecialFunction, fp: SpecialFunction, sc: Scenario) -
 def suite_background(sc: Scenario) -> list:
     rng = _rng_for(sc, "background")
     points = sc.sample_points(rng)
-    bg = sc.background
-    rep = bg.validate(points)
-    checks = [
-        Check("background.metricity", len(points), rep["metricity"], _tol(sc, "background.metricity")),
-        Check("background.torsion", len(points), rep["torsion"], _tol(sc, "background.torsion")),
-        Check("background.curvature_symmetry", len(points), rep["curvature_symmetry"],
-              _tol(sc, "background.curvature_symmetry")),
-        Check("background.dF", len(points), rep["dF"], _tol(sc, "background.dF")),
-    ]
     cloud = points.T
     batch = cloud.shape[1:]
+    bg = sc.background
     b = bg.jets(cloud)
+    checks = [Check(f"background.{key}", len(points), worst) for key, worst in bg.validate(b).items()]
     e = value_array(b.frame(0)[0], batch)
     g = value_array(b.metric(0), batch)
     frame = [sum(e[i][a] * g[i][j] * e[j][bb] for i in range(3) for j in range(3)) - (1.0 if a == bb else 0.0)
@@ -208,13 +205,12 @@ def suite_background(sc: Scenario) -> list:
     worst_frame = float(np.max(np.abs(frame)))
     kt = value_array(b.ktilde("charge", 0), batch)
     worst_anti = float(np.max(np.abs(kt + kt.swapaxes(1, 2))))
-    checks.append(Check("background.frame_orthonormality", len(points), worst_frame,
-                        _tol(sc, "background.frame_orthonormality")))
-    checks.append(Check("background.ktilde_antisymmetry", len(points), worst_anti,
-                        _tol(sc, "background.ktilde_antisymmetry")))
-    checks.append(_domega_check(sc, rng))
-    checks.append(_dphi_check(sc, rng))
-    return checks
+    return checks + [
+        Check("background.frame_orthonormality", len(points), worst_frame),
+        Check("background.ktilde_antisymmetry", len(points), worst_anti),
+        _domega_check(sc, rng),
+        _dphi_check(sc, rng),
+    ]
 
 
 def _ratio(coarse: float, fine: float, roundoff: float) -> float:
@@ -225,9 +221,9 @@ def _ratio(coarse: float, fine: float, roundoff: float) -> float:
     return coarse / fine if fine > 0 else float("inf")
 
 
-def _fd_ratio_check(name, residual_fn, h0, tol, n_samples) -> Check:
+def _fd_ratio_check(name, residual_fn, h0, n_samples) -> Check:
     ratio = _ratio(residual_fn(h0), residual_fn(h0 / 2.0), 1e-10)
-    return Check(name, n_samples, ratio, tol, comparator="ge")
+    return Check(name, n_samples, ratio)
 
 
 def _fd_derivatives(form_at, base: np.ndarray, h: float) -> np.ndarray:
@@ -262,8 +258,7 @@ def _domega_check(sc: Scenario, rng) -> Check:
         return bg.cosymplectic_and_gamma(PhasePoint(z[:4], z[4:]))[0]
 
     return _fd_ratio_check("background.domega_ratio",
-                           lambda h: _closure_residual(_fd_derivatives(omega_at, base, h)), 1e-3,
-                           _tol(sc, "background.domega_ratio"), len(pts))
+                           lambda h: _closure_residual(_fd_derivatives(omega_at, base, h)), 1e-3, len(pts))
 
 
 def _dphi_check(sc: Scenario, rng) -> Check:
@@ -276,8 +271,7 @@ def _dphi_check(sc: Scenario, rng) -> Check:
         return value_array(bg.jets(x).phi_observer(obs, 0), x.shape[1:])
 
     return _fd_ratio_check("background.dphi_ratio",
-                           lambda h: _closure_residual(_fd_derivatives(phi_at, pts, h)), 1e-3,
-                           _tol(sc, "background.dphi_ratio"), len(pts))
+                           lambda h: _closure_residual(_fd_derivatives(phi_at, pts, h)), 1e-3, len(pts))
 
 
 def suite_curvature(sc: Scenario) -> list:
@@ -306,10 +300,10 @@ def suite_curvature(sc: Scenario) -> list:
     worst_slots = max(float(np.max(np.abs(rho[1:, 1:] - rho_c[1:, 1:]))),
                       float(np.max(np.abs((rho[0] - rho_g[0]) - coupling_ratio * (rho_c[0] - rho_g[0])))))
     return [
-        Check("curvature.r_equals_rho", len(points), worst_rrho, _tol(sc, "curvature.r_equals_rho")),
-        Check("curvature.rtilde_relation", len(points), worst_rt, _tol(sc, "curvature.rtilde_relation")),
-        Check("curvature.c_roundtrip", len(points), worst_round, _tol(sc, "curvature.c_roundtrip")),
-        Check("curvature.rho_coupling_slots", len(points), worst_slots, _tol(sc, "curvature.rho_coupling_slots")),
+        Check("curvature.r_equals_rho", len(points), worst_rrho),
+        Check("curvature.rtilde_relation", len(points), worst_rt),
+        Check("curvature.c_roundtrip", len(points), worst_round),
+        Check("curvature.rho_coupling_slots", len(points), worst_slots),
     ]
 
 
@@ -323,7 +317,7 @@ def suite_jacobi(sc: Scenario) -> list:
     ]
     bundle = sc.background.jets(points.T)
     worst = float(np.max([jacobi_residual(*triple, sc.background, bundle) for triple in triples]))
-    return [Check("jacobi.residual", len(points), worst, _tol(sc, "jacobi.residual"))]
+    return [Check("jacobi.residual", len(points), worst)]
 
 
 def main_theorem_residual(f: SpecialFunction, fp: SpecialFunction, sc: Scenario, where):
@@ -408,11 +402,11 @@ def suite_isomorphism(sc: Scenario) -> list:
     worst_pair = max(float(np.max(np.abs((zmat.values(batch) - lift_vals) - mpair.values(batch)))),
                      float(np.max(np.abs(value_array(xb, batch) - value_array(xpair, batch)))))
     return [
-        Check("isomorphism.main_theorem", len(points), worst_main, _tol(sc, "isomorphism.main_theorem")),
-        Check("isomorphism.vector_morphism", len(points), worst_vec, _tol(sc, "isomorphism.vector_morphism")),
-        Check("isomorphism.hj_roundtrip", len(points), worst_round, _tol(sc, "isomorphism.hj_roundtrip")),
-        Check("isomorphism.pair_bracket", len(points), worst_pair, _tol(sc, "isomorphism.pair_bracket")),
-        Check("isomorphism.eta_hermiticity", len(points), worst_herm, _tol(sc, "isomorphism.eta_hermiticity")),
+        Check("isomorphism.main_theorem", len(points), worst_main),
+        Check("isomorphism.vector_morphism", len(points), worst_vec),
+        Check("isomorphism.hj_roundtrip", len(points), worst_round),
+        Check("isomorphism.pair_bracket", len(points), worst_pair),
+        Check("isomorphism.eta_hermiticity", len(points), worst_herm),
     ]
 
 
@@ -440,12 +434,9 @@ def suite_observer(sc: Scenario) -> list:
         vals = np.array([invariant_combination(f, qd, o, cloud) for o in observers])
         scale = np.maximum(1.0, np.max(np.abs(vals), axis=0))
         worst = max(worst, float(np.max((np.max(vals, axis=0) - np.min(vals, axis=0)) / scale)))
-    checks = [Check("observer.invariant_combination", len(points), worst,
-                    _tol(sc, "observer.invariant_combination"))]
-    pot = qd.check_potential(points[: min(10, len(points))])
-    checks.append(Check("observer.potential_consistency", min(10, len(points)), pot,
-                        _tol(sc, "observer.potential_consistency")))
-    return checks
+    n_pot = min(10, len(points))
+    return [Check("observer.invariant_combination", len(points), worst),
+            Check("observer.potential_consistency", n_pot, qd.check_potential(points[:n_pot]))]
 
 
 def _smooth_grid(spec: GridSpec, rng: np.random.Generator) -> SpinorGrid:
@@ -568,13 +559,11 @@ def suite_operators(sc: Scenario) -> list:
     sym_ratio = _symmetry_sweep(sc, rng, geometry)
     hom_ratio = _bracket_homomorphism_sweep(sc, rng, geometry)
     return [
-        Check("operators.named_displays", 1, worst_named, _tol(sc, "operators.named_displays")),
-        Check("operators.generator_lock", 1, lock, _tol(sc, "operators.generator_lock")),
-        Check("operators.linearity", len(named), worst_lin, _tol(sc, "operators.linearity")),
-        Check("operators.symmetry_ratio", 2, sym_ratio, _tol(sc, "operators.symmetry_ratio"),
-              comparator="ge"),
-        Check("operators.bracket_homomorphism_ratio", 2, hom_ratio,
-              _tol(sc, "operators.bracket_homomorphism_ratio"), comparator="ge"),
+        Check("operators.named_displays", 1, worst_named),
+        Check("operators.generator_lock", 1, lock),
+        Check("operators.linearity", len(named), worst_lin),
+        Check("operators.symmetry_ratio", 2, sym_ratio),
+        Check("operators.bracket_homomorphism_ratio", 2, hom_ratio),
     ]
 
 

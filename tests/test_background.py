@@ -55,22 +55,33 @@ def divergence_eta(x_fields, bg, where) -> float:
 
 
 def test_flat_validation_zero(flat_scenario):
-    rep = flat_scenario.background.validate([(0, 0, 0, 0), (0.3, -0.2, 0.5, 0.1)])
+    rep = flat_scenario.background.validate(np.array([(0, 0, 0, 0), (0.3, -0.2, 0.5, 0.1)]).T)
     assert all(v == 0.0 for v in rep.values())
 
 
 def test_constant_f_is_closed(flat_magnetic_scenario):
-    rep = flat_magnetic_scenario.background.validate([(0.1, 0.2, 0.3, 0.4)])
+    rep = flat_magnetic_scenario.background.validate((0.1, 0.2, 0.3, 0.4))
     assert rep["dF"] == 0.0
 
 
 def test_levi_civita_metricity(curved_magnetic_scenario):
     # hand-entered field-lang Christoffels of g = (1+0.1 x1^2) delta
     rep = curved_magnetic_scenario.background.validate(
-        [(0.0, 0.4, -0.3, 0.2), (0.5, -0.6, 0.1, 0.8)]
+        np.array([(0.0, 0.4, -0.3, 0.2), (0.5, -0.6, 0.1, 0.8)]).T
     )
     assert rep["metricity"] < 1e-10
     assert rep["curvature_symmetry"] < 1e-10
+    assert rep["torsion"] == 0.0
+
+
+def test_validate_measures_torsion_of_the_bundle(curved_magnetic_scenario):
+    """Torsion is read off the bundle's K: a K made asymmetric in its lower
+    slots is reported, on a cloud passed as its bundle."""
+    bg = curved_magnetic_scenario.background
+    b = bg.jets(np.array([(0.0, 0.4, -0.3, 0.2), (0.5, -0.6, 0.1, 0.8)]).T)
+    k = b.kgrav(0)  # the bundle's cached K, [lam][i][mu]
+    k[0][1][2] = k[0][1][2] + 0.25
+    assert bg.validate(b)["torsion"] == 0.25
 
 
 def test_christoffel_expressions_match_fd_oracle(curved_magnetic_scenario):
@@ -316,7 +327,7 @@ def test_free_gravitational_phi_part():
     scn = scenario_dict("flat")
     scn["Kgrav"] = {"1_02": "0.3", "2_01": "-0.3"}
     sc = load_scenario(scn)
-    rep = sc.background.validate([(0.1, 0.2, 0.3, 0.4)])
+    rep = sc.background.validate((0.1, 0.2, 0.3, 0.4))
     assert rep["metricity"] == 0.0
     from cqm.background import Observer
 
@@ -435,7 +446,7 @@ def test_anisotropic_metric_full_stack():
     sc = load_scenario(scenario_dict("anisotropic"))
     rng = np.random.default_rng(55)
     pts = rng.uniform(-0.7, 0.7, (4, 4))
-    rep = sc.background.validate(pts)
+    rep = sc.background.validate(pts.T)
     assert rep["metricity"] < 1e-12
     assert rep["curvature_symmetry"] < 1e-12
     assert rep["dF"] < 1e-14
@@ -467,6 +478,9 @@ def test_jets_returns_a_bundle_of_its_own_background(flat_scenario, curved_magne
     assert np.array_equal(as_point(b), cloud)
     with pytest.raises(ValueError, match="another background"):
         flat_scenario.background.jets(b)
+    cloud[1, 2] = np.nan  # the message names the first bad point, not the cloud
+    with pytest.raises(ValueError, match=r"^non-finite evaluation point \[[^]]*nan[^]]*\]$"):
+        as_point(cloud)
 
 
 def _magnetic_by_eps_loop(bundle, order):

@@ -154,7 +154,8 @@ def _scenario_file(tmp_path, name, **changes):
                                   "verify_short_metric_row", "verify_observer_not_a_list",
                                   "verify_function_not_a_mapping", "verify_a_not_a_list",
                                   "verify_grid_axis_not_a_number", "bracket_grid_axis_not_a_number",
-                                  "verify_top_level_list", "verify_list_text"])
+                                  "verify_top_level_list", "verify_list_text", "verify_nonfinite_box",
+                                  "evolve_nonfinite_time"])
 def test_bad_input_exits_2_with_error_line(tmp_path, case):
     larmor = str(SCENARIO_DIR / "larmor.json")
     out = ["--out", str(tmp_path / "out")]
@@ -197,6 +198,11 @@ def test_bad_input_exits_2_with_error_line(tmp_path, case):
                                            "x1", "P1", "--at", "0,0,0,0"],
         "verify_top_level_list": ["verify", str(tmp_path / "list.json")],
         "verify_list_text": ["verify", "[1, 2]"],
+        "verify_nonfinite_box": verify_bad("box.json", suite={"box": [[-0.5, 0.5], [0, math.nan], [0, 1], [0, 1]]}),
+        "evolve_nonfinite_time": [
+            "evolve", _scenario_file(tmp_path, "time.json", grid={"axes": [[-0.5, 0.5, 1]] * 3, "time": math.nan,
+                                                                   "psi0": [["1", "0"], ["1", "0"]]}),
+            "--steps", "5", "--dt", "0.1", *out],
     }[case]
     res = run_cli(*args)
     assert res.returncode == 2, res.stderr

@@ -33,7 +33,6 @@ from cqm.verify import (
     _fd_derivatives,
     _fd_ratio_check,
     _rng_for,
-    _tol,
     assemble_pair,
     main_theorem_residual,
     random_raw_pair,
@@ -136,8 +135,8 @@ def test_curvature_riemann_and_validate_on_a_cloud(sc, n):
                          [spin_curvature_from_jets(sc.qd.spin.coeffs(x, 1)) for x in pts])
     assert_cloud_matches(cloud.riemann_lowered_spatial(),
                          [bg.jets(x).riemann_lowered_spatial() for x in pts])
-    rep = bg.validate(pts)
-    singles = [bg.validate([x]) for x in pts]
+    rep = bg.validate(pts.T)
+    singles = [bg.validate(x) for x in pts]
     assert rep == {k: max(s[k] for s in singles) for k in rep}
     assert rep == _oracle_validate(bg, pts)
 
@@ -217,9 +216,11 @@ def test_a_bundle_stands_for_its_cloud(sc, funcs, raw_pairs, n):
 
 def test_isomorphism_and_jacobi_build_one_bundle_per_cloud(monkeypatch):
     """The isomorphism suite evaluates on two clouds (its samples and their
-    first half), the Jacobi suite on one and the observer suite on two (its
-    samples and the first ten for the potential check); each builds one
-    bundle per cloud and hands it to every residual function."""
+    first half), the Jacobi suite on one, the observer suite on two (its
+    samples and the first ten for the potential check) and the background
+    suite on five (its samples, which `validate` shares, and the offset
+    clouds of the two finite-difference checks at two steps each); each
+    builds one bundle per cloud and hands it to every residual function."""
     sc = load_scenario(scenario_dict("curved_magnetic"))
     built = []
     original = BackgroundJets.__init__
@@ -237,6 +238,9 @@ def test_isomorphism_and_jacobi_build_one_bundle_per_cloud(monkeypatch):
     built.clear()
     run_suites(sc, ["observer"])
     assert built == [(4, sc.samples), (4, 10)]
+    built.clear()
+    run_suites(sc, ["background"])
+    assert built == [(4, sc.samples)] + [(4, 2 * 7 * 5)] * 2 + [(4, 2 * 4 * 5)] * 2
 
 
 def test_mat2_values_broadcast_constants():
@@ -266,6 +270,10 @@ def _oracle_validate(bg, samples):
                         r -= k[lam][h][i + 1].value * g0[h][j].value
                         r -= k[lam][h][j + 1].value * g0[i][h].value
                     res["metricity"] = max(res["metricity"], abs(r))
+        for lam in range(4):
+            for i in range(3):
+                for mu in range(4):
+                    res["torsion"] = max(res["torsion"], abs(k[lam][i][mu].value - k[mu][i][lam].value))
         riem = b.riemann_lowered_spatial()
         for i in range(3):
             for j in range(3):
@@ -288,7 +296,7 @@ def _oracle_background(sc):
     points = sc.sample_points(rng)
     bg = sc.background
     rep = _oracle_validate(bg, points)
-    checks = [Check(f"background.{key}", len(points), rep[key], _tol(sc, f"background.{key}"))
+    checks = [Check(f"background.{key}", len(points), rep[key])
               for key in ("metricity", "torsion", "curvature_symmetry", "dF")]
     worst_frame = 0.0
     worst_anti = 0.0
@@ -305,10 +313,8 @@ def _oracle_background(sc):
             for a in range(3):
                 for bb in range(3):
                     worst_anti = max(worst_anti, abs(kt[lam][a][bb].value + kt[lam][bb][a].value))
-    checks.append(Check("background.frame_orthonormality", len(points), worst_frame,
-                        _tol(sc, "background.frame_orthonormality")))
-    checks.append(Check("background.ktilde_antisymmetry", len(points), worst_anti,
-                        _tol(sc, "background.ktilde_antisymmetry")))
+    checks.append(Check("background.frame_orthonormality", len(points), worst_frame))
+    checks.append(Check("background.ktilde_antisymmetry", len(points), worst_anti))
     checks.append(_oracle_domega(sc, rng))
     checks.append(_oracle_dphi(sc, rng))
     return checks
@@ -339,8 +345,7 @@ def _oracle_domega(sc, rng):
                         worst = max(worst, abs(dom[a][b, c] - dom[b][a, c] + dom[c][a, b]))
         return worst
 
-    return _fd_ratio_check("background.domega_ratio", residual, 1e-3,
-                           _tol(sc, "background.domega_ratio"), len(pts))
+    return _fd_ratio_check("background.domega_ratio", residual, 1e-3, len(pts))
 
 
 def _oracle_dphi(sc, rng):
@@ -368,8 +373,7 @@ def _oracle_dphi(sc, rng):
                         worst = max(worst, abs(dphi[a][b, c] - dphi[b][a, c] + dphi[c][a, b]))
         return worst
 
-    return _fd_ratio_check("background.dphi_ratio", residual, 1e-3,
-                           _tol(sc, "background.dphi_ratio"), len(pts))
+    return _fd_ratio_check("background.dphi_ratio", residual, 1e-3, len(pts))
 
 
 def _oracle_curvature(sc):
@@ -409,7 +413,7 @@ def _oracle_curvature(sc):
                 dm = rho[0][mu][k].value - rho_g[0][mu][k].value
                 dc = rho_c[0][mu][k].value - rho_g[0][mu][k].value
                 worst_slots = max(worst_slots, abs(dm - coupling_ratio * dc))
-    return [Check(name, len(points), worst, _tol(sc, name)) for name, worst in (
+    return [Check(name, len(points), worst) for name, worst in (
         ("curvature.r_equals_rho", worst_rrho), ("curvature.rtilde_relation", worst_rt),
         ("curvature.c_roundtrip", worst_round), ("curvature.rho_coupling_slots", worst_slots))]
 
@@ -424,7 +428,7 @@ def _oracle_jacobi(sc):
     for x in points:
         for f1, f2, f3 in triples:
             worst = max(worst, jacobi_residual(f1, f2, f3, sc.background, x))
-    return [Check("jacobi.residual", len(points), worst, _tol(sc, "jacobi.residual"))]
+    return [Check("jacobi.residual", len(points), worst)]
 
 
 def _oracle_isomorphism(sc):
@@ -456,7 +460,7 @@ def _oracle_isomorphism(sc):
         worst_pair = max(worst_pair, float(np.max(np.abs((zmat.values() - lift_vals) - mpair.values()))))
         worst_pair = max(worst_pair, float(np.max(np.abs(
             np.array([j.value for j in xb]) - np.array([j.value for j in xpair])))))
-    return [Check(name, len(points), worst, _tol(sc, name)) for name, worst in (
+    return [Check(name, len(points), worst) for name, worst in (
         ("isomorphism.main_theorem", worst_main), ("isomorphism.vector_morphism", worst_vec),
         ("isomorphism.hj_roundtrip", worst_round), ("isomorphism.pair_bracket", worst_pair),
         ("isomorphism.eta_hermiticity", worst_herm))]
@@ -505,10 +509,8 @@ def _oracle_observer(sc):
             scale = max(1.0, max(abs(v) for v in vals))
             worst = max(worst, (max(vals) - min(vals)) / scale)
     n_pot = min(10, len(points))
-    return [Check("observer.invariant_combination", len(points), worst,
-                  _tol(sc, "observer.invariant_combination")),
-            Check("observer.potential_consistency", n_pot, _oracle_potential(sc.qd, points[:n_pot]),
-                  _tol(sc, "observer.potential_consistency"))]
+    return [Check("observer.invariant_combination", len(points), worst),
+            Check("observer.potential_consistency", n_pot, _oracle_potential(sc.qd, points[:n_pot]))]
 
 
 _ORACLES = {"background": _oracle_background, "curvature": _oracle_curvature,

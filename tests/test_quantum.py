@@ -350,7 +350,7 @@ def test_nonstatic_metric_rejected():
     w = "0.05/(1+0.1*x0)"
     scn["Kgrav"] = {"1_01": w, "2_02": w, "3_03": w}
     sc = load_scenario(scn)
-    rep = sc.background.validate([(0.2, 0.1, 0.3, -0.2)])
+    rep = sc.background.validate((0.2, 0.1, 0.3, -0.2))
     assert rep["metricity"] < 1e-12
     spec = GridSpec(((-1, 1, 5), (-1, 1, 5), (-1, 1, 5)), 0.0)
     geom = GridGeometry(sc.qd, spec)

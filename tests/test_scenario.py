@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cqm.background import PhasePoint
 from cqm.quantum import GridGeometry, grid_norm
 from cqm.scenario import ScenarioError, load_scenario
 from cqm.special import component_jets, eval_special
-from cqm.verify import SUITES, run_suites
+from cqm.verify import SUITES, TOLERANCES, run_suites
 
 from conftest import SCENARIO_DIR, scenario_dict
 
@@ -50,6 +53,13 @@ def test_bad_kgrav_key():
     with pytest.raises(ScenarioError) as err:
         load_scenario(scn)
     assert "Kgrav" in str(err.value)
+
+
+def test_two_kgrav_keys_for_one_slot_are_rejected():
+    """K^1_{02} and K^1_{20} are one symmetric slot: a second key for it
+    would silently replace the first."""
+    with pytest.raises(ScenarioError, match="Kgrav keys '1_02' and '1_20'"):
+        load_scenario({"Kgrav": {"1_02": "0.3", "1_20": "0.7"}})
 
 
 def test_bad_f_key():
@@ -172,6 +182,17 @@ def test_shipped_scenarios_load():
         assert checks and not failed, (path.name, failed)
 
 
+def test_every_check_reads_its_bound_from_the_table():
+    """All suites together emit each name of TOLERANCES once and no other,
+    and exactly the convergence (`*_ratio`) checks compare with >=."""
+    sc = load_scenario(SCENARIO_DIR / "curved_magnetic.json")
+    sc.samples = 5
+    checks = run_suites(sc)
+    assert sorted(c.name for c in checks) == sorted(TOLERANCES)
+    assert {c.name for c in checks if c.comparator == "ge"} == {n for n in TOLERANCES if n.endswith("_ratio")}
+    assert all(c.to_json()["tolerance"] == TOLERANCES[c.name] for c in checks)
+
+
 def test_json_list_text_is_a_shape_error():
     with pytest.raises(ScenarioError, match="the scenario must be a mapping"):
         load_scenario("[1, 2]")
@@ -183,8 +204,7 @@ def test_json_list_text_is_a_shape_error():
     {"Kgrav": [1]}, {"F": [1]}, {"observers": 5}, {"functions": {"f": {"fi": ["1"]}}},
     {"functions": {"f": {"builtin": "spin_n", "n": 5}}}, {"grid": 5},
     {"grid": {"axes": [[0, 1, 2]] * 3, "time": [1]}}, {"grid": {"axes": [[0, 1, 2]] * 3, "psi0": [1, 2]}},
-    {"suite": 3}, {"suite": {"box": {}}}, {"suite": {"seed": {}}}, {"suite": {"tolerances": {"a": [1]}}},
-    {"flags": [1]},
+    {"suite": 3}, {"suite": {"box": {}}}, {"suite": {"seed": {}}},
 ])
 def test_malformed_section_is_a_scenario_error(section):
     with pytest.raises(ScenarioError):
@@ -195,3 +215,32 @@ def test_grid_axes_must_be_finite_whole_node_counts():
     for axis in ([0, 1, 2.5], [0, float("nan"), 3], [0, 1, "3"]):
         with pytest.raises(ValueError, match="bad axis"):
             load_scenario({"grid": {"axes": [axis, [0, 1, 2], [0, 1, 2]]}})
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([math.nan, math.inf, -math.inf]) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
+_SECTIONS = ("constants", "metric", "Kgrav", "F", "observers", "A", "functions", "grid", "suite")
+_SCENARIO = st.fixed_dictionaries({}, optional={
+    **{name: _JSON for name in _SECTIONS},
+    "grid": _JSON | st.fixed_dictionaries({}, optional={key: _JSON for key in ("axes", "time", "psi0")}),
+    "suite": _JSON | st.fixed_dictionaries({}, optional={key: _JSON for key in ("samples", "seed", "box")}),
+})
+
+
+@settings(max_examples=100, deadline=None)
+@given(scn=_SCENARIO)
+@example(scn={"suite": {"samples": math.inf}})
+@example(scn={"constants": {"b": {"value": 1, "dim": {"l": math.inf, "t": 0, "m": 0}}}})
+@example(scn={"metric": [["log(0)", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]})
+@example(scn={"F": {"12": "1/0"}})
+def test_loader_raises_only_scenario_errors(scn):
+    """Any JSON value in any section either loads or is a ScenarioError (a
+    ValueError); never a TypeError, KeyError, AttributeError or IndexError."""
+    try:
+        load_scenario(scn)
+    except ValueError:
+        pass
