@@ -80,6 +80,8 @@ def cmd_verify(args) -> int:
     try:
         if args.samples is not None and args.samples < 1:
             raise ScenarioError(f"--samples must be a positive integer, got {args.samples}")
+        if args.seed is not None and args.seed < 0:
+            raise ScenarioError(f"--seed must be a nonnegative integer, got {args.seed}")
         sc = load_scenario(args.scenario)
         if args.samples is not None:
             sc.samples = args.samples
@@ -116,8 +118,9 @@ def cmd_evolve(args) -> int:
     try:
         if args.steps < 1:
             raise ScenarioError(f"--steps must be a positive integer, got {args.steps}")
-        if not (math.isfinite(args.dt) and args.dt > 0.0):
-            raise ScenarioError(f"--dt must be a positive finite number, got {args.dt}")
+        # a subnormal dt would make the frequencies of the summary overflow
+        if not (math.isfinite(args.dt) and args.dt >= sys.float_info.min):
+            raise ScenarioError(f"--dt must be a finite number of at least {sys.float_info.min!r}, got {args.dt}")
         if args.snapshot_every < 0:
             raise ScenarioError(f"--snapshot-every must be nonnegative, got {args.snapshot_every}")
         sc = load_scenario(args.scenario)

@@ -11,7 +11,10 @@ Each grid operator is built once as a Stencil: a (..., 2, 2) centre matrix and
 one coefficient array per neighbour offset, with offsets whose coefficients
 are all zero dropped (the mixed derivatives of a diagonal metric, say).  An
 apply is one einsum with the centre and one in-place slice accumulation per
-kept offset; the Dirichlet zeros come from the slicing.
+kept offset; the Dirichlet zeros come from the slicing.  By the same rule, a
+part that is the same at every node is applied as a Python number, and a
+centre that is a multiple of the identity as a node scalar without the
+einsum; the terms left out are exact zeros.
 
 The generator H with i d0 psi = H psi on the Pauli kernel is
 
@@ -19,10 +22,13 @@ The generator H with i d0 psi = H psi on the Pauli kernel is
 
 and the pre-quantum operator of a special function F is assembled as
 i (Y.psi - u0 f0 P psi) with the d0 psi contributions cancelled structurally
-(they are never formed).  Crank-Nicolson steps are solved matrix-free by
-fixed-point iteration on the Cayley system; the iteration's own update norms
-decide each step: it ends when an update falls to 1e-14 |b|, and a step size
-at which the updates stop shrinking is reported as SolverDivergence.
+(they are never formed).  Crank-Nicolson steps solve the Cayley system
+(1 + i tau H) x = (1 - i tau H) psi, tau = dt/2, matrix-free as the Neumann
+series x = psi + 2 sum_{j>=1} t_j with t_j = (-i tau H)^j psi, one generator
+apply per term.  The terms certify each step: it ends when an update 2|t_m|
+falls to 1e-14 |b| (b = psi + t_1), which bounds the residual
+(1 + i tau H) x - b = -2 t_{m+1}, and a step size at which the terms stop
+shrinking is reported as SolverDivergence.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ import numpy as np
 
 from .hermitian import QuantumData, y_coefficients
 from .jets import SIZES, value_array
-from .pauli import SIGMA, xi_combination
+from .pauli import xi_combination
 from .special import SpecialFunction, SpecialValue, component_jets
 
 __all__ = [
@@ -58,7 +64,7 @@ class NonStaticMetric(ValueError):
 
 
 class SolverDivergence(RuntimeError):
-    """The Cayley fixed-point iteration failed to converge."""
+    """The Cayley series of a Crank-Nicolson step failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -237,6 +243,13 @@ def _offset_slices(offset: tuple):
     return tuple(_STEP_SLICES[d][0] for d in offset), tuple(_STEP_SLICES[d][1] for d in offset)
 
 
+def _spinor_factor(arr: np.ndarray):
+    """A node array as a factor of spinor nodes: its one value as a Python
+    number when every node holds it, else the array with a spinor axis."""
+    first = arr.flat[0]
+    return first.item() if np.all(arr == first) else arr[..., None]
+
+
 class Stencil:
     """A nearest-neighbour grid operator as coefficient arrays (CONVENTIONS.md).
 
@@ -259,16 +272,23 @@ class Stencil:
         return {d: coef for d, coef in self.offsets.items() if np.any(coef)}
 
     def operator(self, label: str, symmetric: bool) -> GridOperator:
-        """The operator that applies this stencil: one einsum with the centre,
-        then one in-place slice accumulation per live offset."""
+        """The operator that applies this stencil: the centre, then one
+        in-place slice accumulation per live offset.  A centre that is a
+        multiple of the identity multiplies psi as a node scalar (no einsum),
+        and a factor that is the same at every node it meets is a Python
+        number."""
         centre = self.centre
+        off_diagonal = np.any(centre[..., 0, 1]) or np.any(centre[..., 1, 0])
+        scalar = not off_diagonal and np.array_equal(centre[..., 0, 0], centre[..., 1, 1])
+        if scalar:
+            centre = _spinor_factor(centre[..., 0, 0])
         terms = []
         for d, coef in self.live_offsets().items():
             dst, src = _offset_slices(d)
-            terms.append((dst, src, coef[dst][..., None]))
+            terms.append((dst, src, _spinor_factor(coef[dst])))
 
         def apply_fn(psi: np.ndarray) -> np.ndarray:
-            out = np.einsum("...ab,...b->...a", centre, psi)
+            out = centre * psi if scalar else np.einsum("...ab,...b->...a", centre, psi)
             for dst, src, coef in terms:
                 out[dst] += coef * psi[src]
             return out
@@ -445,24 +465,53 @@ class Trajectory:
 def _observables(geom: GridGeometry, psi: np.ndarray):
     """(norm, [<sigma_1>, <sigma_2>, <sigma_3>], width) of psi from one pass
     over the weighted spinor psi sqrt|g|.  Its 2x2 density
-    rho_ab = sum conj(psi_a) psi_b sqrt|g| gives the norm sqrt(tr rho dV) and
-    <sigma_k> = sum_ab sigma_k,ab rho_ab / tr rho (not tr(sigma rho), which
-    flips the sign of the antisymmetric sigma_2); the node density gives the
-    width, the root of the summed variances along the active axes."""
+    rho_ab = sum conj(psi_a) psi_b sqrt|g|, read as four numbers, gives the
+    norm sqrt(tr rho dV) and <sigma_k> = sum_ab sigma_k,ab rho_ab / tr rho (not
+    tr(sigma rho), which flips the sign of the antisymmetric sigma_2):
+    Re(rho_01 + rho_10), Im rho_01 - Im rho_10 and Re(rho_00 - rho_11), over
+    tr rho.  On a grid with an active axis the node density gives the width,
+    the root of the summed variances along the active axes."""
     conj = psi.conj()
     weighted = psi * geom.sqrtg[..., None]
-    rho = conj.reshape(-1, 2).T @ weighted.reshape(-1, 2)
-    total = float(np.trace(rho).real)
+    r00, r01, r10, r11 = (conj.reshape(-1, 2).T @ weighted.reshape(-1, 2)).ravel().tolist()
+    total = r00.real + r11.real
     if total == 0.0:
         return 0.0, [0.0, 0.0, 0.0], 0.0
-    dens = np.einsum("...s,...s->...", conj, weighted).real
+    sigma = [(r01 + r10).real / total, (r01.imag - r10.imag) / total, (r00.real - r11.real) / total]
     var = 0.0
-    for ax in geom.spec.active:
-        x = geom.mesh4[ax + 1]
-        mean = float(np.sum(dens * x)) / total
-        var += float(np.sum(dens * (x - mean) ** 2)) / total
-    sigma = [float(np.sum(s * rho).real) / total for s in SIGMA]
-    return float(np.sqrt(total * geom.dvol)), sigma, float(np.sqrt(var))
+    active = geom.spec.active
+    if active:
+        dens = np.einsum("...s,...s->...", conj, weighted).real
+        for ax in active:
+            x = geom.mesh4[ax + 1]
+            mean = float(np.sum(dens * x)) / total
+            var += float(np.sum(dens * (x - mean) ** 2)) / total
+    return math.sqrt(total * geom.dvol), sigma, math.sqrt(var)
+
+
+def _cayley_step(h_apply: Callable, psi: np.ndarray, tau: float, n: int) -> np.ndarray:
+    """Step n of evolve_pauli: x with (1 + i tau H) x = (1 - i tau H) psi.
+    Norms are compared squared, the shrink rule starts from t_0 = psi, and
+    an overflowing term, whose norm is infinite or NaN, raises too."""
+    last = np.vdot(psi, psi).real
+    factor = -1j * tau
+    t = psi
+    for m in range(1, 501):
+        t = h_apply(t)
+        t *= factor
+        tt = np.vdot(t, t).real
+        if tt and not tt < last:  # a zero term (psi = 0, H psi = 0) ends the series below
+            raise SolverDivergence(f"the Cayley series stopped shrinking at step {n}; reduce dt")
+        if m == 1:
+            b = psi + t
+            tol = 0.25e-28 * np.vdot(b, b).real  # (1e-14 |b| / 2)^2
+            total = t
+        else:
+            total += t
+        if tt <= tol:
+            return psi + 2.0 * total
+        last = tt
+    raise SolverDivergence(f"the Cayley series stalled at step {n}")
 
 
 def evolve_pauli(
@@ -473,54 +522,40 @@ def evolve_pauli(
     geom: GridGeometry | None = None,
     snapshot_every: int = 0,
 ) -> Trajectory:
-    """Crank-Nicolson evolution (1 + i dt/2 H) psi+ = (1 - i dt/2 H) psi,
-    solved matrix-free by the fixed-point iteration x <- b - i dt/2 H x from
-    x = b.  A step ends when an update is at most 1e-14 |b|, which certifies
-    it; an update no smaller than the one before it means the iteration does
-    not contract at this dt, and SolverDivergence is raised at once, as it
-    is after 500 updates without convergence.  Norm, <sigma> and width are
+    """Crank-Nicolson evolution (1 + i tau H) psi+ = (1 - i tau H) psi with
+    tau = dt/2, solved matrix-free as the Neumann series
+    psi+ = psi + 2 sum_{j>=1} t_j, t_j = (-i tau H)^j psi, one generator apply
+    per term.  A step ends at the first update 2|t_m| <= 1e-14 |b|,
+    b = psi + t_1, which certifies it: the residual (1 + i tau H) psi+ - b is
+    -2 t_{m+1}.  A term no smaller than the one before it means the series
+    does not converge at this dt, and SolverDivergence is raised at once, as
+    it is after 500 terms without convergence.  Norm, <sigma> and width are
     recorded at every step."""
     geom = geom or GridGeometry(qd, psi0.spec)
-    h_op = pauli_generator(geom)
-    grid = psi0.copy()
+    h_apply = pauli_generator(geom).apply_fn
+    spec = psi0.spec
+    psi = psi0.psi.copy()
     rows = {k: [] for k in ("step", "time", "norm", "sx", "sy", "sz", "width")}
     snaps = []
 
     def record(step):
-        norm, (sx, sy, sz), width = _observables(geom, grid.psi)
+        norm, (sx, sy, sz), width = _observables(geom, psi)
         rows["step"].append(step)
-        rows["time"].append(psi0.spec.time + step * dt)
+        rows["time"].append(spec.time + step * dt)
         rows["norm"].append(norm)
         rows["sx"].append(sx)
         rows["sy"].append(sy)
         rows["sz"].append(sz)
         rows["width"].append(width)
         if snapshot_every and step % snapshot_every == 0:
-            snaps.append((step, grid.copy()))
+            snaps.append((step, SpinorGrid(spec, psi.copy())))
 
     record(0)
-    half = 0.5j * dt
-    for n in range(1, steps + 1):
-        hpsi = h_op.apply_fn(grid.psi)
-        b = grid.psi - half * hpsi
-        x = b.copy()
-        bnorm = float(np.linalg.norm(b)) or 1.0
-        converged = False
-        last = np.inf
-        for _ in range(500):
-            x_new = b - half * h_op.apply_fn(x)
-            delta = float(np.linalg.norm(x_new - x))
-            x = x_new
-            if delta <= 1e-14 * bnorm:
-                converged = True
-                break
-            if not delta < last:
-                raise SolverDivergence(f"fixed-point iteration stopped contracting at step {n}; reduce dt")
-            last = delta
-        if not converged:
-            raise SolverDivergence(f"fixed-point iteration stalled at step {n}")
-        grid = SpinorGrid(grid.spec, x)
-        record(n)
+    # an overflowing term is caught by the step's shrink rule, not by a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, steps + 1):
+            psi = _cayley_step(h_apply, psi, 0.5 * dt, n)
+            record(n)
     return Trajectory(
         steps=np.array(rows["step"]),
         times=np.array(rows["time"]),
@@ -529,7 +564,7 @@ def evolve_pauli(
         sy=np.array(rows["sy"]),
         sz=np.array(rows["sz"]),
         widths=np.array(rows["width"]),
-        final=grid,
+        final=SpinorGrid(spec, psi),
         snapshots=snaps,
     )
 

@@ -22,8 +22,10 @@ Missing metric defaults to the identity, missing connection/F entries to "0".
 A section of another shape (a list where a mapping belongs, a list of the
 wrong length, a non-number where a number belongs, a non-finite grid time or
 box) is a ScenarioError, and so are two Kgrav keys for one slot ('1_02' and
-'1_20').  Unknown keys are ignored.  psi0 is normalised on the grid.  The
-check bounds of `cqm verify` are constants (verify.TOLERANCES).
+'1_20'), a constant field expression that is not a finite number (exp(1000),
+log(0)) and a negative suite.seed.  Unknown keys are ignored.  psi0 is
+normalised on the grid.  The check bounds of `cqm verify` are constants
+(verify.TOLERANCES).
 The builtins x0..x3, P1..P3, H0 and H0prime are always registered; H0prime
 includes the spin term phi = -u0 mu B_flat.  On a constant background its
 phi is three constant fields; otherwise H0prime is a derived function whose
@@ -35,6 +37,7 @@ its pre-quantum operator is (1/2) n^i sigma_i.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -164,10 +167,19 @@ def _parse_constants(obj: Mapping) -> Constants:
 
 
 def _fdef(name: str, dim: Dim, source: str, consts, where: str) -> FieldDef:
+    """The field of `source`; a constant one must be a finite number."""
     try:
-        return FieldDef(name, dim, source, consts)
+        field = FieldDef(name, dim, source, consts)
     except Exception as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
+    if field.constant:
+        try:
+            value = field((0.0, 0.0, 0.0, 0.0))
+        except (ArithmeticError, ValueError) as exc:  # exp(1000), log(0), sin(1e400)
+            raise ScenarioError(f"{where}: the constant {source!r} is not a finite number ({exc})") from None
+        if not math.isfinite(value):  # 1e200*1e200
+            raise ScenarioError(f"{where}: the constant {source!r} is not a finite number ({value})")
+    return field
 
 
 def _parse_metric(obj, consts) -> list:
@@ -369,6 +381,9 @@ def load_scenario(source) -> Scenario:
     samples = _converted(suite.get("samples", 100), int, "suite.samples")
     if samples < 1:
         raise ScenarioError(f"suite.samples must be a positive integer, got {samples}")
+    seed = _converted(suite.get("seed", 20240101), int, "suite.seed")
+    if seed < 0:
+        raise ScenarioError(f"suite.seed must be a nonnegative integer, got {seed}")
     return Scenario(
         background=bg,
         observers=observers,
@@ -377,6 +392,6 @@ def load_scenario(source) -> Scenario:
         grid=grid,
         psi0=psi0,
         samples=samples,
-        seed=_converted(suite.get("seed", 20240101), int, "suite.seed"),
+        seed=seed,
         box=box,
     )

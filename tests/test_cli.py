@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -306,6 +307,84 @@ def test_abbreviated_options_are_unrecognized(argv, option):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: unrecognized arguments: "), err
     assert option in lines[0].split(), err
+
+
+@pytest.mark.parametrize("changes, where", [
+    ({"F": {"12": "exp(1000)"}}, "F[12]"),
+    ({"metric": [["exp(1000)", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}, "metric[0][0]"),
+])
+def test_overflowing_constant_is_a_load_error(tmp_path, changes, where):
+    """A constant field expression that overflows is one `error:` line at
+    load, with no numpy warning before it and no report after it."""
+    scn = json.loads((SCENARIO_DIR / "flat_magnetic.json").read_text())
+    scn.update(changes)
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(scn))
+    rc, out, err = _main("verify", str(path), "--suite", "jacobi")
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: {where}: the constant 'exp(1000)' is not a finite number")
+    assert len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("scenario, argv, source", [
+    (str(SCENARIO_DIR / "flat.json"), ["--seed", "-1"], "--seed"),
+    (json.dumps({"suite": {"seed": -3}}), [], "suite.seed"),
+])
+def test_negative_seed_is_a_usage_error_naming_its_source(scenario, argv, source):
+    rc, out, err = _main("verify", scenario, "--suite", "jacobi", *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: {source} must be a nonnegative integer, got -"), err
+    assert len(err.splitlines()) == 1, err
+
+
+def test_evolve_overflowing_first_term_is_a_solver_failure(tmp_path):
+    """A dt at which the first term of the Cayley series overflows (a rough
+    psi0 on a fine grid) fails like any dt at which the series diverges:
+    exit 1 with one `error:` line and no overflow warning."""
+    scn = {"grid": {"axes": [[-1, 1, 201], [0, 0, 1], [0, 0, 1]], "psi0": [["1", "0"], ["0", "0"]]}}
+    rc, out, err = _main("evolve", json.dumps(scn), "--steps", "2", "--dt", "1e306", "--out", str(tmp_path / "out"))
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and "reduce dt" in err and len(err.splitlines()) == 1, err
+
+
+def _assert_exit_contract(rc, out, err):
+    """Exit 0 with finite JSON on stdout, or exit 1 or 2 with one `error:`
+    line on stderr (in process, so a traceback would fail the test)."""
+    assert rc in (0, 1, 2)
+    if rc == 0:
+        assert all(math.isfinite(x) for x in _numbers(json.loads(out, parse_constant=_reject_constant)))
+    else:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+_TEXT_ARG = st.text(max_size=4)
+_DT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True).map(repr),
+    st.sampled_from(["5e-324", "1e-310", "2.2250738585072014e-308", "14.28", "14.29", "1e300", "0"]),
+    _TEXT_ARG,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=st.integers(-1, 5).map(str) | _TEXT_ARG, dt=_DT,
+       every=st.none() | st.integers(-1, 6).map(str) | _TEXT_ARG)
+@example(steps="3", dt="5e-324", every=None)
+@example(steps="2", dt="1e300", every="1")
+def test_evolve_arguments_keep_the_exit_contract(steps, dt, every):
+    """--steps, --dt and --snapshot-every on larmor.json (one node, where
+    dt >= 14.29 makes the Cayley series diverge)."""
+    argv = ["--steps", steps, "--dt", dt] + ([] if every is None else ["--snapshot-every", every])
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_exit_contract(*_main("evolve", str(SCENARIO_DIR / "larmor.json"), *argv, "--out", tmp))
+
+
+@settings(max_examples=40, deadline=None)
+@given(samples=st.none() | st.integers(-1, 3).map(str) | _TEXT_ARG,
+       seed=st.none() | st.integers(-2**70, 2**70).map(str) | _TEXT_ARG)
+def test_verify_sample_and_seed_arguments_keep_the_exit_contract(samples, seed):
+    argv = ([] if samples is None else ["--samples", samples]) + ([] if seed is None else ["--seed", seed])
+    _assert_exit_contract(*_main("verify", str(SCENARIO_DIR / "flat.json"), "--suite", "curvature", *argv))
 
 
 def test_bracket_without_at_is_a_usage_error():

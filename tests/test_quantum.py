@@ -253,13 +253,8 @@ def test_crank_nicolson_keeps_the_norm_each_step(flat_magnetic_scenario):
     norm moves only by roundoff per step; any other theta-method (implicit
     Euler, say) loses norm every step, which the phase test cannot see."""
     sc = flat_magnetic_scenario
-    spec = GridSpec(((-3, 3, 8),) * 3, 0.0)
-    geom = GridGeometry(sc.qd, spec)
-    x1, x2, x3 = geom.mesh4[1:]
-    envelope = np.exp(-0.5 * (x1**2 + x2**2 + x3**2) + 0.7j * x1)
-    grid = SpinorGrid(spec, np.stack([0.8 * envelope, 0.6j * envelope], axis=-1))
-    grid.psi /= grid_norm(geom, grid)
-    traj = evolve_pauli(sc.qd, grid, 0.05, 10, geom=geom)
+    geom = GridGeometry(sc.qd, GridSpec(((-3, 3, 8),) * 3, 0.0))
+    traj = evolve_pauli(sc.qd, spinor_packet(geom), 0.05, 10, geom=geom)
     assert len(traj.norms) == 11
     assert np.max(np.abs(np.diff(traj.norms))) <= 1e-13
 
@@ -284,21 +279,46 @@ def test_step_guard(flat_scenario, monkeypatch):
     assert 1 <= len(applies) <= 5
 
 
-def test_cayley_residual_certifies_each_step():
-    """free_packet at dt 0.006, beyond what a dt |H| <= 1.5 rule admits:
-    every step solves (1 + i tau H) x = (1 - i tau H) psi to 1e-13 |b| and
-    keeps the norm."""
-    sc = load_scenario(SCENARIO_DIR / "free_packet.json")
-    geom = GridGeometry(sc.qd, sc.grid)
-    dt, tau = 0.006, 0.003
-    traj = evolve_pauli(sc.qd, sc.initial_grid(geom), dt, 10, geom=geom, snapshot_every=1)
-    assert [step for step, _ in traj.snapshots] == list(range(11))
+def assert_steps_certified(sc, geom, psi0, dt, steps=10):
+    """Every step solves (1 + i tau H) x = (1 - i tau H) psi to 1e-13 |b|
+    and keeps the norm."""
+    traj = evolve_pauli(sc.qd, psi0, dt, steps, geom=geom, snapshot_every=1)
+    assert [step for step, _ in traj.snapshots] == list(range(steps + 1))
     h_apply = pauli_generator(geom).apply_fn
+    tau = 0.5 * dt
     for (_, before), (_, after) in zip(traj.snapshots, traj.snapshots[1:]):
         b = before.psi - 1j * tau * h_apply(before.psi)
         residual = after.psi + 1j * tau * h_apply(after.psi) - b
         assert np.linalg.norm(residual) <= 1e-13 * np.linalg.norm(b)
     assert np.max(np.abs(np.diff(traj.norms))) <= 1e-13
+
+
+def test_cayley_residual_certifies_each_step():
+    """free_packet at dt 0.006, beyond what a dt |H| <= 1.5 rule admits."""
+    sc = load_scenario(SCENARIO_DIR / "free_packet.json")
+    geom = GridGeometry(sc.qd, sc.grid)
+    assert_steps_certified(sc, geom, sc.initial_grid(geom), 0.006)
+
+
+def spinor_packet(geom):
+    """A normalised Gaussian packet with momentum along x1 and a tilted spin."""
+    x1, x2, x3 = geom.mesh4[1:]
+    envelope = np.exp(-0.5 * (x1**2 + x2**2 + x3**2) + 0.7j * x1)
+    grid = SpinorGrid(geom.spec, np.stack([0.8 * envelope, 0.6j * envelope], axis=-1))
+    grid.psi /= grid_norm(geom, grid)
+    return grid
+
+
+def test_cayley_residual_certifies_each_step_on_other_stencils():
+    """Larmor's one node: a spin centre that is not a multiple of the
+    identity, and no offsets.  flat_magnetic at 8^3: the offsets along x1 and
+    x3 are the same at every node, those along x2 carry A_2 = q b x1 / hbar."""
+    sc = load_scenario(SCENARIO_DIR / "larmor.json")
+    geom = GridGeometry(sc.qd, sc.grid)
+    assert_steps_certified(sc, geom, sc.initial_grid(geom), 2.0)
+    sc = load_scenario(SCENARIO_DIR / "flat_magnetic.json")
+    geom = GridGeometry(sc.qd, GridSpec(((-3, 3, 8),) * 3, 0.0))
+    assert_steps_certified(sc, geom, spinor_packet(geom), 0.1)
 
 
 def oracle_spin_expectations(geom, grid):
@@ -327,19 +347,25 @@ def oracle_width(geom, grid):
 
 
 def test_observables_match_separate_density_sums(curved_magnetic_scenario):
-    spec = GridSpec(((-0.8, 0.8, 7), (-0.7, 0.9, 7), (0.0, 0.0, 1)), 0.0)
-    geom = GridGeometry(curved_magnetic_scenario.qd, spec)
-    assert np.ptp(geom.sqrtg) > 0.01  # a non-uniform weight
+    """On a 7x7 grid with a non-uniform weight, and on one node (no active
+    axis, so no node density and width 0)."""
     rng = np.random.default_rng(5)
-    grid = SpinorGrid(spec, rng.standard_normal(spec.shape + (2,)) + 1j * rng.standard_normal(spec.shape + (2,)))
-    norm, sigma, width = quantum._observables(geom, grid.psi)
-    nn, want = oracle_spin_expectations(geom, grid)
-    assert abs(norm - np.sqrt(nn)) <= 1e-14 * np.sqrt(nn)
-    assert np.max(np.abs(np.array(sigma) - want)) <= 1e-14
-    assert min(map(abs, want)) > 1e-3  # each component, sigma_2's sign included, is tested
-    assert abs(width - oracle_width(geom, grid)) <= 1e-14 * width
-    zero = quantum._observables(geom, np.zeros_like(grid.psi))
-    assert zero == (0.0, [0.0, 0.0, 0.0], 0.0)
+    seven_by_seven = ((-0.8, 0.8, 7), (-0.7, 0.9, 7), (0.0, 0.0, 1))
+    one_node = ((0.6, 0.6, 1), (-0.3, -0.3, 1), (0.0, 0.0, 1))
+    for axes in (seven_by_seven, one_node):
+        spec = GridSpec(axes, 0.0)
+        geom = GridGeometry(curved_magnetic_scenario.qd, spec)
+        assert np.ptp(geom.sqrtg) > 0.01 or np.max(np.abs(geom.sqrtg - 1.0)) > 0.01  # a weight other than 1
+        grid = SpinorGrid(spec, rng.standard_normal(spec.shape + (2,)) + 1j * rng.standard_normal(spec.shape + (2,)))
+        norm, sigma, width = quantum._observables(geom, grid.psi)
+        nn, want = oracle_spin_expectations(geom, grid)
+        assert abs(norm - np.sqrt(nn)) <= 1e-14 * np.sqrt(nn)
+        assert np.max(np.abs(np.array(sigma) - want)) <= 1e-14
+        assert min(map(abs, want)) > 1e-3  # each component, sigma_2's sign included, is tested
+        assert abs(width - oracle_width(geom, grid)) <= 1e-14 * width
+        assert (width == 0.0) == (not spec.active)
+        zero = quantum._observables(geom, np.zeros_like(grid.psi))
+        assert zero == (0.0, [0.0, 0.0, 0.0], 0.0)
 
 
 def test_nonstatic_metric_rejected():
@@ -684,3 +710,48 @@ def test_stencil_drops_zero_offsets(flat_magnetic_scenario):
     x1 = prequantum(flat_magnetic_scenario.qd, flat, flat_magnetic_scenario.function("x1"))
     psi = np.ones(flat.spec.shape + (2,), dtype=complex)
     np.testing.assert_array_equal(x1.apply_fn(psi), flat.mesh4[1][..., None] * psi)
+
+
+def all_array_apply(stencil, psi):
+    """A Stencil applied with every part as a node array: one einsum with the
+    centre, then each live offset's coefficient array times the shifted psi."""
+    out = np.einsum("...ab,...b->...a", stencil.centre, psi)
+    for d, coef in stencil.live_offsets().items():
+        dst, src = quantum._offset_slices(d)
+        out[dst] += coef[dst][..., None] * psi[src]
+    return out
+
+
+def constant_parts(stencil):
+    """(centre is a multiple of the identity, live offsets whose applied
+    coefficients are the same at every node, live offsets)."""
+    c = stencil.centre
+    scalar = not (np.any(c[..., 0, 1]) or np.any(c[..., 1, 0])) and np.array_equal(c[..., 0, 0], c[..., 1, 1])
+    live = stencil.live_offsets()
+    applied = [coef[quantum._offset_slices(d)[0]] for d, coef in live.items()]
+    return scalar, sum(bool(np.all(a == a.flat[0])) for a in applied), len(live)
+
+
+@pytest.mark.parametrize("name, generator_parts", [
+    ("free_packet_1d", (True, 2, 2)),
+    ("flat_magnetic_8^3", (False, 4, 6)),
+    ("curved_magnetic_15x15x1", (False, 0, 4)),
+])
+def test_constant_stencil_parts_apply_as_numbers(name, generator_parts, monkeypatch):
+    """The generator and prequantum(P1), whose parts that are the same at
+    every node are applied as numbers and whose scalar centres skip the
+    einsum, equal an all-array apply of the same Stencil bit for bit."""
+    make, spec = STENCIL_GRIDS[name]
+    sc = make()
+    geom = GridGeometry(sc.qd, spec or sc.grid)
+    stencils = []
+    original = quantum.Stencil.operator
+    monkeypatch.setattr(quantum.Stencil, "operator",
+                        lambda self, label, symmetric: stencils.append(self) or original(self, label, symmetric))
+    ops = [pauli_generator(geom), prequantum(sc.qd, geom, sc.function("P1"))]
+    assert constant_parts(stencils[0]) == generator_parts
+    assert constant_parts(stencils[1]) == (True, 2, 2)  # f^1 = 1: constant first differences
+    rng = np.random.default_rng(9)
+    psi = rng.standard_normal(geom.spec.shape + (2,)) + 1j * rng.standard_normal(geom.spec.shape + (2,))
+    for op, stencil in zip(ops, stencils):
+        np.testing.assert_array_equal(op.apply_fn(psi), all_array_apply(stencil, psi), err_msg=op.label)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -209,6 +210,23 @@ def test_json_list_text_is_a_shape_error():
 def test_malformed_section_is_a_scenario_error(section):
     with pytest.raises(ScenarioError):
         load_scenario(section)
+
+
+@pytest.mark.parametrize("section, where", [
+    ({"F": {"12": "exp(1000)"}}, "F[12]"),
+    ({"A": ["0", "1e200*1e200", "0", "0"]}, "A[1]"),
+    ({"functions": {"f": {"f0": "log(0)"}}}, "functions[f].f0"),
+    ({"observers": {"o": ["sin(1e308*10)", "0", "0"]}}, "observers[o]"),
+])
+def test_constant_that_is_not_a_finite_number_is_a_scenario_error(section, where):
+    with pytest.raises(ScenarioError, match=re.escape(f"{where}: the constant ") + ".* is not a finite number"):
+        load_scenario(section)
+
+
+def test_negative_seed_is_a_scenario_error():
+    with pytest.raises(ScenarioError, match="suite.seed must be a nonnegative integer, got -1"):
+        load_scenario({"suite": {"seed": -1}})
+    assert load_scenario({"suite": {"seed": 0}}).seed == 0
 
 
 def test_grid_axes_must_be_finite_whole_node_counts():
