@@ -447,7 +447,10 @@ def eval_jet(expr: Expr, point: Sequence[float], order: int, consts: ConstTable)
             return ev(node.base).powi(node.exponent)
         raise TypeError(f"not an expression node: {node!r}")
 
-    return ev(expr)
+    try:
+        return ev(expr)
+    finally:
+        del ev  # ev reaches itself through its closure: free it, and the cloud it holds, now
 
 
 def eval_float(expr: Expr, point: Sequence[float], consts: ConstTable) -> float:

@@ -13,8 +13,9 @@ are all zero dropped (the mixed derivatives of a diagonal metric, say).  An
 apply is one einsum with the centre and one in-place slice accumulation per
 kept offset; the Dirichlet zeros come from the slicing.  By the same rule, a
 part that is the same at every node is applied as a Python number, and a
-centre that is a multiple of the identity as a node scalar without the
-einsum; the terms left out are exact zeros.
+centre with no off-diagonal entry multiplies psi elementwise by its
+diagonal (numbers, a node scalar or a (..., 2) array) without the einsum;
+the terms left out are exact zeros.
 
 The generator H with i d0 psi = H psi on the Pauli kernel is
 
@@ -28,7 +29,8 @@ series x = psi + 2 sum_{j>=1} t_j with t_j = (-i tau H)^j psi, one generator
 apply per term.  The terms certify each step: it ends when an update 2|t_m|
 falls to 1e-14 |b| (b = psi + t_1), which bounds the residual
 (1 + i tau H) x - b = -2 t_{m+1}, and a step size at which the terms stop
-shrinking is reported as SolverDivergence.
+shrinking is reported as SolverDivergence.  The observables of the states
+are evaluated a block of steps at a time, in one pass per block.
 """
 
 from __future__ import annotations
@@ -147,6 +149,11 @@ def _shift(arr: np.ndarray, axis: int, d: int) -> np.ndarray:
 # however large the grid.
 NODE_CHUNK = 256
 
+# Complex spinor values per block of states whose observables evolve_pauli
+# evaluates in one pass (256 KiB): all 5,611 states of a one-node Larmor run,
+# 21 states of 383 nodes, one state of 24^3 nodes.
+OBSERVABLE_BLOCK = 2**14
+
 
 def node_map(mesh4, evaluate) -> np.ndarray:
     """Per-node quantities of a grid, evaluated NODE_CHUNK nodes at a time.
@@ -244,10 +251,16 @@ def _offset_slices(offset: tuple):
 
 
 def _spinor_factor(arr: np.ndarray):
-    """A node array as a factor of spinor nodes: its one value as a Python
-    number when every node holds it, else the array with a spinor axis."""
-    first = arr.flat[0]
-    return first.item() if np.all(arr == first) else arr[..., None]
+    """A (..., 1) or (..., 2) node array as a factor of (..., 2) spinor
+    nodes: one column when its two columns agree at every node, and that
+    row as numbers (a Python number for one column) when every node holds
+    it."""
+    if arr.shape[-1] == 2 and np.array_equal(arr[..., 0], arr[..., 1]):
+        arr = arr[..., :1]
+    first = arr[(0,) * (arr.ndim - 1)]
+    if not np.all(arr == first):
+        return arr
+    return first.item() if first.size == 1 else first.copy()
 
 
 class Stencil:
@@ -273,22 +286,21 @@ class Stencil:
 
     def operator(self, label: str, symmetric: bool) -> GridOperator:
         """The operator that applies this stencil: the centre, then one
-        in-place slice accumulation per live offset.  A centre that is a
-        multiple of the identity multiplies psi as a node scalar (no einsum),
-        and a factor that is the same at every node it meets is a Python
-        number."""
+        in-place slice accumulation per live offset.  A centre with no
+        off-diagonal entry multiplies psi elementwise by its diagonal, and
+        only a centre with one takes the einsum; each factor is compressed
+        by _spinor_factor."""
         centre = self.centre
-        off_diagonal = np.any(centre[..., 0, 1]) or np.any(centre[..., 1, 0])
-        scalar = not off_diagonal and np.array_equal(centre[..., 0, 0], centre[..., 1, 1])
-        if scalar:
-            centre = _spinor_factor(centre[..., 0, 0])
+        diagonal = not (np.any(centre[..., 0, 1]) or np.any(centre[..., 1, 0]))
+        if diagonal:  # a view: the operator keeps no copy of its own
+            centre = _spinor_factor(np.einsum("...ii->...i", centre))
         terms = []
         for d, coef in self.live_offsets().items():
             dst, src = _offset_slices(d)
-            terms.append((dst, src, _spinor_factor(coef[dst])))
+            terms.append((dst, src, _spinor_factor(coef[dst][..., None])))
 
         def apply_fn(psi: np.ndarray) -> np.ndarray:
-            out = centre * psi if scalar else np.einsum("...ab,...b->...a", centre, psi)
+            out = centre * psi if diagonal else np.einsum("...ab,...b->...a", centre, psi)
             for dst, src, coef in terms:
                 out[dst] += coef * psi[src]
             return out
@@ -462,31 +474,36 @@ class Trajectory:
     snapshots: list = field(default_factory=list)
 
 
-def _observables(geom: GridGeometry, psi: np.ndarray):
-    """(norm, [<sigma_1>, <sigma_2>, <sigma_3>], width) of psi from one pass
-    over the weighted spinor psi sqrt|g|.  Its 2x2 density
-    rho_ab = sum conj(psi_a) psi_b sqrt|g|, read as four numbers, gives the
-    norm sqrt(tr rho dV) and <sigma_k> = sum_ab sigma_k,ab rho_ab / tr rho (not
-    tr(sigma rho), which flips the sign of the antisymmetric sigma_2):
-    Re(rho_01 + rho_10), Im rho_01 - Im rho_10 and Re(rho_00 - rho_11), over
-    tr rho.  On a grid with an active axis the node density gives the width,
-    the root of the summed variances along the active axes."""
-    conj = psi.conj()
-    weighted = psi * geom.sqrtg[..., None]
-    r00, r01, r10, r11 = (conj.reshape(-1, 2).T @ weighted.reshape(-1, 2)).ravel().tolist()
+def _observables(geom: GridGeometry, psis: np.ndarray) -> np.ndarray:
+    """Rows (norm, <sigma_1>, <sigma_2>, <sigma_3>, width) of a stack of
+    states psis[k], from one pass over the weighted spinors psi sqrt|g|.
+    Each state's 2x2 density rho_ab = sum conj(psi_a) psi_b sqrt|g|, one
+    matrix of a batched matmul, gives the norm sqrt(tr rho dV) and
+    <sigma_k> = sum_ab sigma_k,ab rho_ab / tr rho (not tr(sigma rho), which
+    flips the sign of the antisymmetric sigma_2): Re(rho_01 + rho_10),
+    Im rho_01 - Im rho_10 and Re(rho_00 - rho_11), over tr rho.  On a grid
+    with an active axis the node density gives the width, the root of the
+    summed variances along the active axes.  A zero state's row is zeros."""
+    count = len(psis)
+    conj = psis.conj().reshape(count, -1, 2)
+    weighted = (psis * geom.sqrtg[..., None]).reshape(count, -1, 2)
+    r00, r01, r10, r11 = np.matmul(conj.transpose(0, 2, 1), weighted).reshape(count, 4).T
     total = r00.real + r11.real
-    if total == 0.0:
-        return 0.0, [0.0, 0.0, 0.0], 0.0
-    sigma = [(r01 + r10).real / total, (r01.imag - r10.imag) / total, (r00.real - r11.real) / total]
-    var = 0.0
+    denom = np.where(total == 0.0, 1.0, total)  # every sum of a zero state is 0
+    out = np.zeros((5, count))
+    out[0] = np.sqrt(total * geom.dvol)
+    out[1] = (r01 + r10).real / denom
+    out[2] = (r01.imag - r10.imag) / denom
+    out[3] = (r00.real - r11.real) / denom
     active = geom.spec.active
     if active:
         dens = np.einsum("...s,...s->...", conj, weighted).real
         for ax in active:
-            x = geom.mesh4[ax + 1]
-            mean = float(np.sum(dens * x)) / total
-            var += float(np.sum(dens * (x - mean) ** 2)) / total
-    return math.sqrt(total * geom.dvol), sigma, math.sqrt(var)
+            x = geom.mesh4[ax + 1].ravel()
+            mean = np.sum(dens * x, axis=1) / denom
+            out[4] += np.sum(dens * (x - mean[:, None]) ** 2, axis=1) / denom
+        out[4] = np.sqrt(out[4])
+    return out
 
 
 def _cayley_step(h_apply: Callable, psi: np.ndarray, tau: float, n: int) -> np.ndarray:
@@ -530,23 +547,23 @@ def evolve_pauli(
     -2 t_{m+1}.  A term no smaller than the one before it means the series
     does not converge at this dt, and SolverDivergence is raised at once, as
     it is after 500 terms without convergence.  Norm, <sigma> and width are
-    recorded at every step."""
+    recorded at every step: each state is copied into a block of
+    OBSERVABLE_BLOCK // psi.size states (at least one, at most steps + 1),
+    and _observables evaluates each full block, and the last partial one,
+    in one pass."""
     geom = geom or GridGeometry(qd, psi0.spec)
     h_apply = pauli_generator(geom).apply_fn
     spec = psi0.spec
     psi = psi0.psi.copy()
-    rows = {k: [] for k in ("step", "time", "norm", "sx", "sy", "sz", "width")}
+    obs = np.empty((5, steps + 1))
+    block = np.empty((max(1, min(steps + 1, OBSERVABLE_BLOCK // psi.size)),) + psi.shape, dtype=complex)
     snaps = []
 
     def record(step):
-        norm, (sx, sy, sz), width = _observables(geom, psi)
-        rows["step"].append(step)
-        rows["time"].append(spec.time + step * dt)
-        rows["norm"].append(norm)
-        rows["sx"].append(sx)
-        rows["sy"].append(sy)
-        rows["sz"].append(sz)
-        rows["width"].append(width)
+        k = step % len(block)
+        block[k] = psi
+        if k == len(block) - 1 or step == steps:
+            obs[:, step - k:step + 1] = _observables(geom, block[:k + 1])
         if snapshot_every and step % snapshot_every == 0:
             snaps.append((step, SpinorGrid(spec, psi.copy())))
 
@@ -556,14 +573,15 @@ def evolve_pauli(
         for n in range(1, steps + 1):
             psi = _cayley_step(h_apply, psi, 0.5 * dt, n)
             record(n)
+    step_numbers = np.arange(steps + 1)
     return Trajectory(
-        steps=np.array(rows["step"]),
-        times=np.array(rows["time"]),
-        norms=np.array(rows["norm"]),
-        sx=np.array(rows["sx"]),
-        sy=np.array(rows["sy"]),
-        sz=np.array(rows["sz"]),
-        widths=np.array(rows["width"]),
+        steps=step_numbers,
+        times=spec.time + step_numbers * dt,
+        norms=obs[0],
+        sx=obs[1],
+        sy=obs[2],
+        sz=obs[3],
+        widths=obs[4],
         final=SpinorGrid(spec, psi),
         snapshots=snaps,
     )

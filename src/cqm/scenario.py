@@ -23,9 +23,10 @@ A section of another shape (a list where a mapping belongs, a list of the
 wrong length, a non-number where a number belongs, a non-finite grid time or
 box) is a ScenarioError, and so are two Kgrav keys for one slot ('1_02' and
 '1_20'), a constant field expression that is not a finite number (exp(1000),
-log(0)) and a negative suite.seed.  Unknown keys are ignored.  psi0 is
-normalised on the grid.  The check bounds of `cqm verify` are constants
-(verify.TOLERANCES).
+log(0)), a constant metric whose det g is not positive or whose det g or
+g^-1 is not finite (1e200 on the diagonal), and a negative suite.seed.
+Unknown keys are ignored.  psi0 is normalised on the grid.  The check
+bounds of `cqm verify` are constants (verify.TOLERANCES).
 The builtins x0..x3, P1..P3, H0 and H0prime are always registered; H0prime
 includes the spin term phi = -u0 mu B_flat.  On a constant background its
 phi is three constant fields; otherwise H0prime is a derived function whose
@@ -195,7 +196,23 @@ def _parse_metric(obj, consts) -> list:
         for j in range(i + 1, 3):
             if rows[i][j].expr != rows[j][i].expr:
                 raise ScenarioError(f"metric is not symmetric at ({i},{j})")
+    if all(f.constant for row in rows for f in row):
+        _check_constant_metric([[f((0.0, 0.0, 0.0, 0.0)) for f in row] for row in rows])
     return rows
+
+
+def _check_constant_metric(g: list):
+    """det g and g^-1 of a constant metric, evaluated once by the cofactors
+    and reciprocal that the background's jets use: det g must be positive
+    and finite (then so is sqrt|g|), and g^-1 finite."""
+    cof = [[g[(i + 1) % 3][(j + 1) % 3] * g[(i + 2) % 3][(j + 2) % 3]
+            - g[(i + 1) % 3][(j + 2) % 3] * g[(i + 2) % 3][(j + 1) % 3] for j in range(3)] for i in range(3)]
+    det = g[0][0] * cof[0][0] + g[0][1] * cof[0][1] + g[0][2] * cof[0][2]
+    if not (math.isfinite(det) and det > 0.0):
+        raise ScenarioError(f"metric: det g = {det!r} is not a positive finite number")
+    inv_det = 1.0 / det
+    if not all(math.isfinite(c * inv_det) for row in cof for c in row):
+        raise ScenarioError(f"metric: g^-1 is not finite (det g = {det!r})")
 
 
 def _parse_kgrav(obj, metric_obj, consts) -> dict:

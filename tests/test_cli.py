@@ -326,6 +326,16 @@ def test_overflowing_constant_is_a_load_error(tmp_path, changes, where):
     assert len(err.splitlines()) == 1, err
 
 
+@pytest.mark.parametrize("diagonal, det", [("1e200", "inf"), ("1e-200", "0.0")])
+def test_constant_metric_whose_volume_overflows_is_a_load_error(diagonal, det):
+    """A constant metric whose det g overflows or underflows, though each
+    entry is a finite number, is one `error:` line at load naming the
+    metric, with no numpy warning before it and no report after it."""
+    metric = [[diagonal if i == j else "0" for j in range(3)] for i in range(3)]
+    rc, out, err = _main("verify", json.dumps({"metric": metric}), "--suite", "jacobi")
+    assert (rc, out, err) == (2, "", f"error: metric: det g = {det} is not a positive finite number\n")
+
+
 @pytest.mark.parametrize("scenario, argv, source", [
     (str(SCENARIO_DIR / "flat.json"), ["--seed", "-1"], "--seed"),
     (json.dumps({"suite": {"seed": -3}}), [], "suite.seed"),

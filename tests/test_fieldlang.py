@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -153,6 +155,27 @@ def test_constant_field_all_orders():
     j = f.eval_jet((1, 2, 3, 4), 3)
     assert j.value == 3.5
     assert np.max(np.abs(j.c[1:])) == 0.0
+
+
+def test_eval_jet_frees_its_cloud_on_return():
+    """The recursive walk holds the cloud and its coordinate seeds; they are
+    freed when eval_jet returns or raises, not left in a reference cycle
+    for the collector (5 MiB of a 24^3 set-up's psi0 clouds were)."""
+    gc.collect()
+    gc.disable()
+    try:
+        for src in ("x1*x2 + sin(x3)", "x1 + nope"):
+            cloud = np.random.default_rng(4).uniform(0.1, 0.9, (4, 50))
+            freed = weakref.ref(cloud)
+            try:
+                eval_jet(parse(src), cloud, 1, {})
+            except UnknownIdentifier:
+                assert src.endswith("nope")
+            del cloud
+            assert freed() is None, src
+            assert gc.collect() == 0, src
+    finally:
+        gc.enable()
 
 
 def test_symbolic_derivative_matches_jets():

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -248,6 +249,45 @@ def test_crank_nicolson_is_second_order():
     assert errors[0] / errors[1] >= 3.5
 
 
+@pytest.mark.parametrize("f_key, a_slot, a_expr, spin_up", [
+    ("23", 3, "q*b/hbar*x2", True),
+    ("13", 3, "q*b/hbar*x1", True),
+    ("12", 2, "q*b/hbar*x1", False),
+])
+def test_larmor_precession_about_each_axis(f_key, a_slot, a_expr, spin_up):
+    """larmor.json with B along e1, e2 and e3 and psi0 perpendicular to B:
+    the spin turns about B by 4 atan(omega dt / 4) per Cayley step, omega =
+    u0 mu |B|, from <sigma>(0) towards B x <sigma>(0) on every axis, so the
+    angle turned over the run gives that signed rate to roundoff.  Along e1
+    and e2 the generator's centre has off-diagonal entries, so these steps
+    run through the einsum."""
+    scn = json.loads((SCENARIO_DIR / "larmor.json").read_text())
+    scn["F"] = {f_key: "b"}
+    scn["A"] = ["0", "0", "0", "0"]
+    scn["A"][a_slot] = a_expr
+    scn["grid"]["psi0"] = [["1", "0"], ["0", "0"]] if spin_up else [["1", "0"], ["1", "0"]]
+    sc = load_scenario(scn)
+    geom = GridGeometry(sc.qd, sc.grid)
+    c0 = quantum._spin_c0(geom)
+    assert bool(np.any(c0[..., 0, 1])) == (f_key != "12")
+    c = sc.background.constants
+    b = np.array([s.value for s in sc.background.magnetic_field((0.0, 0.0, 0.0, 0.0))])
+    assert np.count_nonzero(b) == 1
+    omega = c.u0.value * c.mu.value * float(np.linalg.norm(b))
+    dt, steps = 0.1, 400
+    traj = evolve_pauli(sc.qd, sc.initial_grid(geom), dt, steps, geom=geom)
+    spin = np.stack([traj.sx, traj.sy, traj.sz], axis=-1)
+    n = b / np.linalg.norm(b)
+    assert abs(spin[0] @ n) < 1e-15  # psi0 perpendicular to B
+    e_a = spin[0] / np.linalg.norm(spin[0])
+    e_b = np.cross(n, e_a)
+    angle = np.unwrap(np.arctan2(spin @ e_b, spin @ e_a))
+    rate = angle[-1] / (traj.times[-1] - traj.times[0])
+    cayley = 4.0 / dt * np.arctan(omega * dt / 4.0)
+    assert abs(rate - cayley) <= 1e-10 * cayley
+    assert np.max(np.abs(traj.norms - traj.norms[0])) <= 1e-12 * traj.norms[0]
+
+
 def test_crank_nicolson_keeps_the_norm_each_step(flat_magnetic_scenario):
     """The Cayley step is unitary for the sqrt|g|-weighted product, so the
     norm moves only by roundoff per step; any other theta-method (implicit
@@ -348,7 +388,9 @@ def oracle_width(geom, grid):
 
 def test_observables_match_separate_density_sums(curved_magnetic_scenario):
     """On a 7x7 grid with a non-uniform weight, and on one node (no active
-    axis, so no node density and width 0)."""
+    axis, so no node density and width 0): each row of a stack of states,
+    one of them zero in the middle of the stack, matches its own sums, and
+    the zero state's row is zeros with no division warning."""
     rng = np.random.default_rng(5)
     seven_by_seven = ((-0.8, 0.8, 7), (-0.7, 0.9, 7), (0.0, 0.0, 1))
     one_node = ((0.6, 0.6, 1), (-0.3, -0.3, 1), (0.0, 0.0, 1))
@@ -356,16 +398,43 @@ def test_observables_match_separate_density_sums(curved_magnetic_scenario):
         spec = GridSpec(axes, 0.0)
         geom = GridGeometry(curved_magnetic_scenario.qd, spec)
         assert np.ptp(geom.sqrtg) > 0.01 or np.max(np.abs(geom.sqrtg - 1.0)) > 0.01  # a weight other than 1
-        grid = SpinorGrid(spec, rng.standard_normal(spec.shape + (2,)) + 1j * rng.standard_normal(spec.shape + (2,)))
-        norm, sigma, width = quantum._observables(geom, grid.psi)
-        nn, want = oracle_spin_expectations(geom, grid)
-        assert abs(norm - np.sqrt(nn)) <= 1e-14 * np.sqrt(nn)
-        assert np.max(np.abs(np.array(sigma) - want)) <= 1e-14
-        assert min(map(abs, want)) > 1e-3  # each component, sigma_2's sign included, is tested
-        assert abs(width - oracle_width(geom, grid)) <= 1e-14 * width
-        assert (width == 0.0) == (not spec.active)
-        zero = quantum._observables(geom, np.zeros_like(grid.psi))
-        assert zero == (0.0, [0.0, 0.0, 0.0], 0.0)
+        stack = rng.standard_normal((4,) + spec.shape + (2,)) + 1j * rng.standard_normal((4,) + spec.shape + (2,))
+        stack[2] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = quantum._observables(geom, stack)
+        assert rows.shape == (5, 4)
+        assert rows[:, 2].tolist() == [0.0] * 5
+        for k in (0, 1, 3):
+            grid = SpinorGrid(spec, stack[k])
+            norm, *sigma, width = rows[:, k]
+            nn, want = oracle_spin_expectations(geom, grid)
+            assert abs(norm - np.sqrt(nn)) <= 1e-14 * np.sqrt(nn)
+            assert np.max(np.abs(np.array(sigma) - want)) <= 1e-14
+            assert min(map(abs, want)) > 1e-3  # each component, sigma_2's sign included, is tested
+            assert abs(width - oracle_width(geom, grid)) <= 1e-14 * width
+            assert (width == 0.0) == (not spec.active)
+
+
+def test_trajectory_rows_are_the_observables_of_each_state():
+    """free_packet's 383 nodes make blocks of 21 states, so 30 steps are a
+    full block and a partial one of 10: every row equals _observables of
+    its own state bit for bit.  A 0-step run records psi0 alone."""
+    sc = load_scenario(SCENARIO_DIR / "free_packet.json")
+    geom = GridGeometry(sc.qd, sc.grid)
+    psi0 = sc.initial_grid(geom)
+    assert quantum.OBSERVABLE_BLOCK // psi0.psi.size == 21
+    traj = evolve_pauli(sc.qd, psi0, 0.004, 30, geom=geom, snapshot_every=1)
+    rows = np.stack([traj.norms, traj.sx, traj.sy, traj.sz, traj.widths])
+    assert rows.shape == (5, 31)
+    for step, snap in traj.snapshots:
+        np.testing.assert_array_equal(rows[:, step], quantum._observables(geom, snap.psi[None])[:, 0])
+    np.testing.assert_array_equal(traj.steps, np.arange(31))
+    np.testing.assert_array_equal(traj.times, 0.004 * np.arange(31))
+    still = evolve_pauli(sc.qd, psi0, 0.004, 0, geom=geom)
+    assert len(still.steps) == len(still.norms) == len(still.widths) == 1
+    np.testing.assert_array_equal(still.final.psi, psi0.psi)
+    assert (still.norms[0], still.widths[0]) == (traj.norms[0], traj.widths[0])
 
 
 def test_nonstatic_metric_rejected():
@@ -661,12 +730,22 @@ def oracle_prequantum(geom, f, psi):
     return 1j * (ypsi - f0[..., None] * ppsi)
 
 
+def flat_magnetic_along_e1():
+    """flat_magnetic with B along e1: C_0 is a multiple of xi_1, so the
+    generator's centre has off-diagonal entries."""
+    scn = scenario_dict("flat_magnetic")
+    scn["F"] = {"23": "b"}
+    scn["A"] = ["0", "0", "0", "q*b/hbar*x2"]
+    return load_scenario(scn)
+
+
 STENCIL_GRIDS = {
     "anisotropic_6x7x8": (lambda: load_scenario(scenario_dict("anisotropic")),
                           GridSpec(((-0.8, 0.8, 6), (-0.7, 0.9, 7), (-0.6, 0.8, 8)), 0.0)),
     "curved_magnetic_15x15x1": (lambda: load_scenario(SCENARIO_DIR / "curved_magnetic.json"), None),
     "flat_magnetic_8^3": (lambda: load_scenario(SCENARIO_DIR / "flat_magnetic.json"),
                           GridSpec(((-3, 3, 8),) * 3, 0.0)),
+    "flat_magnetic_along_e1_8^3": (flat_magnetic_along_e1, GridSpec(((-3, 3, 8),) * 3, 0.0)),
     "larmor_one_node": (lambda: load_scenario(SCENARIO_DIR / "larmor.json"), None),
     "free_packet_1d": (lambda: load_scenario(SCENARIO_DIR / "free_packet.json"), None),
 }
@@ -722,25 +801,34 @@ def all_array_apply(stencil, psi):
     return out
 
 
+def centre_kind(centre):
+    """"full" with an off-diagonal entry, else "scalar" when the two
+    diagonal entries agree at every node, else "diagonal"."""
+    if np.any(centre[..., 0, 1]) or np.any(centre[..., 1, 0]):
+        return "full"
+    return "scalar" if np.array_equal(centre[..., 0, 0], centre[..., 1, 1]) else "diagonal"
+
+
 def constant_parts(stencil):
-    """(centre is a multiple of the identity, live offsets whose applied
-    coefficients are the same at every node, live offsets)."""
-    c = stencil.centre
-    scalar = not (np.any(c[..., 0, 1]) or np.any(c[..., 1, 0])) and np.array_equal(c[..., 0, 0], c[..., 1, 1])
+    """(centre kind, live offsets whose applied coefficients are the same at
+    every node, live offsets)."""
     live = stencil.live_offsets()
     applied = [coef[quantum._offset_slices(d)[0]] for d, coef in live.items()]
-    return scalar, sum(bool(np.all(a == a.flat[0])) for a in applied), len(live)
+    return centre_kind(stencil.centre), sum(bool(np.all(a == a.flat[0])) for a in applied), len(live)
 
 
 @pytest.mark.parametrize("name, generator_parts", [
-    ("free_packet_1d", (True, 2, 2)),
-    ("flat_magnetic_8^3", (False, 4, 6)),
-    ("curved_magnetic_15x15x1", (False, 0, 4)),
+    ("free_packet_1d", ("scalar", 2, 2)),
+    ("flat_magnetic_8^3", ("diagonal", 4, 6)),
+    ("curved_magnetic_15x15x1", ("diagonal", 0, 4)),
+    ("larmor_one_node", ("diagonal", 0, 0)),
+    ("flat_magnetic_along_e1_8^3", ("full", 4, 6)),
 ])
 def test_constant_stencil_parts_apply_as_numbers(name, generator_parts, monkeypatch):
     """The generator and prequantum(P1), whose parts that are the same at
-    every node are applied as numbers and whose scalar centres skip the
-    einsum, equal an all-array apply of the same Stencil bit for bit."""
+    every node are applied as numbers, whose diagonal centres multiply psi
+    elementwise and whose other centres take the einsum, equal an all-array
+    apply of the same Stencil bit for bit."""
     make, spec = STENCIL_GRIDS[name]
     sc = make()
     geom = GridGeometry(sc.qd, spec or sc.grid)
@@ -750,7 +838,9 @@ def test_constant_stencil_parts_apply_as_numbers(name, generator_parts, monkeypa
                         lambda self, label, symmetric: stencils.append(self) or original(self, label, symmetric))
     ops = [pauli_generator(geom), prequantum(sc.qd, geom, sc.function("P1"))]
     assert constant_parts(stencils[0]) == generator_parts
-    assert constant_parts(stencils[1]) == (True, 2, 2)  # f^1 = 1: constant first differences
+    # f^1 = 1: constant first differences along x1, when that axis is active
+    p1_offsets = 2 if 0 in geom.spec.active else 0
+    assert constant_parts(stencils[1]) == ("scalar", p1_offsets, p1_offsets)
     rng = np.random.default_rng(9)
     psi = rng.standard_normal(geom.spec.shape + (2,)) + 1j * rng.standard_normal(geom.spec.shape + (2,))
     for op, stencil in zip(ops, stencils):

@@ -48,6 +48,20 @@ def test_bad_metric_symmetry():
     assert "symmetric" in str(err.value)
 
 
+@pytest.mark.parametrize("diagonal, message", [
+    (("1e200", "1e200", "1e200"), "det g = inf is not a positive finite number"),
+    (("1e-200", "1e-200", "1e-200"), "det g = 0.0 is not a positive finite number"),
+    (("-1", "1", "1"), "det g = -1.0 is not a positive finite number"),
+    (("1e200", "1e200", "1e-200"), "g^-1 is not finite (det g = 1e+200)"),  # cofactor g11 g22 overflows
+], ids=["det_overflows", "det_underflows", "det_negative", "inverse_overflows"])
+def test_constant_metric_with_unusable_volume_is_rejected(diagonal, message):
+    scn = scenario_dict("flat")
+    scn["metric"] = [[diagonal[i] if i == j else "0" for j in range(3)] for i in range(3)]
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(scn)
+    assert str(err.value) == "metric: " + message
+
+
 def test_bad_kgrav_key():
     scn = scenario_dict("flat")
     scn["Kgrav"] = {"4_00": "1"}
