@@ -1,14 +1,16 @@
 """The classical Galileian arena.
 
-A Background bundles the spatial metric g_ij (L^2-scaled), the gravitational
-spacetime connection coefficients K^i_{lm} (with vanishing time row), the
+A Background bundles the spatial metric g_ij (L^2-scaled), the free slots
+K^i_00 and K^i_0j of the gravitational spacetime connection (whose time row
+vanishes; the bundle derives the slots the metric fixes), the
 electromagnetic 2-form F and the coupling constants.  Everything downstream
-(joined connections, orthonormal frames, curvatures, the spin connection as
-the axial vector of Ktilde, the cosymplectic table, observer pullbacks, the
-magnetic field) is read off one `BackgroundJets` bundle,
-`Background.jets(where)`, at a point or on a (4, N) cloud of points, as
-jets, so derivatives are exact to the requested order.  A bundle stands
-for its points: passed on in place of them, it shares what it has computed.
+(the gravitational and joined connections, orthonormal frames, curvatures,
+the spin connection as the axial vector of Ktilde, the cosymplectic table,
+observer pullbacks, the magnetic field) is read off one `BackgroundJets`
+bundle, `Background.jets(where)`, at a point or on a (4, N) cloud of
+points, as jets, so derivatives are exact to the requested order.  A
+bundle stands for its points: passed on in place of them, it shares what
+it has computed.
 
 Chart conventions: a single global chart (x0..x3), dimensionless coordinates,
 dt = u0 dx0, reference observer = chart-adapted (zero velocity components).
@@ -164,11 +166,16 @@ class Background:
             for j in range(3):
                 if self.g[i][j].dim != METRIC_DIM:
                     raise DimensionMismatch(f"metric entry g[{i}][{j}] must have dimension {METRIC_DIM}")
-        # kgrav keyed by (i, lam, mu) with i in 1..3 upper, lam <= mu; symmetric storage.
+        # the free slots of the gravitational connection, keyed (i, lam, mu)
+        # with i in 1..3 upper and lam <= mu; the bundle adds them to the
+        # slots the metric fixes
         self.kgrav = {}
         for (i, lam, mu), fld in kgrav.items():
             key = (i, min(lam, mu), max(lam, mu))
             self.kgrav[key] = fld
+        # the chart variables each metric entry references: d_lam g_ij is
+        # formed only where g_ij depends on x^lam
+        self.g_vars = [[fl.variables(e.expr) for e in row] for row in self.g]
         # F keyed by (lam, mu), lam < mu.
         self.f_em = {}
         for (lam, mu), fld in f_em.items():
@@ -306,13 +313,42 @@ class BackgroundJets:
         return self._get(("F", order), build)
 
     def kgrav(self, order: int) -> list:
+        """Gravitational connection k[lam][i - 1][mu] = K^i_{lam mu}: the slots
+        that the metric fixes for a torsion-free connection preserving it,
+        plus the scenario's free slots K^i_00 and K^i_0j.  With g_0x = 0 one
+        formula gives the fixed slots,
+          K^i_{lam mu} = 1/2 g^ih (d_lam g_h mu + d_mu g_h lam - d_h g_lam mu),
+        the Levi-Civita coefficients for spatial lam, mu and 1/2 g^ih d_0 g_hj
+        for lam = 0.  A d_lam g_hk whose entry does not reference x^lam is
+        left out, so a constant metric does no work here."""
         def build():
+            g_vars = self.bg.g_vars
+            dg = {}  # (lam, h, k) -> d_lam g_hk, spatial h, k in 1..3
+            for h in range(3):
+                for kk in range(h, 3):
+                    for lam in g_vars[h][kk]:
+                        dg[lam, h + 1, kk + 1] = dg[lam, kk + 1, h + 1] = self.metric(order + 1)[h][kk].derive(lam)
+            slots = {}
+
+            def add(key, j):
+                slots[key] = slots[key] + j if key in slots else j
+
+            for lam in range(4):
+                for mu in range(max(lam, 1), 4):
+                    for h in range(1, 4):
+                        # the terms of 2 Gamma_{h lam mu}, the slot lowered by g
+                        terms = [dg[key] for key in ((lam, h, mu), (mu, h, lam)) if key in dg]
+                        if (h, lam, mu) in dg:
+                            terms.append(-dg[h, lam, mu])
+                        if terms:
+                            gam = sum(terms[1:], terms[0]) * 0.5
+                            for i in range(1, 4):
+                                add((i, lam, mu), self.metric_inv(order)[i - 1][h - 1] * gam)
+            for key, fld in self.bg.kgrav.items():
+                add(key, fld.eval_jet(self.point, order))
             k = _zeros((4, 3, 4), order)
-            for (i, lam, mu), fld in self.bg.kgrav.items():
-                j = fld.eval_jet(self.point, order)
-                k[lam][i - 1][mu] = j
-                if lam != mu:
-                    k[mu][i - 1][lam] = j
+            for (i, lam, mu), j in slots.items():
+                k[lam][i - 1][mu] = k[mu][i - 1][lam] = j
             return k
         return self._get(("kgrav", order), build)
 
@@ -627,46 +663,3 @@ def divergence_eta_jets(x_jets: Sequence, bundle: BackgroundJets, order: int) ->
     for i in range(3):
         acc = acc + (x_jets[i + 1] * sg).derive(i + 1)
     return acc * sg.truncate(order).recip()
-
-
-# ---------------------------------------------------------------------------
-# scenario helpers
-
-
-def christoffel_expressions(g_exprs) -> dict:
-    """Levi-Civita coefficients of a 3x3 metric expression matrix as ASTs,
-    keyed (i, j, k) with i the upper index (1..3) and j <= k; spatial only."""
-    g = [[fl.parse(e) if isinstance(e, str) else e for e in row] for row in g_exprs]
-    det = fl.sub(
-        fl.add(
-            fl.mul(g[0][0], fl.sub(fl.mul(g[1][1], g[2][2]), fl.mul(g[1][2], g[2][1]))),
-            fl.mul(g[0][2], fl.sub(fl.mul(g[1][0], g[2][1]), fl.mul(g[1][1], g[2][0]))),
-        ),
-        fl.mul(g[0][1], fl.sub(fl.mul(g[1][0], g[2][2]), fl.mul(g[1][2], g[2][0]))),
-    )
-    adj = [
-        [fl.sub(fl.mul(g[1][1], g[2][2]), fl.mul(g[1][2], g[2][1])),
-         fl.sub(fl.mul(g[0][2], g[2][1]), fl.mul(g[0][1], g[2][2])),
-         fl.sub(fl.mul(g[0][1], g[1][2]), fl.mul(g[0][2], g[1][1]))],
-        [fl.sub(fl.mul(g[1][2], g[2][0]), fl.mul(g[1][0], g[2][2])),
-         fl.sub(fl.mul(g[0][0], g[2][2]), fl.mul(g[0][2], g[2][0])),
-         fl.sub(fl.mul(g[0][2], g[1][0]), fl.mul(g[0][0], g[1][2]))],
-        [fl.sub(fl.mul(g[1][0], g[2][1]), fl.mul(g[1][1], g[2][0])),
-         fl.sub(fl.mul(g[0][1], g[2][0]), fl.mul(g[0][0], g[2][1])),
-         fl.sub(fl.mul(g[0][0], g[1][1]), fl.mul(g[0][1], g[1][0]))],
-    ]
-    ginv = [[fl.div(adj[i][j], det) for j in range(3)] for i in range(3)]
-    out = {}
-    half = fl.Const(0.5)
-    for i in range(3):
-        for j in range(3):
-            for k in range(j, 3):
-                acc = fl.Const(0.0)
-                for h in range(3):
-                    bracket = fl.sub(
-                        fl.add(fl.derive_expr(g[h][k], j + 1), fl.derive_expr(g[h][j], k + 1)),
-                        fl.derive_expr(g[j][k], h + 1),
-                    )
-                    acc = fl.add(acc, fl.mul(ginv[i][h], bracket))
-                out[(i + 1, j + 1, k + 1)] = fl.mul(half, acc)
-    return out

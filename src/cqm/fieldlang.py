@@ -15,8 +15,7 @@ so "-x1^2" parses as (-x1)^2.
 
 Expressions evaluate to jets (exact derivatives at a point or on a cloud of
 points; arrays over a mesh are order-0 jets on one cloud) or, through the
-independent oracle eval_float, to plain floats.  A symbolic derivative on the
-AST is used by the scenario helpers and as an oracle for the jet kernel.
+independent oracle eval_float, to plain floats.
 """
 
 from __future__ import annotations
@@ -265,101 +264,21 @@ def to_source(expr: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# smart constructors + symbolic derivative
-
-_ZERO = Const(0.0)
-_ONE = Const(1.0)
+# chart variables
 
 
-def add(a: Expr, b: Expr) -> Expr:
-    if a == _ZERO:
-        return b
-    if b == _ZERO:
-        return a
-    return Binary("add", a, b)
-
-
-def sub(a: Expr, b: Expr) -> Expr:
-    if b == _ZERO:
-        return a
-    if a == _ZERO:
-        return Unary("neg", b)
-    return Binary("sub", a, b)
-
-
-def mul(a: Expr, b: Expr) -> Expr:
-    if a == _ZERO or b == _ZERO:
-        return _ZERO
-    if a == _ONE:
-        return b
-    if b == _ONE:
-        return a
-    return Binary("mul", a, b)
-
-
-def div(a: Expr, b: Expr) -> Expr:
-    if a == _ZERO:
-        return _ZERO
-    if b == _ONE:
-        return a
-    return Binary("div", a, b)
-
-
-def derive_expr(expr: Expr, var: int) -> Expr:
-    """Symbolic partial derivative with respect to chart variable `var`."""
-    if isinstance(expr, (Const, UnitConst)):
-        return _ZERO
+def variables(expr: Expr) -> frozenset:
+    """The chart variables (indices 0..3) that the expression references."""
     if isinstance(expr, Var):
-        return _ONE if expr.index == var else _ZERO
-    if isinstance(expr, Unary):
-        du = derive_expr(expr.arg, var)
-        u = expr.arg
-        if expr.op == "neg":
-            return sub(_ZERO, du) if du != _ZERO else _ZERO
-        if expr.op == "sqrt":
-            return div(du, mul(Const(2.0), Unary("sqrt", u)))
-        if expr.op == "exp":
-            return mul(Unary("exp", u), du)
-        if expr.op == "log":
-            return div(du, u)
-        if expr.op == "sin":
-            return mul(Unary("cos", u), du)
-        if expr.op == "cos":
-            return mul(Unary("neg", Unary("sin", u)), du)
-        raise ValueError(f"unknown unary op {expr.op!r}")
-    if isinstance(expr, Binary):
-        da = derive_expr(expr.left, var)
-        db = derive_expr(expr.right, var)
-        if expr.op == "add":
-            return add(da, db)
-        if expr.op == "sub":
-            return sub(da, db)
-        if expr.op == "mul":
-            return add(mul(da, expr.right), mul(expr.left, db))
-        if expr.op == "div":
-            return div(sub(mul(da, expr.right), mul(expr.left, db)), PowInt(expr.right, 2))
-        raise ValueError(f"unknown binary op {expr.op!r}")
-    if isinstance(expr, PowInt):
-        k = expr.exponent
-        if k == 0:
-            return _ZERO
-        du = derive_expr(expr.base, var)
-        return mul(mul(Const(float(k)), PowInt(expr.base, k - 1)), du)
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
-def is_constant(expr: Expr) -> bool:
-    """True if the expression references no chart variable."""
-    if isinstance(expr, Var):
-        return False
+        return frozenset((expr.index,))
     if isinstance(expr, (Const, UnitConst)):
-        return True
+        return frozenset()
     if isinstance(expr, Unary):
-        return is_constant(expr.arg)
+        return variables(expr.arg)
     if isinstance(expr, Binary):
-        return is_constant(expr.left) and is_constant(expr.right)
+        return variables(expr.left) | variables(expr.right)
     if isinstance(expr, PowInt):
-        return is_constant(expr.base)
+        return variables(expr.base)
     raise TypeError(f"not an expression node: {expr!r}")
 
 
@@ -543,11 +462,11 @@ class FieldDef:
 
     @property
     def constant(self) -> bool:
-        return is_constant(self.expr)
+        return not variables(self.expr)
 
     def __repr__(self):
         return f"FieldDef({self.name!r}, {self.dim}, {to_source(self.expr)!r})"
 
 
 def zero_field(name: str = "0", dim: Dim = DIMLESS) -> FieldDef:
-    return FieldDef(name, dim, _ZERO)
+    return FieldDef(name, dim, Const(0.0))

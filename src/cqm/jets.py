@@ -337,7 +337,9 @@ class Jet:
         if bad.any():
             raise DomainError(f"sqrt of nonpositive value slot {_first_failure(v, bad)}")
         s = np.sqrt(v)
-        return self._compose([s, 0.5 / s, -0.125 / (s * v), 0.0625 / (s * v * v)])
+        h = 0.5 / s
+        r = 1.0 / v
+        return self._compose([s, h, -0.25 * h * r, 0.125 * h * r * r])
 
     def exp(self) -> "Jet":
         e = np.exp(self.c[..., 0])

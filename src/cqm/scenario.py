@@ -7,7 +7,7 @@ Schema (all field values are expression strings in the field language):
       "constants": {"m": 1.0, "q": 1.0, "hbar": 1.0, "mu": 1.0, "u0": 1.0,
                     "b": {"value": 0.4, "dim": {"l": "1/2", "t": "0", "m": "1/2"}}},
       "metric":    [["1","0","0"],["0","1","0"],["0","0","1"]],
-      "Kgrav":     "auto" | {"1_11": "...", ...},        # keys i_lm, upper index first
+      "Kgrav":     {"1_00": "...", "1_02": "...", ...},  # free slots: keys i_00, i_0j
       "F":         {"12": "b", ...},                      # keys lm with l < m
       "observers": {"name": ["o1","o2","o3"], ...},
       "A":         ["A0","A1","A2","A3"],
@@ -19,14 +19,17 @@ Schema (all field values are expression strings in the field language):
     }
 
 Missing metric defaults to the identity, missing connection/F entries to "0".
-A section of another shape (a list where a mapping belongs, a list of the
-wrong length, a non-number where a number belongs, a non-finite grid time or
-box) is a ScenarioError, and so are two Kgrav keys for one slot ('1_02' and
-'1_20'), a constant field expression that is not a finite number (exp(1000),
-log(0)), a constant metric whose det g is not positive or whose det g or
-g^-1 is not finite (1e200 on the diagonal), and a negative suite.seed.
-Unknown keys are ignored.  psi0 is normalised on the grid.  The check
-bounds of `cqm verify` are constants (verify.TOLERANCES).
+The metric fixes the spatial slots of Kgrav and the symmetric part of its
+K^i_0j (the background bundle derives them); Kgrav holds the free slots,
+K^i_00 and the g-antisymmetric part of K^i_0j.  A section of another shape
+(a list where a mapping belongs, a list of the wrong length, a non-number
+where a number belongs, a non-finite grid time or box) is a ScenarioError,
+and so are a spatial Kgrav key ('1_11'), two Kgrav keys for one slot
+('1_02' and '1_20'), a constant field expression that is not a finite
+number (exp(1000), log(0)), a constant metric whose det g is not positive
+or whose det g or g^-1 is not finite (1e200 on the diagonal), and a
+negative suite.seed.  Unknown keys are ignored.  psi0 is normalised on the
+grid.  The check bounds of `cqm verify` are constants (verify.TOLERANCES).
 The builtins x0..x3, P1..P3, H0 and H0prime are always registered; H0prime
 includes the spin term phi = -u0 mu B_flat.  On a constant background its
 phi is three constant fields; otherwise H0prime is a derived function whose
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -46,7 +50,7 @@ from typing import Mapping
 import numpy as np
 
 from . import fieldlang as fl
-from .background import Background, Constants, Observer, christoffel_expressions
+from .background import Background, Constants, Observer
 from .fieldlang import FieldDef
 from .hermitian import QuantumData, SpinorSection
 from .jets import DomainError
@@ -215,33 +219,20 @@ def _check_constant_metric(g: list):
         raise ScenarioError(f"metric: g^-1 is not finite (det g = {det!r})")
 
 
-def _parse_kgrav(obj, metric_obj, consts) -> dict:
+def _parse_kgrav(obj, consts) -> dict:
+    """The free slots of the gravitational connection, K^i_00 (key 'i_00')
+    and K^i_0j (key 'i_0j' or 'i_j0'), keyed (i, 0, mu); the metric fixes
+    the spatial slots and the symmetric part of K^i_0j."""
     out = {}
-    auto = False
-    entries = {}
-    if obj is None:
-        pass
-    elif isinstance(obj, str):
-        if obj != "auto":
-            raise ScenarioError(f"Kgrav must be a mapping or 'auto', got {obj!r}")
-        auto = True
-    else:
-        entries = dict(_shaped(obj, Mapping, "Kgrav"))
-        auto = bool(entries.pop("auto", False))
-    if auto:
-        g_exprs = metric_obj if metric_obj is not None else [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
-        for (i, j, k), expr in christoffel_expressions([[str(e) for e in row] for row in g_exprs]).items():
-            out[(i, j, k)] = FieldDef(f"K{i}_{j}{k}", DIMLESS, expr, consts)
     set_by = {}
-    for key, source in entries.items():
-        try:
-            i_str, lm = key.split("_")
-            i = int(i_str)
-            lam, mu = int(lm[0]), int(lm[1])
-            assert 1 <= i <= 3 and 0 <= lam <= 3 and 0 <= mu <= 3
-        except Exception:
-            raise ScenarioError(f"bad Kgrav key {key!r} (expected e.g. '1_02')") from None
-        slot = (i, min(lam, mu), max(lam, mu))
+    for key, source in _shaped({} if obj is None else obj, Mapping, "Kgrav").items():
+        m = re.fullmatch(r"([1-3])_([0-3])([0-3])", str(key))
+        if m is None:
+            raise ScenarioError(f"bad Kgrav key {key!r} (expected e.g. '1_02')")
+        i, lam, mu = (int(d) for d in m.groups())
+        if min(lam, mu) != 0:
+            raise ScenarioError(f"Kgrav key {key!r}: the metric fixes the spatial slots; only i_00 and i_0j are free")
+        slot = (i, 0, max(lam, mu))
         if slot in set_by:
             raise ScenarioError(f"Kgrav keys {set_by[slot]!r} and {key!r} set the same symmetric slot")
         set_by[slot] = key
@@ -252,12 +243,10 @@ def _parse_kgrav(obj, metric_obj, consts) -> dict:
 def _parse_f(obj, consts) -> dict:
     out = {}
     for key, source in _shaped(obj or {}, Mapping, "F").items():
-        try:
-            lam, mu = int(key[0]), int(key[1])
-            assert 0 <= lam < mu <= 3
-        except Exception:
-            raise ScenarioError(f"bad F key {key!r} (expected e.g. '12' with l < m)") from None
-        out[(lam, mu)] = _fdef(f"F{key}", EM_FIELD_DIM, str(source), consts, f"F[{key}]")
+        m = re.fullmatch(r"([0-3])([0-3])", str(key))
+        if m is None or m[1] >= m[2]:
+            raise ScenarioError(f"bad F key {key!r} (expected e.g. '12' with l < m)")
+        out[(int(m[1]), int(m[2]))] = _fdef(f"F{key}", EM_FIELD_DIM, str(source), consts, f"F[{key}]")
     return out
 
 
@@ -271,7 +260,7 @@ def _builtin_functions(bg: Background, a_exprs, consts) -> dict:
         fi = tuple(one if j == i else zero for j in range(3))
         fbrev = FieldDef(f"A{i + 1}", DIMLESS, a_exprs[i + 1], consts)
         funcs[f"P{i + 1}"] = SpecialFunction.scalar(zero, fi, fbrev, name=f"P{i + 1}")
-    neg_a0 = FieldDef("-A0", DIMLESS, fl.sub(fl.Const(0.0), fl.parse(a_exprs[0])), consts)
+    neg_a0 = FieldDef("-A0", DIMLESS, fl.Unary("neg", fl.parse(a_exprs[0])), consts)
     funcs["H0"] = SpecialFunction.scalar(one, (zero, zero, zero), neg_a0, name="H0")
     c = bg.constants
     w = -c.u0.value * c.mu.value
@@ -343,9 +332,8 @@ def load_scenario(source) -> Scenario:
     data = _shaped(data, Mapping, "the scenario")
     constants = _parse_constants(_shaped(data.get("constants", {}), Mapping, "constants"))
     consts = constants.table()
-    metric_obj = data.get("metric")
-    g = _parse_metric(metric_obj, consts)
-    kgrav = _parse_kgrav(data.get("Kgrav"), metric_obj, consts)
+    g = _parse_metric(data.get("metric"), consts)
+    kgrav = _parse_kgrav(data.get("Kgrav"), consts)
     f_em = _parse_f(data.get("F"), consts)
     bg = Background(g, kgrav, f_em, constants)
 

@@ -157,11 +157,11 @@ def random_special_function(rng: np.random.Generator, consts, name: str = "rand"
             coeff = round(float(rng.uniform(-scale, scale)), 6)
             node = fl.Const(coeff)
             for _ in range(int(rng.integers(1, deg + 1))):
-                node = fl.mul(node, fl.Var(int(rng.choice(vars_))))
+                node = fl.Binary("mul", node, fl.Var(int(rng.choice(vars_))))
             terms.append(node)
         out = terms[0]
         for t in terms[1:]:
-            out = fl.add(out, t)
+            out = fl.Binary("add", out, t)
         return out
 
     spatial = [v for v in active_vars]

@@ -7,10 +7,9 @@ from cqm.background import (
     Observer,
     PhasePoint,
     as_point,
-    christoffel_expressions,
     divergence_eta_jets,
 )
-from cqm.fieldlang import FieldDef, eval_float
+from cqm.fieldlang import FieldDef
 from cqm.jets import value_array
 from cqm.pauli import EPS
 from cqm.scenario import load_scenario
@@ -28,23 +27,27 @@ from cqm.units import (
 from conftest import sample_box, scenario_dict
 
 
-def numeric_christoffel(sc, point, i, j, k, h=1e-5):
-    """Independent Levi-Civita oracle: central differences of the metric."""
+def numeric_christoffel(sc, point, i, lam, mu, h=1e-5):
+    """Independent oracle for the slots the metric fixes: K^i_{lam mu} from
+    central differences of the metric, with g_0x = 0 (so K^i_0j is
+    1/2 g^ih d_0 g_hj); i spatial 0..2, lam and mu chart indices 0..3."""
     bg = sc.background
 
-    def g(pt):
+    def g4(pt):  # the metric padded with a zero time row and column
         b = bg.jets(pt)
-        return np.array([[b.metric(0)[r][c].value for c in range(3)] for r in range(3)])
+        out = np.zeros((4, 4))
+        out[1:, 1:] = [[b.metric(0)[r][c].value for c in range(3)] for r in range(3)]
+        return out
 
-    dg = np.zeros((3, 3, 3))  # dg[l][r][c] = d_l g_rc (spatial l)
-    for l in range(3):
+    dg = np.zeros((4, 4, 4))  # dg[l][r][c] = d_l g_rc
+    for l in range(4):
         pp, pm = np.array(point, dtype=float), np.array(point, dtype=float)
-        pp[l + 1] += h
-        pm[l + 1] -= h
-        dg[l] = (g(pp) - g(pm)) / (2 * h)
-    ginv = np.linalg.inv(g(point))
+        pp[l] += h
+        pm[l] -= h
+        dg[l] = (g4(pp) - g4(pm)) / (2 * h)
+    ginv = np.linalg.inv(g4(point)[1:, 1:])
     return 0.5 * sum(
-        ginv[i, m] * (dg[j, m, k] + dg[k, m, j] - dg[m, j, k]) for m in range(3)
+        ginv[i, m - 1] * (dg[lam, m, mu] + dg[mu, m, lam] - dg[m, lam, mu]) for m in range(1, 4)
     )
 
 
@@ -84,34 +87,43 @@ def test_validate_measures_torsion_of_the_bundle(curved_magnetic_scenario):
     assert bg.validate(b)["torsion"] == 0.25
 
 
-def test_christoffel_expressions_match_fd_oracle(curved_magnetic_scenario):
-    sc = curved_magnetic_scenario
-    exprs = christoffel_expressions([["1+0.1*x1*x1", "0", "0"],
-                                     ["0", "1+0.1*x1*x1", "0"],
-                                     ["0", "0", "1+0.1*x1*x1"]])
-    pt = (0.0, 0.37, -0.21, 0.64)
-    for (i, j, k), expr in exprs.items():
-        sym = eval_float(expr, pt, {})
-        oracle = numeric_christoffel(sc, pt, i - 1, j - 1, k - 1)
-        assert sym == pytest.approx(oracle, abs=1e-8)
-        # and the scenario's hand-entered coefficients agree
-        stored = sc.background.kgrav.get((i, min(j, k), max(j, k)))
-        val = stored(pt) if stored is not None else 0.0
-        assert sym == pytest.approx(val, abs=1e-12)
+def _hand_slots(x1) -> dict:
+    """The Levi-Civita slots of g = (1 + 0.1 x1^2) delta as they were once
+    entered by hand in scenarios/curved_magnetic.json, keyed (lam, i, mu)
+    with i spatial 0..2, both orders of the lower pair."""
+    w = 0.1 * x1 / (1 + 0.1 * x1 * x1)
+    slots = {(1, 0, 1): w, (2, 0, 2): -w, (3, 0, 3): -w, (1, 1, 2): w, (1, 2, 3): w}
+    return {**slots, **{(mu, i, lam): v for (lam, i, mu), v in slots.items()}}
 
 
-def test_scenario_auto_kgrav_matches_explicit():
-    scn = scenario_dict("curved_magnetic")
-    scn["Kgrav"] = "auto"
-    sc_auto = load_scenario(scn)
-    sc_exp = load_scenario(scenario_dict("curved_magnetic"))
-    pt = (0.2, 0.5, -0.4, 0.3)
-    ka = sc_auto.background.jets(pt).kgrav(0)
-    ke = sc_exp.background.jets(pt).kgrav(0)
+@pytest.mark.parametrize("name", ["curved_magnetic", "anisotropic", "breathing"])
+def test_derived_connection_matches_fd_oracle(name):
+    """The bundle's K agrees with central differences of the metric in every
+    slot; the breathing metric's time slots come from d_0 g."""
+    sc = load_scenario(scenario_dict(name))
+    pt = (0.3, 0.37, -0.21, 0.64)
+    k = sc.background.jets(pt).kgrav(0)
+    hand = _hand_slots(pt[1])
     for lam in range(4):
         for i in range(3):
             for mu in range(4):
-                assert ka[lam][i][mu].value == pytest.approx(ke[lam][i][mu].value, abs=1e-12)
+                assert k[lam][i][mu].value == pytest.approx(numeric_christoffel(sc, pt, i, lam, mu), abs=1e-8)
+                if name == "curved_magnetic":
+                    assert k[lam][i][mu].value == pytest.approx(hand.get((lam, i, mu), 0.0), abs=1e-12)
+    if name == "breathing":  # K^i_0i = 1/2 d_0 g_ii / g_ii
+        assert [k[0][i][i + 1].value for i in range(3)] == pytest.approx([0.05 / (1 + 0.1 * pt[0])] * 3, abs=1e-12)
+
+
+def test_breathing_metric_passes_the_point_suites_without_kgrav():
+    """A time-dependent metric needs no hand-written slots: the five point
+    suites pass on the breathing metric with no Kgrav section."""
+    from cqm.verify import run_suites
+
+    scn = scenario_dict("breathing")
+    assert "Kgrav" not in scn
+    checks = run_suites(load_scenario(scn), ["background", "curvature", "isomorphism", "jacobi", "observer"])
+    assert [c.name for c in checks if not c.passed] == []
+    assert len(checks) > 0
 
 
 def test_joined_connection_reduces_without_f(flat_scenario):
@@ -437,7 +449,7 @@ def test_constants_dimension_check():
 
 
 def test_anisotropic_metric_full_stack():
-    """Off-diagonal metric with auto Levi-Civita: metricity, frame
+    """Off-diagonal metric with derived Levi-Civita slots: metricity, frame
     orthonormality, the curvature identity and the main theorem all hold."""
     from cqm.pauli import spin_curvature_from_jets
     from cqm.verify import main_theorem_residual, random_special_function

@@ -52,7 +52,7 @@ def test_verify_reports_are_byte_identical(tmp_path):
 
 def test_verify_corrupted_metricity_fails(tmp_path):
     scn = scenario_dict("curved_magnetic")
-    scn["Kgrav"]["1_11"] = "0.3*x1"  # not the Levi-Civita coefficient
+    scn["Kgrav"] = {"1_01": "0.3*x1"}  # a symmetric time slot the metric does not have
     scn_path = tmp_path / "broken.json"
     scn_path.write_text(json.dumps(scn))
     res = run_cli("verify", str(scn_path), "--suite", "background", "--samples", "10",
@@ -61,6 +61,34 @@ def test_verify_corrupted_metricity_fails(tmp_path):
     report = json.loads((tmp_path / "rep.json").read_text())
     failing = [c["name"] for c in report["checks"] if not c["passed"]]
     assert "background.metricity" in failing
+
+
+# the Levi-Civita slots that scenarios/curved_magnetic.json once listed by hand
+_W = "0.1*x1/(1+0.1*x1*x1)"
+_HAND_SLOTS = {"1_11": _W, "1_22": f"-({_W})", "1_33": f"-({_W})", "2_12": _W, "3_13": _W}
+
+
+@pytest.mark.parametrize("kgrav, message", [
+    (_HAND_SLOTS, "Kgrav key '1_11': the metric fixes the spatial slots; only i_00 and i_0j are free"),
+    ("auto", "Kgrav must be a mapping, got 'auto'"),
+], ids=["spatial_keys", "auto"])
+def test_kgrav_slots_the_metric_fixes_are_a_load_error(kgrav, message):
+    """The bundle derives the slots the metric fixes: a scenario that sets
+    them, or asks for them by "auto", is one `error:` line at load."""
+    scn = json.loads((SCENARIO_DIR / "curved_magnetic.json").read_text())
+    scn["Kgrav"] = kgrav
+    rc, out, err = _main("verify", json.dumps(scn), "--suite", "background")
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("section", [{"Kgrav": {"4_00": "1"}}, {"F": {"05": "1"}}], ids=["kgrav", "f"])
+def test_out_of_range_key_is_a_load_error_under_python_O(section):
+    """Key checks survive `python -O`, which strips asserts: an index out of
+    range is one `error:` line and exit 2, not an IndexError."""
+    res = run_cli("verify", json.dumps(section), "--suite", "background", env={"PYTHONOPTIMIZE": "1"})
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: bad ")
+    assert len(res.stderr.splitlines()) == 1, res.stderr
 
 
 def test_verify_usage_errors():

@@ -14,15 +14,17 @@ from cqm.fieldlang import (
     Unary,
     UnknownIdentifier,
     Var,
-    derive_expr,
     eval_array,
     eval_float,
     eval_jet,
     infer_dim,
     parse,
     to_source,
+    variables,
 )
 from cqm.units import DIMLESS, LENGTH, METRIC_DIM, Dim, DimensionMismatch, ScaledReal
+
+from conftest import derive_expr
 
 # the 50-expression corpus used for round-trip and oracle checks
 CORPUS = [
@@ -192,6 +194,13 @@ def test_symbolic_derivative_matches_jets():
             alpha = tuple(1 if v == var else 0 for v in range(4))
             jet = eval_jet(ast, point, 1, {}).extract(alpha)
             assert sym == pytest.approx(jet, rel=1e-10, abs=1e-10)
+
+
+def test_variables_are_the_chart_variables_referenced():
+    assert variables(parse("sin(x1)*2 + (x3 - 1)^2 - x1")) == {1, 3}
+    assert variables(parse("-(2*3)/sqrt(3)")) == frozenset()
+    assert FieldDef("k", DIMLESS, "exp(1)*2").constant
+    assert not FieldDef("k", DIMLESS, "x0/2").constant
 
 
 def test_eval_array_matches_pointwise():

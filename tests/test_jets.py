@@ -406,6 +406,23 @@ def test_cloud_seeds_value_and_extract():
         assert np.array_equal(sq.c[k], point.c)
 
 
+@pytest.mark.parametrize("order", [1, 3])
+@pytest.mark.parametrize("point", [(0.3, 0.7, -0.2, 0.5), [[0.3, -0.4], [0.7, 1.4], [-0.2, 0.6], [0.5, -0.9]]],
+                         ids=["point", "cloud"])
+def test_sqrt_of_a_huge_jet_scales_without_overflow(point, order):
+    """sqrt(1e200 f) = 1e100 sqrt(f): no Taylor factor forms a power of the
+    value slot that overflows (v^2.5 does past v ~ 1e123).  At order 3, f is
+    constant, as the volume of a constant metric is: the cube of a
+    1e200-sized derivative part would overflow in any formula."""
+    x = [Jet.seed(np.array(point, dtype=float), v, order) for v in range(4)]
+    f = (x[0] + 2.0) * (x[1] * x[2] + 1.5) + x[3] * x[3]
+    if order == 3:
+        f = Jet.const(f.value, order)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        big, ref = (f * 1e200).sqrt(), f.sqrt()
+    np.testing.assert_allclose(big.c, 1e100 * ref.c, rtol=1e-15, atol=0)
+
+
 @pytest.mark.parametrize("op", [Jet.sqrt, Jet.log, Jet.recip, lambda j: Jet.const(1.0, 2) / j])
 def test_cloud_with_one_bad_point_raises(op):
     c = np.zeros((5, SIZES[2]))

@@ -207,7 +207,7 @@ def test_curvature_identity_r_equals_rho(curved_magnetic_scenario):
 def test_inconsistent_system_for_nonmetric_connection():
     # a connection that is not metric makes Ktilde non-antisymmetric
     scn = scenario_dict("flat")
-    scn["Kgrav"] = {"1_11": "0.4"}
+    scn["Kgrav"] = {"1_01": "0.4"}
     sc = load_scenario(scn)
     conn = spin_connection_from(sc.background, "grav")
     with pytest.raises(InconsistentSystem):

@@ -6,7 +6,7 @@ import pytest
 
 from cqm import quantum
 from cqm.background import BackgroundJets, NotPositiveDefinite
-from cqm.fieldlang import FieldDef, derive_expr, eval_float
+from cqm.fieldlang import FieldDef, eval_float
 from cqm.hermitian import SpinorSection, act_on_section, from_special
 from cqm.pauli import SIGMA, XI_ALL
 from cqm.quantum import (
@@ -33,7 +33,7 @@ from cqm.special import component_jets, extended_bracket
 from cqm.units import DIMLESS
 from cqm.verify import bracket_as_function, run_suites
 
-from conftest import SCENARIO_DIR, make_special, scenario_dict
+from conftest import SCENARIO_DIR, derive_expr, make_special, scenario_dict
 
 
 def flat_1d_spec(n=201, half=12.0):
@@ -438,12 +438,10 @@ def test_trajectory_rows_are_the_observables_of_each_state():
 
 
 def test_nonstatic_metric_rejected():
-    # g = (1 + 0.1 x0) delta with its metric-compatible time components
-    # K^i_{0i} = (1/2) d0 g / g: a valid background, but not static
+    # g = (1 + 0.1 x0) delta, whose derived time slots K^i_{0i} = (1/2) d0 g / g
+    # keep it metric: a valid background, but not static
     scn = scenario_dict("flat")
     scn["metric"] = [["1+0.1*x0", "0", "0"], ["0", "1+0.1*x0", "0"], ["0", "0", "1+0.1*x0"]]
-    w = "0.05/(1+0.1*x0)"
-    scn["Kgrav"] = {"1_01": w, "2_02": w, "3_03": w}
     sc = load_scenario(scn)
     rep = sc.background.validate((0.2, 0.1, 0.3, -0.2))
     assert rep["metricity"] < 1e-12
