@@ -16,8 +16,13 @@ the batch axis first and the layout below along the last axis.  Base points
 are passed as (4,) arrays and clouds as coordinate-major (4, N) arrays, so
 point[k] is coordinate k in both cases.  Every operation takes both shapes,
 and a point-shaped jet (a constant, say) broadcasts against a cloud, so code
-written for one point runs unchanged on a cloud.  On a cloud, value and
-extract return (N,) arrays, and a domain error is raised if any point fails.
+written for one point runs unchanged on a cloud.  A product of a point-shaped
+constant (every slot past the value zero) and a cloud scales the cloud by
+that number, and a zero constant gives a zero at a point, so the structural
+zeros of a computation stay points.  The terms left out are exact zeros, so
+the results are those of the product table, bit for bit, save that 0 times
+inf is 0.  On a cloud, value and extract return (N,) arrays, and a domain
+error is raised if any point fails.
 Cloud coefficients are stored coefficient-major (the transpose of a
 C-contiguous (size, N) array), so products gather whole rows of points.
 
@@ -250,6 +255,20 @@ class Jet:
                 return Jet(self.order, self.c * other)
             return NotImplemented
         n = self.order if self.order <= other.order else other.order
+        if self.c.ndim != other.c.ndim:
+            # A constant at a point times a cloud: the table terms of its zero
+            # slots are exact zeros, so the cloud is scaled by its number, and
+            # adding 0.0 keeps bincount's sign of zero.  The operands keep
+            # their order, as numpy's complex product rounds differently when
+            # swapped.  A zero constant stays a point.
+            size = SIZES[n]
+            point = self.c if self.c.ndim == 1 else other.c
+            if not point[1:size].any():
+                if point[0] == 0:
+                    return Jet(n, np.zeros(size, np.result_type(self.c, other.c)))
+                a = self.c[0] if point is self.c else self.c[..., :size]
+                b = other.c[0] if point is other.c else other.c[..., :size]
+                return Jet(n, a * b + 0.0)
         if n == 0:
             # One table term: the scatter below would give 0.0 + a*b, and
             # adding 0.0 keeps its sign of zero.

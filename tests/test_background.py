@@ -495,6 +495,19 @@ def test_jets_returns_a_bundle_of_its_own_background(flat_scenario, curved_magne
         as_point(cloud)
 
 
+def test_structural_zeros_of_a_cloud_bundle_stay_points(curved_magnetic_scenario):
+    """On a cloud, the entries of g^-1 and K that vanish for a diagonal
+    metric (the off-diagonal adjugate terms and the slots they multiply)
+    are point-shaped zeros, not clouds of zeros."""
+    b = curved_magnetic_scenario.background.jets(sample_box(np.random.default_rng(6), 100).T)
+    entries = [j for row in b.metric_inv(1) for j in row]
+    entries += [j for lam in b.kgrav(1) for row in lam for j in row]
+    zeros = [j for j in entries if not j.c.any()]
+    assert len(zeros) == 6 + 41  # 6 of g^-1; the 48 slots of K but 7 Levi-Civita ones
+    assert all(j.c.shape == (5,) for j in zeros)
+    assert all(j.c.shape == (100, 5) for j in entries if j.c.any())
+
+
 def _magnetic_by_eps_loop(bundle, order):
     """B^a = 1/2 eps_abc Fcheck_bc with Fcheck_ab = F_ij e_a^i e_b^j, as the
     explicit epsilon loop over jets."""

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cqm.jets import MULTI_INDICES, SIZES, DomainError, Jet
+from cqm.jets import INDEX_OF, MULTI_INDICES, SIZES, DomainError, Jet
 
 
 def fd_partial(f, point, alpha, h):
@@ -431,3 +431,62 @@ def test_cloud_with_one_bad_point_raises(op):
         op(Jet(2, c))
     c[2, 0] = 0.5
     op(Jet(2, c))
+
+
+# -- a constant at a point times a cloud: scaled by its number --------------
+
+def _same_bits(got, want):
+    """Equal values and equal signs of zero, part by part for complex."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    got, want = (np.ascontiguousarray(c).view(float) for c in (got, want))
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, -1.75, 0.6 - 1.3j])
+@pytest.mark.parametrize("const_order", [0, 1, 2, 3])
+@pytest.mark.parametrize("complex_cloud", [False, True], ids=["real", "complex"])
+def test_point_constant_times_cloud_matches_table_path(value, const_order, complex_cloud):
+    """A constant at a point times a cloud gives the bits of the same constant
+    repeated as a cloud, which goes through the product table, in both operand
+    orders and with the constant's order above, equal to and below the
+    cloud's; a zero constant stays point-shaped."""
+    rng = np.random.default_rng(11)
+    cloud_order, n = 2, 6
+    c = rng.uniform(-2.0, 2.0, (n, SIZES[cloud_order]))
+    c[:, 3], c[:, 4], c[2, 0] = -0.0, 0.0, -0.0  # signs of zero to keep
+    cloud = Jet(cloud_order, c)
+    if complex_cloud:
+        cloud = cloud * (0.5 + 2.0j) - 1.0j
+    point, repeated = Jet.const(value, const_order), Jet.const(np.full(n, value), const_order)
+    for got, want in ((point * cloud, repeated * cloud), (cloud * point, cloud * repeated)):
+        assert got.order == want.order == min(const_order, cloud_order)
+        if value == 0:
+            assert got.c.shape == (SIZES[got.order],)
+            _same_bits(np.broadcast_to(got.c, want.c.shape), want.c)
+        else:
+            _same_bits(got.c, want.c)
+
+
+def test_point_zero_times_infinite_cloud_is_zero():
+    """The one place the constant path and the table part ways: an exact
+    zero at a point times a cloud holding inf is 0, where the table's 0 * inf
+    terms give NaN.  Scenario data that is not finite is rejected at load."""
+    c = np.ones((3, SIZES[1]))
+    c[1, 2] = np.inf
+    cloud = Jet(1, c)
+    got = Jet.const(0.0, 1) * cloud
+    assert got.c.shape == (SIZES[1],) and not got.c.any()
+    with np.errstate(invalid="ignore"):
+        table = Jet.const(np.zeros(3), 1) * cloud
+    assert np.isnan(table.c[1, 2]) and not table.c[[0, 2]].any()
+
+
+def test_point_zero_with_a_derivative_slot_keeps_the_table_path():
+    """Only a point whose slots past the value are zero is a constant, even
+    when its value is zero."""
+    cloud = Jet.seed(np.array([[0.1, 0.2], [1.0, -1.0], [0.3, 0.4], [0.5, 0.6]]), 1, 2)
+    x2 = Jet.seed((0.0, 0.0, 0.0, 0.0), 2, 1)  # value 0, d/dx2 = 1
+    got = x2 * cloud
+    assert got.c.shape == (2, SIZES[1])
+    assert np.array_equal(got.c[:, INDEX_OF[0, 0, 1, 0]], [1.0, -1.0])
