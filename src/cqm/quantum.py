@@ -144,9 +144,10 @@ def _shift(arr: np.ndarray, axis: int, d: int) -> np.ndarray:
     return out
 
 
-# Grid nodes per batched jet evaluation.  An order-1 bracket evaluation on
-# curved_magnetic peaks at about 2,100 float64 coefficients per node, so one
-# chunk stays near 4 MiB however large the grid.
+# Grid nodes per batched jet evaluation.  The grid pass of a bracket on
+# curved_magnetic (f^i at order 1, its scalar and spin parts at order 0)
+# peaks at about 820 float64 coefficients per node, so one chunk stays near
+# 1.6 MiB however large the grid.
 NODE_CHUNK = 256
 
 # Complex spinor values per block of states whose observables evolve_pauli
@@ -399,12 +400,15 @@ def pauli_generator(geom: GridGeometry) -> GridOperator:
 def _component_arrays(f: SpecialFunction, geom: GridGeometry):
     """Node arrays of the components (f0, f^1..f^3, fbrev, phi_1..phi_3) of f,
     and of d_i f^i keyed by active axis i, from one order-1 jet evaluation of
-    f per chunk of nodes, which gives values and first derivatives alike."""
+    f per chunk of nodes.  The values are read through its order-0
+    truncation, so a derived function builds its scalar and spin parts at
+    order 0 only."""
     active = geom.spec.active
 
     def evaluate(cloud):
         cj = component_jets(f, cloud, 1)
-        jets = [cj.f0, *cj.fi, cj.fbrev, *cj.phi] + [cj.fi[i].derive(i + 1) for i in active]
+        c0 = cj.truncate(0)
+        jets = [c0.f0, *c0.fi, c0.fbrev, *c0.phi] + [cj.fi[i].derive(i + 1) for i in active]
         return value_array(jets, cloud.shape[1:])
 
     arrays = node_map(geom.mesh4, evaluate)

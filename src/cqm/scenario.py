@@ -272,10 +272,10 @@ def _builtin_functions(bg: Background, a_exprs, consts) -> dict:
         phi = tuple(FieldDef(f"phiB{a}", DIMLESS, fl.Const(w * b_vals[a]), consts) for a in range(3))
         funcs["H0prime"] = SpecialFunction(one, (zero, zero, zero), neg_a0, phi, name="H0prime")
     else:
-        def jets_fn(point, order):  # one bundle gives all three spin components
-            phi = [b * w for b in bg.jets(point).magnetic(order)]
+        def jets_fn(point, order):  # one bundle gives all three spin components, at the order read
+            bundle = bg.jets(point)
             return ComponentJets(one.eval_jet(point, order), [zero.eval_jet(point, order) for _ in range(3)],
-                                 neg_a0.eval_jet(point, order), phi, order)
+                                 neg_a0.eval_jet(point, order), lambda n: [b * w for b in bundle.magnetic(n)], order)
 
         funcs["H0prime"] = SpecialFunction(name="H0prime", jets_fn=jets_fn)
     return funcs

@@ -14,9 +14,14 @@ theirs.  The extended bracket is computed from the component formulas in
 reference-adapted coordinates.  Its spin part uses the moment-joined
 restricted connection (frame coefficients Ktilde and the curvature axial
 covector rho), its scalar part the charge-joined cosymplectic pullback Phi.
-Nested brackets are evaluated with jet-valued components so outer
-derivatives are exact; this is what caps the jet order at 3 (rho carries two
-metric derivatives, one more for the outer bracket).
+A bracket computes f0 and f^i at its own order, and its scalar part (through
+Phi) and spin part (through Ktilde and rho) when they are read, at the order
+of the reader (`ComponentJets`).  The grid operators read f^i at order 1 and
+every value at order 0, so there rho carries its two metric derivatives and
+the frame goes to order 2.  Nested brackets are evaluated with jet-valued
+components so outer derivatives are exact: the Jacobi check reads an inner
+bracket's spin part at order 1, and only that caps the jet order at 3 (rho's
+two metric derivatives, one more for the outer bracket).
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ from .pauli import cross
 class SpecialFunction:
     """A special function and its one evaluator `jets_fn`, a
     (point, order) -> ComponentJets map that gives all eight components in
-    one pass at a point or on a (4, N) cloud.
+    one pass at a point or on a (4, N) cloud (a derived function's scalar
+    and spin parts when they are read).
 
     A function built from component fields (f0, f^i, fbrev, phi_a) gets the
     evaluator of those fields; they stay as data for `vector_of` and as
@@ -78,20 +84,47 @@ class SpecialValue:
         return np.concatenate(([self.f0], self.fi, [self.fbrev], self.phi))
 
 
-@dataclass
 class ComponentJets:
-    f0: Jet
-    fi: list
-    fbrev: Jet
-    phi: list
-    order: int
+    """The component jets (f0, f^i, fbrev, phi_a) of a special function at
+    one order, at a point or on a cloud.
+
+    A derived function may give its scalar part fbrev and its spin part phi
+    as functions of the order: each is computed on first read, at the order
+    of the ComponentJets through which it is read, and `truncate` passes an
+    unread part on unread.  So a reader that takes f^i at order 1 and the
+    values through `truncate(0)`, as the grid operators do, builds a
+    bracket's spin part (rho, hence the frame to order 2) and scalar part
+    (Phi) at order 0."""
+
+    def __init__(self, f0: Jet, fi: list, fbrev, phi, order: int):
+        self.f0 = f0
+        self.fi = fi
+        self.order = order
+        self._parts = {"fbrev": fbrev, "phi": phi}
+
+    def _read(self, name: str):
+        part = self._parts[name]
+        if callable(part):
+            part = self._parts[name] = part(self.order)
+        return part
+
+    @property
+    def fbrev(self) -> Jet:
+        return self._read("fbrev")
+
+    @property
+    def phi(self) -> list:
+        return self._read("phi")
 
     def truncate(self, order: int) -> "ComponentJets":
+        if order == self.order:
+            return self
+        fbrev, phi = self._parts["fbrev"], self._parts["phi"]
         return ComponentJets(
             self.f0.truncate(order),
             [j.truncate(order) for j in self.fi],
-            self.fbrev.truncate(order),
-            [j.truncate(order) for j in self.phi],
+            fbrev if callable(fbrev) else fbrev.truncate(order),
+            phi if callable(phi) else [j.truncate(order) for j in phi],
             order,
         )
 
@@ -140,23 +173,36 @@ def vector_of(f: SpecialFunction, point) -> np.ndarray:
 
 
 def extended_bracket_jets(a: ComponentJets, b: ComponentJets, bundle: BackgroundJets, order: int) -> ComponentJets:
-    """Full bracket at `order`; inputs at order+1."""
-    # scalar part: the component brackets and the cosymplectic term Phi
+    """The bracket at `order` from inputs at order+1.  f0 and f^i are
+    computed at once; the scalar and spin parts when read, at the order of
+    the reader, from the inputs truncated to one order more, on `bundle`."""
+    f0_out = _lam_component(a, b, a.f0, b.f0, order)
+    fi_out = [_lam_component(a, b, a.fi[i], b.fi[i], order) for i in range(3)]
+    return ComponentJets(
+        f0_out,
+        fi_out,
+        lambda n: _bracket_scalar(a.truncate(n + 1), b.truncate(n + 1), bundle, n),
+        lambda n: _bracket_spin(a.truncate(n + 1), b.truncate(n + 1), bundle, n),
+        order,
+    )
+
+
+def _lam_component(a: ComponentJets, b: ComponentJets, fa: Jet, fb: Jet, order: int) -> Jet:
+    """X[a] fb - X[b] fa for components fa of a and fb of b."""
+    out = (
+        a.f0.truncate(order) * fb.derive(0)
+        - b.f0.truncate(order) * fa.derive(0)
+    )
+    for h in range(3):
+        out = out - a.fi[h].truncate(order) * fb.derive(h + 1)
+        out = out + b.fi[h].truncate(order) * fa.derive(h + 1)
+    return out
+
+
+def _bracket_scalar(a: ComponentJets, b: ComponentJets, bundle: BackgroundJets, order: int) -> Jet:
+    """Scalar part: the component bracket of fbrev and the cosymplectic term Phi."""
     phi2 = bundle.phi_ref(order)
-
-    def lam_component(fa: Jet, fb: Jet) -> Jet:
-        out = (
-            a.f0.truncate(order) * fb.derive(0)
-            - b.f0.truncate(order) * fa.derive(0)
-        )
-        for h in range(3):
-            out = out - a.fi[h].truncate(order) * fb.derive(h + 1)
-            out = out + b.fi[h].truncate(order) * fa.derive(h + 1)
-        return out
-
-    f0_out = lam_component(a.f0, b.f0)
-    fi_out = [lam_component(a.fi[i], b.fi[i]) for i in range(3)]
-    fb_out = lam_component(a.fbrev, b.fbrev)
+    fb_out = _lam_component(a, b, a.fbrev, b.fbrev, order)
     a0 = a.f0.truncate(order)
     b0 = b.f0.truncate(order)
     for h in range(3):
@@ -165,7 +211,12 @@ def extended_bracket_jets(a: ComponentJets, b: ComponentJets, bundle: Background
         fb_out = fb_out - (a0 * bh - b0 * ah) * phi2[0][h + 1]
         for k in range(3):
             fb_out = fb_out + ah * b.fi[k].truncate(order) * phi2[h + 1][k + 1]
-    # spin part
+    return fb_out
+
+
+def _bracket_spin(a: ComponentJets, b: ComponentJets, bundle: BackgroundJets, order: int) -> list:
+    """Spin part: the curvature term rho, the covariant derivatives of phi
+    along X[a] and X[b], and phi' x phi."""
     kt = bundle.ktilde("moment", order)
     rho = bundle.rho("moment", order)
     xa = [j.truncate(order) for j in a.x_components()]
@@ -197,8 +248,7 @@ def extended_bracket_jets(a: ComponentJets, b: ComponentJets, bundle: Background
         for k in range(3):
             phi_out[k] = phi_out[k] + xa[lam] * dphi_b[k] - xb[lam] * dphi_a[k]
     spin = cross([p.truncate(order) for p in b.phi], [p.truncate(order) for p in a.phi])  # phi' x phi
-    phi_out = [phi_out[k] + spin[k] for k in range(3)]
-    return ComponentJets(f0_out, fi_out, fb_out, phi_out, order)
+    return [phi_out[k] + spin[k] for k in range(3)]
 
 
 # ---------------------------------------------------------------------------

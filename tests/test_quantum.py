@@ -1,3 +1,4 @@
+import collections
 import json
 import warnings
 
@@ -8,6 +9,7 @@ from cqm import quantum
 from cqm.background import BackgroundJets, NotPositiveDefinite
 from cqm.fieldlang import FieldDef, eval_float
 from cqm.hermitian import SpinorSection, act_on_section, from_special
+from cqm.jets import Jet, value_array
 from cqm.pauli import SIGMA, XI_ALL
 from cqm.quantum import (
     GridGeometry,
@@ -601,6 +603,63 @@ def test_bracket_grid_pass_builds_one_bundle_per_chunk(curved_magnetic_scenario,
         built.clear()
         quantum._component_arrays(func, geom)
         assert built == [(4, 10)] * 4 + [(4, 9)]
+
+
+def full_order_1_arrays(func, geom):
+    """The grid arrays of _component_arrays read off one full order-1
+    evaluation per chunk: every part of a derived function at order 1."""
+    active = geom.spec.active
+
+    def evaluate(cloud):
+        cj = component_jets(func, cloud, 1)
+        jets = [cj.f0, *cj.fi, cj.fbrev, *cj.phi] + [cj.fi[i].derive(i + 1) for i in active]
+        return value_array(jets, cloud.shape[1:])
+
+    return quantum.node_map(geom.mesh4, evaluate)
+
+
+@pytest.mark.parametrize("which", ["bracket", "H0prime"])
+def test_grid_pass_reads_derived_parts_at_order_0(curved_magnetic_scenario, node_chunk, monkeypatch, which):
+    """A grid pass reads f^i at order 1 and every value at order 0, so a
+    bracket builds rho and the frame below order 3 and H0prime its magnetic
+    field at order 0, with the arrays of a full order-1 evaluation."""
+    sc = curved_magnetic_scenario
+    consts = sc.background.constants.table()
+    f = make_special(consts, fi=("0.4*x2", "x2*x1", "0.1"), fbrev="x1*x2*x0",
+                     phi=("x1", "0.2*x2*x2", "x2"), name="F")
+    g = make_special(consts, fi=("x1*x1", "0.3", "x1*x2"), fbrev="0.5*x2",
+                     phi=("0.1", "x1*x2", "-x1"), name="G")
+    if which == "bracket":
+        func = bracket_as_function(f, g, sc)
+        unread, read = [("rho", "moment", 1), ("frame", 3)], ("rho", "moment", 0)
+    else:
+        func = sc.function("H0prime")
+        unread, read = [("B", 1)], ("B", 0)
+    geom = curved_7x7(sc)
+    want = full_order_1_arrays(func, geom)
+    bundles = []
+    orders = collections.Counter()
+    original_init, original_mul = BackgroundJets.__init__, Jet.__mul__
+
+    def recording(self, bg, point):
+        bundles.append(self)
+        original_init(self, bg, point)
+
+    def counting(self, other):
+        out = original_mul(self, other)
+        if isinstance(out, Jet):
+            orders[out.order] += 1
+        return out
+
+    monkeypatch.setattr(BackgroundJets, "__init__", recording)
+    monkeypatch.setattr(Jet, "__mul__", counting)
+    vals, dfi = quantum._component_arrays(func, geom)
+    monkeypatch.setattr(Jet, "__mul__", original_mul)
+    assert len(bundles) == (1 if node_chunk is None else 5)
+    assert not [key for b in bundles for key in unread if key in b._cache]
+    assert orders[3] == 0 and orders[0] > 0
+    assert all(read in b._cache for b in bundles)
+    assert np.array_equal(np.stack(vals + [dfi[i] for i in geom.spec.active]), want)
 
 
 def test_derived_functions_have_no_component_fields(curved_magnetic_scenario, flat_magnetic_scenario):
