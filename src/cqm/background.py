@@ -30,7 +30,7 @@ import numpy as np
 from . import fieldlang as fl
 from .fieldlang import FieldDef
 from .jets import Jet, value_array
-from .pauli import InconsistentSystem, axis_vector
+from .pauli import InconsistentSystem, axis_vector, spin_curvature_jets
 from .units import (
     BFIELD_FRAME_DIM,
     CHARGE_DIM,
@@ -481,41 +481,12 @@ class BackgroundJets:
             return kt
         return self._get(("ktilde", which, order), build)
 
-    def rcheck(self, which: str, order: int) -> list:
-        """Frame curvature of the restricted connection:
-        R_{lam mu}^a_b = -d_lam Kt_mu + d_mu Kt_lam + [Kt_lam, Kt_mu]."""
-        def build():
-            kt1 = self.ktilde(which, order + 1)
-            kt0 = [[[kt1[l][a][b].truncate(order) for b in range(3)] for a in range(3)] for l in range(4)]
-            r = [[None] * 4 for _ in range(4)]
-            zero = _zeros((3, 3), order)
-            for lam in range(4):
-                r[lam][lam] = zero
-            for lam in range(4):
-                for mu in range(lam + 1, 4):
-                    mat = []
-                    for a in range(3):
-                        row = []
-                        for b in range(3):
-                            acc = -kt1[mu][a][b].derive(lam) + kt1[lam][a][b].derive(mu)
-                            for cc in range(3):
-                                acc = acc + kt0[lam][a][cc] * kt0[mu][cc][b]
-                                acc = acc - kt0[mu][a][cc] * kt0[lam][cc][b]
-                            row.append(acc)
-                        mat.append(row)
-                    r[lam][mu] = mat
-                    r[mu][lam] = [[-mat[a][b] for b in range(3)] for a in range(3)]
-            return r
-        return self._get(("rcheck", which, order), build)
-
     def rho(self, which: str, order: int) -> list:
-        """Axial covector of the frame curvature: rho_{lam mu k} with
-        Rcheck_{lam mu} = ad(rho_{lam mu}); equals the spin-connection
-        curvature vector built from the same connection."""
-        def build():
-            rc = self.rcheck(which, order)
-            return [[axis_vector(rc[lam][mu]) for mu in range(4)] for lam in range(4)]
-        return self._get(("rho", which, order), build)
+        """Curvature of the spin connection, rho_{lam mu}^k as [4][4][3] jets:
+        `pauli.spin_curvature_jets` of `spin(which, order + 1)`, so
+        InconsistentSystem on a non-metric connection.  rho_{lam mu} is the
+        axial vector of the frame curvature of Ktilde."""
+        return self._get(("rho", which, order), lambda: spin_curvature_jets(self.spin(which, order + 1), order))
 
     def spin(self, which: str, order: int) -> list:
         """Spin connection C_lam^a, [4][3] jets: the axial vector of

@@ -14,9 +14,9 @@ Every operation evaluates at a point (4,), on a (4, N) cloud, or on the
 points of a `BackgroundJets` bundle, which it then shares with every
 background quantity it needs instead of building its own.
 
-The module implements the action on sections, the Lie bracket, the lift and
-vertical projection along the connection i Ch[o] 1 + C, the pair bracket with
-its curvature term, and the observer-independent correspondence with special
+The module implements the Lie bracket, the lift and vertical projection
+along the connection i Ch[o] 1 + C, the pair bracket with its curvature term
+(the bundle's rho), and the observer-independent correspondence with special
 phase functions (both directions), plus the scalar invariant combination used
 to test observer independence.
 """
@@ -37,7 +37,7 @@ from .background import (
 )
 from .fieldlang import FieldDef
 from .jets import Jet, max_abs, value_array
-from .pauli import XI_ALL, SpinConnection, cross, spin_connection_from, spin_curvature_jets, xi_combination
+from .pauli import XI_ALL, SpinConnection, cross, spin_connection_from, xi_combination
 from .special import SpecialFunction, SpecialValue, component_jets, eval_special
 
 
@@ -217,19 +217,6 @@ class HermitianField:
         return np.array([j.value for j in self.x_jets(where, 0)])
 
 
-def hermitian_raw(x_fields: Sequence, y0_field, yi_fields: Sequence, name: str = "") -> HermitianField:
-    """Plain-Hermitian field from real component fields: Ymat = i Y0 1 + Y^a xi_a."""
-
-    def x_eval(point, order):
-        return [f.eval_jet(point, order) for f in x_fields]
-
-    def y_eval(where, order):
-        point = as_point(where)
-        return Mat2([y0_field.eval_jet(point, order)] + [f.eval_jet(point, order) for f in yi_fields])
-
-    return HermitianField(x_eval, y_eval, div_corrected=False, name=name)
-
-
 def from_special(f: SpecialFunction, qd: QuantumData) -> HermitianField:
     """The Hermitian field of a special function: X = (f0, -f^i), matrix
     part y_coefficients(F) shifted by -1/2 (div_eta X) 1 so the
@@ -254,18 +241,6 @@ class SpinorSection:
     """Two complex component fields, each a (re, im) pair of field defs."""
 
     components: tuple
-
-    def eval_jets(self, point, order: int) -> list:
-        return [re.eval_jet(point, order) + im.eval_jet(point, order) * 1j for (re, im) in self.components]
-
-
-def act_on_section(y: HermitianField, psi: SpinorSection, where) -> np.ndarray:
-    """(Y.psi)^A = X^lam d_lam psi^A - Y^A_B psi^B at a point."""
-    point = as_point(where)
-    pj = psi.eval_jets(point, 1)
-    dpsi = np.array([[p.derive(lam).value for lam in range(4)] for p in pj])
-    psi0 = np.array([p.value for p in pj])
-    return dpsi @ y.x_values(point) - y.ymat(where, 0).values() @ psi0
 
 
 def _vector_bracket(x1: Sequence, x2: Sequence, order: int) -> list:
@@ -338,28 +313,28 @@ def pair_bracket(pair, pair_p, qd: QuantumData, o: Observer, where, order: int =
     callable (where, order) -> Mat2.  Jets and Mat2 at a point, on a (4, N)
     cloud or on a bundle's points.
     """
-    point = as_point(where)
+    bundle = qd.bg.jets(where)
+    point = bundle.point
     x_fields, yv = pair
     xp_fields, yvp = pair_p
     x1 = [f.eval_jet(point, order + 1) for f in x_fields]
     x2 = [f.eval_jet(point, order + 1) for f in xp_fields]
-    cc1 = qd.spin.coeffs(where, order + 1)
-    cc = [[cj.truncate(order) for cj in row] for row in cc1]
-    ch1 = ch_along_jets(qd, o, where, order + 1)
+    cc = [[cj.truncate(order) for cj in row] for row in qd.spin.coeffs(bundle, order + 1)]
+    ch1 = ch_along_jets(qd, o, bundle, order + 1)
     m1 = yv(where, order + 1)
     m2 = yvp(where, order + 1)
     xb = _vector_bracket(x1, x2, order)
 
-    # curvature R_{lam mu} = -i (dCh[o])_{lam mu} 1 + R[C]_{lam mu}^a xi_a
-    # = -(dCh[o])_{lam mu} xi_0 + R[C]_{lam mu}^a xi_a
-    rc = spin_curvature_jets(cc1, order)
+    # curvature R_{lam mu} = -i (dCh[o])_{lam mu} 1 + rho_{lam mu}^a xi_a
+    # = -(dCh[o])_{lam mu} xi_0 + rho_{lam mu}^a xi_a
+    rho = bundle.rho(qd.spin.which, order)
     out = Mat2.zero(order)
     for lam in range(4):
         for mu in range(4):
             if lam != mu:
                 w = (x1[lam] * x2[mu]).truncate(order)
                 dch = ch1[mu].derive(lam) - ch1[lam].derive(mu)
-                out = out - Mat2([-dch] + rc[lam][mu][1:]).scale(w)
+                out = out - Mat2([-dch] + rho[lam][mu]).scale(w)
     # transport of the vertical parts: nabla_lam Y = d_lam Y - [C_lam, Y]
     # (the sign the vertical-field identification induces; it makes this
     # formula agree with the plain Lie bracket route)

@@ -3,7 +3,7 @@
 Conventions (see CONVENTIONS.md):
   sigma_1 = [[0,1],[1,0]], sigma_2 = [[0,-i],[i,0]], sigma_3 = [[1,0],[0,-1]];
   xi_0 = i*1, xi_i = -(i/2) sigma_i, so [xi_i, xi_j] = eps_ijk xi_k with
-  eps_123 = +1 and gtilde(A,B) = -2 Tr(AB) makes (xi_i) orthonormal.
+  eps_123 = +1 and the form -2 Tr(AB) makes (xi_i) orthonormal.
 The spin dictionary links the xi_a, spatial vectors with the cross product,
 and antisymmetric frame endomorphisms: it is written once, here, as
 `xi_combination` (the xi-sum), `cross` and `axis_vector` (a = ad(w) -> w),
@@ -13,14 +13,15 @@ product with the commutator.  The spin connection C_lam is the axial vector
 of Ktilde_lam, formed and cached by the background bundle
 (`BackgroundJets.spin`); `SpinConnection.coeffs` and `coeff_values` read it
 off `bg.jets(where)`, so they take a point, a (4, N) cloud or a bundle,
-which they share with the caller.
+which they share with the caller.  The curvature of C is written once,
+`spin_curvature_jets`, which the bundle caches as `rho`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .jets import value_array
+from .jets import Jet, value_array
 
 SIGMA0 = np.eye(2, dtype=complex)
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -44,33 +45,8 @@ def _build_eps() -> np.ndarray:
 EPS = _build_eps()
 
 
-def pauli_constants():
-    """The fixed matrices and the epsilon table: (sigma_1..3, xi_0..3, eps)."""
-    return SIGMA, XI_ALL, EPS
-
-
-class NotInL0(ValueError):
-    """Input matrix is not traceless anti-Hermitian."""
-
-
-class NotAntisymmetric(ValueError):
-    """Input endomorphism is not antisymmetric."""
-
-
 class InconsistentSystem(ValueError):
     """Frame coefficients are not antisymmetric within tolerance."""
-
-
-def is_anti_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(np.max(np.abs(m + m.conj().T)) <= tol)
-
-
-def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
-
-
-def is_traceless(m: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(abs(np.trace(m)) <= tol)
 
 
 def xi_combination(values, batch: tuple = ()) -> np.ndarray:
@@ -86,17 +62,6 @@ def pauli_map(v) -> np.ndarray:
     return xi_combination([0.0, *np.asarray(v, dtype=float)])
 
 
-def pauli_unmap(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Invert Sigma via gtilde: v^a = -2 Tr(m xi_a)."""
-    if not (is_traceless(m, tol) and is_anti_hermitian(m, tol)):
-        raise NotInL0("matrix is not a traceless anti-Hermitian endomorphism")
-    return np.array([(-2.0 * np.trace(m @ XI[a])).real for a in range(3)])
-
-
-def gtilde(a: np.ndarray, b: np.ndarray) -> float:
-    return float((-2.0 * np.trace(a @ b)).real)
-
-
 def axis_vector(a) -> list:
     """Vector w with a = ad(w), i.e. a(v) = w x v, for antisymmetric a:
     w_k = -1/2 a^{ij} eps_ijk.  The 3x3 entries may be jets, floats or
@@ -107,16 +72,6 @@ def axis_vector(a) -> list:
 def cross(a, b) -> list:
     """The cross product a x b of two 3-vectors of jets, floats or arrays."""
     return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
-
-
-def triangle(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """(A)^{ij} eps_{ijk}: the raw epsilon contraction of an antisymmetric
-    frame endomorphism; -1/2 of it (the axis vector) is the Lie-algebra
-    isomorphism onto cross-product vectors."""
-    a = np.asarray(a, dtype=float)
-    if np.max(np.abs(a + a.T)) > tol * (1.0 + np.max(np.abs(a))):
-        raise NotAntisymmetric("endomorphism is not antisymmetric")
-    return -2.0 * np.array(axis_vector(a))
 
 
 class SpinConnection:
@@ -150,32 +105,20 @@ def spin_connection_from(bg, which: str) -> SpinConnection:
     return SpinConnection(bg, which)
 
 
-def spin_curvature_from_jets(cjets, batch: tuple = ()) -> np.ndarray:
-    """Spin curvature R_{lambda mu}^nu (nu = 0..3) from C jets of order >= 1:
-    (4, 4, 4) at a point, (4, 4, 4, N) on a cloud of batch shape (N,).  The
-    nu = 0 part vanishes in the trace-free gauge, and
-    R^k = -d_lam C_mu^k + d_mu C_lam^k + (C_lam x C_mu)^k."""
-    c1 = [[c.truncate(1) for c in row] for row in cjets]
-    return value_array(spin_curvature_jets(c1, 0), batch)
-
-
-def spin_curvature_jets(cjets, order: int):
-    """Same as spin_curvature_from_jets but returning jets of the given
-    order; cjets must be at order+1."""
-    r = [[[None] * 4 for _ in range(4)] for _ in range(4)]
-    zero = None
-    for lam in range(4):
-        for mu in range(4):
-            for nu in range(4):
-                if lam == mu or nu == 0:
-                    if zero is None:
-                        zero = cjets[0][0].truncate(order) * 0.0
-                    r[lam][mu][nu] = zero
+def spin_curvature_jets(cjets, order: int) -> list:
+    """Curvature of the spin connection, R_{lam mu}^k as [4][4][3] jets at
+    `order`, from the C_lam^k jets at order+1:
+      R^k = -d_lam C_mu^k + d_mu C_lam^k + (C_lam x C_mu)^k.
+    Its xi_0 part vanishes in the trace-free gauge.  This is the one place
+    the sign of the spin curvature is written; the background bundle's `rho`
+    caches it."""
+    zero = Jet.const(0.0, order)
+    r = [[[zero] * 3 for _ in range(4)] for _ in range(4)]
     for lam in range(4):
         for mu in range(lam + 1, 4):
             quad = cross([c.truncate(order) for c in cjets[lam]], [c.truncate(order) for c in cjets[mu]])
             for k in range(3):
                 acc = -cjets[mu][k].derive(lam) + cjets[lam][k].derive(mu) + quad[k]
-                r[lam][mu][1 + k] = acc
-                r[mu][lam][1 + k] = -acc
+                r[lam][mu][k] = acc
+                r[mu][lam][k] = -acc
     return r

@@ -52,7 +52,7 @@ __all__ = [
     "GridSpec", "SpinorGrid", "node_map",
     "GridGeometry", "GridOperator", "observed_laplacian", "pauli_generator",
     "prequantum", "operator_bracket", "inner_product", "evolve_pauli",
-    "Trajectory", "measure_frequency", "write_snapshot", "read_snapshot",
+    "Trajectory", "measure_frequency", "write_snapshot",
     "GridMismatch", "NonStaticMetric", "SolverDivergence",
 ]
 
@@ -642,15 +642,3 @@ def write_snapshot(path, grid: SpinorGrid):
         data[..., 0] = grid.psi.real
         data[..., 1] = grid.psi.imag
         fh.write(data.astype("<f8").tobytes())
-
-
-def read_snapshot(path) -> SpinorGrid:
-    with open(path, "rb") as fh:
-        header = _HEADER.unpack(fh.read(_HEADER.size))
-        n1, n2, n3 = header[0:3]
-        bounds = header[3:9]
-        time = header[9]
-        axes = tuple((bounds[2 * i], bounds[2 * i + 1], (n1, n2, n3)[i]) for i in range(3))
-        raw = np.frombuffer(fh.read(), dtype="<f8").reshape((n1, n2, n3, 2, 2))
-        psi = (raw[..., 0] + 1j * raw[..., 1]).copy()
-    return SpinorGrid(GridSpec(axes, time), psi)

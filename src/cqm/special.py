@@ -43,8 +43,8 @@ class SpecialFunction:
     and spin parts when they are read).
 
     A function built from component fields (f0, f^i, fbrev, phi_a) gets the
-    evaluator of those fields; they stay as data for `vector_of` and as
-    float oracles.  A derived function (a bracket, say) passes only `name`
+    evaluator of those fields; they stay as data, which float oracles can
+    evaluate.  A derived function (a bracket, say) passes only `name`
     and `jets_fn` and has no component fields."""
 
     f0: object = None
@@ -158,14 +158,6 @@ def eval_special(f: SpecialFunction, bg: Background, p: PhasePoint):
     lin = sum(c.fi[i] * gv[i] for i in range(3))
     spin = sum(c.phi[a] * p.s[a] for a in range(3))
     return c.f0 * 0.5 * pref * quad + pref * lin + c.fbrev + spin
-
-
-def vector_of(f: SpecialFunction, point) -> np.ndarray:
-    """Chart components of X[f] = f0 d0 - f^i d_i from the component fields
-    (float evaluation, an oracle independent of the jets); a derived
-    function has none."""
-    point = as_point(point)
-    return np.array([f.f0(point), -f.fi[0](point), -f.fi[1](point), -f.fi[2](point)])
 
 
 # ---------------------------------------------------------------------------

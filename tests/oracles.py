@@ -1,0 +1,95 @@
+"""Oracles the tests compare the package against: plain numpy or float
+evaluations written independently of the package's jet routes."""
+
+import struct
+
+import numpy as np
+
+from cqm.background import as_point
+from cqm.hermitian import HermitianField, Mat2
+from cqm.jets import value_array
+from cqm.pauli import XI
+from cqm.quantum import GridSpec, SpinorGrid
+
+
+def gtilde(a: np.ndarray, b: np.ndarray) -> float:
+    """The form -2 Tr(AB) under which the xi_a are orthonormal."""
+    return float((-2.0 * np.trace(a @ b)).real)
+
+
+def pauli_unmap(m: np.ndarray) -> np.ndarray:
+    """Sigma^-1 of a traceless anti-Hermitian matrix: v^a = gtilde(m, xi_a)."""
+    return np.array([gtilde(m, XI[a]) for a in range(3)])
+
+
+def frame_curvature(bundle, which: str = "moment") -> np.ndarray:
+    """The frame curvature of Ktilde as 3x3 matrices,
+    R_{lam mu} = -d_lam Kt_mu + d_mu Kt_lam + [Kt_lam, Kt_mu], from the
+    order-1 jets of `bundle.ktilde`: (4, 4, 3, 3) at a point, with a trailing
+    (N,) axis on a cloud.  R_{mu lam} is the negated R_{lam mu}."""
+    batch = bundle.point.shape[1:]
+    kt1 = bundle.ktilde(which, 1)
+    kt = value_array(kt1, batch)
+    r = np.zeros((4, 4, 3, 3) + batch)
+    for lam in range(4):
+        for mu in range(lam + 1, 4):
+            for a in range(3):
+                for b in range(3):
+                    acc = (-value_array(kt1[mu][a][b].derive(lam), batch)
+                           + value_array(kt1[lam][a][b].derive(mu), batch))
+                    for c in range(3):
+                        acc = acc + kt[lam, a, c] * kt[mu, c, b]
+                        acc = acc - kt[mu, a, c] * kt[lam, c, b]
+                    r[lam, mu, a, b] = acc
+                    r[mu, lam, a, b] = -acc
+    return r
+
+
+def ad(w) -> list:
+    """ad(w)^k_j = w_i eps_ijk, the endomorphism v -> w x v, as a nested 3x3
+    list; the entries of w may be floats, arrays or jets."""
+    zero = w[0] * 0.0
+    return [[zero, -w[2], w[1]], [w[2], zero, -w[0]], [-w[1], w[0], zero]]
+
+
+def hermitian_raw(x_fields, y0_field, yi_fields, name: str = "") -> HermitianField:
+    """Plain-Hermitian field from real component fields: Ymat = i Y0 1 + Y^a xi_a."""
+
+    def x_eval(point, order):
+        return [f.eval_jet(point, order) for f in x_fields]
+
+    def y_eval(where, order):
+        point = as_point(where)
+        return Mat2([y0_field.eval_jet(point, order)] + [f.eval_jet(point, order) for f in yi_fields])
+
+    return HermitianField(x_eval, y_eval, div_corrected=False, name=name)
+
+
+def act_on_section(y: HermitianField, psi, where) -> np.ndarray:
+    """(Y.psi)^A = X^lam d_lam psi^A - Y^A_B psi^B at a point, for a
+    SpinorSection psi."""
+    point = as_point(where)
+    pj = [re.eval_jet(point, 1) + im.eval_jet(point, 1) * 1j for re, im in psi.components]
+    dpsi = np.array([[p.derive(lam).value for lam in range(4)] for p in pj])
+    psi0 = np.array([p.value for p in pj])
+    return dpsi @ y.x_values(point) - y.ymat(where, 0).values() @ psi0
+
+
+def vector_of(f, point) -> np.ndarray:
+    """Chart components of X[f] = f0 d0 - f^i d_i from the component fields,
+    evaluated as floats."""
+    point = as_point(point)
+    return np.array([f.f0(point), -f.fi[0](point), -f.fi[1](point), -f.fi[2](point)])
+
+
+_SNAPSHOT_HEADER = struct.Struct("<3q6dd")  # CONVENTIONS.md, "Snapshot files"
+
+
+def read_snapshot(path) -> SpinorGrid:
+    """A snapshot file read as CONVENTIONS.md lays it out."""
+    with open(path, "rb") as fh:
+        header = _SNAPSHOT_HEADER.unpack(fh.read(_SNAPSHOT_HEADER.size))
+        sizes, bounds, time = header[0:3], header[3:9], header[9]
+        axes = tuple((bounds[2 * i], bounds[2 * i + 1], sizes[i]) for i in range(3))
+        raw = np.frombuffer(fh.read(), dtype="<f8").reshape(sizes + (2, 2))
+    return SpinorGrid(GridSpec(axes, time), raw[..., 0] + 1j * raw[..., 1])

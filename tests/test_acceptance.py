@@ -21,7 +21,7 @@ from cqm.hermitian import (
     vertical_projection,
 )
 from cqm.jets import MULTI_INDICES, SIZES, value_array
-from cqm.pauli import EPS, SIGMA, XI, XI_ALL, gtilde, spin_curvature_from_jets
+from cqm.pauli import EPS, SIGMA, XI, XI_ALL
 from cqm.quantum import (
     GridGeometry,
     GridSpec,
@@ -44,6 +44,7 @@ from cqm.verify import (
 )
 
 from conftest import SCENARIO_DIR, make_special, scenario_dict
+from oracles import ad, frame_curvature, gtilde
 from test_fieldlang import CORPUS
 
 
@@ -147,16 +148,12 @@ def test_criterion_05_curvature_identity(curved_sc):
     sc = curved_sc
     rng = np.random.default_rng([sc.seed, 5])
     points = sc.sample_points(rng, 100)
-    batch = (len(points),)
     b = sc.background.jets(points.T)
-    r = spin_curvature_from_jets(sc.qd.spin.coeffs(b, 1), batch)[:, :, 1:]  # [lam, mu, k, point]
-    worst_rrho = float(np.max(np.abs(r - value_array(b.rho("moment", 0), batch))))
-    # Rcheck_{lam mu}^k_j = r_{lam mu i} eps_ijk, laid out [lam, mu, k, j, point]
-    pred = sum(r[:, :, i, None, None] * EPS[i].T[:, :, None] for i in range(3))
-    worst_rt = float(np.max(np.abs(pred - value_array(b.rcheck("moment", 0), batch))))
-    report(5, "curvature identity R[C] = rho and Rtilde relation",
-           worst_rrho < 1e-9 and worst_rt < 1e-10,
-           f"|R - rho| {worst_rrho:.2e}, |Rtilde - R eps| {worst_rt:.2e} at 100 curved points")
+    rho = value_array(b.rho("moment", 0), (len(points),))  # [lam, mu, k, point]
+    ad_rho = np.array([[ad(rho[lam, mu]) for mu in range(4)] for lam in range(4)])
+    worst = float(np.max(np.abs(ad_rho - frame_curvature(b))))
+    report(5, "curvature identity ad(rho) = frame curvature of Ktilde", worst < 1e-10,
+           f"|ad(rho) - R[Ktilde]| {worst:.2e} at 100 curved points")
 
 
 def test_criterion_06_isomorphism_machinery(curved_sc):

@@ -1,0 +1,47 @@
+"""Every public module-level function and class of `cqm` is used by the
+program: some code outside tests/ names it.  A name counts as used when
+src/cqm names it outside its own definition (in another module or in its
+own), when scripts/ or perfbench/ name it, or when `cqm.__all__` exports it.
+What only tests call belongs in the tests (tests/oracles.py)."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import cqm
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cqm"
+
+
+def _names(node) -> Counter:
+    """How often each identifier occurs under `node`: variables, attributes
+    and imported names."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            out[n.name.rsplit(".", 1)[-1]] += 1
+    return out
+
+
+def test_every_public_definition_is_named_outside_the_tests():
+    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    in_src = sum((_names(tree) for tree in trees.values()), Counter())
+    elsewhere = set(cqm.__all__)
+    for folder in ("scripts", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            elsewhere |= set(_names(ast.parse(path.read_text())))
+    unused = [
+        f"{path.name}: {node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in elsewhere
+        and in_src[node.name] - _names(node)[node.name] == 0
+    ]
+    assert unused == []

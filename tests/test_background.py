@@ -25,6 +25,7 @@ from cqm.units import (
 )
 
 from conftest import sample_box, scenario_dict
+from oracles import ad, frame_curvature
 
 
 def numeric_christoffel(sc, point, i, lam, mu, h=1e-5):
@@ -194,30 +195,33 @@ def test_rho_flat_zero_and_antisymmetric(flat_scenario, curved_magnetic_scenario
     assert np.max(np.abs(rho_c + np.swapaxes(rho_c, 0, 1))) == 0.0
 
 
-def test_rho_matches_fd_curvature_oracle(curved_magnetic_scenario):
-    """Central-difference oracle on the frame connection coefficients."""
-    bg = curved_magnetic_scenario.background
+@pytest.mark.parametrize("name", ["curved_magnetic", "anisotropic"])
+def test_rho_matches_fd_curvature_oracle(name):
+    """ad(rho) against the frame curvature of Ktilde from central differences
+    of its values.  On the anisotropic frame E^-1 dE is not a multiple of 1,
+    so every term of the cross-product route enters."""
+    bg = load_scenario(scenario_dict(name)).background
     pt = np.array([0.1, 0.4, -0.3, 0.2])
 
-    def ktilde_vals(p, which="moment"):
-        kt = bg.jets(p).ktilde(which, 0)
-        return np.array([[[kt[lam][a][b].value for b in range(3)] for a in range(3)] for lam in range(4)])
+    def ktilde_vals(p):
+        return value_array(bg.jets(p).ktilde("moment", 0))  # [lam, a, b]
 
     h = 1e-5
     kt0 = ktilde_vals(pt)
-    rcheck = value_array(bg.jets(pt).rcheck("moment", 0))
+    dkt = []  # dkt[nu] = d_nu Ktilde
+    for nu in range(4):
+        pp, pm = pt.copy(), pt.copy()
+        pp[nu] += h
+        pm[nu] -= h
+        dkt.append((ktilde_vals(pp) - ktilde_vals(pm)) / (2 * h))
+    rho = value_array(bg.jets(pt).rho("moment", 0))
+    worst = 0.0
     for lam in range(4):
         for mu in range(4):
-            pp, pm = pt.copy(), pt.copy()
-            pp[lam] += h
-            pm[lam] -= h
-            dk_mu = (ktilde_vals(pp)[mu] - ktilde_vals(pm)[mu]) / (2 * h)
-            pp, pm = pt.copy(), pt.copy()
-            pp[mu] += h
-            pm[mu] -= h
-            dk_lam = (ktilde_vals(pp)[lam] - ktilde_vals(pm)[lam]) / (2 * h)
-            expected = -dk_mu + dk_lam + kt0[lam] @ kt0[mu] - kt0[mu] @ kt0[lam]
-            assert np.max(np.abs(expected - rcheck[lam][mu])) < 1e-7
+            expected = -dkt[lam][mu] + dkt[mu][lam] + kt0[lam] @ kt0[mu] - kt0[mu] @ kt0[lam]
+            assert np.max(np.abs(expected - np.array(ad(rho[lam, mu])))) < 1e-7
+            worst = max(worst, float(np.max(np.abs(expected))))
+    assert worst > 1e-2  # genuinely curved data
 
 
 def test_cosymplectic_flat_blocks(flat_scenario):
@@ -451,7 +455,6 @@ def test_constants_dimension_check():
 def test_anisotropic_metric_full_stack():
     """Off-diagonal metric with derived Levi-Civita slots: metricity, frame
     orthonormality, the curvature identity and the main theorem all hold."""
-    from cqm.pauli import spin_curvature_from_jets
     from cqm.verify import main_theorem_residual, random_special_function
     from cqm.special import jacobi_residual
 
@@ -468,9 +471,9 @@ def test_anisotropic_metric_full_stack():
         g = np.array([[b.metric(0)[i][j].value for j in range(3)] for i in range(3)])
         emat = np.array([[e[i][a].value for a in range(3)] for i in range(3)])
         assert np.max(np.abs(emat.T @ g @ emat - np.eye(3))) < 1e-12
-        r = spin_curvature_from_jets(sc.qd.spin.coeffs(b, 1))
         rho = value_array(b.rho("moment", 0))
-        assert np.max(np.abs(r[:, :, 1:] - rho)) < 1e-10
+        ad_rho = np.array([[ad(rho[lam, mu]) for mu in range(4)] for lam in range(4)])
+        assert np.max(np.abs(ad_rho - frame_curvature(b))) < 1e-10
     assert np.max(np.abs(rho)) > 1e-3  # genuinely curved data
     consts = sc.background.constants.table()
     f = random_special_function(rng, consts)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import SCENARIO_DIR, scenario_dict
+from oracles import read_snapshot
 
 CLI = [sys.executable, "-m", "cqm.cli"]
 SRC = str(SCENARIO_DIR.parent / "src")
@@ -61,6 +62,22 @@ def test_verify_corrupted_metricity_fails(tmp_path):
     report = json.loads((tmp_path / "rep.json").read_text())
     failing = [c["name"] for c in report["checks"] if not c["passed"]]
     assert "background.metricity" in failing
+
+
+@pytest.mark.parametrize("argv", [["bracket", "x1", "P1", "--at", "0,0,0,0"], ["verify", "--suite", "jacobi"]],
+                         ids=["bracket", "verify_jacobi"])
+def test_non_metric_connection_is_a_load_error_for_the_spin_part(tmp_path, argv):
+    """The spin curvature goes through the spin connection, so a K whose
+    frame coefficients are not antisymmetric stops both commands with one
+    error line, as `verify --suite curvature` does."""
+    scn = json.loads((SCENARIO_DIR / "flat_magnetic.json").read_text())
+    scn["Kgrav"] = {"1_01": "0.4"}
+    scn_path = tmp_path / "nonmetric.json"
+    scn_path.write_text(json.dumps(scn))
+    res = run_cli(argv[0], str(scn_path), *argv[1:])
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == ["error: frame coefficients not antisymmetric at lambda=0 (which=moment)"]
 
 
 # the Levi-Civita slots that scenarios/curved_magnetic.json once listed by hand
@@ -134,8 +151,6 @@ def test_evolve_larmor(tmp_path):
 
 
 def test_evolve_snapshots(tmp_path):
-    from cqm.quantum import read_snapshot
-
     out_dir = tmp_path / "snaps"
     res = run_cli("evolve", str(SCENARIO_DIR / "larmor.json"), "--steps", "10",
                   "--dt", "0.1", "--out", str(out_dir), "--snapshot-every", "5")

@@ -10,11 +10,9 @@ from cqm.hermitian import (
     Mat2,
     NotHermitian,
     SpinorSection,
-    act_on_section,
     ch_components,
     connection_lift,
     from_special,
-    hermitian_raw,
     hermiticity_residual,
     invariant_combination,
     lie_bracket_y,
@@ -33,6 +31,7 @@ from cqm.verify import assemble_pair, main_theorem_residual, random_raw_pair, ra
 from cqm.scenario import load_scenario
 
 from conftest import make_special, sample_box, scenario_dict
+from oracles import act_on_section, hermitian_raw
 
 
 def spinor(consts, exprs):

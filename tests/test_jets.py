@@ -351,30 +351,54 @@ def _pair(z):
     return Jet(z.order, z.c.real.copy()), Jet(z.order, z.c.imag.copy())
 
 
+def _size(*factors):
+    """The product of the factors' |coefficients|: slot by slot, the sum of
+    the sizes of the terms that the product of the factors sums there."""
+    out = Jet(factors[0].order, np.abs(factors[0].c))
+    for f in factors[1:]:
+        out = out * Jet(f.order, np.abs(f.c))
+    return out.c
+
+
 @settings(max_examples=40, deadline=None)
 @given(clouds())
 def test_complex_jets_match_real_pairs(pair):
     """Complex arithmetic against the same field written as pairs of real
     jets: (x + iy)(u + iv) = (xu - yv) + i(xv + yu), exp(x + iy) =
     e^x (cos y + i sin y).  mul, div and exp round differently in the two
-    forms (the complex division goes through 1/w), hence 32 ulps; the rest
-    must agree to 8."""
+    forms, so they agree to 32 ulps of the size of the terms each slot sums
+    (the real-pair products on |coefficients|); the complex division goes
+    through 1/w, whose rounding grows with |1/w|, so its sizes are scaled by
+    the draw's max |1/w| as well.  The rest must agree to 8 ulps of the
+    largest coefficient."""
     a, b = pair
     z, w = a + b * 1j, b + a * 0.5j
     (x, y), (u, v) = _pair(z), _pair(w)
     den = (u * u + v * v).recip()
+    ex, cy, sy = x.exp(), y.cos(), y.sin()
+    inv_w = max(1.0, float(np.max(1.0 / np.abs(w.value))))
+    sizes = {
+        "mul": _size(x, u) + _size(y, v) + _size(x, v) + _size(y, u),
+        "div": (_size(x, u, den) + _size(y, v, den) + _size(y, u, den) + _size(x, v, den)) * inv_w,
+        "exp": _size(ex, cy) + _size(ex, sy),
+    }
     oracles = {
         "add": (z + w, (x + u, y + v)),
         "sub": (z - w, (x - u, y - v)),
         "mul": (z * w, (x * u - y * v, x * v + y * u)),
         "div": (z / w, ((x * u + y * v) * den, (y * u - x * v) * den)),
-        "exp": (z.exp(), (x.exp() * y.cos(), x.exp() * y.sin())),
+        "exp": (z.exp(), (ex * cy, ex * sy)),
         "conj": (z.conj(), (x, -y)),
         "real_times": (a * w, (a * u, a * v)),
         "number_times": ((0.3 - 1.2j) * a, (a * 0.3, a * -1.2)),
     }
     for name, (got, (re, im)) in oracles.items():
-        _assert_ulps(got.c, re.c + im.c * 1j, 32 if name in ("mul", "div", "exp") else 8)
+        want = re.c + im.c * 1j
+        if name in sizes:
+            assert got.c.shape == want.shape
+            assert np.all(np.abs(got.c - want) <= 32 * np.finfo(float).eps * sizes[name])
+        else:
+            _assert_ulps(got.c, want)
 
 
 @settings(max_examples=20, deadline=None)

@@ -8,7 +8,7 @@ import pytest
 from cqm import quantum
 from cqm.background import BackgroundJets, NotPositiveDefinite
 from cqm.fieldlang import FieldDef, eval_float
-from cqm.hermitian import SpinorSection, act_on_section, from_special
+from cqm.hermitian import SpinorSection, from_special
 from cqm.jets import Jet, value_array
 from cqm.pauli import SIGMA, XI_ALL
 from cqm.quantum import (
@@ -27,7 +27,6 @@ from cqm.quantum import (
     operator_bracket,
     pauli_generator,
     prequantum,
-    read_snapshot,
     write_snapshot,
 )
 from cqm.scenario import load_scenario
@@ -36,6 +35,7 @@ from cqm.units import DIMLESS
 from cqm.verify import bracket_as_function, run_suites
 
 from conftest import SCENARIO_DIR, derive_expr, make_special, scenario_dict
+from oracles import act_on_section, read_snapshot
 
 
 def flat_1d_spec(n=201, half=12.0):

@@ -9,11 +9,11 @@ from cqm.special import (
     extended_bracket,
     extended_bracket_jets,
     jacobi_residual,
-    vector_of,
 )
 from cqm.verify import random_special_function
 
 from conftest import make_special
+from oracles import vector_of
 
 
 def test_eval_coordinate_function(flat_scenario):
