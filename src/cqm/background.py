@@ -29,7 +29,7 @@ import numpy as np
 
 from . import fieldlang as fl
 from .fieldlang import FieldDef
-from .jets import Jet, value_array
+from .jets import MAX_ORDER, Jet, value_array
 from .pauli import InconsistentSystem, axis_vector, spin_curvature_jets
 from .units import (
     BFIELD_FRAME_DIM,
@@ -271,6 +271,13 @@ class Background:
 # ---------------------------------------------------------------------------
 
 
+def _truncate(entry, order: int):
+    """A jet, or nested lists and tuples of jets, truncated to `order`."""
+    if isinstance(entry, Jet):
+        return entry.truncate(order)
+    return type(entry)(_truncate(e, order) for e in entry)
+
+
 def _zeros(shape, order):
     if not shape:
         return Jet.const(0.0, order)
@@ -282,7 +289,8 @@ class BackgroundJets:
     points, as jets, with caching.
 
     Each accessor takes the jet order of its *output*; primitives are pulled
-    at whatever deeper order the derivative chain needs.
+    at whatever deeper order the derivative chain needs, and a quantity
+    cached at a higher order serves a lower one by truncation.
     """
 
     def __init__(self, bg: Background, point: np.ndarray):
@@ -291,8 +299,16 @@ class BackgroundJets:
         self._cache: dict = {}
 
     def _get(self, key, builder):
+        """The cached entry of `key`, whose last item is the jet order.  A
+        missing entry is the truncation of the same quantity cached at a
+        higher order, when there is one, else built.  Every jet operation
+        gives at a lower order the truncation of its result at a higher one,
+        bit for bit (a product sums the same table terms in the same order),
+        so the two agree."""
         if key not in self._cache:
-            self._cache[key] = builder()
+            *name, order = key
+            higher = [k for m in range(order + 1, MAX_ORDER + 1) if (k := (*name, m)) in self._cache]
+            self._cache[key] = _truncate(self._cache[higher[0]], order) if higher else builder()
         return self._cache[key]
 
     # -- primitives ----------------------------------------------------------

@@ -5,6 +5,8 @@ of a real or complex scalar field at a base point, for all multi-indices
 |alpha| <= n <= 3.
 Arithmetic is closed at fixed order (higher terms are truncated); binary
 operations between jets of different orders truncate to the lower order.
+Every operation commutes with truncation bit for bit, signs of zero
+included, so a jet computed at a higher order serves every lower one.
 Jets do not store their base point; mixing jets from different points is the
 caller's responsibility.
 
@@ -333,8 +335,11 @@ class Jet:
         c[..., 0] = taylor[0]
         power = nil
         for k in range(2, self.order + 1):
+            # (f - f0)^k starts at degree k: adding its exact zeros below
+            # would turn a -0.0 there into +0.0 at some orders only
             power = power * nil
-            c += (power.c.T * taylor[k]).T
+            start = SIZES[k - 1]
+            c[..., start:] += (power.c[..., start:].T * taylor[k]).T
         return Jet(self.order, c)
 
     def recip(self) -> "Jet":

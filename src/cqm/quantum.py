@@ -11,11 +11,14 @@ Each grid operator is built once as a Stencil: a (..., 2, 2) centre matrix and
 one coefficient array per neighbour offset, with offsets whose coefficients
 are all zero dropped (the mixed derivatives of a diagonal metric, say).  An
 apply is one einsum with the centre and one in-place slice accumulation per
-kept offset; the Dirichlet zeros come from the slicing.  By the same rule, a
-part that is the same at every node is applied as a Python number, and a
-centre with no off-diagonal entry multiplies psi elementwise by its
-diagonal (numbers, a node scalar or a (..., 2) array) without the einsum;
-the terms left out are exact zeros.
+kept offset; the Dirichlet zeros come from the slicing.  A centre with no
+off-diagonal entry multiplies psi elementwise by its diagonal without the
+einsum.  Each elementwise factor is a Python number when it holds one
+number at every node and spinor component, and otherwise a C-contiguous
+array of the full (..., 2) shape it multiplies: numpy broadcasts a column or
+a row along the length-2 spinor axis several times slower than it
+multiplies two contiguous arrays of one shape.  The terms left out are
+exact zeros, so the results are those of the all-array apply.
 
 The generator H with i d0 psi = H psi on the Pauli kernel is
 
@@ -253,15 +256,14 @@ def _offset_slices(offset: tuple):
 
 def _spinor_factor(arr: np.ndarray):
     """A (..., 1) or (..., 2) node array as a factor of (..., 2) spinor
-    nodes: one column when its two columns agree at every node, and that
-    row as numbers (a Python number for one column) when every node holds
-    it."""
-    if arr.shape[-1] == 2 and np.array_equal(arr[..., 0], arr[..., 1]):
-        arr = arr[..., :1]
-    first = arr[(0,) * (arr.ndim - 1)]
-    if not np.all(arr == first):
-        return arr
-    return first.item() if first.size == 1 else first.copy()
+    nodes: a Python number when it holds one number at every node and
+    component, else a C-contiguous array of the full (..., 2) shape, as
+    numpy multiplies two contiguous arrays of one shape several times faster
+    than it broadcasts a column or a row along the spinor axis."""
+    first = arr.flat[0]
+    if np.all(arr == first):
+        return first.item()
+    return np.ascontiguousarray(np.broadcast_to(arr, arr.shape[:-1] + (2,)))
 
 
 class Stencil:
@@ -289,11 +291,11 @@ class Stencil:
         """The operator that applies this stencil: the centre, then one
         in-place slice accumulation per live offset.  A centre with no
         off-diagonal entry multiplies psi elementwise by its diagonal, and
-        only a centre with one takes the einsum; each factor is compressed
-        by _spinor_factor."""
+        only a centre with one takes the einsum.  Each elementwise factor
+        is a Python number or a contiguous (..., 2) array (_spinor_factor)."""
         centre = self.centre
         diagonal = not (np.any(centre[..., 0, 1]) or np.any(centre[..., 1, 0]))
-        if diagonal:  # a view: the operator keeps no copy of its own
+        if diagonal:
             centre = _spinor_factor(np.einsum("...ii->...i", centre))
         terms = []
         for d, coef in self.live_offsets().items():

@@ -209,8 +209,8 @@ def _bracket_scalar(a: ComponentJets, b: ComponentJets, bundle: BackgroundJets, 
 def _bracket_spin(a: ComponentJets, b: ComponentJets, bundle: BackgroundJets, order: int) -> list:
     """Spin part: the curvature term rho, the covariant derivatives of phi
     along X[a] and X[b], and phi' x phi."""
+    rho = bundle.rho("moment", order)  # first: it builds ktilde at order + 1
     kt = bundle.ktilde("moment", order)
-    rho = bundle.rho("moment", order)
     xa = [j.truncate(order) for j in a.x_components()]
     xb = [j.truncate(order) for j in b.x_components()]
 

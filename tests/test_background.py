@@ -548,3 +548,40 @@ def test_magnetic_matches_the_epsilon_loop_bit_for_bit():
         assert all(np.max(np.abs(w.c)) > 1e-3 for w in want)
         for g, w in zip(got, want):
             assert np.array_equal(g.c, w.c)
+
+
+def _jet_leaves(entry):
+    """The jets of a jet or of nested lists and tuples of jets, in order."""
+    if isinstance(entry, (list, tuple)):
+        return [j for e in entry for j in _jet_leaves(e)]
+    return [entry]
+
+
+@pytest.mark.parametrize("name", ["curved_magnetic", "anisotropic"])
+@pytest.mark.parametrize("npoints", [None, 20])
+def test_lower_orders_are_truncations_of_cached_entries(name, npoints):
+    """After rho at order 0, which builds Ktilde at order 1 and the frame at
+    order 2, Ktilde, the frame and the metric at order 0 are truncations of
+    those entries: reading them runs no builder, and each equals the entry
+    of a fresh bundle bit for bit."""
+    bg = load_scenario(scenario_dict(name)).background
+    pts = sample_box(np.random.default_rng(21), npoints or 1)
+    where = pts.T if npoints else pts[0]
+    bundle = bg.jets(where)
+    bundle.rho("moment", 0)
+    built = []
+    get = bundle._get
+
+    def recording(key, builder):
+        return get(key, lambda: built.append(key) or builder())
+
+    bundle._get = recording
+    reads = {"ktilde": lambda b: b.ktilde("moment", 0), "frame": lambda b: b.frame(0),
+             "metric": lambda b: b.metric(0)}
+    got = {what: read(bundle) for what, read in reads.items()}
+    assert built == []
+    for what, read in reads.items():
+        want = read(bg.jets(where))
+        pairs = list(zip(_jet_leaves(got[what]), _jet_leaves(want), strict=True))
+        assert pairs and all(a.order == b.order == 0 for a, b in pairs), what
+        assert all(a.c.shape == b.c.shape and a.c.tobytes() == b.c.tobytes() for a, b in pairs), what

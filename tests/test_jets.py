@@ -514,3 +514,17 @@ def test_point_zero_with_a_derivative_slot_keeps_the_table_path():
     got = x2 * cloud
     assert got.c.shape == (2, SIZES[1])
     assert np.array_equal(got.c[:, INDEX_OF[0, 0, 1, 0]], [1.0, -1.0])
+
+
+@pytest.mark.parametrize("op", ["recip", "sqrt", "exp", "log", "sin", "cos"])
+@pytest.mark.parametrize("shape", [(), (3,)], ids=["point", "cloud"])
+def test_composition_commutes_with_truncation_bit_for_bit(op, shape):
+    """g(f) at order n is g(f) at order 3 truncated to n, signs of zero
+    included, for an f with exact zero slots (a field of x1 alone): a cached
+    jet then serves every lower order."""
+    x = np.array([0.3, 1.2, -0.4, 0.7])
+    point = x if not shape else np.stack([x, x + 0.1, x - 0.2], axis=1)
+    f = Jet.seed(point, 1, 3) * Jet.seed(point, 1, 3) * 0.5 + 1.25
+    top = getattr(f, op)()
+    for n in range(3):
+        _same_bits(getattr(f.truncate(n), op)().c, np.ascontiguousarray(top.truncate(n).c))

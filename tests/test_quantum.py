@@ -874,19 +874,43 @@ def constant_parts(stencil):
     return centre_kind(stencil.centre), sum(bool(np.all(a == a.flat[0])) for a in applied), len(live)
 
 
+def test_spinor_factor_is_a_number_or_a_contiguous_full_array():
+    """A node factor of (..., 2) spinors comes back as a Python number when
+    it holds one number at every node and component, else as a C-contiguous
+    array of the full (..., 2) shape with the same entries."""
+    rng = np.random.default_rng(3)
+    column = rng.standard_normal((4, 3, 1)) + 1j * rng.standard_normal((4, 3, 1))
+    row = np.broadcast_to(np.array([0.5 - 1j, 2.0 + 0j]), (4, 3, 2))
+    full = rng.standard_normal((4, 3, 2)) + 0j
+    for arr in (column, row, full, full[::2, :, :]):
+        got = quantum._spinor_factor(arr)
+        assert isinstance(got, np.ndarray) and got.flags.c_contiguous
+        assert got.shape == arr.shape[:-1] + (2,)
+        np.testing.assert_array_equal(got, np.broadcast_to(arr, got.shape))
+    for arr in (np.full((4, 3, 1), 1.5 - 2j), np.full((4, 3, 2), 0.25 + 0j), np.full((1, 1, 1, 2), -3j)):
+        got = quantum._spinor_factor(arr)
+        assert type(got) is complex and got == arr.flat[0]
+
+
+# the benchmark's 3-D packet grid: the factors are applied as they are at scale
+NUMBER_PARTS_GRIDS = {**STENCIL_GRIDS, "flat_magnetic_24^3": (
+    lambda: load_scenario(SCENARIO_DIR / "flat_magnetic.json"), GridSpec(((-4, 4, 24),) * 3, 0.0))}
+
+
 @pytest.mark.parametrize("name, generator_parts", [
     ("free_packet_1d", ("scalar", 2, 2)),
     ("flat_magnetic_8^3", ("diagonal", 4, 6)),
     ("curved_magnetic_15x15x1", ("diagonal", 0, 4)),
     ("larmor_one_node", ("diagonal", 0, 0)),
     ("flat_magnetic_along_e1_8^3", ("full", 4, 6)),
+    ("flat_magnetic_24^3", ("diagonal", 4, 6)),
 ])
 def test_constant_stencil_parts_apply_as_numbers(name, generator_parts, monkeypatch):
     """The generator and prequantum(P1), whose parts that are the same at
     every node are applied as numbers, whose diagonal centres multiply psi
     elementwise and whose other centres take the einsum, equal an all-array
     apply of the same Stencil bit for bit."""
-    make, spec = STENCIL_GRIDS[name]
+    make, spec = NUMBER_PARTS_GRIDS[name]
     sc = make()
     geom = GridGeometry(sc.qd, spec or sc.grid)
     stencils = []
