@@ -208,24 +208,6 @@ class Background:
 
     # -- public operations ---------------------------------------------------
 
-    def cosymplectic_and_gamma(self, p: PhasePoint):
-        """Numeric component table of the cosymplectic form over the basis
-        (dx^0..dx^3, dx^1_0..dx^3_0) and the second-order connection gamma^i:
-        (7, 7) and (3,) at a phase point, (7, 7, N) and (3, N) on a cloud."""
-        b = self.jets(p.x)
-        batch = b.point.shape[1:]
-        omega = value_array(b.omega_table([Jet.const(v, 1) for v in p.v], 0), batch)
-        kval = value_array(b.k_joined("charge", 0), batch)
-        gamma = np.zeros((3,) + batch)
-        for i in range(3):
-            acc = kval[0][i][0]
-            for j in range(3):
-                acc = acc + 2.0 * kval[0][i][j + 1] * p.v[j]
-                for h in range(3):
-                    acc = acc + kval[h + 1][i][j + 1] * p.v[h] * p.v[j]
-            gamma[i] = acc
-        return omega, gamma
-
     def magnetic_field(self, point) -> list:
         """Orthonormal-frame components B^a = 1/2 eps^{abc} Fcheck_{bc}."""
         b = self.jets(point)

@@ -76,6 +76,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _strict_json(check) -> dict:
+    """A check's report entry as strict JSON: a residual that is not finite
+    (a convergence ratio decided by the roundoff floor) is null."""
+    entry = check.to_json()
+    if not math.isfinite(entry["max_residual"]):
+        entry["max_residual"] = None
+    return entry
+
+
 def cmd_verify(args) -> int:
     try:
         if args.samples is not None and args.samples < 1:
@@ -96,10 +105,10 @@ def cmd_verify(args) -> int:
         "seed": sc.seed,
         "samples": sc.samples,
         "suites": sorted(args.suite) if args.suite else list(SUITES),
-        "checks": [c.to_json() for c in checks],
+        "checks": [_strict_json(c) for c in checks],
         "passed": all(c.passed for c in checks),
     }
-    text = json.dumps(report, sort_keys=True, indent=2)
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     if args.out:
         Path(args.out).write_text(text + "\n")
     if args.table:

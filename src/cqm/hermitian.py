@@ -37,7 +37,7 @@ from .background import (
 )
 from .fieldlang import FieldDef
 from .jets import Jet, max_abs, value_array
-from .pauli import XI_ALL, SpinConnection, cross, spin_connection_from, xi_combination
+from .pauli import SpinConnection, cross, spin_connection_from, xi_combination
 from .special import SpecialFunction, SpecialValue, component_jets, eval_special
 
 
@@ -62,13 +62,6 @@ class Mat2:
     @staticmethod
     def zero(order: int) -> "Mat2":
         return Mat2([Jet.const(0.0, order)] * 4)
-
-    @staticmethod
-    def constant(mat: np.ndarray, order: int) -> "Mat2":
-        """The constant field of a numeric matrix M: y_0 = -(i/2) tr M and
-        y_a = -2 tr(M xi_a)."""
-        coeffs = [-0.5j * np.trace(mat)] + [-2.0 * np.trace(mat @ XI_ALL[1 + a]) for a in range(3)]
-        return Mat2([Jet.const(complex(c), order) for c in coeffs])
 
     def __add__(self, other: "Mat2") -> "Mat2":
         return Mat2([a + b for a, b in zip(self.y, other.y)])
@@ -212,9 +205,6 @@ class HermitianField:
 
     def ymat(self, where, order: int) -> Mat2:
         return self._y(where, order)
-
-    def x_values(self, where) -> np.ndarray:
-        return np.array([j.value for j in self.x_jets(where, 0)])
 
 
 def from_special(f: SpecialFunction, qd: QuantumData) -> HermitianField:

@@ -1,8 +1,11 @@
-"""Dimension-tracked scalar arithmetic over rational powers of length, time, mass.
+"""Dimensions as rational powers of length, time and mass, and finite reals
+tagged with one.
 
-Dimensions are exact rational exponent triples; values are plain floats, the
-numerics in the base units.  Checking happens at
-runtime so that fields assembled from config data stay dimension-aware.
+Dimensions are exact rational exponent triples with their own algebra
+(product, quotient, rational power), which field expressions use to infer
+and check their dimension at runtime, so that fields assembled from config
+data stay dimension-aware.  Values are plain floats, the numerics in the
+base units.
 """
 
 from __future__ import annotations
@@ -16,11 +19,8 @@ RationalLike = Union[int, Fraction, str]
 
 
 class DimensionMismatch(ValueError):
-    """Raised when adding/subtracting quantities of unequal dimension."""
-
-
-class DivisionByZero(ZeroDivisionError):
-    """Raised when dividing a scaled quantity by zero."""
+    """Raised when quantities of unequal dimension meet: a sum of field
+    expressions, or a field or constant of the wrong dimension."""
 
 
 def _frac(x: RationalLike) -> Fraction:
@@ -105,28 +105,3 @@ class ScaledReal:
 
     def __post_init__(self):
         object.__setattr__(self, "value", _check_finite(self.value))
-
-    def __add__(self, other: "ScaledReal") -> "ScaledReal":
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"cannot add {self.dim} and {other.dim}")
-        return ScaledReal(self.value + other.value, self.dim)
-
-    def __sub__(self, other: "ScaledReal") -> "ScaledReal":
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"cannot subtract {other.dim} from {self.dim}")
-        return ScaledReal(self.value - other.value, self.dim)
-
-    def __mul__(self, other: "ScaledReal") -> "ScaledReal":
-        return ScaledReal(self.value * other.value, self.dim * other.dim)
-
-    def __truediv__(self, other: "ScaledReal") -> "ScaledReal":
-        if other.value == 0.0:
-            raise DivisionByZero("division by zero-valued quantity")
-        return ScaledReal(self.value / other.value, self.dim / other.dim)
-
-    def __neg__(self) -> "ScaledReal":
-        return ScaledReal(-self.value, self.dim)
-
-    def __pow__(self, r: RationalLike) -> "ScaledReal":
-        r = _frac(r)
-        return ScaledReal(self.value ** float(r), self.dim ** r)

@@ -3,9 +3,11 @@
 Each suite draws seeded sample points from the scenario box and reports the
 worst residual of a family of identities.  Every check's bound is a constant
 of TOLERANCES, which no scenario can change.  Two kinds of checks exist:
-residual checks (pass when max residual <= bound) and the `*_ratio`
-convergence checks (pass when halving the step shrinks an O(h^2) residual
-by a ratio >= the bound, or when the residual is already at roundoff).
+residual checks (pass when max residual <= bound), which gate every
+identity that holds exactly, and the `*_ratio` convergence checks of the
+operators suite (pass when halving the grid step shrinks an O(h^2)
+discretisation defect by a ratio >= the bound, or when both defects are
+already at roundoff, which reads as an infinite ratio).
 
 Every suite but operators draws its samples as (n, 4) rows and evaluates
 them as one (4, n) cloud, `points.T`.  Every residual function the suites
@@ -14,11 +16,12 @@ residual is a float at a point and an (n,) array of per-point values on a
 cloud, and a suite reports the largest.  The isomorphism, Jacobi and
 observer suites build one background bundle per cloud and pass the bundle in
 place of the cloud, so every residual function shares its background
-quantities.  The finite-difference ratio checks put every offset point of
-their stencils into one cloud per step size.  The operators suite builds one
-grid geometry per distinct grid and shares it between its sweeps; a scenario
-without a grid gets the probe box _BOX_GRID, which is also the symmetry
-sweep's coarse level.
+quantities.  The background suite's closure checks (dOmega = 0 and
+dPhi[o] = 0) read exact derivatives off the suite's own bundle; only the
+operators suite's grid sweeps measure a discretisation.  The operators suite
+builds one grid geometry per distinct grid and shares it between its
+sweeps; a scenario without a grid gets the probe box _BOX_GRID, which is
+also the symmetry sweep's coarse level.
 
 The main theorem is checked against the same Y[F] formula,
 hermitian.y_coefficients, that from_special and the grid operators use; a
@@ -30,11 +33,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import fieldlang as fl
-from .background import Observer, PhasePoint, as_point, divergence_eta_jets
+from .background import Observer, as_point, divergence_eta_jets
 from .fieldlang import FieldDef
 from .hermitian import (
     HermitianField,
@@ -49,7 +53,7 @@ from .hermitian import (
     vertical_projection,
     y_coefficients,
 )
-from .jets import max_abs, value_array
+from .jets import Jet, max_abs, value_array
 from .pauli import EPS, XI_ALL, xi_combination
 from .quantum import (
     GridGeometry,
@@ -82,8 +86,8 @@ TOLERANCES = {
     "background.dF": 1e-10,
     "background.frame_orthonormality": 1e-12,
     "background.ktilde_antisymmetry": 1e-10,
-    "background.domega_ratio": 3.5,
-    "background.dphi_ratio": 3.5,
+    "background.domega": 1e-12,
+    "background.dphi": 1e-12,
     "curvature.rtilde_relation": 1e-10,
     "curvature.c_roundtrip": 1e-11,
     "curvature.rho_coupling_slots": 1e-9,
@@ -118,8 +122,9 @@ class Check:
 
     @property
     def comparator(self) -> str:
-        """The convergence checks (`*_ratio`) pass at ratio >= bound ("ge"),
-        every other at residual <= bound ("le")."""
+        """The grid-convergence checks (`*_ratio`, the step-halving ratios
+        of the operators suite) pass at ratio >= bound ("ge"), every other,
+        the exact closures among them, at residual <= bound ("le")."""
         return "ge" if self.name.endswith("_ratio") else "le"
 
     @property
@@ -207,70 +212,41 @@ def suite_background(sc: Scenario) -> list:
     return checks + [
         Check("background.frame_orthonormality", len(points), worst_frame),
         Check("background.ktilde_antisymmetry", len(points), worst_anti),
-        _domega_check(sc, rng),
-        _dphi_check(sc, rng),
-    ]
+    ] + _closure_checks(sc, b, rng)
 
 
-def _ratio(coarse: float, fine: float, roundoff: float) -> float:
-    """Step-halving ratio coarse/fine of two residuals; inf when both are
-    below the roundoff floor or the fine one is 0."""
-    if max(coarse, fine) < roundoff:
-        return float("inf")
-    return coarse / fine if fine > 0 else float("inf")
+def _closure_checks(sc: Scenario, b, rng) -> list:
+    """dOmega = 0 on phase space and dPhi[o] = 0 on spacetime at the
+    bundle's points, from exact derivatives: x-derivatives from order-1
+    jets, v-derivatives of Omega (at most quadratic in v) from central
+    differences of step 1, exact up to rounding.  The velocities are drawn
+    from rng; the observer is the scenario's first non-reference one."""
+    batch = b.point.shape[1:]
+    v = rng.uniform(-0.5, 0.5, (3,) + batch)
 
+    def x_derivatives(table):
+        return value_array([[[w.derive(a) for a in range(4)] for w in row] for row in table], batch)
 
-def _fd_ratio_check(name, residual_fn, h0, n_samples) -> Check:
-    ratio = _ratio(residual_fn(h0), residual_fn(h0 / 2.0), 1e-10)
-    return Check(name, n_samples, ratio)
+    def omega_at(vel):
+        return value_array(b.omega_table([Jet.const(vk, 0) for vk in vel], 0), batch)
 
-
-def _fd_derivatives(form_at, base: np.ndarray, h: float) -> np.ndarray:
-    """Central differences of step h along every axis at the rows of `base`
-    (n, dim), from one evaluation of form_at on the cloud of all 2 dim n
-    offset points: form_at maps a (dim, M) cloud to (..., M) values, and the
-    result is laid out [..., axis, row]."""
-    n, dim = base.shape
-    z = np.broadcast_to(base.T, (2, dim, dim, n)).copy()  # [sign, axis, coordinate, row]
-    for a in range(dim):
-        z[0, a, a] += h
-        z[1, a, a] -= h
-    w = form_at(z.transpose(2, 0, 1, 3).reshape(dim, -1))
-    w = w.reshape(w.shape[:-1] + (2, dim, n))
-    return (w[..., 0, :, :] - w[..., 1, :, :]) / (2 * h)
+    dv = [0.5 * (omega_at(v + e) - omega_at(v - e)) for e in np.eye(3)[:, :, None]]
+    domega = np.concatenate([x_derivatives(b.omega_table([Jet.const(vk, 1) for vk in v], 1)),
+                             np.stack(dv, axis=2)], axis=2)
+    names = [n for n in sc.observers if n != "reference"]
+    obs = sc.observers[names[0]] if names else Observer.reference()
+    dphi = x_derivatives(b.phi_observer(obs, 1))
+    return [Check("background.domega", batch[0], _closure_residual(domega)),
+            Check("background.dphi", batch[0], _closure_residual(dphi))]
 
 
 def _closure_residual(d: np.ndarray) -> float:
     """Worst |d_a w_bc - d_b w_ac + d_c w_ab| over a < b < c and the rows,
-    for derivatives d[b, c, a, row] of a 2-form's component table w."""
-    return max(float(np.max(np.abs(d[b, c, a] - d[a, c, b] + d[a, b, c])))
+    relative to max(1, the row's largest derivative), for derivatives
+    d[b, c, a, row] of a 2-form's component table w."""
+    scale = np.maximum(1.0, np.max(np.abs(d), axis=(0, 1, 2)))
+    return max(float(np.max(np.abs(d[b, c, a] - d[a, c, b] + d[a, b, c]) / scale))
                for a, b, c in itertools.combinations(range(d.shape[0]), 3))
-
-
-def _domega_check(sc: Scenario, rng) -> Check:
-    bg = sc.background
-    pts = sc.sample_points(rng, min(5, sc.samples))
-    vels = rng.uniform(-0.5, 0.5, (len(pts), 3))
-    base = np.hstack([pts, vels])
-
-    def omega_at(z):
-        return bg.cosymplectic_and_gamma(PhasePoint(z[:4], z[4:]))[0]
-
-    return _fd_ratio_check("background.domega_ratio",
-                           lambda h: _closure_residual(_fd_derivatives(omega_at, base, h)), 1e-3, len(pts))
-
-
-def _dphi_check(sc: Scenario, rng) -> Check:
-    bg = sc.background
-    pts = sc.sample_points(rng, min(5, sc.samples))
-    names = [n for n in sc.observers if n != "reference"]
-    obs = sc.observers[names[0]] if names else Observer.reference()
-
-    def phi_at(x):
-        return value_array(bg.jets(x).phi_observer(obs, 0), x.shape[1:])
-
-    return _fd_ratio_check("background.dphi_ratio",
-                           lambda h: _closure_residual(_fd_derivatives(phi_at, pts, h)), 1e-3, len(pts))
 
 
 def suite_curvature(sc: Scenario) -> list:
@@ -515,6 +491,9 @@ def _closed_form_ops(sc: Scenario, geom: GridGeometry):
 # The probe box of the operators suite for a scenario without a grid: the
 # named displays and the symmetry sweep's coarse level share its geometry.
 _BOX_GRID = GridSpec(((-4.0, 4.0, 16),) * 3, 0.0)
+# The bracket-homomorphism sweep's two levels: the step halves from 15^2 to 29^2.
+_HOMOMORPHISM_GRIDS = (GridSpec(((-3.0, 3.0, 15), (-3.0, 3.0, 15), (0.0, 0.0, 1)), 0.0),
+                       GridSpec(((-3.0, 3.0, 29), (-3.0, 3.0, 29), (0.0, 0.0, 1)), 0.0))
 
 
 def suite_operators(sc: Scenario) -> list:
@@ -562,8 +541,11 @@ def suite_operators(sc: Scenario) -> list:
     worst_lin = 0.0
     for key, f in named.items():
         worst_lin = max(worst_lin, check_linearity(prequantum(qd, geom, f), spec, rng))
-    sym_ratio = _symmetry_sweep(sc, rng, geometry)
-    hom_ratio = _bracket_homomorphism_sweep(sc, rng, geometry)
+    base = sc.grid or _BOX_GRID
+    coarse = GridSpec(tuple((lo, hi, n if n == 1 else min(n, 17)) for lo, hi, n in base.axes), base.time)
+    fine = GridSpec(tuple((lo, hi, n if n == 1 else 2 * n - 1) for lo, hi, n in coarse.axes), base.time)
+    sym_ratio = _grid_ratio(partial(_symmetry_defect, sc), coarse, fine, rng, geometry)
+    hom_ratio = _grid_ratio(partial(_bracket_homomorphism_defect, sc), *_HOMOMORPHISM_GRIDS, rng, geometry)
     return [
         Check("operators.named_displays", 1, worst_named),
         Check("operators.generator_lock", 1, lock),
@@ -588,18 +570,6 @@ def _symmetry_defect(sc: Scenario, geom: GridGeometry, rng) -> float:
     return worst
 
 
-def _symmetry_sweep(sc: Scenario, rng, geometry) -> float:
-    base = sc.grid or _BOX_GRID
-    axes1 = tuple((lo, hi, n if n == 1 else min(n, 17)) for (lo, hi, n) in base.axes)
-    spec1 = GridSpec(axes1, base.time)
-    axes2 = tuple((lo, hi, n if n == 1 else 2 * n - 1) for (lo, hi, n) in axes1)
-    spec2 = GridSpec(axes2, base.time)
-    seed = rng.integers(2**31)
-    s1 = _symmetry_defect(sc, geometry(spec1), np.random.default_rng(seed))
-    s2 = _symmetry_defect(sc, geometry(spec2), np.random.default_rng(seed))
-    return _ratio(s1, s2, 1e-12)
-
-
 def _bracket_homomorphism_defect(sc: Scenario, geom: GridGeometry, rng) -> float:
     qd = sc.qd
     spec = geom.spec
@@ -621,13 +591,17 @@ def _bracket_homomorphism_defect(sc: Scenario, geom: GridGeometry, rng) -> float
     return float(np.max(np.abs(lhs.psi - rhs.psi)))
 
 
-def _bracket_homomorphism_sweep(sc: Scenario, rng, geometry) -> float:
-    spec1 = GridSpec(((-3.0, 3.0, 15), (-3.0, 3.0, 15), (0.0, 0.0, 1)), 0.0)
-    spec2 = GridSpec(((-3.0, 3.0, 29), (-3.0, 3.0, 29), (0.0, 0.0, 1)), 0.0)
+def _grid_ratio(defect, spec1: GridSpec, spec2: GridSpec, rng, geometry) -> float:
+    """Step-halving ratio coarse/fine of defect(geometry, rng) from the grid
+    spec1 to spec2, whose step is half of spec1's; both levels draw their
+    data from one seed taken from rng.  inf when both defects are below the
+    roundoff floor 1e-12 or the fine one is 0."""
     seed = rng.integers(2**31)
-    d1 = _bracket_homomorphism_defect(sc, geometry(spec1), np.random.default_rng(seed))
-    d2 = _bracket_homomorphism_defect(sc, geometry(spec2), np.random.default_rng(seed))
-    return _ratio(d1, d2, 1e-12)
+    coarse = defect(geometry(spec1), np.random.default_rng(seed))
+    fine = defect(geometry(spec2), np.random.default_rng(seed))
+    if max(coarse, fine) < 1e-12:
+        return float("inf")
+    return coarse / fine if fine > 0 else float("inf")
 
 
 _SUITE_FNS = {

@@ -7,8 +7,8 @@ import numpy as np
 
 from cqm.background import as_point
 from cqm.hermitian import HermitianField, Mat2
-from cqm.jets import value_array
-from cqm.pauli import XI
+from cqm.jets import Jet, value_array
+from cqm.pauli import XI, XI_ALL
 from cqm.quantum import GridSpec, SpinorGrid
 
 
@@ -52,6 +52,38 @@ def ad(w) -> list:
     return [[zero, -w[2], w[1]], [w[2], zero, -w[0]], [-w[1], w[0], zero]]
 
 
+def cosymplectic_and_gamma(bg, p):
+    """Numeric component table of the cosymplectic form over the basis
+    (dx^0..dx^3, dx^1_0..dx^3_0) and the second-order connection gamma^i at
+    the PhasePoint p: (7, 7) and (3,) at a phase point, (7, 7, N) and (3, N)
+    on a cloud."""
+    b = bg.jets(p.x)
+    batch = b.point.shape[1:]
+    omega = value_array(b.omega_table([Jet.const(v, 1) for v in p.v], 0), batch)
+    kval = value_array(b.k_joined("charge", 0), batch)
+    gamma = np.zeros((3,) + batch)
+    for i in range(3):
+        acc = kval[0][i][0]
+        for j in range(3):
+            acc = acc + 2.0 * kval[0][i][j + 1] * p.v[j]
+            for h in range(3):
+                acc = acc + kval[h + 1][i][j + 1] * p.v[h] * p.v[j]
+        gamma[i] = acc
+    return omega, gamma
+
+
+def mat2_constant(mat: np.ndarray, order: int) -> Mat2:
+    """The constant matrix field of a numeric matrix M: y_0 = -(i/2) tr M and
+    y_a = -2 tr(M xi_a)."""
+    coeffs = [-0.5j * np.trace(mat)] + [-2.0 * np.trace(mat @ XI_ALL[1 + a]) for a in range(3)]
+    return Mat2([Jet.const(complex(c), order) for c in coeffs])
+
+
+def x_values(y: HermitianField, where) -> np.ndarray:
+    """Values of the chart components X^lambda of y."""
+    return np.array([j.value for j in y.x_jets(where, 0)])
+
+
 def hermitian_raw(x_fields, y0_field, yi_fields, name: str = "") -> HermitianField:
     """Plain-Hermitian field from real component fields: Ymat = i Y0 1 + Y^a xi_a."""
 
@@ -72,7 +104,7 @@ def act_on_section(y: HermitianField, psi, where) -> np.ndarray:
     pj = [re.eval_jet(point, 1) + im.eval_jet(point, 1) * 1j for re, im in psi.components]
     dpsi = np.array([[p.derive(lam).value for lam in range(4)] for p in pj])
     psi0 = np.array([p.value for p in pj])
-    return dpsi @ y.x_values(point) - y.ymat(where, 0).values() @ psi0
+    return dpsi @ x_values(y, point) - y.ymat(where, 0).values() @ psi0
 
 
 def vector_of(f, point) -> np.ndarray:

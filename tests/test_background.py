@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -24,8 +26,8 @@ from cqm.units import (
     ScaledReal,
 )
 
-from conftest import sample_box, scenario_dict
-from oracles import ad, frame_curvature
+from conftest import SCENARIO_DIR, sample_box, scenario_dict
+from oracles import ad, cosymplectic_and_gamma, frame_curvature
 
 
 def numeric_christoffel(sc, point, i, lam, mu, h=1e-5):
@@ -226,7 +228,7 @@ def test_rho_matches_fd_curvature_oracle(name):
 
 def test_cosymplectic_flat_blocks(flat_scenario):
     bg = flat_scenario.background
-    om, gamma = bg.cosymplectic_and_gamma(PhasePoint((0, 0, 0, 0), (0, 0, 0)))
+    om, gamma = cosymplectic_and_gamma(bg, PhasePoint((0, 0, 0, 0), (0, 0, 0)))
     c = bg.constants.metric_prefactor
     assert np.allclose(om[4:, 1:4], c * np.eye(3))
     assert np.allclose(gamma, 0.0)
@@ -237,7 +239,7 @@ def test_gamma_lorentz_force(flat_magnetic_scenario):
     sc = flat_magnetic_scenario
     c = sc.background.constants
     v = np.array([0.3, -0.2, 0.5])
-    _, gamma = sc.background.cosymplectic_and_gamma(PhasePoint((0, 0, 0, 0), v))
+    _, gamma = cosymplectic_and_gamma(sc.background, PhasePoint((0, 0, 0, 0), v))
     # gamma^i = (q/m) u0 (F^i_0 + F^i_j v^j), raised with the flat metric
     f = np.zeros((4, 4))
     f[1, 2], f[2, 1] = 0.4, -0.4
@@ -250,7 +252,7 @@ def test_domega_closed_fd(curved_magnetic_scenario):
     bg = curved_magnetic_scenario.background
 
     def omega_at(z):
-        om, _ = bg.cosymplectic_and_gamma(PhasePoint(z[:4], z[4:]))
+        om, _ = cosymplectic_and_gamma(bg, PhasePoint(z[:4], z[4:]))
         return om
 
     z0 = np.array([0.1, 0.3, -0.2, 0.4, 0.15, -0.25, 0.1])
@@ -271,6 +273,59 @@ def test_domega_closed_fd(curved_magnetic_scenario):
 
     r1, r2 = residual(1e-3), residual(5e-4)
     assert r1 < 1e-9 or r2 < r1 / 3.5
+
+
+def _background_checks(scn: dict) -> dict:
+    """The background suite's checks on 10 samples of the scenario `scn`, by
+    name."""
+    from cqm.verify import run_suites
+
+    sc = load_scenario(scn)
+    sc.samples = 10
+    return {c.name: c for c in run_suites(sc, ["background"])}
+
+
+def _shipped(name: str) -> dict:
+    return json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+
+
+@pytest.mark.parametrize("slot, closed", [("0.3*x2", False), ("0.3*x1", True)])
+def test_exact_closures_see_a_time_slot_that_is_not_closed(slot, closed):
+    """K^1_00 enters Omega_K as -g_11 K^1_00 dx^0 ^ dx^1.  The slot 0.3 x2 is
+    not closed: d_2 of that entry is -0.3, so dOmega and dPhi[o] read 0.3
+    while F, and so background.dF, is untouched.  The gradient slot 0.3 x1
+    is closed."""
+    checks = _background_checks({**_shipped("flat"), "Kgrav": {"1_00": slot}})
+    assert checks["background.dF"].max_residual == 0.0
+    for name in ("background.domega", "background.dphi"):
+        if closed:
+            assert checks[name].max_residual <= 1e-12 and checks[name].passed
+        else:
+            assert checks[name].max_residual == pytest.approx(0.3, rel=1e-12)
+            assert not checks[name].passed
+
+
+def test_exact_closures_see_an_electromagnetic_field_that_is_not_closed():
+    checks = _background_checks({**_shipped("flat_magnetic"), "F": {"12": "0.4*x3"}})
+    for name in ("background.domega", "background.dphi", "background.dF"):
+        assert checks[name].max_residual == pytest.approx(0.4, rel=1e-12)
+        assert not checks[name].passed
+
+
+@pytest.mark.parametrize("scn", [
+    scenario_dict("anisotropic"),
+    scenario_dict("breathing"),
+    {**_shipped("flat"), "metric": [["1e10", "0", "0"], ["0", "1e10", "0"], ["0", "0", "1e10"]]},
+    {**_shipped("flat_magnetic"), "metric": [["1e-10", "0", "0"], ["0", "1e-10", "0"], ["0", "0", "1e-10"]]},
+    {**scenario_dict("curved_magnetic"), "metric": [
+        ["1e10*(1+0.1*x1*x1)", "0", "0"], ["0", "1e10*(1+0.1*x1*x1)", "0"], ["0", "0", "1e10*(1+0.1*x1*x1)"]]},
+], ids=["anisotropic", "breathing", "flat_1e10", "flat_magnetic_1e-10", "curved_1e10"])
+def test_exact_closures_hold_on_closed_data_at_any_scale(scn):
+    """The closure residuals are relative to the largest derivative, so a
+    metric of 1e10 passes as a metric of 1 does."""
+    checks = _background_checks(scn)
+    for name in ("background.domega", "background.dphi"):
+        assert checks[name].max_residual <= 1e-12 and checks[name].passed
 
 
 def test_observer_phi_examples(flat_scenario, flat_magnetic_scenario):
@@ -362,7 +417,7 @@ def test_free_gravitational_phi_part():
     assert max(vec_res, mat_res) < 1e-12
     # and the cosymplectic table stays closed
     def omega_at(z):
-        om, _ = sc2.background.cosymplectic_and_gamma(PhasePoint(z[:4], z[4:]))
+        om, _ = cosymplectic_and_gamma(sc2.background, PhasePoint(z[:4], z[4:]))
         return om
 
     z0 = np.array([0.1, 0.3, -0.2, 0.4, 0.15, -0.25, 0.1])

@@ -326,6 +326,19 @@ def test_bracket_at_any_point_keeps_the_exit_contract(at):
             assert all(math.isfinite(x) for x in _numbers(report))
 
 
+def test_verify_report_is_strict_json_on_every_suite():
+    """On flat every suite runs and the symmetry ratio is decided by the
+    roundoff floor (inf): the report writes it as null and parses as strict
+    JSON."""
+    rc, out, err = _main("verify", str(SCENARIO_DIR / "flat.json"))
+    assert rc == 0, err
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["suites"] == ["background", "curvature", "isomorphism", "jacobi", "observer", "operators"]
+    nulls = {c["name"] for c in report["checks"] if c["max_residual"] is None}
+    assert "operators.symmetry_ratio" in nulls
+    assert all(c["passed"] and c["comparator"] == "ge" for c in report["checks"] if c["name"] in nulls)
+
+
 @pytest.mark.parametrize("at", ["-1,0,0,0", "-.5,0,0,0", "-1e-3,0,0,0"])
 def test_bracket_at_negative_first_coordinate(at):
     """A point that starts with a minus sign is the value of --at, whether it

@@ -13,7 +13,6 @@ import pytest
 from cqm.background import BackgroundJets, Observer, PhasePoint
 from cqm.fieldlang import FieldDef
 from cqm.hermitian import (
-    Mat2,
     _lift_mat,
     ch_components,
     from_special,
@@ -23,15 +22,13 @@ from cqm.hermitian import (
     pair_bracket,
     vertical_projection,
 )
-from cqm.jets import value_array
+from cqm.jets import Jet, value_array
 from cqm.pauli import EPS
 from cqm.scenario import load_scenario
 from cqm.special import eval_special, extended_bracket, jacobi_residual
 from cqm.units import DIMLESS
 from cqm.verify import (
     Check,
-    _fd_derivatives,
-    _fd_ratio_check,
     _rng_for,
     assemble_pair,
     main_theorem_residual,
@@ -41,7 +38,7 @@ from cqm.verify import (
 )
 
 from conftest import sample_box, scenario_dict
-from oracles import ad, frame_curvature
+from oracles import ad, cosymplectic_and_gamma, frame_curvature, mat2_constant
 
 SIZES = (1, 4, 7)
 
@@ -153,7 +150,7 @@ def test_phase_point_functions_on_a_cloud(sc, funcs, observers, n):
     on_bundle = PhasePoint(bundle, v.T, s.T)
     assert on_bundle.x is bundle
     singles = [PhasePoint(*row) for row in zip(pts, v, s)]
-    for fn in (bg.cosymplectic_and_gamma, lambda p: ch_components(qd, p)):
+    for fn in (lambda p: cosymplectic_and_gamma(bg, p), lambda p: ch_components(qd, p)):
         got = fn(cloud)
         at_points = [fn(p) for p in singles]
         for k in range(2):
@@ -177,15 +174,6 @@ def test_invariant_combination_matches_the_float_oracle(sc, funcs, observers):
             got = invariant_combination(f, sc.qd, o, pts.T)
             want = np.array([_oracle_invariant_combination(f, sc.qd, o, x) for x in pts])
             assert np.max(np.abs(got - want)) <= 1e-15
-
-
-def test_fd_derivatives_are_central_differences_along_every_axis():
-    base = rows(3)
-    c = np.array([0.3, -1.1, 0.7, 1.9])
-    # central differences of a quadratic are exact up to rounding
-    d = _fd_derivatives(lambda z: (c @ z) ** 2, base, 1e-3)
-    assert d.shape == (4, 3)
-    assert np.max(np.abs(d - 2.0 * c[:, None] * (base @ c))) < 1e-10
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -219,9 +207,9 @@ def test_isomorphism_and_jacobi_build_one_bundle_per_cloud(monkeypatch):
     """The isomorphism suite evaluates on two clouds (its samples and their
     first half), the Jacobi suite on one, the observer suite on two (its
     samples and the first ten for the potential check) and the background
-    suite on five (its samples, which `validate` shares, and the offset
-    clouds of the two finite-difference checks at two steps each); each
-    builds one bundle per cloud and hands it to every residual function."""
+    suite on one (its samples, which `validate` and the closure checks
+    share); each builds one bundle per cloud and hands it to every residual
+    function."""
     sc = load_scenario(scenario_dict("curved_magnetic"))
     built = []
     original = BackgroundJets.__init__
@@ -241,11 +229,11 @@ def test_isomorphism_and_jacobi_build_one_bundle_per_cloud(monkeypatch):
     assert built == [(4, sc.samples), (4, 10)]
     built.clear()
     run_suites(sc, ["background"])
-    assert built == [(4, sc.samples)] + [(4, 2 * 7 * 5)] * 2 + [(4, 2 * 4 * 5)] * 2
+    assert built == [(4, sc.samples)]
 
 
 def test_mat2_values_broadcast_constants():
-    m = Mat2.constant(np.array([[1.0, 2j], [-2j, 3.0]]), 1)
+    m = mat2_constant(np.array([[1.0, 2j], [-2j, 3.0]]), 1)
     assert m.values().shape == (2, 2)
     got = m.values((5,))
     assert got.shape == (2, 2, 5)
@@ -316,65 +304,56 @@ def _oracle_background(sc):
                     worst_anti = max(worst_anti, abs(kt[lam][a][bb].value + kt[lam][bb][a].value))
     checks.append(Check("background.frame_orthonormality", len(points), worst_frame))
     checks.append(Check("background.ktilde_antisymmetry", len(points), worst_anti))
-    checks.append(_oracle_domega(sc, rng))
-    checks.append(_oracle_dphi(sc, rng))
+    checks.append(_oracle_domega(bg, points, rng))
+    checks.append(_oracle_dphi(sc, points))
     return checks
 
 
-def _oracle_domega(sc, rng):
-    bg = sc.background
-    pts = sc.sample_points(rng, min(5, sc.samples))
-    vels = rng.uniform(-0.5, 0.5, (len(pts), 3))
-
-    def omega_at(z):
-        om, _ = bg.cosymplectic_and_gamma(PhasePoint(z[:4], z[4:]))
-        return om
-
-    def residual(h):
-        worst = 0.0
-        for x, v in zip(pts, vels):
-            z0 = np.concatenate([x, v])
-            dom = np.zeros((7, 7, 7))
-            for a in range(7):
-                zp, zm = z0.copy(), z0.copy()
-                zp[a] += h
-                zm[a] -= h
-                dom[a] = (omega_at(zp) - omega_at(zm)) / (2 * h)
-            for a in range(7):
-                for b in range(a + 1, 7):
-                    for c in range(b + 1, 7):
-                        worst = max(worst, abs(dom[a][b, c] - dom[b][a, c] + dom[c][a, b]))
-        return worst
-
-    return _fd_ratio_check("background.domega_ratio", residual, 1e-3, len(pts))
+def _oracle_domega(bg, points, rng):
+    """dOmega at each point and a velocity drawn as the suite draws it: the
+    derivatives along x from order-1 jets, along v (Omega is at most
+    quadratic in v) from central differences of step 1."""
+    derivatives = []
+    for x, v in zip(points, rng.uniform(-0.5, 0.5, (3, len(points))).T):
+        b = bg.jets(x)
+        om1 = b.omega_table([Jet.const(vk, 1) for vk in v], 1)
+        dom = [[[om1[bb][c].derive(a).value for c in range(7)] for bb in range(7)] for a in range(4)]
+        for k in range(3):
+            vp, vm = v.copy(), v.copy()
+            vp[k] += 1.0
+            vm[k] -= 1.0
+            wp = b.omega_table([Jet.const(vk, 0) for vk in vp], 0)
+            wm = b.omega_table([Jet.const(vk, 0) for vk in vm], 0)
+            dom.append([[0.5 * (wp[bb][c].value - wm[bb][c].value) for c in range(7)] for bb in range(7)])
+        derivatives.append(dom)
+    return Check("background.domega", len(points), _oracle_closure(derivatives))
 
 
-def _oracle_dphi(sc, rng):
-    bg = sc.background
-    pts = sc.sample_points(rng, min(5, sc.samples))
+def _oracle_dphi(sc, points):
     names = [n for n in sc.observers if n != "reference"]
     obs = sc.observers[names[0]] if names else Observer.reference()
+    derivatives = []
+    for x in points:
+        phi = sc.background.jets(x).phi_observer(obs, 1)
+        derivatives.append([[[phi[bb][c].derive(a).value for c in range(4)] for bb in range(4)] for a in range(4)])
+    return Check("background.dphi", len(points), _oracle_closure(derivatives))
 
-    def phi_at(x):
-        phi = bg.jets(x).phi_observer(obs, 0)
-        return np.array([[phi[a][b].value for b in range(4)] for a in range(4)])
 
-    def residual(h):
-        worst = 0.0
-        for x in pts:
-            dphi = np.zeros((4, 4, 4))
-            for a in range(4):
-                xp, xm = np.array(x, dtype=float), np.array(x, dtype=float)
-                xp[a] += h
-                xm[a] -= h
-                dphi[a] = (phi_at(xp) - phi_at(xm)) / (2 * h)
-            for a in range(4):
-                for b in range(a + 1, 4):
-                    for c in range(b + 1, 4):
-                        worst = max(worst, abs(dphi[a][b, c] - dphi[b][a, c] + dphi[c][a, b]))
-        return worst
-
-    return _fd_ratio_check("background.dphi_ratio", residual, 1e-3, len(pts))
+def _oracle_closure(derivatives):
+    """Worst |d_a w_bc - d_b w_ac + d_c w_ab| over a < b < c at each point,
+    relative to max(1, the point's largest derivative), from the derivatives
+    [axis][b][c] of a 2-form's table w at each point."""
+    worst = 0.0
+    for d in derivatives:
+        n = len(d)
+        res = 0.0
+        for a in range(n):
+            for bb in range(a + 1, n):
+                for c in range(bb + 1, n):
+                    res = max(res, abs(d[a][bb][c] - d[bb][a][c] + d[c][a][bb]))
+        scale = max(1.0, max(abs(e) for plane in d for row in plane for e in row))
+        worst = max(worst, res / scale)
+    return worst
 
 
 def _oracle_curvature(sc):
