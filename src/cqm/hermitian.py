@@ -12,7 +12,9 @@ y_0 complex.
 
 Every operation evaluates at a point (4,), on a (4, N) cloud, or on the
 points of a `BackgroundJets` bundle, which it then shares with every
-background quantity it needs instead of building its own.
+background quantity it needs instead of building its own.  A field's
+evaluators receive `where` as given, so a field of a derived special function
+(a bracket, say) evaluated on a bundle shares it too.
 
 The module implements the Lie bracket, the lift and vertical projection
 along the connection i Ch[o] 1 + C, the pair bracket with its curvature term
@@ -149,22 +151,9 @@ class QuantumData:
         return worst
 
 
-def ch_components(qd: QuantumData, p: PhasePoint):
-    """(Ch_0, Ch_i) at a phase point, (N,) and (3, N) arrays on a cloud; the
-    classical Hamiltonian and momentum are H0 = -Ch_0 and P_i = Ch_i."""
-    b = qd.bg.jets(p.x)
-    batch = b.point.shape[1:]
-    g = value_array(b.metric(0), batch)
-    pref = qd.bg.constants.metric_prefactor
-    a = value_array(qd.a_jets(b.point, 0), batch)
-    gv = np.array([sum(g[i][j] * p.v[j] for j in range(3)) for i in range(3)])
-    ch0 = -0.5 * pref * sum(p.v[i] * gv[i] for i in range(3)) + a[0]
-    chi = pref * gv + a[1:]
-    return ch0, chi
-
-
 def ch_along_jets(qd: QuantumData, o: Observer, where, order: int) -> list:
-    """Jets of Ch_lambda evaluated along the observer section."""
+    """Jets of Ch_lambda evaluated along the observer section; the classical
+    Hamiltonian and momentum there are H0 = -Ch_0 and P_i = Ch_i."""
     point = as_point(where)
     g = qd.bg.jets(where).metric(order)
     pref = qd.bg.constants.metric_prefactor
@@ -191,8 +180,8 @@ def ch_along_jets(qd: QuantumData, o: Observer, where, order: int) -> list:
 
 class HermitianField:
     """Recipe for a linear projectable vector field: evaluators for the chart
-    components X^lambda, called with the point or cloud, and for the matrix
-    part, called with `where` as given (a point, a cloud or a bundle)."""
+    components X^lambda and for the matrix part, (where, order) -> jets,
+    each called with `where` as given (a point, a cloud or a bundle)."""
 
     def __init__(self, x_eval: Callable, ymat_eval: Callable, div_corrected: bool, name: str = ""):
         self._x = x_eval
@@ -201,7 +190,7 @@ class HermitianField:
         self.name = name
 
     def x_jets(self, where, order: int) -> list:
-        return self._x(as_point(where), order)
+        return self._x(where, order)
 
     def ymat(self, where, order: int) -> Mat2:
         return self._y(where, order)
@@ -212,13 +201,12 @@ def from_special(f: SpecialFunction, qd: QuantumData) -> HermitianField:
     part y_coefficients(F) shifted by -1/2 (div_eta X) 1 so the
     volume-weighted Hermiticity holds."""
 
-    def x_eval(point, order):
-        c = component_jets(f, point, order)
-        return c.x_components()
+    def x_eval(where, order):
+        return component_jets(f, where, order).x_components()
 
     def y_eval(where, order):
         bundle = qd.bg.jets(where)
-        c = component_jets(f, bundle.point, order + 1)
+        c = component_jets(f, bundle, order + 1)
         y = y_coefficients(c.truncate(order), qd.a_jets(bundle.point, order), qd.spin.coeffs(bundle, order))
         div = divergence_eta_jets(c.x_components(), bundle, order)
         return Mat2(y).add_identity(div * -0.5)
@@ -279,11 +267,12 @@ def _lift_mat(qd: QuantumData, x_jets: Sequence, o: Observer, where, order: int)
 def connection_lift(qd: QuantumData, x_fields: Sequence, o: Observer, name: str = "") -> HermitianField:
     """X |_ (Ch[o] (x) C): matrix part i X^lam Ch_lam[o] 1 + X^lam C_lam^a xi_a."""
 
-    def x_eval(point, order):
+    def x_eval(where, order):
+        point = as_point(where)
         return [f.eval_jet(point, order) for f in x_fields]
 
     def y_eval(where, order):
-        return _lift_mat(qd, x_eval(as_point(where), order), o, where, order)
+        return _lift_mat(qd, x_eval(where, order), o, where, order)
 
     return HermitianField(x_eval, y_eval, div_corrected=False, name=name or "lift")
 
@@ -339,30 +328,29 @@ def pair_bracket(pair, pair_p, qd: QuantumData, o: Observer, where, order: int =
 
 def to_special(y: HermitianField, qd: QuantumData, o: Observer, where, tol: float = 1e-8) -> SpecialValue:
     """Invert the correspondence: (f0, f^i) from X, then fbrev and phi from
-    the xi_0 and xi_a coefficients of the vertical projection."""
+    the xi_0 and xi_a coefficients of the vertical projection along o.  The
+    divergence shift of a volume-weighted field is imaginary in y_0, so the
+    real parts read past it.  Floats at a point, (N,) arrays on a (4, N)
+    cloud or on a bundle's points; NotHermitian where the Hermiticity
+    residual exceeds tol (or is not a number)."""
     bundle = qd.bg.jets(where)
     point = bundle.point
-    x_jets = y.x_jets(point, 0)
-    x = np.array([j.value for j in x_jets])
-    mat = y.ymat(bundle, 0)
-    mval = mat.values()
-    div = 0.0
-    if y.div_corrected:
-        div = divergence_eta_jets(y.x_jets(point, 1), bundle, 0).value
-    herm = mval + mval.conj().T + div * np.eye(2)
-    if np.max(np.abs(herm)) > tol:
-        raise NotHermitian(f"Hermiticity residual {np.max(np.abs(herm)):.3e} at {point.tolist()}")
-    # remove the divergence shift, then split off the lift along o
-    ycheck = mat.add_identity(0.5 * div) - _lift_mat(qd, x_jets, o, bundle, 0)
-    f_o = float(np.real(ycheck.y[0].value))
-    phi = np.array([float(np.real(c.value)) for c in ycheck.y[1:]])
-    f0 = x[0]
-    fi = -x[1:]
-    g = np.array([[bundle.metric(0)[i][j].value for j in range(3)] for i in range(3)])
+    batch = point.shape[1:]
+    herm = hermiticity_residual(y, qd, bundle)
+    bad = ~(np.asarray(herm) <= tol)
+    if bad.any():
+        at = point[:, np.argmax(bad)] if batch else point
+        raise NotHermitian(f"Hermiticity residual {np.max(herm):.3e} at {at.tolist()}")
+    x = value_array(y.x_jets(bundle, 0), batch)
+    ycheck = value_array(vertical_projection(y, qd, o, bundle).y, batch).real
+    f0, fi = x[0], -x[1:]
+    g = value_array(bundle.metric(0), batch)
     pref = qd.bg.constants.metric_prefactor
     vo = o.velocity(point)
-    fbrev = f_o - 0.5 * pref * f0 * float(vo @ g @ vo) - pref * float(fi @ g @ vo)
-    return SpecialValue(f0, fi, fbrev, phi)
+    gvo = [sum(g[i][j] * vo[j] for j in range(3)) for i in range(3)]
+    fbrev = (ycheck[0] - 0.5 * pref * f0 * sum(vo[i] * gvo[i] for i in range(3))
+             - pref * sum(fi[i] * gvo[i] for i in range(3)))
+    return SpecialValue(f0, fi, fbrev, ycheck[1:])
 
 
 def invariant_combination(f: SpecialFunction, qd: QuantumData, o: Observer, where):
@@ -371,24 +359,22 @@ def invariant_combination(f: SpecialFunction, qd: QuantumData, o: Observer, wher
     at a point, an (N,) array of per-point values on a (4, N) cloud or on a
     bundle's points."""
     bundle = qd.bg.jets(where)
-    point = bundle.point
-    vo = o.velocity(point)
-    p = PhasePoint(bundle, vo)
-    ch0, chi = ch_components(qd, p)
-    c = component_jets(f, point, 0).values(point.shape[1:])
-    f_at_o = eval_special(f, qd.bg, p)
-    return c.f0 * ch0 - sum(c.fi[j] * chi[j] for j in range(3)) + f_at_o
+    batch = bundle.point.shape[1:]
+    ch = value_array(ch_along_jets(qd, o, bundle, 0), batch)
+    c = component_jets(f, bundle, 0).values(batch)
+    f_at_o = eval_special(f, qd.bg, PhasePoint(bundle, o.velocity(bundle.point)))
+    return c.f0 * ch[0] - sum(c.fi[j] * ch[j + 1] for j in range(3)) + f_at_o
 
 
 def hermiticity_residual(y: HermitianField, qd: QuantumData, where):
     """max |Y + Y^dagger (+ div_eta X for volume-weighted fields)|: a float
     at a point, an (N,) array of per-point values on a (4, N) cloud or on a
     bundle's points."""
-    batch = as_point(where).shape[1:]
-    mval = y.ymat(where, 0).values(batch)
+    bundle = qd.bg.jets(where)
+    batch = bundle.point.shape[1:]
+    mval = y.ymat(bundle, 0).values(batch)
     div = 0.0
     if y.div_corrected:
-        xj = y.x_jets(where, 1)
-        div = value_array(divergence_eta_jets(xj, qd.bg.jets(where), 0), batch)
+        div = value_array(divergence_eta_jets(y.x_jets(bundle, 1), bundle, 0), batch)
     eye = np.eye(2).reshape((2, 2) + (1,) * len(batch))
     return max_abs(mval + mval.conj().swapaxes(0, 1) + div * eye, batch)

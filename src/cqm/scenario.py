@@ -53,7 +53,7 @@ from . import fieldlang as fl
 from .background import Background, Constants, Observer
 from .fieldlang import FieldDef
 from .hermitian import QuantumData, SpinorSection
-from .jets import DomainError
+from .jets import DomainError, value_array
 from .quantum import GridGeometry, GridSpec, SpinorGrid, grid_norm
 from .special import ComponentJets, SpecialFunction
 from .units import (
@@ -200,23 +200,20 @@ def _parse_metric(obj, consts) -> list:
         for j in range(i + 1, 3):
             if rows[i][j].expr != rows[j][i].expr:
                 raise ScenarioError(f"metric is not symmetric at ({i},{j})")
-    if all(f.constant for row in rows for f in row):
-        _check_constant_metric([[f((0.0, 0.0, 0.0, 0.0)) for f in row] for row in rows])
     return rows
 
 
-def _check_constant_metric(g: list):
-    """det g and g^-1 of a constant metric, evaluated once by the cofactors
-    and reciprocal that the background's jets use: det g must be positive
-    and finite (then so is sqrt|g|), and g^-1 finite."""
-    cof = [[g[(i + 1) % 3][(j + 1) % 3] * g[(i + 2) % 3][(j + 2) % 3]
-            - g[(i + 1) % 3][(j + 2) % 3] * g[(i + 2) % 3][(j + 1) % 3] for j in range(3)] for i in range(3)]
-    det = g[0][0] * cof[0][0] + g[0][1] * cof[0][1] + g[0][2] * cof[0][2]
-    if not (math.isfinite(det) and det > 0.0):
-        raise ScenarioError(f"metric: det g = {det!r} is not a positive finite number")
-    inv_det = 1.0 / det
-    if not all(math.isfinite(c * inv_det) for row in cof for c in row):
-        raise ScenarioError(f"metric: g^-1 is not finite (det g = {det!r})")
+def _check_constant_metric(bg: Background):
+    """det g and g^-1 of a constant metric, read once off the background's
+    jets: det g must be positive and finite (then so is sqrt|g|), and g^-1
+    finite."""
+    b = bg.jets(np.zeros(4))
+    with np.errstate(all="ignore"):
+        det = b.det(0).value
+        if not (math.isfinite(det) and det > 0.0):
+            raise ScenarioError(f"metric: det g = {det!r} is not a positive finite number")
+        if not np.all(np.isfinite(value_array(b.metric_inv(0)))):
+            raise ScenarioError(f"metric: g^-1 is not finite (det g = {det!r})")
 
 
 def _parse_kgrav(obj, consts) -> dict:
@@ -272,8 +269,9 @@ def _builtin_functions(bg: Background, a_exprs, consts) -> dict:
         phi = tuple(FieldDef(f"phiB{a}", DIMLESS, fl.Const(w * b_vals[a]), consts) for a in range(3))
         funcs["H0prime"] = SpecialFunction(one, (zero, zero, zero), neg_a0, phi, name="H0prime")
     else:
-        def jets_fn(point, order):  # one bundle gives all three spin components, at the order read
-            bundle = bg.jets(point)
+        def jets_fn(where, order):  # one bundle gives all three spin components, at the order read
+            bundle = bg.jets(where)
+            point = bundle.point
             return ComponentJets(one.eval_jet(point, order), [zero.eval_jet(point, order) for _ in range(3)],
                                  neg_a0.eval_jet(point, order), lambda n: [b * w for b in bundle.magnetic(n)], order)
 
@@ -336,6 +334,8 @@ def load_scenario(source) -> Scenario:
     kgrav = _parse_kgrav(data.get("Kgrav"), consts)
     f_em = _parse_f(data.get("F"), consts)
     bg = Background(g, kgrav, f_em, constants)
+    if all(f.constant for row in g for f in row):
+        _check_constant_metric(bg)
 
     observers = {"reference": Observer.reference()}
     for name, comps in _shaped(data.get("observers") or {}, Mapping, "observers").items():

@@ -9,11 +9,13 @@ phase space is
     + phi_a s^a.
 
 Every function has one evaluator, `jets_fn`, which gives its component
-jets; a bracket of two functions is again a function, evaluated through
-theirs.  The extended bracket is computed from the component formulas in
-reference-adapted coordinates.  Its spin part uses the moment-joined
-restricted connection (frame coefficients Ktilde and the curvature axial
-covector rho), its scalar part the charge-joined cosymplectic pullback Phi.
+jets and receives `where` as given (a point, a cloud or a background
+bundle); a bracket of two functions is again a function, evaluated through
+theirs on the same bundle.  The extended bracket is computed from the
+component formulas in reference-adapted coordinates.  Its spin part uses
+the moment-joined restricted connection (frame coefficients Ktilde and the
+curvature axial covector rho), its scalar part the charge-joined
+cosymplectic pullback Phi.
 A bracket computes f0 and f^i at its own order, and its scalar part (through
 Phi) and spin part (through Ktilde and rho) when they are read, at the order
 of the reader (`ComponentJets`).  The grid operators read f^i at order 1 and
@@ -38,14 +40,17 @@ from .pauli import cross
 @dataclass(frozen=True)
 class SpecialFunction:
     """A special function and its one evaluator `jets_fn`, a
-    (point, order) -> ComponentJets map that gives all eight components in
-    one pass at a point or on a (4, N) cloud (a derived function's scalar
-    and spin parts when they are read).
+    (where, order) -> ComponentJets map that gives all eight components in
+    one pass (a derived function's scalar and spin parts when they are
+    read).  It receives `where` as given: a point (4,), a (4, N) cloud or a
+    `BackgroundJets` bundle.
 
     A function built from component fields (f0, f^i, fbrev, phi_a) gets the
-    evaluator of those fields; they stay as data, which float oracles can
-    evaluate.  A derived function (a bracket, say) passes only `name`
-    and `jets_fn` and has no component fields."""
+    evaluator of those fields, which reads the points off `where`; the
+    fields stay as data, which float oracles can evaluate.  A derived
+    function (a bracket, say) passes only `name` and `jets_fn` and has no
+    component fields; its evaluator calls `bg.jets(where)`, so on a bundle
+    it shares that bundle."""
 
     f0: object = None
     fi: tuple = ()
@@ -58,7 +63,8 @@ class SpecialFunction:
         if self.jets_fn is None:
             fields = (self.f0, *self.fi, self.fbrev, *self.phi)
 
-            def jets_fn(point, order):
+            def jets_fn(where, order):
+                point = as_point(where)
                 j = [c.eval_jet(point, order) for c in fields]
                 return ComponentJets(j[0], j[1:4], j[4], j[5:], order)
 
@@ -140,9 +146,11 @@ class ComponentJets:
         return [self.f0, -self.fi[0], -self.fi[1], -self.fi[2]]
 
 
-def component_jets(f: SpecialFunction, point, order: int) -> ComponentJets:
-    """Component jets at a point or on a (4, N) cloud."""
-    return f.jets_fn(as_point(point), order)
+def component_jets(f: SpecialFunction, where, order: int) -> ComponentJets:
+    """Component jets at a point, on a (4, N) cloud or on a bundle's points;
+    `where` reaches the evaluator as given, so a derived function shares a
+    bundle it is handed."""
+    return f.jets_fn(where, order)
 
 
 def eval_special(f: SpecialFunction, bg: Background, p: PhasePoint):
@@ -151,7 +159,7 @@ def eval_special(f: SpecialFunction, bg: Background, p: PhasePoint):
     b = bg.jets(p.x)
     batch = b.point.shape[1:]
     g = value_array(b.metric(0), batch)
-    c = component_jets(f, b.point, 0).values(batch)
+    c = component_jets(f, b, 0).values(batch)
     pref = bg.constants.metric_prefactor
     gv = [sum(g[i][j] * p.v[j] for j in range(3)) for i in range(3)]
     quad = sum(p.v[i] * gv[i] for i in range(3))
@@ -251,8 +259,8 @@ def extended_bracket(f: SpecialFunction, fp: SpecialFunction, bg: Background, wh
     """The bracket's component values at a point, or (N,) arrays of them on
     a (4, N) cloud or on a bundle's points."""
     b = bg.jets(where)
-    a = component_jets(f, b.point, 1)
-    c = component_jets(fp, b.point, 1)
+    a = component_jets(f, b, 1)
+    c = component_jets(fp, b, 1)
     return extended_bracket_jets(a, c, b, 0).values(b.point.shape[1:])
 
 
@@ -262,7 +270,7 @@ def jacobi_residual(f1: SpecialFunction, f2: SpecialFunction, f3: SpecialFunctio
     points."""
     b = bg.jets(where)
     batch = b.point.shape[1:]
-    comps = [component_jets(f, b.point, 2) for f in (f1, f2, f3)]
+    comps = [component_jets(f, b, 2) for f in (f1, f2, f3)]
     total = np.zeros((8,) + batch)
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         inner = extended_bracket_jets(comps[j], comps[k], b, 1)

@@ -23,10 +23,12 @@ builds one grid geometry per distinct grid and shares it between its
 sweeps; a scenario without a grid gets the probe box _BOX_GRID, which is
 also the symmetry sweep's coarse level.
 
-The main theorem is checked against the same Y[F] formula,
-hermitian.y_coefficients, that from_special and the grid operators use; a
-bracket [[F, F']] enters as a derived special function (bracket_as_function)
-whose one evaluator is the extended bracket of the two.
+The main theorem is checked as stated: from_special of the bracket
+[[F, F']] against the Lie bracket of from_special F and from_special F'.
+The bracket enters as a derived special function (bracket_as_function)
+whose one evaluator is the extended bracket of the two, so its field goes
+through the same Y[F] formula, hermitian.y_coefficients, as every other
+field and the grid operators.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from functools import partial
 import numpy as np
 
 from . import fieldlang as fl
-from .background import Observer, as_point, divergence_eta_jets
+from .background import Observer, as_point
 from .fieldlang import FieldDef
 from .hermitian import (
     HermitianField,
@@ -51,10 +53,9 @@ from .hermitian import (
     lie_bracket_y,
     pair_bracket,
     vertical_projection,
-    y_coefficients,
 )
 from .jets import Jet, max_abs, value_array
-from .pauli import EPS, XI_ALL, xi_combination
+from .pauli import EPS, XI_ALL
 from .quantum import (
     GridGeometry,
     GridSpec,
@@ -71,7 +72,6 @@ from .scenario import Scenario
 from .special import (
     SpecialFunction,
     component_jets,
-    extended_bracket,
     extended_bracket_jets,
     jacobi_residual,
 )
@@ -182,10 +182,9 @@ def bracket_as_function(f: SpecialFunction, fp: SpecialFunction, sc: Scenario) -
     evaluation, which grid paths call once per chunk of nodes."""
     bg = sc.background
 
-    def bracket_jets(point, order):
-        a = component_jets(f, point, order + 1)
-        c = component_jets(fp, point, order + 1)
-        return extended_bracket_jets(a, c, bg.jets(point), order)
+    def bracket_jets(where, order):
+        b = bg.jets(where)
+        return extended_bracket_jets(component_jets(f, b, order + 1), component_jets(fp, b, order + 1), b, order)
 
     return SpecialFunction(name=f"[{f.name},{fp.name}]", jets_fn=bracket_jets)
 
@@ -303,25 +302,20 @@ def suite_jacobi(sc: Scenario) -> list:
 
 
 def main_theorem_residual(f: SpecialFunction, fp: SpecialFunction, sc: Scenario, where):
-    """(vector residual, matrix residual) of
-    from_special([[F,F']]) == [from_special F, from_special F']: floats at a
-    point, (N,) arrays of per-point values on a (4, N) cloud or on a
-    bundle's points."""
+    """(vector residual, matrix residual) of the main theorem
+    from_special([[F,F']]) == [from_special F, from_special F'] at order 0:
+    floats at a point, (N,) arrays of per-point values on a (4, N) cloud or
+    on a bundle's points.  Both sides share one bundle.  The left side's X
+    comes from the bracket's component formulas, the right side's from the
+    Lie bracket of vector fields, so the vector residual compares two
+    routes."""
     qd = sc.qd
-    bg = sc.background
-    bundle = bg.jets(where)
+    bundle = sc.background.jets(where)
     batch = bundle.point.shape[1:]
-    br = extended_bracket(f, fp, bg, bundle)
-    y1, y2 = from_special(f, qd), from_special(fp, qd)
-    xb1, z1 = lie_bracket_y(y1, y2, bundle, 1)
-    expected_x = np.concatenate(([br.f0], -br.fi))
-    vec_res = max_abs(value_array(xb1, batch) - expected_x, batch)
-    a = value_array(qd.a_jets(bundle.point, 0), batch)
-    y = y_coefficients(br, a, qd.spin.coeff_values(bundle))
-    div = value_array(divergence_eta_jets(xb1, bundle, 0), batch)
-    eye = np.eye(2).reshape((2, 2) + (1,) * len(batch))
-    mat = xi_combination(y, batch) - 0.5 * div * eye
-    mat_res = max_abs(mat - z1.truncate(0).values(batch), batch)
+    lhs = from_special(bracket_as_function(f, fp, sc), qd)
+    xb, z = lie_bracket_y(from_special(f, qd), from_special(fp, qd), bundle)
+    vec_res = max_abs(value_array(lhs.x_jets(bundle, 0), batch) - value_array(xb, batch), batch)
+    mat_res = max_abs(lhs.ymat(bundle, 0).values(batch) - z.values(batch), batch)
     return vec_res, mat_res
 
 
@@ -351,7 +345,7 @@ def assemble_pair(qd, x_fields, vert, o) -> HermitianField:
     def y_eval(where, order):
         return lifted.ymat(where, order) + vert(where, order)
 
-    return HermitianField(lambda p, n: [f.eval_jet(p, n) for f in x_fields], y_eval, False)
+    return HermitianField(lifted.x_jets, y_eval, False)
 
 
 def suite_isomorphism(sc: Scenario) -> list:
@@ -528,19 +522,18 @@ def suite_operators(sc: Scenario) -> list:
         "H0prime": sc.function("H0prime"),
         "spin3": spin3,
     }
-    for key, f in named.items():
-        op = prequantum(qd, geom, f)
+    ops = {key: prequantum(qd, geom, f) for key, f in named.items()}
+    for key, op in ops.items():
         got = op.apply_fn(probe.psi)
         want = closed[key](probe.psi)
         scale = max(1.0, float(np.max(np.abs(want))))
         worst_named = max(worst_named, float(np.max(np.abs(got - want))) / scale)
     gen = pauli_generator(geom)
-    oph = prequantum(qd, geom, sc.function("H0prime"))
-    lock = float(np.max(np.abs(gen.apply_fn(probe.psi) - oph.apply_fn(probe.psi))))
+    lock = float(np.max(np.abs(gen.apply_fn(probe.psi) - ops["H0prime"].apply_fn(probe.psi))))
     lock /= max(1.0, float(np.max(np.abs(probe.psi))))
     worst_lin = 0.0
-    for key, f in named.items():
-        worst_lin = max(worst_lin, check_linearity(prequantum(qd, geom, f), spec, rng))
+    for op in ops.values():
+        worst_lin = max(worst_lin, check_linearity(op, spec, rng))
     base = sc.grid or _BOX_GRID
     coarse = GridSpec(tuple((lo, hi, n if n == 1 else min(n, 17)) for lo, hi, n in base.axes), base.time)
     fine = GridSpec(tuple((lo, hi, n if n == 1 else 2 * n - 1) for lo, hi, n in coarse.axes), base.time)
@@ -549,7 +542,7 @@ def suite_operators(sc: Scenario) -> list:
     return [
         Check("operators.named_displays", 1, worst_named),
         Check("operators.generator_lock", 1, lock),
-        Check("operators.linearity", len(named), worst_lin),
+        Check("operators.linearity", len(ops), worst_lin),
         Check("operators.symmetry_ratio", 2, sym_ratio),
         Check("operators.bracket_homomorphism_ratio", 2, hom_ratio),
     ]
@@ -576,7 +569,7 @@ def _bracket_homomorphism_defect(sc: Scenario, geom: GridGeometry, rng) -> float
     consts = sc.background.constants.table()
     # f0-free pairs, independent of the inactive x3 axis, so the grid
     # reduction is exact on both routes.  Pairs with f0 != 0 are neither
-    # gated nor reported yet (ROADMAP item 5).
+    # gated nor reported yet (ROADMAP item 6).
     def rand_f(name):
         g = random_special_function(rng, consts, name=name, active_vars=(0, 1, 2))
         return SpecialFunction(fl.zero_field(), g.fi, g.fbrev, g.phi, name=name)
@@ -595,10 +588,13 @@ def _grid_ratio(defect, spec1: GridSpec, spec2: GridSpec, rng, geometry) -> floa
     """Step-halving ratio coarse/fine of defect(geometry, rng) from the grid
     spec1 to spec2, whose step is half of spec1's; both levels draw their
     data from one seed taken from rng.  inf when both defects are below the
-    roundoff floor 1e-12 or the fine one is 0."""
+    roundoff floor 1e-12 or the fine one is 0; nan, which fails the check,
+    when either is not finite."""
     seed = rng.integers(2**31)
     coarse = defect(geometry(spec1), np.random.default_rng(seed))
     fine = defect(geometry(spec2), np.random.default_rng(seed))
+    if not (np.isfinite(coarse) and np.isfinite(fine)):
+        return float("nan")
     if max(coarse, fine) < 1e-12:
         return float("inf")
     return coarse / fine if fine > 0 else float("inf")

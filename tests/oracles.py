@@ -87,8 +87,8 @@ def x_values(y: HermitianField, where) -> np.ndarray:
 def hermitian_raw(x_fields, y0_field, yi_fields, name: str = "") -> HermitianField:
     """Plain-Hermitian field from real component fields: Ymat = i Y0 1 + Y^a xi_a."""
 
-    def x_eval(point, order):
-        return [f.eval_jet(point, order) for f in x_fields]
+    def x_eval(where, order):
+        return [f.eval_jet(as_point(where), order) for f in x_fields]
 
     def y_eval(where, order):
         point = as_point(where)

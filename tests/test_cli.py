@@ -339,6 +339,23 @@ def test_verify_report_is_strict_json_on_every_suite():
     assert all(c["passed"] and c["comparator"] == "ge" for c in report["checks"] if c["name"] in nulls)
 
 
+@pytest.mark.parametrize("defects", [(1.0, float("nan")), (float("nan"), float("nan"))],
+                         ids=["fine_nan", "both_nan"])
+def test_a_nan_defect_fails_its_convergence_check(monkeypatch, defects):
+    """A step-halving ratio whose defect is NaN at the fine level, or at
+    both, is NaN: the check fails and the strict-JSON report writes null."""
+    from cqm import verify
+
+    levels = iter(defects)
+    monkeypatch.setattr(verify, "_symmetry_defect", lambda sc, geom, rng: next(levels))
+    rc, out, err = _main("verify", str(SCENARIO_DIR / "flat.json"), "--suite", "operators")
+    assert rc == 1, err
+    report = json.loads(out, parse_constant=_reject_constant)
+    (check,) = [c for c in report["checks"] if c["name"] == "operators.symmetry_ratio"]
+    assert check["max_residual"] is None and check["passed"] is False
+    assert report["passed"] is False
+
+
 @pytest.mark.parametrize("at", ["-1,0,0,0", "-.5,0,0,0", "-1e-3,0,0,0"])
 def test_bracket_at_negative_first_coordinate(at):
     """A point that starts with a minus sign is the value of --at, whether it

@@ -14,12 +14,13 @@ from cqm.background import BackgroundJets, Observer, PhasePoint
 from cqm.fieldlang import FieldDef
 from cqm.hermitian import (
     _lift_mat,
-    ch_components,
+    ch_along_jets,
     from_special,
     hermiticity_residual,
     invariant_combination,
     lie_bracket_y,
     pair_bracket,
+    to_special,
     vertical_projection,
 )
 from cqm.jets import Jet, value_array
@@ -31,6 +32,7 @@ from cqm.verify import (
     Check,
     _rng_for,
     assemble_pair,
+    bracket_as_function,
     main_theorem_residual,
     random_raw_pair,
     random_special_function,
@@ -103,6 +105,9 @@ def test_main_theorem_and_hermiticity_on_a_cloud(sc, funcs, n):
     y = from_special(funcs[2], sc.qd)
     assert_cloud_matches(hermiticity_residual(y, sc.qd, pts.T),
                          [hermiticity_residual(y, sc.qd, x) for x in pts])
+    ref = Observer.reference()
+    assert_cloud_matches(to_special(y, sc.qd, ref, pts.T).as_array(),
+                         [to_special(y, sc.qd, ref, x).as_array() for x in pts])
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -150,12 +155,11 @@ def test_phase_point_functions_on_a_cloud(sc, funcs, observers, n):
     on_bundle = PhasePoint(bundle, v.T, s.T)
     assert on_bundle.x is bundle
     singles = [PhasePoint(*row) for row in zip(pts, v, s)]
-    for fn in (lambda p: cosymplectic_and_gamma(bg, p), lambda p: ch_components(qd, p)):
-        got = fn(cloud)
-        at_points = [fn(p) for p in singles]
-        for k in range(2):
-            assert_cloud_matches(got[k], [r[k] for r in at_points])
-            assert np.array_equal(fn(on_bundle)[k], got[k])
+    got = cosymplectic_and_gamma(bg, cloud)
+    at_points = [cosymplectic_and_gamma(bg, p) for p in singles]
+    for k in range(2):
+        assert_cloud_matches(got[k], [r[k] for r in at_points])
+        assert np.array_equal(cosymplectic_and_gamma(bg, on_bundle)[k], got[k])
     got = eval_special(funcs[0], bg, cloud)
     assert_cloud_matches(got, [eval_special(funcs[0], bg, p) for p in singles])
     assert np.array_equal(eval_special(funcs[0], bg, on_bundle), got)
@@ -163,6 +167,8 @@ def test_phase_point_functions_on_a_cloud(sc, funcs, observers, n):
     for o in observers:
         assert_cloud_matches(value_array(bg.jets(pts.T).phi_observer(o, 0), (n,)),
                              [value_array(bg.jets(x).phi_observer(o, 0)) for x in pts])
+        assert_cloud_matches(value_array(ch_along_jets(qd, o, pts.T, 0), (n,)),
+                             [value_array(ch_along_jets(qd, o, x, 0)) for x in pts])
         assert_cloud_matches(invariant_combination(funcs[1], qd, o, pts.T),
                              [invariant_combination(funcs[1], qd, o, x) for x in pts])
 
@@ -230,6 +236,29 @@ def test_isomorphism_and_jacobi_build_one_bundle_per_cloud(monkeypatch):
     built.clear()
     run_suites(sc, ["background"])
     assert built == [(4, sc.samples)]
+
+
+@pytest.mark.parametrize("case", ["extended_bracket", "from_special"])
+def test_a_derived_function_on_a_bundle_builds_no_bundle(monkeypatch, case):
+    """A derived special function (the curved H0prime, a bracket) evaluated
+    on a bundle reads every background quantity off that bundle."""
+    sc = load_scenario(scenario_dict("curved_magnetic"))
+    bg = sc.background
+    bundle = bg.jets(rows(4).T)
+    f = random_special_function(np.random.default_rng(35), bg.constants.table(), name="D")
+    built = []
+    original = BackgroundJets.__init__
+
+    def counting(self, bg, point):
+        built.append(point.shape)
+        original(self, bg, point)
+
+    monkeypatch.setattr(BackgroundJets, "__init__", counting)
+    if case == "extended_bracket":
+        extended_bracket(sc.function("H0prime"), sc.function("x1"), bg, bundle)
+    else:
+        from_special(bracket_as_function(sc.function("H0prime"), f, sc), sc.qd).ymat(bundle, 0)
+    assert built == []
 
 
 def test_mat2_values_broadcast_constants():

@@ -3,14 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
-from cqm.background import Observer, PhasePoint
+from cqm.background import Observer
 from cqm.fieldlang import FieldDef, zero_field
 from cqm.hermitian import (
     HermitianField,
     Mat2,
     NotHermitian,
     SpinorSection,
-    ch_components,
+    ch_along_jets,
     connection_lift,
     from_special,
     hermiticity_residual,
@@ -451,19 +451,25 @@ def test_invariant_combination(curved_magnetic_scenario):
     assert invariant_combination(x1, sc.qd, sc.observers["drift"], pt) == pytest.approx(0.4)
 
 
-def test_ch_components(flat_magnetic_scenario):
+def test_ch_along_constant_observers(flat_magnetic_scenario):
+    """On a flat metric, along a constant observer o, Ch_0 = A_0 - pref |o|^2 / 2
+    and Ch_i = A_i + pref o_i (the classical H0 = -Ch_0 and P_i = Ch_i), and
+    dCh = dA."""
     sc = flat_magnetic_scenario
-    c = sc.background.constants
-    p0 = PhasePoint((0.0, 0.5, 0.2, 0.1), (0, 0, 0))
-    ch0, chi = ch_components(sc.qd, p0)
-    a = [f(p0.x) for f in sc.qd.a_fields]
-    assert ch0 == pytest.approx(a[0])
-    assert np.allclose(chi, a[1:])
-    pref = c.metric_prefactor
-    p1 = PhasePoint((0, 0, 0, 0), (1.0, 0, 0))
-    ch0, chi = ch_components(sc.qd, p1)
-    assert ch0 == pytest.approx(-0.5 * pref)
-    assert chi[0] == pytest.approx(pref)
+    pref = sc.background.constants.metric_prefactor
+    consts = sc.background.constants.table()
+    drift = Observer(tuple(FieldDef(f"o{i}", DIMLESS, src, consts) for i, src in enumerate(("0.2", "-0.1", "0.15"))))
+    pt = np.array([0.0, 0.5, 0.2, 0.1])
+    a = sc.qd.a_jets(pt, 1)
+    for o in (Observer.reference(), drift):
+        v = o.velocity(pt)
+        ch = ch_along_jets(sc.qd, o, pt, 1)
+        want = [a[0].value - 0.5 * pref * float(v @ v)] + [a[i + 1].value + pref * v[i] for i in range(3)]
+        assert np.allclose(value_array(ch), want, rtol=0.0, atol=1e-15)
+        for lam in range(4):
+            for mu in range(4):
+                assert ch[lam].derive(mu).value == pytest.approx(a[lam].derive(mu).value, abs=1e-15)
+    assert np.any(value_array(ch) != value_array(a))  # the drift observer moves Ch off A
 
 
 def _dtypes(jets) -> set:
@@ -511,8 +517,8 @@ def test_only_the_matrix_part_is_complex(curved_magnetic_scenario):
 @pytest.mark.parametrize("name", ["random", "H0prime", "P1"])
 def test_y_coefficients_agree_on_jets_and_value_arrays(curved_magnetic_scenario, name):
     """The one Y[F] formula gives the same numbers from order-0 jets (the
-    from_special route) as from value arrays (the grid and main-theorem
-    routes) on a 7-point cloud."""
+    from_special route, which the main theorem reads) as from value arrays
+    (the grid route) on a 7-point cloud."""
     sc = curved_magnetic_scenario
     qd = sc.qd
     rng = np.random.default_rng(7)
