@@ -25,8 +25,8 @@ def main():
     sc = load_scenario(args.scenario)
     c = sc.background.constants
     diffusivity = c.u0.value * c.hbar.value / (2.0 * c.m.value)
-    geom = GridGeometry(sc.qd, sc.grid)  # serves the psi0 normalisation and the evolution
-    psi0 = sc.initial_grid(geom)
+    psi0 = sc.initial_grid()
+    geom = GridGeometry(sc.qd, sc.grid)
     start = time.perf_counter()
     traj = evolve_pauli(sc.qd, psi0, args.dt, args.steps, geom=geom)
     wall = time.perf_counter() - start

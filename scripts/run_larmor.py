@@ -32,8 +32,8 @@ def main():
     steps = int(np.ceil(args.periods * 2 * np.pi / omega / args.dt))
     print(f"expected omega = u0 mu |B| = {omega:.6f}; running {steps} steps at dt = {args.dt}")
 
-    geom = GridGeometry(sc.qd, sc.grid)  # serves the psi0 normalisation and the evolution
-    psi0 = sc.initial_grid(geom)
+    psi0 = sc.initial_grid()
+    geom = GridGeometry(sc.qd, sc.grid)
     start = time.perf_counter()
     traj = evolve_pauli(sc.qd, psi0, args.dt, steps, geom=geom)
     wall = time.perf_counter() - start

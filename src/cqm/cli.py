@@ -133,9 +133,9 @@ def cmd_evolve(args) -> int:
         if args.snapshot_every < 0:
             raise ScenarioError(f"--snapshot-every must be nonnegative, got {args.snapshot_every}")
         sc = load_scenario(args.scenario)
-        # one geometry serves both the psi0 normalisation and the evolution
-        geom = GridGeometry(sc.qd, sc.grid) if sc.grid is not None else None
-        grid = sc.initial_grid(geom)
+        grid = sc.initial_grid()
+        # built here so that a node where g is not positive definite is a load error
+        geom = GridGeometry(sc.qd, sc.grid)
     except (ScenarioError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,7 +5,8 @@ Spinor fields live on a rectangular spatial grid with Dirichlet-zero boundary
 node are inactive: the scenario is treated as invariant along them and they
 contribute no derivative or potential terms (dimensional reduction).  All
 stencils are second-order central differences.  Node coefficients come from
-chunked jet passes over the grid nodes and are stored component-major.
+chunked jet passes over the grid nodes and are stored component-major; on a
+constant background the passes' bundles share one cache.
 
 Each grid operator is built once as a Stencil: a (..., 2, 2) centre matrix and
 one coefficient array per neighbour offset, with offsets whose coefficients
@@ -102,6 +103,10 @@ class GridSpec:
                 out.append(np.linspace(lo, hi, int(n)))
         return out
 
+    def mesh4(self) -> list:
+        """The node coordinates x0..x3, each an array of the grid's shape."""
+        return [np.full(self.shape, self.time), *np.meshgrid(*self.coords(), indexing="ij")]
+
     def spacing(self, axis: int) -> float:
         lo, hi, n = self.axes[axis]
         return (hi - lo) / (n - 1) if n > 1 else 0.0
@@ -109,6 +114,11 @@ class GridSpec:
     @property
     def active(self) -> list:
         return [i for i in range(3) if self.axes[i][2] > 1]
+
+    @property
+    def dvol(self) -> float:
+        """The cell volume: the product of the spacings of the active axes."""
+        return math.prod((self.spacing(ax) for ax in self.active), start=1.0)
 
 
 @dataclass
@@ -184,29 +194,26 @@ class GridGeometry:
     One chunked jet pass, with one background bundle per chunk, gives them
     all: sqrt|g|, g^{ij} and A_lam as order-1 jets, whose coefficients
     (value, d0, d1, d2, d3) are values and first derivatives, and the spin
-    connection C_lam^a at order 0.  The attributes are grid-major views of
-    the component-major result (CONVENTIONS.md)."""
+    connection C_lam^a at order 0.  On a constant background the chunks'
+    bundles share one cache, so the background's part is built once.  The
+    attributes are grid-major views of the component-major result
+    (CONVENTIONS.md)."""
 
     def __init__(self, qd: QuantumData, spec: GridSpec):
         self.qd = qd
         self.spec = spec
-        self.mesh4 = [np.full(spec.shape, spec.time), *np.meshgrid(*spec.coords(), indexing="ij")]
+        self.mesh4 = spec.mesh4()
         bg = qd.bg
         consts = bg.constants
         self.kinetic = consts.u0.value * consts.hbar.value / consts.m.value  # u0 hbar / m
-        c_point = None
-        if bg.fields_constant:
-            # a constant background has the same spin connection at every node
-            c_point = qd.spin.coeff_values([float(np.mean(m)) for m in self.mesh4])[..., None]
 
         def evaluate(cloud):
             n = cloud.shape[1]
             bundle = bg.jets(cloud)
             ginv = bundle.metric_inv(1)
             jets = [bundle.sqrt_det(1), *(ginv[i][j] for i in range(3) for j in range(3)), *qd.a_jets(cloud, 1)]
-            spin = qd.spin.coeff_values(bundle) if c_point is None else c_point
             rows = [np.broadcast_to(j.c, (n, SIZES[1])).T for j in jets]
-            return np.concatenate(rows + [np.broadcast_to(spin, (4, 3, n)).reshape(12, n)])
+            return np.concatenate(rows + [qd.spin.coeff_values(bundle).reshape(12, n)])
 
         nodes = node_map(self.mesh4, evaluate)
         jets = nodes[:-12].reshape((14, SIZES[1]) + spec.shape)  # [sqrtg, g^11..g^33, A_0..A_3][coeff]
@@ -220,9 +227,7 @@ class GridGeometry:
         self.a = list(jets[10:, 0])
         self.da = np.moveaxis(jets[11:, 2:], (1, 0), (-2, -1))  # [..., i, j] = d_i A_j
         self.c_coeffs = np.moveaxis(nodes[-12:].reshape((4, 3) + spec.shape), (0, 1), (-2, -1))
-        self.dvol = 1.0
-        for ax in spec.active:
-            self.dvol *= self.spec.spacing(ax)
+        self.dvol = spec.dvol
 
     # -- differential helpers ------------------------------------------------
 
@@ -316,10 +321,6 @@ def inner_product(geom: GridGeometry, a: SpinorGrid, b: SpinorGrid) -> complex:
     _check_same(a, b)
     dens = np.einsum("...s,...s->...", a.psi.conj(), b.psi)
     return complex(np.sum(dens * geom.sqrtg) * geom.dvol)
-
-
-def grid_norm(geom: GridGeometry, a: SpinorGrid) -> float:
-    return float(np.sqrt(inner_product(geom, a, a).real))
 
 
 def _axis_offset(i: int, d: int) -> tuple:

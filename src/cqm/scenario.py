@@ -31,9 +31,9 @@ or whose det g or g^-1 is not finite (1e200 on the diagonal), and a
 negative suite.seed.  Unknown keys are ignored.  psi0 is normalised on the
 grid.  The check bounds of `cqm verify` are constants (verify.TOLERANCES).
 The builtins x0..x3, P1..P3, H0 and H0prime are always registered; H0prime
-includes the spin term phi = -u0 mu B_flat.  On a constant background its
-phi is three constant fields; otherwise H0prime is a derived function whose
-one evaluator reads phi off the background bundle's magnetic field.
+includes the spin term phi = -u0 mu B_flat.  On every background H0prime is
+a derived function whose one evaluator reads phi off the background
+bundle's magnetic field.
 spin_n(n) is the spin observable along the unit covector n (phi = -n), so
 its pre-quantum operator is (1/2) n^i sigma_i.
 """
@@ -54,7 +54,7 @@ from .background import Background, Constants, Observer
 from .fieldlang import FieldDef
 from .hermitian import QuantumData, SpinorSection
 from .jets import DomainError, value_array
-from .quantum import GridGeometry, GridSpec, SpinorGrid, grid_norm
+from .quantum import GridSpec, SpinorGrid, node_map
 from .special import ComponentJets, SpecialFunction
 from .units import (
     CHARGE_DIM,
@@ -99,14 +99,12 @@ class Scenario:
         lo, hi = self.box[:, 0], self.box[:, 1]
         return lo + (hi - lo) * rng.random((n, 4))
 
-    def initial_grid(self, geom=None) -> SpinorGrid:
-        """psi0 on the scenario grid, normalised.  `geom`, a GridGeometry of
-        this scenario's grid, saves building one for the normalisation."""
+    def initial_grid(self) -> SpinorGrid:
+        """psi0 on the scenario grid, normalised with the weight sqrt|g| of
+        `inner_product`, read off one order-0 jet pass over the nodes."""
         if self.grid is None or self.psi0 is None:
             raise ScenarioError("scenario has no grid/psi0 section")
-        xs = self.grid.coords()
-        mesh = np.meshgrid(*xs, indexing="ij")
-        coords = [np.full(self.grid.shape, self.grid.time)] + list(mesh)
+        coords = self.grid.mesh4()
         psi = np.zeros(self.grid.shape + (2,), dtype=complex)
         # a domain error (log(0), 1/0) and an overflow are reported as the same
         # error, not as warnings
@@ -120,16 +118,13 @@ class Scenario:
             finite = False
         if not finite:
             raise ScenarioError("psi0 is not finite on the grid")
-        grid = SpinorGrid(self.grid, psi)
-        if geom is None:
-            geom = GridGeometry(self.qd, self.grid)
-        elif geom.spec != self.grid or geom.qd is not self.qd:
-            raise ScenarioError("geometry was built for a different grid or quantum data")
-        nrm = grid_norm(geom, grid)
+        bg = self.background
+        sqrtg = node_map(coords, lambda cloud: value_array(bg.jets(cloud).sqrt_det(0), cloud.shape[1:]))
+        dens = np.einsum("...s,...s->...", psi.conj(), psi)
+        nrm = math.sqrt(complex(np.sum(dens * sqrtg) * self.grid.dvol).real)
         if nrm == 0.0:
             raise ScenarioError("psi0 is identically zero")
-        grid.psi /= nrm
-        return grid
+        return SpinorGrid(self.grid, psi / nrm)
 
 
 def _shaped(obj, kind, where: str, length: int | None = None):
@@ -204,9 +199,9 @@ def _parse_metric(obj, consts) -> list:
 
 
 def _check_constant_metric(bg: Background):
-    """det g and g^-1 of a constant metric, read once off the background's
-    jets: det g must be positive and finite (then so is sqrt|g|), and g^-1
-    finite."""
+    """det g, g^-1 and the frame of a constant metric, read once off the
+    background's jets: det g must be positive and finite (then so is
+    sqrt|g|), g^-1 finite, and the frame defined (not so for diag(-1,-1,1))."""
     b = bg.jets(np.zeros(4))
     with np.errstate(all="ignore"):
         det = b.det(0).value
@@ -214,6 +209,7 @@ def _check_constant_metric(bg: Background):
             raise ScenarioError(f"metric: det g = {det!r} is not a positive finite number")
         if not np.all(np.isfinite(value_array(b.metric_inv(0)))):
             raise ScenarioError(f"metric: g^-1 is not finite (det g = {det!r})")
+        b.frame(0)
 
 
 def _parse_kgrav(obj, consts) -> dict:
@@ -261,21 +257,14 @@ def _builtin_functions(bg: Background, a_exprs, consts) -> dict:
     funcs["H0"] = SpecialFunction.scalar(one, (zero, zero, zero), neg_a0, name="H0")
     c = bg.constants
     w = -c.u0.value * c.mu.value
-    if bg.fields_constant:
-        try:
-            b_vals = [sr.value for sr in bg.magnetic_field((0.0, 0.0, 0.0, 0.0))]
-        except DomainError as exc:  # a constant such as log(0) in the metric or F
-            raise ScenarioError(f"the constant background is undefined: {exc}") from exc
-        phi = tuple(FieldDef(f"phiB{a}", DIMLESS, fl.Const(w * b_vals[a]), consts) for a in range(3))
-        funcs["H0prime"] = SpecialFunction(one, (zero, zero, zero), neg_a0, phi, name="H0prime")
-    else:
-        def jets_fn(where, order):  # one bundle gives all three spin components, at the order read
-            bundle = bg.jets(where)
-            point = bundle.point
-            return ComponentJets(one.eval_jet(point, order), [zero.eval_jet(point, order) for _ in range(3)],
-                                 neg_a0.eval_jet(point, order), lambda n: [b * w for b in bundle.magnetic(n)], order)
 
-        funcs["H0prime"] = SpecialFunction(name="H0prime", jets_fn=jets_fn)
+    def jets_fn(where, order):  # one bundle gives all three spin components, at the order read
+        bundle = bg.jets(where)
+        point = bundle.point
+        return ComponentJets(one.eval_jet(point, order), [zero.eval_jet(point, order) for _ in range(3)],
+                             neg_a0.eval_jet(point, order), lambda n: [b * w for b in bundle.magnetic(n)], order)
+
+    funcs["H0prime"] = SpecialFunction(name="H0prime", jets_fn=jets_fn)
     return funcs
 
 

@@ -456,10 +456,7 @@ def _closed_form_ops(sc: Scenario, geom: GridGeometry):
     a0 = geom.a[0]
     bg = sc.background
     c = bg.constants
-    if bg.fields_constant:
-        bvals = np.array([s.value for s in bg.magnetic_field((0, 0, 0, 0))]).reshape(3, 1, 1, 1)
-    else:
-        bvals = node_map(geom.mesh4, lambda cloud: value_array(bg.jets(cloud).magnetic(0), cloud.shape[1:]))
+    bvals = node_map(geom.mesh4, lambda cloud: value_array(bg.jets(cloud).magnetic(0), cloud.shape[1:]))
     w = c.u0.value * c.mu.value
 
     def op_x1(psi):

@@ -9,7 +9,7 @@ from cqm.background import as_point
 from cqm.hermitian import HermitianField, Mat2
 from cqm.jets import Jet, value_array
 from cqm.pauli import XI, XI_ALL
-from cqm.quantum import GridSpec, SpinorGrid
+from cqm.quantum import GridSpec, SpinorGrid, inner_product
 
 
 def gtilde(a: np.ndarray, b: np.ndarray) -> float:
@@ -112,6 +112,11 @@ def vector_of(f, point) -> np.ndarray:
     evaluated as floats."""
     point = as_point(point)
     return np.array([f.f0(point), -f.fi[0](point), -f.fi[1](point), -f.fi[2](point)])
+
+
+def grid_norm(geom, a: SpinorGrid) -> float:
+    """The norm sqrt <a, a> of a spinor grid under `inner_product`."""
+    return float(np.sqrt(inner_product(geom, a, a).real))
 
 
 _SNAPSHOT_HEADER = struct.Struct("<3q6dd")  # CONVENTIONS.md, "Snapshot files"

@@ -12,7 +12,7 @@ from cqm.background import (
     divergence_eta_jets,
 )
 from cqm.fieldlang import FieldDef
-from cqm.jets import value_array
+from cqm.jets import SIZES, value_array
 from cqm.pauli import EPS
 from cqm.scenario import load_scenario
 from cqm.units import (
@@ -25,6 +25,7 @@ from cqm.units import (
     DimensionMismatch,
     ScaledReal,
 )
+from cqm.verify import run_suites
 
 from conftest import SCENARIO_DIR, sample_box, scenario_dict
 from oracles import ad, cosymplectic_and_gamma, frame_curvature
@@ -610,6 +611,28 @@ def _jet_leaves(entry):
     if isinstance(entry, (list, tuple)):
         return [j for e in entry for j in _jet_leaves(e)]
     return [entry]
+
+
+def test_constant_background_bundles_share_one_cache():
+    """On flat_magnetic, after every suite has run, bundles on two different
+    clouds return the same spin connection object, and every entry of the
+    cache they share is point-shaped, so it holds on any cloud."""
+    sc = load_scenario(SCENARIO_DIR / "flat_magnetic.json")
+    run_suites(sc)
+    rng = np.random.default_rng(4)
+    a, b = sc.background.jets(rng.uniform(-1, 1, (4, 5))), sc.background.jets(rng.uniform(-1, 1, (4, 9)))
+    assert a.spin("moment", 0) is b.spin("moment", 0)
+    leaves = [j for entry in a._cache.values() for j in _jet_leaves(entry)]
+    assert len(a._cache) > 10 and ("rho", "moment", 0) in a._cache
+    assert all(j.c.shape == (SIZES[j.order],) for j in leaves)
+
+
+def test_curved_background_bundles_do_not_share_a_cache(curved_magnetic_scenario):
+    bg = curved_magnetic_scenario.background
+    a, b = bg.jets(np.zeros((4, 3))), bg.jets(np.zeros((4, 3)))
+    spin = a.spin("moment", 0)
+    assert a._cache is not b._cache and ("spin", "moment", 0) not in b._cache
+    assert b.spin("moment", 0) is not spin
 
 
 @pytest.mark.parametrize("name", ["curved_magnetic", "anisotropic"])

@@ -499,6 +499,20 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path, command):
     assert "Traceback" not in res.stderr and "Exception ignored" not in res.stderr, res.stderr
 
 
+@pytest.mark.parametrize("command", ["verify", "evolve", "bracket"])
+def test_metric_with_positive_det_but_no_frame_is_a_load_error(tmp_path, command):
+    """diag(-1, -1, 1) has det g = 1 but is not positive definite: every
+    command exits 2 with the frame's one error line, and evolve makes no
+    output directory."""
+    path = _scenario_file(tmp_path, "no_frame.json", metric=[["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1"]])
+    out = tmp_path / "out"
+    argv = {"verify": ["verify", path, "--suite", "jacobi"],
+            "evolve": ["evolve", path, "--steps", "5", "--dt", "0.1", "--out", str(out)],
+            "bracket": ["bracket", path, "x1", "P1", "--at", "0,0,0,0"]}[command]
+    assert _main(*argv) == (2, "", "error: g00 = -1.0 at [0.0, 0.0, 0.0, 0.0]\n")
+    assert not out.exists()
+
+
 def test_evolve_builds_one_geometry(tmp_path, monkeypatch):
     from cqm import cli, quantum
 

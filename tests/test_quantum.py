@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cqm import quantum
+from cqm import fieldlang as fl, quantum
 from cqm.background import BackgroundJets, NotPositiveDefinite
 from cqm.fieldlang import FieldDef, eval_float
 from cqm.hermitian import SpinorSection, from_special
@@ -20,7 +20,6 @@ from cqm.quantum import (
     SpinorGrid,
     check_linearity,
     evolve_pauli,
-    grid_norm,
     inner_product,
     measure_frequency,
     observed_laplacian,
@@ -30,12 +29,12 @@ from cqm.quantum import (
     write_snapshot,
 )
 from cqm.scenario import load_scenario
-from cqm.special import component_jets, extended_bracket
+from cqm.special import SpecialFunction, component_jets, extended_bracket
 from cqm.units import DIMLESS
 from cqm.verify import bracket_as_function, run_suites
 
 from conftest import SCENARIO_DIR, derive_expr, make_special, scenario_dict
-from oracles import act_on_section, read_snapshot
+from oracles import act_on_section, grid_norm, read_snapshot
 
 
 def flat_1d_spec(n=201, half=12.0):
@@ -277,7 +276,7 @@ def test_larmor_precession_about_each_axis(f_key, a_slot, a_expr, spin_up):
     assert np.count_nonzero(b) == 1
     omega = c.u0.value * c.mu.value * float(np.linalg.norm(b))
     dt, steps = 0.1, 400
-    traj = evolve_pauli(sc.qd, sc.initial_grid(geom), dt, steps, geom=geom)
+    traj = evolve_pauli(sc.qd, sc.initial_grid(), dt, steps, geom=geom)
     spin = np.stack([traj.sx, traj.sy, traj.sz], axis=-1)
     n = b / np.linalg.norm(b)
     assert abs(spin[0] @ n) < 1e-15  # psi0 perpendicular to B
@@ -339,7 +338,7 @@ def test_cayley_residual_certifies_each_step():
     """free_packet at dt 0.006, beyond what a dt |H| <= 1.5 rule admits."""
     sc = load_scenario(SCENARIO_DIR / "free_packet.json")
     geom = GridGeometry(sc.qd, sc.grid)
-    assert_steps_certified(sc, geom, sc.initial_grid(geom), 0.006)
+    assert_steps_certified(sc, geom, sc.initial_grid(), 0.006)
 
 
 def spinor_packet(geom):
@@ -357,7 +356,7 @@ def test_cayley_residual_certifies_each_step_on_other_stencils():
     x3 are the same at every node, those along x2 carry A_2 = q b x1 / hbar."""
     sc = load_scenario(SCENARIO_DIR / "larmor.json")
     geom = GridGeometry(sc.qd, sc.grid)
-    assert_steps_certified(sc, geom, sc.initial_grid(geom), 2.0)
+    assert_steps_certified(sc, geom, sc.initial_grid(), 2.0)
     sc = load_scenario(SCENARIO_DIR / "flat_magnetic.json")
     geom = GridGeometry(sc.qd, GridSpec(((-3, 3, 8),) * 3, 0.0))
     assert_steps_certified(sc, geom, spinor_packet(geom), 0.1)
@@ -424,7 +423,7 @@ def test_trajectory_rows_are_the_observables_of_each_state():
     its own state bit for bit.  A 0-step run records psi0 alone."""
     sc = load_scenario(SCENARIO_DIR / "free_packet.json")
     geom = GridGeometry(sc.qd, sc.grid)
-    psi0 = sc.initial_grid(geom)
+    psi0 = sc.initial_grid()
     assert quantum.OBSERVABLE_BLOCK // psi0.psi.size == 21
     traj = evolve_pauli(sc.qd, psi0, 0.004, 30, geom=geom, snapshot_every=1)
     rows = np.stack([traj.norms, traj.sx, traj.sy, traj.sz, traj.widths])
@@ -663,16 +662,63 @@ def test_grid_pass_reads_derived_parts_at_order_0(curved_magnetic_scenario, node
 
 
 def test_derived_functions_have_no_component_fields(curved_magnetic_scenario, flat_magnetic_scenario):
-    """A bracket and H0prime on a curved background are evaluated by their
-    one evaluator only; a constant background's H0prime has fields."""
+    """A bracket and H0prime are evaluated by their one evaluator only; a
+    constant background's H0prime is derived too."""
     sc = curved_magnetic_scenario
     consts = sc.background.constants.table()
     f = make_special(consts, fi=("x2", "x1", "0"), fbrev="x1", name="F")
     g = make_special(consts, fi=("0", "x1*x2", "0"), phi=("x2", "0", "0"), name="G")
-    for func in (bracket_as_function(f, g, sc), sc.function("H0prime")):
+    for func in (bracket_as_function(f, g, sc), sc.function("H0prime"), flat_magnetic_scenario.function("H0prime")):
         assert (func.f0, func.fi, func.fbrev, func.phi) == (None, (), None, ())
         assert component_jets(func, (0.1, 0.2, 0.3, 0.0), 1).order == 1
-    assert len(flat_magnetic_scenario.function("H0prime").phi) == 3
+
+
+@pytest.mark.parametrize("name", ["flat_magnetic", "larmor"])
+def test_h0prime_on_a_constant_background_is_the_constant_field_operator(name):
+    """The derived H0prime's operator equals, bit for bit, the operator of
+    H0prime written with constant spin fields phi_a = -u0 mu B^a, B read off
+    `magnetic_field` at the origin."""
+    sc = load_scenario(SCENARIO_DIR / f"{name}.json")
+    bg = sc.background
+    consts = bg.constants.table()
+    w = -bg.constants.u0.value * bg.constants.mu.value
+    b = [s.value for s in bg.magnetic_field((0.0, 0.0, 0.0, 0.0))]
+    zero = fl.zero_field()
+    neg_a0 = FieldDef("-A0", DIMLESS, fl.Unary("neg", sc.qd.a_fields[0].expr), consts)
+    phi = tuple(FieldDef(f"phiB{a}", DIMLESS, fl.Const(w * b[a]), consts) for a in range(3))
+    fields = SpecialFunction(FieldDef("1", DIMLESS, "1", consts), (zero, zero, zero), neg_a0, phi, name="H0prime")
+    assert np.count_nonzero(b) == 1
+    geom = GridGeometry(sc.qd, sc.grid)
+    x1, x2, x3 = geom.mesh4[1:]
+    envelope = np.exp(-0.1 * (x1**2 + x2**2 + x3**2))
+    probe = np.stack([envelope * (1.0 + 0.3 * x1 + 0.2j * x2), envelope * (0.5 - 0.1j * x3)], axis=-1)
+    want = prequantum(sc.qd, geom, fields).apply_fn(probe)
+    got = prequantum(sc.qd, geom, sc.function("H0prime")).apply_fn(probe)
+    assert np.array_equal(got, want)
+    assert np.max(np.abs(want)) > 0.1
+
+
+def test_constant_background_geometry_work_does_not_grow_with_the_grid(monkeypatch):
+    """flat_magnetic with A = 0: GridGeometry makes as many jet products on
+    24^3 nodes (54 chunks) as on 8^3 (2 chunks), as the chunks' background
+    bundles share one cache."""
+    original = Jet.__mul__
+    counts = []
+    for n in (8, 24):
+        scn = scenario_dict("flat_magnetic")
+        scn["A"] = ["0", "0", "0", "0"]
+        sc = load_scenario(scn)
+        calls = []
+
+        def counting(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(Jet, "__mul__", counting)
+        GridGeometry(sc.qd, GridSpec(((-3.0, 3.0, n),) * 3, 0.0))
+        monkeypatch.setattr(Jet, "__mul__", original)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_operators_suite_builds_one_geometry_per_distinct_grid(monkeypatch):

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -6,12 +7,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cqm.background import PhasePoint
-from cqm.quantum import GridGeometry, grid_norm
+from cqm.quantum import GridGeometry, SpinorGrid
 from cqm.scenario import ScenarioError, load_scenario
 from cqm.special import component_jets, eval_special
 from cqm.verify import SUITES, TOLERANCES, run_suites
 
 from conftest import SCENARIO_DIR, scenario_dict
+from oracles import grid_norm
 
 
 def test_load_from_file():
@@ -154,10 +156,22 @@ def test_custom_function_entry():
 
 
 def test_initial_grid_normalized():
-    sc = load_scenario(SCENARIO_DIR / "free_packet.json")
-    grid = sc.initial_grid()
-    geom = GridGeometry(sc.qd, grid.spec)
-    assert grid_norm(geom, grid) == pytest.approx(1.0, abs=1e-12)
+    """psi0 over its norm under the geometry's sqrt|g| weight, bit for bit,
+    on a flat and two curved metrics: initial_grid reads sqrt|g| off an
+    order-0 pass of its own, which is the value slot of the geometry's
+    order-1 pass."""
+    anisotropic = scenario_dict("anisotropic")
+    anisotropic["grid"] = {"axes": [[-1, 1, 7], [-1.5, 1, 6], [-1, 1.5, 5]], "time": 0.3}
+    for scn in (json.loads((SCENARIO_DIR / "free_packet.json").read_text()),
+                json.loads((SCENARIO_DIR / "curved_magnetic.json").read_text()), anisotropic):
+        scn["grid"].setdefault("psi0", [["exp(-x1*x1-0.5*x2*x2)", "0.3*x1"], ["0.5", "x2*exp(-x1*x1)"]])
+        sc = load_scenario(scn)
+        grid = sc.initial_grid()
+        geom = GridGeometry(sc.qd, sc.grid)
+        raw = np.stack([real.eval_array(geom.mesh4) + 1j * imag.eval_array(geom.mesh4)
+                        for real, imag in sc.psi0.components], axis=-1)
+        assert np.array_equal(grid.psi, raw / grid_norm(geom, SpinorGrid(sc.grid, raw)))
+        assert grid_norm(geom, grid) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("expr", ["log(x1-5)", "1/x1", "exp(1000*x1)"],
