@@ -15,13 +15,16 @@ it has computed; on a constant background all bundles share one cache.
 Chart conventions: a single global chart (x0..x3), dimensionless coordinates,
 dt = u0 dx0, reference observer = chart-adapted (zero velocity components).
 Spatial chart indices run 1..3; arrays use 0..2 for them.  2-form component
-tables store honest evaluations w(d_a, d_b); the cosymplectic table follows
-the expansion documented in CONVENTIONS.md, and observer pullbacks of it give
-the closed 2-form Phi[o] directly (no extra doubling).
+tables store honest evaluations w(d_a, d_b).  The cosymplectic sector is read
+off one velocity form theta (`velocity_form`) and one exterior derivative:
+Omega = Phi[reference] + d Theta, Phi[o] = Phi[reference] + d theta[o], and
+the observed potential Ch[o] = A + theta[o] (CONVENTIONS.md).
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -110,10 +113,6 @@ class Observer:
     @classmethod
     def reference(cls) -> "Observer":
         return cls(tuple(fl.zero_field(f"o{i}") for i in range(3)))
-
-    @property
-    def is_reference(self) -> bool:
-        return all(c.constant and c((0.0, 0.0, 0.0, 0.0)) == 0.0 for c in self.components)
 
     def velocity(self, point) -> np.ndarray:
         """Values o^i_0: (3,) at a point, (3, N) on a (4, N) cloud."""
@@ -439,8 +438,10 @@ class BackgroundJets:
             elif which == "moment":
                 # Opposite sign relative to the charge sector: fixed by the
                 # classical precession law and the quantum convention lock.
+                # Only ktilde reads this sector, and only its slots K_lam^i_j
+                # with j spatial: the time column K^i_lam0 stays gravitational.
                 c0k = -c.mu.value * c.u0.value
-                c00 = -2.0 * c.mu.value * c.u0.value
+                c00 = None
             else:
                 raise ValueError(f"unknown coupling {which!r}")
             fup = [[None] * 4 for _ in range(3)]
@@ -453,11 +454,13 @@ class BackgroundJets:
                     fup[i][mu] = acc
             k = [[[kg[lam][i][mu] for mu in range(4)] for i in range(3)] for lam in range(4)]
             for i in range(3):
-                k[0][i][0] = k[0][i][0] + fup[i][0] * c00
+                if c00 is not None:
+                    k[0][i][0] = k[0][i][0] + fup[i][0] * c00
                 for kk in range(3):
                     extra = fup[i][kk + 1] * c0k
                     k[0][i][kk + 1] = k[0][i][kk + 1] + extra
-                    k[kk + 1][i][0] = k[kk + 1][i][0] + extra
+                    if c00 is not None:
+                        k[kk + 1][i][0] = k[kk + 1][i][0] + extra
             return k
         return self._get(("K", which, order), build)
 
@@ -543,12 +546,20 @@ class BackgroundJets:
 
     # -- cosymplectic sector ---------------------------------------------------
 
+    def velocity_form(self, v: list, order: int) -> list:
+        """theta_0..theta_3 of the velocity form
+          theta(v) = c (g_ij v^j dx^i - 1/2 g_ij v^i v^j dx^0),  c = m u0 / hbar,
+        at `order` for velocity jets v at that order: observer component jets
+        for the observed form theta[o], constant jets at fixed velocity values."""
+        g = self.metric(order)
+        c = self.bg.constants.metric_prefactor
+        quad = _sum(g[i][j] * v[i] * v[j] for i in range(3) for j in range(3))
+        return [quad * (-0.5 * c)] + [_sum(g[i][j] * v[j] for j in range(3)) * c for i in range(3)]
+
     def phi_ref(self, order: int) -> list:
-        """Phi[reference]: pullback of the cosymplectic table on the zero
-        section; 4x4 antisymmetric jets.  It equals `omega_table` at v = 0,
-        but reading it off that table (which also forms the metric at order
-        + 1) left every verify residual unchanged and made perfbench
-        `verify_operators` run_s about 5% slower (0.071 -> 0.074 s, 2 cores)."""
+        """Phi[reference] = Omega_K = -c g_ij K_lam^i_0 dx^lam ^ dx^j (joined
+        K), the one formula for the part of the cosymplectic form that the
+        velocity form does not give; 4x4 antisymmetric jets."""
         def build():
             g = self.metric(order)
             k = self.k_joined("charge", order)
@@ -572,61 +583,45 @@ class BackgroundJets:
             return phi
         return self._get(("phi_ref", order), build)
 
-    def omega_table(self, v_jets: list, order: int) -> list:
+    def omega_table(self, v, order: int) -> list:
         """Cosymplectic component table over (dx^0..dx^3, dv^1..dv^3), jets at
-        the given order; v_jets are the velocity coordinates (constant jets
-        for a phase point, observer component jets for a pullback).
-
-        The table is assembled as d Theta + Omega_K with
-          Theta   = c (g_ij v^j dx^i - 1/2 g_ij v^i v^j dx^0),
-          Omega_K = -c g_ij K_lam^i_0 dx^lam ^ dx^j   (joined K),
-        which is closed whenever dF = 0 and the free part of the connection
-        time slots is closed; it reproduces the adapted-coordinate expansion
-        of the cosymplectic form and its observer pullbacks.
-        """
+        `order`, at velocity values v: (3,) at a point, (3, N) on a cloud.
+        Omega = Phi[reference] + d Theta with Theta = theta_lam dx^lam, so its
+        spacetime block is phi_ref + d theta(v) at fixed v, and its
+        dv^j ^ dx^lam entries are d theta_lam / d v^j: c g_ij for lam = i and
+        -c g_ij v^i for lam = 0."""
         c = self.bg.constants.metric_prefactor
-        g1 = self.metric(order + 1)
-        g0 = [[g1[i][j].truncate(order) for j in range(3)] for i in range(3)]
-        k = self.k_joined("charge", order)
-        v = [vj.truncate(order) for vj in v_jets]
+        v = [Jet.const(vk, order + 1) for vk in np.asarray(v, dtype=float)]
+        spacetime = _table_sum(self.phi_ref(order), exterior_derivative(self.velocity_form(v, order + 1)))
+        g = self.metric(order)
+        # dv[j][lam] = Omega(d_vj, d_lam)
+        dv = [[_sum(g[i][j] * v[i] for i in range(3)) * (-c)] + [g[i][j] * c for i in range(3)] for j in range(3)]
         zero = Jet.const(0.0, order)
-        omega = [[zero for _ in range(7)] for _ in range(7)]
-
-        def add(a, b, w):
-            omega[a][b] = omega[a][b] + w
-            omega[b][a] = omega[b][a] - w
-
-        for i in range(3):
-            for j in range(3):
-                # c g_ij dv^j ^ dx^i
-                add(4 + j, i + 1, g0[i][j] * c)
-                # -c g_ij v^i dv^j ^ dx^0
-                add(4 + j, 0, g0[i][j] * v[i] * (-c))
-                for lam in range(4):
-                    dg = g1[i][j].derive(lam)
-                    # c (d_lam g_ij) v^j dx^lam ^ dx^i
-                    add(lam, i + 1, dg * v[j] * c)
-                    # -c/2 (d_lam g_ij) v^i v^j dx^lam ^ dx^0
-                    add(lam, 0, dg * v[i] * v[j] * (-0.5 * c))
-                    # Omega_K: -c g_ij K_lam^i_0 dx^lam ^ dx^j
-                    add(lam, j + 1, g0[i][j] * k[lam][i][0] * (-c))
-        return omega
+        return ([spacetime[lam] + [-dv[j][lam] for j in range(3)] for lam in range(4)]
+                + [dv[j] + [zero] * 3 for j in range(3)])
 
     def phi_observer(self, o: Observer, order: int) -> list:
-        if o.is_reference:
-            return self.phi_ref(order)
-        v = o.jets(self.point, order)
-        do = o.jets(self.point, order + 1)
-        omega = self.omega_table(v, order)
-        phi = [[None] * 4 for _ in range(4)]
-        for lam in range(4):
-            for mu in range(4):
-                acc = omega[lam][mu]
-                for kk in range(3):
-                    acc = acc + omega[lam][4 + kk] * do[kk].derive(mu)
-                    acc = acc + omega[4 + kk][mu] * do[kk].derive(lam)
-                phi[lam][mu] = acc
-        return phi
+        """Phi[o] = Phi[reference] + d theta[o], the pullback of Omega along
+        the observer section v = o, with theta[o] at order + 1."""
+        theta = self.velocity_form(o.jets(self.point, order + 1), order + 1)
+        return _table_sum(self.phi_ref(order), exterior_derivative(theta))
+
+
+def exterior_derivative(w: Sequence) -> list:
+    """(dw)_{lam mu} = d_lam w_mu - d_mu w_lam for the jets w_0..w_3 of a
+    1-form: a 4x4 table of jets one order lower."""
+    dw = [[w[mu].derive(lam) for mu in range(4)] for lam in range(4)]
+    zero = Jet.const(0.0, w[0].order - 1)
+    return [[dw[lam][mu] - dw[mu][lam] if lam != mu else zero for mu in range(4)] for lam in range(4)]
+
+
+def _table_sum(a: list, b: list) -> list:
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _sum(terms):
+    """The jets of `terms` added left to right."""
+    return functools.reduce(operator.add, terms)
 
 
 def divergence_eta_jets(x_jets: Sequence, bundle: BackgroundJets, order: int) -> Jet:

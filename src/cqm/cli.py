@@ -27,10 +27,10 @@ import numpy as np
 
 from .quantum import (
     GridGeometry,
-    NonStaticMetric,
     SolverDivergence,
     evolve_pauli,
     measure_frequency,
+    require_static,
     write_snapshot,
 )
 from .scenario import ScenarioError, load_scenario
@@ -133,6 +133,7 @@ def cmd_evolve(args) -> int:
         if args.snapshot_every < 0:
             raise ScenarioError(f"--snapshot-every must be nonnegative, got {args.snapshot_every}")
         sc = load_scenario(args.scenario)
+        require_static(sc.qd)
         grid = sc.initial_grid()
         # built here so that a node where g is not positive definite is a load error
         geom = GridGeometry(sc.qd, sc.grid)
@@ -144,7 +145,7 @@ def cmd_evolve(args) -> int:
     try:
         traj = evolve_pauli(sc.qd, grid, args.dt, args.steps, geom=geom,
                             snapshot_every=args.snapshot_every)
-    except (NonStaticMetric, SolverDivergence) as exc:
+    except SolverDivergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     csv_path = out_dir / "trajectory.csv"

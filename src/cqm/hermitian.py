@@ -36,6 +36,7 @@ from .background import (
     PhasePoint,
     as_point,
     divergence_eta_jets,
+    exterior_derivative,
 )
 from .fieldlang import FieldDef
 from .jets import Jet, max_abs, value_array
@@ -141,37 +142,18 @@ class QuantumData:
         primary input)."""
         cloud = np.asarray(samples, dtype=float).reshape(-1, 4).T
         batch = cloud.shape[1:]
-        a1 = self.a_jets(cloud, 1)
+        da = value_array(exterior_derivative(self.a_jets(cloud, 1)), batch)
         phi = value_array(self.bg.jets(cloud).phi_ref(0), batch)
-        worst = 0.0
-        for lam in range(4):
-            for mu in range(lam + 1, 4):
-                da = value_array(a1[mu].derive(lam), batch) - value_array(a1[lam].derive(mu), batch)
-                worst = max(worst, float(np.max(np.abs(da - phi[lam][mu]))))
-        return worst
+        return float(np.max(np.abs(da - phi)))
 
 
 def ch_along_jets(qd: QuantumData, o: Observer, where, order: int) -> list:
-    """Jets of Ch_lambda evaluated along the observer section; the classical
-    Hamiltonian and momentum there are H0 = -Ch_0 and P_i = Ch_i."""
-    point = as_point(where)
-    g = qd.bg.jets(where).metric(order)
-    pref = qd.bg.constants.metric_prefactor
-    a = qd.a_jets(point, order)
-    v = o.jets(point, order)
-    quad = None
-    for i in range(3):
-        for j in range(3):
-            term = g[i][j] * v[i] * v[j]
-            quad = term if quad is None else quad + term
-    out = [a[0] - quad * (0.5 * pref)]
-    for i in range(3):
-        lin = None
-        for j in range(3):
-            term = g[i][j] * v[j]
-            lin = term if lin is None else lin + term
-        out.append(a[i + 1] + lin * pref)
-    return out
+    """Jets of Ch_lambda[o] = A_lambda + theta_lambda[o] along the observer
+    section; the classical Hamiltonian and momentum there are H0 = -Ch_0
+    and P_i = Ch_i."""
+    bundle = qd.bg.jets(where)
+    theta = bundle.velocity_form(o.jets(bundle.point, order), order)
+    return [a + t for a, t in zip(qd.a_jets(bundle.point, order), theta)]
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +289,13 @@ def pair_bracket(pair, pair_p, qd: QuantumData, o: Observer, where, order: int =
     # curvature R_{lam mu} = -i (dCh[o])_{lam mu} 1 + rho_{lam mu}^a xi_a
     # = -(dCh[o])_{lam mu} xi_0 + rho_{lam mu}^a xi_a
     rho = bundle.rho(qd.spin.which, order)
+    dch = exterior_derivative(ch1)
     out = Mat2.zero(order)
     for lam in range(4):
         for mu in range(4):
             if lam != mu:
                 w = (x1[lam] * x2[mu]).truncate(order)
-                dch = ch1[mu].derive(lam) - ch1[lam].derive(mu)
-                out = out - Mat2([-dch] + rho[lam][mu]).scale(w)
+                out = out - Mat2([-dch[lam][mu]] + rho[lam][mu]).scale(w)
     # transport of the vertical parts: nabla_lam Y = d_lam Y - [C_lam, Y]
     # (the sign the vertical-field identification induces; it makes this
     # formula agree with the plain Lie bracket route)

@@ -47,6 +47,7 @@ from typing import Callable
 
 import numpy as np
 
+from .fieldlang import variables
 from .hermitian import QuantumData, y_coefficients
 from .jets import SIZES, value_array
 from .pauli import xi_combination
@@ -55,7 +56,7 @@ from .special import SpecialFunction, SpecialValue, component_jets
 __all__ = [
     "GridSpec", "SpinorGrid", "node_map",
     "GridGeometry", "GridOperator", "observed_laplacian", "pauli_generator",
-    "prequantum", "operator_bracket", "inner_product", "evolve_pauli",
+    "prequantum", "operator_bracket", "inner_product", "require_static", "evolve_pauli",
     "Trajectory", "measure_frequency", "write_snapshot",
     "GridMismatch", "NonStaticMetric", "SolverDivergence",
 ]
@@ -66,7 +67,8 @@ class GridMismatch(ValueError):
 
 
 class NonStaticMetric(ValueError):
-    """Evolution requires a time-independent spatial volume."""
+    """Evolution requires a static background: no field that references x0,
+    and a time-independent spatial volume."""
 
 
 class SolverDivergence(RuntimeError):
@@ -381,6 +383,16 @@ def _static_check(geom: GridGeometry, tol: float = 1e-12):
         raise NonStaticMetric("metric volume is time-dependent; evolution unsupported")
 
 
+def require_static(qd: QuantumData):
+    """NonStaticMetric when the metric, a Kgrav slot, F or A references x0:
+    evolution builds its generator once, at the grid's time, so it would
+    freeze such a background there."""
+    bg = qd.bg
+    for fld in [*sum(bg.g, []), *bg.kgrav.values(), *bg.f_em.values(), *qd.a_fields]:
+        if 0 in variables(fld.expr):
+            raise NonStaticMetric(f"{fld.name} references x0: evolution on a time-dependent background is unsupported")
+
+
 def _node_matrices(geom: GridGeometry, coeffs) -> np.ndarray:
     """sum_nu coeffs[nu] xi_nu at every node, as a (..., 2, 2) array, for
     four coefficients (numbers or node arrays)."""
@@ -557,7 +569,8 @@ def evolve_pauli(
     recorded at every step: each state is copied into a block of
     OBSERVABLE_BLOCK // psi.size states (at least one, at most steps + 1),
     and _observables evaluates each full block, and the last partial one,
-    in one pass."""
+    in one pass.  The background must be static (`require_static`)."""
+    require_static(qd)
     geom = geom or GridGeometry(qd, psi0.spec)
     h_apply = pauli_generator(geom).apply_fn
     spec = psi0.spec

@@ -54,7 +54,7 @@ from .hermitian import (
     pair_bracket,
     vertical_projection,
 )
-from .jets import Jet, max_abs, value_array
+from .jets import max_abs, value_array
 from .pauli import EPS, XI_ALL
 from .quantum import (
     GridGeometry,
@@ -227,10 +227,10 @@ def _closure_checks(sc: Scenario, b, rng) -> list:
         return value_array([[[w.derive(a) for a in range(4)] for w in row] for row in table], batch)
 
     def omega_at(vel):
-        return value_array(b.omega_table([Jet.const(vk, 0) for vk in vel], 0), batch)
+        return value_array(b.omega_table(vel, 0), batch)
 
     dv = [0.5 * (omega_at(v + e) - omega_at(v - e)) for e in np.eye(3)[:, :, None]]
-    domega = np.concatenate([x_derivatives(b.omega_table([Jet.const(vk, 1) for vk in v], 1)),
+    domega = np.concatenate([x_derivatives(b.omega_table(v, 1)),
                              np.stack(dv, axis=2)], axis=2)
     names = [n for n in sc.observers if n != "reference"]
     obs = sc.observers[names[0]] if names else Observer.reference()

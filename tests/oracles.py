@@ -59,7 +59,7 @@ def cosymplectic_and_gamma(bg, p):
     on a cloud."""
     b = bg.jets(p.x)
     batch = b.point.shape[1:]
-    omega = value_array(b.omega_table([Jet.const(v, 1) for v in p.v], 0), batch)
+    omega = value_array(b.omega_table(p.v, 0), batch)
     kval = value_array(b.k_joined("charge", 0), batch)
     gamma = np.zeros((3,) + batch)
     for i in range(3):
@@ -70,6 +70,57 @@ def cosymplectic_and_gamma(bg, p):
                 acc = acc + kval[h + 1][i][j + 1] * p.v[h] * p.v[j]
         gamma[i] = acc
     return omega, gamma
+
+
+def omega_table_expanded(bundle, v_jets: list, order: int) -> list:
+    """The cosymplectic table over (dx^0..dx^3, dv^1..dv^3) at `order`,
+    expanded term by term as d Theta + Omega_K with the (d_lam g_ij) v^j
+    products written out, for velocity jets v_jets."""
+    c = bundle.bg.constants.metric_prefactor
+    g1 = bundle.metric(order + 1)
+    g0 = [[g1[i][j].truncate(order) for j in range(3)] for i in range(3)]
+    k = bundle.k_joined("charge", order)
+    v = [vj.truncate(order) for vj in v_jets]
+    zero = Jet.const(0.0, order)
+    omega = [[zero for _ in range(7)] for _ in range(7)]
+
+    def add(a, b, w):
+        omega[a][b] = omega[a][b] + w
+        omega[b][a] = omega[b][a] - w
+
+    for i in range(3):
+        for j in range(3):
+            # c g_ij dv^j ^ dx^i
+            add(4 + j, i + 1, g0[i][j] * c)
+            # -c g_ij v^i dv^j ^ dx^0
+            add(4 + j, 0, g0[i][j] * v[i] * (-c))
+            for lam in range(4):
+                dg = g1[i][j].derive(lam)
+                # c (d_lam g_ij) v^j dx^lam ^ dx^i
+                add(lam, i + 1, dg * v[j] * c)
+                # -c/2 (d_lam g_ij) v^i v^j dx^lam ^ dx^0
+                add(lam, 0, dg * v[i] * v[j] * (-0.5 * c))
+                # Omega_K: -c g_ij K_lam^i_0 dx^lam ^ dx^j
+                add(lam, j + 1, g0[i][j] * k[lam][i][0] * (-c))
+    return omega
+
+
+def phi_observer_pullback(bundle, o, order: int) -> list:
+    """Phi[o] as the chain-rule pullback of `omega_table_expanded` along the
+    observer section: Omega_{lam mu} + Omega_{lam, vk} d_mu o^k
+    + Omega_{vk, mu} d_lam o^k."""
+    v = o.jets(bundle.point, order)
+    do = o.jets(bundle.point, order + 1)
+    omega = omega_table_expanded(bundle, v, order)
+    phi = [[None] * 4 for _ in range(4)]
+    for lam in range(4):
+        for mu in range(4):
+            acc = omega[lam][mu]
+            for kk in range(3):
+                acc = acc + omega[lam][4 + kk] * do[kk].derive(mu)
+                acc = acc + omega[4 + kk][mu] * do[kk].derive(lam)
+            phi[lam][mu] = acc
+    return phi
 
 
 def mat2_constant(mat: np.ndarray, order: int) -> Mat2:

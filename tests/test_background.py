@@ -12,7 +12,7 @@ from cqm.background import (
     divergence_eta_jets,
 )
 from cqm.fieldlang import FieldDef
-from cqm.jets import SIZES, value_array
+from cqm.jets import SIZES, Jet, value_array
 from cqm.pauli import EPS
 from cqm.scenario import load_scenario
 from cqm.units import (
@@ -28,7 +28,7 @@ from cqm.units import (
 from cqm.verify import run_suites
 
 from conftest import SCENARIO_DIR, sample_box, scenario_dict
-from oracles import ad, cosymplectic_and_gamma, frame_curvature
+from oracles import ad, cosymplectic_and_gamma, frame_curvature, omega_table_expanded, phi_observer_pullback
 
 
 def numeric_christoffel(sc, point, i, lam, mu, h=1e-5):
@@ -340,6 +340,75 @@ def test_observer_phi_examples(flat_scenario, flat_magnetic_scenario):
     assert phi2[1][2].value == pytest.approx(expect)
     assert phi2[2][1].value == pytest.approx(-expect)
     assert phi2[0][1].value == 0.0
+
+
+_ORACLE_SCENARIOS = sorted(p.stem for p in SCENARIO_DIR.glob("*.json")) + ["anisotropic", "breathing"]
+
+# constant, linear and time-dependent observer sections
+_ORACLE_OBSERVERS = {
+    "reference": None,
+    "drift": ("0.2", "-0.1", "0.15"),
+    "shear": ("0.1*x2", "-0.05*x1", "0.08*x3"),
+    "swirl": ("0.1*x2", "-0.1*x1", "0.05+0.02*x0*x3"),
+}
+
+
+def _oracle_scenario(name):
+    return load_scenario(_shipped(name) if (SCENARIO_DIR / f"{name}.json").exists() else scenario_dict(name))
+
+
+def _table_coeffs(table, n):
+    """The coefficient arrays of a table of jets, each broadcast to n points."""
+    return np.array([[np.broadcast_to(w.c, (n, w.c.shape[-1])) for w in row] for row in table])
+
+
+def _assert_tables_match(table, oracle, n):
+    """Equal to roundoff: within 1e-15 of max(1, the oracle's largest
+    coefficient), as the closure residuals are scaled."""
+    got, want = _table_coeffs(table, n), _table_coeffs(oracle, n)
+    assert np.max(np.abs(got - want)) <= 1e-15 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("name", _ORACLE_SCENARIOS)
+@pytest.mark.parametrize("order", [0, 1])
+def test_omega_table_matches_the_term_by_term_expansion(name, order):
+    """Omega = Phi[reference] + d Theta against the term-by-term expansion
+    of each (d_lam g_ij) v^j product, on a cloud of phase points."""
+    sc = _oracle_scenario(name)
+    rng = np.random.default_rng(31)
+    n = 12
+    b = sc.background.jets(sample_box(rng, n).T)
+    v = rng.uniform(-0.5, 0.5, (3, n))
+    oracle = omega_table_expanded(b, [Jet.const(vk, order + 1) for vk in v], order)
+    _assert_tables_match(b.omega_table(v, order), oracle, n)
+
+
+@pytest.mark.parametrize("name", _ORACLE_SCENARIOS)
+@pytest.mark.parametrize("observer", list(_ORACLE_OBSERVERS))
+def test_phi_observer_matches_the_chain_rule_pullback(name, observer):
+    """Phi[o] = Phi[reference] + d theta[o] against the pullback of the
+    expanded table along the section, d o^k by the chain rule."""
+    sc = _oracle_scenario(name)
+    comps = _ORACLE_OBSERVERS[observer]
+    o = Observer.reference() if comps is None else Observer(
+        tuple(FieldDef(f"o{i + 1}", DIMLESS, e) for i, e in enumerate(comps)))
+    rng = np.random.default_rng(32)
+    n = 12
+    b = sc.background.jets(sample_box(rng, n).T)
+    for order in (0, 1):
+        _assert_tables_match(b.phi_observer(o, order), phi_observer_pullback(b, o, order), n)
+
+
+@pytest.mark.parametrize("name", ["curved_electric", "anisotropic"])
+def test_phi_observer_at_the_reference_observer_is_phi_ref(name):
+    """d theta vanishes at v = 0, so the reference pullback is Phi[ref]
+    itself, with no branch for it."""
+    sc = _oracle_scenario(name)
+    for where, points in (((0.1, -0.3, 0.2, 0.4), 1), (sample_box(np.random.default_rng(33), 5).T, 5)):
+        b = sc.background.jets(where)
+        for n in (0, 1):
+            phi, ref = b.phi_observer(Observer.reference(), n), b.phi_ref(n)
+            assert np.array_equal(_table_coeffs(phi, points), _table_coeffs(ref, points))
 
 
 def test_phi_equals_dch_for_observers(curved_magnetic_scenario):

@@ -528,3 +528,19 @@ def test_evolve_builds_one_geometry(tmp_path, monkeypatch):
                    "--out", str(tmp_path / "out")])
     assert rc == 0
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("changes, field", [
+    ({"F": {"12": "b*cos(0.28*x0)"}, "A": ["0", "0", "q*b/hbar*x1*cos(0.28*x0)", "0"]}, "F12"),
+    ({"metric": scenario_dict("breathing")["metric"]}, "g11"),
+], ids=["oscillating_field", "breathing_metric"])
+def test_evolve_on_a_time_dependent_background_is_a_load_error(tmp_path, changes, field):
+    """The generator is built once, at the grid's time: a background that
+    references x0 exits 2 with one error line, before --out exists, instead
+    of evolving under the field frozen at that time."""
+    path = _scenario_file(tmp_path, "moving.json", **changes)
+    out = tmp_path / "out"
+    rc, stdout, stderr = _main("evolve", path, "--steps", "200", "--dt", "0.1", "--out", str(out))
+    assert (rc, stdout) == (2, "")
+    assert stderr == f"error: {field} references x0: evolution on a time-dependent background is unsupported\n"
+    assert not out.exists()

@@ -23,7 +23,7 @@ from cqm.hermitian import (
     to_special,
     vertical_projection,
 )
-from cqm.jets import Jet, value_array
+from cqm.jets import value_array
 from cqm.pauli import EPS
 from cqm.scenario import load_scenario
 from cqm.special import eval_special, extended_bracket, jacobi_residual
@@ -345,14 +345,14 @@ def _oracle_domega(bg, points, rng):
     derivatives = []
     for x, v in zip(points, rng.uniform(-0.5, 0.5, (3, len(points))).T):
         b = bg.jets(x)
-        om1 = b.omega_table([Jet.const(vk, 1) for vk in v], 1)
+        om1 = b.omega_table(v, 1)
         dom = [[[om1[bb][c].derive(a).value for c in range(7)] for bb in range(7)] for a in range(4)]
         for k in range(3):
             vp, vm = v.copy(), v.copy()
             vp[k] += 1.0
             vm[k] -= 1.0
-            wp = b.omega_table([Jet.const(vk, 0) for vk in vp], 0)
-            wm = b.omega_table([Jet.const(vk, 0) for vk in vm], 0)
+            wp = b.omega_table(vp, 0)
+            wm = b.omega_table(vm, 0)
             dom.append([[0.5 * (wp[bb][c].value - wm[bb][c].value) for c in range(7)] for bb in range(7)])
         derivatives.append(dom)
     return Check("background.domega", len(points), _oracle_closure(derivatives))

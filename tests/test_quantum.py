@@ -452,6 +452,23 @@ def test_nonstatic_metric_rejected():
         pauli_generator(geom)
 
 
+@pytest.mark.parametrize("changes, field", [
+    ({"metric": [["1", "0", "0"], ["0", "1+0.01*x0*x0", "0"], ["0", "0", "1"]]}, "g22"),
+    ({"Kgrav": {"3_00": "0.01*x0"}}, "K3_00"),
+    ({"F": {"12": "b*(1+0.1*x0)"}}, "F12"),
+    ({"A": ["0.1*x0", "0", "q*b/hbar*x1", "0"]}, "A0"),
+], ids=["metric", "kgrav", "F", "A"])
+def test_evolution_rejects_a_background_that_references_x0(changes, field):
+    """evolve_pauli raises before its first step when the metric, a Kgrav
+    slot, F or A references x0; A_0 = 0.1 x0 is a gauge choice, but the
+    generator would still be frozen at the grid's time."""
+    scn = json.loads((SCENARIO_DIR / "larmor.json").read_text())
+    scn.update(changes)
+    sc = load_scenario(scn)
+    with pytest.raises(NonStaticMetric, match=f"^{field} references x0"):
+        evolve_pauli(sc.qd, sc.initial_grid(), 0.1, 5)
+
+
 def test_measure_frequency_plain_cosine():
     dt = 0.05
     t = np.arange(4000) * dt
