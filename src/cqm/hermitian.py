@@ -1,14 +1,13 @@
 """Linear projectable vector fields on the rank-2 quantum bundle.
 
 A field is the pair (X^lambda, Y^A_B): chart components of the projection and
-a 2x2 complex matrix field Y = y_nu xi_nu, stored as its four xi-basis
+a 2x2 complex matrix field Y = w 1 + y_nu xi_nu, stored as five real
 coefficient jets (a `Mat2`).  xi_0 = i 1 is central and [xi_a, xi_b] =
 eps_abc xi_c, so the commutators of the brackets are cross products of
 y_1..y_3, the bracket the spin part phi of a special function carries.  Raw
-fields carry an anti-Hermitian matrix part (real coefficients); fields built
-from special functions carry the volume-weighted variant, whose matrix part
-is the anti-Hermitian combination shifted by -1/2 (div_eta X) 1, which makes
-y_0 complex.
+fields carry an anti-Hermitian matrix part (w = 0); fields built from
+special functions carry the volume-weighted variant, whose matrix part is
+the anti-Hermitian combination shifted by w = -1/2 div_eta X.
 
 Every operation evaluates at a point (4,), on a (4, N) cloud, or on the
 points of a `BackgroundJets` bundle, which it then shares with every
@@ -49,52 +48,55 @@ class NotHermitian(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# 2x2 complex matrix fields through their xi-basis coefficient jets
+# 2x2 complex matrix fields through their real coefficient jets
 
 
 class Mat2:
-    """The matrix field Y = sum_nu y_nu xi_nu, stored as its coefficient jets
-    y_0..y_3 (real or complex).  xi_0 = i 1 is central and [xi_a, xi_b] =
+    """The matrix field Y = w 1 + sum_nu y_nu xi_nu, stored as its real
+    coefficient jets w and y_0..y_3; w defaults to a point-shaped zero, whose
+    products stay free.  xi_0 = i 1 is central and [xi_a, xi_b] =
     eps_abc xi_c, so a commutator is the cross product of y_1..y_3."""
 
-    __slots__ = ("y",)
+    __slots__ = ("w", "y")
 
-    def __init__(self, coeffs: Sequence):
+    def __init__(self, coeffs: Sequence, w: Jet | None = None):
         self.y = tuple(coeffs)
+        self.w = Jet.const(0.0, self.y[0].order) if w is None else w
 
     @staticmethod
     def zero(order: int) -> "Mat2":
         return Mat2([Jet.const(0.0, order)] * 4)
 
     def __add__(self, other: "Mat2") -> "Mat2":
-        return Mat2([a + b for a, b in zip(self.y, other.y)])
+        return Mat2([a + b for a, b in zip(self.y, other.y)], self.w + other.w)
 
     def __sub__(self, other: "Mat2") -> "Mat2":
-        return Mat2([a - b for a, b in zip(self.y, other.y)])
+        return Mat2([a - b for a, b in zip(self.y, other.y)], self.w - other.w)
 
-    def scale(self, w) -> "Mat2":
-        return Mat2([c * w for c in self.y])
+    def scale(self, s) -> "Mat2":
+        return Mat2([c * s for c in self.y], self.w * s)
 
     def commutator(self, other: "Mat2") -> "Mat2":
-        """[Y, Y'] = eps_abc y_a y'_b xi_c; it has no xi_0 part."""
+        """[Y, Y'] = eps_abc y_a y'_b xi_c; it has no 1 or xi_0 part."""
         c = cross(self.y[1:], other.y[1:])
         return Mat2([Jet.const(0.0, c[0].order)] + c)
 
     def add_identity(self, w) -> "Mat2":
-        """Y + w 1, with 1 = -i xi_0."""
-        return Mat2((self.y[0] - w * 1j,) + self.y[1:])
+        """Y + w 1."""
+        return Mat2(self.y, self.w + w)
 
     def derive(self, lam: int) -> "Mat2":
-        return Mat2([c.derive(lam) for c in self.y])
+        return Mat2([c.derive(lam) for c in self.y], self.w.derive(lam))
 
     def truncate(self, order: int) -> "Mat2":
-        return Mat2([c.truncate(order) for c in self.y])
+        return Mat2([c.truncate(order) for c in self.y], self.w.truncate(order))
 
     def values(self, batch: tuple = ()) -> np.ndarray:
-        """Entry values sum_nu y_nu xi_nu: (2, 2) at a point, (2, 2, N) on a
-        cloud of batch shape (N,); point-shaped coefficients (constants)
+        """Entry values w 1 + sum_nu y_nu xi_nu: (2, 2) at a point, (2, 2, N)
+        on a cloud of batch shape (N,); point-shaped coefficients (constants)
         broadcast to the cloud, as jets.value_array does."""
-        return xi_combination(value_array(self.y, batch), batch)
+        eye = np.eye(2).reshape((2, 2) + (1,) * len(batch))
+        return xi_combination(value_array(self.y, batch), batch) + value_array(self.w, batch) * eye
 
 
 def y_coefficients(c, a, cc) -> list:
@@ -136,16 +138,6 @@ class QuantumData:
     def a_jets(self, point, order: int) -> list:
         return [f.eval_jet(point, order) for f in self.a_fields]
 
-    def check_potential(self, samples) -> float:
-        """max |dA - Phi[reference]| over the sample points (rows), evaluated
-        as one (4, N) cloud; a consistency warning level, not an error (A is
-        primary input)."""
-        cloud = np.asarray(samples, dtype=float).reshape(-1, 4).T
-        batch = cloud.shape[1:]
-        da = value_array(exterior_derivative(self.a_jets(cloud, 1)), batch)
-        phi = value_array(self.bg.jets(cloud).phi_ref(0), batch)
-        return float(np.max(np.abs(da - phi)))
-
 
 def ch_along_jets(qd: QuantumData, o: Observer, where, order: int) -> list:
     """Jets of Ch_lambda[o] = A_lambda + theta_lambda[o] along the observer
@@ -154,6 +146,18 @@ def ch_along_jets(qd: QuantumData, o: Observer, where, order: int) -> list:
     bundle = qd.bg.jets(where)
     theta = bundle.velocity_form(o.jets(bundle.point, order), order)
     return [a + t for a, t in zip(qd.a_jets(bundle.point, order), theta)]
+
+
+def potential_residual(qd: QuantumData, o: Observer, where):
+    """max |d Ch[o] - Phi[o]| with Ch[o] = A + theta[o]: zero when the input
+    potential A has dA = Phi[reference] (a consistency level of primary
+    input, not an error), and for a moving observer a check of the
+    d theta[o] in Phi[o].  A float at a point, an (N,) array of per-point
+    values on a (4, N) cloud or on a bundle's points."""
+    bundle = qd.bg.jets(where)
+    batch = bundle.point.shape[1:]
+    dch = value_array(exterior_derivative(ch_along_jets(qd, o, bundle, 1)), batch)
+    return max_abs(dch - value_array(bundle.phi_observer(o, 0), batch), batch)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +315,8 @@ def pair_bracket(pair, pair_p, qd: QuantumData, o: Observer, where, order: int =
 def to_special(y: HermitianField, qd: QuantumData, o: Observer, where, tol: float = 1e-8) -> SpecialValue:
     """Invert the correspondence: (f0, f^i) from X, then fbrev and phi from
     the xi_0 and xi_a coefficients of the vertical projection along o.  The
-    divergence shift of a volume-weighted field is imaginary in y_0, so the
-    real parts read past it.  Floats at a point, (N,) arrays on a (4, N)
+    divergence shift of a volume-weighted field is its identity coefficient
+    w, which they read past.  Floats at a point, (N,) arrays on a (4, N)
     cloud or on a bundle's points; NotHermitian where the Hermiticity
     residual exceeds tol (or is not a number)."""
     bundle = qd.bg.jets(where)
@@ -324,7 +328,7 @@ def to_special(y: HermitianField, qd: QuantumData, o: Observer, where, tol: floa
         at = point[:, np.argmax(bad)] if batch else point
         raise NotHermitian(f"Hermiticity residual {np.max(herm):.3e} at {at.tolist()}")
     x = value_array(y.x_jets(bundle, 0), batch)
-    ycheck = value_array(vertical_projection(y, qd, o, bundle).y, batch).real
+    ycheck = value_array(vertical_projection(y, qd, o, bundle).y, batch)
     f0, fi = x[0], -x[1:]
     g = value_array(bundle.metric(0), batch)
     pref = qd.bg.constants.metric_prefactor

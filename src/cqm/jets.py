@@ -1,12 +1,16 @@
 """Forward-mode truncated Taylor (jet) arithmetic in 4 chart variables.
 
 A ``Jet`` of order n stores the Taylor coefficients c_alpha = (d^alpha f)/alpha!
-of a real or complex scalar field at a base point, for all multi-indices
+of a real scalar field at a base point, for all multi-indices
 |alpha| <= n <= 3.
 Arithmetic is closed at fixed order (higher terms are truncated); binary
 operations between jets of different orders truncate to the lower order.
 Every operation commutes with truncation bit for bit, signs of zero
 included, so a jet computed at a higher order serves every lower one.
+A composition with a univariate function forms only the Taylor factors its
+order uses, and a jet whose slots past the value are all zero (a constant)
+composes to the constant of g(value) with none formed, so a constant
+as small as 1e-300 composes without overflow.
 Jets do not store their base point; mixing jets from different points is the
 caller's responsibility.
 
@@ -23,8 +27,8 @@ constant (every slot past the value zero) and a cloud scales the cloud by
 that number, and a zero constant gives a zero at a point, so the structural
 zeros of a computation stay points.  The terms left out are exact zeros, so
 the results are those of the product table, bit for bit, save that 0 times
-inf is 0.  On a cloud, value and extract return (N,) arrays, and a domain
-error is raised if any point fails.
+inf is 0.  On a cloud, value returns an (N,) array, and a domain error is
+raised if any point fails.
 Cloud coefficients are stored coefficient-major (the transpose of a
 C-contiguous (size, N) array), so products gather whole rows of points.
 
@@ -36,23 +40,12 @@ lexicographic comparison of the exponent tuple.  Degree blocks have sizes
 1, 4, 10, 20, so orders 0..3 use array lengths 1, 5, 15, 35 and an order-k
 jet's coefficients are a prefix of the order-3 layout.  This layout is fixed
 so that coefficient dumps are bit-comparable across implementations.
-
-Complex fields
---------------
-Coefficients are float64 for a real field and complex128 for a complex one,
-in the same layout.  A jet is complex when it is built from a complex value
-(``Jet.const(1j, n)``) or combined with a complex number or jet, so real code
-never pays for complex arithmetic.  Arithmetic, conj, exp, recip, sin and
-cos take complex jets; sqrt and log take real jets only and raise TypeError
-on complex coefficients (their domain checks order the value slot against
-zero, and their branch would be a choice).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 from typing import Sequence
 
 import numpy as np
@@ -117,7 +110,7 @@ def _build_deriv_tables():
 
 _DERIV_SRC, _DERIV_FAC = _build_deriv_tables()
 
-_NUMBER = (int, float, complex, np.number)
+_NUMBER = (int, float, np.integer, np.floating)
 
 
 @functools.lru_cache(maxsize=32)
@@ -136,9 +129,9 @@ def _first_failure(values, failed):
 
 
 class Jet:
-    """Truncated multivariate Taylor expansion of a real or complex scalar
-    field, at one point (coefficients of shape (size,)) or on a cloud of N
-    points (N, size)."""
+    """Truncated multivariate Taylor expansion of a real scalar field, at one
+    point (coefficients of shape (size,)) or on a cloud of N points
+    (N, size)."""
 
     __slots__ = ("order", "c")
 
@@ -150,10 +143,9 @@ class Jet:
 
     @staticmethod
     def const(value, order: int) -> "Jet":
-        """Constant jet: of a number at a point, of an (N,) array of values
-        on a cloud; complex only for a complex value."""
-        dtype = complex if np.dtype(getattr(value, "dtype", type(value))).kind == "c" else float
-        c = np.zeros((SIZES[order],) + getattr(value, "shape", ()), dtype)  # coefficient-major
+        """Constant jet: of a real number at a point, of an (N,) array of
+        values on a cloud."""
+        c = np.zeros((SIZES[order],) + getattr(value, "shape", ()))  # coefficient-major
         c[0] = value
         return Jet(order, c.T)
 
@@ -176,21 +168,9 @@ class Jet:
 
     @property
     def value(self):
-        """The value slot: a float (a complex for a complex jet) at a point,
-        an (N,) array on a cloud."""
+        """The value slot: a float at a point, an (N,) array on a cloud."""
         c = self.c
         return c[0].item() if c.ndim == 1 else c[:, 0]
-
-    def extract(self, alpha: Sequence[int]):
-        """Partial derivative d^alpha f at the base point (= alpha! c_alpha)."""
-        alpha = tuple(int(a) for a in alpha)
-        if sum(alpha) > self.order:
-            raise ValueError(f"|{alpha}| exceeds jet order {self.order}")
-        fact = 1.0
-        for a in alpha:
-            fact *= math.factorial(a)
-        slot = self.c[..., INDEX_OF[alpha]]
-        return fact * (slot.item() if self.c.ndim == 1 else slot)
 
     def truncate(self, order: int) -> "Jet":
         if order > self.order:
@@ -208,10 +188,6 @@ class Jet:
         src = _DERIV_SRC[var, :size]
         c = self.c
         return Jet(n, (c[src] if c.ndim == 1 else c.T[src].T) * _DERIV_FAC[var, :size])
-
-    def conj(self) -> "Jet":
-        """Complex conjugate (the jet of the conjugate field)."""
-        return Jet(self.order, self.c.conj())
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -260,17 +236,14 @@ class Jet:
         if self.c.ndim != other.c.ndim:
             # A constant at a point times a cloud: the table terms of its zero
             # slots are exact zeros, so the cloud is scaled by its number, and
-            # adding 0.0 keeps bincount's sign of zero.  The operands keep
-            # their order, as numpy's complex product rounds differently when
-            # swapped.  A zero constant stays a point.
+            # adding 0.0 keeps bincount's sign of zero.  A zero constant stays
+            # a point.
             size = SIZES[n]
-            point = self.c if self.c.ndim == 1 else other.c
+            point, cloud = (self.c, other.c) if self.c.ndim == 1 else (other.c, self.c)
             if not point[1:size].any():
                 if point[0] == 0:
-                    return Jet(n, np.zeros(size, np.result_type(self.c, other.c)))
-                a = self.c[0] if point is self.c else self.c[..., :size]
-                b = other.c[0] if point is other.c else other.c[..., :size]
-                return Jet(n, a * b + 0.0)
+                    return Jet(n, np.zeros(size))
+                return Jet(n, point[0] * cloud[..., :size] + 0.0)
         if n == 0:
             # One table term: the scatter below would give 0.0 + a*b, and
             # adding 0.0 keeps its sign of zero.
@@ -284,14 +257,6 @@ class Jet:
         if a.ndim != b.ndim:
             a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
         prod = a[ii] * b[jj]
-        if prod.dtype.kind == "c":
-            # bincount takes real weights only: scatter the interleaved real
-            # and imaginary parts as two float columns per point.
-            m = prod.size // len(prod)
-            flat = prod.reshape(len(prod), m).view(float).ravel()
-            out = np.bincount(_scatter_bins(n, 2 * m), weights=flat, minlength=SIZES[n] * 2 * m)
-            out = out.view(complex).reshape(SIZES[n], m)
-            return Jet(n, out[:, 0] if prod.ndim == 1 else out.T)
         if prod.ndim == 1:
             return Jet(n, np.bincount(kk, weights=prod, minlength=SIZES[n]))
         npoints = prod.shape[1]
@@ -320,26 +285,28 @@ class Jet:
 
     # -- composition with univariate functions ------------------------------
 
-    def _compose(self, taylor: Sequence) -> "Jet":
-        """g(f) for univariate g from its Taylor coefficients g^(k)(f0) / k!,
-        k = 0..3, at the value slot f0 (scalars at a point, (N,) arrays on a
-        cloud); exact at the stored order since (f - f0) is nilpotent."""
-        if self.order == 0:
-            c = np.zeros(self.c.shape, np.result_type(taylor[0]))
-            c[..., 0] = taylor[0]
-            return Jet(0, c)
+    def _compose(self, value, factors) -> "Jet":
+        """g(f) for univariate g from its value g(f0) and its Taylor factors
+        g^(k)(f0) / k!, k = 1, 2, 3, at the value slot f0 (scalars at a
+        point, (N,) arrays on a cloud); exact at the stored order since
+        (f - f0) is nilpotent.  `factors` is iterated only as far as the
+        order needs, and not at all for a constant, whose g(f) is the
+        constant g(f0)."""
+        if not self.c[..., 1:].any():
+            return Jet.const(value, self.order)
+        factors = iter(factors)
         nil = Jet(self.order, self.c.copy())
         nil.c[..., 0] = 0.0
         # coefficient-major products, so an (N,) coefficient scales each point
-        c = (nil.c.T * taylor[1]).T
-        c[..., 0] = taylor[0]
+        c = (nil.c.T * next(factors)).T
+        c[..., 0] = value
         power = nil
         for k in range(2, self.order + 1):
             # (f - f0)^k starts at degree k: adding its exact zeros below
             # would turn a -0.0 there into +0.0 at some orders only
             power = power * nil
             start = SIZES[k - 1]
-            c[..., start:] += (power.c[..., start:].T * taylor[k]).T
+            c[..., start:] += (power.c[..., start:].T * next(factors)).T
         return Jet(self.order, c)
 
     def recip(self) -> "Jet":
@@ -347,45 +314,58 @@ class Jet:
         if (v == 0.0).any():
             raise DomainError("division by a jet with zero value slot")
         r = 1.0 / v
-        r2 = r * r
-        return self._compose([r, -r2, r2 * r, -(r2 * r2)])
 
-    def _real_value_slot(self, name: str):
-        if self.c.dtype.kind == "c":
-            raise TypeError(f"{name} takes a real jet, not complex coefficients")
-        return self.c[..., 0]
+        def factors():
+            r2 = r * r
+            yield -r2
+            yield r2 * r
+            yield -(r2 * r2)
+
+        return self._compose(r, factors())
 
     def sqrt(self) -> "Jet":
-        v = self._real_value_slot("sqrt")
+        v = self.c[..., 0]
         bad = v <= 0.0
         if bad.any():
             raise DomainError(f"sqrt of nonpositive value slot {_first_failure(v, bad)}")
         s = np.sqrt(v)
-        h = 0.5 / s
-        r = 1.0 / v
-        return self._compose([s, h, -0.25 * h * r, 0.125 * h * r * r])
+
+        def factors():
+            h = 0.5 / s
+            yield h
+            r = 1.0 / v
+            yield -0.25 * h * r
+            yield 0.125 * h * r * r
+
+        return self._compose(s, factors())
 
     def exp(self) -> "Jet":
         e = np.exp(self.c[..., 0])
-        return self._compose([e, e, 0.5 * e, e / 6.0])
+        return self._compose(e, (e, 0.5 * e, e / 6.0))
 
     def log(self) -> "Jet":
-        v = self._real_value_slot("log")
+        v = self.c[..., 0]
         bad = v <= 0.0
         if bad.any():
             raise DomainError(f"log of nonpositive value slot {_first_failure(v, bad)}")
-        r = 1.0 / v
-        return self._compose([np.log(v), r, -0.5 * r * r, r * r * r / 3.0])
+
+        def factors():
+            r = 1.0 / v
+            yield r
+            yield -0.5 * r * r
+            yield r * r * r / 3.0
+
+        return self._compose(np.log(v), factors())
 
     def sin(self) -> "Jet":
         v = self.c[..., 0]
         s, c = np.sin(v), np.cos(v)
-        return self._compose([s, c, -0.5 * s, -c / 6.0])
+        return self._compose(s, (c, -0.5 * s, -c / 6.0))
 
     def cos(self) -> "Jet":
         v = self.c[..., 0]
         s, c = np.sin(v), np.cos(v)
-        return self._compose([c, -s, -0.5 * c, s / 6.0])
+        return self._compose(c, (-s, -0.5 * c, s / 6.0))
 
     def powi(self, k: int) -> "Jet":
         k = int(k)

@@ -52,6 +52,7 @@ from .hermitian import (
     invariant_combination,
     lie_bracket_y,
     pair_bracket,
+    potential_residual,
     vertical_projection,
 )
 from .jets import max_abs, value_array
@@ -255,7 +256,6 @@ def suite_curvature(sc: Scenario) -> list:
     batch = cloud.shape[1:]
     bg = sc.background
     c = bg.constants
-    coupling_ratio = (-c.mu.value * c.u0.value) / (c.q.value * c.u0.value / (2.0 * c.m.value))
     b = bg.jets(cloud)
     cjets = sc.qd.spin.coeffs(b, 1)
     rho = value_array(b.rho("moment", 0), batch)  # [lam, mu, k, point]
@@ -276,11 +276,14 @@ def suite_curvature(sc: Scenario) -> list:
     cvals = value_array(cjets, batch)
     recon = sum(EPS[i].T[:, :, None] * cvals[:, i, None, None] for i in range(3))
     worst_round = float(np.max(np.abs(recon - value_array(b.ktilde("moment", 0), batch))))
-    # charge vs moment rho differ only in (0, j) slots, by the coupling ratio
+    # charge vs moment rho differ only in (0, j) slots, where their parts
+    # past the gravitational one go as the couplings q u0/2m and -mu u0;
+    # cross-multiplied, so a neutral particle (q = 0) is checked too
     rho_c = value_array(b.rho("charge", 0), batch)
     rho_g = value_array(b.rho("grav", 0), batch)
+    charge, moment = c.q.value * c.u0.value / (2.0 * c.m.value), -c.mu.value * c.u0.value
     worst_slots = max(float(np.max(np.abs(rho[1:, 1:] - rho_c[1:, 1:]))),
-                      float(np.max(np.abs((rho[0] - rho_g[0]) - coupling_ratio * (rho_c[0] - rho_g[0])))))
+                      float(np.max(np.abs(charge * (rho[0] - rho_g[0]) - moment * (rho_c[0] - rho_g[0])))))
     return [
         Check("curvature.rtilde_relation", len(points), worst_rt),
         Check("curvature.c_roundtrip", len(points), worst_round),
@@ -410,9 +413,9 @@ def suite_observer(sc: Scenario) -> list:
         vals = np.array([invariant_combination(f, qd, o, cloud) for o in observers])
         scale = np.maximum(1.0, np.max(np.abs(vals), axis=0))
         worst = max(worst, float(np.max((np.max(vals, axis=0) - np.min(vals, axis=0)) / scale)))
-    n_pot = min(10, len(points))
+    potential = max(float(np.max(potential_residual(qd, o, cloud))) for o in observers)
     return [Check("observer.invariant_combination", len(points), worst),
-            Check("observer.potential_consistency", n_pot, qd.check_potential(points[:n_pot]))]
+            Check("observer.potential_consistency", len(points), potential)]
 
 
 def _smooth_grid(spec: GridSpec, rng: np.random.Generator) -> SpinorGrid:

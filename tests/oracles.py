@@ -1,15 +1,29 @@
 """Oracles the tests compare the package against: plain numpy or float
 evaluations written independently of the package's jet routes."""
 
+import math
 import struct
 
 import numpy as np
 
 from cqm.background import as_point
 from cqm.hermitian import HermitianField, Mat2
-from cqm.jets import Jet, value_array
+from cqm.jets import INDEX_OF, Jet, value_array
 from cqm.pauli import XI, XI_ALL
 from cqm.quantum import GridSpec, SpinorGrid, inner_product
+
+
+def extract(jet: Jet, alpha):
+    """Partial derivative d^alpha f of a jet at its base point
+    (= alpha! c_alpha): a float at a point, an (N,) array on a cloud."""
+    alpha = tuple(int(a) for a in alpha)
+    if sum(alpha) > jet.order:
+        raise ValueError(f"|{alpha}| exceeds jet order {jet.order}")
+    fact = 1.0
+    for a in alpha:
+        fact *= math.factorial(a)
+    slot = jet.c[..., INDEX_OF[alpha]]
+    return fact * (slot.item() if jet.c.ndim == 1 else slot)
 
 
 def gtilde(a: np.ndarray, b: np.ndarray) -> float:
@@ -124,10 +138,11 @@ def phi_observer_pullback(bundle, o, order: int) -> list:
 
 
 def mat2_constant(mat: np.ndarray, order: int) -> Mat2:
-    """The constant matrix field of a numeric matrix M: y_0 = -(i/2) tr M and
-    y_a = -2 tr(M xi_a)."""
-    coeffs = [-0.5j * np.trace(mat)] + [-2.0 * np.trace(mat @ XI_ALL[1 + a]) for a in range(3)]
-    return Mat2([Jet.const(complex(c), order) for c in coeffs])
+    """The constant matrix field of a numeric matrix M = w 1 + (anti-Hermitian):
+    w = 1/2 Re tr M, y_0 = 1/2 Im tr M and y_a = -2 tr(M xi_a)."""
+    tr = np.trace(mat)
+    coeffs = [0.5 * tr.imag] + [(-2.0 * np.trace(mat @ XI_ALL[1 + a])).real for a in range(3)]
+    return Mat2([Jet.const(float(c), order) for c in coeffs], Jet.const(0.5 * tr.real, order))
 
 
 def x_values(y: HermitianField, where) -> np.ndarray:
@@ -150,11 +165,13 @@ def hermitian_raw(x_fields, y0_field, yi_fields, name: str = "") -> HermitianFie
 
 def act_on_section(y: HermitianField, psi, where) -> np.ndarray:
     """(Y.psi)^A = X^lam d_lam psi^A - Y^A_B psi^B at a point, for a
-    SpinorSection psi."""
+    SpinorSection psi, whose components are held as (re, im) pairs of real
+    jets."""
     point = as_point(where)
-    pj = [re.eval_jet(point, 1) + im.eval_jet(point, 1) * 1j for re, im in psi.components]
-    dpsi = np.array([[p.derive(lam).value for lam in range(4)] for p in pj])
-    psi0 = np.array([p.value for p in pj])
+    pairs = [(re.eval_jet(point, 1), im.eval_jet(point, 1)) for re, im in psi.components]
+    dpsi = np.array([[complex(re.derive(lam).value, im.derive(lam).value) for lam in range(4)]
+                     for re, im in pairs])
+    psi0 = np.array([complex(re.value, im.value) for re, im in pairs])
     return dpsi @ x_values(y, point) - y.ymat(where, 0).values() @ psi0
 
 

@@ -409,6 +409,32 @@ def test_constant_metric_whose_volume_overflows_is_a_load_error(diagonal, det):
     assert (rc, out, err) == (2, "", f"error: metric: det g = {det} is not a positive finite number\n")
 
 
+@pytest.mark.parametrize("entry", ["1e-80", "1e-100", "1e-300"])
+def test_tiny_constant_metric_entry_verifies_without_warnings(entry):
+    """A constant metric entry this small has a finite det g and inverse, so
+    it loads; every jet composed of it is a constant, whose Taylor factors
+    (powers of 1/entry that overflow) are never formed, so no warning is
+    raised and no residual is NaN.  operators.symmetry_ratio, which reads
+    absolute residuals, may still fail on it."""
+    metric = [[entry if i == j == 0 else str(float(i == j)) for j in range(3)] for i in range(3)]
+    rc, out, err = _main("verify", json.dumps({"metric": metric}))
+    assert err == ""
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert all(c["max_residual"] is not None for c in report["checks"])
+    failing = {c["name"] for c in report["checks"] if not c["passed"]}
+    assert failing <= {"operators.symmetry_ratio"}
+    assert rc == (1 if failing else 0)
+
+
+def test_neutral_spin_particle_verifies():
+    """q = 0 with a magnetic moment (a neutron) is a valid particle: the
+    coupling slots are compared cross-multiplied, not through q."""
+    rc, out, err = _main("verify", json.dumps({"constants": {"q": 0}, "F": {"12": "1"}}))
+    assert (rc, err) == (0, "")
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["passed"] and all(c["passed"] for c in report["checks"])
+
+
 @pytest.mark.parametrize("scenario, argv, source", [
     (str(SCENARIO_DIR / "flat.json"), ["--seed", "-1"], "--seed"),
     (json.dumps({"suite": {"seed": -3}}), [], "suite.seed"),

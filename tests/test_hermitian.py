@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cqm.background import Observer
+from cqm.background import Observer, divergence_eta_jets
 from cqm.fieldlang import FieldDef, zero_field
 from cqm.hermitian import (
     HermitianField,
@@ -17,6 +17,7 @@ from cqm.hermitian import (
     invariant_combination,
     lie_bracket_y,
     pair_bracket,
+    potential_residual,
     to_special,
     vertical_projection,
     y_coefficients,
@@ -52,7 +53,7 @@ def vertical_const_field(consts, y0, yi, name="v"):
 
 def test_mat2_commutator_is_the_matrix_commutator(curved_magnetic_scenario):
     """The cross product of the xi_a coefficients is the commutator of the
-    matrices, on a cloud of complex fields."""
+    matrices, on a cloud of fields with an identity part."""
     sc = curved_magnetic_scenario
     cloud = sample_box(np.random.default_rng(38), 7).T
     rng = np.random.default_rng(39)
@@ -61,7 +62,7 @@ def test_mat2_commutator_is_the_matrix_commutator(curved_magnetic_scenario):
     def random_mat2(tag):
         pair = random_raw_pair(rng, consts, tag)
         shift = FieldDef(f"s{tag}", DIMLESS, "0.3*x1 - 0.2*x0*x2", consts)
-        # a complex y_0 and xi_a parts, as from_special gives
+        # an identity shift w, xi_0 and xi_a parts, as from_special gives
         return pair[1](cloud, 1).add_identity(shift.eval_jet(cloud, 1))
 
     m1, m2 = random_mat2("a"), random_mat2("b")
@@ -73,9 +74,11 @@ def test_mat2_commutator_is_the_matrix_commutator(curved_magnetic_scenario):
 
 
 def test_mat2_constant_round_trips_a_complex_matrix():
+    """M = w 1 + (anti-Hermitian), the matrices a Mat2 holds."""
     rng = np.random.default_rng(40)
     for _ in range(5):
-        m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        m = rng.standard_normal() * np.eye(2) + (a - a.conj().T)
         got = mat2_constant(m, 2).values()
         assert np.max(np.abs(got - m)) <= 1e-15 * np.max(np.abs(m))
 
@@ -479,10 +482,11 @@ def _dtypes(jets) -> set:
     return set().union(*(_dtypes(j) for j in jets))
 
 
-def test_only_the_matrix_part_is_complex(curved_magnetic_scenario):
-    """The background, the spin connection, the component jets and the grid
-    geometry stay float64; of the matrix part Y^A_B = y_nu xi_nu only y_0,
-    which carries the -1/2 div shift, is complex."""
+def test_every_coefficient_is_real_and_the_shift_is_in_w(curved_magnetic_scenario):
+    """The background, the spin connection, the component jets, the matrix
+    part Y^A_B = w 1 + y_nu xi_nu and the grid geometry are float64; the
+    -1/2 div shift of Y[F] is its identity coefficient w, and the matrix
+    still passes the volume-weighted Hermiticity test."""
     sc = curved_magnetic_scenario
     rng = np.random.default_rng(36)
     cloud = sample_box(rng, 7).T
@@ -500,9 +504,11 @@ def test_only_the_matrix_part_is_complex(curved_magnetic_scenario):
     }
     for name, jets in real.items():
         assert _dtypes(jets) == {np.dtype(np.float64)}, name
-    y = from_special(f, sc.qd).ymat(cloud, 1).y
-    assert _dtypes(y[0]) == {np.dtype(np.complex128)}
-    assert _dtypes(y[1:]) == {np.dtype(np.float64)}
+    y = from_special(f, sc.qd).ymat(cloud, 1)
+    assert _dtypes([y.w, *y.y]) == {np.dtype(np.float64)}
+    div = divergence_eta_jets(component_jets(f, b, 2).x_components(), b, 1)
+    assert np.array_equal(y.w.c, (div * -0.5).c)
+    assert np.max(hermiticity_residual(from_special(f, sc.qd), sc.qd, b)) < 1e-12
 
     with warnings.catch_warnings():
         # a complex jet cast into a real node array would only warn
@@ -545,7 +551,7 @@ def test_main_theorem_sees_the_electric_potential():
     sc = load_scenario(scn)
     rng = np.random.default_rng(5)
     points = sc.sample_points(rng, 20)
-    assert sc.qd.check_potential(points) < 1e-12
+    assert np.max(potential_residual(sc.qd, Observer.reference(), points.T)) < 1e-12
     consts = sc.background.constants.table()
     for _ in range(3):
         f, fp = random_special_function(rng, consts), random_special_function(rng, consts)

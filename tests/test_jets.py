@@ -1,11 +1,12 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cqm.jets import INDEX_OF, MULTI_INDICES, SIZES, DomainError, Jet
+
+from oracles import extract
 
 
 def fd_partial(f, point, alpha, h):
@@ -39,15 +40,15 @@ def test_layout_sizes():
 def test_seed_basics():
     j = Jet.seed((0.0, 1.0, 2.0, 3.0), 2, 1)
     assert j.value == 2.0
-    assert j.extract((0, 0, 1, 0)) == 1.0
-    assert j.extract((0, 1, 0, 0)) == 0.0
+    assert extract(j, (0, 0, 1, 0)) == 1.0
+    assert extract(j, (0, 1, 0, 0)) == 0.0
     j0 = Jet.seed((0.5, 0, 0, 0), 0, 0)
     assert j0.order == 0 and j0.value == 0.5
 
 
 def test_seed_second_derivative_zero():
     j = Jet.seed((0, 1, 2, 3), 1, 2)
-    assert j.extract((0, 2, 0, 0)) == 0.0
+    assert extract(j, (0, 2, 0, 0)) == 0.0
 
 
 def test_seed_order_out_of_range():
@@ -59,22 +60,22 @@ def test_square_of_coordinate():
     j = Jet.seed((0, 3, 0, 0), 1, 2)
     p = j * j
     assert p.value == 9.0
-    assert p.extract((0, 1, 0, 0)) == 6.0
+    assert extract(p, (0, 1, 0, 0)) == 6.0
     # Taylor coefficient is 1, derivative is 2
     assert p.c[[i for i, a in enumerate(MULTI_INDICES) if a == (0, 2, 0, 0)][0]] == 1.0
-    assert p.extract((0, 2, 0, 0)) == 2.0
+    assert extract(p, (0, 2, 0, 0)) == 2.0
 
 
 def test_cube_extract_factorial():
     j = Jet.seed((0, 2, 0, 0), 1, 3)
     p = j * j * j
-    assert p.extract((0, 3, 0, 0)) == pytest.approx(6.0)
+    assert extract(p, (0, 3, 0, 0)) == pytest.approx(6.0)
 
 
 def test_mixed_product_extract():
     x1 = Jet.seed((0, 0.7, -0.3, 0), 1, 2)
     x2 = Jet.seed((0, 0.7, -0.3, 0), 2, 2)
-    assert (x1 * x2).extract((0, 1, 1, 0)) == pytest.approx(1.0)
+    assert extract(x1 * x2, (0, 1, 1, 0)) == pytest.approx(1.0)
 
 
 def test_exp_of_zero_constant():
@@ -92,7 +93,7 @@ def test_sin_matches_fd_with_h_sweep():
     for alpha in ((1, 0, 0, 0), (2, 0, 0, 0), (3, 0, 0, 0)):
         errs = []
         for h in (1e-2, 5e-3):
-            errs.append(abs(j.extract(alpha) - fd_partial(f, point, alpha, h)))
+            errs.append(abs(extract(j, alpha) - fd_partial(f, point, alpha, h)))
         # O(h^2): halving h shrinks the error ~4x (allow slack for roundoff)
         assert errs[1] < errs[0] / 3.0 or errs[0] < 1e-11
 
@@ -110,7 +111,7 @@ def test_rational_function_matches_fd():
     j = build(point)
     for alpha in ((1, 0, 0, 0), (0, 1, 1, 0), (0, 0, 0, 2), (1, 1, 0, 1)):
         fd = fd_partial(f, point, alpha, 1e-3)
-        assert j.extract(alpha) == pytest.approx(fd, abs=1e-5)
+        assert extract(j, alpha) == pytest.approx(fd, abs=1e-5)
 
 
 coeff_arrays = st.lists(st.floats(-2.0, 2.0), min_size=35, max_size=35)
@@ -124,8 +125,8 @@ def test_product_rule(ca, cb):
     p = f * g
     for v in range(4):
         alpha = tuple(1 if k == v else 0 for k in range(4))
-        lhs = p.extract(alpha)
-        rhs = f.extract(alpha) * g.value + f.value * g.extract(alpha)
+        lhs = extract(p, alpha)
+        rhs = extract(f, alpha) * g.value + f.value * extract(g, alpha)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -147,7 +148,7 @@ def test_mixed_partials_structural():
 
     assert INDEX_OF[(0, 1, 1, 0)] == INDEX_OF[tuple((0, 1, 1, 0))]
     j = Jet.seed((0, 0.3, 0.4, 0), 1, 2) * Jet.seed((0, 0.3, 0.4, 0), 2, 2)
-    assert j.extract((0, 1, 1, 0)) == j.extract((0, 1, 1, 0))
+    assert extract(j, (0, 1, 1, 0)) == extract(j, (0, 1, 1, 0))
 
 
 def test_derive_drops_order():
@@ -155,7 +156,7 @@ def test_derive_drops_order():
     d = j.derive(1)
     assert d.order == 2
     assert d.value == pytest.approx(math.cos(0.5))
-    assert d.extract((0, 1, 0, 0)) == pytest.approx(-math.sin(0.5))
+    assert extract(d, (0, 1, 0, 0)) == pytest.approx(-math.sin(0.5))
     with pytest.raises(ValueError):
         Jet.const(1.0, 0).derive(0)
 
@@ -169,23 +170,10 @@ def test_domain_errors():
         Jet.const(1.0, 2) / Jet.const(0.0, 2)
 
 
-@pytest.mark.parametrize("re", [0.5, -0.5])
-@pytest.mark.parametrize("name", ["sqrt", "log"])
-def test_sqrt_and_log_reject_complex_jets(name, re):
-    """No branch is picked and no complex value is ordered against zero."""
-    z = Jet.seed((re, 0, 0, 0), 0, 1) + 1j
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(TypeError, match="real jet"):
-            getattr(z, name)()
-        with pytest.raises(TypeError, match="real jet"):
-            getattr(Jet(1, np.repeat(z.c[None], 3, axis=0)), name)()
-
-
 def test_powi():
     j = Jet.seed((0, 1.5, 0, 0), 1, 3)
     assert (j ** 4).value == pytest.approx(1.5 ** 4)
-    assert (j ** 4).extract((0, 1, 0, 0)) == pytest.approx(4 * 1.5 ** 3)
+    assert extract(j ** 4, (0, 1, 0, 0)) == pytest.approx(4 * 1.5 ** 3)
     assert (j ** -2).value == pytest.approx(1.5 ** -2)
     assert (j ** 0).value == 1.0
 
@@ -193,7 +181,7 @@ def test_powi():
 def test_extract_order_exceeded():
     j = Jet.seed((0, 1, 0, 0), 1, 1)
     with pytest.raises(ValueError):
-        j.extract((0, 2, 0, 0))
+        extract(j, (0, 2, 0, 0))
 
 
 def test_binary_ops_truncate_to_lower_order():
@@ -203,45 +191,16 @@ def test_binary_ops_truncate_to_lower_order():
     assert (a + b).order == 1
 
 
-def test_complex_jet_arithmetic():
+def test_jets_are_real():
+    """A jet holds a real field: a complex number is no jet and combines
+    with none."""
     x = Jet.seed((0.3, 0.4, 0, 0), 0, 2)
-    y = Jet.seed((0.3, 0.4, 0, 0), 1, 2)
-    z = x + y * 1j
-    assert z.c.dtype == np.complex128 and x.c.dtype == np.float64
-    w = z * z.conj()
-    assert w.value == pytest.approx(abs(complex(0.3, 0.4)) ** 2)
-    assert w.value.imag == pytest.approx(0.0)
-    # d/dx0 |z|^2 = 2 x0, d/dx1 |z|^2 = 2 x1
-    assert w.extract((1, 0, 0, 0)) == pytest.approx(0.6)
-    assert w.extract((0, 1, 0, 0)) == pytest.approx(0.8)
-    q = z / z
-    assert q.value == pytest.approx(1.0)
-    assert (z * 1j).value == pytest.approx(complex(-0.4, 0.3))
-    assert isinstance(z.value, complex) and isinstance(x.value, float)
-
-
-def test_complex_jet_exp():
-    x = Jet.seed((0.2, 1.1, 0, 0), 0, 2)
-    y = Jet.seed((0.2, 1.1, 0, 0), 1, 2)
-    e = (x + y * 1j).exp()
-    expected = np.exp(complex(0.2, 1.1))
-    assert e.value == pytest.approx(expected)
-    # d/dx0 exp(x0 + i x1) = exp, d/dx1 = i exp
-    assert e.extract((1, 0, 0, 0)) == pytest.approx(expected)
-    assert e.extract((0, 1, 0, 0)) == pytest.approx(1j * expected)
-    assert Jet.const(1j, 0).exp().value == pytest.approx(np.exp(1j))
-
-
-def test_const_is_complex_only_for_complex_values():
-    assert Jet.const(1.0, 2).c.dtype == np.float64
-    assert Jet.const(2, 2).c.dtype == np.float64
-    assert Jet.const(np.ones(3), 1).c.dtype == np.float64
-    assert Jet.const(0j, 2).c.dtype == np.complex128
-    assert Jet.const(np.full(3, 1j), 1).c.dtype == np.complex128
-    real = Jet.seed((0.1, 0.2, 0.3, 0.4), 1, 2)
+    for op in (lambda: Jet.const(1j, 1), lambda: x * 1j, lambda: x + 1j, lambda: 1j * x, lambda: x - 1j):
+        with pytest.raises(TypeError):
+            op()
     for op in (lambda j: j + 1.0, lambda j: j * 2, lambda j: j / 3.0, lambda j: 1.0 - j,
-               lambda j: j * j, Jet.exp, Jet.recip, Jet.conj):
-        assert op(real).c.dtype == np.float64
+               lambda j: j * j, Jet.exp, Jet.recip):
+        assert op(x).c.dtype == np.float64
 
 
 # -- clouds: a (N, size) jet must equal the N stacked point jets ------------
@@ -278,34 +237,6 @@ _BINARY_OPS = {
     "mul": lambda a, b: a * b,
     "div": lambda a, b: a / b,
 }
-_COMPLEX_OPS = {
-    "add": lambda z, w: z + w,
-    "sub": lambda z, w: z - w,
-    "mul": lambda z, w: z * w,
-    "div": lambda z, w: z / w,
-    "exp": lambda z, w: z.exp(),
-    "conj": lambda z, w: z.conj(),
-    "conj_mul": lambda z, w: z.conj() * w,
-    "recip": lambda z, w: z.recip(),
-    "powi3": lambda z, w: z.powi(3),
-    "add_number": lambda z, w: z + (0.5 - 0.25j),
-    "div_number": lambda z, w: z / (1.3 + 0.4j),
-}
-# a real jet a and a complex jet z in either order, and complex numbers with
-# real jets
-_MIXED_OPS = {
-    "real_mul_complex": lambda a, z: a * z,
-    "complex_mul_real": lambda a, z: z * a,
-    "real_add_complex": lambda a, z: a + z,
-    "real_sub_complex": lambda a, z: a - z,
-    "complex_div_real": lambda a, z: z / a,
-    "real_div_complex": lambda a, z: a / z,
-    "number_mul_real": lambda a, z: (0.3 - 1.2j) * a,
-    "real_mul_number": lambda a, z: a * (0.3 - 1.2j),
-    "number_sub_real": lambda a, z: (0.3 - 1.2j) - a,
-}
-
-
 @st.composite
 def clouds(draw):
     """Two clouds of one order: coefficients in [-2, 2], value slots in
@@ -335,70 +266,6 @@ def test_cloud_operations_match_stacked_points(pair):
             _assert_ulps(a.derive(v).c, _stacked(lambda j: j.derive(v), a))
     for order in range(a.order + 1):
         _assert_ulps(a.truncate(order).c, _stacked(lambda j: j.truncate(order), a))
-    z, w = a + b * 1j, b + a * 0.5j
-    for op in _COMPLEX_OPS.values():
-        got = op(z, w)
-        assert got.c.dtype == np.complex128
-        _assert_ulps(got.c, _stacked(op, z, w))
-    for op in _MIXED_OPS.values():
-        got = op(a, z)
-        assert got.c.dtype == np.complex128
-        _assert_ulps(got.c, _stacked(op, a, z))
-
-
-def _pair(z):
-    """The real and imaginary parts of a complex jet as two real jets."""
-    return Jet(z.order, z.c.real.copy()), Jet(z.order, z.c.imag.copy())
-
-
-def _size(*factors):
-    """The product of the factors' |coefficients|: slot by slot, the sum of
-    the sizes of the terms that the product of the factors sums there."""
-    out = Jet(factors[0].order, np.abs(factors[0].c))
-    for f in factors[1:]:
-        out = out * Jet(f.order, np.abs(f.c))
-    return out.c
-
-
-@settings(max_examples=40, deadline=None)
-@given(clouds())
-def test_complex_jets_match_real_pairs(pair):
-    """Complex arithmetic against the same field written as pairs of real
-    jets: (x + iy)(u + iv) = (xu - yv) + i(xv + yu), exp(x + iy) =
-    e^x (cos y + i sin y).  mul, div and exp round differently in the two
-    forms, so they agree to 32 ulps of the size of the terms each slot sums
-    (the real-pair products on |coefficients|); the complex division goes
-    through 1/w, whose rounding grows with |1/w|, so its sizes are scaled by
-    the draw's max |1/w| as well.  The rest must agree to 8 ulps of the
-    largest coefficient."""
-    a, b = pair
-    z, w = a + b * 1j, b + a * 0.5j
-    (x, y), (u, v) = _pair(z), _pair(w)
-    den = (u * u + v * v).recip()
-    ex, cy, sy = x.exp(), y.cos(), y.sin()
-    inv_w = max(1.0, float(np.max(1.0 / np.abs(w.value))))
-    sizes = {
-        "mul": _size(x, u) + _size(y, v) + _size(x, v) + _size(y, u),
-        "div": (_size(x, u, den) + _size(y, v, den) + _size(y, u, den) + _size(x, v, den)) * inv_w,
-        "exp": _size(ex, cy) + _size(ex, sy),
-    }
-    oracles = {
-        "add": (z + w, (x + u, y + v)),
-        "sub": (z - w, (x - u, y - v)),
-        "mul": (z * w, (x * u - y * v, x * v + y * u)),
-        "div": (z / w, ((x * u + y * v) * den, (y * u - x * v) * den)),
-        "exp": (z.exp(), (ex * cy, ex * sy)),
-        "conj": (z.conj(), (x, -y)),
-        "real_times": (a * w, (a * u, a * v)),
-        "number_times": ((0.3 - 1.2j) * a, (a * 0.3, a * -1.2)),
-    }
-    for name, (got, (re, im)) in oracles.items():
-        want = re.c + im.c * 1j
-        if name in sizes:
-            assert got.c.shape == want.shape
-            assert np.all(np.abs(got.c - want) <= 32 * np.finfo(float).eps * sizes[name])
-        else:
-            _assert_ulps(got.c, want)
 
 
 @settings(max_examples=20, deadline=None)
@@ -409,12 +276,6 @@ def test_point_jets_broadcast_against_clouds(pair):
     for op in _BINARY_OPS.values():
         _assert_ulps(op(a, point).c, _stacked(lambda j: op(j, point), a))
         _assert_ulps(op(point, a).c, _stacked(lambda j: op(point, j), a))
-    # complex points against real and complex clouds
-    zpoint = point * (1.0 - 0.5j)
-    for cloud in (a, a + b * 1j):
-        for op in _BINARY_OPS.values():
-            _assert_ulps(op(cloud, zpoint).c, _stacked(lambda j: op(j, zpoint), cloud))
-            _assert_ulps(op(zpoint, cloud).c, _stacked(lambda j: op(zpoint, j), cloud))
 
 
 def test_cloud_seeds_value_and_extract():
@@ -423,8 +284,8 @@ def test_cloud_seeds_value_and_extract():
     assert x1.c.shape == (3, 15)
     assert np.array_equal(x1.value, [1.0, 2.0, 3.0])
     sq = x1 * x1
-    assert np.array_equal(sq.extract((0, 1, 0, 0)), [2.0, 4.0, 6.0])
-    assert np.array_equal(sq.extract((0, 2, 0, 0)), [2.0, 2.0, 2.0])
+    assert np.array_equal(extract(sq, (0, 1, 0, 0)), [2.0, 4.0, 6.0])
+    assert np.array_equal(extract(sq, (0, 2, 0, 0)), [2.0, 2.0, 2.0])
     for k in range(3):
         point = Jet.seed(cloud[:, k], 1, 2) * Jet.seed(cloud[:, k], 1, 2)
         assert np.array_equal(sq.c[k], point.c)
@@ -447,6 +308,30 @@ def test_sqrt_of_a_huge_jet_scales_without_overflow(point, order):
     np.testing.assert_allclose(big.c, 1e100 * ref.c, rtol=1e-15, atol=0)
 
 
+@pytest.mark.parametrize("op", ["recip", "sqrt", "exp", "log", "sin", "cos"])
+@pytest.mark.parametrize("shape", [(), (3,)], ids=["point", "cloud"])
+def test_a_constant_composes_to_the_constant_of_its_value(op, shape):
+    """g of a constant is the constant g(value), with no Taylor factor
+    formed: 1/v^4 of a 1e-300 constant would overflow, and 0 * inf in its
+    zero slots would give NaN."""
+    v = np.full(shape, 1e-300)
+    with np.errstate(all="raise"):
+        got = getattr(Jet.const(v, 3), op)()
+        want = getattr(np, {"recip": "reciprocal"}.get(op, op))(v)
+    assert np.array_equal(got.c, Jet.const(want, 3).c)
+
+
+@pytest.mark.parametrize("op", ["sqrt", "log"])
+def test_composition_forms_only_the_factors_its_order_uses(op):
+    """At order 1, sqrt and log of a field whose value is 1e-300 form no
+    1/v^2 (which overflows) and give the exact first derivative."""
+    x = Jet.seed((1e-300, 0, 0, 0), 0, 1)
+    with np.errstate(all="raise"):
+        got = getattr(x, op)()
+    first = 0.5 / math.sqrt(1e-300) if op == "sqrt" else 1.0 / 1e-300
+    assert extract(got, (1, 0, 0, 0)) == first
+
+
 @pytest.mark.parametrize("op", [Jet.sqrt, Jet.log, Jet.recip, lambda j: Jet.const(1.0, 2) / j])
 def test_cloud_with_one_bad_point_raises(op):
     c = np.zeros((5, SIZES[2]))
@@ -460,28 +345,25 @@ def test_cloud_with_one_bad_point_raises(op):
 # -- a constant at a point times a cloud: scaled by its number --------------
 
 def _same_bits(got, want):
-    """Equal values and equal signs of zero, part by part for complex."""
+    """Equal values and equal signs of zero."""
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
-    got, want = (np.ascontiguousarray(c).view(float) for c in (got, want))
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-@pytest.mark.parametrize("value", [0.0, -0.0, -1.75, 0.6 - 1.3j])
+@pytest.mark.parametrize("value", [0.0, -0.0, -1.75])
 @pytest.mark.parametrize("const_order", [0, 1, 2, 3])
-@pytest.mark.parametrize("complex_cloud", [False, True], ids=["real", "complex"])
-def test_point_constant_times_cloud_matches_table_path(value, const_order, complex_cloud):
+@pytest.mark.parametrize("dtype", [np.float64], ids=["real"])
+def test_point_constant_times_cloud_matches_table_path(value, const_order, dtype):
     """A constant at a point times a cloud gives the bits of the same constant
     repeated as a cloud, which goes through the product table, in both operand
     orders and with the constant's order above, equal to and below the
     cloud's; a zero constant stays point-shaped."""
     rng = np.random.default_rng(11)
     cloud_order, n = 2, 6
-    c = rng.uniform(-2.0, 2.0, (n, SIZES[cloud_order]))
+    c = rng.uniform(-2.0, 2.0, (n, SIZES[cloud_order])).astype(dtype)
     c[:, 3], c[:, 4], c[2, 0] = -0.0, 0.0, -0.0  # signs of zero to keep
     cloud = Jet(cloud_order, c)
-    if complex_cloud:
-        cloud = cloud * (0.5 + 2.0j) - 1.0j
     point, repeated = Jet.const(value, const_order), Jet.const(np.full(n, value), const_order)
     for got, want in ((point * cloud, repeated * cloud), (cloud * point, cloud * repeated)):
         assert got.order == want.order == min(const_order, cloud_order)
