@@ -23,8 +23,6 @@ the observed potential Ch[o] = A + theta[o] (CONVENTIONS.md).
 
 from __future__ import annotations
 
-import functools
-import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -32,7 +30,7 @@ import numpy as np
 
 from . import fieldlang as fl
 from .fieldlang import FieldDef
-from .jets import MAX_ORDER, Jet, value_array
+from .jets import MAX_ORDER, Jet, jet_sum, value_array
 from .pauli import InconsistentSystem, axis_vector, spin_curvature_jets
 from .units import (
     BFIELD_FRAME_DIM,
@@ -340,7 +338,7 @@ class BackgroundJets:
                         if (h, lam, mu) in dg:
                             terms.append(-dg[h, lam, mu])
                         if terms:
-                            gam = sum(terms[1:], terms[0]) * 0.5
+                            gam = jet_sum(terms) * 0.5
                             for i in range(1, 4):
                                 add((i, lam, mu), self.metric_inv(order)[i - 1][h - 1] * gam)
             for key, fld in self.bg.kgrav.items():
@@ -353,46 +351,33 @@ class BackgroundJets:
 
     # -- metric algebra ------------------------------------------------------
 
-    def det(self, order: int) -> Jet:
-        def build():
-            g = self.metric(order)
-            return (
-                g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
-                - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])
-                + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0])
-            )
-        return self._get(("det", order), build)
-
     def sqrt_det(self, order: int) -> Jet:
+        """sqrt|g| = L_00 L_11 L_22, the diagonal of the frame's Cholesky
+        factor L (einv[a][i] = L[i][a])."""
         def build():
-            d = self.det(order)
-            _require_positive(d, "det g = {value} at {where}", self.point)
-            return d.sqrt()
+            _, einv = self.frame(order)
+            return einv[0][0] * einv[1][1] * einv[2][2]
         return self._get(("sqrtg", order), build)
 
     def metric_inv(self, order: int) -> list:
+        """g^ij = sum_a e_a^i e_a^j from the frame, formed for i <= j and
+        mirrored, so exactly symmetric; e_a^i = 0 for a < i, so the terms
+        a < j are left out."""
         def build():
-            g = self.metric(order)
-            det = self.det(order)
-            _require_positive(det, "det g = {value} at {where}", self.point)
-            inv_det = det.recip()
-            adj = [
-                [g[1][1] * g[2][2] - g[1][2] * g[2][1],
-                 g[0][2] * g[2][1] - g[0][1] * g[2][2],
-                 g[0][1] * g[1][2] - g[0][2] * g[1][1]],
-                [g[1][2] * g[2][0] - g[1][0] * g[2][2],
-                 g[0][0] * g[2][2] - g[0][2] * g[2][0],
-                 g[0][2] * g[1][0] - g[0][0] * g[1][2]],
-                [g[1][0] * g[2][1] - g[1][1] * g[2][0],
-                 g[0][1] * g[2][0] - g[0][0] * g[2][1],
-                 g[0][0] * g[1][1] - g[0][1] * g[1][0]],
-            ]
-            return [[adj[i][j] * inv_det for j in range(3)] for i in range(3)]
+            e, _ = self.frame(order)
+            ginv = [[None] * 3 for _ in range(3)]
+            for i in range(3):
+                for j in range(i, 3):
+                    ginv[i][j] = ginv[j][i] = jet_sum(e[i][a] * e[j][a] for a in range(j, 3))
+            return ginv
         return self._get(("ginv", order), build)
 
     def frame(self, order: int):
         """Triad e (as e[i][a] = e_a^i) and inverse e^a_i (einv[a][i]) from the
-        Cholesky factor of g, positive diagonal, positive orientation."""
+        Cholesky factor of g, positive diagonal, positive orientation: the one
+        factorisation of g, which sqrt_det and metric_inv read.  A metric that
+        is not positive definite is NotPositiveDefinite at the first pivot
+        that is not positive."""
         def build():
             g = self.metric(order)
             _require_positive(g[0][0], "g00 = {value} at {where}", self.point)
@@ -444,14 +429,7 @@ class BackgroundJets:
                 c00 = None
             else:
                 raise ValueError(f"unknown coupling {which!r}")
-            fup = [[None] * 4 for _ in range(3)]
-            for i in range(3):
-                for mu in range(4):
-                    acc = None
-                    for h in range(3):
-                        term = ginv[i][h] * f[h + 1][mu]
-                        acc = term if acc is None else acc + term
-                    fup[i][mu] = acc
+            fup = [[jet_sum(ginv[i][h] * f[h + 1][mu] for h in range(3)) for mu in range(4)] for i in range(3)]
             k = [[[kg[lam][i][mu] for mu in range(4)] for i in range(3)] for lam in range(4)]
             for i in range(3):
                 if c00 is not None:
@@ -532,15 +510,8 @@ class BackgroundJets:
         def build():
             f = self.f_jets(order)
             e, _ = self.frame(order)
-            fcheck = [[None] * 3 for _ in range(3)]
-            for a in range(3):
-                for b in range(3):
-                    acc = None
-                    for i in range(3):
-                        for j in range(3):
-                            term = f[i + 1][j + 1] * e[i][a] * e[j][b]
-                            acc = term if acc is None else acc + term
-                    fcheck[a][b] = acc
+            fcheck = [[jet_sum(f[i + 1][j + 1] * e[i][a] * e[j][b] for i in range(3) for j in range(3))
+                       for b in range(3)] for a in range(3)]
             return [-w for w in axis_vector(fcheck)]
         return self._get(("B", order), build)
 
@@ -553,8 +524,8 @@ class BackgroundJets:
         for the observed form theta[o], constant jets at fixed velocity values."""
         g = self.metric(order)
         c = self.bg.constants.metric_prefactor
-        quad = _sum(g[i][j] * v[i] * v[j] for i in range(3) for j in range(3))
-        return [quad * (-0.5 * c)] + [_sum(g[i][j] * v[j] for j in range(3)) * c for i in range(3)]
+        quad = jet_sum(g[i][j] * v[i] * v[j] for i in range(3) for j in range(3))
+        return [quad * (-0.5 * c)] + [jet_sum(g[i][j] * v[j] for j in range(3)) * c for i in range(3)]
 
     def phi_ref(self, order: int) -> list:
         """Phi[reference] = Omega_K = -c g_ij K_lam^i_0 dx^lam ^ dx^j (joined
@@ -566,18 +537,12 @@ class BackgroundJets:
             c = self.bg.constants.metric_prefactor
             phi = _zeros((4, 4), order)
             for j in range(3):
-                acc = None
-                for i in range(3):
-                    term = g[i][j] * k[0][i][0]
-                    acc = term if acc is None else acc + term
+                acc = jet_sum(g[i][j] * k[0][i][0] for i in range(3))
                 phi[0][j + 1] = acc * (-c)
                 phi[j + 1][0] = acc * c
             for h in range(3):
                 for j in range(h + 1, 3):
-                    acc = None
-                    for i in range(3):
-                        term = g[i][j] * k[h + 1][i][0] - g[i][h] * k[j + 1][i][0]
-                        acc = term if acc is None else acc + term
+                    acc = jet_sum(g[i][j] * k[h + 1][i][0] - g[i][h] * k[j + 1][i][0] for i in range(3))
                     phi[h + 1][j + 1] = acc * (-c)
                     phi[j + 1][h + 1] = acc * c
             return phi
@@ -595,7 +560,7 @@ class BackgroundJets:
         spacetime = _table_sum(self.phi_ref(order), exterior_derivative(self.velocity_form(v, order + 1)))
         g = self.metric(order)
         # dv[j][lam] = Omega(d_vj, d_lam)
-        dv = [[_sum(g[i][j] * v[i] for i in range(3)) * (-c)] + [g[i][j] * c for i in range(3)] for j in range(3)]
+        dv = [[jet_sum(g[i][j] * v[i] for i in range(3)) * (-c)] + [g[i][j] * c for i in range(3)] for j in range(3)]
         zero = Jet.const(0.0, order)
         return ([spacetime[lam] + [-dv[j][lam] for j in range(3)] for lam in range(4)]
                 + [dv[j] + [zero] * 3 for j in range(3)])
@@ -617,11 +582,6 @@ def exterior_derivative(w: Sequence) -> list:
 
 def _table_sum(a: list, b: list) -> list:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _sum(terms):
-    """The jets of `terms` added left to right."""
-    return functools.reduce(operator.add, terms)
 
 
 def divergence_eta_jets(x_jets: Sequence, bundle: BackgroundJets, order: int) -> Jet:

@@ -38,7 +38,7 @@ from .background import (
     exterior_derivative,
 )
 from .fieldlang import FieldDef
-from .jets import Jet, max_abs, value_array
+from .jets import Jet, jet_sum, max_abs, value_array
 from .pauli import SpinConnection, cross, spin_connection_from, xi_combination
 from .special import SpecialFunction, SpecialValue, component_jets, eval_special
 
@@ -169,11 +169,10 @@ class HermitianField:
     components X^lambda and for the matrix part, (where, order) -> jets,
     each called with `where` as given (a point, a cloud or a bundle)."""
 
-    def __init__(self, x_eval: Callable, ymat_eval: Callable, div_corrected: bool, name: str = ""):
+    def __init__(self, x_eval: Callable, ymat_eval: Callable, div_corrected: bool):
         self._x = x_eval
         self._y = ymat_eval
         self.div_corrected = div_corrected
-        self.name = name
 
     def x_jets(self, where, order: int) -> list:
         return self._x(where, order)
@@ -197,7 +196,7 @@ def from_special(f: SpecialFunction, qd: QuantumData) -> HermitianField:
         div = divergence_eta_jets(c.x_components(), bundle, order)
         return Mat2(y).add_identity(div * -0.5)
 
-    return HermitianField(x_eval, y_eval, div_corrected=True, name=f.name or "from_special")
+    return HermitianField(x_eval, y_eval, div_corrected=True)
 
 
 @dataclass(frozen=True)
@@ -210,14 +209,8 @@ class SpinorSection:
 def _vector_bracket(x1: Sequence, x2: Sequence, order: int) -> list:
     """[X, X']^mu = X^lam d_lam X'^mu - X'^lam d_lam X^mu at `order`; the
     component jets must be at order+1."""
-    xb = []
-    for mu in range(4):
-        acc = None
-        for lam in range(4):
-            term = x1[lam].truncate(order) * x2[mu].derive(lam) - x2[lam].truncate(order) * x1[mu].derive(lam)
-            acc = term if acc is None else acc + term
-        xb.append(acc)
-    return xb
+    return [jet_sum(x1[lam].truncate(order) * x2[mu].derive(lam) - x2[lam].truncate(order) * x1[mu].derive(lam)
+                    for lam in range(4)) for mu in range(4)]
 
 
 def lie_bracket_y(y: HermitianField, yp: HermitianField, where, order: int = 0):
@@ -239,18 +232,11 @@ def _lift_mat(qd: QuantumData, x_jets: Sequence, o: Observer, where, order: int)
     """X^lam (i Ch_lam[o] 1 + C_lam^a xi_a) for the jets x_jets of X."""
     ch = ch_along_jets(qd, o, where, order)
     cc = qd.spin.coeffs(where, order)
-    coeffs = []
-    for nu in range(4):
-        acc = None
-        for lam in range(4):
-            base = ch[lam] if nu == 0 else cc[lam][nu - 1]
-            term = x_jets[lam].truncate(order) * base
-            acc = term if acc is None else acc + term
-        coeffs.append(acc)
-    return Mat2(coeffs)
+    x = [xj.truncate(order) for xj in x_jets]
+    return Mat2([jet_sum(x[lam] * (ch[lam] if nu == 0 else cc[lam][nu - 1]) for lam in range(4)) for nu in range(4)])
 
 
-def connection_lift(qd: QuantumData, x_fields: Sequence, o: Observer, name: str = "") -> HermitianField:
+def connection_lift(qd: QuantumData, x_fields: Sequence, o: Observer) -> HermitianField:
     """X |_ (Ch[o] (x) C): matrix part i X^lam Ch_lam[o] 1 + X^lam C_lam^a xi_a."""
 
     def x_eval(where, order):
@@ -260,7 +246,7 @@ def connection_lift(qd: QuantumData, x_fields: Sequence, o: Observer, name: str 
     def y_eval(where, order):
         return _lift_mat(qd, x_eval(where, order), o, where, order)
 
-    return HermitianField(x_eval, y_eval, div_corrected=False, name=name or "lift")
+    return HermitianField(x_eval, y_eval, div_corrected=False)
 
 
 def vertical_projection(y: HermitianField, qd: QuantumData, o: Observer, where, order: int = 0) -> Mat2:

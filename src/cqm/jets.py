@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -144,7 +145,12 @@ class Jet:
     @staticmethod
     def const(value, order: int) -> "Jet":
         """Constant jet: of a real number at a point, of an (N,) array of
-        values on a cloud."""
+        values on a cloud.  TypeError for a complex value, a numpy one
+        included, which the float slots would otherwise cast to its real
+        part."""
+        dtype = getattr(value, "dtype", None)
+        if isinstance(value, complex) or (dtype is not None and dtype.kind == "c"):
+            raise TypeError(f"a jet is real; got the complex value {value!r}")
         c = np.zeros((SIZES[order],) + getattr(value, "shape", ()))  # coefficient-major
         c[0] = value
         return Jet(order, c.T)
@@ -384,6 +390,11 @@ class Jet:
         if self.c.ndim == 1:
             return f"Jet(order={self.order}, value={self.value!r})"
         return f"Jet(order={self.order}, points={self.c.shape[0]})"
+
+
+def jet_sum(terms) -> Jet:
+    """The jets of `terms` added left to right."""
+    return functools.reduce(operator.add, terms)
 
 
 def max_abs(values, batch: tuple = ()):

@@ -26,9 +26,13 @@ K^i_00 and the g-antisymmetric part of K^i_0j.  A section of another shape
 where a number belongs, a non-finite grid time or box) is a ScenarioError,
 and so are a spatial Kgrav key ('1_11'), two Kgrav keys for one slot
 ('1_02' and '1_20'), a constant field expression that is not a finite
-number (exp(1000), log(0)), a constant metric whose det g is not positive
-or whose det g or g^-1 is not finite (1e200 on the diagonal), and a
-negative suite.seed.  Unknown keys are ignored.  psi0 is normalised on the
+number (exp(1000), log(0)), a constant metric whose det g =
+sqrt|g| sqrt|g| from its Cholesky frame is not a positive finite number
+(1e200 or 1e-200 on the diagonal) or whose g^-1 is not finite, and a
+negative suite.seed.  A constant metric that is not positive definite is a
+NotPositiveDefinite at the first Cholesky pivot that is not positive
+(g00 = -1.0 for diag(-1, 1, 1)); diag(1e200, 1e200, 1e-200), whose det g
+and g^-1 are finite, loads.  Unknown keys are ignored.  psi0 is normalised on the
 grid.  The check bounds of `cqm verify` are constants (verify.TOLERANCES).
 The builtins x0..x3, P1..P3, H0 and H0prime are always registered; H0prime
 includes the spin term phi = -u0 mu B_flat.  On every background H0prime is
@@ -199,17 +203,20 @@ def _parse_metric(obj, consts) -> list:
 
 
 def _check_constant_metric(bg: Background):
-    """det g, g^-1 and the frame of a constant metric, read once off the
-    background's jets: det g must be positive and finite (then so is
-    sqrt|g|), g^-1 finite, and the frame defined (not so for diag(-1,-1,1))."""
+    """A constant metric must have a Cholesky frame (NotPositiveDefinite
+    names the first pivot that is not positive, g00 = -1.0 for
+    diag(-1, 1, 1)), a det g = sqrt|g| sqrt|g| that is a positive finite
+    number and a finite g^-1, both read off that frame at the origin.  A
+    product reads inf where det g overflows; diag(1e200, 1e200, 1e-200),
+    whose det g and g^-1 are finite, loads."""
     b = bg.jets(np.zeros(4))
     with np.errstate(all="ignore"):
-        det = b.det(0).value
+        sqrtg = b.sqrt_det(0).value
+        det = sqrtg * sqrtg
         if not (math.isfinite(det) and det > 0.0):
             raise ScenarioError(f"metric: det g = {det!r} is not a positive finite number")
         if not np.all(np.isfinite(value_array(b.metric_inv(0)))):
             raise ScenarioError(f"metric: g^-1 is not finite (det g = {det!r})")
-        b.frame(0)
 
 
 def _parse_kgrav(obj, consts) -> dict:

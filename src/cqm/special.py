@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .background import Background, BackgroundJets, PhasePoint, as_point
-from .jets import Jet, max_abs, value_array
+from .jets import Jet, jet_sum, max_abs, value_array
 from .pauli import cross
 
 
@@ -234,14 +234,8 @@ def _bracket_spin(a: ComponentJets, b: ComponentJets, bundle: BackgroundJets, or
             out.append(acc)
         return out
 
-    phi_out = []
-    for k in range(3):
-        acc = None
-        for lam in range(4):
-            for mu in range(4):
-                term = rho[lam][mu][k] * xa[lam] * xb[mu] * (-1.0)
-                acc = term if acc is None else acc + term
-        phi_out.append(acc)
+    phi_out = [jet_sum(rho[lam][mu][k] * xa[lam] * xb[mu] * (-1.0) for lam in range(4) for mu in range(4))
+               for k in range(3)]
     for lam in range(4):
         dphi_b = covariant(b.phi, lam)
         dphi_a = covariant(a.phi, lam)

@@ -13,15 +13,19 @@ Every suite but operators draws its samples as (n, 4) rows and evaluates
 them as one (4, n) cloud, `points.T`.  Every residual function the suites
 call takes a point (4,), a cloud (4, n) or the background bundle of one; a
 residual is a float at a point and an (n,) array of per-point values on a
-cloud, and a suite reports the largest.  The isomorphism, Jacobi and
-observer suites build one background bundle per cloud and pass the bundle in
-place of the cloud, so every residual function shares its background
-quantities.  The background suite's closure checks (dOmega = 0 and
-dPhi[o] = 0) read exact derivatives off the suite's own bundle; only the
-operators suite's grid sweeps measure a discretisation.  The operators suite
-builds one grid geometry per distinct grid and shares it between its
-sweeps; a scenario without a grid gets the probe box _BOX_GRID, which is
-also the symmetry sweep's coarse level.
+cloud, and a suite reports the largest.  The background, isomorphism,
+Jacobi and observer suites build one background bundle for their cloud and
+pass the bundle in place of the cloud, so every residual function shares
+its background quantities; all five isomorphism checks read all its
+samples.  The background suite's closure checks (dOmega = 0 and
+dPhi[o] = 0) read exact derivatives off the suite's own bundle, and its
+volume check compares the bundle's sqrt|g| with np.linalg.det of the metric
+values and its derivatives with Jacobi's formula
+d sqrt|g| = 1/2 sqrt|g| g^ij d g_ij.  Only the operators suite's grid
+sweeps measure a discretisation.  The operators suite builds one grid
+geometry per distinct grid and shares it between its sweeps; a scenario
+without a grid gets the probe box _BOX_GRID, which is also the symmetry
+sweep's coarse level.
 
 The main theorem is checked as stated: from_special of the bracket
 [[F, F']] against the Lie bracket of from_special F and from_special F'.
@@ -56,7 +60,7 @@ from .hermitian import (
     vertical_projection,
 )
 from .jets import max_abs, value_array
-from .pauli import EPS, XI_ALL
+from .pauli import EPS, SIGMA, XI_ALL
 from .quantum import (
     GridGeometry,
     GridSpec,
@@ -89,6 +93,7 @@ TOLERANCES = {
     "background.ktilde_antisymmetry": 1e-10,
     "background.domega": 1e-12,
     "background.dphi": 1e-12,
+    "background.volume": 1e-12,
     "curvature.rtilde_relation": 1e-10,
     "curvature.c_roundtrip": 1e-11,
     "curvature.rho_coupling_slots": 1e-9,
@@ -212,7 +217,26 @@ def suite_background(sc: Scenario) -> list:
     return checks + [
         Check("background.frame_orthonormality", len(points), worst_frame),
         Check("background.ktilde_antisymmetry", len(points), worst_anti),
+        Check("background.volume", len(points), _volume_residual(b)),
     ] + _closure_checks(sc, b, rng)
+
+
+def _volume_residual(b) -> float:
+    """The worse of two relative residuals of the bundle's sqrt|g| at its
+    points, so the result does not depend on units: |sqrt|g|^2 / det g - 1|
+    with det g from np.linalg.det of the metric values, and Jacobi's formula,
+    max over lam of |d_lam sqrt|g| - 1/2 sqrt|g| g^ij d_lam g_ij| / sqrt|g|."""
+    batch = b.point.shape[1:]
+    sqrtg1 = b.sqrt_det(1)
+    sqrtg = value_array(sqrtg1, batch)
+    det = np.linalg.det(np.moveaxis(value_array(b.metric(0), batch), -1, 0))
+    ginv = value_array(b.metric_inv(0), batch)
+    g1 = b.metric(1)
+    dg = np.array([value_array([[e.derive(lam) for e in row] for row in g1], batch) for lam in range(4)])
+    dsqrtg = np.array([value_array(sqrtg1.derive(lam), batch) for lam in range(4)])
+    trace = sum(ginv[i, j] * dg[:, i, j] for i in range(3) for j in range(3))  # [lam] g^ij d_lam g_ij
+    jacobi = dsqrtg - 0.5 * sqrtg * trace
+    return max(float(np.max(np.abs(sqrtg * sqrtg / det - 1.0))), float(np.max(np.abs(jacobi) / sqrtg)))
 
 
 def _closure_checks(sc: Scenario, b, rng) -> list:
@@ -363,21 +387,20 @@ def suite_isomorphism(sc: Scenario) -> list:
         for t in range(4)
     ]
     cloud = sc.background.jets(points.T)
+    batch = cloud.point.shape[1:]
     theorem = [main_theorem_residual(f, fp, sc, cloud) for f, fp in pairs]
     worst_vec = float(np.max([vec for vec, _ in theorem]))
     worst_main = max(worst_vec, float(np.max([mat for _, mat in theorem])))
     worst_herm = float(np.max([hermiticity_residual(from_special(f, qd), qd, cloud) for f, _ in pairs]))
     p1 = random_raw_pair(rng, consts, "a")
     p2 = random_raw_pair(rng, consts, "b")
-    half = sc.background.jets(points[: max(len(points) // 2, 1)].T)
-    batch = half.point.shape[1:]
     y_full = assemble_pair(qd, p1[0], p1[1], ref)
     y2_full = assemble_pair(qd, p2[0], p2[1], ref)
-    back = vertical_projection(y_full, qd, ref, half)
-    worst_round = float(np.max(np.abs(back.values(batch) - p1[1](half, 0).values(batch))))
-    xb, zmat = lie_bracket_y(y_full, y2_full, half)
-    xpair, mpair = pair_bracket(p1, p2, qd, ref, half)
-    lift_vals = _lift_mat(qd, xb, ref, half, 0).values(batch)
+    back = vertical_projection(y_full, qd, ref, cloud)
+    worst_round = float(np.max(np.abs(back.values(batch) - p1[1](cloud, 0).values(batch))))
+    xb, zmat = lie_bracket_y(y_full, y2_full, cloud)
+    xpair, mpair = pair_bracket(p1, p2, qd, ref, cloud)
+    lift_vals = _lift_mat(qd, xb, ref, cloud, 0).values(batch)
     worst_pair = max(float(np.max(np.abs((zmat.values(batch) - lift_vals) - mpair.values(batch)))),
                      float(np.max(np.abs(value_array(xb, batch) - value_array(xpair, batch)))))
     return [
@@ -445,16 +468,12 @@ def _smooth_grid(spec: GridSpec, rng: np.random.Generator) -> SpinorGrid:
 def _closed_form_ops(sc: Scenario, geom: GridGeometry):
     """Independent implementations of the displayed operators (x^lam, P_1,
     H0', spin along e3) used as the dual route for prequantum."""
-    from .pauli import SIGMA
-
     x1 = geom.mesh4[1]
     sqrtg = geom.sqrtg
     dlog = geom.dsqrtg[..., 0] / (2.0 * sqrtg)
     c1mat = np.zeros(geom.spec.shape + (2, 2), dtype=complex)
-    c0mat = np.zeros(geom.spec.shape + (2, 2), dtype=complex)
     for a in range(3):
         c1mat += geom.c_coeffs[..., 1, a, None, None] * XI_ALL[1 + a]
-        c0mat += geom.c_coeffs[..., 0, a, None, None] * XI_ALL[1 + a]
     lap = observed_laplacian(geom)
     a0 = geom.a[0]
     bg = sc.background

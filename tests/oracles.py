@@ -150,7 +150,7 @@ def x_values(y: HermitianField, where) -> np.ndarray:
     return np.array([j.value for j in y.x_jets(where, 0)])
 
 
-def hermitian_raw(x_fields, y0_field, yi_fields, name: str = "") -> HermitianField:
+def hermitian_raw(x_fields, y0_field, yi_fields) -> HermitianField:
     """Plain-Hermitian field from real component fields: Ymat = i Y0 1 + Y^a xi_a."""
 
     def x_eval(where, order):
@@ -160,7 +160,7 @@ def hermitian_raw(x_fields, y0_field, yi_fields, name: str = "") -> HermitianFie
         point = as_point(where)
         return Mat2([y0_field.eval_jet(point, order)] + [f.eval_jet(point, order) for f in yi_fields])
 
-    return HermitianField(x_eval, y_eval, div_corrected=False, name=name)
+    return HermitianField(x_eval, y_eval, div_corrected=False)
 
 
 def act_on_section(y: HermitianField, psi, where) -> np.ndarray:

@@ -13,7 +13,7 @@ from cqm.background import (
 )
 from cqm.fieldlang import FieldDef
 from cqm.hermitian import potential_residual
-from cqm.jets import SIZES, Jet, value_array
+from cqm.jets import SIZES, Jet, jet_sum, value_array
 from cqm.pauli import EPS
 from cqm.scenario import load_scenario
 from cqm.units import (
@@ -528,6 +528,27 @@ def test_magnetic_magnitude_rotation_invariant():
     assert nb == pytest.approx(nr)
 
 
+@pytest.mark.parametrize("name", ["curved_magnetic", "anisotropic", "breathing"])
+def test_one_cholesky_factor_gives_the_inverse_and_the_volume(name):
+    """g^-1 and sqrt|g| both come from the frame's Cholesky factor: to order
+    2, every jet slot of g_ij g^jk is delta_i^k up to roundoff of the terms,
+    (sqrt|g|)^2 is np.linalg.det of the metric values, and the values of
+    g^-1 are exactly symmetric."""
+    n = 60
+    b = load_scenario(scenario_dict(name)).background.jets(sample_box(np.random.default_rng(7), n).T)
+    g, ginv = b.metric(2), b.metric_inv(2)
+    for i in range(3):
+        for k in range(3):
+            residual = jet_sum(g[i][j] * ginv[j][k] for j in range(3)) - float(i == k)
+            scale = max(np.max(np.abs(g[i][j].c)) * np.max(np.abs(ginv[j][k].c)) for j in range(3))
+            assert np.max(np.abs(residual.c)) <= 1e-14 * scale
+    sqrtg = value_array(b.sqrt_det(2), (n,))
+    det = np.linalg.det(np.moveaxis(value_array(b.metric(0), (n,)), -1, 0))
+    assert np.max(np.abs(sqrtg * sqrtg / det - 1.0)) <= 4e-15
+    values = value_array(ginv, (n,))
+    assert np.array_equal(values, values.swapaxes(0, 1))
+
+
 def test_not_positive_definite():
     scn = scenario_dict("flat")
     scn["metric"] = [["1-x1*x1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
@@ -627,7 +648,7 @@ def test_jets_returns_a_bundle_of_its_own_background(flat_scenario, curved_magne
 
 def test_structural_zeros_of_a_cloud_bundle_stay_points(curved_magnetic_scenario):
     """On a cloud, the entries of g^-1 and K that vanish for a diagonal
-    metric (the off-diagonal adjugate terms and the slots they multiply)
+    metric (the off-diagonal entries of g^-1 and the slots they multiply)
     are point-shaped zeros, not clouds of zeros."""
     b = curved_magnetic_scenario.background.jets(sample_box(np.random.default_rng(6), 100).T)
     entries = [j for row in b.metric_inv(1) for j in row]

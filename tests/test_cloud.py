@@ -210,11 +210,10 @@ def test_a_bundle_stands_for_its_cloud(sc, funcs, raw_pairs, n):
 
 
 def test_isomorphism_and_jacobi_build_one_bundle_per_cloud(monkeypatch):
-    """The isomorphism suite evaluates on two clouds (its samples and their
-    first half), the Jacobi, observer and background suites on one each, their
-    samples (which both observer checks share, and `validate` and the closure
-    checks); each builds one bundle per cloud and hands it to every residual
-    function."""
+    """The isomorphism, Jacobi, observer and background suites each evaluate
+    on one cloud, their samples (which all five isomorphism checks share, both
+    observer checks, and `validate` and the closure checks); each builds one
+    bundle for it and hands it to every residual function."""
     sc = load_scenario(scenario_dict("curved_magnetic"))
     built = []
     original = BackgroundJets.__init__
@@ -225,7 +224,7 @@ def test_isomorphism_and_jacobi_build_one_bundle_per_cloud(monkeypatch):
 
     monkeypatch.setattr(BackgroundJets, "__init__", counting)
     run_suites(sc, ["isomorphism"])
-    assert built == [(4, sc.samples), (4, sc.samples // 2)]
+    assert built == [(4, sc.samples)]
     built.clear()
     run_suites(sc, ["jacobi"])
     assert built == [(4, sc.samples)]
@@ -332,9 +331,29 @@ def _oracle_background(sc):
                     worst_anti = max(worst_anti, abs(kt[lam][a][bb].value + kt[lam][bb][a].value))
     checks.append(Check("background.frame_orthonormality", len(points), worst_frame))
     checks.append(Check("background.ktilde_antisymmetry", len(points), worst_anti))
+    checks.append(_oracle_volume(bg, points))
     checks.append(_oracle_domega(bg, points, rng))
     checks.append(_oracle_dphi(sc, points))
     return checks
+
+
+def _oracle_volume(bg, points):
+    """The two relative residuals of sqrt|g| point by point, in floats:
+    sqrt|g|^2 against np.linalg.det of the 3x3 metric values, and Jacobi's
+    formula d_lam sqrt|g| = 1/2 sqrt|g| g^ij d_lam g_ij."""
+    worst = 0.0
+    for x in points:
+        b = bg.jets(x)
+        sg1 = b.sqrt_det(1)
+        sg = sg1.value
+        g = np.array([[e.value for e in row] for row in b.metric(0)])
+        ginv = [[e.value for e in row] for row in b.metric_inv(0)]
+        g1 = b.metric(1)
+        worst = max(worst, abs(sg * sg / np.linalg.det(g) - 1.0))
+        for lam in range(4):
+            trace = sum(ginv[i][j] * g1[i][j].derive(lam).value for i in range(3) for j in range(3))
+            worst = max(worst, abs(sg1.derive(lam).value - 0.5 * sg * trace) / sg)
+    return Check("background.volume", len(points), worst)
 
 
 def _oracle_domega(bg, points, rng):
@@ -455,7 +474,7 @@ def _oracle_isomorphism(sc):
     worst_round = worst_pair = 0.0
     p1 = random_raw_pair(rng, consts, "a")
     p2 = random_raw_pair(rng, consts, "b")
-    for x in points[: max(len(points) // 2, 1)]:
+    for x in points:
         y_full = assemble_pair(qd, p1[0], p1[1], ref)
         y2_full = assemble_pair(qd, p2[0], p2[1], ref)
         back = vertical_projection(y_full, qd, ref, x)

@@ -42,12 +42,11 @@ def spinor(consts, exprs):
     ))
 
 
-def vertical_const_field(consts, y0, yi, name="v"):
+def vertical_const_field(consts, y0, yi):
     return hermitian_raw(
         tuple(zero_field() for _ in range(4)),
         FieldDef("y0", DIMLESS, y0, consts),
         tuple(FieldDef(f"y{a}", DIMLESS, yi[a], consts) for a in range(3)),
-        name=name,
     )
 
 

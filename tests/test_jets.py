@@ -192,10 +192,12 @@ def test_binary_ops_truncate_to_lower_order():
 
 
 def test_jets_are_real():
-    """A jet holds a real field: a complex number is no jet and combines
-    with none."""
+    """A jet holds a real field: a complex number, a numpy complex scalar or
+    array among them, is no jet and combines with none."""
     x = Jet.seed((0.3, 0.4, 0, 0), 0, 2)
-    for op in (lambda: Jet.const(1j, 1), lambda: x * 1j, lambda: x + 1j, lambda: 1j * x, lambda: x - 1j):
+    for op in (lambda: Jet.const(1j, 1), lambda: Jet.const(np.complex128(2 + 1j), 0),
+               lambda: Jet.const(np.full(3, 2 + 1j), 1), lambda: Jet.const(2 + 0j, 0),
+               lambda: x * 1j, lambda: x + 1j, lambda: 1j * x, lambda: x - 1j):
         with pytest.raises(TypeError):
             op()
     for op in (lambda j: j + 1.0, lambda j: j * 2, lambda j: j / 3.0, lambda j: 1.0 - j,
