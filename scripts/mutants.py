@@ -46,13 +46,49 @@ MUTANTS = (
            "s * (w - 2j * ga)", "s * (w + 2j * ga)",
            "sign of the drift term -2i g^ij A_j of _laplacian_stencil"),
     Mutant("laplacian_a_squared_sign", "quantum.py",
-           "real -= 2.0 * ginv[..., i, i] / h[i] ** 2 + ga * a_sp[i]",
-           "real -= 2.0 * ginv[..., i, i] / h[i] ** 2 - ga * a_sp[i]",
+           "real -= 2.0 * ginv[i][i] / h[i] ** 2 + ga * a_sp[i]",
+           "real -= 2.0 * ginv[i][i] / h[i] ** 2 - ga * a_sp[i]",
            "sign of |A|^2 in _laplacian_stencil"),
     Mutant("laplacian_div_a_sign", "quantum.py",
-           "imag -= ginv[..., i, j] * geom.da[..., i, j]",
-           "imag += ginv[..., i, j] * geom.da[..., i, j]",
+           "imag -= ginv[i][j] * da[i][j]",
+           "imag += ginv[i][j] * da[i][j]",
            "sign of i g^ij d_i A_j (the i div A term) in _laplacian_stencil"),
+    Mutant("y_f0_a0_sign", "hermitian.py",
+           "y0 = c.f0 * a[0] + c.fbrev", "y0 = c.fbrev - c.f0 * a[0]",
+           "sign of f0 A_0 in y_0 of y_coefficients"),
+    Mutant("y_fj_aj_sign", "hermitian.py",
+           "y0 = y0 - c.fi[j] * a[j + 1]", "y0 = y0 + c.fi[j] * a[j + 1]",
+           "sign of -f^j A_j in y_0 of y_coefficients"),
+    Mutant("y_f0_c0_sign", "hermitian.py",
+           "acc = c.phi[k] + c.f0 * cc[0][k]", "acc = c.phi[k] - c.f0 * cc[0][k]",
+           "sign of f0 C_0^a in y_a of y_coefficients"),
+    Mutant("y_fj_cj_sign", "hermitian.py",
+           "acc = acc - c.fi[j] * cc[j + 1][k]", "acc = acc + c.fi[j] * cc[j + 1][k]",
+           "sign of -f^j C_j^a in y_a of y_coefficients"),
+    Mutant("div_shift_sign", "hermitian.py",
+           "add_identity(div * -0.5)", "add_identity(div * 0.5)",
+           "sign of the -1/2 div_eta X shift of Y[F]"),
+    Mutant("bracket_phi_0h_sign", "special.py",
+           "fb_out = fb_out - (a0 * bh - b0 * ah) * phi2[0][h + 1]",
+           "fb_out = fb_out + (a0 * bh - b0 * ah) * phi2[0][h + 1]",
+           "sign of the Phi_0h term of _bracket_scalar"),
+    Mutant("bracket_rho_sign", "special.py",
+           "rho[lam][mu][k] * xa[lam] * xb[mu] * (-1.0)", "rho[lam][mu][k] * xa[lam] * xb[mu] * (1.0)",
+           "sign of the curvature term rho of _bracket_spin"),
+    Mutant("bracket_cross_order", "special.py",
+           "spin = cross([p.truncate(order) for p in b.phi], [p.truncate(order) for p in a.phi])",
+           "spin = cross([p.truncate(order) for p in a.phi], [p.truncate(order) for p in b.phi])",
+           "operand order of phi' x phi in _bracket_spin"),
+    Mutant("bracket_transport_sign", "special.py",
+           "acc = acc - kt[lam][k][j] * phi_jets[j].truncate(order)",
+           "acc = acc + kt[lam][k][j] * phi_jets[j].truncate(order)",
+           "sign of the covector transport -Ktilde phi in _bracket_spin"),
+    Mutant("k_joined_moment_c0k_sign", "background.py",
+           "c0k = -c.mu.value * c.u0.value", "c0k = c.mu.value * c.u0.value",
+           "sign of the moment sector's c0k in k_joined"),
+    Mutant("k_joined_charge_c0k_factor", "background.py",
+           "c0k = c.q.value * c.u0.value / (2.0 * c.m.value)", "c0k = c.q.value * c.u0.value / c.m.value",
+           "factor 1/2 of the charge sector's c0k in k_joined"),
     Mutant("sqrt_det_drops_a_factor", "background.py",
            "return einv[0][0] * einv[1][1] * einv[2][2]",
            "return einv[0][0] * einv[1][1]",

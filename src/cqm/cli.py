@@ -8,9 +8,9 @@
 
 Exit codes: 0 all checks pass / success, 1 check or run failure (or stdout
 closed before the output was written), 2 load or usage error, an --out path
-that cannot be written among them (an `error:` line on stderr, no
-traceback).  Options are spelled in full: an abbreviation
-such as `--a` is an unrecognized argument.  Reports are JSON-first; --table
+that cannot be written and a grid too large for memory among them (an
+`error:` line on stderr, no traceback).  Options are spelled in full: an
+abbreviation such as `--a` is an unrecognized argument.  Reports are JSON-first; --table
 renders the same data as text.
 """
 
@@ -100,6 +100,9 @@ def cmd_verify(args) -> int:
     except (ScenarioError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: the grid does not fit in memory: {exc}", file=sys.stderr)
+        return 2
     report = {
         "scenario": str(args.scenario) if Path(str(args.scenario)).exists() else "<inline>",
         "seed": sc.seed,
@@ -139,6 +142,9 @@ def cmd_evolve(args) -> int:
         geom = GridGeometry(sc.qd, sc.grid)
     except (ScenarioError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: the grid does not fit in memory: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -5,12 +5,17 @@ Spinor fields live on a rectangular spatial grid with Dirichlet-zero boundary
 node are inactive: the scenario is treated as invariant along them and they
 contribute no derivative or potential terms (dimensional reduction).  All
 stencils are second-order central differences.  Node coefficients come from
-chunked jet passes over the grid nodes and are stored component-major; on a
-constant background the passes' bundles share one cache.
+chunked jet passes over the grid nodes, one array per quantity: a quantity
+whose jet is a constant in every chunk is the same at every node and is
+kept as one number, the others as contiguous grid arrays; on a constant
+background the passes' bundles share one cache.  Constant terms stay
+numbers until they meet a varying array, so a flat metric costs no grid
+memory and no grid arithmetic.
 
-Each grid operator is built once as a Stencil: a (..., 2, 2) centre matrix and
-one coefficient array per neighbour offset, with offsets whose coefficients
-are all zero dropped (the mixed derivatives of a diagonal metric, say).  An
+Each grid operator is built once as a Stencil: a centre matrix and one
+coefficient per neighbour offset, each without grid axes when it is the
+same at every node, with offsets whose coefficients are all zero dropped
+(the mixed derivatives of a diagonal metric, say).  An
 apply is one einsum with the centre and one in-place slice accumulation per
 kept offset; the Dirichlet zeros come from the slicing.  A centre with no
 off-diagonal entry multiplies psi elementwise by its diagonal without the
@@ -49,7 +54,6 @@ import numpy as np
 
 from .fieldlang import variables
 from .hermitian import QuantumData, y_coefficients
-from .jets import SIZES, value_array
 from .pauli import xi_combination
 from .special import SpecialFunction, SpecialValue, component_jets
 
@@ -171,35 +175,52 @@ NODE_CHUNK = 256
 OBSERVABLE_BLOCK = 2**14
 
 
-def node_map(mesh4, evaluate) -> np.ndarray:
+def node_map(mesh4, evaluate) -> list:
     """Per-node quantities of a grid, evaluated NODE_CHUNK nodes at a time.
 
-    `evaluate` takes a coordinate-major (4, n) cloud of nodes and returns an
-    array whose last axis runs over those n nodes (length 1 for a value that
-    all of them share).  The result is component-major: the leading axes of
-    that array, then the grid shape of mesh4, so that each component is one
-    contiguous grid array."""
+    `evaluate` takes a coordinate-major (4, n) cloud of nodes and returns a
+    list of jets, one per quantity.  The result holds one array per
+    quantity: the jet's coefficients (value, then derivatives) along the
+    first axis, then the grid shape of mesh4, so that each coefficient is
+    one contiguous grid array.  A quantity whose jet is point-shaped in
+    every chunk (a constant: the jet kernel keeps a jet with no chart
+    variable as a point) is the same at every node and is kept as its
+    (size,) coefficients alone, with no grid axes."""
     shape = mesh4[1].shape
     cloud = np.stack([np.broadcast_to(m, shape).ravel() for m in mesh4])
-    out = None
-    for s in range(0, cloud.shape[1], NODE_CHUNK):
-        part = evaluate(cloud[:, s:s + NODE_CHUNK])
-        if out is None:
-            out = np.empty(part.shape[:-1] + (cloud.shape[1],))
-        out[..., s:s + NODE_CHUNK] = part
-    return out.reshape(out.shape[:-1] + shape)
+    total = cloud.shape[1]
+    out = []
+    for s in range(0, total, NODE_CHUNK):
+        for k, jet in enumerate(evaluate(cloud[:, s:s + NODE_CHUNK])):
+            c = jet.c.T  # (size,) when point-shaped, else (size, n)
+            if s == 0:
+                out.append(c.copy() if c.ndim == 1 else np.empty((len(c), total)))
+            if out[k].ndim == 1:
+                if c.ndim == 1 and np.array_equal(c, out[k]):
+                    continue
+                full = np.empty((len(c), total))  # the first chunk that varies
+                full[:, :s] = out[k][:, None]
+                out[k] = full
+            out[k][:, s:s + NODE_CHUNK] = c.reshape(len(c), -1)
+    return [q if q.ndim == 1 else q.reshape((len(q),) + shape) for q in out]
 
 
 class GridGeometry:
-    """Node-level coefficient arrays for one (quantum data, grid) pair.
+    """Node-level coefficients for one (quantum data, grid) pair.
 
     One chunked jet pass, with one background bundle per chunk, gives them
     all: sqrt|g|, g^{ij} and A_lam as order-1 jets, whose coefficients
     (value, d0, d1, d2, d3) are values and first derivatives, and the spin
     connection C_lam^a at order 0.  On a constant background the chunks'
-    bundles share one cache, so the background's part is built once.  The
-    attributes are grid-major views of the component-major result
-    (CONVENTIONS.md)."""
+    bundles share one cache, so the background's part is built once.  Each
+    quantity is stored on its own (CONVENTIONS.md): a grid array when it
+    varies over the nodes, a number (a numpy scalar, which cannot be
+    written to) when it is the same at every node, so a flat metric costs
+    no grid memory.  The attributes are nested lists of them: sqrtg,
+    d0sqrtg, dsqrtg[i] = d_i sqrt|g|, ginv[i][j] = g^{ij},
+    dginv[k][i][j] = d_k g^{ij}, a[lam], da[i][j] = d_i A_j and
+    c_coeffs[lam][a] = C_lam^a; derivatives along an inactive axis are
+    zero (dimensional reduction)."""
 
     def __init__(self, qd: QuantumData, spec: GridSpec):
         self.qd = qd
@@ -208,34 +229,41 @@ class GridGeometry:
         bg = qd.bg
         consts = bg.constants
         self.kinetic = consts.u0.value * consts.hbar.value / consts.m.value  # u0 hbar / m
+        pairs = [(i, j) for i in range(3) for j in range(i, 3)]
 
         def evaluate(cloud):
-            n = cloud.shape[1]
             bundle = bg.jets(cloud)
             ginv = bundle.metric_inv(1)
-            jets = [bundle.sqrt_det(1), *(ginv[i][j] for i in range(3) for j in range(3)), *qd.a_jets(cloud, 1)]
-            rows = [np.broadcast_to(j.c, (n, SIZES[1])).T for j in jets]
-            return np.concatenate(rows + [qd.spin.coeff_values(bundle).reshape(12, n)])
+            return [bundle.sqrt_det(1), *(ginv[i][j] for i, j in pairs), *qd.a_jets(cloud, 1),
+                    *(c for row in qd.spin.coeffs(bundle, 0) for c in row)]
 
         nodes = node_map(self.mesh4, evaluate)
-        jets = nodes[:-12].reshape((14, SIZES[1]) + spec.shape)  # [sqrtg, g^11..g^33, A_0..A_3][coeff]
-        # inactive axes carry no derivative terms (dimensional reduction)
-        jets[:10, [2 + ax for ax in range(3) if ax not in spec.active]] = 0.0
-        self.sqrtg, self.d0sqrtg = jets[0, 0], jets[0, 1]
-        self.dsqrtg = np.moveaxis(jets[0, 2:], 0, -1)  # [..., i] = d_i sqrt|g|
-        ginv = jets[1:10].reshape((3, 3, SIZES[1]) + spec.shape)
-        self.ginv = np.moveaxis(ginv[:, :, 0], (0, 1), (-2, -1))
-        self.dginv = np.moveaxis(ginv[:, :, 2:], (2, 0, 1), (-3, -2, -1))  # [..., axis, j, h] = d_axis g^{jh}
-        self.a = list(jets[10:, 0])
-        self.da = np.moveaxis(jets[11:, 2:], (1, 0), (-2, -1))  # [..., i, j] = d_i A_j
-        self.c_coeffs = np.moveaxis(nodes[-12:].reshape((4, 3) + spec.shape), (0, 1), (-2, -1))
+        jets = nodes[:11]  # [sqrtg, g^{ij} for i <= j, A_0..A_3][coeff]
+        inactive = [2 + ax for ax in range(3) if ax not in spec.active]
+        for jet in jets:
+            jet[inactive] = 0.0  # inactive axes carry no derivative terms (dimensional reduction)
+        self.sqrtg, self.d0sqrtg, *self.dsqrtg = jets[0]
+        ginv = [[None] * 3 for _ in range(3)]
+        for (i, j), jet in zip(pairs, jets[1:7]):
+            ginv[i][j] = ginv[j][i] = jet
+        self.ginv = [[ginv[i][j][0] for j in range(3)] for i in range(3)]
+        self.dginv = [[[ginv[i][j][2 + k] for j in range(3)] for i in range(3)] for k in range(3)]
+        self.a = [jet[0] for jet in jets[7:]]
+        self.da = [[jets[8 + j][2 + i] for j in range(3)] for i in range(3)]
+        self.c_coeffs = [[nodes[11 + 3 * lam + k][0] for k in range(3)] for lam in range(4)]
         self.dvol = spec.dvol
 
     # -- differential helpers ------------------------------------------------
 
     def d1(self, arr: np.ndarray, axis: int) -> np.ndarray:
+        """The central first difference along an axis, zero past the edges."""
         h = self.spec.spacing(axis)
         return (_shift(arr, axis, 1) - _shift(arr, axis, -1)) / (2.0 * h)
+
+    def d2(self, arr: np.ndarray, axis: int) -> np.ndarray:
+        """The compact second difference along an axis, zero past the edges."""
+        h = self.spec.spacing(axis)
+        return (_shift(arr, axis, 1) - 2.0 * arr + _shift(arr, axis, -1)) / (h * h)
 
 
 @dataclass
@@ -277,18 +305,21 @@ class Stencil:
     """A nearest-neighbour grid operator as coefficient arrays (CONVENTIONS.md).
 
     (H psi)[k] = centre[k] psi[k] + sum over offsets d of coef_d[k] psi[k + d],
-    with a (..., 2, 2) complex centre matrix and, per offset d in {-1, 0, 1}^3,
-    a grid-shaped complex coefficient array.  Stencils add."""
+    with a complex centre matrix and, per offset d in {-1, 0, 1}^3, a
+    complex coefficient, on a grid of the given shape.  A part that is the
+    same at every node is kept without grid axes: a (2, 2) centre, a number
+    for an offset; the others are (..., 2, 2) and grid-shaped.  Stencils add."""
 
-    def __init__(self, centre: np.ndarray, offsets: dict):
+    def __init__(self, centre: np.ndarray, offsets: dict, shape: tuple):
         self.centre = centre
         self.offsets = offsets
+        self.shape = shape
 
     def __add__(self, other: "Stencil") -> "Stencil":
         offsets = dict(self.offsets)
         for d, coef in other.offsets.items():
             offsets[d] = offsets[d] + coef if d in offsets else coef
-        return Stencil(self.centre + other.centre, offsets)
+        return Stencil(self.centre + other.centre, offsets, self.shape)
 
     def live_offsets(self) -> dict:
         """The offsets whose coefficients are not all zero."""
@@ -300,14 +331,15 @@ class Stencil:
         off-diagonal entry multiplies psi elementwise by its diagonal, and
         only a centre with one takes the einsum.  Each elementwise factor
         is a Python number or a contiguous (..., 2) array (_spinor_factor)."""
+        shape = self.shape
         centre = self.centre
         diagonal = not (np.any(centre[..., 0, 1]) or np.any(centre[..., 1, 0]))
         if diagonal:
-            centre = _spinor_factor(np.einsum("...ii->...i", centre))
+            centre = _spinor_factor(np.broadcast_to(np.einsum("...ii->...i", centre), shape + (2,)))
         terms = []
         for d, coef in self.live_offsets().items():
             dst, src = _offset_slices(d)
-            terms.append((dst, src, _spinor_factor(coef[dst][..., None])))
+            terms.append((dst, src, _spinor_factor(np.broadcast_to(coef, shape)[dst][..., None])))
 
         def apply_fn(psi: np.ndarray) -> np.ndarray:
             out = centre * psi if diagonal else np.einsum("...ab,...b->...a", centre, psi)
@@ -345,32 +377,30 @@ def _laplacian_stencil(geom: GridGeometry, scale=1.0) -> Stencil:
     them is made."""
     active = geom.spec.active
     pref = geom.kinetic * scale
-    ginv = geom.ginv
-    a_sp = [geom.a[i + 1] for i in range(3)]
+    ginv, dginv, da = geom.ginv, geom.dginv, geom.da
+    a_sp = geom.a[1:]
     h = [geom.spec.spacing(i) for i in range(3)]
-    real = np.zeros(geom.spec.shape)  # centre = real + i imag
-    imag = np.zeros(geom.spec.shape)
+    real = imag = 0.0  # centre = real + i imag
     offsets = {}
     for i in active:
         # w_i = d_j g^{ji} + g^{ji} d_j sqrt|g| / sqrt|g|, the divergence vector
-        w = np.zeros(geom.spec.shape)
-        ga = np.zeros(geom.spec.shape)  # g^{ij} A_j
+        w = ga = 0.0  # ga = g^{ij} A_j
         for j in active:
-            w += geom.dginv[..., j, j, i] + ginv[..., j, i] * geom.dsqrtg[..., j] / geom.sqrtg
-            ga += ginv[..., i, j] * a_sp[j]
-            imag -= ginv[..., i, j] * geom.da[..., i, j]
+            w += dginv[j][j][i] + ginv[j][i] * geom.dsqrtg[j] / geom.sqrtg
+            ga += ginv[i][j] * a_sp[j]
+            imag -= ginv[i][j] * da[i][j]
             if j > i:
-                cross = ginv[..., i, j] + ginv[..., j, i]  # both orderings of d_i d_j
+                cross = ginv[i][j] + ginv[j][i]  # both orderings of d_i d_j
                 if np.any(cross):
                     for si in (1, -1):
                         for sj in (1, -1):
                             d = tuple(si if k == i else sj if k == j else 0 for k in range(3))
                             offsets[d] = pref * (si * sj * cross / (4.0 * h[i] * h[j]))
         for s in (1, -1):
-            offsets[_axis_offset(i, s)] = pref * (ginv[..., i, i] / h[i] ** 2 + s * (w - 2j * ga) / (2.0 * h[i]))
-        real -= 2.0 * ginv[..., i, i] / h[i] ** 2 + ga * a_sp[i]
+            offsets[_axis_offset(i, s)] = pref * (ginv[i][i] / h[i] ** 2 + s * (w - 2j * ga) / (2.0 * h[i]))
+        real -= 2.0 * ginv[i][i] / h[i] ** 2 + ga * a_sp[i]
         imag -= w * a_sp[i]
-    return Stencil((pref * (real + 1j * imag))[..., None, None] * np.eye(2), offsets)
+    return Stencil(_times_identity(pref * (real + 1j * imag)), offsets, geom.spec.shape)
 
 
 def observed_laplacian(geom: GridGeometry) -> GridOperator:
@@ -393,22 +423,28 @@ def require_static(qd: QuantumData):
             raise NonStaticMetric(f"{fld.name} references x0: evolution on a time-dependent background is unsupported")
 
 
-def _node_matrices(geom: GridGeometry, coeffs) -> np.ndarray:
-    """sum_nu coeffs[nu] xi_nu at every node, as a (..., 2, 2) array, for
-    four coefficients (numbers or node arrays)."""
-    return np.moveaxis(xi_combination(coeffs, geom.spec.shape), (0, 1), (-2, -1))
+def _times_identity(x) -> np.ndarray:
+    """x 1 for a number x, a (2, 2) matrix, or for a node array x, (..., 2, 2)."""
+    return np.asarray(x)[..., None, None] * np.eye(2)
+
+
+def _node_matrices(coeffs) -> np.ndarray:
+    """sum_nu coeffs[nu] xi_nu for four coefficients (numbers or node
+    arrays): a (2, 2) matrix when all four are numbers, else (..., 2, 2)."""
+    batch = np.broadcast_shapes(*(np.shape(c) for c in coeffs))
+    return np.moveaxis(xi_combination(coeffs, batch), (0, 1), (-2, -1))
 
 
 def _spin_c0(geom: GridGeometry) -> np.ndarray:
-    """C_0^a xi_a at every node, as a (..., 2, 2) array."""
-    return _node_matrices(geom, [0.0, *np.moveaxis(geom.c_coeffs[..., 0, :], -1, 0)])
+    """C_0^a xi_a: (2, 2) when C_0 is the same at every node, else (..., 2, 2)."""
+    return _node_matrices([0.0, *geom.c_coeffs[0]])
 
 
 def pauli_generator(geom: GridGeometry) -> GridOperator:
     """H with i d0 psi = H psi on the Pauli kernel: -1/2 Delta0 - A0 + i C_0^k xi_k."""
     _static_check(geom)
-    local = 1j * _spin_c0(geom) - geom.a[0][..., None, None] * np.eye(2)
-    stencil = _laplacian_stencil(geom, -0.5) + Stencil(local, {})
+    local = 1j * _spin_c0(geom) - _times_identity(geom.a[0])
+    stencil = _laplacian_stencil(geom, -0.5) + Stencil(local, {}, geom.spec.shape)
     return stencil.operator("pauli_generator", symmetric=True)
 
 
@@ -423,11 +459,10 @@ def _component_arrays(f: SpecialFunction, geom: GridGeometry):
     def evaluate(cloud):
         cj = component_jets(f, cloud, 1)
         c0 = cj.truncate(0)
-        jets = [c0.f0, *c0.fi, c0.fbrev, *c0.phi] + [cj.fi[i].derive(i + 1) for i in active]
-        return value_array(jets, cloud.shape[1:])
+        return [c0.f0, *c0.fi, c0.fbrev, *c0.phi] + [cj.fi[i].derive(i + 1) for i in active]
 
-    arrays = node_map(geom.mesh4, evaluate)
-    return list(arrays[:8]), dict(zip(active, arrays[8:]))
+    values = [q[0] for q in node_map(geom.mesh4, evaluate)]
+    return values[:8], dict(zip(active, values[8:]))
 
 
 def prequantum(qd: QuantumData, geom: GridGeometry, f: SpecialFunction) -> GridOperator:
@@ -437,23 +472,23 @@ def prequantum(qd: QuantumData, geom: GridGeometry, f: SpecialFunction) -> GridO
         raise GridMismatch("geometry was built for different quantum data")
     vals, dfi = _component_arrays(f, geom)
     c = SpecialValue(vals[0], vals[1:4], vals[4], vals[5:8])
-    y = y_coefficients(c, geom.a, np.moveaxis(geom.c_coeffs, (-2, -1), (0, 1)))
+    y = y_coefficients(c, geom.a, geom.c_coeffs)
     f0 = c.f0
     xi_sp = [-fi for fi in c.fi]
     # div_eta X = (X^0 d0 sqrtg + d_i(X^i sqrtg)) / sqrtg, active axes only
     div = f0 * geom.d0sqrtg / geom.sqrtg
     for i in geom.spec.active:
-        div += -dfi[i] + xi_sp[i] * geom.dsqrtg[..., i] / geom.sqrtg
-    ymat = _node_matrices(geom, y) + (-0.5 * div)[..., None, None] * np.eye(2)
+        div += -dfi[i] + xi_sp[i] * geom.dsqrtg[i] / geom.sqrtg
+    ymat = _node_matrices(y) + _times_identity(-0.5 * div)
     p_factor = geom.d0sqrtg / (2.0 * geom.sqrtg)
     # Y.psi - f0 (P psi without its Laplacian part); P's -i/2 Delta0 is added below
-    pmat = (-1j * geom.a[0] + p_factor)[..., None, None] * np.eye(2) - _spin_c0(geom)
+    pmat = _times_identity(-1j * geom.a[0] + p_factor) - _spin_c0(geom)
     offsets = {}
     for i in geom.spec.active:
         h = geom.spec.spacing(i)
         for s in (1, -1):
             offsets[_axis_offset(i, s)] = 1j * (s * xi_sp[i] / (2.0 * h))
-    local = Stencil(1j * (-ymat - f0[..., None, None] * pmat), offsets)
+    local = Stencil(1j * (-ymat - np.asarray(f0)[..., None, None] * pmat), offsets, geom.spec.shape)
     stencil = local + _laplacian_stencil(geom, -0.5 * f0)
     return stencil.operator(f.name or "prequantum", symmetric=True)
 

@@ -123,7 +123,7 @@ class Scenario:
         if not finite:
             raise ScenarioError("psi0 is not finite on the grid")
         bg = self.background
-        sqrtg = node_map(coords, lambda cloud: value_array(bg.jets(cloud).sqrt_det(0), cloud.shape[1:]))
+        sqrtg = node_map(coords, lambda cloud: [bg.jets(cloud).sqrt_det(0)])[0][0]
         dens = np.einsum("...s,...s->...", psi.conj(), psi)
         nrm = math.sqrt(complex(np.sum(dens * sqrtg) * self.grid.dvol).real)
         if nrm == 0.0:

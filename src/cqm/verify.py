@@ -465,40 +465,71 @@ def _smooth_grid(spec: GridSpec, rng: np.random.Generator) -> SpinorGrid:
     return SpinorGrid(spec, psi)
 
 
+def _column(x) -> np.ndarray:
+    """A number or a node array as a factor of (..., 2) spinor nodes."""
+    return np.asarray(x)[..., None]
+
+
+def _shifted_laplacian(geom: GridGeometry):
+    """Delta0 psi term by term from shifted copies of psi, independent of
+    the production stencil: g^{ij} times the compact second difference
+    (i = j) or the four-corner mixed difference, d1 along i then along j
+    (i != j), -2i g^{ij} A_j d_i,
+    -i g^{ij} d_i A_j - g^{ij} A_i A_j, and w_h (d_h - i A_h) with the
+    divergence vector w_h = d_i g^{ih} + g^{ih} d_i sqrt|g| / sqrt|g|, all
+    sums over the active axes."""
+    active = geom.spec.active
+    ginv, a_sp = geom.ginv, geom.a[1:]
+    potential = sum(-1j * ginv[i][j] * geom.da[i][j] - ginv[i][j] * a_sp[i] * a_sp[j]
+                    for i in active for j in active)
+    drift = {i: sum(2.0 * ginv[i][j] * a_sp[j] for j in active) for i in active}
+    w = {h: sum(geom.dginv[i][i][h] + ginv[i][h] * geom.dsqrtg[i] / geom.sqrtg for i in active)
+         for h in active}
+
+    def apply(psi):
+        grads = {i: geom.d1(psi, i) for i in active}
+        out = _column(potential) * psi
+        for i in active:
+            for j in active:
+                second = geom.d2(psi, i) if i == j else geom.d1(grads[i], j)
+                out += _column(ginv[i][j]) * second
+            out += -1j * _column(drift[i]) * grads[i] + _column(w[i]) * (grads[i] - 1j * _column(a_sp[i]) * psi)
+        return geom.kinetic * out
+
+    return apply
+
+
 def _closed_form_ops(sc: Scenario, geom: GridGeometry):
     """Independent implementations of the displayed operators (x^lam, P_1,
-    H0', spin along e3) used as the dual route for prequantum."""
+    H0', spin along e3) used as the dual route for prequantum, and of Delta0
+    for observed_laplacian.  Delta0 and the kinetic part of H0' come from
+    _shifted_laplacian, not from the production stencil."""
     x1 = geom.mesh4[1]
-    sqrtg = geom.sqrtg
-    dlog = geom.dsqrtg[..., 0] / (2.0 * sqrtg)
-    c1mat = np.zeros(geom.spec.shape + (2, 2), dtype=complex)
-    for a in range(3):
-        c1mat += geom.c_coeffs[..., 1, a, None, None] * XI_ALL[1 + a]
-    lap = observed_laplacian(geom)
+    dlog = geom.dsqrtg[0] / (2.0 * geom.sqrtg)
+    c1mat = sum(np.asarray(geom.c_coeffs[1][a])[..., None, None] * XI_ALL[1 + a] for a in range(3))
+    lap = _shifted_laplacian(geom)
     a0 = geom.a[0]
     bg = sc.background
     c = bg.constants
-    bvals = node_map(geom.mesh4, lambda cloud: value_array(bg.jets(cloud).magnetic(0), cloud.shape[1:]))
+    bvals = [q[0] for q in node_map(geom.mesh4, lambda cloud: bg.jets(cloud).magnetic(0))]
     w = c.u0.value * c.mu.value
+    smat = sum(0.5 * w * np.asarray(bvals[a])[..., None, None] * SIGMA[a] for a in range(3))
 
     def op_x1(psi):
         return x1[..., None] * psi
 
     def op_p1(psi):
         d1 = geom.d1(psi, 0)
-        return -1j * (d1 - np.einsum("...ab,...b->...a", c1mat, psi) + dlog[..., None] * psi)
+        return -1j * (d1 - np.einsum("...ab,...b->...a", c1mat, psi) + _column(dlog) * psi)
 
     def op_h0p(psi):
-        out = -0.5 * lap.apply_fn(psi) - a0[..., None] * psi
-        smat = np.zeros(geom.spec.shape + (2, 2), dtype=complex)
-        for a in range(3):
-            smat += 0.5 * w * bvals[a, ..., None, None] * SIGMA[a]
+        out = -0.5 * lap(psi) - _column(a0) * psi
         return out + np.einsum("...ab,...b->...a", smat, psi)
 
     def op_spin3(psi):
         return 0.5 * np.einsum("ab,...b->...a", SIGMA[2], psi)
 
-    return {"x1": op_x1, "P1": op_p1, "H0prime": op_h0p, "spin3": op_spin3}
+    return {"x1": op_x1, "P1": op_p1, "H0prime": op_h0p, "spin3": op_spin3, "Delta0": lap}
 
 
 # The probe box of the operators suite for a scenario without a grid: the
@@ -542,8 +573,10 @@ def suite_operators(sc: Scenario) -> list:
         "spin3": spin3,
     }
     ops = {key: prequantum(qd, geom, f) for key, f in named.items()}
-    for key, op in ops.items():
-        got = op.apply_fn(probe.psi)
+    displays = {key: op.apply_fn for key, op in ops.items()}
+    displays["Delta0"] = observed_laplacian(geom).apply_fn
+    for key, apply_fn in displays.items():
+        got = apply_fn(probe.psi)
         want = closed[key](probe.psi)
         scale = max(1.0, float(np.max(np.abs(want))))
         worst_named = max(worst_named, float(np.max(np.abs(got - want))) / scale)

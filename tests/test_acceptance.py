@@ -196,10 +196,10 @@ def closed_form_x(geom, lam):
 
 
 def closed_form_p1(geom, c_coeffs):
-    dlog = geom.dsqrtg[..., 0] / (2.0 * geom.sqrtg)
+    dlog = np.asarray(geom.dsqrtg[0] / (2.0 * geom.sqrtg))
     cmat = np.zeros(geom.spec.shape + (2, 2), dtype=complex)
     for a in range(3):
-        cmat += c_coeffs[..., 1, a, None, None] * XI_ALL[1 + a]
+        cmat += np.asarray(c_coeffs[1][a])[..., None, None] * XI_ALL[1 + a]
 
     def apply_fn(psi):
         h = geom.spec.spacing(0)
@@ -220,7 +220,7 @@ def closed_form_h0prime(geom, sc):
     smat = sum(0.5 * c.u0.value * c.mu.value * b_vals[a] * SIGMA[a] for a in range(3))
 
     def apply_fn(psi):
-        out = -0.5 * lap.apply_fn(psi) - a0[..., None] * psi
+        out = -0.5 * lap.apply_fn(psi) - np.asarray(a0)[..., None] * psi
         return out + np.einsum("ab,...b->...a", smat, psi)
 
     return apply_fn

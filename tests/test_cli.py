@@ -570,3 +570,22 @@ def test_evolve_on_a_time_dependent_background_is_a_load_error(tmp_path, changes
     assert (rc, stdout) == (2, "")
     assert stderr == f"error: {field} references x0: evolution on a time-dependent background is unsupported\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "evolve"])
+def test_grid_too_large_for_memory_is_a_load_error(tmp_path, command):
+    """A grid of 10^5 nodes per axis (7.11 PiB per node array, which numpy
+    refuses before touching any memory): one error line, exit 2, and no
+    output directory."""
+    grid = {"axes": [[-1, 1, 100000]] * 3, "time": 0.0}
+    out = tmp_path / "out"
+    if command == "verify":
+        argv = ["verify", json.dumps({"grid": grid}), "--suite", "operators"]
+    else:
+        grid["psi0"] = [["1", "0"], ["0", "0"]]
+        argv = ["evolve", json.dumps({"grid": grid}), "--steps", "2", "--dt", "0.1", "--out", str(out)]
+    rc, stdout, stderr = _main(*argv)
+    assert (rc, stdout) == (2, "")
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "PiB" in lines[0], stderr
+    assert not out.exists()

@@ -513,10 +513,13 @@ def test_every_coefficient_is_real_and_the_shift_is_in_w(curved_magnetic_scenari
         # a complex jet cast into a real node array would only warn
         warnings.simplefilter("error", np.exceptions.ComplexWarning)
         geom = GridGeometry(sc.qd, GridSpec(((-2, 2, 7), (-1.5, 2.5, 7), (0.0, 0.0, 1)), 0.3))
-    arrays = {name: v for name, v in vars(geom).items() if isinstance(v, (np.ndarray, list))}
-    assert {"sqrtg", "ginv", "dginv", "a", "da", "c_coeffs", "mesh4"} <= set(arrays)
+    def leaves(v):
+        return [x for item in v for x in leaves(item)] if isinstance(v, list) else [v]
+
+    arrays = {name: v for name, v in vars(geom).items() if isinstance(v, (np.ndarray, np.floating, list))}
+    assert {"sqrtg", "d0sqrtg", "ginv", "dginv", "a", "da", "c_coeffs", "mesh4"} <= set(arrays)
     for name, v in arrays.items():
-        assert {np.asarray(x).dtype for x in (v if isinstance(v, list) else [v])} == {np.dtype(np.float64)}, name
+        assert {np.asarray(x).dtype for x in leaves(v)} == {np.dtype(np.float64)}, name
 
 
 @pytest.mark.parametrize("name", ["random", "H0prime", "P1"])

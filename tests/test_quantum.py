@@ -1,5 +1,7 @@
 import collections
 import json
+import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -9,7 +11,7 @@ from cqm import fieldlang as fl, quantum
 from cqm.background import BackgroundJets, NotPositiveDefinite
 from cqm.fieldlang import FieldDef, eval_float
 from cqm.hermitian import SpinorSection, from_special
-from cqm.jets import Jet, value_array
+from cqm.jets import Jet
 from cqm.pauli import SIGMA, XI_ALL
 from cqm.quantum import (
     GridGeometry,
@@ -517,12 +519,21 @@ def node_points(geom):
     return [tuple(float(m[idx]) for m in geom.mesh4) for idx in np.ndindex(geom.spec.shape)]
 
 
+def filled(geom, quantity):
+    """A stored quantity, or a nested list of them, filled out to the grid:
+    the list's axes first, then the grid shape."""
+    if isinstance(quantity, list):
+        return np.stack([filled(geom, q) for q in quantity])
+    return np.broadcast_to(quantity, geom.spec.shape)
+
+
 def test_geometry_spin_coefficients_match_points(curved_magnetic_scenario, node_chunk):
     sc = curved_magnetic_scenario
     geom = curved_7x7(sc)
     want = np.array([sc.qd.spin.coeff_values(p) for p in node_points(geom)])
-    assert geom.c_coeffs.shape == geom.spec.shape + (4, 3)
-    np.testing.assert_allclose(geom.c_coeffs.reshape(-1, 4, 3), want, rtol=0, atol=1e-14)
+    got = np.moveaxis(filled(geom, geom.c_coeffs), (0, 1), (-2, -1))
+    assert got.shape == geom.spec.shape + (4, 3)
+    np.testing.assert_allclose(got.reshape(-1, 4, 3), want, rtol=0, atol=1e-14)
 
 
 def reference_geometry(sc, point):
@@ -561,21 +572,87 @@ def test_geometry_arrays_match_points(name, x3, node_chunk, monkeypatch):
     geom = curved_7x7(sc, x3)
     nodes = int(np.prod(geom.spec.shape))
     assert len(built) == -(-nodes // quantum.NODE_CHUNK)
+    assert geom.spec.active == [0, 1]
+    assert_geometry_matches_points(sc, geom)
+    if name == "anisotropic":
+        assert np.abs(reference_geometry(sc, node_points(geom)[0])[3][3]).max() > 1e-3
+
+
+def assert_geometry_matches_points(sc, geom):
+    """Every stored quantity of geom, filled out to the grid, against the
+    per-node det/inv oracle; derivatives along an inactive axis read zero."""
     active = geom.spec.active
-    assert active == [0, 1]
+    inactive = [ax for ax in range(3) if ax not in active]
+    sqrtg_n, d0sqrtg_n = filled(geom, geom.sqrtg), filled(geom, geom.d0sqrtg)
+    dsqrtg_n = np.moveaxis(filled(geom, geom.dsqrtg), 0, -1)  # [..., i]
+    ginv_n = np.moveaxis(filled(geom, geom.ginv), (0, 1), (-2, -1))  # [..., i, j]
+    dginv_n = np.moveaxis(filled(geom, geom.dginv), (0, 1, 2), (-3, -2, -1))  # [..., k, i, j]
+    a_n = np.moveaxis(filled(geom, geom.a), 0, -1)  # [..., lam]
+    da_n = np.moveaxis(filled(geom, geom.da), (0, 1), (-2, -1))  # [..., i, j]
     close = dict(rtol=0, atol=1e-13)
     for idx, point in zip(np.ndindex(geom.spec.shape), node_points(geom)):
         sqrtg, dsqrtg, ginv, dginv, a, da = reference_geometry(sc, point)
-        np.testing.assert_allclose(geom.sqrtg[idx], sqrtg, **close)
-        np.testing.assert_allclose(geom.d0sqrtg[idx], dsqrtg[0], **close)
-        np.testing.assert_allclose(geom.dsqrtg[idx][active], dsqrtg[1:][active], **close)
-        np.testing.assert_allclose(geom.ginv[idx], ginv, **close)
-        np.testing.assert_allclose(geom.dginv[idx][active], dginv[1:][active], **close)
-        np.testing.assert_allclose([geom.a[k][idx] for k in range(4)], a, **close)
-        np.testing.assert_allclose(geom.da[idx], da, **close)
-        assert geom.dsqrtg[idx][2] == 0.0 and not geom.dginv[idx][2].any()
-    if name == "anisotropic":
-        assert np.abs(reference_geometry(sc, node_points(geom)[0])[3][3]).max() > 1e-3
+        np.testing.assert_allclose(sqrtg_n[idx], sqrtg, **close)
+        np.testing.assert_allclose(d0sqrtg_n[idx], dsqrtg[0], **close)
+        np.testing.assert_allclose(dsqrtg_n[idx][active], dsqrtg[1:][active], **close)
+        np.testing.assert_allclose(ginv_n[idx], ginv, **close)
+        np.testing.assert_allclose(dginv_n[idx][active], dginv[1:][active], **close)
+        np.testing.assert_allclose(a_n[idx], a, **close)
+        np.testing.assert_allclose(da_n[idx][active], da[active], **close)
+    for ax in inactive:
+        assert not dsqrtg_n[..., ax].any() and not dginv_n[..., ax, :, :].any() and not da_n[..., ax, :].any()
+
+
+GEOMETRY_SCENARIOS = [path.stem for path in sorted(SCENARIO_DIR.glob("*.json"))] + ["anisotropic", "breathing"]
+
+
+@pytest.mark.parametrize("name", GEOMETRY_SCENARIOS)
+def test_stored_geometry_matches_points_on_every_scenario(name, node_chunk):
+    """Each shipped scenario and the anisotropic and breathing fixtures on a
+    7x7 grid at x0 = 0.3: the quantities kept as numbers and those kept as
+    grid arrays give the per-node values once filled out to the grid."""
+    path = SCENARIO_DIR / f"{name}.json"
+    sc = load_scenario(path if path.exists() else scenario_dict(name))
+    assert_geometry_matches_points(sc, curved_7x7(sc))
+
+
+def named_quantities(prefix, quantity):
+    """(name, quantity) for a stored quantity or each of a nested list."""
+    if isinstance(quantity, list):
+        for k, item in enumerate(quantity):
+            yield from named_quantities(f"{prefix}[{k}]", item)
+    else:
+        yield prefix, quantity
+
+
+def test_constant_quantities_are_stored_once():
+    """flat_magnetic at 24^3: A_2 = q b x1 / hbar is its one quantity that
+    varies, so its jet (value and derivatives) is the only grid data; every
+    other quantity is one number that cannot be written to.  The geometry
+    keeps at most 1.5 MB (a grid array for each of its 82 node rows would
+    take 9.1 MB)."""
+    sc = load_scenario(SCENARIO_DIR / "flat_magnetic.json")
+    spec = GridSpec(((-4.0, 4.0, 24),) * 3, 0.0)
+    GridGeometry(sc.qd, spec)  # the background's shared cache is filled once
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        geom = GridGeometry(sc.qd, spec)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 1.5e6
+    varying = {"a[2]", "da[0][1]", "da[1][1]", "da[2][1]"}
+    stored = [pair for name in ("sqrtg", "d0sqrtg", "dsqrtg", "ginv", "dginv", "a", "da", "c_coeffs")
+              for pair in named_quantities(name, getattr(geom, name))]
+    assert len(stored) == 1 + 1 + 3 + 9 + 27 + 4 + 9 + 12
+    for name, q in stored:
+        if name in varying:
+            assert isinstance(q, np.ndarray) and q.shape == spec.shape and q.strides[-1] == 8, name
+        else:
+            assert np.ndim(q) == 0 and np.size(q) == 1, name
+            with pytest.raises((TypeError, ValueError)):
+                q[...] = 0.0
 
 
 def test_bracket_arrays_match_points(curved_magnetic_scenario, node_chunk):
@@ -590,13 +667,13 @@ def test_bracket_arrays_match_points(curved_magnetic_scenario, node_chunk):
     vals, dfi = quantum._component_arrays(br, geom)
     points = node_points(geom)
     want = np.array([extended_bracket(f, g, sc.background, p).as_array() for p in points])
-    got = np.stack([v.reshape(-1) for v in vals], axis=-1)
+    got = np.stack([filled(geom, v).reshape(-1) for v in vals], axis=-1)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
     assert sorted(dfi) == geom.spec.active == [0, 1]
     at_points = [component_jets(br, p, 1) for p in points]
     for i, arr in dfi.items():
         want_d = [c.fi[i].derive(i + 1).value for c in at_points]
-        np.testing.assert_allclose(arr.reshape(-1), want_d, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(filled(geom, arr).reshape(-1), want_d, rtol=0, atol=1e-13)
 
 
 def test_bracket_grid_pass_builds_one_bundle_per_chunk(curved_magnetic_scenario, monkeypatch):
@@ -628,10 +705,9 @@ def full_order_1_arrays(func, geom):
 
     def evaluate(cloud):
         cj = component_jets(func, cloud, 1)
-        jets = [cj.f0, *cj.fi, cj.fbrev, *cj.phi] + [cj.fi[i].derive(i + 1) for i in active]
-        return value_array(jets, cloud.shape[1:])
+        return [cj.f0, *cj.fi, cj.fbrev, *cj.phi] + [cj.fi[i].derive(i + 1) for i in active]
 
-    return quantum.node_map(geom.mesh4, evaluate)
+    return filled(geom, [q[0] for q in quantum.node_map(geom.mesh4, evaluate)])
 
 
 @pytest.mark.parametrize("which", ["bracket", "H0prime"])
@@ -675,7 +751,7 @@ def test_grid_pass_reads_derived_parts_at_order_0(curved_magnetic_scenario, node
     assert not [key for b in bundles for key in unread if key in b._cache]
     assert orders[3] == 0 and orders[0] > 0
     assert all(read in b._cache for b in bundles)
-    assert np.array_equal(np.stack(vals + [dfi[i] for i in geom.spec.active]), want)
+    assert np.array_equal(filled(geom, vals + [dfi[i] for i in geom.spec.active]), want)
 
 
 def test_derived_functions_have_no_component_fields(curved_magnetic_scenario, flat_magnetic_scenario):
@@ -787,22 +863,37 @@ def oracle_d_cross(geom, arr, ax1, ax2):
     return (pp - pm - mp + mm) / (4.0 * h1 * h2)
 
 
+def node_arrays(geom):
+    """The geometry's quantities filled out to the grid, node axes first:
+    sqrtg, d0sqrtg, dsqrtg[..., i], ginv[..., i, j], dginv[..., k, i, j],
+    a[lam], da[..., i, j] and c_coeffs[..., lam, a]."""
+    return types.SimpleNamespace(
+        sqrtg=filled(geom, geom.sqrtg), d0sqrtg=filled(geom, geom.d0sqrtg),
+        dsqrtg=np.moveaxis(filled(geom, geom.dsqrtg), 0, -1),
+        ginv=np.moveaxis(filled(geom, geom.ginv), (0, 1), (-2, -1)),
+        dginv=np.moveaxis(filled(geom, geom.dginv), (0, 1, 2), (-3, -2, -1)),
+        a=list(filled(geom, geom.a)),
+        da=np.moveaxis(filled(geom, geom.da), (0, 1), (-2, -1)),
+        c_coeffs=np.moveaxis(filled(geom, geom.c_coeffs), (0, 1), (-2, -1)))
+
+
 def oracle_laplacian(geom, psi):
     """Delta0 psi term by term: g^{ij} times second and mixed differences,
     -2i g^{ij} A_j d_i, -i g^{ij} d_i A_j - g^{ij} A_i A_j, and the divergence
     vector w_h times (d_h - i A_h)."""
     active = geom.spec.active
-    ginv = geom.ginv
-    a_sp = [geom.a[i + 1] for i in range(3)]
+    g = node_arrays(geom)
+    ginv = g.ginv
+    a_sp = [g.a[i + 1] for i in range(3)]
     da_term = np.zeros(geom.spec.shape)
     aa_term = np.zeros(geom.spec.shape)
     w = np.zeros(geom.spec.shape + (3,))
     for i in active:
         for j in active:
-            da_term += ginv[..., i, j] * geom.da[..., i, j]
+            da_term += ginv[..., i, j] * g.da[..., i, j]
             aa_term += ginv[..., i, j] * a_sp[i] * a_sp[j]
         for h in active:
-            w[..., h] += geom.dginv[..., i, i, h] + ginv[..., i, h] * geom.dsqrtg[..., i] / geom.sqrtg
+            w[..., h] += g.dginv[..., i, i, h] + ginv[..., i, h] * g.dsqrtg[..., i] / g.sqrtg
     out = np.zeros_like(psi)
     grads = {i: geom.d1(psi, i) for i in active}
     for i in active:
@@ -822,29 +913,33 @@ def oracle_laplacian(geom, psi):
 
 
 def oracle_generator(geom, psi):
-    hmat = sum(geom.c_coeffs[..., 0, a, None, None] * (1j * XI_ALL[a + 1]) for a in range(3))  # i C_0^a xi_a
-    out = -0.5 * oracle_laplacian(geom, psi) - geom.a[0][..., None] * psi
+    g = node_arrays(geom)
+    hmat = sum(g.c_coeffs[..., 0, a, None, None] * (1j * XI_ALL[a + 1]) for a in range(3))  # i C_0^a xi_a
+    out = -0.5 * oracle_laplacian(geom, psi) - g.a[0][..., None] * psi
     return out + np.einsum("...ab,...b->...a", hmat, psi)
 
 
 def oracle_prequantum(geom, f, psi):
     """i (Y.psi - f0 P psi) with Y.psi = -f^i d_i psi - Y psi and
     P psi = (-i A0 + d0 sqrt|g| / 2 sqrt|g|) psi - i/2 Delta0 psi - C_0^a xi_a psi."""
+    g = node_arrays(geom)
     vals, dfi = quantum._component_arrays(f, geom)
+    vals = list(filled(geom, vals))
+    dfi = {i: filled(geom, arr) for i, arr in dfi.items()}
     f0, fi, fbrev, phi = vals[0], vals[1:4], vals[4], vals[5:8]
-    y0 = f0 * geom.a[0] + fbrev - sum(fi[j] * geom.a[j + 1] for j in range(3))
-    ya = [phi[a] + f0 * geom.c_coeffs[..., 0, a] - sum(fi[j] * geom.c_coeffs[..., j + 1, a] for j in range(3))
+    y0 = f0 * g.a[0] + fbrev - sum(fi[j] * g.a[j + 1] for j in range(3))
+    ya = [phi[a] + f0 * g.c_coeffs[..., 0, a] - sum(fi[j] * g.c_coeffs[..., j + 1, a] for j in range(3))
           for a in range(3)]
-    div = f0 * geom.d0sqrtg / geom.sqrtg
+    div = f0 * g.d0sqrtg / g.sqrtg
     for i in geom.spec.active:
-        div += -dfi[i] - fi[i] * geom.dsqrtg[..., i] / geom.sqrtg
+        div += -dfi[i] - fi[i] * g.dsqrtg[..., i] / g.sqrtg
     ymat = sum(c[..., None, None] * XI_ALL[nu] for nu, c in enumerate([y0, *ya]))
     ymat = ymat + (-0.5 * div)[..., None, None] * np.eye(2)
-    c0mat = sum(geom.c_coeffs[..., 0, a, None, None] * XI_ALL[a + 1] for a in range(3))
+    c0mat = sum(g.c_coeffs[..., 0, a, None, None] * XI_ALL[a + 1] for a in range(3))
     ypsi = -np.einsum("...ab,...b->...a", ymat, psi)
     for i in geom.spec.active:
         ypsi -= fi[i][..., None] * geom.d1(psi, i)
-    ppsi = (-1j * geom.a[0] + geom.d0sqrtg / (2.0 * geom.sqrtg))[..., None] * psi
+    ppsi = (-1j * g.a[0] + g.d0sqrtg / (2.0 * g.sqrtg))[..., None] * psi
     ppsi += -0.5j * oracle_laplacian(geom, psi)
     ppsi -= np.einsum("...ab,...b->...a", c0mat, psi)
     return 1j * (ypsi - f0[..., None] * ppsi)
@@ -914,10 +1009,10 @@ def test_stencil_drops_zero_offsets(flat_magnetic_scenario):
 def all_array_apply(stencil, psi):
     """A Stencil applied with every part as a node array: one einsum with the
     centre, then each live offset's coefficient array times the shifted psi."""
-    out = np.einsum("...ab,...b->...a", stencil.centre, psi)
+    out = np.einsum("...ab,...b->...a", np.broadcast_to(stencil.centre, psi.shape + (2,)), psi)
     for d, coef in stencil.live_offsets().items():
         dst, src = quantum._offset_slices(d)
-        out[dst] += coef[dst][..., None] * psi[src]
+        out[dst] += np.broadcast_to(coef, psi.shape[:-1])[dst][..., None] * psi[src]
     return out
 
 
@@ -933,7 +1028,7 @@ def constant_parts(stencil):
     """(centre kind, live offsets whose applied coefficients are the same at
     every node, live offsets)."""
     live = stencil.live_offsets()
-    applied = [coef[quantum._offset_slices(d)[0]] for d, coef in live.items()]
+    applied = [np.broadcast_to(coef, stencil.shape)[quantum._offset_slices(d)[0]] for d, coef in live.items()]
     return centre_kind(stencil.centre), sum(bool(np.all(a == a.flat[0])) for a in applied), len(live)
 
 
