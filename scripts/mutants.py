@@ -46,12 +46,12 @@ MUTANTS = (
            "s * (w - 2j * ga)", "s * (w + 2j * ga)",
            "sign of the drift term -2i g^ij A_j of _laplacian_stencil"),
     Mutant("laplacian_a_squared_sign", "quantum.py",
-           "real -= 2.0 * ginv[i][i] / h[i] ** 2 + ga * a_sp[i]",
-           "real -= 2.0 * ginv[i][i] / h[i] ** 2 - ga * a_sp[i]",
+           "real -= 2.0 * ginv[i][i] / h[i] ** 2 + _times(ga, a_sp[i])",
+           "real -= 2.0 * ginv[i][i] / h[i] ** 2 - _times(ga, a_sp[i])",
            "sign of |A|^2 in _laplacian_stencil"),
     Mutant("laplacian_div_a_sign", "quantum.py",
-           "imag -= ginv[i][j] * da[i][j]",
-           "imag += ginv[i][j] * da[i][j]",
+           "imag -= _times(ginv[i][j], da[i][j])",
+           "imag += _times(ginv[i][j], da[i][j])",
            "sign of i g^ij d_i A_j (the i div A term) in _laplacian_stencil"),
     Mutant("y_f0_a0_sign", "hermitian.py",
            "y0 = c.f0 * a[0] + c.fbrev", "y0 = c.fbrev - c.f0 * a[0]",

@@ -11,6 +11,7 @@ import numpy as np
 
 from cqm.quantum import GridGeometry, evolve_pauli
 from cqm.scenario import load_scenario
+from generator_applies import counted_applies
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -27,9 +28,10 @@ def main():
     diffusivity = c.u0.value * c.hbar.value / (2.0 * c.m.value)
     psi0 = sc.initial_grid()
     geom = GridGeometry(sc.qd, sc.grid)
-    start = time.perf_counter()
-    traj = evolve_pauli(sc.qd, psi0, args.dt, args.steps, geom=geom)
-    wall = time.perf_counter() - start
+    with counted_applies() as applies:
+        start = time.perf_counter()
+        traj = evolve_pauli(sc.qd, psi0, args.dt, args.steps, geom=geom)
+        wall = time.perf_counter() - start
     sigma0 = traj.widths[0]
     print(f"D = u0 hbar / 2m = {diffusivity}; sigma0 = {sigma0:.4f}")
     print(f"{'t':>8} {'width':>10} {'analytic':>10} {'rel dev':>10}")
@@ -42,7 +44,8 @@ def main():
         print(f"{t:8.2f} {traj.widths[k]:10.4f} {analytic:10.4f} {dev:10.2e}")
     print(f"norm drift {np.max(np.abs(traj.norms - traj.norms[0])):.2e}, "
           f"max width deviation {worst:.2%}")
-    print(f"evolve_pauli {wall:.3f} s ({wall / args.steps * 1e6:.1f} us per step)")
+    print(f"evolve_pauli {wall:.3f} s ({wall / args.steps * 1e6:.1f} us per step, "
+          f"{len(applies) / args.steps:.2f} generator applies per step)")
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ import numpy as np
 
 from cqm.quantum import GridGeometry, evolve_pauli, measure_frequency
 from cqm.scenario import load_scenario
+from generator_applies import counted_applies
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -34,14 +35,16 @@ def main():
 
     psi0 = sc.initial_grid()
     geom = GridGeometry(sc.qd, sc.grid)
-    start = time.perf_counter()
-    traj = evolve_pauli(sc.qd, psi0, args.dt, steps, geom=geom)
-    wall = time.perf_counter() - start
+    with counted_applies() as applies:
+        start = time.perf_counter()
+        traj = evolve_pauli(sc.qd, psi0, args.dt, steps, geom=geom)
+        wall = time.perf_counter() - start
     measured = measure_frequency(traj.sx, args.dt)
     drift = float(np.max(np.abs(traj.norms - traj.norms[0])))
     print(f"measured omega   = {measured:.6f}  (rel err {abs(measured - omega) / omega:.2e})")
     print(f"norm drift       = {drift:.2e}")
-    print(f"evolve_pauli     = {wall:.3f} s ({wall / steps * 1e6:.1f} us per step)")
+    print(f"evolve_pauli     = {wall:.3f} s ({wall / steps * 1e6:.1f} us per step, "
+          f"{len(applies) / steps:.2f} generator applies per step)")
     print(f"<sigma> at t_end = ({traj.sx[-1]:+.4f}, {traj.sy[-1]:+.4f}, {traj.sz[-1]:+.4f})")
 
 

@@ -33,17 +33,25 @@ The generator H with i d0 psi = H psi on the Pauli kernel is
 and the pre-quantum operator of a special function F is assembled as
 i (Y.psi - u0 f0 P psi) with the d0 psi contributions cancelled structurally
 (they are never formed).  Crank-Nicolson steps solve the Cayley system
-(1 + i tau H) x = (1 - i tau H) psi, tau = dt/2, matrix-free as the Neumann
-series x = psi + 2 sum_{j>=1} t_j with t_j = (-i tau H)^j psi, one generator
-apply per term.  The terms certify each step: it ends when an update 2|t_m|
-falls to 1e-14 |b| (b = psi + t_1), which bounds the residual
-(1 + i tau H) x - b = -2 t_{m+1}, and a step size at which the terms stop
-shrinking is reported as SolverDivergence.  The observables of the states
-are evaluated a block of steps at a time, in one pass per block.
+(1 - w) x = (1 + w) psi, w = -i tau H, tau = dt/2, matrix-free.  As the
+generator is static, every step applies the same Cayley map
+C = (1 + w)(1 - w)^-1, so one Neumann series of terms t_j = w^j psi, one
+generator apply per term, gives a block of STEP_BLOCK steps:
+C^s psi = sum_j c_{s,j} t_j, with c_{0,j} = delta_{j0} and
+c_{s,j} = c_{s-1,j} + 2 sum_{i<j} c_{s-1,i} (c_{1,j} = 2, c_{2,j} = 4j,
+c_{3,j} = 4j^2 + 2 for j >= 1).  Truncated after t_m, step s has the Cayley
+residual (1 - w) psi_s - (1 + w) psi_{s-1} = -(c_{s,m} + c_{s-1,m}) t_{m+1},
+so the terms certify every step of the block: the series ends when
+(c_{s,m} + c_{s-1,m}) |t_m| falls to 1e-14 |b| (b = psi + t_1) for every s,
+and a step size at which the terms stop shrinking is reported as
+SolverDivergence.  A block of one step is the plain series
+psi + 2 sum_{j>=1} t_j.  The observables of the states are evaluated a
+block of states at a time, in one pass per block.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import struct
@@ -110,8 +118,11 @@ class GridSpec:
         return out
 
     def mesh4(self) -> list:
-        """The node coordinates x0..x3, each an array of the grid's shape."""
-        return [np.full(self.shape, self.time), *np.meshgrid(*self.coords(), indexing="ij")]
+        """The node coordinates x0..x3, each a read-only view of the grid's
+        shape that broadcasts the time or its axis's coords() with zero
+        strides, so that it holds no grid memory."""
+        columns = [np.reshape(x, [-1 if k == ax else 1 for k in range(3)]) for ax, x in enumerate(self.coords())]
+        return [np.broadcast_to(x, self.shape) for x in [self.time, *columns]]
 
     def spacing(self, axis: int) -> float:
         lo, hi, n = self.axes[axis]
@@ -344,7 +355,8 @@ class Stencil:
         def apply_fn(psi: np.ndarray) -> np.ndarray:
             out = centre * psi if diagonal else np.einsum("...ab,...b->...a", centre, psi)
             for dst, src, coef in terms:
-                out[dst] += coef * psi[src]
+                view = out[dst]  # an in-place add with no store back through out[dst]
+                view += coef * psi[src]
             return out
 
         return GridOperator(label, apply_fn, symmetric)
@@ -359,6 +371,16 @@ def inner_product(geom: GridGeometry, a: SpinorGrid, b: SpinorGrid) -> complex:
 
 def _axis_offset(i: int, d: int) -> tuple:
     return tuple(d if k == i else 0 for k in range(3))
+
+
+def _times(a, b, over=None):
+    """The node product a b, divided by `over` if given, or the number 0.0
+    when a or b is a number (no grid axes) equal to 0: a zero metric entry
+    or derivative does not turn a varying quantity into a grid array of
+    zeros, and a sum it enters keeps its value."""
+    if any(np.ndim(f) == 0 and f == 0 for f in (a, b)):
+        return 0.0
+    return a * b if over is None else a * b / over
 
 
 def _laplacian_stencil(geom: GridGeometry, scale=1.0) -> Stencil:
@@ -386,9 +408,9 @@ def _laplacian_stencil(geom: GridGeometry, scale=1.0) -> Stencil:
         # w_i = d_j g^{ji} + g^{ji} d_j sqrt|g| / sqrt|g|, the divergence vector
         w = ga = 0.0  # ga = g^{ij} A_j
         for j in active:
-            w += dginv[j][j][i] + ginv[j][i] * geom.dsqrtg[j] / geom.sqrtg
-            ga += ginv[i][j] * a_sp[j]
-            imag -= ginv[i][j] * da[i][j]
+            w += dginv[j][j][i] + _times(ginv[j][i], geom.dsqrtg[j], geom.sqrtg)
+            ga += _times(ginv[i][j], a_sp[j])
+            imag -= _times(ginv[i][j], da[i][j])
             if j > i:
                 cross = ginv[i][j] + ginv[j][i]  # both orderings of d_i d_j
                 if np.any(cross):
@@ -398,8 +420,8 @@ def _laplacian_stencil(geom: GridGeometry, scale=1.0) -> Stencil:
                             offsets[d] = pref * (si * sj * cross / (4.0 * h[i] * h[j]))
         for s in (1, -1):
             offsets[_axis_offset(i, s)] = pref * (ginv[i][i] / h[i] ** 2 + s * (w - 2j * ga) / (2.0 * h[i]))
-        real -= 2.0 * ginv[i][i] / h[i] ** 2 + ga * a_sp[i]
-        imag -= w * a_sp[i]
+        real -= 2.0 * ginv[i][i] / h[i] ** 2 + _times(ga, a_sp[i])
+        imag -= _times(w, a_sp[i])
     return Stencil(_times_identity(pref * (real + 1j * imag)), offsets, geom.spec.shape)
 
 
@@ -476,9 +498,9 @@ def prequantum(qd: QuantumData, geom: GridGeometry, f: SpecialFunction) -> GridO
     f0 = c.f0
     xi_sp = [-fi for fi in c.fi]
     # div_eta X = (X^0 d0 sqrtg + d_i(X^i sqrtg)) / sqrtg, active axes only
-    div = f0 * geom.d0sqrtg / geom.sqrtg
+    div = _times(f0, geom.d0sqrtg, geom.sqrtg)
     for i in geom.spec.active:
-        div += -dfi[i] + xi_sp[i] * geom.dsqrtg[i] / geom.sqrtg
+        div += -dfi[i] + _times(xi_sp[i], geom.dsqrtg[i], geom.sqrtg)
     ymat = _node_matrices(y) + _times_identity(-0.5 * div)
     p_factor = geom.d0sqrtg / (2.0 * geom.sqrtg)
     # Y.psi - f0 (P psi without its Laplacian part); P's -i/2 Delta0 is added below
@@ -530,44 +552,93 @@ class Trajectory:
 
 def _observables(geom: GridGeometry, psis: np.ndarray) -> np.ndarray:
     """Rows (norm, <sigma_1>, <sigma_2>, <sigma_3>, width) of a stack of
-    states psis[k], from one pass over the weighted spinors psi sqrt|g|.
-    Each state's 2x2 density rho_ab = sum conj(psi_a) psi_b sqrt|g|, one
-    matrix of a batched matmul, gives the norm sqrt(tr rho dV) and
+    states psis[k].  Each state's 2x2 density rho_ab = sum conj(psi_a) psi_b
+    sqrt|g| comes from the weighted node densities |psi_a|^2 sqrt|g| of its
+    two components, which sum to rho_00 and rho_11, and from
+    rho_01 = conj(rho_10).  It gives the norm sqrt(tr rho dV) and
     <sigma_k> = sum_ab sigma_k,ab rho_ab / tr rho (not tr(sigma rho), which
-    flips the sign of the antisymmetric sigma_2): Re(rho_01 + rho_10),
-    Im rho_01 - Im rho_10 and Re(rho_00 - rho_11), over tr rho.  On a grid
-    with an active axis the node density gives the width, the root of the
-    summed variances along the active axes.  A zero state's row is zeros."""
+    flips the sign of the antisymmetric sigma_2): 2 Re rho_01, 2 Im rho_01
+    and rho_00 - rho_11, over tr rho.  On a grid with an active axis the
+    node density gives the width, the root of the summed variances along
+    the active axes, each from the density's marginal along its axis and
+    that axis's coordinates.  A zero state's row is zeros."""
     count = len(psis)
-    conj = psis.conj().reshape(count, -1, 2)
-    weighted = (psis * geom.sqrtg[..., None]).reshape(count, -1, 2)
-    r00, r01, r10, r11 = np.matmul(conj.transpose(0, 2, 1), weighted).reshape(count, 4).T
-    total = r00.real + r11.real
+    flat = psis.reshape(count, -1, 2)
+    weight = np.reshape(geom.sqrtg, -1)  # one number, or one per node
+    squares = np.square(flat.view(float))  # re^2, im^2 of each component
+    up = (squares[..., 0] + squares[..., 1]) * weight
+    down = (squares[..., 2] + squares[..., 3]) * weight
+    r00, r11 = up.sum(axis=1), down.sum(axis=1)
+    r01 = np.einsum("kn,kn->k", flat[..., 0].conj() * weight, flat[..., 1])
+    total = r00 + r11
     denom = np.where(total == 0.0, 1.0, total)  # every sum of a zero state is 0
     out = np.zeros((5, count))
     out[0] = np.sqrt(total * geom.dvol)
-    out[1] = (r01 + r10).real / denom
-    out[2] = (r01.imag - r10.imag) / denom
-    out[3] = (r00.real - r11.real) / denom
+    out[1] = 2.0 * r01.real / denom
+    out[2] = 2.0 * r01.imag / denom
+    out[3] = (r00 - r11) / denom
     active = geom.spec.active
     if active:
-        dens = np.einsum("...s,...s->...", conj, weighted).real
+        dens = (up + down).reshape((count,) + geom.spec.shape)
+        coords = geom.spec.coords()
         for ax in active:
-            x = geom.mesh4[ax + 1].ravel()
-            mean = np.sum(dens * x, axis=1) / denom
-            out[4] += np.sum(dens * (x - mean[:, None]) ** 2, axis=1) / denom
+            marginal = dens.sum(axis=tuple(1 + k for k in range(3) if k != ax))
+            mean = marginal @ coords[ax] / denom
+            out[4] += np.sum(marginal * (coords[ax] - mean[:, None]) ** 2, axis=1) / denom
         out[4] = np.sqrt(out[4])
     return out
 
 
-def _cayley_step(h_apply: Callable, psi: np.ndarray, tau: float, n: int) -> np.ndarray:
-    """Step n of evolve_pauli: x with (1 + i tau H) x = (1 - i tau H) psi.
-    Norms are compared squared, the shrink rule starts from t_0 = psi, and
-    an overflowing term, whose norm is infinite or NaN, raises too."""
+# Crank-Nicolson steps per Neumann series in evolve_pauli.  Run time of
+# evolve_pauli relative to one series per step, for blocks of 2 / 3 / 4
+# steps (the range of the medians of three series of 11 interleaved
+# in-process runs; 2-core x86-64, numpy 2.4): Larmor (one node, dt 0.1)
+# 0.80-0.89 / 0.71-0.75 / 0.62-0.70, 1-D dispersion (free_packet, 383
+# nodes, dt 0.004) 0.95-1.01 / 0.89-1.04 / 1.07-1.19, 3-D packet
+# (flat_magnetic 24^3, dt 0.02) 0.65-0.69 / 0.53-0.57 / 0.47-0.49.
+# free_packet's Gaussian
+# is cut by the box edge at 1.4e-11 of its peak, and the cut's short waves
+# shrink only about 2x per term from 1e-14 |b| on, so there a larger block
+# costs more terms than it saves.
+STEP_BLOCK = 3
+
+
+@functools.cache
+def _block_coefficients(k: int) -> list:
+    """Per term m = 1..500 of a block of k steps: the coefficients
+    (c_{2,m}, ..., c_{k,m}) of the sums of its later steps, and the squared
+    weight (c_{k,m} + c_{k-1,m})^2 of its last step's residual, the largest
+    of the block (module docstring).  The c_{s,m} come from c_{0,j} =
+    delta_{j0} and c_{s,j} = c_{s-1,j} + 2 sum_{i<j} c_{s-1,i}; they are
+    integers, exact in floating point."""
+    coeffs = [1.0] * (k + 1)  # c_{s,0}
+    below = [0.0] * (k + 1)  # sum_{i<m} c_{s,i}
+    rows = []
+    for _ in range(500):
+        for s in range(k + 1):
+            below[s] += coeffs[s]
+        coeffs = [0.0]
+        for s in range(1, k + 1):
+            coeffs.append(coeffs[s - 1] + 2.0 * below[s - 1])
+        rows.append((tuple(coeffs[2:]), (coeffs[k] + coeffs[k - 1]) ** 2))
+    return rows
+
+
+def _cayley_block(h_apply: Callable, psi: np.ndarray, tau: float, k: int, n: int) -> list:
+    """Steps n..n+k-1 of evolve_pauli: the states psi_s = C^s psi, s = 1..k,
+    of the Cayley map C = (1 + w)(1 - w)^-1, w = -i tau H, from one series
+    of terms t_j = w^j psi, as psi_s = sum_{j<=m} c_{s,j} t_j (module
+    docstring).  Step 1 keeps the running sum psi + 2 sum t_j, the later
+    steps one accumulator each.  The series ends at the first m where
+    (c_{s,m} + c_{s-1,m}) |t_m| <= 1e-14 |b|, b = psi + t_1, for every s;
+    after 500 terms the leading steps that meet it are returned, and
+    SolverDivergence is raised if the first does not.  Norms are compared
+    squared, the shrink rule starts from t_0 = psi, and an overflowing
+    term, whose norm is infinite or NaN, raises too."""
     last = np.vdot(psi, psi).real
     factor = -1j * tau
     t = psi
-    for m in range(1, 501):
+    for m, (coeffs, weight) in enumerate(_block_coefficients(k), 1):
         t = h_apply(t)
         t *= factor
         tt = np.vdot(t, t).real
@@ -575,14 +646,25 @@ def _cayley_step(h_apply: Callable, psi: np.ndarray, tau: float, n: int) -> np.n
             raise SolverDivergence(f"the Cayley series stopped shrinking at step {n}; reduce dt")
         if m == 1:
             b = psi + t
-            tol = 0.25e-28 * np.vdot(b, b).real  # (1e-14 |b| / 2)^2
+            tol = 1e-28 * np.vdot(b, b).real  # (1e-14 |b|)^2
+            del b  # the series keeps no state but psi, its k sums and t
             total = t
+            later = [psi + c * t for c in coeffs]
         else:
             total += t
-        if tt <= tol:
-            return psi + 2.0 * total
+            for acc, c in zip(later, coeffs):
+                acc += c * t
+        if weight * tt <= tol:  # every step of the block is certified
+            break
         last = tt
-    raise SolverDivergence(f"the Cayley series stalled at step {n}")
+    else:
+        # a step's weight is that of the last step of a block of its length
+        k = sum(_block_coefficients(s)[-1][1] * tt <= tol for s in range(1, k + 1))
+        if not k:
+            raise SolverDivergence(f"the Cayley series stalled at step {n}")
+    total *= 2.0
+    total += psi
+    return [total, *later][:k]
 
 
 def evolve_pauli(
@@ -594,40 +676,50 @@ def evolve_pauli(
     snapshot_every: int = 0,
 ) -> Trajectory:
     """Crank-Nicolson evolution (1 + i tau H) psi+ = (1 - i tau H) psi with
-    tau = dt/2, solved matrix-free as the Neumann series
-    psi+ = psi + 2 sum_{j>=1} t_j, t_j = (-i tau H)^j psi, one generator apply
-    per term.  A step ends at the first update 2|t_m| <= 1e-14 |b|,
-    b = psi + t_1, which certifies it: the residual (1 + i tau H) psi+ - b is
-    -2 t_{m+1}.  A term no smaller than the one before it means the series
-    does not converge at this dt, and SolverDivergence is raised at once, as
-    it is after 500 terms without convergence.  Norm, <sigma> and width are
-    recorded at every step: each state is copied into a block of
-    OBSERVABLE_BLOCK // psi.size states (at least one, at most steps + 1),
-    and _observables evaluates each full block, and the last partial one,
-    in one pass.  The background must be static (`require_static`)."""
+    tau = dt/2, solved matrix-free in blocks of STEP_BLOCK steps (the last
+    block may be shorter): one Neumann series of terms t_j = (-i tau H)^j psi,
+    one generator apply per term, gives the block's states
+    psi_s = sum_{j<=m} c_{s,j} t_j (module docstring; one step is
+    psi + 2 sum_{j>=1} t_j).  The series ends at the first m where
+    (c_{s,m} + c_{s-1,m}) |t_m| <= 1e-14 |b|, b = psi + t_1, for every step s
+    of the block, which certifies each step: its residual
+    (1 + i tau H) psi_s - (1 - i tau H) psi_{s-1} is
+    -(c_{s,m} + c_{s-1,m}) t_{m+1}.  A term no smaller than the one before
+    it means the series does not converge at this dt, and SolverDivergence
+    is raised at once for the block's first step.  After 500 terms a block
+    keeps its leading certified steps, and raises if its first step is not
+    certified.  Norm, <sigma> and width are recorded at every step: each
+    state is copied into a block of OBSERVABLE_BLOCK // psi.size states (at
+    most steps + 1), and _observables evaluates each full block, and the
+    last partial one, in one pass; a block of one state is the state itself,
+    with no copy.  The background must be static (`require_static`)."""
     require_static(qd)
     geom = geom or GridGeometry(qd, psi0.spec)
     h_apply = pauli_generator(geom).apply_fn
     spec = psi0.spec
     psi = psi0.psi.copy()
     obs = np.empty((5, steps + 1))
-    block = np.empty((max(1, min(steps + 1, OBSERVABLE_BLOCK // psi.size)),) + psi.shape, dtype=complex)
+    size = max(1, min(steps + 1, OBSERVABLE_BLOCK // psi.size))
+    block = np.empty((size,) + psi.shape, dtype=complex) if size > 1 else None
     snaps = []
 
     def record(step):
-        k = step % len(block)
-        block[k] = psi
-        if k == len(block) - 1 or step == steps:
-            obs[:, step - k:step + 1] = _observables(geom, block[:k + 1])
+        k = step % size
+        if block is not None:
+            block[k] = psi
+        if k == size - 1 or step == steps:
+            obs[:, step - k:step + 1] = _observables(geom, psi[None] if block is None else block[:k + 1])
         if snapshot_every and step % snapshot_every == 0:
             snaps.append((step, SpinorGrid(spec, psi.copy())))
 
     record(0)
-    # an overflowing term is caught by the step's shrink rule, not by a warning
+    n = 1
+    # an overflowing term is caught by the block's shrink rule, not by a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, steps + 1):
-            psi = _cayley_step(h_apply, psi, 0.5 * dt, n)
-            record(n)
+        while n <= steps:
+            for psi in _cayley_block(h_apply, psi, 0.5 * dt, min(STEP_BLOCK, steps + 1 - n), n):
+                record(n)
+                n += 1
     step_numbers = np.arange(steps + 1)
     return Trajectory(
         steps=step_numbers,

@@ -322,9 +322,10 @@ def test_step_guard(flat_scenario, monkeypatch):
     assert 1 <= len(applies) <= 5
 
 
-def assert_steps_certified(sc, geom, psi0, dt, steps=10):
-    """Every step solves (1 + i tau H) x = (1 - i tau H) psi to 1e-13 |b|
-    and keeps the norm."""
+def assert_steps_certified(sc, geom, psi0, dt, steps=10, unitary=True):
+    """Every step, at every place in its block of STEP_BLOCK steps, solves
+    (1 + i tau H) x = (1 - i tau H) psi to 1e-13 |b|, and keeps the norm
+    when the generator is self-adjoint (`unitary`)."""
     traj = evolve_pauli(sc.qd, psi0, dt, steps, geom=geom, snapshot_every=1)
     assert [step for step, _ in traj.snapshots] == list(range(steps + 1))
     h_apply = pauli_generator(geom).apply_fn
@@ -333,14 +334,52 @@ def assert_steps_certified(sc, geom, psi0, dt, steps=10):
         b = before.psi - 1j * tau * h_apply(before.psi)
         residual = after.psi + 1j * tau * h_apply(after.psi) - b
         assert np.linalg.norm(residual) <= 1e-13 * np.linalg.norm(b)
-    assert np.max(np.abs(np.diff(traj.norms))) <= 1e-13
+    if unitary:
+        assert np.all(np.abs(np.diff(traj.norms)) <= 1e-13)
+
+
+def counted_generator(monkeypatch):
+    """A list that gains one entry per apply of every generator that
+    pauli_generator returns from now on."""
+    applies = []
+    original = quantum.pauli_generator
+
+    def counting(geom):
+        op = original(geom)
+        return quantum.GridOperator(op.label, lambda psi: applies.append(1) or op.apply_fn(psi), op.symmetric)
+
+    monkeypatch.setattr(quantum, "pauli_generator", counting)
+    return applies
 
 
 def test_cayley_residual_certifies_each_step():
-    """free_packet at dt 0.006, beyond what a dt |H| <= 1.5 rule admits."""
+    """free_packet at dt 0.006, beyond what a dt |H| <= 1.5 rule admits, over
+    10 steps (three blocks and one step), 2 steps (one partial block) and
+    none.  Its terms shrink only about 2x each there, so a block takes more
+    generator applies per step than single steps would, but it evolves."""
     sc = load_scenario(SCENARIO_DIR / "free_packet.json")
     geom = GridGeometry(sc.qd, sc.grid)
-    assert_steps_certified(sc, geom, sc.initial_grid(), 0.006)
+    assert quantum.STEP_BLOCK == 3
+    for steps in (10, 2, 0):
+        assert_steps_certified(sc, geom, sc.initial_grid(), 0.006, steps)
+
+
+def test_cayley_block_at_the_term_limit():
+    """On one node with H = (r / tau) 1 the terms shrink by r each, so after
+    500 terms |t_500| = r^500 |psi|.  With r^500 = 1e-16 the first step's
+    residual bound 2 |t_500| is below 1e-14 |b| and the second's
+    (c_{2,500} + c_{1,500}) |t_500| = 2002 |t_500| is not: the block returns
+    the first step alone, the Cayley map (1 - i r)/(1 + i r) of psi.  With
+    r^500 = 1e-13 no step is certified and the block raises."""
+    psi = np.array([[[[0.6, 0.8j]]]])
+    tau = 0.05
+    r = 10.0 ** (-16 / 500)
+    states = quantum._cayley_block(lambda v: (r / tau) * v, psi, tau, 3, 7)
+    assert len(states) == 1
+    np.testing.assert_allclose(states[0], (1 - 1j * r) / (1 + 1j * r) * psi, rtol=0, atol=1e-14)
+    r = 10.0 ** (-13 / 500)
+    with pytest.raises(SolverDivergence, match="stalled at step 7"):
+        quantum._cayley_block(lambda v: (r / tau) * v, psi, tau, 3, 7)
 
 
 def spinor_packet(geom):
@@ -355,13 +394,47 @@ def spinor_packet(geom):
 def test_cayley_residual_certifies_each_step_on_other_stencils():
     """Larmor's one node: a spin centre that is not a multiple of the
     identity, and no offsets.  flat_magnetic at 8^3: the offsets along x1 and
-    x3 are the same at every node, those along x2 carry A_2 = q b x1 / hbar."""
+    x3 are the same at every node, those along x2 carry A_2 = q b x1 / hbar.
+    curved_magnetic's 15^2 grid: every part varies, and the generator is not
+    self-adjoint for the grid's weight (ROADMAP item 8), so its steps do not
+    keep the norm; each is still certified against the |b| of its own
+    system, though a block's stopping rule scales all its steps by the |b|
+    of the first."""
     sc = load_scenario(SCENARIO_DIR / "larmor.json")
     geom = GridGeometry(sc.qd, sc.grid)
     assert_steps_certified(sc, geom, sc.initial_grid(), 2.0)
     sc = load_scenario(SCENARIO_DIR / "flat_magnetic.json")
     geom = GridGeometry(sc.qd, GridSpec(((-3, 3, 8),) * 3, 0.0))
     assert_steps_certified(sc, geom, spinor_packet(geom), 0.1)
+    sc = load_scenario(SCENARIO_DIR / "curved_magnetic.json")
+    geom = GridGeometry(sc.qd, sc.grid)
+    assert geom.spec.shape == (15, 15, 1)
+    assert_steps_certified(sc, geom, spinor_packet(geom), 0.02, unitary=False)
+
+
+# (grid, or None for the scenario's own, dt, steps); the 8^3 grid carries a spinor packet
+BLOCK_CASES = {"larmor": (None, 0.1, 200), "free_packet": (None, 0.004, 100),
+               "flat_magnetic": (GridSpec(((-3, 3, 8),) * 3, 0.0), 0.05, 40)}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_step_blocks_follow_single_steps(name, monkeypatch):
+    """Blocks of STEP_BLOCK steps from one series give the trajectory of one
+    series per step to 1e-13, in every observable and in the final state,
+    with fewer generator applies."""
+    spec, dt, steps = BLOCK_CASES[name]
+    sc = load_scenario(SCENARIO_DIR / f"{name}.json")
+    geom = GridGeometry(sc.qd, spec or sc.grid)
+    psi0 = spinor_packet(geom) if spec else sc.initial_grid()
+    applies = counted_generator(monkeypatch)
+    blocks = evolve_pauli(sc.qd, psi0, dt, steps, geom=geom)
+    block_applies = len(applies)
+    monkeypatch.setattr(quantum, "STEP_BLOCK", 1)
+    single = evolve_pauli(sc.qd, psi0, dt, steps, geom=geom)
+    assert block_applies < len(applies) - block_applies
+    for row in ("norms", "sx", "sy", "sz", "widths"):
+        assert np.max(np.abs(getattr(blocks, row) - getattr(single, row))) <= 1e-13, row
+    assert np.max(np.abs(blocks.final.psi - single.final.psi)) <= 1e-13
 
 
 def oracle_spin_expectations(geom, grid):
@@ -614,6 +687,21 @@ def test_stored_geometry_matches_points_on_every_scenario(name, node_chunk):
     path = SCENARIO_DIR / f"{name}.json"
     sc = load_scenario(path if path.exists() else scenario_dict(name))
     assert_geometry_matches_points(sc, curved_7x7(sc))
+
+
+def test_mesh4_is_read_only_views_of_the_axis_coordinates():
+    """x0 broadcasts the grid's time and x_i its axis's coords(), with zero
+    strides along every other axis: the values of a full meshgrid, with no
+    grid memory, and no entry can be written."""
+    spec = GridSpec(((-1.0, 1.0, 5), (0.0, 0.0, 1), (2.0, 3.0, 4)), 0.7)
+    mesh = spec.mesh4()
+    want = [np.full(spec.shape, 0.7), *np.meshgrid(*spec.coords(), indexing="ij")]
+    for k, (got, full) in enumerate(zip(mesh, want)):
+        np.testing.assert_array_equal(got, full)
+        assert got.shape == spec.shape and not got.flags.writeable
+        assert all(stride == 0 for ax, stride in enumerate(got.strides) if ax != k - 1), k
+        with pytest.raises(ValueError):
+            got[0, 0, 0] = 1.0
 
 
 def named_quantities(prefix, quantity):
@@ -1084,3 +1172,44 @@ def test_constant_stencil_parts_apply_as_numbers(name, generator_parts, monkeypa
     psi = rng.standard_normal(geom.spec.shape + (2,)) + 1j * rng.standard_normal(geom.spec.shape + (2,))
     for op, stencil in zip(ops, stencils):
         np.testing.assert_array_equal(op.apply_fn(psi), all_array_apply(stencil, psi), err_msg=op.label)
+
+
+@pytest.mark.parametrize("name", sorted(NUMBER_PARTS_GRIDS))
+def test_zero_products_are_left_out_with_the_same_parts(name, monkeypatch):
+    """The generator's and prequantum(H0prime)'s stencils, whose products
+    with an exact-zero number are left out (quantum._times), have the centre
+    and offsets, value for value, of the stencils with every product
+    formed, and apply as they do bit for bit.  On flat_magnetic,
+    g^12 = g^32 = 0 keeps A_2 = q b x1 / hbar out of the generator's offsets
+    along x1 and x3, which are numbers."""
+    make, spec = NUMBER_PARTS_GRIDS[name]
+    sc = make()
+    geom = GridGeometry(sc.qd, spec or sc.grid)
+    built = []
+    original = quantum.Stencil.operator
+
+    def recording(self, label, symmetric):
+        op = original(self, label, symmetric)
+        built.append((self, op))
+        return op
+
+    monkeypatch.setattr(quantum.Stencil, "operator", recording)
+    pauli_generator(geom)
+    prequantum(sc.qd, geom, sc.function("H0prime"))
+    monkeypatch.setattr(quantum, "_times", lambda a, b, over=None: a * b if over is None else a * b / over)
+    pauli_generator(geom)
+    prequantum(sc.qd, geom, sc.function("H0prime"))
+    rng = np.random.default_rng(4)
+    psi = rng.standard_normal(geom.spec.shape + (2,)) + 1j * rng.standard_normal(geom.spec.shape + (2,))
+    shape = geom.spec.shape
+    for (skipped, skipped_op), (formed, formed_op) in zip(built[:2], built[2:]):
+        np.testing.assert_array_equal(np.broadcast_to(skipped.centre, shape + (2, 2)),
+                                      np.broadcast_to(formed.centre, shape + (2, 2)))
+        assert skipped.offsets.keys() == formed.offsets.keys()
+        for d, coef in skipped.offsets.items():
+            np.testing.assert_array_equal(np.broadcast_to(coef, shape), np.broadcast_to(formed.offsets[d], shape))
+        np.testing.assert_array_equal(skipped_op.apply_fn(psi), formed_op.apply_fn(psi))
+    if name.startswith("flat_magnetic") and "along" not in name:
+        generator = built[0][0]
+        for d in [(1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, -1)]:
+            assert np.ndim(generator.offsets[d]) == 0 and np.ndim(built[2][0].offsets[d]) == 3, d
