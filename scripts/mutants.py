@@ -53,6 +53,13 @@ MUTANTS = (
            "imag -= _times(ginv[i][j], da[i][j])",
            "imag += _times(ginv[i][j], da[i][j])",
            "sign of i g^ij d_i A_j (the i div A term) in _laplacian_stencil"),
+    Mutant("fold_column_offset", "quantum.py",
+           "coeffs = c[:, lo:hi]", "coeffs = c[:, lo + 1:hi + 1]",
+           "c-column offset of a Crank-Nicolson ring fold shifted by one term"),
+    Mutant("fold_last_partial_ring", "quantum.py",
+           "if j != cap - 1:  # the last ring is partial",
+           "if m < cap - 1:  # the last ring is partial",
+           "the last partial ring of a series left unfolded when an earlier full ring was folded"),
     Mutant("y_f0_a0_sign", "hermitian.py",
            "y0 = c.f0 * a[0] + c.fbrev", "y0 = c.fbrev - c.f0 * a[0]",
            "sign of f0 A_0 in y_0 of y_coefficients"),

@@ -45,8 +45,12 @@ so the terms certify every step of the block: the series ends when
 (c_{s,m} + c_{s-1,m}) |t_m| falls to 1e-14 |b| (b = psi + t_1) for every s,
 and a step size at which the terms stop shrinking is reported as
 SolverDivergence.  A block of one step is the plain series
-psi + 2 sum_{j>=1} t_j.  The observables of the states are evaluated a
-block of states at a time, in one pass per block.
+psi + 2 sum_{j>=1} t_j.  The terms are not summed one by one: each is
+written into the next slot of a ring of psi-shaped slots, and each full
+ring, then the last one, is folded into the block's states by one real
+matrix product of a block of the c_{s,j} with the slots, so a term costs
+the apply, one scaling into its slot and one norm.  The observables of the
+states are evaluated a block of states at a time, in one pass per block.
 """
 
 from __future__ import annotations
@@ -561,7 +565,9 @@ def _observables(geom: GridGeometry, psis: np.ndarray) -> np.ndarray:
     and rho_00 - rho_11, over tr rho.  On a grid with an active axis the
     node density gives the width, the root of the summed variances along
     the active axes, each from the density's marginal along its axis and
-    that axis's coordinates.  A zero state's row is zeros."""
+    that axis's coordinates.  A zero state's row is zeros.  Every sum is a
+    reduction along one state's row, so a state's row is the same bit for
+    bit in any stack (a matrix-vector product would not be)."""
     count = len(psis)
     flat = psis.reshape(count, -1, 2)
     weight = np.reshape(geom.sqrtg, -1)  # one number, or one per node
@@ -583,88 +589,108 @@ def _observables(geom: GridGeometry, psis: np.ndarray) -> np.ndarray:
         coords = geom.spec.coords()
         for ax in active:
             marginal = dens.sum(axis=tuple(1 + k for k in range(3) if k != ax))
-            mean = marginal @ coords[ax] / denom
+            mean = np.sum(marginal * coords[ax], axis=1) / denom
             out[4] += np.sum(marginal * (coords[ax] - mean[:, None]) ** 2, axis=1) / denom
         out[4] = np.sqrt(out[4])
     return out
 
 
 # Crank-Nicolson steps per Neumann series in evolve_pauli.  Run time of
-# evolve_pauli relative to one series per step, for blocks of 2 / 3 / 4
+# evolve_pauli relative to one series per step, for blocks of 2 / 3 / 4 / 5
 # steps (the range of the medians of three series of 11 interleaved
 # in-process runs; 2-core x86-64, numpy 2.4): Larmor (one node, dt 0.1)
-# 0.80-0.89 / 0.71-0.75 / 0.62-0.70, 1-D dispersion (free_packet, 383
-# nodes, dt 0.004) 0.95-1.01 / 0.89-1.04 / 1.07-1.19, 3-D packet
-# (flat_magnetic 24^3, dt 0.02) 0.65-0.69 / 0.53-0.57 / 0.47-0.49.
-# free_packet's Gaussian
-# is cut by the box edge at 1.4e-11 of its peak, and the cut's short waves
-# shrink only about 2x per term from 1e-14 |b| on, so there a larger block
-# costs more terms than it saves.
+# 0.54-0.59 / 0.36-0.42 / 0.28-0.32 / 0.25-0.26, 1-D dispersion
+# (free_packet, 383 nodes, dt 0.004) 0.82-0.89 / 0.67-0.83 / 0.79-0.85 /
+# 0.94-1.23, 3-D packet (flat_magnetic 24^3, dt 0.02) 0.62-0.64 /
+# 0.52-0.54 / 0.44-0.47 / 0.41-0.43.  On dispersion a block of 4 lost to
+# one of 3 in 14 of 21 interleaved pairs (median 1.05x): it takes 5.10
+# generator applies a step against 5.23, but 371 of its 900 series outgrow
+# the 21-slot ring and fold twice.  free_packet's Gaussian is cut by the
+# box edge at 1.4e-11 of its peak, and the cut's short waves shrink only
+# about 2x per term from 1e-14 |b| on, so there a block of 5 costs more
+# terms (5.77 a step) than it saves.
 STEP_BLOCK = 3
 
 
 @functools.cache
-def _block_coefficients(k: int) -> list:
-    """Per term m = 1..500 of a block of k steps: the coefficients
-    (c_{2,m}, ..., c_{k,m}) of the sums of its later steps, and the squared
-    weight (c_{k,m} + c_{k-1,m})^2 of its last step's residual, the largest
-    of the block (module docstring).  The c_{s,m} come from c_{0,j} =
-    delta_{j0} and c_{s,j} = c_{s-1,j} + 2 sum_{i<j} c_{s-1,i}; they are
-    integers, exact in floating point."""
-    coeffs = [1.0] * (k + 1)  # c_{s,0}
-    below = [0.0] * (k + 1)  # sum_{i<m} c_{s,i}
-    rows = []
-    for _ in range(500):
-        for s in range(k + 1):
-            below[s] += coeffs[s]
-        coeffs = [0.0]
-        for s in range(1, k + 1):
-            coeffs.append(coeffs[s - 1] + 2.0 * below[s - 1])
-        rows.append((tuple(coeffs[2:]), (coeffs[k] + coeffs[k - 1]) ** 2))
-    return rows
+def _block_coefficients(k: int) -> tuple:
+    """The coefficients of a block of k steps for the terms j = 0..500 of
+    its series (module docstring): the (k, 501) array of the c_{s,j},
+    s = 1..k, and per term j the list of the squared weights
+    (c_{s,j} + c_{s-1,j})^2 of the residuals of steps s = 1..k, the last
+    step's the largest.  The c_{s,j} come from c_{0,j} = delta_{j0} and
+    c_{s,j} = c_{s-1,j} + 2 sum_{i<j} c_{s-1,i}; they are integers, exact
+    in floating point."""
+    c = np.zeros((k + 1, 501))
+    c[0, 0] = 1.0
+    for s in range(1, k + 1):
+        c[s] = c[s - 1]
+        c[s, 1:] += 2.0 * np.cumsum(c[s - 1, :-1])
+    return c[1:], np.square(c[1:] + c[:-1]).T.tolist()
 
 
-def _cayley_block(h_apply: Callable, psi: np.ndarray, tau: float, k: int, n: int) -> list:
-    """Steps n..n+k-1 of evolve_pauli: the states psi_s = C^s psi, s = 1..k,
-    of the Cayley map C = (1 + w)(1 - w)^-1, w = -i tau H, from one series
-    of terms t_j = w^j psi, as psi_s = sum_{j<=m} c_{s,j} t_j (module
-    docstring).  Step 1 keeps the running sum psi + 2 sum t_j, the later
-    steps one accumulator each.  The series ends at the first m where
+def _fold(out: np.ndarray, c: np.ndarray, ring: np.ndarray, lo: int, hi: int):
+    """Add the terms t_lo..t_{hi-1}, held in ring[:hi - lo], to the states
+    out[s - 1] = sum_j c_{s,j} t_j: one real matrix product of the block
+    c[:, lo:hi] with the slots' float view (the c_{s,j} are real).  The
+    fold of t_0 writes out; a later one adds its product in column chunks,
+    so that no temporary grows past about one psi."""
+    coeffs = c[:, lo:hi]
+    slots = ring[:hi - lo].reshape(hi - lo, -1).view(float)
+    dest = out.reshape(len(out), -1).view(float)
+    if lo == 0:
+        np.dot(coeffs, slots, out=dest)
+        return
+    width = -(-dest.shape[1] // len(dest))
+    for col in range(0, dest.shape[1], width):
+        dest[:, col:col + width] += np.dot(coeffs, slots[:, col:col + width])
+
+
+def _cayley_block(h_apply: Callable, psi: np.ndarray, tau: float, n: int, ring: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """Steps n..n+k-1 of evolve_pauli, k = len(out): the states
+    psi_s = C^s psi, s = 1..k, of the Cayley map C = (1 + w)(1 - w)^-1,
+    w = -i tau H, from one series of terms t_j = w^j psi, as
+    psi_s = sum_{j<=m} c_{s,j} t_j (module docstring), written to out.
+    Term j is written to slot j % len(ring) of the ring (at least two
+    slots; t_0 = psi is copied to slot 0), and each full ring, then the
+    last one, full or partial, is folded into out by one matrix product
+    (_fold).  The series ends at the first m where
     (c_{s,m} + c_{s-1,m}) |t_m| <= 1e-14 |b|, b = psi + t_1, for every s;
     after 500 terms the leading steps that meet it are returned, and
     SolverDivergence is raised if the first does not.  Norms are compared
     squared, the shrink rule starts from t_0 = psi, and an overflowing
     term, whose norm is infinite or NaN, raises too."""
+    k = len(out)
+    c, weights = _block_coefficients(k)
+    cap = len(ring)
+    t = ring[0]
+    t[...] = psi
     last = np.vdot(psi, psi).real
-    factor = -1j * tau
-    t = psi
-    for m, (coeffs, weight) in enumerate(_block_coefficients(k), 1):
-        t = h_apply(t)
-        t *= factor
+    factor = np.array(-1j * tau)  # numpy multiplies by a 0-d array faster than by a Python scalar
+    for m in range(1, 501):
+        j = m % cap
+        prev, t = t, ring[j]
+        np.multiply(h_apply(prev), factor, out=t)
         tt = np.vdot(t, t).real
         if tt and not tt < last:  # a zero term (psi = 0, H psi = 0) ends the series below
             raise SolverDivergence(f"the Cayley series stopped shrinking at step {n}; reduce dt")
         if m == 1:
             b = psi + t
             tol = 1e-28 * np.vdot(b, b).real  # (1e-14 |b|)^2
-            del b  # the series keeps no state but psi, its k sums and t
-            total = t
-            later = [psi + c * t for c in coeffs]
-        else:
-            total += t
-            for acc, c in zip(later, coeffs):
-                acc += c * t
-        if weight * tt <= tol:  # every step of the block is certified
+            del b
+        if j == cap - 1:  # the ring is full
+            _fold(out, c, ring, m + 1 - cap, m + 1)
+        if weights[m][-1] * tt <= tol:  # every step of the block is certified
             break
         last = tt
     else:
-        # a step's weight is that of the last step of a block of its length
-        k = sum(_block_coefficients(s)[-1][1] * tt <= tol for s in range(1, k + 1))
+        k = sum(w * tt <= tol for w in weights[500])
         if not k:
             raise SolverDivergence(f"the Cayley series stalled at step {n}")
-    total *= 2.0
-    total += psi
-    return [total, *later][:k]
+    if j != cap - 1:  # the last ring is partial
+        _fold(out, c, ring, m - j, m + 1)
+    return out[:k]
 
 
 def evolve_pauli(
@@ -688,19 +714,25 @@ def evolve_pauli(
     it means the series does not converge at this dt, and SolverDivergence
     is raised at once for the block's first step.  After 500 terms a block
     keeps its leading certified steps, and raises if its first step is not
-    certified.  Norm, <sigma> and width are recorded at every step: each
-    state is copied into a block of OBSERVABLE_BLOCK // psi.size states (at
-    most steps + 1), and _observables evaluates each full block, and the
+    certified.  The terms go to a ring of
+    max(2, min(501, OBSERVABLE_BLOCK // psi.size)) psi-shaped slots, and the
+    states of a block to a buffer of STEP_BLOCK states, both allocated once
+    (_cayley_block).  Norm, <sigma> and width are recorded at every step:
+    each state is copied into a block of OBSERVABLE_BLOCK // psi.size states
+    (at most steps + 1), and _observables evaluates each full block, and the
     last partial one, in one pass; a block of one state is the state itself,
     with no copy.  The background must be static (`require_static`)."""
     require_static(qd)
     geom = geom or GridGeometry(qd, psi0.spec)
     h_apply = pauli_generator(geom).apply_fn
     spec = psi0.spec
-    psi = psi0.psi.copy()
+    psi = psi0.psi  # read, never written: each block copies its psi into the ring
     obs = np.empty((5, steps + 1))
     size = max(1, min(steps + 1, OBSERVABLE_BLOCK // psi.size))
     block = np.empty((size,) + psi.shape, dtype=complex) if size > 1 else None
+    # at most OBSERVABLE_BLOCK values, and no more slots than the terms t_0..t_500
+    ring = np.empty((max(2, min(501, OBSERVABLE_BLOCK // psi.size)),) + psi.shape, dtype=complex)
+    states = np.empty((STEP_BLOCK,) + psi.shape, dtype=complex)
     snaps = []
 
     def record(step):
@@ -717,7 +749,7 @@ def evolve_pauli(
     # an overflowing term is caught by the block's shrink rule, not by a warning
     with np.errstate(over="ignore", invalid="ignore"):
         while n <= steps:
-            for psi in _cayley_block(h_apply, psi, 0.5 * dt, min(STEP_BLOCK, steps + 1 - n), n):
+            for psi in _cayley_block(h_apply, psi, 0.5 * dt, n, ring, states[:steps + 1 - n]):
                 record(n)
                 n += 1
     step_numbers = np.arange(steps + 1)
@@ -729,7 +761,7 @@ def evolve_pauli(
         sy=obs[2],
         sz=obs[3],
         widths=obs[4],
-        final=SpinorGrid(spec, psi),
+        final=SpinorGrid(spec, psi.copy()),  # not a view of psi0 or of the states buffer
         snapshots=snaps,
     )
 

@@ -307,14 +307,7 @@ def test_step_guard(flat_scenario, monkeypatch):
     few generator applies, before anything overflows."""
     spec = GridSpec(((-2, 2, 65), (0, 0, 1), (0, 0, 1)), 0.0)
     packet = gaussian_1d(spec, sigma=0.4)
-    applies = []
-    original = quantum.pauli_generator
-
-    def counting(geom):
-        op = original(geom)
-        return quantum.GridOperator(op.label, lambda psi: applies.append(1) or op.apply_fn(psi), op.symmetric)
-
-    monkeypatch.setattr(quantum, "pauli_generator", counting)
+    applies = counted_generator(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(SolverDivergence, match="at step 1;"):
@@ -340,13 +333,22 @@ def assert_steps_certified(sc, geom, psi0, dt, steps=10, unitary=True):
 
 def counted_generator(monkeypatch):
     """A list that gains one entry per apply of every generator that
-    pauli_generator returns from now on."""
+    pauli_generator returns from now on.  The wrapper is built as
+    perfbench/spans.py builds its counter: an apply_fn of one positional
+    argument around the generator's own, so evolve_pauli must reach the
+    generator only through apply_fn(psi) for either to count its applies."""
     applies = []
     original = quantum.pauli_generator
 
     def counting(geom):
         op = original(geom)
-        return quantum.GridOperator(op.label, lambda psi: applies.append(1) or op.apply_fn(psi), op.symmetric)
+        inner = op.apply_fn
+
+        def apply_fn(psi):
+            applies.append(1)
+            return inner(psi)
+
+        return quantum.GridOperator(op.label, apply_fn, op.symmetric)
 
     monkeypatch.setattr(quantum, "pauli_generator", counting)
     return applies
@@ -374,12 +376,14 @@ def test_cayley_block_at_the_term_limit():
     psi = np.array([[[[0.6, 0.8j]]]])
     tau = 0.05
     r = 10.0 ** (-16 / 500)
-    states = quantum._cayley_block(lambda v: (r / tau) * v, psi, tau, 3, 7)
+    states = quantum._cayley_block(lambda v: (r / tau) * v, psi, tau, 7, np.empty((2,) + psi.shape, complex),
+                                   np.empty((3,) + psi.shape, complex))
     assert len(states) == 1
     np.testing.assert_allclose(states[0], (1 - 1j * r) / (1 + 1j * r) * psi, rtol=0, atol=1e-14)
     r = 10.0 ** (-13 / 500)
     with pytest.raises(SolverDivergence, match="stalled at step 7"):
-        quantum._cayley_block(lambda v: (r / tau) * v, psi, tau, 3, 7)
+        quantum._cayley_block(lambda v: (r / tau) * v, psi, tau, 7, np.empty((2,) + psi.shape, complex),
+                              np.empty((3,) + psi.shape, complex))
 
 
 def spinor_packet(geom):
@@ -412,29 +416,62 @@ def test_cayley_residual_certifies_each_step_on_other_stencils():
     assert_steps_certified(sc, geom, spinor_packet(geom), 0.02, unitary=False)
 
 
-# (grid, or None for the scenario's own, dt, steps); the 8^3 grid carries a spinor packet
-BLOCK_CASES = {"larmor": (None, 0.1, 200), "free_packet": (None, 0.004, 100),
-               "flat_magnetic": (GridSpec(((-3, 3, 8),) * 3, 0.0), 0.05, 40)}
+# (grid, or None for the scenario's own, dt, steps, generator applies of the run
+# in blocks of STEP_BLOCK = 3 steps and of the run in single steps); the 8^3 grid
+# carries a spinor packet
+BLOCK_CASES = {"larmor": (None, 0.1, 200, 536, 1400), "free_packet": (None, 0.004, 100, 527, 642),
+               "flat_magnetic": (GridSpec(((-3, 3, 8),) * 3, 0.0), 0.05, 40, 262, 600)}
+
+
+def block_case(name):
+    """The scenario, geometry, psi0, dt and steps of BLOCK_CASES[name]."""
+    spec, dt, steps = BLOCK_CASES[name][:3]
+    sc = load_scenario(SCENARIO_DIR / f"{name}.json")
+    geom = GridGeometry(sc.qd, spec or sc.grid)
+    psi0 = spinor_packet(geom) if spec else sc.initial_grid()
+    return sc, geom, psi0, dt, steps
+
+
+def assert_same_trajectory(a, b, tol=1e-13):
+    for row in ("norms", "sx", "sy", "sz", "widths"):
+        assert np.max(np.abs(getattr(a, row) - getattr(b, row))) <= tol, row
+    assert np.max(np.abs(a.final.psi - b.final.psi)) <= tol
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
 def test_step_blocks_follow_single_steps(name, monkeypatch):
     """Blocks of STEP_BLOCK steps from one series give the trajectory of one
     series per step to 1e-13, in every observable and in the final state,
-    with fewer generator applies."""
-    spec, dt, steps = BLOCK_CASES[name]
-    sc = load_scenario(SCENARIO_DIR / f"{name}.json")
-    geom = GridGeometry(sc.qd, spec or sc.grid)
-    psi0 = spinor_packet(geom) if spec else sc.initial_grid()
+    with fewer generator applies.  Each run's apply count is pinned: it
+    follows from the terms and the stopping rule alone, not from the way
+    the terms are summed into the states."""
+    block_applies, single_applies = BLOCK_CASES[name][3:]
+    sc, geom, psi0, dt, steps = block_case(name)
     applies = counted_generator(monkeypatch)
+    assert quantum.STEP_BLOCK == 3
     blocks = evolve_pauli(sc.qd, psi0, dt, steps, geom=geom)
-    block_applies = len(applies)
+    assert len(applies) == block_applies
     monkeypatch.setattr(quantum, "STEP_BLOCK", 1)
     single = evolve_pauli(sc.qd, psi0, dt, steps, geom=geom)
-    assert block_applies < len(applies) - block_applies
-    for row in ("norms", "sx", "sy", "sz", "widths"):
-        assert np.max(np.abs(getattr(blocks, row) - getattr(single, row))) <= 1e-13, row
-    assert np.max(np.abs(blocks.final.psi - single.final.psi)) <= 1e-13
+    assert len(applies) - block_applies == single_applies
+    assert_same_trajectory(blocks, single)
+
+
+@pytest.mark.parametrize("name", ["free_packet", "larmor"])
+def test_a_ring_of_two_slots_gives_the_default_trajectory(name, monkeypatch):
+    """With OBSERVABLE_BLOCK = 1 the term ring has two slots, so each series
+    is folded into its states two terms at a time, and the last ring of a
+    series is often partial.  The trajectory is the default ring's
+    (501 slots on Larmor's node, 21 on free_packet's 383 nodes) to 1e-13,
+    with the same applies."""
+    sc, geom, psi0, dt, steps = block_case(name)
+    applies = counted_generator(monkeypatch)
+    default = evolve_pauli(sc.qd, psi0, dt, steps, geom=geom)
+    assert len(applies) == BLOCK_CASES[name][3]
+    monkeypatch.setattr(quantum, "OBSERVABLE_BLOCK", 1)
+    two = evolve_pauli(sc.qd, psi0, dt, steps, geom=geom)
+    assert len(applies) == 2 * BLOCK_CASES[name][3]
+    assert_same_trajectory(default, two)
 
 
 def oracle_spin_expectations(geom, grid):
@@ -481,6 +518,8 @@ def test_observables_match_separate_density_sums(curved_magnetic_scenario):
             rows = quantum._observables(geom, stack)
         assert rows.shape == (5, 4)
         assert rows[:, 2].tolist() == [0.0] * 5
+        for k in range(4):  # a state's row does not depend on the stack around it
+            np.testing.assert_array_equal(rows[:, k], quantum._observables(geom, stack[k][None])[:, 0])
         for k in (0, 1, 3):
             grid = SpinorGrid(spec, stack[k])
             norm, *sigma, width = rows[:, k]
