@@ -9,6 +9,11 @@ lines that pass unmutated and fail mutated, or SURVIVED, saying whether the
 digest moved at all.  With --tier1 it also runs the Tier-1 tests on the copy
 and prints the ids of those that fail.  The working tree is never changed.
 
+CHECKS keeps one entry per check of verify.TOLERANCES, so that every check
+earns its place: the mutants that fail it, or the ROADMAP item and scenario
+that would exercise it.  A run of all mutants ends with the mutants that
+failed each check and says where CHECKS no longer agrees.
+
     python3 scripts/mutants.py [--tier1] [name ...]
 
 One mutant takes about 6 s (2-core machine), about 40 s more with --tier1.
@@ -41,7 +46,7 @@ MUTANTS = (
     Mutant("ktilde_without_d0_e", "background.py",
            "inner = [[e1[i][b].derive(lam) for b in range(3)] for i in range(3)]",
            "inner = [[e1[i][b].derive(lam) * float(lam > 0) for b in range(3)] for i in range(3)]",
-           "Ktilde without d_0 e_b^i; every shipped scenario is static"),
+           "Ktilde without d_0 e_b^i; survives: every shipped scenario is static (item 6's breathing one is not)"),
     Mutant("laplacian_drift_sign", "quantum.py",
            "s * (w - 2j * ga)", "s * (w + 2j * ga)",
            "sign of the drift term -2i g^ij A_j of _laplacian_stencil"),
@@ -52,14 +57,17 @@ MUTANTS = (
     Mutant("laplacian_div_a_sign", "quantum.py",
            "imag -= _times(ginv[i][j], da[i][j])",
            "imag += _times(ginv[i][j], da[i][j])",
-           "sign of i g^ij d_i A_j (the i div A term) in _laplacian_stencil"),
+           "sign of i g^ij d_i A_j (the i div A term) in _laplacian_stencil; survives: no shipped scenario "
+           "has g^ij d_i A_j != 0 (item 5's anisotropic one has)"),
     Mutant("fold_column_offset", "quantum.py",
            "coeffs = c[:, lo:hi]", "coeffs = c[:, lo + 1:hi + 1]",
-           "c-column offset of a Crank-Nicolson ring fold shifted by one term"),
+           "c-column offset of a Crank-Nicolson ring fold shifted by one term; survives: verify runs no "
+           "evolution, only Tier-1 sees it"),
     Mutant("fold_last_partial_ring", "quantum.py",
            "if j != cap - 1:  # the last ring is partial",
            "if m < cap - 1:  # the last ring is partial",
-           "the last partial ring of a series left unfolded when an earlier full ring was folded"),
+           "the last partial ring of a series left unfolded when an earlier full ring was folded; survives: "
+           "verify runs no evolution, only Tier-1 sees it"),
     Mutant("y_f0_a0_sign", "hermitian.py",
            "y0 = c.f0 * a[0] + c.fbrev", "y0 = c.fbrev - c.f0 * a[0]",
            "sign of f0 A_0 in y_0 of y_coefficients"),
@@ -107,8 +115,89 @@ MUTANTS = (
     Mutant("metric_inv_frame_index_swapped", "background.py",
            "jet_sum(e[i][a] * e[j][a] for a in range(j, 3))",
            "jet_sum(e[i][a] * e[a][j] for a in range(j, 3))",
-           "g^ij = sum_a e_a^i e_j^a; equivalent for a diagonal metric, whose triad is diagonal"),
+           "g^ij = sum_a e_a^i e_j^a; survives: equivalent on every shipped metric, which is diagonal, as its "
+           "triad is (item 5's anisotropic one is not)"),
+    Mutant("spin_curvature_quad_sign", "pauli.py",
+           "+ quad[k]", "- quad[k]",
+           "sign of the quadratic term C_lam x C_mu of spin_curvature_jets"),
+    Mutant("spin_curvature_d_sign", "pauli.py",
+           "acc = -cjets[mu][k].derive(lam) + cjets[lam][k].derive(mu)",
+           "acc = cjets[mu][k].derive(lam) - cjets[lam][k].derive(mu)",
+           "sign of the derivative terms -d_lam C_mu + d_mu C_lam of spin_curvature_jets"),
+    Mutant("phi_observer_dtheta_sign", "background.py",
+           "exterior_derivative(theta))", "exterior_derivative([t * -1.0 for t in theta]))",
+           "Phi[o] = Phi[ref] - dtheta[o] in phi_observer; -dtheta[o] is closed too"),
+    Mutant("velocity_form_quad_factor", "background.py",
+           "quad * (-0.5 * c)", "quad * (-c)",
+           "factor 1/2 of -1/2 g_ij v^i v^j dx^0 in velocity_form"),
+    Mutant("phi_ref_spatial_sign", "background.py",
+           "acc = jet_sum(g[i][j] * k[h + 1][i][0]", "acc = -jet_sum(g[i][j] * k[h + 1][i][0]",
+           "sign of the spatial block of phi_ref"),
+    Mutant("vertical_projection_lift_sign", "hermitian.py",
+           "y.ymat(where, order) - _lift_mat", "y.ymat(where, order) + _lift_mat",
+           "sign of the connection lift X^lam c_lam that vertical_projection removes"),
+    Mutant("riemann_quad_sign", "background.py",
+           "r = r + k0[i + 1][m][h + 1] * k0[j + 1][h][kk + 1]",
+           "r = r - k0[i + 1][m][h + 1] * k0[j + 1][h][kk + 1]",
+           "sign of the first K K term of riemann_lowered_spatial"),
 )
+
+
+@dataclass(frozen=True)
+class Entry:
+    """Why a check of verify.TOLERANCES is kept: the mutants that the last
+    full run showed failing it, or, for what no mutant reaches, the ROADMAP
+    item and scenario that would exercise it."""
+    killed_by: tuple = ()
+    waits_for: str = ""
+
+
+# Every one-term mutant tried of kgrav's Levi-Civita slots, of the frame, of
+# f_jets' mirror or of ktilde makes BackgroundJets.spin raise
+# InconsistentSystem before any check reports, as a mutant of kgrav's
+# mirrored assignment did for the deleted background.torsion; so these
+# mutants are not in MUTANTS, and the checks they would fail wait for a
+# scenario.
+CHECKS = {
+    "background.metricity": Entry(waits_for="item 5's anisotropic scenario; a kgrav mutant raises in spin first"),
+    "background.curvature_symmetry": Entry(("riemann_quad_sign",)),
+    "background.dF": Entry(waits_for="item 4's Larmor with B(t), whose F must carry the E field that d_0 A "
+                                     "implies; dF checks the scenario's input, not a formula"),
+    "background.frame_orthonormality": Entry(waits_for="item 5's anisotropic scenario, whose Cholesky frame has "
+                                                       "the off-diagonal terms that are 0 on every shipped metric"),
+    "background.ktilde_antisymmetry": Entry(waits_for="item 5: the sign of each part of ktilde, on the anisotropic "
+                                                      "scenario; a ktilde mutant raises in spin first"),
+    "background.domega": Entry(("velocity_form_quad_factor",)),
+    "background.volume": Entry(("sqrt_det_drops_a_factor", "sqrt_det_squared")),
+    "curvature.rtilde_relation": Entry(("spin_curvature_quad_sign", "spin_curvature_d_sign")),
+    "curvature.rho_coupling_slots": Entry(("k_joined_moment_c0k_sign", "k_joined_charge_c0k_factor"),
+                                          "item 14's neutral Stern-Gerlach scenario: at q = 0 the moment "
+                                          "sector compares nothing"),
+    "jacobi.residual": Entry(("bracket_rho_sign", "bracket_cross_order", "bracket_transport_sign",
+                              "spin_curvature_quad_sign", "spin_curvature_d_sign")),
+    "isomorphism.main_theorem": Entry(("y_f0_a0_sign", "y_fj_aj_sign", "y_f0_c0_sign", "y_fj_cj_sign",
+                                       "bracket_phi_0h_sign", "bracket_rho_sign", "bracket_cross_order",
+                                       "bracket_transport_sign", "k_joined_charge_c0k_factor",
+                                       "spin_curvature_quad_sign", "spin_curvature_d_sign",
+                                       "phi_ref_spatial_sign")),
+    "isomorphism.hj_roundtrip": Entry(("vertical_projection_lift_sign",)),
+    "isomorphism.pair_bracket": Entry(("spin_curvature_quad_sign", "spin_curvature_d_sign")),
+    "isomorphism.eta_hermiticity": Entry(("div_shift_sign",)),
+    "observer.invariant_combination": Entry(("velocity_form_quad_factor",)),
+    "observer.potential_consistency": Entry(("k_joined_charge_c0k_factor", "phi_observer_dtheta_sign",
+                                             "phi_ref_spatial_sign")),
+    "operators.named_displays": Entry(("laplacian_drift_sign", "laplacian_a_squared_sign", "y_f0_a0_sign",
+                                       "y_f0_c0_sign")),
+    "operators.generator_lock": Entry(("y_f0_a0_sign", "y_f0_c0_sign", "k_joined_moment_c0k_sign")),
+    "operators.linearity": Entry(waits_for="item 2's helper: named_displays and symmetry_ratio imply it, but its "
+                                           "draws come before the ratio sweeps' seeds"),
+    "operators.symmetry_ratio": Entry(waits_for="item 5's anisotropic scenario, where g^ij d_i A_j != 0 and "
+                                                "laplacian_div_a_sign breaks the symmetry"),
+    "operators.bracket_homomorphism_ratio": Entry(("y_fj_aj_sign", "y_fj_cj_sign", "bracket_rho_sign",
+                                                   "bracket_cross_order", "bracket_transport_sign",
+                                                   "k_joined_charge_c0k_factor", "spin_curvature_d_sign",
+                                                   "phi_ref_spatial_sign")),
+}
 
 
 def apply(m: Mutant, src: Path):
@@ -163,6 +252,7 @@ def main():
         base, error = digest(src)
         if error:
             sys.exit(f"the unmutated digest raised: {error}")
+        killers = {name: [] for name in CHECKS}
         for m in chosen:
             shutil.rmtree(src)
             shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -172,6 +262,8 @@ def main():
             killed = [key for key, (_, passed) in base.items() if passed and key in lines and not lines[key][1]]
             for key in killed:
                 print("  killed:", *key, lines[key][0])
+                if m.name not in killers.setdefault(key[2], []):
+                    killers[key[2]].append(m.name)
             if error:
                 print(f"  the digest raised after {len(lines)} of {len(base)} lines:", error)
             elif not killed:
@@ -184,6 +276,14 @@ def main():
                     print("  tier-1 fails:", test)
                 if not failures:
                     print("  tier-1: all pass")
+        if not args.names:
+            print("== the mutants that fail each check")
+            for name, found in killers.items():
+                entry = CHECKS.get(name, Entry())
+                waits = f"; waits for {entry.waits_for}" if entry.waits_for else ""
+                print(f"  {name}: {', '.join(found) or 'none'}{waits}")
+                if set(found) != set(entry.killed_by):
+                    print(f"    CHECKS disagrees: {', '.join(entry.killed_by) or 'none'}")
 
 
 if __name__ == "__main__":

@@ -2,19 +2,18 @@
 """Larmor precession experiment: a single spin in a uniform magnetic field.
 
 Evolves psi0 = (1, 1)/sqrt(2) on a 1x1x1 grid, measures the <sigma_1>
-precession frequency and compares it with u0 mu |B|, next to the wall time
-of the evolution.
+precession frequency and compares it with u0 mu |B|, next to the median
+wall time per step of seven evolutions and its quartiles.
 """
 
 import argparse
-import time
 from pathlib import Path
 
 import numpy as np
 
 from cqm.quantum import GridGeometry, evolve_pauli, measure_frequency
 from cqm.scenario import load_scenario
-from generator_applies import counted_applies
+from generator_applies import RUNS, timed_steps
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -35,16 +34,14 @@ def main():
 
     psi0 = sc.initial_grid()
     geom = GridGeometry(sc.qd, sc.grid)
-    with counted_applies() as applies:
-        start = time.perf_counter()
-        traj = evolve_pauli(sc.qd, psi0, args.dt, steps, geom=geom)
-        wall = time.perf_counter() - start
+    traj, (q1, median, q3), applies = timed_steps(
+        lambda: evolve_pauli(sc.qd, psi0, args.dt, steps, geom=geom), steps)
     measured = measure_frequency(traj.sx, args.dt)
     drift = float(np.max(np.abs(traj.norms - traj.norms[0])))
     print(f"measured omega   = {measured:.6f}  (rel err {abs(measured - omega) / omega:.2e})")
     print(f"norm drift       = {drift:.2e}")
-    print(f"evolve_pauli     = {wall:.3f} s ({wall / steps * 1e6:.1f} us per step, "
-          f"{len(applies) / steps:.2f} generator applies per step)")
+    print(f"evolve_pauli     = {median:.1f} us per step, median of {RUNS} runs (quartiles {q1:.1f}-{q3:.1f}), "
+          f"{applies:.2f} generator applies per step")
     print(f"<sigma> at t_end = ({traj.sx[-1]:+.4f}, {traj.sy[-1]:+.4f}, {traj.sz[-1]:+.4f})")
 
 

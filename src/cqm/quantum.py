@@ -93,7 +93,8 @@ class SolverDivergence(RuntimeError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Per-axis (min, max, n) for x1..x3; n = 1 marks an inactive axis."""
+    """Per-axis (min, max, n) for x1..x3, finite numbers and not bools; n = 1
+    marks an inactive axis."""
 
     axes: tuple
     time: float = 0.0
@@ -102,7 +103,8 @@ class GridSpec:
         if len(self.axes) != 3:
             raise ValueError("three axes required")
         for ax in self.axes:
-            if len(ax) != 3 or not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in ax):
+            if len(ax) != 3 or not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+                                       for v in ax):
                 raise ValueError(f"bad axis {ax!r}: expected finite (lo, hi, n)")
             lo, hi, n = ax
             if n < 1 or n != int(n) or (n >= 2 and hi <= lo):

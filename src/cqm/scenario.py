@@ -28,11 +28,13 @@ and so are a spatial Kgrav key ('1_11'), two Kgrav keys for one slot
 ('1_02' and '1_20'), a constant field expression that is not a finite
 number (exp(1000), log(0)), a constant metric whose det g =
 sqrt|g| sqrt|g| from its Cholesky frame is not a positive finite number
-(1e200 or 1e-200 on the diagonal) or whose g^-1 is not finite, and a
-negative suite.seed.  A constant metric that is not positive definite is a
-NotPositiveDefinite at the first Cholesky pivot that is not positive
-(g00 = -1.0 for diag(-1, 1, 1)); diag(1e200, 1e200, 1e-200), whose det g
-and g^-1 are finite, loads.  Unknown keys are ignored.  psi0 is normalised on the
+(1e200 or 1e-200 on the diagonal) or whose g^-1 is not finite, an m, hbar
+or u0 that is not a positive normal number, a u0 hbar / m or m / (hbar u0)
+that is not finite and nonzero, and a suite.samples or suite.seed that is
+not an integer (2.7, true) or is below 1 or 0.  A constant metric that is
+not positive definite is a NotPositiveDefinite at the first Cholesky pivot
+that is not positive (g00 = -1.0 for diag(-1, 1, 1)); diag(1e200, 1e200,
+1e-200), whose det g and g^-1 are finite, loads.  Unknown keys are ignored.  psi0 is normalised on the
 grid.  The check bounds of `cqm verify` are constants (verify.TOLERANCES).
 The builtins x0..x3, P1..P3, H0 and H0prime are always registered; H0prime
 includes the spin term phi = -u0 mu B_flat.  On every background H0prime is
@@ -46,7 +48,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -141,6 +145,15 @@ def _shaped(obj, kind, where: str, length: int | None = None):
     return obj
 
 
+def _count(raw, where: str, least: int, what: str) -> int:
+    """`raw` when it is an integer of at least `least` (not a bool, nor a
+    float such as 2.7), else a ScenarioError saying that `where` must be
+    `what`."""
+    if isinstance(raw, bool) or not isinstance(raw, numbers.Integral) or raw < least:
+        raise ScenarioError(f"{where} must be {what}, got {raw!r}")
+    return int(raw)
+
+
 def _converted(raw, kind, where: str, what: str = "a number"):
     """`raw` converted by `kind` (float, int, Dim.from_json, ...), or a
     ScenarioError saying that `where` must be `what`."""
@@ -167,6 +180,13 @@ def _parse_constants(obj: Mapping) -> Constants:
             extras[name] = ScaledReal(_converted(raw.get("value"), float, f"constants.{name}.value"), dim)
         else:
             extras[name] = ScaledReal(_converted(raw, float, f"constants.{name}"), DIMLESS)
+    for name in ("m", "hbar", "u0"):
+        if not table[name].value >= sys.float_info.min:
+            raise ScenarioError(f"constants.{name} must be a positive normal number, got {table[name].value!r}")
+    m, hbar, u0 = (table[name].value for name in ("m", "hbar", "u0"))
+    for what, value in (("u0 hbar / m", u0 * hbar / m), ("m / (hbar u0)", m / (hbar * u0))):
+        if not 0.0 < value < math.inf:
+            raise ScenarioError(f"constants: {what} = {value!r} is not a finite nonzero number")
     return Constants(extras=extras, **table)
 
 
@@ -379,12 +399,8 @@ def load_scenario(source) -> Scenario:
         raise ScenarioError("suite.box must be 4 [lo, hi] pairs")
     if not np.all(np.isfinite(box)):
         raise ScenarioError(f"suite.box must be finite, got {box.tolist()}")
-    samples = _converted(suite.get("samples", 100), int, "suite.samples")
-    if samples < 1:
-        raise ScenarioError(f"suite.samples must be a positive integer, got {samples}")
-    seed = _converted(suite.get("seed", 20240101), int, "suite.seed")
-    if seed < 0:
-        raise ScenarioError(f"suite.seed must be a nonnegative integer, got {seed}")
+    samples = _count(suite.get("samples", 100), "suite.samples", 1, "a positive integer")
+    seed = _count(suite.get("seed", 20240101), "suite.seed", 0, "a nonnegative integer")
     return Scenario(
         background=bg,
         observers=observers,

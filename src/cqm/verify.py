@@ -16,11 +16,13 @@ residual is a float at a point and an (n,) array of per-point values on a
 cloud, and a suite reports the largest.  The background, isomorphism,
 Jacobi and observer suites build one background bundle for their cloud and
 pass the bundle in place of the cloud, so every residual function shares
-its background quantities; all five isomorphism checks read all its
-samples.  The background suite's closure checks (dOmega = 0 and
-dPhi[o] = 0) read exact derivatives off the suite's own bundle, and its
-volume check compares the bundle's sqrt|g| with np.linalg.det of the metric
-values and its derivatives with Jacobi's formula
+its background quantities; all four isomorphism checks read all its
+samples.  The background suite's closure check dOmega = 0 reads exact
+derivatives off the suite's own bundle.  Its spacetime triples are the
+closure of Phi[ref]; every Phi[o] = Phi[ref] + dtheta[o] is closed with it,
+as dd = 0 holds exactly on jets, so no observer has a check of its own.
+The volume check compares the bundle's sqrt|g| with np.linalg.det of the
+metric values and its derivatives with Jacobi's formula
 d sqrt|g| = 1/2 sqrt|g| g^ij d g_ij.  Only the operators suite's grid
 sweeps measure a discretisation.  The operators suite builds one grid
 geometry per distinct grid and shares it between its sweeps; a scenario
@@ -28,7 +30,8 @@ without a grid gets the probe box _BOX_GRID, which is also the symmetry
 sweep's coarse level.
 
 The main theorem is checked as stated: from_special of the bracket
-[[F, F']] against the Lie bracket of from_special F and from_special F'.
+[[F, F']] against the Lie bracket of from_special F and from_special F',
+reported as the worse of the vector and the matrix residual.
 The bracket enters as a derived special function (bracket_as_function)
 whose one evaluator is the extended bracket of the two, so its field goes
 through the same Y[F] formula, hermitian.y_coefficients, as every other
@@ -86,20 +89,16 @@ SUITES = ("background", "curvature", "isomorphism", "jacobi", "observer", "opera
 
 TOLERANCES = {
     "background.metricity": 1e-10,
-    "background.torsion": 1e-15,
     "background.curvature_symmetry": 1e-10,
     "background.dF": 1e-10,
     "background.frame_orthonormality": 1e-12,
     "background.ktilde_antisymmetry": 1e-10,
     "background.domega": 1e-12,
-    "background.dphi": 1e-12,
     "background.volume": 1e-12,
     "curvature.rtilde_relation": 1e-10,
-    "curvature.c_roundtrip": 1e-11,
     "curvature.rho_coupling_slots": 1e-9,
     "jacobi.residual": 1e-8,
     "isomorphism.main_theorem": 1e-9,
-    "isomorphism.vector_morphism": 1e-9,
     "isomorphism.hj_roundtrip": 1e-10,
     "isomorphism.pair_bracket": 1e-10,
     "isomorphism.eta_hermiticity": 1e-10,
@@ -212,13 +211,14 @@ def suite_background(sc: Scenario) -> list:
     frame = [sum(e[i][a] * g[i][j] * e[j][bb] for i in range(3) for j in range(3)) - (1.0 if a == bb else 0.0)
              for a in range(3) for bb in range(3)]
     worst_frame = float(np.max(np.abs(frame)))
-    kt = value_array(b.ktilde("charge", 0), batch)
-    worst_anti = float(np.max(np.abs(kt + kt.swapaxes(1, 2))))
+    kt = value_array([b.ktilde("charge", 0), b.ktilde("moment", 0)], batch)  # [sector, lam, k, j, point]
+    worst_anti = float(np.max(np.abs(kt + kt.swapaxes(2, 3))))
     return checks + [
         Check("background.frame_orthonormality", len(points), worst_frame),
         Check("background.ktilde_antisymmetry", len(points), worst_anti),
         Check("background.volume", len(points), _volume_residual(b)),
-    ] + _closure_checks(sc, b, rng)
+        Check("background.domega", len(points), _domega_residual(b, rng)),
+    ]
 
 
 def _volume_residual(b) -> float:
@@ -239,38 +239,26 @@ def _volume_residual(b) -> float:
     return max(float(np.max(np.abs(sqrtg * sqrtg / det - 1.0))), float(np.max(np.abs(jacobi) / sqrtg)))
 
 
-def _closure_checks(sc: Scenario, b, rng) -> list:
-    """dOmega = 0 on phase space and dPhi[o] = 0 on spacetime at the
-    bundle's points, from exact derivatives: x-derivatives from order-1
-    jets, v-derivatives of Omega (at most quadratic in v) from central
-    differences of step 1, exact up to rounding.  The velocities are drawn
-    from rng; the observer is the scenario's first non-reference one."""
+def _domega_residual(b, rng) -> float:
+    """dOmega = 0 on phase space at the bundle's points, from exact
+    derivatives: x-derivatives from order-1 jets, v-derivatives of Omega (at
+    most quadratic in v) from central differences of step 1, exact up to
+    rounding.  The velocities are drawn from rng.  The worst
+    |d_i w_jk - d_j w_ik + d_k w_ij| over i < j < k is relative to
+    max(1, the point's largest derivative).  Its spacetime triples are the
+    closure of Phi[ref], and so of every Phi[o] = Phi[ref] + dtheta[o]."""
     batch = b.point.shape[1:]
     v = rng.uniform(-0.5, 0.5, (3,) + batch)
-
-    def x_derivatives(table):
-        return value_array([[[w.derive(a) for a in range(4)] for w in row] for row in table], batch)
 
     def omega_at(vel):
         return value_array(b.omega_table(vel, 0), batch)
 
+    dx = value_array([[[w.derive(a) for a in range(4)] for w in row] for row in b.omega_table(v, 1)], batch)
     dv = [0.5 * (omega_at(v + e) - omega_at(v - e)) for e in np.eye(3)[:, :, None]]
-    domega = np.concatenate([x_derivatives(b.omega_table(v, 1)),
-                             np.stack(dv, axis=2)], axis=2)
-    names = [n for n in sc.observers if n != "reference"]
-    obs = sc.observers[names[0]] if names else Observer.reference()
-    dphi = x_derivatives(b.phi_observer(obs, 1))
-    return [Check("background.domega", batch[0], _closure_residual(domega)),
-            Check("background.dphi", batch[0], _closure_residual(dphi))]
-
-
-def _closure_residual(d: np.ndarray) -> float:
-    """Worst |d_a w_bc - d_b w_ac + d_c w_ab| over a < b < c and the rows,
-    relative to max(1, the row's largest derivative), for derivatives
-    d[b, c, a, row] of a 2-form's component table w."""
+    d = np.concatenate([dx, np.stack(dv, axis=2)], axis=2)  # [row, col, derivative, point]
     scale = np.maximum(1.0, np.max(np.abs(d), axis=(0, 1, 2)))
-    return max(float(np.max(np.abs(d[b, c, a] - d[a, c, b] + d[a, b, c]) / scale))
-               for a, b, c in itertools.combinations(range(d.shape[0]), 3))
+    return max(float(np.max(np.abs(d[j, k, i] - d[i, k, j] + d[i, j, k]) / scale))
+               for i, j, k in itertools.combinations(range(d.shape[0]), 3))
 
 
 def suite_curvature(sc: Scenario) -> list:
@@ -281,7 +269,6 @@ def suite_curvature(sc: Scenario) -> list:
     bg = sc.background
     c = bg.constants
     b = bg.jets(cloud)
-    cjets = sc.qd.spin.coeffs(b, 1)
     rho = value_array(b.rho("moment", 0), batch)  # [lam, mu, k, point]
     # dual route: the frame curvature of Ktilde as matrices,
     # -d_lam Kt_mu + d_mu Kt_lam + [Kt_lam, Kt_mu], for lam < mu, laid out
@@ -296,10 +283,6 @@ def suite_curvature(sc: Scenario) -> list:
         frame = frame + kt[lam, :, i, None] * kt[mu, None, i] - kt[mu, :, i, None] * kt[lam, None, i]
     pred = sum(rho[lam, mu, i, None, None] * EPS[i].T[:, :, None] for i in range(3))
     worst_rt = float(np.max(np.abs(pred - frame)))
-    # round trip: rebuild Ktilde_lam^k_j = eps_ijk C_lam^i from C and compare
-    cvals = value_array(cjets, batch)
-    recon = sum(EPS[i].T[:, :, None] * cvals[:, i, None, None] for i in range(3))
-    worst_round = float(np.max(np.abs(recon - value_array(b.ktilde("moment", 0), batch))))
     # charge vs moment rho differ only in (0, j) slots, where their parts
     # past the gravitational one go as the couplings q u0/2m and -mu u0;
     # cross-multiplied, so a neutral particle (q = 0) is checked too
@@ -310,7 +293,6 @@ def suite_curvature(sc: Scenario) -> list:
                       float(np.max(np.abs(charge * (rho[0] - rho_g[0]) - moment * (rho_c[0] - rho_g[0])))))
     return [
         Check("curvature.rtilde_relation", len(points), worst_rt),
-        Check("curvature.c_roundtrip", len(points), worst_round),
         Check("curvature.rho_coupling_slots", len(points), worst_slots),
     ]
 
@@ -388,9 +370,7 @@ def suite_isomorphism(sc: Scenario) -> list:
     ]
     cloud = sc.background.jets(points.T)
     batch = cloud.point.shape[1:]
-    theorem = [main_theorem_residual(f, fp, sc, cloud) for f, fp in pairs]
-    worst_vec = float(np.max([vec for vec, _ in theorem]))
-    worst_main = max(worst_vec, float(np.max([mat for _, mat in theorem])))
+    worst_main = float(np.max([main_theorem_residual(f, fp, sc, cloud) for f, fp in pairs]))
     worst_herm = float(np.max([hermiticity_residual(from_special(f, qd), qd, cloud) for f, _ in pairs]))
     p1 = random_raw_pair(rng, consts, "a")
     p2 = random_raw_pair(rng, consts, "b")
@@ -405,7 +385,6 @@ def suite_isomorphism(sc: Scenario) -> list:
                      float(np.max(np.abs(value_array(xb, batch) - value_array(xpair, batch)))))
     return [
         Check("isomorphism.main_theorem", len(points), worst_main),
-        Check("isomorphism.vector_morphism", len(points), worst_vec),
         Check("isomorphism.hj_roundtrip", len(points), worst_round),
         Check("isomorphism.pair_bracket", len(points), worst_pair),
         Check("isomorphism.eta_hermiticity", len(points), worst_herm),

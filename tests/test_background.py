@@ -79,17 +79,6 @@ def test_levi_civita_metricity(curved_magnetic_scenario):
     )
     assert rep["metricity"] < 1e-10
     assert rep["curvature_symmetry"] < 1e-10
-    assert rep["torsion"] == 0.0
-
-
-def test_validate_measures_torsion_of_the_bundle(curved_magnetic_scenario):
-    """Torsion is read off the bundle's K: a K made asymmetric in its lower
-    slots is reported, on a cloud passed as its bundle."""
-    bg = curved_magnetic_scenario.background
-    b = bg.jets(np.array([(0.0, 0.4, -0.3, 0.2), (0.5, -0.6, 0.1, 0.8)]).T)
-    k = b.kgrav(0)  # the bundle's cached K, [lam][i][mu]
-    k[0][1][2] = k[0][1][2] + 0.25
-    assert bg.validate(b)["torsion"] == 0.25
 
 
 def _hand_slots(x1) -> dict:
@@ -294,22 +283,21 @@ def _shipped(name: str) -> dict:
 @pytest.mark.parametrize("slot, closed", [("0.3*x2", False), ("0.3*x1", True)])
 def test_exact_closures_see_a_time_slot_that_is_not_closed(slot, closed):
     """K^1_00 enters Omega_K as -g_11 K^1_00 dx^0 ^ dx^1.  The slot 0.3 x2 is
-    not closed: d_2 of that entry is -0.3, so dOmega and dPhi[o] read 0.3
-    while F, and so background.dF, is untouched.  The gradient slot 0.3 x1
-    is closed."""
+    not closed: d_2 of that entry is -0.3, so dOmega reads 0.3 while F, and
+    so background.dF, is untouched.  The gradient slot 0.3 x1 is closed."""
     checks = _background_checks({**_shipped("flat"), "Kgrav": {"1_00": slot}})
     assert checks["background.dF"].max_residual == 0.0
-    for name in ("background.domega", "background.dphi"):
-        if closed:
-            assert checks[name].max_residual <= 1e-12 and checks[name].passed
-        else:
-            assert checks[name].max_residual == pytest.approx(0.3, rel=1e-12)
-            assert not checks[name].passed
+    domega = checks["background.domega"]
+    if closed:
+        assert domega.max_residual <= 1e-12 and domega.passed
+    else:
+        assert domega.max_residual == pytest.approx(0.3, rel=1e-12)
+        assert not domega.passed
 
 
 def test_exact_closures_see_an_electromagnetic_field_that_is_not_closed():
     checks = _background_checks({**_shipped("flat_magnetic"), "F": {"12": "0.4*x3"}})
-    for name in ("background.domega", "background.dphi", "background.dF"):
+    for name in ("background.domega", "background.dF"):
         assert checks[name].max_residual == pytest.approx(0.4, rel=1e-12)
         assert not checks[name].passed
 
@@ -325,9 +313,8 @@ def test_exact_closures_see_an_electromagnetic_field_that_is_not_closed():
 def test_exact_closures_hold_on_closed_data_at_any_scale(scn):
     """The closure residuals are relative to the largest derivative, so a
     metric of 1e10 passes as a metric of 1 does."""
-    checks = _background_checks(scn)
-    for name in ("background.domega", "background.dphi"):
-        assert checks[name].max_residual <= 1e-12 and checks[name].passed
+    domega = _background_checks(scn)["background.domega"]
+    assert domega.max_residual <= 1e-12 and domega.passed
 
 
 def test_observer_phi_examples(flat_scenario, flat_magnetic_scenario):

@@ -446,6 +446,22 @@ def test_negative_seed_is_a_usage_error_naming_its_source(scenario, argv, source
     assert len(err.splitlines()) == 1, err
 
 
+@pytest.mark.parametrize("scenario, message", [
+    ({"constants": {"hbar": -1}}, "constants.hbar must be a positive normal number, got -1.0"),
+    ({"constants": {"m": 1e-320}}, "constants.m must be a positive normal number, got 1e-320"),
+    ({"constants": {"m": 0}}, "constants.m must be a positive normal number, got 0.0"),
+    ({"constants": {"m": 1e300, "hbar": 1e-10}}, "constants: m / (hbar u0) = inf is not a finite nonzero number"),
+    ({"suite": {"samples": 2.7}}, "suite.samples must be a positive integer, got 2.7"),
+    ({"suite": {"seed": True}}, "suite.seed must be a nonnegative integer, got True"),
+    ({"grid": {"axes": [[0, 1, True], [0, 1, 2], [0, 1, 2]]}}, "bad axis (0, 1, True): expected finite (lo, hi, n)"),
+])
+def test_unusable_constant_or_count_is_a_load_error(scenario, message):
+    """One `error:` line naming the value and exit 2, with no numpy warning
+    before it.  Unchecked, hbar = -1 passes every check, m = 1e-320 gives NaN
+    residuals, m = 0 a bare division error and 2.7 samples load as 2."""
+    assert _main("verify", json.dumps(scenario), "--suite", "jacobi") == (2, "", f"error: {message}\n")
+
+
 def test_evolve_overflowing_first_term_is_a_solver_failure(tmp_path):
     """A dt at which the first term of the Cayley series overflows (a rough
     psi0 on a fine grid) fails like any dt at which the series diverges:

@@ -276,8 +276,35 @@ def test_negative_seed_is_a_scenario_error():
     assert load_scenario({"suite": {"seed": 0}}).seed == 0
 
 
+@pytest.mark.parametrize("key, value, what", [
+    ("samples", 2.7, "a positive integer"), ("samples", True, "a positive integer"),
+    ("seed", 2.7, "a nonnegative integer"), ("seed", True, "a nonnegative integer"),
+])
+def test_suite_counts_must_be_integers(key, value, what):
+    """2.7 does not load as 2, nor true as 1."""
+    with pytest.raises(ScenarioError, match=re.escape(f"suite.{key} must be {what}, got {value!r}")):
+        load_scenario({"suite": {key: value}})
+
+
+@pytest.mark.parametrize("constants, message", [
+    ({"hbar": -1}, "constants.hbar must be a positive normal number, got -1.0"),
+    ({"m": 0}, "constants.m must be a positive normal number, got 0.0"),
+    ({"m": 1e-320}, "constants.m must be a positive normal number, got 1e-320"),
+    ({"u0": {"value": -2}}, "constants.u0 must be a positive normal number, got -2.0"),
+    ({"m": 1e-300, "hbar": 1e300}, "constants: u0 hbar / m = inf is not a finite nonzero number"),
+    ({"m": 1e300, "hbar": 1e-300}, "constants: u0 hbar / m = 0.0 is not a finite nonzero number"),
+    ({"m": 1e300, "hbar": 1e-10}, "constants: m / (hbar u0) = inf is not a finite nonzero number"),
+])
+def test_mass_hbar_and_u0_must_be_positive_normal_numbers(constants, message):
+    """m, hbar and u0 divide one another (u0 hbar / m is the kinetic weight,
+    m / (hbar u0) the velocity form's); q and mu may be 0 or negative."""
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        load_scenario({"constants": constants})
+    assert load_scenario({"constants": {"q": -1, "mu": 0}}).background.constants.q.value == -1.0
+
+
 def test_grid_axes_must_be_finite_whole_node_counts():
-    for axis in ([0, 1, 2.5], [0, float("nan"), 3], [0, 1, "3"]):
+    for axis in ([0, 1, 2.5], [0, float("nan"), 3], [0, 1, "3"], [0, 1, True]):
         with pytest.raises(ValueError, match="bad axis"):
             load_scenario({"grid": {"axes": [axis, [0, 1, 2], [0, 1, 2]]}})
 
