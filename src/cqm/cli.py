@@ -8,10 +8,13 @@
 
 Exit codes: 0 all checks pass / success, 1 check or run failure (or stdout
 closed before the output was written), 2 load or usage error, an --out path
-that cannot be written and a grid too large for memory among them (an
-`error:` line on stderr, no traceback).  Options are spelled in full: an
-abbreviation such as `--a` is an unrecognized argument.  Reports are JSON-first; --table
-renders the same data as text.
+that cannot be written and an allocation that fails (a grid or a --steps too
+large for memory) among them.  `main` alone maps an exception to its code:
+each failure is one `error:` line on stderr, no traceback.  The --out
+directory of `evolve` is made once the evolution has returned: a load error
+or a failed evolution leaves none.  Options are spelled in full: an
+abbreviation such as `--a` is an unrecognized argument.  Reports are
+JSON-first; --table renders the same data as text.
 """
 
 from __future__ import annotations
@@ -25,15 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .quantum import (
-    GridGeometry,
-    SolverDivergence,
-    evolve_pauli,
-    measure_frequency,
-    require_static,
-    write_snapshot,
-)
-from .scenario import ScenarioError, load_scenario
+from .quantum import SolverDivergence, evolve_pauli, measure_frequency, write_snapshot
+from .scenario import ScenarioError, is_json_text, load_scenario
 from .special import extended_bracket
 from .units import DIMLESS
 from .verify import SUITES, run_suites
@@ -86,28 +82,21 @@ def _strict_json(check) -> dict:
 
 
 def cmd_verify(args) -> int:
-    try:
-        if args.samples is not None and args.samples < 1:
-            raise ScenarioError(f"--samples must be a positive integer, got {args.samples}")
-        if args.seed is not None and args.seed < 0:
-            raise ScenarioError(f"--seed must be a nonnegative integer, got {args.seed}")
-        sc = load_scenario(args.scenario)
-        if args.samples is not None:
-            sc.samples = args.samples
-        if args.seed is not None:
-            sc.seed = args.seed
-        checks = run_suites(sc, args.suite)
-    except (ScenarioError, ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:
-        print(f"error: the grid does not fit in memory: {exc}", file=sys.stderr)
-        return 2
+    if args.samples is not None and args.samples < 1:
+        raise ScenarioError(f"--samples must be a positive integer, got {args.samples}")
+    if args.seed is not None and args.seed < 0:
+        raise ScenarioError(f"--seed must be a nonnegative integer, got {args.seed}")
+    sc = load_scenario(args.scenario)
+    if args.samples is not None:
+        sc.samples = args.samples
+    if args.seed is not None:
+        sc.seed = args.seed
+    checks = run_suites(sc, args.suite)
     report = {
-        "scenario": str(args.scenario) if Path(str(args.scenario)).exists() else "<inline>",
+        "scenario": "<inline>" if is_json_text(args.scenario) else str(args.scenario),
         "seed": sc.seed,
         "samples": sc.samples,
-        "suites": sorted(args.suite) if args.suite else list(SUITES),
+        "suites": sorted(set(args.suite or SUITES)),
         "checks": [_strict_json(c) for c in checks],
         "passed": all(c.passed for c in checks),
     }
@@ -127,35 +116,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    try:
-        if args.steps < 1:
-            raise ScenarioError(f"--steps must be a positive integer, got {args.steps}")
-        # a subnormal dt would make the frequencies of the summary overflow
-        if not (math.isfinite(args.dt) and args.dt >= sys.float_info.min):
-            raise ScenarioError(f"--dt must be a finite number of at least {sys.float_info.min!r}, got {args.dt}")
-        if args.snapshot_every < 0:
-            raise ScenarioError(f"--snapshot-every must be nonnegative, got {args.snapshot_every}")
-        sc = load_scenario(args.scenario)
-        require_static(sc.qd)
-        grid = sc.initial_grid()
-        # built here so that a node where g is not positive definite is a load error
-        geom = GridGeometry(sc.qd, sc.grid)
-    except (ScenarioError, ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:
-        print(f"error: the grid does not fit in memory: {exc}", file=sys.stderr)
-        return 2
+    if args.steps < 1:
+        raise ScenarioError(f"--steps must be a positive integer, got {args.steps}")
+    # a subnormal dt would make the frequencies of the summary overflow
+    if not (math.isfinite(args.dt) and args.dt >= sys.float_info.min):
+        raise ScenarioError(f"--dt must be a finite number of at least {sys.float_info.min!r}, got {args.dt}")
+    if args.snapshot_every < 0:
+        raise ScenarioError(f"--snapshot-every must be nonnegative, got {args.snapshot_every}")
+    sc = load_scenario(args.scenario)
+    traj = evolve_pauli(sc.qd, sc.initial_grid(), args.dt, args.steps, snapshot_every=args.snapshot_every)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        traj = evolve_pauli(sc.qd, grid, args.dt, args.steps, geom=geom,
-                            snapshot_every=args.snapshot_every)
-    except SolverDivergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    csv_path = out_dir / "trajectory.csv"
-    with open(csv_path, "w") as fh:
+    with open(out_dir / "trajectory.csv", "w") as fh:
         fh.write("step,time,norm,sx,sy,sz,width\n")
         for k in range(len(traj.steps)):
             row = [int(traj.steps[k])] + [
@@ -186,24 +158,20 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_bracket(args) -> int:
-    try:
-        if args.at is None:
-            raise ScenarioError("the following arguments are required: --at")
-        sc = load_scenario(args.scenario)
-        f = sc.function(args.f)
-        g = sc.function(args.g)
-        at = args.at if isinstance(args.at, str) else ""  # argparse reads `--at=--` as []
-        point = [float(v) for v in at.split(",")]
-        if len(point) != 4 or not all(math.isfinite(v) for v in point):
-            raise ScenarioError("--at needs 4 comma-separated finite coordinates")
-        # overflow at a far point is reported as a non-finite bracket below
-        with np.errstate(all="ignore"):
-            val = extended_bracket(f, g, sc.background, point)
-        if not np.all(np.isfinite(val.as_array())):
-            raise ScenarioError(f"the bracket of {args.f} and {args.g} is not finite at {point}")
-    except (ScenarioError, ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.at is None:
+        raise ScenarioError("the following arguments are required: --at")
+    sc = load_scenario(args.scenario)
+    f = sc.function(args.f)
+    g = sc.function(args.g)
+    at = args.at if isinstance(args.at, str) else ""  # argparse reads `--at=--` as []
+    point = [float(v) for v in at.split(",")]
+    if len(point) != 4 or not all(math.isfinite(v) for v in point):
+        raise ScenarioError("--at needs 4 comma-separated finite coordinates")
+    # overflow at a far point is reported as a non-finite bracket below
+    with np.errstate(all="ignore"):
+        val = extended_bracket(f, g, sc.background, point)
+    if not np.all(np.isfinite(val.as_array())):
+        raise ScenarioError(f"the bracket of {args.f} and {args.g} is not finite at {point}")
     dimless = DIMLESS.to_json()
     out = {
         "f": args.f,
@@ -243,17 +211,26 @@ def main(argv=None) -> int:
     try:
         code = handlers[args.command](args)
         sys.stdout.flush()
+        return code
     except BrokenPipeError:
         # the reader closed stdout early (`cqm ... | head -1`); point stdout
         # at devnull so that the flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except SolverDivergence as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         # --out names a path that cannot be written: a usage error
         name = f": {exc.filename}" if exc.filename else ""
         print(f"error: cannot write output{name}: {exc.strerror or exc}", file=sys.stderr)
         return 2
-    return code
+    except (ValueError, ArithmeticError) as exc:  # ScenarioError among them
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

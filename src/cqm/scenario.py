@@ -321,10 +321,16 @@ def _parse_function(name: str, obj: Mapping, consts) -> SpecialFunction:
     )
 
 
+def is_json_text(source) -> bool:
+    """A string that starts with `{` or `[` is JSON text; any other string
+    is a path."""
+    return isinstance(source, str) and source.lstrip().startswith(("{", "["))
+
+
 def load_scenario(source) -> Scenario:
-    """Load a scenario from a path, JSON string, or parsed mapping.  A string
-    that starts with `{` or `[` is JSON text; any other string is a path."""
-    if isinstance(source, Path) or (isinstance(source, str) and not source.lstrip().startswith(("{", "["))):
+    """Load a scenario from a path, JSON string (`is_json_text`), or parsed
+    mapping."""
+    if isinstance(source, (str, Path)) and not is_json_text(source):
         path = Path(source)
         if not path.exists():
             raise ScenarioError(f"scenario file not found: {source}")

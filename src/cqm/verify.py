@@ -642,7 +642,9 @@ _SUITE_FNS = {
 
 
 def run_suites(sc: Scenario, suites=None) -> list:
-    names = sorted(suites or SUITES)
+    """The checks of the named suites (all by default), each suite run once,
+    sorted by name."""
+    names = sorted(set(suites or SUITES))
     for name in names:
         if name not in _SUITE_FNS:
             raise ValueError(f"unknown suite {name!r} (available: {', '.join(SUITES)})")

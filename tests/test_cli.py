@@ -174,13 +174,31 @@ def test_evolve_missing_grid(tmp_path):
 
 def test_evolve_too_large_dt_exits_1_with_error_line(tmp_path):
     """A step at which the Cayley iteration does not contract is a solver
-    failure: exit 1, one error line, before any overflow."""
+    failure: exit 1, one error line, before any overflow, and no output
+    directory."""
+    out = tmp_path / "out"
     res = run_cli("evolve", str(SCENARIO_DIR / "free_packet.json"), "--dt", "0.008", "--steps", "2",
-                  "--out", str(tmp_path / "out"))
+                  "--out", str(out))
     assert res.returncode == 1, res.stderr
     lines = res.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "reduce dt" in lines[0], res.stderr
     assert "Traceback" not in res.stderr and "RuntimeWarning" not in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("steps, message", [
+    (10**10, "error: out of memory: "),  # 373 GiB of observables
+    (10**20, "error: Maximum allowed dimension exceeded"),
+])
+def test_evolve_steps_too_many_to_record_is_a_load_error(tmp_path, steps, message):
+    """A --steps whose observable record cannot be allocated: exit 2 with one
+    error line and no output directory."""
+    out = tmp_path / "out"
+    rc, stdout, stderr = _main("evolve", str(SCENARIO_DIR / "larmor.json"), "--steps", str(steps),
+                               "--dt", "0.1", "--out", str(out))
+    assert (rc, stdout) == (2, "")
+    assert len(stderr.splitlines()) == 1 and stderr.startswith(message), stderr
+    assert not out.exists()
 
 
 def _scenario_file(tmp_path, name, **changes):
@@ -605,3 +623,21 @@ def test_grid_too_large_for_memory_is_a_load_error(tmp_path, command):
     lines = stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "PiB" in lines[0], stderr
     assert not out.exists()
+
+
+def test_long_inline_scenario_is_reported_as_inline():
+    """Inline JSON longer than a file name may be (255 bytes) is JSON text,
+    not a path to look up."""
+    scenario = json.dumps({"constants": {f"c{k}": 1.0 for k in range(40)}})
+    assert len(scenario) > 255
+    rc, out, err = _main("verify", scenario, "--suite", "jacobi")
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["scenario"] == "<inline>"
+
+
+def test_repeated_suite_runs_once(tmp_path):
+    once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+    flat = str(SCENARIO_DIR / "flat.json")
+    assert _main("verify", flat, "--suite", "jacobi", "--out", str(once)) == (0, "", "")
+    assert _main("verify", flat, "--suite", "jacobi", "--suite", "jacobi", "--out", str(twice)) == (0, "", "")
+    assert twice.read_bytes() == once.read_bytes()
