@@ -209,41 +209,6 @@ class Background:
         jets = b.magnetic(0)
         return [ScaledReal(j.value, BFIELD_FRAME_DIM) for j in jets]
 
-    def validate(self, where) -> dict:
-        """Worst residuals of the spacetime-connection axioms at a point, on
-        a (4, N) cloud or on a bundle's points.  Torsion-freeness needs no
-        residual: kgrav writes each slot and its mirror in one assignment."""
-        b = self.jets(where)
-        batch = b.point.shape[1:]
-        res = {"metricity": 0.0, "curvature_symmetry": 0.0, "dF": 0.0}
-
-        def worst(key, r):
-            res[key] = max(res[key], float(np.max(np.abs(r))))
-
-        g1 = b.metric(1)
-        k = value_array(b.kgrav(0), batch)  # [lam, i, mu, ...]
-        # nabla_lam g_ij = d_lam g_ij - K_lam^h_i g_hj - K_lam^h_j g_ih
-        g0 = value_array(b.metric(0), batch)
-        for lam in range(4):
-            for i in range(3):
-                for j in range(3):
-                    r = value_array(g1[i][j].derive(lam), batch)
-                    for h in range(3):
-                        r = r - k[lam][h][i + 1] * g0[h][j]
-                        r = r - k[lam][h][j + 1] * g0[i][h]
-                    worst("metricity", r)
-        # pair symmetry of the all-spatial curvature R_ijhk = R_hkij
-        riem = b.riemann_lowered_spatial()
-        worst("curvature_symmetry", riem - riem.swapaxes(0, 2).swapaxes(1, 3))
-        f1 = b.f_jets(1)
-        for lam in range(4):
-            for mu in range(lam + 1, 4):
-                for nu in range(mu + 1, 4):
-                    d = [value_array(f1[a][c].derive(e), batch) for a, c, e in
-                         ((lam, mu, nu), (mu, nu, lam), (nu, lam, mu))]
-                    worst("dF", d[0] + d[1] + d[2])
-        return res
-
 
 # ---------------------------------------------------------------------------
 

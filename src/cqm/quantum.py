@@ -199,10 +199,11 @@ def node_map(mesh4, evaluate) -> list:
     list of jets, one per quantity.  The result holds one array per
     quantity: the jet's coefficients (value, then derivatives) along the
     first axis, then the grid shape of mesh4, so that each coefficient is
-    one contiguous grid array.  A quantity whose jet is point-shaped in
-    every chunk (a constant: the jet kernel keeps a jet with no chart
-    variable as a point) is the same at every node and is kept as its
-    (size,) coefficients alone, with no grid axes."""
+    one contiguous grid array.  A quantity whose jet is point-shaped (a
+    constant: the jet kernel keeps a jet with no chart variable as a point)
+    is kept as its (size,) coefficients alone, with no grid axes.  That
+    depends on which inputs are constants, not on a chunk's points, so the
+    first chunk fixes each quantity's layout."""
     shape = mesh4[1].shape
     cloud = np.stack([np.broadcast_to(m, shape).ravel() for m in mesh4])
     total = cloud.shape[1]
@@ -212,13 +213,8 @@ def node_map(mesh4, evaluate) -> list:
             c = jet.c.T  # (size,) when point-shaped, else (size, n)
             if s == 0:
                 out.append(c.copy() if c.ndim == 1 else np.empty((len(c), total)))
-            if out[k].ndim == 1:
-                if c.ndim == 1 and np.array_equal(c, out[k]):
-                    continue
-                full = np.empty((len(c), total))  # the first chunk that varies
-                full[:, :s] = out[k][:, None]
-                out[k] = full
-            out[k][:, s:s + NODE_CHUNK] = c.reshape(len(c), -1)
+            if out[k].ndim > 1:
+                out[k][:, s:s + NODE_CHUNK] = c.reshape(len(c), -1)
     return [q if q.ndim == 1 else q.reshape((len(q),) + shape) for q in out]
 
 
@@ -567,23 +563,24 @@ def _observables(geom: GridGeometry, psis: np.ndarray) -> np.ndarray:
     and rho_00 - rho_11, over tr rho.  On a grid with an active axis the
     node density gives the width, the root of the summed variances along
     the active axes, each from the density's marginal along its axis and
-    that axis's coordinates.  A zero state's row is zeros.  Every sum is a
-    reduction along one state's row, so a state's row is the same bit for
-    bit in any stack (a matrix-vector product would not be)."""
+    that axis's coordinates.  A zero state's row is zeros.  Every product is
+    real and every sum runs along one state's row, so a state's row is the
+    same bit for bit in any stack (a complex product, whose rounding can
+    depend on the array's length, and an einsum, which buffers rows of more
+    than 8,192 values, need not be)."""
     count = len(psis)
-    flat = psis.reshape(count, -1, 2)
+    flat = psis.reshape(count, -1, 2).view(float)  # re, im of psi_up, then of psi_down
     weight = np.reshape(geom.sqrtg, -1)  # one number, or one per node
-    squares = np.square(flat.view(float))  # re^2, im^2 of each component
+    squares = np.square(flat)
     up = (squares[..., 0] + squares[..., 1]) * weight
     down = (squares[..., 2] + squares[..., 3]) * weight
     r00, r11 = up.sum(axis=1), down.sum(axis=1)
-    r01 = np.einsum("kn,kn->k", flat[..., 0].conj() * weight, flat[..., 1])
     total = r00 + r11
     denom = np.where(total == 0.0, 1.0, total)  # every sum of a zero state is 0
     out = np.zeros((5, count))
     out[0] = np.sqrt(total * geom.dvol)
-    out[1] = 2.0 * r01.real / denom
-    out[2] = 2.0 * r01.imag / denom
+    out[1] = 2.0 * np.sum((flat[..., 0] * flat[..., 2] + flat[..., 1] * flat[..., 3]) * weight, axis=1) / denom
+    out[2] = 2.0 * np.sum((flat[..., 0] * flat[..., 3] - flat[..., 1] * flat[..., 2]) * weight, axis=1) / denom
     out[3] = (r00 - r11) / denom
     active = geom.spec.active
     if active:

@@ -1,24 +1,24 @@
 """Property suites behind `cqm verify`.
 
-Each suite draws seeded sample points from the scenario box and reports the
-worst residual of a family of identities.  Every check's bound is a constant
-of TOLERANCES, which no scenario can change.  Two kinds of checks exist:
-residual checks (pass when max residual <= bound), which gate every
-identity that holds exactly, and the `*_ratio` convergence checks of the
-operators suite (pass when halving the grid step shrinks an O(h^2)
-discretisation defect by a ratio >= the bound, or when both defects are
-already at roundoff, which reads as an infinite ratio).
+Each suite reports the worst residual of a family of identities.  Every
+check's bound is a constant of TOLERANCES, which no scenario can change.
+Two kinds of checks exist: residual checks (pass when max residual <=
+bound), which gate every identity that holds exactly, and the `*_ratio`
+convergence checks of the operators suite (pass when halving the grid step
+shrinks an O(h^2) discretisation defect by a ratio >= the bound, or when
+both defects are already at roundoff, which reads as an infinite ratio).
 
-Every suite but operators draws its samples as (n, 4) rows and evaluates
-them as one (4, n) cloud, `points.T`.  Every residual function the suites
-call takes a point (4,), a cloud (4, n) or the background bundle of one; a
-residual is a float at a point and an (n,) array of per-point values on a
-cloud, and a suite reports the largest.  The background, isomorphism,
-Jacobi and observer suites build one background bundle for their cloud and
-pass the bundle in place of the cloud, so every residual function shares
-its background quantities; all four isomorphism checks read all its
-samples.  The background suite's closure check dOmega = 0 reads exact
-derivatives off the suite's own bundle.  Its spacetime triples are the
+`run_suites` hands each suite its own seeded stream, `_rng_for`.  The five
+point suites (all but operators) first draw their samples through
+`_sample`: (n, 4) rows from the scenario box as one (4, n) cloud, whose
+background bundle the suite passes in place of the cloud, so every residual
+function shares its background quantities.  A residual function takes a
+point (4,), a cloud (4, n) or the bundle of one; a residual is a float at a
+point and an (n,) array of per-point values on a cloud, and a suite
+reports the largest.  The background suite's seven checks are all built
+here: the connection axioms (metricity, the curvature's pair symmetry,
+dF = 0), frame orthonormality, Ktilde antisymmetry, the volume and the
+closure dOmega = 0, from exact derivatives off the bundle.  The closure's spacetime triples are the
 closure of Phi[ref]; every Phi[o] = Phi[ref] + dtheta[o] is closed with it,
 as dd = 0 holds exactly on jets, so no observer has a check of its own.
 The volume check compares the bundle's sqrt|g| with np.linalg.det of the
@@ -198,27 +198,59 @@ def bracket_as_function(f: SpecialFunction, fp: SpecialFunction, sc: Scenario) -
 # suites
 
 
-def suite_background(sc: Scenario) -> list:
-    rng = _rng_for(sc, "background")
+def _sample(sc: Scenario, rng: np.random.Generator):
+    """The bundle of a point suite's samples, drawn from rng as (n, 4) rows
+    and evaluated as one (4, n) cloud, and n."""
     points = sc.sample_points(rng)
-    cloud = points.T
-    batch = cloud.shape[1:]
-    bg = sc.background
-    b = bg.jets(cloud)
-    checks = [Check(f"background.{key}", len(points), worst) for key, worst in bg.validate(b).items()]
-    e = value_array(b.frame(0)[0], batch)
-    g = value_array(b.metric(0), batch)
+    return sc.background.jets(points.T), len(points)
+
+
+def suite_background(sc: Scenario, rng: np.random.Generator) -> list:
+    b, n = _sample(sc, rng)
+    e = value_array(b.frame(0)[0], (n,))
+    g = value_array(b.metric(0), (n,))
     frame = [sum(e[i][a] * g[i][j] * e[j][bb] for i in range(3) for j in range(3)) - (1.0 if a == bb else 0.0)
              for a in range(3) for bb in range(3)]
-    worst_frame = float(np.max(np.abs(frame)))
-    kt = value_array([b.ktilde("charge", 0), b.ktilde("moment", 0)], batch)  # [sector, lam, k, j, point]
-    worst_anti = float(np.max(np.abs(kt + kt.swapaxes(2, 3))))
-    return checks + [
-        Check("background.frame_orthonormality", len(points), worst_frame),
-        Check("background.ktilde_antisymmetry", len(points), worst_anti),
-        Check("background.volume", len(points), _volume_residual(b)),
-        Check("background.domega", len(points), _domega_residual(b, rng)),
+    kt = value_array([b.ktilde("charge", 0), b.ktilde("moment", 0)], (n,))  # [sector, lam, k, j, point]
+    return [
+        Check("background.metricity", n, _metricity_residual(b)),
+        Check("background.curvature_symmetry", n, _curvature_symmetry_residual(b)),
+        Check("background.dF", n, _df_residual(b)),
+        Check("background.frame_orthonormality", n, max_abs(frame)),
+        Check("background.ktilde_antisymmetry", n, max_abs(kt + kt.swapaxes(2, 3))),
+        Check("background.volume", n, _volume_residual(b)),
+        Check("background.domega", n, _domega_residual(b, rng)),
     ]
+
+
+def _metricity_residual(b) -> float:
+    """max |nabla_lam g_ij| = |d_lam g_ij - K_lam^h_i g_hj - K_lam^h_j g_ih|.
+    Torsion-freeness needs no residual: kgrav writes a slot and its mirror at once."""
+    batch = b.point.shape[1:]
+    g1 = b.metric(1)
+    k = value_array(b.kgrav(0), batch)  # [lam, i, mu, ...]
+    g0 = value_array(b.metric(0), batch)
+    res = []
+    for lam, i, j in itertools.product(range(4), range(3), range(3)):
+        r = value_array(g1[i][j].derive(lam), batch)
+        for h in range(3):
+            r = r - k[lam][h][i + 1] * g0[h][j] - k[lam][h][j + 1] * g0[i][h]
+        res.append(r)
+    return max_abs(res)
+
+
+def _curvature_symmetry_residual(b) -> float:
+    """max |R_ijhk - R_hkij|, the pair symmetry of the all-spatial curvature."""
+    riem = b.riemann_lowered_spatial()
+    return max_abs(riem - riem.swapaxes(0, 2).swapaxes(1, 3))
+
+
+def _df_residual(b) -> float:
+    """max |d_nu F_lam mu + d_lam F_mu nu + d_mu F_nu lam| over lam < mu < nu."""
+    f1 = b.f_jets(1)
+    return max_abs([sum(value_array(f1[a][c].derive(e), b.point.shape[1:]) for a, c, e in
+                        ((lam, mu, nu), (mu, nu, lam), (nu, lam, mu)))
+                    for lam, mu, nu in itertools.combinations(range(4), 3)])
 
 
 def _volume_residual(b) -> float:
@@ -261,14 +293,10 @@ def _domega_residual(b, rng) -> float:
                for i, j, k in itertools.combinations(range(d.shape[0]), 3))
 
 
-def suite_curvature(sc: Scenario) -> list:
-    rng = _rng_for(sc, "curvature")
-    points = sc.sample_points(rng)
-    cloud = points.T
-    batch = cloud.shape[1:]
-    bg = sc.background
-    c = bg.constants
-    b = bg.jets(cloud)
+def suite_curvature(sc: Scenario, rng: np.random.Generator) -> list:
+    b, n = _sample(sc, rng)
+    batch = (n,)
+    c = sc.background.constants
     rho = value_array(b.rho("moment", 0), batch)  # [lam, mu, k, point]
     # dual route: the frame curvature of Ktilde as matrices,
     # -d_lam Kt_mu + d_mu Kt_lam + [Kt_lam, Kt_mu], for lam < mu, laid out
@@ -292,22 +320,20 @@ def suite_curvature(sc: Scenario) -> list:
     worst_slots = max(float(np.max(np.abs(rho[1:, 1:] - rho_c[1:, 1:]))),
                       float(np.max(np.abs(charge * (rho[0] - rho_g[0]) - moment * (rho_c[0] - rho_g[0])))))
     return [
-        Check("curvature.rtilde_relation", len(points), worst_rt),
-        Check("curvature.rho_coupling_slots", len(points), worst_slots),
+        Check("curvature.rtilde_relation", n, worst_rt),
+        Check("curvature.rho_coupling_slots", n, worst_slots),
     ]
 
 
-def suite_jacobi(sc: Scenario) -> list:
-    rng = _rng_for(sc, "jacobi")
-    points = sc.sample_points(rng)
+def suite_jacobi(sc: Scenario, rng: np.random.Generator) -> list:
+    bundle, n = _sample(sc, rng)
     consts = sc.background.constants.table()
     triples = [
         tuple(random_special_function(rng, consts, name=f"J{t}{i}") for i in range(3))
         for t in range(3)
     ]
-    bundle = sc.background.jets(points.T)
     worst = float(np.max([jacobi_residual(*triple, sc.background, bundle) for triple in triples]))
-    return [Check("jacobi.residual", len(points), worst)]
+    return [Check("jacobi.residual", n, worst)]
 
 
 def main_theorem_residual(f: SpecialFunction, fp: SpecialFunction, sc: Scenario, where):
@@ -357,9 +383,9 @@ def assemble_pair(qd, x_fields, vert, o) -> HermitianField:
     return HermitianField(lifted.x_jets, y_eval, False)
 
 
-def suite_isomorphism(sc: Scenario) -> list:
-    rng = _rng_for(sc, "isomorphism")
-    points = sc.sample_points(rng)
+def suite_isomorphism(sc: Scenario, rng: np.random.Generator) -> list:
+    cloud, n = _sample(sc, rng)
+    batch = (n,)
     consts = sc.background.constants.table()
     qd = sc.qd
     ref = Observer.reference()
@@ -368,8 +394,6 @@ def suite_isomorphism(sc: Scenario) -> list:
          random_special_function(rng, consts, name=f"I{t}b"))
         for t in range(4)
     ]
-    cloud = sc.background.jets(points.T)
-    batch = cloud.point.shape[1:]
     worst_main = float(np.max([main_theorem_residual(f, fp, sc, cloud) for f, fp in pairs]))
     worst_herm = float(np.max([hermiticity_residual(from_special(f, qd), qd, cloud) for f, _ in pairs]))
     p1 = random_raw_pair(rng, consts, "a")
@@ -384,16 +408,15 @@ def suite_isomorphism(sc: Scenario) -> list:
     worst_pair = max(float(np.max(np.abs((zmat.values(batch) - lift_vals) - mpair.values(batch)))),
                      float(np.max(np.abs(value_array(xb, batch) - value_array(xpair, batch)))))
     return [
-        Check("isomorphism.main_theorem", len(points), worst_main),
-        Check("isomorphism.hj_roundtrip", len(points), worst_round),
-        Check("isomorphism.pair_bracket", len(points), worst_pair),
-        Check("isomorphism.eta_hermiticity", len(points), worst_herm),
+        Check("isomorphism.main_theorem", n, worst_main),
+        Check("isomorphism.hj_roundtrip", n, worst_round),
+        Check("isomorphism.pair_bracket", n, worst_pair),
+        Check("isomorphism.eta_hermiticity", n, worst_herm),
     ]
 
 
-def suite_observer(sc: Scenario) -> list:
-    rng = _rng_for(sc, "observer")
-    points = sc.sample_points(rng)
+def suite_observer(sc: Scenario, rng: np.random.Generator) -> list:
+    cloud, n = _sample(sc, rng)
     consts = sc.background.constants.table()
     qd = sc.qd
     observers = [Observer.reference()]
@@ -409,15 +432,14 @@ def suite_observer(sc: Scenario) -> list:
         )
         observers.append(Observer(comps))
     funcs = [random_special_function(rng, consts, name=f"O{t}") for t in range(3)]
-    cloud = sc.background.jets(points.T)
     worst = 0.0
     for f in funcs:
         vals = np.array([invariant_combination(f, qd, o, cloud) for o in observers])
         scale = np.maximum(1.0, np.max(np.abs(vals), axis=0))
         worst = max(worst, float(np.max((np.max(vals, axis=0) - np.min(vals, axis=0)) / scale)))
     potential = max(float(np.max(potential_residual(qd, o, cloud))) for o in observers)
-    return [Check("observer.invariant_combination", len(points), worst),
-            Check("observer.potential_consistency", len(points), potential)]
+    return [Check("observer.invariant_combination", n, worst),
+            Check("observer.potential_consistency", n, potential)]
 
 
 def _smooth_grid(spec: GridSpec, rng: np.random.Generator) -> SpinorGrid:
@@ -519,8 +541,7 @@ _HOMOMORPHISM_GRIDS = (GridSpec(((-3.0, 3.0, 15), (-3.0, 3.0, 15), (0.0, 0.0, 1)
                        GridSpec(((-3.0, 3.0, 29), (-3.0, 3.0, 29), (0.0, 0.0, 1)), 0.0))
 
 
-def suite_operators(sc: Scenario) -> list:
-    rng = _rng_for(sc, "operators")
+def suite_operators(sc: Scenario, rng: np.random.Generator) -> list:
     # the named-display dual route needs the x1 axis active (P1 differentiates
     # along it); reduced scenario grids fall back to the probe box
     spec = sc.grid
@@ -648,6 +669,6 @@ def run_suites(sc: Scenario, suites=None) -> list:
     for name in names:
         if name not in _SUITE_FNS:
             raise ValueError(f"unknown suite {name!r} (available: {', '.join(SUITES)})")
-    checks = [c for n in names for c in _SUITE_FNS[n](sc)]
+    checks = [c for n in names for c in _SUITE_FNS[n](sc, _rng_for(sc, n))]
     checks.sort(key=lambda c: c.name)
     return checks

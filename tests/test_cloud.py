@@ -29,6 +29,9 @@ from cqm.special import eval_special, extended_bracket, jacobi_residual
 from cqm.units import DIMLESS
 from cqm.verify import (
     Check,
+    _curvature_symmetry_residual,
+    _df_residual,
+    _metricity_residual,
     _rng_for,
     assemble_pair,
     bracket_as_function,
@@ -137,10 +140,10 @@ def test_curvature_riemann_and_validate_on_a_cloud(sc, n):
                          [value_array(bg.jets(x).rho("moment", 0)) for x in pts])
     assert_cloud_matches(cloud.riemann_lowered_spatial(),
                          [bg.jets(x).riemann_lowered_spatial() for x in pts])
-    rep = bg.validate(pts.T)
-    singles = [bg.validate(x) for x in pts]
+    rep = _connection_axioms(bg.jets(pts.T))
+    singles = [_connection_axioms(bg.jets(x)) for x in pts]
     assert rep == {k: max(s[k] for s in singles) for k in rep}
-    assert rep == _oracle_validate(bg, pts)
+    assert rep == _oracle_connection_axioms(bg, pts)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -209,10 +212,10 @@ def test_a_bundle_stands_for_its_cloud(sc, funcs, raw_pairs, n):
 
 
 def test_isomorphism_and_jacobi_build_one_bundle_per_cloud(monkeypatch):
-    """The isomorphism, Jacobi, observer and background suites each evaluate
-    on one cloud, their samples (which all five isomorphism checks share, both
-    observer checks, and `validate` and the closure checks); each builds one
-    bundle for it and hands it to every residual function."""
+    """Every point suite evaluates on one cloud, its samples (which all
+    four isomorphism checks share, both observer checks, both curvature
+    checks and all seven background checks); each builds one bundle for it
+    and hands it to every residual function."""
     sc = load_scenario(scenario_dict("curved_magnetic"))
     built = []
     original = BackgroundJets.__init__
@@ -222,17 +225,10 @@ def test_isomorphism_and_jacobi_build_one_bundle_per_cloud(monkeypatch):
         original(self, bg, point)
 
     monkeypatch.setattr(BackgroundJets, "__init__", counting)
-    run_suites(sc, ["isomorphism"])
-    assert built == [(4, sc.samples)]
-    built.clear()
-    run_suites(sc, ["jacobi"])
-    assert built == [(4, sc.samples)]
-    built.clear()
-    run_suites(sc, ["observer"])
-    assert built == [(4, sc.samples)]
-    built.clear()
-    run_suites(sc, ["background"])
-    assert built == [(4, sc.samples)]
+    for suite in ("isomorphism", "jacobi", "observer", "background", "curvature"):
+        built.clear()
+        run_suites(sc, [suite])
+        assert built == [(4, sc.samples)], suite
 
 
 @pytest.mark.parametrize("case", ["extended_bracket", "from_special"])
@@ -270,7 +266,13 @@ def test_mat2_values_broadcast_constants():
 # the per-point suite loops, kept as the oracle of the cloud suites
 
 
-def _oracle_validate(bg, samples):
+def _connection_axioms(b):
+    """The background suite's residuals of the connection axioms on the bundle b."""
+    return {"metricity": _metricity_residual(b), "curvature_symmetry": _curvature_symmetry_residual(b),
+            "dF": _df_residual(b)}
+
+
+def _oracle_connection_axioms(bg, samples):
     res = {"metricity": 0.0, "curvature_symmetry": 0.0, "dF": 0.0}
     for x in samples:
         b = bg.jets(x)
@@ -306,7 +308,7 @@ def _oracle_background(sc):
     rng = _rng_for(sc, "background")
     points = sc.sample_points(rng)
     bg = sc.background
-    rep = _oracle_validate(bg, points)
+    rep = _oracle_connection_axioms(bg, points)
     checks = [Check(f"background.{key}", len(points), rep[key])
               for key in ("metricity", "curvature_symmetry", "dF")]
     worst_frame = 0.0
