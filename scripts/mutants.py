@@ -68,6 +68,14 @@ MUTANTS = (
            "if m < cap - 1:  # the last ring is partial",
            "the last partial ring of a series left unfolded when an earlier full ring was folded; survives: "
            "verify runs no evolution, only Tier-1 sees it"),
+    Mutant("block_rule_argmax", "quantum.py",
+           "k = min(enumerate(ms, 1)", "k = max(enumerate(ms, 1)",
+           "later blocks take the length with the most generator applies per step of the first series, not the "
+           "fewest; survives: verify runs no evolution, only Tier-1 sees it"),
+    Mutant("block_rule_step_off_by_one", "quantum.py",
+           "enumerate(ms, 1)", "enumerate(ms, 2)",
+           "the length rule divides m_s by s + 1 and picks s + 1; survives: verify runs no evolution, only "
+           "Tier-1 sees it"),
     Mutant("y_f0_a0_sign", "hermitian.py",
            "y0 = c.f0 * a[0] + c.fbrev", "y0 = c.fbrev - c.f0 * a[0]",
            "sign of f0 A_0 in y_0 of y_coefficients"),

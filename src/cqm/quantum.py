@@ -36,21 +36,25 @@ i (Y.psi - u0 f0 P psi) with the d0 psi contributions cancelled structurally
 (1 - w) x = (1 + w) psi, w = -i tau H, tau = dt/2, matrix-free.  As the
 generator is static, every step applies the same Cayley map
 C = (1 + w)(1 - w)^-1, so one Neumann series of terms t_j = w^j psi, one
-generator apply per term, gives a block of STEP_BLOCK steps:
+generator apply per term, gives a block of k steps:
 C^s psi = sum_j c_{s,j} t_j, with c_{0,j} = delta_{j0} and
 c_{s,j} = c_{s-1,j} + 2 sum_{i<j} c_{s-1,i} (c_{1,j} = 2, c_{2,j} = 4j,
 c_{3,j} = 4j^2 + 2 for j >= 1).  Truncated after t_m, step s has the Cayley
 residual (1 - w) psi_s - (1 + w) psi_{s-1} = -(c_{s,m} + c_{s-1,m}) t_{m+1},
-so the terms certify every step of the block: the series ends when
-(c_{s,m} + c_{s-1,m}) |t_m| falls to 1e-14 |b| (b = psi + t_1) for every s,
-and a step size at which the terms stop shrinking is reported as
-SolverDivergence.  A block of one step is the plain series
-psi + 2 sum_{j>=1} t_j.  The terms are not summed one by one: each is
+so the terms certify every step of the block: step s is certified by the
+first t_m with (c_{s,m} + c_{s-1,m}) |t_m| <= 1e-14 |b| (b = psi + t_1),
+m_s, the series ends when every step is, and a step size at which the
+terms stop shrinking is reported as SolverDivergence.  A block of one step
+is the plain series psi + 2 sum_{j>=1} t_j.  The block length follows from
+the input: the first series of a run serves MAX_STEP_BLOCK = 7 steps, and
+every later block has the k that minimises m_k / k of that series, the
+generator applies per step.  The terms are not summed one by one: each is
 written into the next slot of a ring of psi-shaped slots, and each full
 ring, then the last one, is folded into the block's states by one real
-matrix product of a block of the c_{s,j} with the slots, so a term costs
-the apply, one scaling into its slot and one norm.  The observables of the
-states are evaluated a block of states at a time, in one pass per block.
+matrix product of a block of the c_{s,j} with the slots' float view, so a
+term costs the apply, one scaling into its slot and one norm.  The
+observables of the states are evaluated a block of states at a time, in
+one pass per block.
 """
 
 from __future__ import annotations
@@ -233,11 +237,13 @@ class GridGeometry:
     d0sqrtg, dsqrtg[i] = d_i sqrt|g|, ginv[i][j] = g^{ij},
     dginv[k][i][j] = d_k g^{ij}, a[lam], da[i][j] = d_i A_j and
     c_coeffs[lam][a] = C_lam^a; derivatives along an inactive axis are
-    zero (dimensional reduction)."""
+    zero (dimensional reduction).  coords holds the spec's coords(), made
+    once for every evaluation of the observables."""
 
     def __init__(self, qd: QuantumData, spec: GridSpec):
         self.qd = qd
         self.spec = spec
+        self.coords = spec.coords()
         self.mesh4 = spec.mesh4()
         bg = qd.bg
         consts = bg.constants
@@ -585,7 +591,7 @@ def _observables(geom: GridGeometry, psis: np.ndarray) -> np.ndarray:
     active = geom.spec.active
     if active:
         dens = (up + down).reshape((count,) + geom.spec.shape)
-        coords = geom.spec.coords()
+        coords = geom.coords
         for ax in active:
             marginal = dens.sum(axis=tuple(1 + k for k in range(3) if k != ax))
             mean = np.sum(marginal * coords[ax], axis=1) / denom
@@ -594,21 +600,15 @@ def _observables(geom: GridGeometry, psis: np.ndarray) -> np.ndarray:
     return out
 
 
-# Crank-Nicolson steps per Neumann series in evolve_pauli.  Run time of
-# evolve_pauli relative to one series per step, for blocks of 2 / 3 / 4 / 5
-# steps (the range of the medians of three series of 11 interleaved
-# in-process runs; 2-core x86-64, numpy 2.4): Larmor (one node, dt 0.1)
-# 0.54-0.59 / 0.36-0.42 / 0.28-0.32 / 0.25-0.26, 1-D dispersion
-# (free_packet, 383 nodes, dt 0.004) 0.82-0.89 / 0.67-0.83 / 0.79-0.85 /
-# 0.94-1.23, 3-D packet (flat_magnetic 24^3, dt 0.02) 0.62-0.64 /
-# 0.52-0.54 / 0.44-0.47 / 0.41-0.43.  On dispersion a block of 4 lost to
-# one of 3 in 14 of 21 interleaved pairs (median 1.05x): it takes 5.10
-# generator applies a step against 5.23, but 371 of its 900 series outgrow
-# the 21-slot ring and fold twice.  free_packet's Gaussian is cut by the
-# box edge at 1.4e-11 of its peak, and the cut's short waves shrink only
-# about 2x per term from 1e-14 |b| on, so there a block of 5 costs more
-# terms (5.77 a step) than it saves.
-STEP_BLOCK = 3
+# Complex values the term ring of evolve_pauli may hold (512 KiB): 42 slots
+# of free_packet's 383 nodes, so that its chosen block of about 20 terms
+# folds once a series, and two slots of 24^3 nodes.
+RING_VALUES = 2**15
+
+# The longest block of steps that one series serves: the longest whose
+# c_{s,j} stay exact in float64 through the 500-term limit
+# (c_{7,500} + c_{6,500} = 2.79e15 < 2^53; for 8 it is 4.0e17).
+MAX_STEP_BLOCK = 7
 
 
 @functools.cache
@@ -616,50 +616,55 @@ def _block_coefficients(k: int) -> tuple:
     """The coefficients of a block of k steps for the terms j = 0..500 of
     its series (module docstring): the (k, 501) array of the c_{s,j},
     s = 1..k, and per term j the list of the squared weights
-    (c_{s,j} + c_{s-1,j})^2 of the residuals of steps s = 1..k, the last
-    step's the largest.  The c_{s,j} come from c_{0,j} = delta_{j0} and
-    c_{s,j} = c_{s-1,j} + 2 sum_{i<j} c_{s-1,i}; they are integers, exact
-    in floating point."""
+    (c_{s,j} + c_{s-1,j})^2 of the residuals of steps s = 1..k, which grow
+    with s, then inf, which no term meets.  The c_{s,j} come from
+    c_{0,j} = delta_{j0} and c_{s,j} = c_{s-1,j} + 2 sum_{i<j} c_{s-1,i};
+    they are integers, exact in floating point for k <= MAX_STEP_BLOCK."""
     c = np.zeros((k + 1, 501))
     c[0, 0] = 1.0
     for s in range(1, k + 1):
         c[s] = c[s - 1]
         c[s, 1:] += 2.0 * np.cumsum(c[s - 1, :-1])
-    return c[1:], np.square(c[1:] + c[:-1]).T.tolist()
+    weights = np.square(c[1:] + c[:-1]).T
+    return c[1:], np.hstack([weights, np.full((501, 1), np.inf)]).tolist()
 
 
-def _fold(out: np.ndarray, c: np.ndarray, ring: np.ndarray, lo: int, hi: int):
-    """Add the terms t_lo..t_{hi-1}, held in ring[:hi - lo], to the states
-    out[s - 1] = sum_j c_{s,j} t_j: one real matrix product of the block
-    c[:, lo:hi] with the slots' float view (the c_{s,j} are real).  The
-    fold of t_0 writes out; a later one adds its product in column chunks,
-    so that no temporary grows past about one psi."""
+def _fold(dest: np.ndarray, c: np.ndarray, slots: np.ndarray, lo: int, hi: int):
+    """Add the terms t_lo..t_{hi-1}, held in the first hi - lo rows of
+    `slots`, the ring's float view, to dest, the float view of the states,
+    whose row s - 1 is sum_j c_{s,j} t_j: one real matrix product of the
+    block c[:, lo:hi] with those rows (the c_{s,j} are real).  The fold of
+    t_0 writes dest; a later one adds its product in column chunks, so that
+    no temporary grows past about one psi."""
     coeffs = c[:, lo:hi]
-    slots = ring[:hi - lo].reshape(hi - lo, -1).view(float)
-    dest = out.reshape(len(out), -1).view(float)
+    terms = slots[:hi - lo]
     if lo == 0:
-        np.dot(coeffs, slots, out=dest)
+        np.dot(coeffs, terms, out=dest)
         return
     width = -(-dest.shape[1] // len(dest))
     for col in range(0, dest.shape[1], width):
-        dest[:, col:col + width] += np.dot(coeffs, slots[:, col:col + width])
+        dest[:, col:col + width] += np.dot(coeffs, terms[:, col:col + width])
 
 
 def _cayley_block(h_apply: Callable, psi: np.ndarray, tau: float, n: int, ring: np.ndarray,
-                  out: np.ndarray) -> np.ndarray:
+                  flat_ring: np.ndarray, out: np.ndarray) -> list:
     """Steps n..n+k-1 of evolve_pauli, k = len(out): the states
     psi_s = C^s psi, s = 1..k, of the Cayley map C = (1 + w)(1 - w)^-1,
     w = -i tau H, from one series of terms t_j = w^j psi, as
-    psi_s = sum_{j<=m} c_{s,j} t_j (module docstring), written to out.
-    Term j is written to slot j % len(ring) of the ring (at least two
-    slots; t_0 = psi is copied to slot 0), and each full ring, then the
-    last one, full or partial, is folded into out by one matrix product
-    (_fold).  The series ends at the first m where
-    (c_{s,m} + c_{s-1,m}) |t_m| <= 1e-14 |b|, b = psi + t_1, for every s;
-    after 500 terms the leading steps that meet it are returned, and
-    SolverDivergence is raised if the first does not.  Norms are compared
-    squared, the shrink rule starts from t_0 = psi, and an overflowing
-    term, whose norm is infinite or NaN, raises too."""
+    psi_s = sum_{j<=m} c_{s,j} t_j (module docstring), written to the rows
+    of out, the float view of the states (one row of re, im pairs per
+    state).  Term j is written to slot j % len(ring) of the ring (at least
+    two slots; t_0 = psi is copied to slot 0), and each full ring, then the
+    last one, full or partial, is folded into out through the ring's float
+    view flat_ring by one matrix product (_fold).  Step s is certified by
+    the first term t_m with (c_{s,m} + c_{s-1,m}) |t_m| <= 1e-14 |b|,
+    b = psi + t_1, and the series ends when every step is.  Returns ms,
+    where ms[s - 1] is the m that certified step s: the terms, and so the
+    generator applies, that a block of s steps takes.  After 500 terms only
+    the leading steps that t_500 certifies are kept, and SolverDivergence is
+    raised if the first is not.  Norms are compared squared, the shrink
+    rule starts from t_0 = psi, and an overflowing term, whose norm is
+    infinite or NaN, raises too."""
     k = len(out)
     c, weights = _block_coefficients(k)
     cap = len(ring)
@@ -667,6 +672,7 @@ def _cayley_block(h_apply: Callable, psi: np.ndarray, tau: float, n: int, ring: 
     t[...] = psi
     last = np.vdot(psi, psi).real
     factor = np.array(-1j * tau)  # numpy multiplies by a 0-d array faster than by a Python scalar
+    ms = []
     for m in range(1, 501):
         j = m % cap
         prev, t = t, ring[j]
@@ -679,17 +685,19 @@ def _cayley_block(h_apply: Callable, psi: np.ndarray, tau: float, n: int, ring: 
             tol = 1e-28 * np.vdot(b, b).real  # (1e-14 |b|)^2
             del b
         if j == cap - 1:  # the ring is full
-            _fold(out, c, ring, m + 1 - cap, m + 1)
-        if weights[m][-1] * tt <= tol:  # every step of the block is certified
+            _fold(out, c, flat_ring, m + 1 - cap, m + 1)
+        while weights[m][len(ms)] * tt <= tol:  # t_m certifies step len(ms) + 1
+            ms.append(m)
+        if len(ms) == k:  # every step of the block is certified
             break
         last = tt
     else:
-        k = sum(w * tt <= tol for w in weights[500])
-        if not k:
+        del ms[sum(w * tt <= tol for w in weights[500]):]
+        if not ms:
             raise SolverDivergence(f"the Cayley series stalled at step {n}")
     if j != cap - 1:  # the last ring is partial
-        _fold(out, c, ring, m - j, m + 1)
-    return out[:k]
+        _fold(out, c, flat_ring, m - j, m + 1)
+    return ms
 
 
 def evolve_pauli(
@@ -701,26 +709,31 @@ def evolve_pauli(
     snapshot_every: int = 0,
 ) -> Trajectory:
     """Crank-Nicolson evolution (1 + i tau H) psi+ = (1 - i tau H) psi with
-    tau = dt/2, solved matrix-free in blocks of STEP_BLOCK steps (the last
-    block may be shorter): one Neumann series of terms t_j = (-i tau H)^j psi,
-    one generator apply per term, gives the block's states
-    psi_s = sum_{j<=m} c_{s,j} t_j (module docstring; one step is
-    psi + 2 sum_{j>=1} t_j).  The series ends at the first m where
+    tau = dt/2, solved matrix-free in blocks of steps: one Neumann series of
+    terms t_j = (-i tau H)^j psi, one generator apply per term, gives a
+    block's states psi_s = sum_{j<=m} c_{s,j} t_j (module docstring; one
+    step is psi + 2 sum_{j>=1} t_j).  The series ends at the first m where
     (c_{s,m} + c_{s-1,m}) |t_m| <= 1e-14 |b|, b = psi + t_1, for every step s
     of the block, which certifies each step: its residual
     (1 + i tau H) psi_s - (1 - i tau H) psi_{s-1} is
-    -(c_{s,m} + c_{s-1,m}) t_{m+1}.  A term no smaller than the one before
-    it means the series does not converge at this dt, and SolverDivergence
-    is raised at once for the block's first step.  After 500 terms a block
-    keeps its leading certified steps, and raises if its first step is not
-    certified.  The terms go to a ring of
-    max(2, min(501, OBSERVABLE_BLOCK // psi.size)) psi-shaped slots, and the
-    states of a block to a buffer of STEP_BLOCK states, both allocated once
-    (_cayley_block).  Norm, <sigma> and width are recorded at every step:
-    each state is copied into a block of OBSERVABLE_BLOCK // psi.size states
-    (at most steps + 1), and _observables evaluates each full block, and the
-    last partial one, in one pass; a block of one state is the state itself,
-    with no copy.  The background must be static (`require_static`)."""
+    -(c_{s,m} + c_{s-1,m}) t_{m+1}.  The first block has MAX_STEP_BLOCK
+    steps, and its series gives m_s, the term that certified step s, for
+    each of them; every later block has the k that minimises m_k / k, the
+    generator applies per step, the shorter on a tie (the last block may be
+    shorter still).  So the block length follows from the input alone.  A
+    term no smaller than the one before it means the series does not
+    converge at this dt, and SolverDivergence is raised at once for the
+    block's first step.  After 500 terms a block keeps its leading certified
+    steps, and raises if its first step is not certified.  The terms go to a
+    ring of max(2, min(501, RING_VALUES // psi.size)) psi-shaped slots, of
+    which the later blocks use at most twice the m_k + 1 terms of the first
+    series, and the states of a block to a buffer of MAX_STEP_BLOCK states;
+    both, and their float views, are made once (_cayley_block).  Norm,
+    <sigma> and width are recorded at every step: each state is copied into
+    a block of OBSERVABLE_BLOCK // psi.size states (at most steps + 1), and
+    _observables evaluates each full block, and the last partial one, in one
+    pass; a block of one state is the state itself, with no copy.  The
+    background must be static (`require_static`)."""
     require_static(qd)
     geom = geom or GridGeometry(qd, psi0.spec)
     h_apply = pauli_generator(geom).apply_fn
@@ -729,9 +742,11 @@ def evolve_pauli(
     obs = np.empty((5, steps + 1))
     size = max(1, min(steps + 1, OBSERVABLE_BLOCK // psi.size))
     block = np.empty((size,) + psi.shape, dtype=complex) if size > 1 else None
-    # at most OBSERVABLE_BLOCK values, and no more slots than the terms t_0..t_500
-    ring = np.empty((max(2, min(501, OBSERVABLE_BLOCK // psi.size)),) + psi.shape, dtype=complex)
-    states = np.empty((STEP_BLOCK,) + psi.shape, dtype=complex)
+    # at most RING_VALUES values, and no more slots than the terms t_0..t_500
+    ring = np.empty((max(2, min(501, RING_VALUES // psi.size)),) + psi.shape, dtype=complex)
+    states = np.empty((min(MAX_STEP_BLOCK, steps),) + psi.shape, dtype=complex)
+    flat_ring = ring.reshape(len(ring), psi.size).view(float)
+    flat_states = states.reshape(len(states), psi.size).view(float)
     snaps = []
 
     def record(step):
@@ -745,10 +760,16 @@ def evolve_pauli(
 
     record(0)
     n = 1
+    k = MAX_STEP_BLOCK
     # an overflowing term is caught by the block's shrink rule, not by a warning
     with np.errstate(over="ignore", invalid="ignore"):
         while n <= steps:
-            for psi in _cayley_block(h_apply, psi, 0.5 * dt, n, ring, states[:steps + 1 - n]):
+            ms = _cayley_block(h_apply, psi, 0.5 * dt, n, ring, flat_ring, flat_states[:min(k, steps + 1 - n)])
+            if n == 1:  # the fewest applies per step, m_k / k
+                k = min(enumerate(ms, 1), key=lambda sm: sm[1] / sm[0])[0]
+                slots = max(2, min(len(ring), 2 * ms[k - 1] + 2))
+                ring, flat_ring = ring[:slots], flat_ring[:slots]
+            for psi in states[:len(ms)]:
                 record(n)
                 n += 1
     step_numbers = np.arange(steps + 1)

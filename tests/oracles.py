@@ -198,3 +198,28 @@ def read_snapshot(path) -> SpinorGrid:
         axes = tuple((bounds[2 * i], bounds[2 * i + 1], sizes[i]) for i in range(3))
         raw = np.frombuffer(fh.read(), dtype="<f8").reshape(sizes + (2, 2))
     return SpinorGrid(GridSpec(axes, time), raw[..., 0] + 1j * raw[..., 1])
+
+
+def cayley_coefficient(s: int, j: int) -> int:
+    """c_{s,j}, the coefficient of w^j in C^s = (1 + w)^s (1 - w)^-s, as an
+    exact integer: sum_i binom(s, i) binom(s - 1 + j - i, s - 1)."""
+    if s == 0:
+        return int(j == 0)
+    return sum(math.comb(s, i) * math.comb(s - 1 + j - i, s - 1) for i in range(min(s, j) + 1))
+
+
+def certifying_terms(rates, psi, count: int) -> list:
+    """For H = diag(rates) / tau on one node, whose term t_m = (-i tau H)^m psi
+    has |t_m|^2 = sum_a |psi_a|^2 rates_a^(2m): per step s = 1..count the
+    first m with (c_{s,m} + c_{s-1,m})^2 |t_m|^2 <= 1e-28 |psi + t_1|^2."""
+    weights = np.abs(np.asarray(psi).ravel()) ** 2
+    rates = np.asarray(rates, dtype=float)
+    b2 = float(np.sum(weights * (1.0 + rates**2)))
+    out = []
+    for s in range(1, count + 1):
+        for m in range(1, 501):
+            w = cayley_coefficient(s, m) + cayley_coefficient(s - 1, m)
+            if w * w * float(np.sum(weights * rates ** (2 * m))) <= 1e-28 * b2:
+                out.append(m)
+                break
+    return out

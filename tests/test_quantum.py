@@ -36,7 +36,7 @@ from cqm.units import DIMLESS
 from cqm.verify import _metricity_residual, bracket_as_function, run_suites
 
 from conftest import SCENARIO_DIR, derive_expr, make_special, scenario_dict
-from oracles import act_on_section, grid_norm, read_snapshot
+from oracles import act_on_section, cayley_coefficient, certifying_terms, grid_norm, read_snapshot
 
 
 def flat_1d_spec(n=201, half=12.0):
@@ -316,7 +316,7 @@ def test_step_guard(flat_scenario, monkeypatch):
 
 
 def assert_steps_certified(sc, geom, psi0, dt, steps=10, unitary=True):
-    """Every step, at every place in its block of STEP_BLOCK steps, solves
+    """Every step, at every place in its block of steps, solves
     (1 + i tau H) x = (1 - i tau H) psi to 1e-13 |b|, and keeps the norm
     when the generator is self-adjoint (`unitary`)."""
     traj = evolve_pauli(sc.qd, psi0, dt, steps, geom=geom, snapshot_every=1)
@@ -354,16 +354,34 @@ def counted_generator(monkeypatch):
     return applies
 
 
-def test_cayley_residual_certifies_each_step():
+def series_lengths(monkeypatch):
+    """A list that gains, per Neumann series that evolve_pauli runs from now
+    on, the number of steps the series was asked for."""
+    lengths = []
+    original = quantum._cayley_block
+
+    def spy(h_apply, psi, tau, n, ring, flat_ring, out):
+        lengths.append(len(out))
+        return original(h_apply, psi, tau, n, ring, flat_ring, out)
+
+    monkeypatch.setattr(quantum, "_cayley_block", spy)
+    return lengths
+
+
+def test_cayley_residual_certifies_each_step(monkeypatch):
     """free_packet at dt 0.006, beyond what a dt |H| <= 1.5 rule admits, over
-    10 steps (three blocks and one step), 2 steps (one partial block) and
-    none.  Its terms shrink only about 2x each there, so a block takes more
-    generator applies per step than single steps would, but it evolves."""
+    10 steps (a first block of 7, then single steps), 2 steps (one partial
+    first block) and none.  Its terms shrink only about 2x each there, so
+    the first series certifies its steps at m_s = 16, 40, 68, ...: a block
+    takes more generator applies per step than single steps, and the later
+    blocks are single steps.  Every step still evolves certified."""
     sc = load_scenario(SCENARIO_DIR / "free_packet.json")
     geom = GridGeometry(sc.qd, sc.grid)
-    assert quantum.STEP_BLOCK == 3
-    for steps in (10, 2, 0):
+    lengths = series_lengths(monkeypatch)
+    for steps, blocks in ((10, [7, 1, 1, 1]), (2, [2]), (0, [])):
+        lengths.clear()
         assert_steps_certified(sc, geom, sc.initial_grid(), 0.006, steps)
+        assert lengths == blocks
 
 
 def test_cayley_block_at_the_term_limit():
@@ -375,15 +393,76 @@ def test_cayley_block_at_the_term_limit():
     r^500 = 1e-13 no step is certified and the block raises."""
     psi = np.array([[[[0.6, 0.8j]]]])
     tau = 0.05
+    ring = np.empty((2,) + psi.shape, complex)
+    states = np.empty((3,) + psi.shape, complex)
+    views = ring.reshape(2, -1).view(float), states.reshape(3, -1).view(float)
     r = 10.0 ** (-16 / 500)
-    states = quantum._cayley_block(lambda v: (r / tau) * v, psi, tau, 7, np.empty((2,) + psi.shape, complex),
-                                   np.empty((3,) + psi.shape, complex))
-    assert len(states) == 1
+    ms = quantum._cayley_block(lambda v: (r / tau) * v, psi, tau, 7, ring, *views)
+    assert ms == certifying_terms((r, r), psi, 3) == [443]  # t_443 certified step 1 first
     np.testing.assert_allclose(states[0], (1 - 1j * r) / (1 + 1j * r) * psi, rtol=0, atol=1e-14)
     r = 10.0 ** (-13 / 500)
     with pytest.raises(SolverDivergence, match="stalled at step 7"):
-        quantum._cayley_block(lambda v: (r / tau) * v, psi, tau, 7, np.empty((2,) + psi.shape, complex),
-                              np.empty((3,) + psi.shape, complex))
+        quantum._cayley_block(lambda v: (r / tau) * v, psi, tau, 7, ring, *views)
+
+
+# one node, H = diag(rates) / tau, psi: the terms certifying steps 1..7 of
+# the first series, and the block length the rule picks from them.  A
+# uniform shrink certifies each further step within a few terms, so it
+# picks the cap; a tail 1e-15 of psi that shrinks only 0.7x a term, like
+# free_packet's cut at the box edge, makes long blocks dear; 3e-14 of a
+# 0.5x tail puts blocks of 5 and 6 at 4 terms a step, and the tie goes to 5.
+ORACLE_CASES = [((0.3, 0.3), (0.6, 0.8j), [28, 31, 34, 37, 40, 42, 45], 7),
+                ((0.1, 0.7), (1.0, 1e-15), [15, 16, 18, 23, 35, 46, 57], 4),
+                ((0.1, 0.5), (1.0, 3e-14), [15, 16, 18, 19, 20, 24, 29], 5)]
+
+
+@pytest.mark.parametrize("rates, amplitudes, ms, pick", ORACLE_CASES)
+def test_block_length_follows_the_first_series(rates, amplitudes, ms, pick, monkeypatch):
+    """On one node with H = diag(rates) / tau the terms have closed-form
+    norms, so the m_s of the first series and the k minimising m_k / k
+    (the shorter on a tie) have closed forms (oracles.certifying_terms).
+    _cayley_block returns those m_s, and evolve_pauli runs 7 steps, then
+    blocks of the picked k and the rest.  With one rate r every block's
+    terms shrink as the first's, so the run's applies are m_7 for the first
+    block and m_k for each later one, and psi turns by (1 - i r)/(1 + i r)
+    a step.  (With two, a block leaves the slow tail only certified
+    against |b|, not against itself, so later series see another tail.)"""
+    psi = np.array(amplitudes, dtype=complex).reshape(1, 1, 1, 2)
+    rates = np.array(rates)
+    tau = 0.05
+    assert certifying_terms(rates, psi, 7) == ms
+    assert min(range(1, 8), key=lambda k: ms[k - 1] * 420 // k) == pick  # 420 = lcm(1..7): exact ratios
+    ring = np.empty((64,) + psi.shape, complex)
+    states = np.empty((7,) + psi.shape, complex)
+    views = ring.reshape(64, -1).view(float), states.reshape(7, -1).view(float)
+    assert quantum._cayley_block(lambda v: v * (rates / tau), psi, tau, 1, ring, *views) == ms
+
+    sc = load_scenario(SCENARIO_DIR / "larmor.json")
+    geom = GridGeometry(sc.qd, sc.grid)
+    monkeypatch.setattr(quantum, "pauli_generator",
+                        lambda geom: quantum.GridOperator("H", lambda v: v * (rates / tau), True))
+    applies = counted_generator(monkeypatch)
+    lengths = series_lengths(monkeypatch)
+    steps = 30
+    traj = evolve_pauli(sc.qd, SpinorGrid(geom.spec, psi), 2.0 * tau, steps, geom=geom)
+    later, rest = divmod(steps - 7, pick)
+    assert lengths == [7] + [pick] * later + [rest] * (rest > 0)
+    if rates[0] == rates[1]:
+        assert len(applies) == ms[6] + later * ms[pick - 1] + (ms[rest - 1] if rest else 0)
+        turn = ((1 - 1j * rates) / (1 + 1j * rates)) ** steps
+        np.testing.assert_allclose(traj.final.psi, turn * psi, rtol=0, atol=1e-13)
+
+
+def test_block_coefficients_are_exact_up_to_the_cap():
+    """The c_{s,j} of the longest block, s <= MAX_STEP_BLOCK = 7, j <= 500,
+    are the integers of (1 + w)^s (1 - w)^-s exactly, and so are the sums
+    c_{s,j} + c_{s-1,j} of the residual weights; at s = 8 that sum passes
+    2^53, where float64 stops holding every integer."""
+    assert quantum.MAX_STEP_BLOCK == 7
+    c, _ = quantum._block_coefficients(7)
+    assert c.tolist() == [[cayley_coefficient(s, j) for j in range(501)] for s in range(1, 8)]
+    top = cayley_coefficient(7, 500) + cayley_coefficient(6, 500)
+    assert top < 2**53 < cayley_coefficient(8, 500) + cayley_coefficient(7, 500)
 
 
 def spinor_packet(geom):
@@ -416,11 +495,11 @@ def test_cayley_residual_certifies_each_step_on_other_stencils():
     assert_steps_certified(sc, geom, spinor_packet(geom), 0.02, unitary=False)
 
 
-# (grid, or None for the scenario's own, dt, steps, generator applies of the run
-# in blocks of STEP_BLOCK = 3 steps and of the run in single steps); the 8^3 grid
-# carries a spinor packet
-BLOCK_CASES = {"larmor": (None, 0.1, 200, 536, 1400), "free_packet": (None, 0.004, 100, 527, 642),
-               "flat_magnetic": (GridSpec(((-3, 3, 8),) * 3, 0.0), 0.05, 40, 262, 600)}
+# (grid, or None for the scenario's own, dt, steps, the block length that the
+# first series picks, generator applies of the run in blocks and of the run in
+# single steps); the 8^3 grid carries a spinor packet
+BLOCK_CASES = {"larmor": (None, 0.1, 200, 7, 260, 1400), "free_packet": (None, 0.004, 100, 4, 519, 642),
+               "flat_magnetic": (GridSpec(((-3, 3, 8),) * 3, 0.0), 0.05, 40, 7, 147, 600)}
 
 
 def block_case(name):
@@ -440,37 +519,44 @@ def assert_same_trajectory(a, b, tol=1e-13):
 
 @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
 def test_step_blocks_follow_single_steps(name, monkeypatch):
-    """Blocks of STEP_BLOCK steps from one series give the trajectory of one
-    series per step to 1e-13, in every observable and in the final state,
-    with fewer generator applies.  Each run's apply count is pinned: it
-    follows from the terms and the stopping rule alone, not from the way
-    the terms are summed into the states."""
-    block_applies, single_applies = BLOCK_CASES[name][3:]
+    """Blocks of steps from one series give the trajectory of one series per
+    step (the cap MAX_STEP_BLOCK set to 1) to 1e-13, in every observable and
+    in the final state, with fewer generator applies.  The first series
+    serves 7 steps and every later block, but the last, has the length
+    picked from it: 7 on Larmor's node and on the 8^3 packet, 4 on
+    free_packet at dt 0.004, whose cut Gaussian makes long blocks dear.
+    Each run's apply count is pinned: it follows from the terms, the
+    stopping rule and the length rule alone, not from the way the terms are
+    summed into the states."""
+    pick, block_applies, single_applies = BLOCK_CASES[name][3:]
     sc, geom, psi0, dt, steps = block_case(name)
     applies = counted_generator(monkeypatch)
-    assert quantum.STEP_BLOCK == 3
+    lengths = series_lengths(monkeypatch)
+    assert quantum.MAX_STEP_BLOCK == 7
     blocks = evolve_pauli(sc.qd, psi0, dt, steps, geom=geom)
     assert len(applies) == block_applies
-    monkeypatch.setattr(quantum, "STEP_BLOCK", 1)
+    assert lengths[0] == 7 and set(lengths[1:-1]) == {pick} and sum(lengths) == steps
+    monkeypatch.setattr(quantum, "MAX_STEP_BLOCK", 1)
     single = evolve_pauli(sc.qd, psi0, dt, steps, geom=geom)
     assert len(applies) - block_applies == single_applies
+    assert set(lengths[len(lengths) - steps:]) == {1}
     assert_same_trajectory(blocks, single)
 
 
 @pytest.mark.parametrize("name", ["free_packet", "larmor"])
 def test_a_ring_of_two_slots_gives_the_default_trajectory(name, monkeypatch):
-    """With OBSERVABLE_BLOCK = 1 the term ring has two slots, so each series
-    is folded into its states two terms at a time, and the last ring of a
-    series is often partial.  The trajectory is the default ring's
-    (501 slots on Larmor's node, 21 on free_packet's 383 nodes) to 1e-13,
-    with the same applies."""
+    """With RING_VALUES = 1 the term ring has two slots, so each series is
+    folded into its states two terms at a time, and the last ring of a
+    series is often partial.  The trajectory is the default ring's (20
+    slots on Larmor's node, twice the 9 + 1 terms of its block of 7; 42 on
+    free_packet's 383 nodes) to 1e-13, with the same applies."""
     sc, geom, psi0, dt, steps = block_case(name)
     applies = counted_generator(monkeypatch)
     default = evolve_pauli(sc.qd, psi0, dt, steps, geom=geom)
-    assert len(applies) == BLOCK_CASES[name][3]
-    monkeypatch.setattr(quantum, "OBSERVABLE_BLOCK", 1)
+    assert len(applies) == BLOCK_CASES[name][4]
+    monkeypatch.setattr(quantum, "RING_VALUES", 1)
     two = evolve_pauli(sc.qd, psi0, dt, steps, geom=geom)
-    assert len(applies) == 2 * BLOCK_CASES[name][3]
+    assert len(applies) == 2 * BLOCK_CASES[name][4]
     assert_same_trajectory(default, two)
 
 
