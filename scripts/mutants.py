@@ -48,17 +48,19 @@ MUTANTS = (
            "inner = [[e1[i][b].derive(lam) * float(lam > 0) for b in range(3)] for i in range(3)]",
            "Ktilde without d_0 e_b^i; survives: every shipped scenario is static (item 6's breathing one is not)"),
     Mutant("laplacian_drift_sign", "quantum.py",
-           "s * (w - 2j * ga)", "s * (w + 2j * ga)",
-           "sign of the drift term -2i g^ij A_j of _laplacian_stencil"),
+           "face / h[i] ** 2 - s * 1j * drift", "face / h[i] ** 2 + s * 1j * drift",
+           "sign of the drift -i (d_i (V^i psi) + V^i d_i psi) of _laplacian_stencil"),
     Mutant("laplacian_a_squared_sign", "quantum.py",
-           "real -= 2.0 * ginv[i][i] / h[i] ** 2 + _times(ga, a_sp[i])",
-           "real -= 2.0 * ginv[i][i] / h[i] ** 2 - _times(ga, a_sp[i])",
-           "sign of |A|^2 in _laplacian_stencil"),
-    Mutant("laplacian_div_a_sign", "quantum.py",
-           "imag -= _times(ginv[i][j], da[i][j])",
-           "imag += _times(ginv[i][j], da[i][j])",
-           "sign of i g^ij d_i A_j (the i div A term) in _laplacian_stencil; survives: no shipped scenario "
-           "has g^ij d_i A_j != 0 (item 5's anisotropic one has)"),
+           "/ h[i] ** 2 + _times(a_sp[i], v)", "/ h[i] ** 2 - _times(a_sp[i], v)",
+           "sign of the potential -A_i V^i in _laplacian_stencil"),
+    Mutant("laplacian_face_node_value", "quantum.py",
+           "faces = [0.5 * (big_g[i][i] + _neighbour(big_g[i][i], i, s)) for s in (1, -1)]",
+           "faces = [big_g[i][i] for s in (1, -1)]",
+           "G^ii at the faces k +- 1/2 of _laplacian_stencil replaced by its node value"),
+    Mutant("laplacian_mixed_node_k", "quantum.py",
+           "inner = _neighbour(big_g[i][j], i, si) + _neighbour(big_g[i][j], j, sj)", "inner = 2.0 * big_g[i][j]",
+           "G^ij of the mixed corners of _laplacian_stencil read at node k, not at the inner nodes; survives: "
+           "every shipped metric is diagonal (item 5's anisotropic one is not)"),
     Mutant("fold_column_offset", "quantum.py",
            "coeffs = c[:, lo:hi]", "coeffs = c[:, lo + 1:hi + 1]",
            "c-column offset of a Crank-Nicolson ring fold shifted by one term; survives: verify runs no "
@@ -194,13 +196,12 @@ CHECKS = {
     "observer.invariant_combination": Entry(("velocity_form_quad_factor",)),
     "observer.potential_consistency": Entry(("k_joined_charge_c0k_factor", "phi_observer_dtheta_sign",
                                              "phi_ref_spatial_sign")),
-    "operators.named_displays": Entry(("laplacian_drift_sign", "laplacian_a_squared_sign", "y_f0_a0_sign",
-                                       "y_f0_c0_sign")),
+    "operators.named_displays": Entry(("laplacian_drift_sign", "laplacian_a_squared_sign",
+                                       "laplacian_face_node_value", "y_f0_a0_sign", "y_f0_c0_sign")),
     "operators.generator_lock": Entry(("y_f0_a0_sign", "y_f0_c0_sign", "k_joined_moment_c0k_sign")),
     "operators.linearity": Entry(waits_for="item 2's helper: named_displays and symmetry_ratio imply it, but its "
                                            "draws come before the ratio sweeps' seeds"),
-    "operators.symmetry_ratio": Entry(waits_for="item 5's anisotropic scenario, where g^ij d_i A_j != 0 and "
-                                                "laplacian_div_a_sign breaks the symmetry"),
+    "operators.symmetry_ratio": Entry(("laplacian_face_node_value",)),
     "operators.bracket_homomorphism_ratio": Entry(("y_fj_aj_sign", "y_fj_cj_sign", "bracket_rho_sign",
                                                    "bracket_cross_order", "bracket_transport_sign",
                                                    "k_joined_charge_c0k_factor", "spin_curvature_d_sign",

@@ -47,6 +47,9 @@ class NotHermitian(ValueError):
     """Matrix part fails the (possibly divergence-modified) Hermiticity test."""
 
 
+HERMITIAN_TOL = 1e-8  # the Hermiticity residual above which to_special raises NotHermitian
+
+
 # ---------------------------------------------------------------------------
 # 2x2 complex matrix fields through their real coefficient jets
 
@@ -298,18 +301,18 @@ def pair_bracket(pair, pair_p, qd: QuantumData, o: Observer, where, order: int =
     return xb, out
 
 
-def to_special(y: HermitianField, qd: QuantumData, o: Observer, where, tol: float = 1e-8) -> SpecialValue:
+def to_special(y: HermitianField, qd: QuantumData, o: Observer, where) -> SpecialValue:
     """Invert the correspondence: (f0, f^i) from X, then fbrev and phi from
     the xi_0 and xi_a coefficients of the vertical projection along o.  The
     divergence shift of a volume-weighted field is its identity coefficient
     w, which they read past.  Floats at a point, (N,) arrays on a (4, N)
     cloud or on a bundle's points; NotHermitian where the Hermiticity
-    residual exceeds tol (or is not a number)."""
+    residual exceeds HERMITIAN_TOL (or is not a number)."""
     bundle = qd.bg.jets(where)
     point = bundle.point
     batch = point.shape[1:]
     herm = hermiticity_residual(y, qd, bundle)
-    bad = ~(np.asarray(herm) <= tol)
+    bad = ~(np.asarray(herm) <= HERMITIAN_TOL)
     if bad.any():
         at = point[:, np.argmax(bad)] if batch else point
         raise NotHermitian(f"Hermiticity residual {np.max(herm):.3e} at {at.tolist()}")

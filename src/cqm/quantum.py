@@ -4,13 +4,14 @@ Spinor fields live on a rectangular spatial grid with Dirichlet-zero boundary
 (the finite surrogate of compactly supported sections).  Axes with a single
 node are inactive: the scenario is treated as invariant along them and they
 contribute no derivative or potential terms (dimensional reduction).  All
-stencils are second-order central differences.  Node coefficients come from
-chunked jet passes over the grid nodes, one array per quantity: a quantity
-whose jet is a constant in every chunk is the same at every node and is
-kept as one number, the others as contiguous grid arrays; on a constant
-background the passes' bundles share one cache.  Constant terms stay
-numbers until they meet a varying array, so a flat metric costs no grid
-memory and no grid arithmetic.
+stencils are second-order central differences; the Laplacian's flux form
+makes the Pauli generator self-adjoint on any metric.  Node coefficients
+come from chunked jet passes over the grid nodes, one array per quantity: a
+quantity whose jet is a constant in every chunk is the same at every node
+and is kept as one number, the others as contiguous grid arrays; on a
+constant background the passes' bundles share one cache.  Constant terms
+stay numbers until they meet a varying array, so a flat metric costs no
+grid memory and no grid arithmetic.
 
 Each grid operator is built once as a Stencil: a centre matrix and one
 coefficient per neighbour offset, each without grid axes when it is the
@@ -63,7 +64,7 @@ import functools
 import math
 import numbers
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -226,19 +227,18 @@ class GridGeometry:
     """Node-level coefficients for one (quantum data, grid) pair.
 
     One chunked jet pass, with one background bundle per chunk, gives them
-    all: sqrt|g|, g^{ij} and A_lam as order-1 jets, whose coefficients
-    (value, d0, d1, d2, d3) are values and first derivatives, and the spin
+    all: sqrt|g| as an order-1 jet, whose coefficients (value, d0, d1, d2,
+    d3) are its value and first derivatives, and g^{ij}, A_lam and the spin
     connection C_lam^a at order 0.  On a constant background the chunks'
     bundles share one cache, so the background's part is built once.  Each
     quantity is stored on its own (CONVENTIONS.md): a grid array when it
     varies over the nodes, a number (a numpy scalar, which cannot be
     written to) when it is the same at every node, so a flat metric costs
     no grid memory.  The attributes are nested lists of them: sqrtg,
-    d0sqrtg, dsqrtg[i] = d_i sqrt|g|, ginv[i][j] = g^{ij},
-    dginv[k][i][j] = d_k g^{ij}, a[lam], da[i][j] = d_i A_j and
-    c_coeffs[lam][a] = C_lam^a; derivatives along an inactive axis are
-    zero (dimensional reduction).  coords holds the spec's coords(), made
-    once for every evaluation of the observables."""
+    d0sqrtg, dsqrtg[i] = d_i sqrt|g|, ginv[i][j] = g^{ij}, a[lam] and
+    c_coeffs[lam][a] = C_lam^a; d_i sqrt|g| along an inactive axis is zero
+    (dimensional reduction).  coords holds the spec's coords(), made once
+    for every evaluation of the observables."""
 
     def __init__(self, qd: QuantumData, spec: GridSpec):
         self.qd = qd
@@ -252,37 +252,24 @@ class GridGeometry:
 
         def evaluate(cloud):
             bundle = bg.jets(cloud)
-            ginv = bundle.metric_inv(1)
-            return [bundle.sqrt_det(1), *(ginv[i][j] for i, j in pairs), *qd.a_jets(cloud, 1),
+            ginv = bundle.metric_inv(0)
+            return [bundle.sqrt_det(1), *(ginv[i][j] for i, j in pairs), *qd.a_jets(cloud, 0),
                     *(c for row in qd.spin.coeffs(bundle, 0) for c in row)]
 
         nodes = node_map(self.mesh4, evaluate)
-        jets = nodes[:11]  # [sqrtg, g^{ij} for i <= j, A_0..A_3][coeff]
-        inactive = [2 + ax for ax in range(3) if ax not in spec.active]
-        for jet in jets:
-            jet[inactive] = 0.0  # inactive axes carry no derivative terms (dimensional reduction)
-        self.sqrtg, self.d0sqrtg, *self.dsqrtg = jets[0]
-        ginv = [[None] * 3 for _ in range(3)]
-        for (i, j), jet in zip(pairs, jets[1:7]):
-            ginv[i][j] = ginv[j][i] = jet
-        self.ginv = [[ginv[i][j][0] for j in range(3)] for i in range(3)]
-        self.dginv = [[[ginv[i][j][2 + k] for j in range(3)] for i in range(3)] for k in range(3)]
-        self.a = [jet[0] for jet in jets[7:]]
-        self.da = [[jets[8 + j][2 + i] for j in range(3)] for i in range(3)]
+        sqrtg = nodes[0]
+        sqrtg[[2 + ax for ax in range(3) if ax not in spec.active]] = 0.0  # dimensional reduction
+        self.sqrtg, self.d0sqrtg, *self.dsqrtg = sqrtg
+        upper = {pair: q[0] for pair, q in zip(pairs, nodes[1:7])}
+        self.ginv = [[upper[min(i, j), max(i, j)] for j in range(3)] for i in range(3)]
+        self.a = [q[0] for q in nodes[7:11]]
         self.c_coeffs = [[nodes[11 + 3 * lam + k][0] for k in range(3)] for lam in range(4)]
         self.dvol = spec.dvol
-
-    # -- differential helpers ------------------------------------------------
 
     def d1(self, arr: np.ndarray, axis: int) -> np.ndarray:
         """The central first difference along an axis, zero past the edges."""
         h = self.spec.spacing(axis)
         return (_shift(arr, axis, 1) - _shift(arr, axis, -1)) / (2.0 * h)
-
-    def d2(self, arr: np.ndarray, axis: int) -> np.ndarray:
-        """The compact second difference along an axis, zero past the edges."""
-        h = self.spec.spacing(axis)
-        return (_shift(arr, axis, 1) - 2.0 * arr + _shift(arr, axis, -1)) / (h * h)
 
 
 @dataclass
@@ -391,51 +378,54 @@ def _times(a, b, over=None):
     return a * b if over is None else a * b / over
 
 
-def _laplacian_stencil(geom: GridGeometry, scale=1.0) -> Stencil:
-    """Delta0[o] = u0 (hbar/m) g^{ij} ((d_i - iA_i)(d_j - iA_j) - K^h_{ij}(d_h - iA_h)), times `scale`.
+def _neighbour(x, axis: int, s: int):
+    """x at node k + s along axis, the node's own value past the edge; a number is its own neighbour."""
+    if np.ndim(x) == 0:
+        return x
+    out, (dst, src) = x.copy(), _offset_slices(_axis_offset(axis, s))
+    out[dst] = x[src]
+    return out
 
-    The connection term carries the covariant-Hessian sign (-Gamma); it is
-    assembled through the divergence identity -g^{ij} K^h_{ij} =
-    (1/sqrt|g|) d_i (sqrt|g| g^{ih}), which makes this the Laplace-Beltrami
-    operator of the spatial metric (symmetric with the sqrt|g| weight).  Sums
-    run over active axes only: a single-node axis removes its whole
-    (d_i - iA_i) factor, and the divergence form keeps the reduction
-    self-adjoint for the full 3-d volume weight.  Second derivatives are
-    central differences, mixed ones the four-corner product of two.  `scale`,
-    a scalar or a grid-shaped node array, enters the prefactor u0 hbar/m
-    before the centre and the offsets are formed, so no scaled copy of
-    them is made."""
+
+def _laplacian_stencil(geom: GridGeometry, scale=1.0) -> Stencil:
+    """Delta0 = u0 (hbar/m) (1/sqrt|g|) D_i (G^{ij} D_j), D = d - iA and
+    G^{ij} = sqrt|g| g^{ij}, in flux form (CONVENTIONS.md), times `scale`.
+    With V^i = G^{ij} A_j it sums, over the active axes, the compact second
+    difference with G^{ii} at the faces k +- 1/2, the four corners of
+    d_i G^{ij} d_j + d_j G^{ij} d_i with G^{ij} at the nodes between k and
+    the corner, the drift -i (d_i (V^i psi) + V^i d_i psi) and -A_i V^i, so
+    that sqrt|g| Delta0 is a Hermitian matrix on any metric.  `scale`, a
+    scalar or a grid-shaped node array, enters the prefactor
+    u0 hbar / (m sqrt|g|) before the centre and the offsets are formed, so
+    no scaled copy of them is made."""
     active = geom.spec.active
-    pref = geom.kinetic * scale
-    ginv, dginv, da = geom.ginv, geom.dginv, geom.da
+    pref = _times(geom.kinetic, scale, geom.sqrtg)
+    big_g = [[_times(geom.sqrtg, geom.ginv[i][j]) for j in range(3)] for i in range(3)]
     a_sp = geom.a[1:]
     h = [geom.spec.spacing(i) for i in range(3)]
-    real = imag = 0.0  # centre = real + i imag
+    centre = 0.0
     offsets = {}
     for i in active:
-        # w_i = d_j g^{ji} + g^{ji} d_j sqrt|g| / sqrt|g|, the divergence vector
-        w = ga = 0.0  # ga = g^{ij} A_j
+        v = 0.0  # V^i = G^{ij} A_j
         for j in active:
-            w += dginv[j][j][i] + _times(ginv[j][i], geom.dsqrtg[j], geom.sqrtg)
-            ga += _times(ginv[i][j], a_sp[j])
-            imag -= _times(ginv[i][j], da[i][j])
-            if j > i:
-                cross = ginv[i][j] + ginv[j][i]  # both orderings of d_i d_j
-                if np.any(cross):
-                    for si in (1, -1):
-                        for sj in (1, -1):
-                            d = tuple(si if k == i else sj if k == j else 0 for k in range(3))
-                            offsets[d] = pref * (si * sj * cross / (4.0 * h[i] * h[j]))
-        for s in (1, -1):
-            offsets[_axis_offset(i, s)] = pref * (ginv[i][i] / h[i] ** 2 + s * (w - 2j * ga) / (2.0 * h[i]))
-        real -= 2.0 * ginv[i][i] / h[i] ** 2 + _times(ga, a_sp[i])
-        imag -= _times(w, a_sp[i])
-    return Stencil(_times_identity(pref * (real + 1j * imag)), offsets, geom.spec.shape)
+            v += _times(big_g[i][j], a_sp[j])
+            if j > i and np.any(big_g[i][j]):  # d_i G^{ij} d_j + d_j G^{ij} d_i
+                for si in (1, -1):
+                    for sj in (1, -1):
+                        d = tuple(si if k == i else sj if k == j else 0 for k in range(3))
+                        inner = _neighbour(big_g[i][j], i, si) + _neighbour(big_g[i][j], j, sj)
+                        offsets[d] = pref * (si * sj * inner / (4.0 * h[i] * h[j]))
+        faces = [0.5 * (big_g[i][i] + _neighbour(big_g[i][i], i, s)) for s in (1, -1)]
+        for s, face in zip((1, -1), faces):
+            drift = v + _neighbour(v, i, s)  # -i (d_i (V^i psi) + V^i d_i psi)
+            offsets[_axis_offset(i, s)] = pref * (face / h[i] ** 2 - s * 1j * drift / (2.0 * h[i]))
+        centre -= (faces[0] + faces[1]) / h[i] ** 2 + _times(a_sp[i], v)
+    return Stencil(_times_identity(pref * centre), offsets, geom.spec.shape)
 
 
 def observed_laplacian(geom: GridGeometry) -> GridOperator:
     """Delta0 on the grid (see _laplacian_stencil)."""
-    return _laplacian_stencil(geom).operator("Delta0", symmetric=False)
+    return _laplacian_stencil(geom).operator("Delta0", symmetric=True)
 
 
 def _static_check(geom: GridGeometry, tol: float = 1e-12):
@@ -520,7 +510,7 @@ def prequantum(qd: QuantumData, geom: GridGeometry, f: SpecialFunction) -> GridO
             offsets[_axis_offset(i, s)] = 1j * (s * xi_sp[i] / (2.0 * h))
     local = Stencil(1j * (-ymat - np.asarray(f0)[..., None, None] * pmat), offsets, geom.spec.shape)
     stencil = local + _laplacian_stencil(geom, -0.5 * f0)
-    return stencil.operator(f.name or "prequantum", symmetric=True)
+    return stencil.operator(f.name or "prequantum", symmetric=False)
 
 
 def operator_bracket(o1: GridOperator, o2: GridOperator, probe: SpinorGrid) -> SpinorGrid:
@@ -725,15 +715,16 @@ def evolve_pauli(
     converge at this dt, and SolverDivergence is raised at once for the
     block's first step.  After 500 terms a block keeps its leading certified
     steps, and raises if its first step is not certified.  The terms go to a
-    ring of max(2, min(501, RING_VALUES // psi.size)) psi-shaped slots, of
-    which the later blocks use at most twice the m_k + 1 terms of the first
-    series, and the states of a block to a buffer of MAX_STEP_BLOCK states;
-    both, and their float views, are made once (_cayley_block).  Norm,
-    <sigma> and width are recorded at every step: each state is copied into
-    a block of OBSERVABLE_BLOCK // psi.size states (at most steps + 1), and
+    ring of max(2, min(501, RING_VALUES // psi.size)) psi-shaped slots, and
+    the states of a block to a buffer of MAX_STEP_BLOCK states; both, and
+    their float views, are made once (_cayley_block).  Norm, <sigma> and
+    width are recorded at every step: each state is copied into a block of
+    OBSERVABLE_BLOCK // psi.size states (at most steps + 1), and
     _observables evaluates each full block, and the last partial one, in one
-    pass; a block of one state is the state itself, with no copy.  The
-    background must be static (`require_static`)."""
+    pass; a block of one state is the state itself, with no copy.  A
+    snapshot's grid carries its step's time, spec.time + step * dt, as
+    Trajectory.times does.  The background must be static
+    (`require_static`)."""
     require_static(qd)
     geom = geom or GridGeometry(qd, psi0.spec)
     h_apply = pauli_generator(geom).apply_fn
@@ -756,7 +747,7 @@ def evolve_pauli(
         if k == size - 1 or step == steps:
             obs[:, step - k:step + 1] = _observables(geom, psi[None] if block is None else block[:k + 1])
         if snapshot_every and step % snapshot_every == 0:
-            snaps.append((step, SpinorGrid(spec, psi.copy())))
+            snaps.append((step, SpinorGrid(replace(spec, time=spec.time + step * dt), psi.copy())))
 
     record(0)
     n = 1
@@ -767,8 +758,6 @@ def evolve_pauli(
             ms = _cayley_block(h_apply, psi, 0.5 * dt, n, ring, flat_ring, flat_states[:min(k, steps + 1 - n)])
             if n == 1:  # the fewest applies per step, m_k / k
                 k = min(enumerate(ms, 1), key=lambda sm: sm[1] / sm[0])[0]
-                slots = max(2, min(len(ring), 2 * ms[k - 1] + 2))
-                ring, flat_ring = ring[:slots], flat_ring[:slots]
             for psi in states[:len(ms)]:
                 record(n)
                 n += 1

@@ -472,30 +472,33 @@ def _column(x) -> np.ndarray:
 
 
 def _shifted_laplacian(geom: GridGeometry):
-    """Delta0 psi term by term from shifted copies of psi, independent of
-    the production stencil: g^{ij} times the compact second difference
-    (i = j) or the four-corner mixed difference, d1 along i then along j
-    (i != j), -2i g^{ij} A_j d_i,
-    -i g^{ij} d_i A_j - g^{ij} A_i A_j, and w_h (d_h - i A_h) with the
-    divergence vector w_h = d_i g^{ih} + g^{ih} d_i sqrt|g| / sqrt|g|, all
-    sums over the active axes."""
+    """Delta0 psi in flux form (G^{ij} = sqrt|g| g^{ij}, V^i = G^{ij} A_j) from
+    shifted copies of psi, independent of the production stencil: the
+    differences of the face fluxes G^{ii}_{k+1/2} (psi_{k+1} - psi_k) / h^2,
+    each face the mean of its nodes (the node's value past the edge),
+    d1_i (G^{ij} d1_j psi) for i != j, -i (d1_i (V^i psi) + V^i d1_i psi) and
+    -A_i V^i psi, over the active axes, times u0 hbar / (m sqrt|g|)."""
     active = geom.spec.active
-    ginv, a_sp = geom.ginv, geom.a[1:]
-    potential = sum(-1j * ginv[i][j] * geom.da[i][j] - ginv[i][j] * a_sp[i] * a_sp[j]
-                    for i in active for j in active)
-    drift = {i: sum(2.0 * ginv[i][j] * a_sp[j] for j in active) for i in active}
-    w = {h: sum(geom.dginv[i][i][h] + ginv[i][h] * geom.dsqrtg[i] / geom.sqrtg for i in active)
-         for h in active}
+    big_g = [[np.broadcast_to(geom.sqrtg * geom.ginv[i][j], geom.spec.shape) for j in range(3)] for i in range(3)]
+    a_sp = geom.a[1:]
+    v = {i: _column(sum(big_g[i][j] * a_sp[j] for j in active)) for i in active}
+    potential = -sum(_column(a_sp[i]) * v[i] for i in active)
+    faces = {}
+    for i in active:
+        padded = np.pad(big_g[i][i], [(1, 1) if ax == i else (0, 0) for ax in range(3)], mode="edge")
+        faces[i] = _column(np.lib.stride_tricks.sliding_window_view(padded, 2, axis=i).mean(axis=-1))
 
     def apply(psi):
-        grads = {i: geom.d1(psi, i) for i in active}
-        out = _column(potential) * psi
+        out = potential * psi
         for i in active:
+            h = geom.spec.spacing(i)
+            steps = np.diff(np.pad(psi, [(1, 1) if ax == i else (0, 0) for ax in range(4)]), axis=i)
+            out += np.diff(faces[i] * steps, axis=i) / (h * h)
             for j in active:
-                second = geom.d2(psi, i) if i == j else geom.d1(grads[i], j)
-                out += _column(ginv[i][j]) * second
-            out += -1j * _column(drift[i]) * grads[i] + _column(w[i]) * (grads[i] - 1j * _column(a_sp[i]) * psi)
-        return geom.kinetic * out
+                if j != i:
+                    out += geom.d1(_column(big_g[i][j]) * geom.d1(psi, j), i)
+            out += -1j * (geom.d1(v[i] * psi, i) + v[i] * geom.d1(psi, i))
+        return geom.kinetic * out / _column(geom.sqrtg)
 
     return apply
 

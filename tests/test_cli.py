@@ -151,6 +151,8 @@ def test_evolve_larmor(tmp_path):
 
 
 def test_evolve_snapshots(tmp_path):
+    """Snapshots at steps 0, 5 and 10 of dt 0.1, each header with its step's
+    time (CONVENTIONS.md, "Snapshot files")."""
     out_dir = tmp_path / "snaps"
     res = run_cli("evolve", str(SCENARIO_DIR / "larmor.json"), "--steps", "10",
                   "--dt", "0.1", "--out", str(out_dir), "--snapshot-every", "5")
@@ -158,6 +160,7 @@ def test_evolve_snapshots(tmp_path):
     snaps = sorted(out_dir.glob("snapshot_*.bin"))
     assert [s.name for s in snaps] == ["snapshot_000000.bin", "snapshot_000005.bin",
                                        "snapshot_000010.bin"]
+    assert [read_snapshot(s).spec.time for s in snaps] == [0.0, 0.5, 1.0]
     grid = read_snapshot(snaps[0])
     assert grid.psi.shape == (1, 1, 1, 2)
     assert abs(np.linalg.norm(grid.psi.ravel()) - 1.0) < 1e-12

@@ -517,7 +517,7 @@ def test_every_coefficient_is_real_and_the_shift_is_in_w(curved_magnetic_scenari
         return [x for item in v for x in leaves(item)] if isinstance(v, list) else [v]
 
     arrays = {name: v for name, v in vars(geom).items() if isinstance(v, (np.ndarray, np.floating, list))}
-    assert {"sqrtg", "d0sqrtg", "ginv", "dginv", "a", "da", "c_coeffs", "mesh4"} <= set(arrays)
+    assert {"sqrtg", "d0sqrtg", "dsqrtg", "ginv", "a", "c_coeffs", "mesh4"} <= set(arrays)
     for name, v in arrays.items():
         assert {np.asarray(x).dtype for x in leaves(v)} == {np.dtype(np.float64)}, name
 
