@@ -44,8 +44,8 @@ class Mutant:
 
 MUTANTS = (
     Mutant("ktilde_without_d0_e", "background.py",
-           "inner = [[e1[i][b].derive(lam) for b in range(3)] for i in range(3)]",
-           "inner = [[e1[i][b].derive(lam) * float(lam > 0) for b in range(3)] for i in range(3)]",
+           "inner = [[e1[i][b].derive(lam) if lam in moving else zero for b in range(3)] for i in range(3)]",
+           "inner = [[e1[i][b].derive(lam) if lam in moving and lam > 0 else zero for b in range(3)] for i in range(3)]",
            "Ktilde without d_0 e_b^i; survives: every shipped scenario is static (item 6's breathing one is not)"),
     Mutant("laplacian_drift_sign", "quantum.py",
            "face / h[i] ** 2 - s * 1j * drift", "face / h[i] ** 2 + s * 1j * drift",

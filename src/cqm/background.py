@@ -175,6 +175,8 @@ class Background:
         # the chart variables each metric entry references: d_lam g_ij is
         # formed only where g_ij depends on x^lam
         self.g_vars = [[fl.variables(e.expr) for e in row] for row in self.g]
+        # the frame, built from every entry, depends on those variables only
+        self.frame_vars = frozenset().union(*sum(self.g_vars, []))
         # F keyed by (lam, mu), lam < mu.
         self.f_em = {}
         for (lam, mu), fld in f_em.items():
@@ -408,16 +410,21 @@ class BackgroundJets:
         return self._get(("K", which, order), build)
 
     def ktilde(self, which: str, order: int) -> list:
-        """Frame coefficients Ktilde_lam^a_b = e^a_i (d_lam e_b^i + K_lam^i_j e_b^j)."""
+        """Frame coefficients Ktilde_lam^a_b = e^a_i (d_lam e_b^i + K_lam^i_j e_b^j).
+        d_lam e is a point-shaped zero where no metric entry references
+        x^lam, so an entry whose K terms are structural zeros stays a point
+        zero, as kgrav's slots do."""
         def build():
             e1, _ = self.frame(order + 1)
             _, einv = self.frame(order)
             e0 = [[e1[i][a].truncate(order) for a in range(3)] for i in range(3)]
             k = self.k_joined(which, order)
+            zero = Jet.const(0.0, order)
+            moving = self.bg.frame_vars
             kt = []
             for lam in range(4):
                 # d_lam e_b^i + K_lam^i_j e_b^j, shared by every row a
-                inner = [[e1[i][b].derive(lam) for b in range(3)] for i in range(3)]
+                inner = [[e1[i][b].derive(lam) if lam in moving else zero for b in range(3)] for i in range(3)]
                 for i in range(3):
                     for b in range(3):
                         for j in range(3):

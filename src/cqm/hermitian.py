@@ -11,7 +11,10 @@ the anti-Hermitian combination shifted by w = -1/2 div_eta X.
 
 Every operation evaluates at a point (4,), on a (4, N) cloud, or on the
 points of a `BackgroundJets` bundle, which it then shares with every
-background quantity it needs instead of building its own.  A field's
+background quantity it needs instead of building its own.  A field of a
+stack of special functions (`special.stack_functions`) evaluates all of them
+in one pass; its residuals are (m, N) arrays, their batch read off the
+operands' jets (`jets.batch_shape`).  A field's
 evaluators receive `where` as given, so a field of a derived special function
 (a bracket, say) evaluated on a bundle shares it too.
 
@@ -38,7 +41,7 @@ from .background import (
     exterior_derivative,
 )
 from .fieldlang import FieldDef
-from .jets import Jet, jet_sum, max_abs, value_array
+from .jets import Jet, batch_shape, jet_sum, max_abs, value_array
 from .pauli import SpinConnection, cross, spin_connection_from, xi_combination
 from .special import SpecialFunction, SpecialValue, component_jets, eval_special
 
@@ -96,8 +99,10 @@ class Mat2:
 
     def values(self, batch: tuple = ()) -> np.ndarray:
         """Entry values w 1 + sum_nu y_nu xi_nu: (2, 2) at a point, (2, 2, N)
-        on a cloud of batch shape (N,); point-shaped coefficients (constants)
-        broadcast to the cloud, as jets.value_array does."""
+        on a cloud of batch shape (N,), (2, 2, m, N) for a stack;
+        point-shaped coefficients (constants) broadcast to the cloud, as
+        jets.value_array does."""
+        batch = batch_shape([self.y, self.w], batch)
         eye = np.eye(2).reshape((2, 2) + (1,) * len(batch))
         return xi_combination(value_array(self.y, batch), batch) + value_array(self.w, batch) * eye
 
@@ -332,7 +337,7 @@ def invariant_combination(f: SpecialFunction, qd: QuantumData, o: Observer, wher
     """f0 Ch_0(o) - f^j Ch_j(o) + f(o): the scalar that the main theorem shows
     to be observer-independent (it equals f0 A0 - f^j A_j + fbrev).  A float
     at a point, an (N,) array of per-point values on a (4, N) cloud or on a
-    bundle's points."""
+    bundle's points, (m, N) for a stack of m functions."""
     bundle = qd.bg.jets(where)
     batch = bundle.point.shape[1:]
     ch = value_array(ch_along_jets(qd, o, bundle, 0), batch)
@@ -344,12 +349,11 @@ def invariant_combination(f: SpecialFunction, qd: QuantumData, o: Observer, wher
 def hermiticity_residual(y: HermitianField, qd: QuantumData, where):
     """max |Y + Y^dagger (+ div_eta X for volume-weighted fields)|: a float
     at a point, an (N,) array of per-point values on a (4, N) cloud or on a
-    bundle's points."""
+    bundle's points, (m, N) for the field of a stack of m functions."""
     bundle = qd.bg.jets(where)
-    batch = bundle.point.shape[1:]
-    mval = y.ymat(bundle, 0).values(batch)
-    div = 0.0
-    if y.div_corrected:
-        div = value_array(divergence_eta_jets(y.x_jets(bundle, 1), bundle, 0), batch)
+    ymat = y.ymat(bundle, 0)
+    div = divergence_eta_jets(y.x_jets(bundle, 1), bundle, 0) if y.div_corrected else Jet.const(0.0, 0)
+    batch = batch_shape([ymat.y, ymat.w, div], bundle.point.shape[1:])
+    mval = ymat.values(batch)
     eye = np.eye(2).reshape((2, 2) + (1,) * len(batch))
-    return max_abs(mval + mval.conj().swapaxes(0, 1) + div * eye, batch)
+    return max_abs(mval + mval.conj().swapaxes(0, 1) + value_array(div, batch) * eye, batch)

@@ -9,28 +9,37 @@ Every operation commutes with truncation bit for bit, signs of zero
 included, so a jet computed at a higher order serves every lower one.
 A composition with a univariate function forms only the Taylor factors its
 order uses, and a jet whose slots past the value are all zero (a constant)
-composes to the constant of g(value) with none formed, so a constant
-as small as 1e-300 composes without overflow.
+at every point of its batch composes to the constant of g(value) with none
+formed, so a constant as small as 1e-300 composes without overflow.  (A
+stack that mixes constant and varying draws forms the factors for all of
+them, so a constant draw there may get -0.0 in a slot past its value.)
 Jets do not store their base point; mixing jets from different points is the
 caller's responsibility.
 
-Points and clouds
------------------
-A jet holds one base point or a cloud of N base points.  At one point the
-coefficients have shape (size,); on a cloud they have shape (N, size), with
-the batch axis first and the layout below along the last axis.  Base points
-are passed as (4,) arrays and clouds as coordinate-major (4, N) arrays, so
-point[k] is coordinate k in both cases.  Every operation takes both shapes,
-and a point-shaped jet (a constant, say) broadcasts against a cloud, so code
-written for one point runs unchanged on a cloud.  A product of a point-shaped
-constant (every slot past the value zero) and a cloud scales the cloud by
-that number, and a zero constant gives a zero at a point, so the structural
-zeros of a computation stay points.  The terms left out are exact zeros, so
-the results are those of the product table, bit for bit, save that 0 times
-inf is 0.  On a cloud, value returns an (N,) array, and a domain error is
-raised if any point fails.
-Cloud coefficients are stored coefficient-major (the transpose of a
-C-contiguous (size, N) array), so products gather whole rows of points.
+Points, clouds and stacks
+-------------------------
+A jet's coefficients have shape batch + (size,): the batch shape is () at
+one point, (N,) on a cloud of N base points and (m, N) on a stack of m draws
+on one cloud, with the layout below along the last axis.  Base points are
+passed as (4,) arrays and clouds as coordinate-major (4, N) arrays, so
+point[k] is coordinate k in both cases.  Operands broadcast on their
+trailing batch axes, as numpy arrays do: a point-shaped jet (a constant,
+say) against a cloud or a stack, a cloud (a background quantity) against a
+stack of draws on its points, so code written for one point runs unchanged
+on a cloud, and code written for one draw runs unchanged on a stack.  Of two
+operands, the one with more batch axes carries the result's batch shape.
+Every operation acts on each point of each draw alone, with the arithmetic
+it does at a point, so a stack's results are those of its draws, bit for
+bit.
+A product of a point-shaped constant (every slot past the value zero) and a
+batch scales the batch by that number, and a zero constant gives a zero at
+a point, so the structural zeros of a computation stay points.  The terms
+left out are exact zeros, so the results are those of the product table,
+bit for bit, save that 0 times inf is 0.  On a batch, value returns an
+array of the batch shape, and a domain error is raised if any point fails.
+Coefficients are stored coefficient-major (the C-contiguous
+(size,) + batch array, viewed with its first axis moved last), so products
+gather whole rows of points.
 
 Coefficient layout
 ------------------
@@ -114,14 +123,37 @@ _DERIV_SRC, _DERIV_FAC = _build_deriv_tables()
 _NUMBER = (int, float, np.integer, np.floating)
 
 
-@functools.lru_cache(maxsize=32)
+# Bytes of scatter bins kept for reuse.  One entry takes terms x npoints
+# int64 (0.53 MB at order 3 and 400 points), so the cache holds the few
+# batch sizes in use and drops the least recently used beyond this.
+_BINS_BYTES = 2**21
+_bins: dict = {}
+
+
 def _scatter_bins(order: int, npoints: int) -> np.ndarray:
     """Bincount bins that sum a (terms, npoints) product array of the order's
     table into a flat (size, npoints) coefficient-major result."""
-    kk = _MUL_TABLES[order][2]
-    bins = (kk[:, None] * npoints + np.arange(npoints)).ravel()
-    bins.flags.writeable = False  # shared by every caller through the cache
+    key = (order, npoints)
+    bins = _bins.pop(key, None)
+    if bins is None:
+        kk = _MUL_TABLES[order][2]
+        bins = (kk[:, None] * npoints + np.arange(npoints)).ravel()
+        bins.flags.writeable = False  # shared by every caller through the cache
+        while _bins and sum(b.nbytes for b in _bins.values()) + bins.nbytes > _BINS_BYTES:
+            del _bins[next(iter(_bins))]
+    _bins[key] = bins  # the most recently used last
     return bins
+
+
+def _coeff_major(c: np.ndarray) -> np.ndarray:
+    """A view of batch + (size,) coefficients as (size,) + batch."""
+    return c.T if c.ndim <= 2 else c.transpose((c.ndim - 1, *range(c.ndim - 1)))
+
+
+def _batch_major(a: np.ndarray) -> np.ndarray:
+    """A view of (size,) + batch coefficients as batch + (size,), the
+    inverse of _coeff_major."""
+    return a.T if a.ndim <= 2 else a.transpose((*range(1, a.ndim), 0))
 
 
 def _first_failure(values, failed):
@@ -131,8 +163,8 @@ def _first_failure(values, failed):
 
 class Jet:
     """Truncated multivariate Taylor expansion of a real scalar field, at one
-    point (coefficients of shape (size,)) or on a cloud of N points
-    (N, size)."""
+    point (coefficients of shape (size,)), on a cloud of N points (N, size)
+    or on a stack of m draws on one (m, N, size)."""
 
     __slots__ = ("order", "c")
 
@@ -144,8 +176,8 @@ class Jet:
 
     @staticmethod
     def const(value, order: int) -> "Jet":
-        """Constant jet: of a real number at a point, of an (N,) array of
-        values on a cloud.  TypeError for a complex value, a numpy one
+        """Constant jet: of a real number at a point, of an array of values
+        on a batch of that shape.  TypeError for a complex value, a numpy one
         included, which the float slots would otherwise cast to its real
         part."""
         dtype = getattr(value, "dtype", None)
@@ -153,7 +185,7 @@ class Jet:
             raise TypeError(f"a jet is real; got the complex value {value!r}")
         c = np.zeros((SIZES[order],) + getattr(value, "shape", ()))  # coefficient-major
         c[0] = value
-        return Jet(order, c.T)
+        return Jet(order, _batch_major(c))
 
     @staticmethod
     def seed(point: Sequence[float], var_index: int, order: int) -> "Jet":
@@ -168,15 +200,21 @@ class Jet:
         c[0] = x
         if order >= 1:
             c[_UNIT_SLOT[var_index]] = 1.0
-        return Jet(order, c.T)
+        return Jet(order, _batch_major(c))
 
     # -- inspection ---------------------------------------------------------
 
     @property
     def value(self):
-        """The value slot: a float at a point, an (N,) array on a cloud."""
+        """The value slot: a float at a point, an array of the batch shape
+        on a cloud or a stack."""
         c = self.c
-        return c[0].item() if c.ndim == 1 else c[:, 0]
+        return c[0].item() if c.ndim == 1 else c[..., 0]
+
+    @property
+    def batch(self) -> tuple:
+        """The batch shape: () at a point, (N,) on a cloud, (m, N) on a stack."""
+        return self.c.shape[:-1]
 
     def truncate(self, order: int) -> "Jet":
         if order > self.order:
@@ -193,7 +231,8 @@ class Jet:
         size = SIZES[n]
         src = _DERIV_SRC[var, :size]
         c = self.c
-        return Jet(n, (c[src] if c.ndim == 1 else c.T[src].T) * _DERIV_FAC[var, :size])
+        rows = c.T[src].T if c.ndim <= 2 else _batch_major(_coeff_major(c)[src])
+        return Jet(n, rows * _DERIV_FAC[var, :size])
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -239,35 +278,43 @@ class Jet:
                 return Jet(self.order, self.c * other)
             return NotImplemented
         n = self.order if self.order <= other.order else other.order
-        if self.c.ndim != other.c.ndim:
-            # A constant at a point times a cloud: the table terms of its zero
-            # slots are exact zeros, so the cloud is scaled by its number, and
-            # adding 0.0 keeps bincount's sign of zero.  A zero constant stays
-            # a point.
+        ii, jj, kk = _MUL_TABLES[n]
+        # big: the operand with more batch axes, which carries the result's
+        # batch shape; the table's index arrays go with their operands
+        big, small = self.c, other.c
+        if big.ndim < small.ndim:
+            big, small, ii, jj = small, big, jj, ii
+        if big.ndim != small.ndim and small.ndim == 1:
+            # A constant at a point times a batch: the table terms of its zero
+            # slots are exact zeros, so the batch is scaled by its number,
+            # and adding 0.0 keeps bincount's sign of zero.  A zero constant
+            # stays a point.
             size = SIZES[n]
-            point, cloud = (self.c, other.c) if self.c.ndim == 1 else (other.c, self.c)
-            if not point[1:size].any():
-                if point[0] == 0:
+            if not small[1:size].any():
+                if small[0] == 0:
                     return Jet(n, np.zeros(size))
-                return Jet(n, point[0] * cloud[..., :size] + 0.0)
+                return Jet(n, small[0] * big[..., :size] + 0.0)
         if n == 0:
             # One table term: the scatter below would give 0.0 + a*b, and
             # adding 0.0 keeps its sign of zero.
-            return Jet(0, self.c[..., :1] * other.c[..., :1] + 0.0)
-        ii, jj, kk = _MUL_TABLES[n]
-        # Gather the coefficient pairs of every table term, multiply, and
+            return Jet(0, big[..., :1] * small[..., :1] + 0.0)
+        # Gather the coefficient pairs of every table term, multiply in place
+        # (a product of floats does not depend on the operands' order), and
         # scatter-add each product into its result slot.  The work runs
-        # coefficient-major, so a cloud's points ride along in the trailing
-        # axis and a point-shaped operand broadcasts against them.
-        a, b = self.c.T, other.c.T
-        if a.ndim != b.ndim:
-            a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
-        prod = a[ii] * b[jj]
+        # coefficient-major, so the batch rides along in the trailing axes
+        # and the smaller operand broadcasts against them.
+        big = big.T if big.ndim <= 2 else _coeff_major(big)
+        small = small.T if small.ndim <= 2 else _coeff_major(small)
+        if small.ndim != big.ndim:
+            small = small.reshape((len(small),) + (1,) * (big.ndim - small.ndim) + small.shape[1:])
+        prod = big[ii]
+        prod *= small[jj]
         if prod.ndim == 1:
             return Jet(n, np.bincount(kk, weights=prod, minlength=SIZES[n]))
-        npoints = prod.shape[1]
+        npoints = prod.size // len(kk)
         out = np.bincount(_scatter_bins(n, npoints), weights=prod.ravel(), minlength=SIZES[n] * npoints)
-        return Jet(n, out.reshape(SIZES[n], npoints).T)
+        out = out.reshape((SIZES[n],) + prod.shape[1:])
+        return Jet(n, out.T if out.ndim == 2 else _batch_major(out))
 
     __rmul__ = __mul__
 
@@ -294,17 +341,18 @@ class Jet:
     def _compose(self, value, factors) -> "Jet":
         """g(f) for univariate g from its value g(f0) and its Taylor factors
         g^(k)(f0) / k!, k = 1, 2, 3, at the value slot f0 (scalars at a
-        point, (N,) arrays on a cloud); exact at the stored order since
-        (f - f0) is nilpotent.  `factors` is iterated only as far as the
-        order needs, and not at all for a constant, whose g(f) is the
-        constant g(f0)."""
+        point, arrays of the batch shape otherwise); exact at the stored
+        order since (f - f0) is nilpotent.  `factors` is iterated only as
+        far as the order needs, and not at all for a constant, whose g(f) is
+        the constant g(f0)."""
         if not self.c[..., 1:].any():
             return Jet.const(value, self.order)
         factors = iter(factors)
         nil = Jet(self.order, self.c.copy())
         nil.c[..., 0] = 0.0
-        # coefficient-major products, so an (N,) coefficient scales each point
-        c = (nil.c.T * next(factors)).T
+        # coefficient-major products, so a factor of the batch shape scales
+        # each point
+        c = _batch_major(_coeff_major(nil.c) * next(factors))
         c[..., 0] = value
         power = nil
         for k in range(2, self.order + 1):
@@ -312,7 +360,7 @@ class Jet:
             # would turn a -0.0 there into +0.0 at some orders only
             power = power * nil
             start = SIZES[k - 1]
-            c[..., start:] += (power.c[..., start:].T * next(factors)).T
+            c[..., start:] += _batch_major(_coeff_major(power.c[..., start:]) * next(factors))
         return Jet(self.order, c)
 
     def recip(self) -> "Jet":
@@ -389,7 +437,7 @@ class Jet:
     def __repr__(self):
         if self.c.ndim == 1:
             return f"Jet(order={self.order}, value={self.value!r})"
-        return f"Jet(order={self.order}, points={self.c.shape[0]})"
+        return f"Jet(order={self.order}, batch={self.batch})"
 
 
 def jet_sum(terms) -> Jet:
@@ -397,17 +445,57 @@ def jet_sum(terms) -> Jet:
     return functools.reduce(operator.add, terms)
 
 
+def jet_stack(jets, batch: tuple = ()) -> Jet:
+    """m jets of one order as one stack of batch shape (m,) + the broadcast
+    of `batch` (the cloud's (N,)) and their batch shapes, draw t at index t
+    of the leading axis; a point-shaped jet is broadcast to the cloud."""
+    order = jets[0].order
+    size = SIZES[order]
+    batch = batch_shape(jets, batch)
+    c = np.empty((size, len(jets)) + batch)  # coefficient-major
+    for t, j in enumerate(jets):
+        a = _coeff_major(j.c)
+        c[:, t] = a.reshape((size,) + (1,) * (len(batch) - a.ndim + 1) + a.shape[1:])
+    return Jet(order, _batch_major(c))
+
+
+def _batches(jets, out: set):
+    if isinstance(jets, Jet):
+        out.add(jets.batch)
+    else:
+        for j in jets:
+            _batches(j, out)
+
+
+def batch_shape(jets, batch: tuple = ()) -> tuple:
+    """The broadcast of `batch` and the batch shapes of a jet or a nested
+    list of jets: (N,) for a cloud's jets, (m, N) when a stack is among
+    them."""
+    shapes = {batch}
+    _batches(jets, shapes)
+    shapes.discard(())
+    if len(shapes) <= 1:
+        return shapes.pop() if shapes else ()
+    return np.broadcast_shapes(*shapes)
+
+
 def max_abs(values, batch: tuple = ()):
     """max |values| over every axis but the trailing batch axes: a float at a
-    point (batch ()), an (N,) array on a cloud (batch (N,)), as Jet.value."""
+    point (batch ()), an array of the batch shape otherwise, as Jet.value."""
     worst = np.max(np.abs(np.asarray(values)).reshape((-1,) + batch), axis=0)
     return worst if batch else float(worst)
 
 
-def value_array(jets, batch: tuple = ()) -> np.ndarray:
-    """Value slots of a jet or a nested list of jets as one array, with the
-    points of a cloud along the last axis.  `batch` is the cloud's batch
-    shape, () at a point; point-shaped jets (constants) are broadcast to it."""
+def _values(jets, batch: tuple) -> np.ndarray:
     if isinstance(jets, Jet):
         return np.broadcast_to(jets.c[..., 0], batch)
-    return np.array([value_array(j, batch) for j in jets])
+    return np.array([_values(j, batch) for j in jets])
+
+
+def value_array(jets, batch: tuple = ()) -> np.ndarray:
+    """Value slots of a jet or a nested list of jets as one array, with the
+    batch axes last.  The batch is `batch` (the cloud's (N,), () at a
+    point) broadcast with the jets' own (batch_shape), so point-shaped jets
+    (constants) are broadcast to a cloud and a stack of draws widens it to
+    (m, N)."""
+    return _values(jets, batch_shape(jets, batch))

@@ -237,8 +237,10 @@ class GridGeometry:
     no grid memory.  The attributes are nested lists of them: sqrtg,
     d0sqrtg, dsqrtg[i] = d_i sqrt|g|, ginv[i][j] = g^{ij}, a[lam] and
     c_coeffs[lam][a] = C_lam^a; d_i sqrt|g| along an inactive axis is zero
-    (dimensional reduction).  coords holds the spec's coords(), made once
-    for every evaluation of the observables."""
+    (dimensional reduction), and a derivative of sqrt|g| that is zero at
+    every node (a static metric, an axis it does not depend on) is the
+    number 0.0, which `_times` skips.  coords holds the spec's coords(),
+    made once for every evaluation of the observables."""
 
     def __init__(self, qd: QuantumData, spec: GridSpec):
         self.qd = qd
@@ -259,7 +261,8 @@ class GridGeometry:
         nodes = node_map(self.mesh4, evaluate)
         sqrtg = nodes[0]
         sqrtg[[2 + ax for ax in range(3) if ax not in spec.active]] = 0.0  # dimensional reduction
-        self.sqrtg, self.d0sqrtg, *self.dsqrtg = sqrtg
+        self.sqrtg = sqrtg[0]
+        self.d0sqrtg, *self.dsqrtg = [row if np.any(row) else np.float64(0.0) for row in sqrtg[1:]]
         upper = {pair: q[0] for pair, q in zip(pairs, nodes[1:7])}
         self.ginv = [[upper[min(i, j), max(i, j)] for j in range(3)] for i in range(3)]
         self.a = [q[0] for q in nodes[7:11]]
@@ -500,7 +503,7 @@ def prequantum(qd: QuantumData, geom: GridGeometry, f: SpecialFunction) -> GridO
     for i in geom.spec.active:
         div += -dfi[i] + _times(xi_sp[i], geom.dsqrtg[i], geom.sqrtg)
     ymat = _node_matrices(y) + _times_identity(-0.5 * div)
-    p_factor = geom.d0sqrtg / (2.0 * geom.sqrtg)
+    p_factor = _times(geom.d0sqrtg, 0.5, geom.sqrtg)
     # Y.psi - f0 (P psi without its Laplacian part); P's -i/2 Delta0 is added below
     pmat = _times_identity(-1j * geom.a[0] + p_factor) - _spin_c0(geom)
     offsets = {}

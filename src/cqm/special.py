@@ -24,6 +24,13 @@ the frame goes to order 2.  Nested brackets are evaluated with jet-valued
 components so outer derivatives are exact: the Jacobi check reads an inner
 bracket's spin part at order 1, and only that caps the jet order at 3 (rho's
 two metric derivatives, one more for the outer bracket).
+
+Several functions evaluate as one through `stack_functions`: their
+component jets are stacked along a leading batch axis, (m, N) on an (N,)
+cloud, and the bundle's (N,) jets broadcast against them (jets.py), so one
+pass of the bracket engine evaluates every draw, each with the arithmetic
+it would get alone.  Values and residuals then carry the stack's batch:
+(m, N) arrays where a single function gives (N,) ones.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .background import Background, BackgroundJets, PhasePoint, as_point
-from .jets import Jet, jet_sum, max_abs, value_array
+from .jets import Jet, jet_stack, jet_sum, max_abs, value_array
 from .pauli import cross
 
 
@@ -135,15 +142,41 @@ class ComponentJets:
         )
 
     def values(self, batch: tuple = ()) -> SpecialValue:
-        """Component values at a point (batch ()) or as (N,) arrays on a
-        cloud (batch (N,)); point-shaped components broadcast to the cloud."""
+        """Component values at a point (batch ()) or as arrays on a cloud
+        (batch (N,)), of shape (m, N) for a stack of m draws; point-shaped
+        components broadcast to the cloud."""
         v = value_array([self.f0, *self.fi, self.fbrev, *self.phi], batch)
-        f0, fbrev = (v[0], v[4]) if batch else (float(v[0]), float(v[4]))
+        f0, fbrev = (v[0], v[4]) if v.ndim > 1 else (float(v[0]), float(v[4]))
         return SpecialValue(f0, v[1:4], fbrev, v[5:])
+
+    @staticmethod
+    def stack(parts: list, batch: tuple) -> "ComponentJets":
+        """The component jets of m functions at one order, on points of
+        batch shape `batch`, as one stack of batch (m,) + batch, draw t at
+        index t; a derived part is read (at the parts' order) to be
+        stacked."""
+        return ComponentJets(
+            jet_stack([c.f0 for c in parts], batch),
+            [jet_stack([c.fi[i] for c in parts], batch) for i in range(3)],
+            jet_stack([c.fbrev for c in parts], batch),
+            [jet_stack([c.phi[a] for c in parts], batch) for a in range(3)],
+            parts[0].order,
+        )
 
     def x_components(self) -> list:
         """Chart components of X[f]: (f0, -f^i)."""
         return [self.f0, -self.fi[0], -self.fi[1], -self.fi[2]]
+
+
+def stack_functions(funcs) -> SpecialFunction:
+    """The functions as one, whose component jets are the stack of theirs
+    (ComponentJets.stack): every value and residual of it is an (m, N)
+    array on an (N,) cloud, row t that of funcs[t]."""
+
+    def jets_fn(where, order):
+        return ComponentJets.stack([f.jets_fn(where, order) for f in funcs], as_point(where).shape[1:])
+
+    return SpecialFunction(name=f"stack({', '.join(f.name for f in funcs)})", jets_fn=jets_fn)
 
 
 def component_jets(f: SpecialFunction, where, order: int) -> ComponentJets:
@@ -155,7 +188,7 @@ def component_jets(f: SpecialFunction, where, order: int) -> ComponentJets:
 
 def eval_special(f: SpecialFunction, bg: Background, p: PhasePoint):
     """The function's value: a float at a phase point, an (N,) array on a
-    cloud of them."""
+    cloud of them, (m, N) for a stack of m functions."""
     b = bg.jets(p.x)
     batch = b.point.shape[1:]
     g = value_array(b.metric(0), batch)
@@ -219,8 +252,8 @@ def _bracket_spin(a: ComponentJets, b: ComponentJets, bundle: BackgroundJets, or
     along X[a] and X[b], and phi' x phi."""
     rho = bundle.rho("moment", order)  # first: it builds ktilde at order + 1
     kt = bundle.ktilde("moment", order)
-    xa = [j.truncate(order) for j in a.x_components()]
-    xb = [j.truncate(order) for j in b.x_components()]
+    xa = a.truncate(order).x_components()
+    xb = b.truncate(order).x_components()
 
     def covariant(phi_jets, lam):
         # covector transport d_lam phi_k - Ktilde_lam^k_j phi_j; this is the
@@ -251,7 +284,7 @@ def _bracket_spin(a: ComponentJets, b: ComponentJets, bundle: BackgroundJets, or
 
 def extended_bracket(f: SpecialFunction, fp: SpecialFunction, bg: Background, where) -> SpecialValue:
     """The bracket's component values at a point, or (N,) arrays of them on
-    a (4, N) cloud or on a bundle's points."""
+    a (4, N) cloud or on a bundle's points ((m, N) for stacks of m)."""
     b = bg.jets(where)
     a = component_jets(f, b, 1)
     c = component_jets(fp, b, 1)
@@ -261,13 +294,18 @@ def extended_bracket(f: SpecialFunction, fp: SpecialFunction, bg: Background, wh
 def jacobi_residual(f1: SpecialFunction, f2: SpecialFunction, f3: SpecialFunction, bg: Background, where):
     """Max-norm of the cyclic sum [[F1,[F2,F3]]] + cyc: a float at a point,
     an (N,) array of per-point values on a (4, N) cloud or on a bundle's
-    points."""
+    points.  The three cyclic terms are evaluated as one stack, and added
+    in the order of the sum."""
     b = bg.jets(where)
     batch = b.point.shape[1:]
     comps = [component_jets(f, b, 2) for f in (f1, f2, f3)]
-    total = np.zeros((8,) + batch)
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        inner = extended_bracket_jets(comps[j], comps[k], b, 1)
-        outer = extended_bracket_jets(comps[i].truncate(1), inner, b, 0)
-        total += outer.values(batch).as_array()
-    return max_abs(total, batch)
+    # term t of the stack is [[F_i, [F_j, F_k]]] for the t-th rotation (i, j, k)
+    outer = ComponentJets.stack([c.truncate(1) for c in comps], batch)
+    inner = extended_bracket_jets(ComponentJets.stack(comps[1:] + comps[:1], batch),
+                                  ComponentJets.stack(comps[2:] + comps[:2], batch), b, 1)
+    del comps  # the stacks hold copies
+    terms = extended_bracket_jets(outer, inner, b, 0).values(batch).as_array()  # [component, term, point]
+    total = np.zeros(terms.shape[:1] + terms.shape[2:])
+    for t in range(3):
+        total += terms[:, t]
+    return max_abs(total, total.shape[1:])

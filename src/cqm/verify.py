@@ -15,12 +15,18 @@ background bundle the suite passes in place of the cloud, so every residual
 function shares its background quantities.  A residual function takes a
 point (4,), a cloud (4, n) or the bundle of one; a residual is a float at a
 point and an (n,) array of per-point values on a cloud, and a suite
-reports the largest.  The background suite's seven checks are all built
-here: the connection axioms (metricity, the curvature's pair symmetry,
-dF = 0), frame orthonormality, Ktilde antisymmetry, the volume and the
-closure dOmega = 0, from exact derivatives off the bundle.  The closure's spacetime triples are the
-closure of Phi[ref]; every Phi[o] = Phi[ref] + dtheta[o] is closed with it,
-as dd = 0 holds exactly on jets, so no observer has a check of its own.
+reports the largest.  A suite's random special functions go through the
+bracket engine as one stack (special.stack_functions), whose residuals are
+(m, n) arrays, row t that of draw t: the isomorphism suite's main-theorem
+pairs and its Hermiticity functions, the observer suite's functions, and
+in jacobi_residual the three cyclic terms of each triple.  The draws from
+the suite's stream are those of one function at a time.  The background
+suite's seven checks are all built here: the connection axioms (metricity,
+the curvature's pair symmetry, dF = 0), frame orthonormality, Ktilde
+antisymmetry, the volume and the closure dOmega = 0, from exact derivatives
+off the bundle.  The closure's spacetime triples are the closure of
+Phi[ref]; every Phi[o] = Phi[ref] + dtheta[o] is closed with it, as dd = 0
+holds exactly on jets, so no observer has a check of its own.
 The volume check compares the bundle's sqrt|g| with np.linalg.det of the
 metric values and its derivatives with Jacobi's formula
 d sqrt|g| = 1/2 sqrt|g| g^ij d g_ij.  Only the operators suite's grid
@@ -62,7 +68,7 @@ from .hermitian import (
     potential_residual,
     vertical_projection,
 )
-from .jets import max_abs, value_array
+from .jets import batch_shape, max_abs, value_array
 from .pauli import EPS, SIGMA, XI_ALL
 from .quantum import (
     GridGeometry,
@@ -82,6 +88,7 @@ from .special import (
     component_jets,
     extended_bracket_jets,
     jacobi_residual,
+    stack_functions,
 )
 from .units import DIMLESS
 
@@ -340,17 +347,18 @@ def main_theorem_residual(f: SpecialFunction, fp: SpecialFunction, sc: Scenario,
     """(vector residual, matrix residual) of the main theorem
     from_special([[F,F']]) == [from_special F, from_special F'] at order 0:
     floats at a point, (N,) arrays of per-point values on a (4, N) cloud or
-    on a bundle's points.  Both sides share one bundle.  The left side's X
-    comes from the bracket's component formulas, the right side's from the
-    Lie bracket of vector fields, so the vector residual compares two
-    routes."""
+    on a bundle's points, (m, N) for stacks of m functions.  Both sides
+    share one bundle.  The left side's X comes from the bracket's component
+    formulas, the right side's from the Lie bracket of vector fields, so the
+    vector residual compares two routes."""
     qd = sc.qd
     bundle = sc.background.jets(where)
-    batch = bundle.point.shape[1:]
     lhs = from_special(bracket_as_function(f, fp, sc), qd)
     xb, z = lie_bracket_y(from_special(f, qd), from_special(fp, qd), bundle)
-    vec_res = max_abs(value_array(lhs.x_jets(bundle, 0), batch) - value_array(xb, batch), batch)
-    mat_res = max_abs(lhs.ymat(bundle, 0).values(batch) - z.values(batch), batch)
+    xl, ml = lhs.x_jets(bundle, 0), lhs.ymat(bundle, 0)
+    batch = batch_shape([xl, xb, ml.y, ml.w, z.y, z.w], bundle.point.shape[1:])
+    vec_res = max_abs(value_array(xl, batch) - value_array(xb, batch), batch)
+    mat_res = max_abs(ml.values(batch) - z.values(batch), batch)
     return vec_res, mat_res
 
 
@@ -394,8 +402,9 @@ def suite_isomorphism(sc: Scenario, rng: np.random.Generator) -> list:
          random_special_function(rng, consts, name=f"I{t}b"))
         for t in range(4)
     ]
-    worst_main = float(np.max([main_theorem_residual(f, fp, sc, cloud) for f, fp in pairs]))
-    worst_herm = float(np.max([hermiticity_residual(from_special(f, qd), qd, cloud) for f, _ in pairs]))
+    firsts = stack_functions([f for f, _ in pairs])
+    worst_main = float(np.max(main_theorem_residual(firsts, stack_functions([fp for _, fp in pairs]), sc, cloud)))
+    worst_herm = float(np.max(hermiticity_residual(from_special(firsts, qd), qd, cloud)))
     p1 = random_raw_pair(rng, consts, "a")
     p2 = random_raw_pair(rng, consts, "b")
     y_full = assemble_pair(qd, p1[0], p1[1], ref)
@@ -431,12 +440,10 @@ def suite_observer(sc: Scenario, rng: np.random.Generator) -> list:
             for i in range(3)
         )
         observers.append(Observer(comps))
-    funcs = [random_special_function(rng, consts, name=f"O{t}") for t in range(3)]
-    worst = 0.0
-    for f in funcs:
-        vals = np.array([invariant_combination(f, qd, o, cloud) for o in observers])
-        scale = np.maximum(1.0, np.max(np.abs(vals), axis=0))
-        worst = max(worst, float(np.max((np.max(vals, axis=0) - np.min(vals, axis=0)) / scale)))
+    funcs = stack_functions([random_special_function(rng, consts, name=f"O{t}") for t in range(3)])
+    vals = np.array([invariant_combination(funcs, qd, o, cloud) for o in observers])  # [observer, function, point]
+    scale = np.maximum(1.0, np.max(np.abs(vals), axis=0))
+    worst = float(np.max((np.max(vals, axis=0) - np.min(vals, axis=0)) / scale))
     potential = max(float(np.max(potential_residual(qd, o, cloud))) for o in observers)
     return [Check("observer.invariant_combination", n, worst),
             Check("observer.potential_consistency", n, potential)]

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cqm.jets import INDEX_OF, MULTI_INDICES, SIZES, DomainError, Jet
+from cqm import jets as jets_module
+from cqm.jets import INDEX_OF, MULTI_INDICES, SIZES, DomainError, Jet, batch_shape, jet_stack, max_abs, value_array
 
 from oracles import extract
 
@@ -412,3 +413,125 @@ def test_composition_commutes_with_truncation_bit_for_bit(op, shape):
     top = getattr(f, op)()
     for n in range(3):
         _same_bits(getattr(f.truncate(n), op)().c, np.ascontiguousarray(top.truncate(n).c))
+
+
+# -- stacks: an (m, N, size) jet must equal its m (N, size) blocks, bit for bit
+
+_M, _N = 3, 5
+
+
+def _bits(a):
+    """The float64 bit patterns, so -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _random_stack(rng, order, shape):
+    """A jet of batch shape `shape` with coefficients in [-2, 2], value slots
+    in [0.5, 2.5], and exact zeros of both signs in its derivative slots."""
+    c = rng.uniform(-2.0, 2.0, shape + (SIZES[order],))
+    c[..., 0] = rng.uniform(0.5, 2.5, shape)
+    if order > 0:
+        c[..., 1] = -0.0
+        c[..., -1] = 0.0
+    return Jet(order, c)
+
+
+def _block(j, t):
+    """Draw t of a stack as an (N,) jet; a point or a cloud is every draw's."""
+    return Jet(j.order, j.c[t].copy()) if j.c.ndim == 3 else j
+
+
+def _assert_blocks(got, want_of):
+    """got is the stack of want_of(t) for each draw t, bit for bit; a result
+    with no stack axis must equal every draw's."""
+    for t in range(_M):
+        want = want_of(t)
+        assert got.order == want.order
+        row = got.c[t] if got.c.ndim == 3 else got.c
+        assert row.shape == want.c.shape
+        assert np.array_equal(_bits(row), _bits(want.c))
+
+
+@pytest.mark.parametrize("other", ["stack", "cloud", "point", "constant"])
+@pytest.mark.parametrize("order_b", [0, 1, 2, 3])
+@pytest.mark.parametrize("order_a", [0, 1, 2, 3])
+def test_stack_products_match_their_blocks(order_a, order_b, other):
+    """Products of a stack with a stack, a cloud, a point or a constant at a
+    point, in both operand orders and at every pair of orders, are the
+    products of its draws; sums and differences too."""
+    rng = np.random.default_rng([order_a, order_b, len(other)])
+    a = _random_stack(rng, order_a, (_M, _N))
+    shapes = {"stack": (_M, _N), "cloud": (_N,), "point": ()}
+    b = Jet.const(-1.25, order_b) if other == "constant" else _random_stack(rng, order_b, shapes[other])
+    for op in (_BINARY_OPS["mul"], _BINARY_OPS["add"], _BINARY_OPS["sub"]):
+        _assert_blocks(op(a, b), lambda t: op(_block(a, t), _block(b, t)))
+        _assert_blocks(op(b, a), lambda t: op(_block(b, t), _block(a, t)))
+
+
+def test_stack_times_a_zero_constant_stays_a_point():
+    stack = _random_stack(np.random.default_rng(3), 2, (_M, _N))
+    got = Jet.const(0.0, 2) * stack
+    assert got.c.shape == (SIZES[2],) and not got.c.any()
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_stack_unary_operations_match_their_blocks(order):
+    """Negation, scaling, derive, truncate and every composition of a stack
+    are those of its draws."""
+    stack = _random_stack(np.random.default_rng(order), order, (_M, _N))
+    ops = dict(_UNARY_OPS)
+    ops.update({f"truncate{n}": (lambda j, n=n: j.truncate(n)) for n in range(order + 1)})
+    if order > 0:
+        ops.update({f"derive{v}": (lambda j, v=v: j.derive(v)) for v in range(4)})
+    for op in ops.values():
+        _assert_blocks(op(stack), lambda t: op(_block(stack, t)))
+
+
+@pytest.mark.parametrize("op", ["mul", "recip", "sqrt", "exp", "log", "sin", "cos"])
+def test_truncation_commutes_with_operations_on_a_stack(op):
+    """An operation on a stack at order 3, truncated to n, is the operation
+    on the stack truncated to n, bit for bit."""
+    rng = np.random.default_rng(5)
+    a, b = _random_stack(rng, 3, (_M, _N)), _random_stack(rng, 3, (_N,))
+    fn = (lambda j, k: j * k) if op == "mul" else (lambda j, k: getattr(j, op)())
+    top = fn(a, b)
+    for n in range(3):
+        assert np.array_equal(_bits(fn(a.truncate(n), b.truncate(n)).c), _bits(top.truncate(n).c))
+
+
+def test_stack_values_and_max_abs_match_their_blocks():
+    """value_array widens a cloud's batch to the stack's, broadcasting points
+    and clouds; max_abs over a stack's batch gives each draw's row."""
+    rng = np.random.default_rng(7)
+    stack, cloud, point = (_random_stack(rng, 1, shape) for shape in ((_M, _N), (_N,), ()))
+    assert stack.batch == (_M, _N) and np.array_equal(stack.value, stack.c[..., 0])
+    values = value_array([[stack, cloud], [point, stack * cloud]], (_N,))
+    assert values.shape == (2, 2, _M, _N)
+    worst = max_abs(values, (_M, _N))
+    for t in range(_M):
+        rows = value_array([[_block(stack, t), cloud], [point, _block(stack, t) * cloud]], (_N,))
+        assert np.array_equal(_bits(values[..., t, :]), _bits(rows))
+        assert np.array_equal(_bits(worst[t]), _bits(max_abs(rows, (_N,))))
+    assert batch_shape([point, [cloud]]) == (_N,) and batch_shape(point, (_N,)) == (_N,)
+
+
+def test_jet_stack_puts_draw_t_at_index_t():
+    rng = np.random.default_rng(9)
+    draws = [_random_stack(rng, 2, (_N,)), Jet.const(0.5, 2), _random_stack(rng, 2, (_N,))]
+    stack = jet_stack(draws, (_N,))
+    assert stack.batch == (_M, _N)
+    _assert_blocks(stack, lambda t: Jet(2, np.broadcast_to(draws[t].c, (_N, SIZES[2]))))
+    with pytest.raises(ValueError):
+        jet_stack([draws[0], draws[0].truncate(1)])
+
+
+def test_scatter_bins_stay_within_their_byte_bound():
+    """The product kernel keeps bins for the batch sizes in use, up to
+    _BINS_BYTES, dropping the least recently used: four order-3 clouds of
+    300 to 1,200 points would need 4.0 MB."""
+    rng = np.random.default_rng(13)
+    for n in (300, 600, 900, 1200):
+        a = _random_stack(rng, 3, (n,))
+        a * a
+    assert sum(b.nbytes for b in jets_module._bins.values()) <= jets_module._BINS_BYTES
+    assert (3, 1200) in jets_module._bins and (3, 300) not in jets_module._bins
