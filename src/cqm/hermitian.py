@@ -43,7 +43,7 @@ from .background import (
 from .fieldlang import FieldDef
 from .jets import Jet, batch_shape, jet_sum, max_abs, value_array
 from .pauli import SpinConnection, cross, spin_connection_from, xi_combination
-from .special import SpecialFunction, SpecialValue, component_jets, eval_special
+from .special import SpecialFunction, SpecialValue, component_jets, eval_special, evaluated
 
 
 class NotHermitian(ValueError):
@@ -337,9 +337,12 @@ def invariant_combination(f: SpecialFunction, qd: QuantumData, o: Observer, wher
     """f0 Ch_0(o) - f^j Ch_j(o) + f(o): the scalar that the main theorem shows
     to be observer-independent (it equals f0 A0 - f^j A_j + fbrev).  A float
     at a point, an (N,) array of per-point values on a (4, N) cloud or on a
-    bundle's points, (m, N) for a stack of m functions."""
+    bundle's points, (m, N) for a stack of m functions.  f is evaluated once,
+    at order 0, for its components and its value f(o) alike; a caller that
+    checks several observers on one bundle passes `evaluated(f, bundle, 0)`."""
     bundle = qd.bg.jets(where)
     batch = bundle.point.shape[1:]
+    f = evaluated(f, bundle, 0)
     ch = value_array(ch_along_jets(qd, o, bundle, 0), batch)
     c = component_jets(f, bundle, 0).values(batch)
     f_at_o = eval_special(f, qd.bg, PhasePoint(bundle, o.velocity(bundle.point)))

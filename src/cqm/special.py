@@ -25,6 +25,11 @@ components so outer derivatives are exact: the Jacobi check reads an inner
 bracket's spin part at order 1, and only that caps the jet order at 3 (rho's
 two metric derivatives, one more for the outer bracket).
 
+A residual evaluates each function it reads once, at the highest order it
+reads, and every reader takes truncations of that one evaluation
+(`evaluated`).  This is exact: every jet operation commutes with
+truncation bit for bit, so the truncation is the lower-order evaluation.
+
 Several functions evaluate as one through `stack_functions`: their
 component jets are stacked along a leading batch axis, (m, N) on an (N,)
 cloud, and the bundle's (N,) jets broadcast against them (jets.py), so one
@@ -184,6 +189,24 @@ def component_jets(f: SpecialFunction, where, order: int) -> ComponentJets:
     `where` reaches the evaluator as given, so a derived function shares a
     bundle it is handed."""
     return f.jets_fn(where, order)
+
+
+def evaluated(f: SpecialFunction, bundle: BackgroundJets, order: int) -> SpecialFunction:
+    """f evaluated once, on `bundle` at `order`: a function whose evaluator
+    gives truncations of that one ComponentJets, equal bit for bit to
+    evaluations of f at the lower orders.  It raises for any other `where`
+    and for an order above `order`.  A residual hands it to every reader of
+    f and lets it go when it returns."""
+    c = f.jets_fn(bundle, order)
+
+    def jets_fn(where, n):
+        if where is not bundle:
+            raise ValueError(f"{f.name} was evaluated on another bundle")
+        if n > order:
+            raise ValueError(f"{f.name} was evaluated at order {order}, not {n}")
+        return c.truncate(n)
+
+    return SpecialFunction(name=f.name, jets_fn=jets_fn)
 
 
 def eval_special(f: SpecialFunction, bg: Background, p: PhasePoint):

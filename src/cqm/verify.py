@@ -42,6 +42,11 @@ The bracket enters as a derived special function (bracket_as_function)
 whose one evaluator is the extended bracket of the two, so its field goes
 through the same Y[F] formula, hermitian.y_coefficients, as every other
 field and the grid operators.
+
+Each stack of random functions is evaluated once, at the highest order its
+readers take (special.evaluated): the isomorphism suite's first stack at
+order 2 for the main theorem and the Hermiticity check, the observer
+suite's at order 0 for every observer.
 """
 
 from __future__ import annotations
@@ -86,6 +91,7 @@ from .scenario import Scenario
 from .special import (
     SpecialFunction,
     component_jets,
+    evaluated,
     extended_bracket_jets,
     jacobi_residual,
     stack_functions,
@@ -350,10 +356,14 @@ def main_theorem_residual(f: SpecialFunction, fp: SpecialFunction, sc: Scenario,
     on a bundle's points, (m, N) for stacks of m functions.  Both sides
     share one bundle.  The left side's X comes from the bracket's component
     formulas, the right side's from the Lie bracket of vector fields, so the
-    vector residual compares two routes."""
+    vector residual compares two routes.  Each operand is evaluated once, at
+    order 2, and the bracket once, at order 1; every reader (the Lie
+    bracket's X and Y at order 1, the bracket's field at orders 0 and 1)
+    takes truncations of those evaluations."""
     qd = sc.qd
     bundle = sc.background.jets(where)
-    lhs = from_special(bracket_as_function(f, fp, sc), qd)
+    f, fp = evaluated(f, bundle, 2), evaluated(fp, bundle, 2)
+    lhs = from_special(evaluated(bracket_as_function(f, fp, sc), bundle, 1), qd)
     xb, z = lie_bracket_y(from_special(f, qd), from_special(fp, qd), bundle)
     xl, ml = lhs.x_jets(bundle, 0), lhs.ymat(bundle, 0)
     batch = batch_shape([xl, xb, ml.y, ml.w, z.y, z.w], bundle.point.shape[1:])
@@ -402,7 +412,7 @@ def suite_isomorphism(sc: Scenario, rng: np.random.Generator) -> list:
          random_special_function(rng, consts, name=f"I{t}b"))
         for t in range(4)
     ]
-    firsts = stack_functions([f for f, _ in pairs])
+    firsts = evaluated(stack_functions([f for f, _ in pairs]), cloud, 2)  # read by both residuals
     worst_main = float(np.max(main_theorem_residual(firsts, stack_functions([fp for _, fp in pairs]), sc, cloud)))
     worst_herm = float(np.max(hermiticity_residual(from_special(firsts, qd), qd, cloud)))
     p1 = random_raw_pair(rng, consts, "a")
@@ -440,7 +450,8 @@ def suite_observer(sc: Scenario, rng: np.random.Generator) -> list:
             for i in range(3)
         )
         observers.append(Observer(comps))
-    funcs = stack_functions([random_special_function(rng, consts, name=f"O{t}") for t in range(3)])
+    funcs = evaluated(stack_functions([random_special_function(rng, consts, name=f"O{t}") for t in range(3)]),
+                      cloud, 0)
     vals = np.array([invariant_combination(funcs, qd, o, cloud) for o in observers])  # [observer, function, point]
     scale = np.maximum(1.0, np.max(np.abs(vals), axis=0))
     worst = float(np.max((np.max(vals, axis=0) - np.min(vals, axis=0)) / scale))
