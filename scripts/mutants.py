@@ -61,6 +61,9 @@ MUTANTS = (
            "inner = _neighbour(big_g[i][j], i, si) + _neighbour(big_g[i][j], j, sj)", "inner = 2.0 * big_g[i][j]",
            "G^ij of the mixed corners of _laplacian_stencil read at node k, not at the inner nodes; survives: "
            "every shipped metric is diagonal (item 5's anisotropic one is not)"),
+    Mutant("prequantum_div_drops_xi_dsqrtg", "quantum.py",
+           "div += -dfi[i] + _times(xi_sp[i], geom.dsqrtg[i], geom.sqrtg)", "div += -dfi[i]",
+           "div_eta X of prequantum without its volume term X^i d_i sqrt|g| / sqrt|g|"),
     Mutant("fold_column_offset", "quantum.py",
            "coeffs = c[:, lo:hi]", "coeffs = c[:, lo + 1:hi + 1]",
            "c-column offset of a Crank-Nicolson ring fold shifted by one term; survives: verify runs no "
@@ -197,11 +200,12 @@ CHECKS = {
     "observer.potential_consistency": Entry(("k_joined_charge_c0k_factor", "phi_observer_dtheta_sign",
                                              "phi_ref_spatial_sign")),
     "operators.named_displays": Entry(("laplacian_drift_sign", "laplacian_a_squared_sign",
-                                       "laplacian_face_node_value", "y_f0_a0_sign", "y_f0_c0_sign")),
+                                       "laplacian_face_node_value", "prequantum_div_drops_xi_dsqrtg",
+                                       "y_f0_a0_sign", "y_f0_c0_sign")),
     "operators.generator_lock": Entry(("y_f0_a0_sign", "y_f0_c0_sign", "k_joined_moment_c0k_sign")),
     "operators.linearity": Entry(waits_for="item 2's helper: named_displays and symmetry_ratio imply it, but its "
                                            "draws come before the ratio sweeps' seeds"),
-    "operators.symmetry_ratio": Entry(("laplacian_face_node_value",)),
+    "operators.symmetry_ratio": Entry(("prequantum_div_drops_xi_dsqrtg",)),
     "operators.bracket_homomorphism_ratio": Entry(("y_fj_aj_sign", "y_fj_cj_sign", "bracket_rho_sign",
                                                    "bracket_cross_order", "bracket_transport_sign",
                                                    "k_joined_charge_c0k_factor", "spin_curvature_d_sign",

@@ -159,30 +159,10 @@ class SpinorGrid:
         if self.psi.shape != self.spec.shape + (2,):
             raise GridMismatch(f"psi shape {self.psi.shape} does not match grid {self.spec.shape}")
 
-    def copy(self) -> "SpinorGrid":
-        return SpinorGrid(self.spec, self.psi.copy())
-
 
 def _check_same(a: SpinorGrid, b: SpinorGrid):
     if a.spec != b.spec:
         raise GridMismatch("grids differ")
-
-
-def _shift(arr: np.ndarray, axis: int, d: int) -> np.ndarray:
-    """Array whose value at node k is arr[k + d] with zeros outside (Dirichlet)."""
-    out = np.zeros_like(arr)
-    src = [slice(None)] * arr.ndim
-    dst = [slice(None)] * arr.ndim
-    if d == 1:
-        dst[axis] = slice(None, -1)
-        src[axis] = slice(1, None)
-    elif d == -1:
-        dst[axis] = slice(1, None)
-        src[axis] = slice(None, -1)
-    else:
-        raise ValueError("shift must be +-1")
-    out[tuple(dst)] = arr[tuple(src)]
-    return out
 
 
 # Grid nodes per batched jet evaluation.  The grid pass of a bracket on
@@ -268,11 +248,6 @@ class GridGeometry:
         self.a = [q[0] for q in nodes[7:11]]
         self.c_coeffs = [[nodes[11 + 3 * lam + k][0] for k in range(3)] for lam in range(4)]
         self.dvol = spec.dvol
-
-    def d1(self, arr: np.ndarray, axis: int) -> np.ndarray:
-        """The central first difference along an axis, zero past the edges."""
-        h = self.spec.spacing(axis)
-        return (_shift(arr, axis, 1) - _shift(arr, axis, -1)) / (2.0 * h)
 
 
 @dataclass

@@ -187,6 +187,22 @@ def grid_norm(geom, a: SpinorGrid) -> float:
     return float(np.sqrt(inner_product(geom, a, a).real))
 
 
+def shift(arr: np.ndarray, axis: int, d: int) -> np.ndarray:
+    """Array whose value at node k is arr[k + d] (d = +-1) with zeros
+    outside (Dirichlet)."""
+    out = np.zeros_like(arr)
+    dst, src = [slice(None)] * arr.ndim, [slice(None)] * arr.ndim
+    dst[axis], src[axis] = (slice(None, -1), slice(1, None)) if d == 1 else (slice(1, None), slice(None, -1))
+    out[tuple(dst)] = arr[tuple(src)]
+    return out
+
+
+def d1(spec: GridSpec, arr: np.ndarray, axis: int) -> np.ndarray:
+    """The central first difference along an axis from shifted copies, zero
+    past the edges."""
+    return (shift(arr, axis, 1) - shift(arr, axis, -1)) / (2.0 * spec.spacing(axis))
+
+
 _SNAPSHOT_HEADER = struct.Struct("<3q6dd")  # CONVENTIONS.md, "Snapshot files"
 
 

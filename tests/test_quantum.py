@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cqm import fieldlang as fl, quantum
+from cqm import fieldlang as fl, quantum, verify
 from cqm.background import BackgroundJets, NotPositiveDefinite
 from cqm.fieldlang import FieldDef, eval_float
 from cqm.hermitian import SpinorSection, from_special
@@ -36,7 +36,7 @@ from cqm.units import DIMLESS
 from cqm.verify import _metricity_residual, _smooth_grid, bracket_as_function, run_suites
 
 from conftest import SCENARIO_DIR, derive_expr, make_special, scenario_dict
-from oracles import act_on_section, cayley_coefficient, certifying_terms, grid_norm, read_snapshot
+from oracles import act_on_section, cayley_coefficient, certifying_terms, d1, grid_norm, read_snapshot, shift
 
 
 def flat_1d_spec(n=201, half=12.0):
@@ -1045,9 +1045,10 @@ def test_constant_background_geometry_work_does_not_grow_with_the_grid(monkeypat
 
 
 def test_operators_suite_builds_one_geometry_per_distinct_grid(monkeypatch):
-    """On curved_magnetic the scenario grid (15x15x1 on [-3, 3]^2) is the
-    coarse level of both step-halving sweeps, and their fine levels agree.
-    Without a grid, the probe box is the symmetry sweep's coarse level."""
+    """Both step-halving sweeps run on the one pair of levels 15x15x1 and
+    29x29x1 on [-3, 3]^2.  On curved_magnetic the scenario grid is the
+    coarse level; flat's 16^3 grid, like the probe box of a scenario
+    without a grid, is built for the named displays alone."""
     built = []
     original = GridGeometry.__init__
 
@@ -1058,9 +1059,42 @@ def test_operators_suite_builds_one_geometry_per_distinct_grid(monkeypatch):
     monkeypatch.setattr(GridGeometry, "__init__", counting)
     run_suites(load_scenario(SCENARIO_DIR / "curved_magnetic.json"), ["operators"])
     assert built == [(15, 15, 1), (29, 29, 1)]
-    built.clear()
-    run_suites(load_scenario(scenario_dict("curved_magnetic")), ["operators"])
-    assert built == [(16, 16, 16), (31, 31, 31), (15, 15, 1), (29, 29, 1)]
+    for sc in (load_scenario(scenario_dict("curved_magnetic")), load_scenario(SCENARIO_DIR / "flat.json")):
+        built.clear()
+        run_suites(sc, ["operators"])
+        assert built == [(16, 16, 16), (15, 15, 1), (29, 29, 1)]
+
+
+def test_named_display_probe_is_nonzero_on_a_grid_with_a_two_node_axis(monkeypatch):
+    """The probe's window (1 - u^2)^8 vanishes at both nodes of a 2-node
+    axis, so on such a scenario grid the named displays and the generator
+    lock would compare zeros; the suite probes the box grid instead."""
+    probes = []
+    original = verify._smooth_grid
+
+    def recording(spec, rng):
+        probes.append(original(spec, rng))
+        return probes[-1]
+
+    monkeypatch.setattr(verify, "_smooth_grid", recording)
+    scn = scenario_dict("flat")
+    scn["grid"] = {"axes": [[-4.0, 4.0, 15], [-4.0, 4.0, 2], [0.0, 0.0, 1]], "time": 0.0}
+    checks = {c.name: c for c in run_suites(load_scenario(scn), ["operators"])}
+    assert np.any(probes[0].psi != 0)
+    assert checks["operators.named_displays"].passed and checks["operators.generator_lock"].passed
+
+
+@pytest.mark.parametrize("axes", [(9, 1, 1), (7, 6, 1), (5, 4, 6)], ids=["1_active", "2_active", "3_active"])
+def test_verify_padded_d1_equals_the_shifted_copy_difference(axes):
+    """The reference route's central difference from a zero-padded copy is
+    the shifted-copy difference bit for bit, along every active axis."""
+    spec = GridSpec(tuple((-1.0, 2.0, n) for n in axes), 0.0)
+    rng = np.random.default_rng(5)
+    arr = rng.standard_normal(spec.shape + (2,)) + 1j * rng.standard_normal(spec.shape + (2,))
+    for axis in spec.active:
+        got, want = verify._d1(spec, arr, axis), d1(spec, arr, axis)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_cloud_with_one_bad_point_is_not_positive_definite():
@@ -1081,15 +1115,15 @@ def test_cloud_with_one_bad_point_is_not_positive_definite():
 
 def oracle_d2(geom, arr, axis):
     h = geom.spec.spacing(axis)
-    return (quantum._shift(arr, axis, 1) - 2.0 * arr + quantum._shift(arr, axis, -1)) / (h * h)
+    return (shift(arr, axis, 1) - 2.0 * arr + shift(arr, axis, -1)) / (h * h)
 
 
 def oracle_d_cross(geom, arr, ax1, ax2):
     h1, h2 = geom.spec.spacing(ax1), geom.spec.spacing(ax2)
-    pp = quantum._shift(quantum._shift(arr, ax1, 1), ax2, 1)
-    pm = quantum._shift(quantum._shift(arr, ax1, 1), ax2, -1)
-    mp = quantum._shift(quantum._shift(arr, ax1, -1), ax2, 1)
-    mm = quantum._shift(quantum._shift(arr, ax1, -1), ax2, -1)
+    pp = shift(shift(arr, ax1, 1), ax2, 1)
+    pm = shift(shift(arr, ax1, 1), ax2, -1)
+    mp = shift(shift(arr, ax1, -1), ax2, 1)
+    mm = shift(shift(arr, ax1, -1), ax2, -1)
     return (pp - pm - mp + mm) / (4.0 * h1 * h2)
 
 
@@ -1122,16 +1156,16 @@ def oracle_flux_laplacian(geom, psi):
     for i in active:
         h = geom.spec.spacing(i)
         for s in (1, -1):
-            edge = quantum._shift(np.ones(geom.spec.shape), i, s) == 0
-            face = np.where(edge, big[..., i, i], 0.5 * (big[..., i, i] + quantum._shift(big[..., i, i], i, s)))
-            out += face[..., None] * (quantum._shift(psi, i, s) - psi) / h**2
-        out += -1j * (geom.d1(v[i][..., None] * psi, i) + v[i][..., None] * geom.d1(psi, i))
+            edge = shift(np.ones(geom.spec.shape), i, s) == 0
+            face = np.where(edge, big[..., i, i], 0.5 * (big[..., i, i] + shift(big[..., i, i], i, s)))
+            out += face[..., None] * (shift(psi, i, s) - psi) / h**2
+        out += -1j * (d1(geom.spec, v[i][..., None] * psi, i) + v[i][..., None] * d1(geom.spec, psi, i))
         for j in active:
             if j > i:
                 for si in (1, -1):
                     for sj in (1, -1):
-                        inner = quantum._shift(big[..., i, j], i, si) + quantum._shift(big[..., i, j], j, sj)
-                        corner = quantum._shift(quantum._shift(psi, i, si), j, sj)
+                        inner = shift(big[..., i, j], i, si) + shift(big[..., i, j], j, sj)
+                        corner = shift(shift(psi, i, si), j, sj)
                         out += (si * sj * inner / (4.0 * h * geom.spec.spacing(j)))[..., None] * corner
     return geom.kinetic * out / g.sqrtg[..., None]
 
@@ -1147,7 +1181,7 @@ def oracle_laplacian(sc, geom, psi):
     a_sp = [a[..., i + 1] for i in range(3)]
     out = np.zeros_like(psi)
     for i in active:
-        grad = geom.d1(psi, i)
+        grad = d1(geom.spec, psi, i)
         out += ginv[..., i, i, None] * oracle_d2(geom, psi, i)
         w = np.zeros(geom.spec.shape)
         coef = np.zeros(geom.spec.shape)
@@ -1187,7 +1221,7 @@ def oracle_prequantum(geom, f, psi):
     c0mat = sum(g.c_coeffs[..., 0, a, None, None] * XI_ALL[a + 1] for a in range(3))
     ypsi = -np.einsum("...ab,...b->...a", ymat, psi)
     for i in geom.spec.active:
-        ypsi -= fi[i][..., None] * geom.d1(psi, i)
+        ypsi -= fi[i][..., None] * d1(geom.spec, psi, i)
     ppsi = (-1j * g.a[0] + g.d0sqrtg / (2.0 * g.sqrtg))[..., None] * psi
     ppsi += -0.5j * oracle_flux_laplacian(geom, psi)
     ppsi -= np.einsum("...ab,...b->...a", c0mat, psi)
