@@ -64,23 +64,23 @@ MUTANTS = (
     Mutant("prequantum_div_drops_xi_dsqrtg", "quantum.py",
            "div += -dfi[i] + _times(xi_sp[i], geom.dsqrtg[i], geom.sqrtg)", "div += -dfi[i]",
            "div_eta X of prequantum without its volume term X^i d_i sqrt|g| / sqrt|g|"),
-    Mutant("fold_column_offset", "quantum.py",
-           "coeffs = c[:, lo:hi]", "coeffs = c[:, lo + 1:hi + 1]",
-           "c-column offset of a Crank-Nicolson ring fold shifted by one term; survives: verify runs no "
-           "evolution, only Tier-1 sees it"),
-    Mutant("fold_last_partial_ring", "quantum.py",
-           "if j != cap - 1:  # the last ring is partial",
-           "if m < cap - 1:  # the last ring is partial",
-           "the last partial ring of a series left unfolded when an earlier full ring was folded; survives: "
+    Mutant("chebyshev_coefficients_conjugated", "quantum.py",
+           "coeffs = np.fft.fft(powers, axis=1)[:, :m + 1] / m",
+           "coeffs = np.conj(np.fft.fft(powers, axis=1))[:, :m + 1] / m",
+           "the Chebyshev coefficients a_n(s) of the Cayley map conjugated, which steps by its inverse; survives: "
            "verify runs no evolution, only Tier-1 sees it"),
-    Mutant("block_rule_argmax", "quantum.py",
-           "k = min(enumerate(ms, 1)", "k = max(enumerate(ms, 1)",
-           "later blocks take the length with the most generator applies per step of the first series, not the "
-           "fewest; survives: verify runs no evolution, only Tier-1 sees it"),
-    Mutant("block_rule_step_off_by_one", "quantum.py",
-           "enumerate(ms, 1)", "enumerate(ms, 2)",
-           "the length rule divides m_s by s + 1 and picks s + 1; survives: verify runs no evolution, only "
-           "Tier-1 sees it"),
+    Mutant("chebyshev_recurrence_h_tilde", "quantum.py",
+           "scale = 2.0 / radius if n > 1 else 1.0 / radius", "scale = 1.0 / radius",
+           "the 2 H~ of the recurrence T_{n+1} = 2 H~ T_n - T_{n-1} written as H~; survives: verify runs no "
+           "evolution, only Tier-1 sees it"),
+    Mutant("interval_centre_sign", "quantum.py",
+           "centre, radius = 0.5 * (lo + hi), 0.5 * (hi - lo)", "centre, radius = -0.5 * (lo + hi), 0.5 * (hi - lo)",
+           "the sign of the centre of the Gershgorin interval, so that H~ = (H + centre) / radius leaves [-1, 1]; "
+           "survives: verify runs no evolution, only Tier-1 sees it"),
+    Mutant("tail_bound_one_term_short", "quantum.py",
+           "tails = rest[:, 1:top + 1] + reach[:, :top]", "tails = rest[:, 2:top + 2] + reach[:, 1:top + 1]",
+           "the a priori tail of a series cut after T_N counted from T_{N+2}, so every series stops a term early; "
+           "survives: verify runs no evolution, only Tier-1 sees it"),
     Mutant("y_f0_a0_sign", "hermitian.py",
            "y0 = c.f0 * a[0] + c.fbrev", "y0 = c.fbrev - c.f0 * a[0]",
            "sign of f0 A_0 in y_0 of y_coefficients"),

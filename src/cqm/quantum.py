@@ -34,33 +34,31 @@ The generator H with i d0 psi = H psi on the Pauli kernel is
 and the pre-quantum operator of a special function F is assembled as
 i (Y.psi - u0 f0 P psi) with the d0 psi contributions cancelled structurally
 (they are never formed).  Crank-Nicolson steps solve the Cayley system
-(1 - w) x = (1 + w) psi, w = -i tau H, tau = dt/2, matrix-free.  As the
+(1 + i tau H) x = (1 - i tau H) psi, tau = dt/2, matrix-free.  As the
 generator is static, every step applies the same Cayley map
-C = (1 + w)(1 - w)^-1, so one Neumann series of terms t_j = w^j psi, one
-generator apply per term, gives a block of k steps:
-C^s psi = sum_j c_{s,j} t_j, with c_{0,j} = delta_{j0} and
-c_{s,j} = c_{s-1,j} + 2 sum_{i<j} c_{s-1,i} (c_{1,j} = 2, c_{2,j} = 4j,
-c_{3,j} = 4j^2 + 2 for j >= 1).  Truncated after t_m, step s has the Cayley
-residual (1 - w) psi_s - (1 + w) psi_{s-1} = -(c_{s,m} + c_{s-1,m}) t_{m+1},
-so the terms certify every step of the block: step s is certified by the
-first t_m with (c_{s,m} + c_{s-1,m}) |t_m| <= 1e-14 |b| (b = psi + t_1),
-m_s, the series ends when every step is, and a step size at which the
-terms stop shrinking is reported as SolverDivergence.  A block of one step
-is the plain series psi + 2 sum_{j>=1} t_j.  The block length follows from
-the input: the first series of a run serves MAX_STEP_BLOCK = 7 steps, and
-every later block has the k that minimises m_k / k of that series, the
-generator applies per step.  The terms are not summed one by one: each is
-written into the next slot of a ring of psi-shaped slots, and each full
-ring, then the last one, is folded into the block's states by one real
-matrix product of a block of the c_{s,j} with the slots' float view, so a
-term costs the apply, one scaling into its slot and one norm.  The
-observables of the states are evaluated a block of states at a time, in
-one pass per block.
+c(lam) = (1 - i tau lam) / (1 + i tau lam), so one Chebyshev series gives a
+block of k steps (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984): with
+[centre - radius, centre + radius] the Gershgorin interval of the
+generator's stencil and H~ = (H - centre) / radius,
+psi_s = c(H)^s psi = sum_n a_n(s) T_n(H~) psi, s = 1..k.  The a_n(s) are the
+Chebyshev coefficients of c^s, from one FFT of its samples; the terms
+T_n(H~) psi come from the three-term recurrence, one generator apply each,
+and do not depend on s.  Each state's series ends at N_s, fixed before the
+first apply by an a priori bound on the tail sum_{n > N_s} |a_n(s)|, which
+certifies every step's Cayley residual to 1e-14 |b| as H is self-adjoint
+(CONVENTIONS.md); a dt whose one step needs more than TERM_LIMIT terms is
+reported as SolverDivergence before any apply, as is a term that outgrows
+psi.  The block length is the one with the fewest terms for the run, so it
+follows from the input alone.  The terms are not summed one by one: each
+is written into the next slot of a ring of psi-shaped slots, and each full
+ring, then the last one, is folded into the block's states by one matrix
+product of a block of the a_n(s) with the slots, so a term costs the apply
+and a few vector passes.  The observables of the states are evaluated a
+block of states at a time, in one pass per block.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import struct
@@ -93,7 +91,8 @@ class NonStaticMetric(ValueError):
 
 
 class SolverDivergence(RuntimeError):
-    """The Cayley series of a Crank-Nicolson step failed to converge."""
+    """A Crank-Nicolson step's Chebyshev series would take more than
+    TERM_LIMIT terms at this dt, or its terms grow past psi."""
 
 
 @dataclass(frozen=True)
@@ -220,7 +219,10 @@ class GridGeometry:
     (dimensional reduction), and a derivative of sqrt|g| that is zero at
     every node (a static metric, an axis it does not depend on) is the
     number 0.0, which `_times` skips.  coords holds the spec's coords(),
-    made once for every evaluation of the observables."""
+    made once for every evaluation of the observables.  generator_interval
+    is the (lo, hi) of Stencil.interval for the Pauli generator, which
+    pauli_generator records when it builds that stencil, so that
+    evolve_pauli reads it with no second build."""
 
     def __init__(self, qd: QuantumData, spec: GridSpec):
         self.qd = qd
@@ -248,6 +250,7 @@ class GridGeometry:
         self.a = [q[0] for q in nodes[7:11]]
         self.c_coeffs = [[nodes[11 + 3 * lam + k][0] for k in range(3)] for lam in range(4)]
         self.dvol = spec.dvol
+        self.generator_interval = None  # set by pauli_generator
 
 
 @dataclass
@@ -304,6 +307,24 @@ class Stencil:
         for d, coef in other.offsets.items():
             offsets[d] = offsets[d] + coef if d in offsets else coef
         return Stencil(self.centre + other.centre, offsets, self.shape)
+
+    def interval(self) -> tuple:
+        """(lo, hi), the real extent of the Gershgorin discs of the stencil's
+        rows: each row's diagonal entry plus or minus the |coefficients| of
+        its off-diagonal centre entry and of every offset (at the grid's
+        edge too, where a neighbour is missing, so the interval may be
+        wider than the discs).  Every real eigenvalue lies in it.  One
+        spinor component at a time, so that no temporary holds more than
+        one number per node."""
+        radius = 0.0  # sum_d |coef_d| per node
+        for coef in self.offsets.values():
+            radius = radius + np.abs(coef)
+        lo, hi = math.inf, -math.inf
+        for a in range(2):
+            spread = np.abs(self.centre[..., a, 1 - a]) + radius
+            diag = self.centre[..., a, a].real
+            lo, hi = min(lo, float(np.min(diag - spread))), max(hi, float(np.max(diag + spread)))
+        return lo, hi
 
     def live_offsets(self) -> dict:
         """The offsets whose coefficients are not all zero."""
@@ -443,6 +464,7 @@ def pauli_generator(geom: GridGeometry) -> GridOperator:
     _static_check(geom)
     local = 1j * _spin_c0(geom) - _times_identity(geom.a[0])
     stencil = _laplacian_stencil(geom, -0.5) + Stencil(local, {}, geom.spec.shape)
+    geom.generator_interval = stencil.interval()
     return stencil.operator("pauli_generator", symmetric=True)
 
 
@@ -569,103 +591,192 @@ def _observables(geom: GridGeometry, psis: np.ndarray) -> np.ndarray:
 
 
 # Complex values the term ring of evolve_pauli may hold (512 KiB): 42 slots
-# of free_packet's 383 nodes, so that its chosen block of about 20 terms
-# folds once a series, and two slots of 24^3 nodes.
+# of free_packet's 383 nodes, and two, the fewest the recurrence needs, of
+# 24^3 nodes.  A block's buffer of states holds as many values, or
+# STATE_BLOCK states where that is more, and at most BLOCK_CAP states.  A
+# block of k steps takes about k dt R terms plus some that do not grow
+# with k, so a longer block takes fewer terms per step but holds more
+# states: 20 steps of the 24^3 flat_magnetic packet at dt 0.02 take 2.7
+# generator applies per step in blocks of 10 against 3.55 in blocks of 7,
+# for three more states (1.3 MiB).  BLOCK_CAP bounds the table of Chebyshev
+# coefficients (BLOCK_CAP rows of at most 2 * 1024 samples).
 RING_VALUES = 2**15
+STATE_BLOCK = 10
+BLOCK_CAP = 128
 
-# The longest block of steps that one series serves: the longest whose
-# c_{s,j} stay exact in float64 through the 500-term limit
-# (c_{7,500} + c_{6,500} = 2.79e15 < 2^53; for 8 it is 4.0e17).
-MAX_STEP_BLOCK = 7
+# The most generator applies one series may take: a dt whose one step
+# needs more is a solver failure.
+TERM_LIMIT = 500
 
+# The Chebyshev coefficients a_0..a_M of the Cayley map come from one FFT
+# of its 2 M samples at the angles pi j / M: M = 64, 128, ..., up to 1024,
+# the first M past which the coefficients' geometric bound is negligible;
+# 1024 leaves that bound room past TERM_LIMIT.
+_MAX_HALF_SAMPLES = 1024
 
-@functools.cache
-def _block_coefficients(k: int) -> tuple:
-    """The coefficients of a block of k steps for the terms j = 0..500 of
-    its series (module docstring): the (k, 501) array of the c_{s,j},
-    s = 1..k, and per term j the list of the squared weights
-    (c_{s,j} + c_{s-1,j})^2 of the residuals of steps s = 1..k, which grow
-    with s, then inf, which no term meets.  The c_{s,j} come from
-    c_{0,j} = delta_{j0} and c_{s,j} = c_{s-1,j} + 2 sum_{i<j} c_{s-1,i};
-    they are integers, exact in floating point for k <= MAX_STEP_BLOCK."""
-    c = np.zeros((k + 1, 501))
-    c[0, 0] = 1.0
-    for s in range(1, k + 1):
-        c[s] = c[s - 1]
-        c[s, 1:] += 2.0 * np.cumsum(c[s - 1, :-1])
-    weights = np.square(c[1:] + c[:-1]).T
-    return c[1:], np.hstack([weights, np.full((501, 1), np.inf)]).tolist()
+# Each state's share of the 1e-14 certificate of a step (CONVENTIONS.md).
+_STATE_TAIL = 0.5e-14
+
+# The roundoff unit: term n of a series may outgrow psi by 64 n^2 _EPS.
+_EPS = np.finfo(float).eps
 
 
-def _fold(dest: np.ndarray, c: np.ndarray, slots: np.ndarray, lo: int, hi: int):
-    """Add the terms t_lo..t_{hi-1}, held in the first hi - lo rows of
-    `slots`, the ring's float view, to dest, the float view of the states,
-    whose row s - 1 is sum_j c_{s,j} t_j: one real matrix product of the
-    block c[:, lo:hi] with those rows (the c_{s,j} are real).  The fold of
-    t_0 writes dest; a later one adds its product in column chunks, so that
-    no temporary grows past about one psi."""
-    coeffs = c[:, lo:hi]
-    terms = slots[:hi - lo]
+def _pole_ellipse(tau: float, centre: float, radius: float) -> float:
+    """rho_p, the parameter of the Bernstein ellipse through the pole
+    z = (i / tau - centre) / radius of the Cayley map c(centre + radius z):
+    rho_p = |w| >= 1 for the root w of z = (w + 1/w) / 2.  inf when the pole
+    lies past the floating-point range."""
+    with np.errstate(all="ignore"):
+        z = (np.complex128(1j) / tau - centre) / radius
+        w = abs(z + np.sqrt(z - 1.0) * np.sqrt(z + 1.0))
+        rho = max(w, 1.0 / w)
+    return float(rho) if np.isfinite(rho) else math.inf
+
+
+def _geometric_tail(rho_p: float, s, n):
+    """A bound G >= sum_{m >= n} |a_m(s)| for steps s >= 1 and n >= 1, as
+    arrays that broadcast (Trefethen, Approximation Theory and Approximation
+    Practice, ch. 8): in the Bernstein ellipse E_rho, rho < rho_p,
+    |c| <= K_rho = (rho_p + rho)(1 + 1/(rho rho_p)) / ((rho_p - rho)(1 - 1/(rho rho_p))),
+    so |a_m(s)| <= 2 K_rho^s rho^-m, and G is the least of the geometric
+    sums 2 K_rho^s rho^-n / (1 - 1/rho) over rho = rho_p^(j/16), j = 1..15."""
+    log_g = np.inf
+    with np.errstate(all="ignore"):  # rho_p = 1 makes every bound inf, rho_p = inf every one zero
+        for j in range(1, 16):
+            ratio, inner = np.float64(rho_p) ** (j / 16 - 1.0), np.float64(rho_p) ** (-1.0 - j / 16)
+            log_k = np.log((1.0 + ratio) * (1.0 + inner) / ((1.0 - ratio) * (1.0 - inner)))
+            log_rho = (j / 16) * np.log(rho_p)
+            log_g = np.minimum(log_g, s * log_k + (np.log(2.0) - np.log1p(-np.exp(-log_rho)) - n * log_rho))
+    return np.exp(log_g)
+
+
+def _cayley_series(tau: float, interval: tuple, k: int) -> tuple:
+    """The Chebyshev series of the steps s = 1..k of the Cayley map
+    c(lam) = (1 - i tau lam) / (1 + i tau lam) on the interval (lo, hi):
+    (coeffs, lengths, centre, radius).  With lam = centre + radius x,
+    c(lam)^s = sum_n a_n(s) T_n(x) on [-1, 1]; coeffs[s - 1, n] = a_n(s) for
+    n <= N_s and 0 past it, where N_s, the series length of step s, is the
+    fewest terms whose tail bound tail_s(N) >= sum_{n > N} |a_n(s)| is at
+    most 0.5e-14, each state's share of the certificate (CONVENTIONS.md),
+    and TERM_LIMIT + 1 if no N <= TERM_LIMIT is.  lengths[s - 1] is the
+    largest of N_1..N_s: the generator applies of a block of s steps.  The
+    a_n(s) come from one FFT of the powers c^s at x = cos(pi j / M),
+    j < 2 M.  Each tail is the sum of the computed |a_n(s)| from N + 1 up to
+    some n0 <= M + 1 plus the geometric bound past n0 (_geometric_tail),
+    the least over n0: past the FFT's ~1e-16 floor the computed a_n are
+    roundoff, and the geometric bound takes over.  The aliasing of the
+    computed a_n adds at most 2 M times the bound past M."""
+    lo, hi = interval
+    centre, radius = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    with np.errstate(over="ignore"):
+        turn = np.exp(-2j * np.arctan(tau * centre))  # c(centre), exactly 1 at centre 0
+    if not radius:  # H = centre 1: psi_s = c(centre)^s psi, with no term past T_0
+        return np.cumprod(np.full((k, 1), turn), axis=0), np.zeros(k, dtype=int), centre, 1.0
+    rho_p = _pole_ellipse(tau, centre, radius)
+    m = 64
+    while m < _MAX_HALF_SAMPLES and 2 * m * _geometric_tail(rho_p, k, m) > 1e-3 * _STATE_TAIL:
+        m *= 2
+    # c = exp(-2 i atan(tau lam)) at lam_j = centre + radius cos(theta_j),
+    # theta_j = pi j / M, formed from the angle theta0 nearest lam = 0, where c
+    # turns fastest: lam_j = lam0 - 2 radius sin((theta_j + theta0)/2)
+    # sin((theta_j - theta0)/2) keeps lam_j exact to roundoff near 0
+    theta0 = math.acos(min(1.0, max(-1.0, -centre / radius)))
+    theta = np.pi / m * np.arange(2 * m)
+    lam = centre + radius * math.cos(theta0) - 2 * radius * np.sin(0.5 * (theta + theta0)) * np.sin(
+        0.5 * (theta - theta0))
+    with np.errstate(over="ignore"):
+        powers = np.cumprod(np.broadcast_to(np.exp(-2j * np.arctan(tau * lam)), (k, 2 * m)), axis=0)
+    coeffs = np.fft.fft(powers, axis=1)[:, :m + 1] / m
+    coeffs[:, 0] /= 2.0
+    coeffs[:, m] /= 2.0
+    geometric = _geometric_tail(rho_p, np.arange(1.0, k + 1.0)[:, None], np.arange(1.0, m + 2.0))  # n0 = 1..M + 1
+    rest = np.zeros((k, m + 2))  # rest[:, n] = sum_{n <= n' <= M} |a_n'|, summed from the small end
+    rest[:, :-1] = np.cumsum(np.abs(coeffs[:, ::-1]), axis=1)[:, ::-1]
+    with np.errstate(all="ignore"):
+        # tail_s(N) = rest[N + 1] + the least over n0 > N of (geometric[n0] - rest[n0])
+        reach = np.minimum.accumulate((geometric - rest[:, 1:])[:, ::-1], axis=1)[:, ::-1]
+        top = min(m, TERM_LIMIT) + 1
+        tails = rest[:, 1:top + 1] + reach[:, :top] + 2 * m * geometric[:, m - 1:m]
+        ok = tails <= _STATE_TAIL
+    own = np.where(ok.any(axis=1), ok.argmax(axis=1), TERM_LIMIT + 1)
+    lengths = np.maximum.accumulate(own)
+    coeffs = coeffs[:, :min(lengths[-1], TERM_LIMIT) + 1]
+    coeffs[np.arange(coeffs.shape[1]) > own[:, None]] = 0.0
+    return coeffs, lengths, centre, radius
+
+
+def _fold(dest: np.ndarray, coeffs: np.ndarray, lengths: np.ndarray, ring: np.ndarray, lo: int, hi: int):
+    """Add the terms T_lo..T_{hi-1}, held in the first hi - lo rows of
+    `ring`, to dest, whose row s - 1 is the state sum_n a_n(s) T_n: one
+    matrix product of coeffs[:, lo:hi] with those rows, for the states
+    whose series reach T_lo (lengths grows with s, so they are the last
+    rows).  The fold of T_0 writes dest; a later one adds its product in
+    column chunks of about one psi each, or in one product when the rows
+    hold at most RING_VALUES values."""
+    first = int(np.searchsorted(lengths, lo))
+    rows, block, terms = dest[first:], coeffs[first:, lo:hi], ring[:hi - lo]
     if lo == 0:
-        np.dot(coeffs, terms, out=dest)
+        np.dot(block, terms, out=rows)
         return
-    width = -(-dest.shape[1] // len(dest))
-    for col in range(0, dest.shape[1], width):
-        dest[:, col:col + width] += np.dot(coeffs, terms[:, col:col + width])
+    width = rows.shape[1] if rows.size <= RING_VALUES else -(-rows.shape[1] // len(rows))
+    for col in range(0, rows.shape[1], width):
+        rows[:, col:col + width] += np.dot(block, terms[:, col:col + width])
 
 
-def _cayley_block(h_apply: Callable, psi: np.ndarray, tau: float, n: int, ring: np.ndarray,
-                  flat_ring: np.ndarray, out: np.ndarray) -> list:
-    """Steps n..n+k-1 of evolve_pauli, k = len(out): the states
-    psi_s = C^s psi, s = 1..k, of the Cayley map C = (1 + w)(1 - w)^-1,
-    w = -i tau H, from one series of terms t_j = w^j psi, as
-    psi_s = sum_{j<=m} c_{s,j} t_j (module docstring), written to the rows
-    of out, the float view of the states (one row of re, im pairs per
-    state).  Term j is written to slot j % len(ring) of the ring (at least
-    two slots; t_0 = psi is copied to slot 0), and each full ring, then the
-    last one, full or partial, is folded into out through the ring's float
-    view flat_ring by one matrix product (_fold).  Step s is certified by
-    the first term t_m with (c_{s,m} + c_{s-1,m}) |t_m| <= 1e-14 |b|,
-    b = psi + t_1, and the series ends when every step is.  Returns ms,
-    where ms[s - 1] is the m that certified step s: the terms, and so the
-    generator applies, that a block of s steps takes.  After 500 terms only
-    the leading steps that t_500 certifies are kept, and SolverDivergence is
-    raised if the first is not.  Norms are compared squared, the shrink
-    rule starts from t_0 = psi, and an overflowing term, whose norm is
-    infinite or NaN, raises too."""
-    k = len(out)
-    c, weights = _block_coefficients(k)
-    cap = len(ring)
-    t = ring[0]
-    t[...] = psi
-    last = np.vdot(psi, psi).real
-    factor = np.array(-1j * tau)  # numpy multiplies by a 0-d array faster than by a Python scalar
-    ms = []
-    for m in range(1, 501):
-        j = m % cap
-        prev, t = t, ring[j]
-        np.multiply(h_apply(prev), factor, out=t)
-        tt = np.vdot(t, t).real
-        if tt and not tt < last:  # a zero term (psi = 0, H psi = 0) ends the series below
-            raise SolverDivergence(f"the Cayley series stopped shrinking at step {n}; reduce dt")
-        if m == 1:
-            b = psi + t
-            tol = 1e-28 * np.vdot(b, b).real  # (1e-14 |b|)^2
-            del b
-        if j == cap - 1:  # the ring is full
-            _fold(out, c, flat_ring, m + 1 - cap, m + 1)
-        while weights[m][len(ms)] * tt <= tol:  # t_m certifies step len(ms) + 1
-            ms.append(m)
-        if len(ms) == k:  # every step of the block is certified
-            break
-        last = tt
-    else:
-        del ms[sum(w * tt <= tol for w in weights[500]):]
-        if not ms:
-            raise SolverDivergence(f"the Cayley series stalled at step {n}")
-    if j != cap - 1:  # the last ring is partial
-        _fold(out, c, flat_ring, m - j, m + 1)
-    return ms
+def _cayley_block(h_apply: Callable, psi: np.ndarray, series: tuple, norm2: Callable, step: int,
+                  slots: list, flat_ring: np.ndarray, out: np.ndarray):
+    """Steps step..step+k-1 of evolve_pauli, k = len(out): the states
+    psi_s = sum_{n <= N_s} a_n(s) T_n(H~) psi, s = 1..k, H~ = (H - centre) /
+    radius, from series = (coeffs, lengths, centre, radius) of
+    _cayley_series cut to k steps, written to the rows of out.  The terms
+    come from T_0 = psi, T_1 = H~ psi and T_{n+1} = 2 H~ T_n - T_{n-1}, one
+    generator apply each.  Term n goes to slots[n % len(slots)], the rows
+    of the ring whose (slots, values) view is flat_ring (at least two
+    slots), and each full ring, then the last one, full or partial, is
+    folded into out by one matrix product (_fold).  As H is
+    self-adjoint for the norm whose square norm2 gives and the interval
+    holds its spectrum, no term outgrows psi: before each fold, a term
+    that does by more than roundoff, or is not finite, raises
+    SolverDivergence."""
+    coeffs, lengths, centre, radius = series
+    cap = len(slots)
+    flat_out = out.reshape(len(out), -1)
+    slots[0][...] = psi
+    limit = norm2(psi)
+    last = int(lengths[-1])
+    for n in range(1, last + 1):
+        j = n % cap
+        prev, slot = slots[j - 1], slots[j]
+        t = h_apply(prev)
+        scale = 2.0 / radius if n > 1 else 1.0 / radius
+        t *= scale
+        if n > 1:
+            t -= slots[j - 2]  # T_{n-2}, in slot j itself when the ring has two
+        if centre:
+            np.multiply(prev, -centre * scale, out=slot)
+            slot += t
+        else:
+            slot[...] = t
+        del t  # not alive through the next apply
+        if j == cap - 1 or n == last:
+            bound = limit * (1.0 + 64 * n * n * _EPS)
+            if not all(norm2(term) <= bound for term in slots[:j + 1]):  # NaN fails too
+                raise SolverDivergence(f"the Chebyshev terms of the Cayley map grow at step {step}: "
+                                       "the generator is not self-adjoint on its Gershgorin interval")
+            _fold(flat_out, coeffs, lengths, flat_ring, n - j, n + 1)
+    if not last:
+        _fold(flat_out, coeffs, lengths, flat_ring, 0, 1)
+
+
+def _run_terms(lengths: np.ndarray, steps: int, k: int) -> float:
+    """The terms T_0..T_N of every series of a run of `steps` steps in
+    blocks of k, the last block holding the rest, where a block of s steps
+    takes the lengths[s - 1] + 1 terms of _cayley_series; inf when a block
+    of k steps takes more than TERM_LIMIT."""
+    if lengths[k - 1] > TERM_LIMIT:
+        return math.inf
+    full, rest = divmod(steps, k)
+    return full * (int(lengths[k - 1]) + 1) + (int(lengths[rest - 1]) + 1 if rest else 0)
 
 
 def evolve_pauli(
@@ -677,29 +788,23 @@ def evolve_pauli(
     snapshot_every: int = 0,
 ) -> Trajectory:
     """Crank-Nicolson evolution (1 + i tau H) psi+ = (1 - i tau H) psi with
-    tau = dt/2, solved matrix-free in blocks of steps: one Neumann series of
-    terms t_j = (-i tau H)^j psi, one generator apply per term, gives a
-    block's states psi_s = sum_{j<=m} c_{s,j} t_j (module docstring; one
-    step is psi + 2 sum_{j>=1} t_j).  The series ends at the first m where
-    (c_{s,m} + c_{s-1,m}) |t_m| <= 1e-14 |b|, b = psi + t_1, for every step s
-    of the block, which certifies each step: its residual
-    (1 + i tau H) psi_s - (1 - i tau H) psi_{s-1} is
-    -(c_{s,m} + c_{s-1,m}) t_{m+1}.  The first block has MAX_STEP_BLOCK
-    steps, and its series gives m_s, the term that certified step s, for
-    each of them; every later block has the k that minimises m_k / k, the
-    generator applies per step, the shorter on a tie (the last block may be
-    shorter still).  So the block length follows from the input alone.  A
-    term no smaller than the one before it means the series does not
-    converge at this dt, and SolverDivergence is raised at once for the
-    block's first step.  After 500 terms a block keeps its leading certified
-    steps, and raises if its first step is not certified.  The terms go to a
-    ring of max(2, min(501, RING_VALUES // psi.size)) psi-shaped slots, and
-    the states of a block to a buffer of MAX_STEP_BLOCK states; both, and
-    their float views, are made once (_cayley_block).  Norm, <sigma> and
-    width are recorded at every step: each state is copied into a block of
-    OBSERVABLE_BLOCK // psi.size states (at most steps + 1), and
-    _observables evaluates each full block, and the last partial one, in one
-    pass; a block of one state is the state itself, with no copy.  A
+    tau = dt/2, in blocks of steps, each block's states from one Chebyshev
+    series of the Cayley map (module docstring; _cayley_series,
+    _cayley_block), every step certified to 1e-14 |b| (CONVENTIONS.md).
+    The generator is reached only through pauli_generator(geom).apply_fn,
+    and its Gershgorin interval through geom.generator_interval.  The
+    block length k is the one of at most min(steps, BLOCK_CAP,
+    max(STATE_BLOCK, RING_VALUES // psi.size)) steps whose blocks take the
+    fewest terms for the whole run (_run_terms), the shorter on a tie, so
+    it follows from the input alone.  A dt whose one step needs more than
+    TERM_LIMIT terms raises SolverDivergence before any apply.  The terms
+    go to a ring of max(2, min(TERM_LIMIT + 1, RING_VALUES // psi.size))
+    psi-shaped slots and the states to a buffer of
+    min(steps, max(k, OBSERVABLE_BLOCK // psi.size)) states, both made
+    once; the blocks fill the buffer one after another.  Norm, <sigma> and
+    width are recorded at every step: when the buffer is full, and at the
+    end, _observables evaluates its states, with no copy, in passes of at
+    most OBSERVABLE_BLOCK // psi.size states (at least one).  A
     snapshot's grid carries its step's time, spec.time + step * dt, as
     Trajectory.times does.  The background must be static
     (`require_static`)."""
@@ -709,36 +814,53 @@ def evolve_pauli(
     spec = psi0.spec
     psi = psi0.psi  # read, never written: each block copies its psi into the ring
     obs = np.empty((5, steps + 1))
-    size = max(1, min(steps + 1, OBSERVABLE_BLOCK // psi.size))
-    block = np.empty((size,) + psi.shape, dtype=complex) if size > 1 else None
-    # at most RING_VALUES values, and no more slots than the terms t_0..t_500
-    ring = np.empty((max(2, min(501, RING_VALUES // psi.size)),) + psi.shape, dtype=complex)
-    states = np.empty((min(MAX_STEP_BLOCK, steps),) + psi.shape, dtype=complex)
-    flat_ring = ring.reshape(len(ring), psi.size).view(float)
-    flat_states = states.reshape(len(states), psi.size).view(float)
+    k = 0
+    if steps:
+        most = min(steps, BLOCK_CAP, max(STATE_BLOCK, RING_VALUES // psi.size))
+        coeffs, lengths, centre, radius = _cayley_series(0.5 * dt, geom.generator_interval, most)
+        if lengths[0] > TERM_LIMIT:
+            raise SolverDivergence(f"one step of dt {dt!r} takes more than {TERM_LIMIT} Chebyshev terms; reduce dt")
+        k = min(range(1, most + 1), key=lambda s: _run_terms(lengths, steps, s))
+        coeffs, lengths = coeffs[:k, :lengths[k - 1] + 1], lengths[:k]
+    if np.ndim(geom.sqrtg) == 0:  # the norms of one weight compare as plain norms
+        def norm2(row):
+            return np.vdot(row, row).real
+    else:
+        weight = np.repeat(geom.sqrtg[..., None], 2, axis=-1)  # one per spinor component
+
+        def norm2(row):
+            return np.vdot(row, weight * row).real
+    chunk = max(1, OBSERVABLE_BLOCK // psi.size)
+    # at most RING_VALUES values, and no more slots than the terms T_0..T_TERM_LIMIT
+    ring = np.empty((max(2, min(TERM_LIMIT + 1, RING_VALUES // psi.size)),) + psi.shape, dtype=complex)
+    slots, flat_ring = list(ring), ring.reshape(len(ring), -1)
+    states = np.empty((min(steps, max(k, chunk)),) + psi.shape, dtype=complex)
     snaps = []
 
-    def record(step):
-        k = step % size
-        if block is not None:
-            block[k] = psi
-        if k == size - 1 or step == steps:
-            obs[:, step - k:step + 1] = _observables(geom, psi[None] if block is None else block[:k + 1])
-        if snapshot_every and step % snapshot_every == 0:
-            snaps.append((step, SpinorGrid(replace(spec, time=spec.time + step * dt), psi.copy())))
+    def record(first, stack):
+        """The observables, and the snapshots due, of the states of steps first.. in stack."""
+        for lo in range(0, len(stack), chunk):
+            part = stack[lo:lo + chunk]
+            obs[:, first + lo:first + lo + len(part)] = _observables(geom, part)
+        if snapshot_every:
+            for step in range(first + (-first) % snapshot_every, first + len(stack), snapshot_every):
+                snaps.append((step, SpinorGrid(replace(spec, time=spec.time + step * dt), stack[step - first].copy())))
 
-    record(0)
-    n = 1
-    k = MAX_STEP_BLOCK
-    # an overflowing term is caught by the block's shrink rule, not by a warning
+    record(0, psi[None])
+    n, held = 1, 0  # the next step, and the states of steps n - held..n - 1 not yet recorded
+    # a term that overflows is caught before its fold, not by a warning
     with np.errstate(over="ignore", invalid="ignore"):
         while n <= steps:
-            ms = _cayley_block(h_apply, psi, 0.5 * dt, n, ring, flat_ring, flat_states[:min(k, steps + 1 - n)])
-            if n == 1:  # the fewest applies per step, m_k / k
-                k = min(enumerate(ms, 1), key=lambda sm: sm[1] / sm[0])[0]
-            for psi in states[:len(ms)]:
-                record(n)
-                n += 1
+            count = min(k, steps + 1 - n)
+            if held + count > len(states):
+                record(n - held, states[:held])
+                held = 0
+            series = (coeffs[:count], lengths[:count], centre, radius)
+            _cayley_block(h_apply, psi, series, norm2, n, slots, flat_ring, states[held:held + count])
+            held += count
+            psi = states[held - 1]
+            n += count
+    record(n - held, states[:held])
     step_numbers = np.arange(steps + 1)
     return Trajectory(
         steps=step_numbers,

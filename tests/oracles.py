@@ -216,26 +216,40 @@ def read_snapshot(path) -> SpinorGrid:
     return SpinorGrid(GridSpec(axes, time), raw[..., 0] + 1j * raw[..., 1])
 
 
-def cayley_coefficient(s: int, j: int) -> int:
-    """c_{s,j}, the coefficient of w^j in C^s = (1 + w)^s (1 - w)^-s, as an
-    exact integer: sum_i binom(s, i) binom(s - 1 + j - i, s - 1)."""
-    if s == 0:
-        return int(j == 0)
-    return sum(math.comb(s, i) * math.comb(s - 1 + j - i, s - 1) for i in range(min(s, j) + 1))
-
-
-def certifying_terms(rates, psi, count: int) -> list:
-    """For H = diag(rates) / tau on one node, whose term t_m = (-i tau H)^m psi
-    has |t_m|^2 = sum_a |psi_a|^2 rates_a^(2m): per step s = 1..count the
-    first m with (c_{s,m} + c_{s-1,m})^2 |t_m|^2 <= 1e-28 |psi + t_1|^2."""
-    weights = np.abs(np.asarray(psi).ravel()) ** 2
-    rates = np.asarray(rates, dtype=float)
-    b2 = float(np.sum(weights * (1.0 + rates**2)))
-    out = []
-    for s in range(1, count + 1):
-        for m in range(1, 501):
-            w = cayley_coefficient(s, m) + cayley_coefficient(s - 1, m)
-            if w * w * float(np.sum(weights * rates ** (2 * m))) <= 1e-28 * b2:
-                out.append(m)
-                break
+def chebyshev_coefficients(f, count: int, nodes: int) -> np.ndarray:
+    """The first `count` Chebyshev coefficients a_n of f on [-1, 1], with
+    f(x) = sum_n a_n T_n(x), by Gauss-Chebyshev quadrature over `nodes`
+    points x_j = cos(pi (j + 1/2) / nodes): a_n = (2 - delta_n0) / nodes
+    sum_j f(x_j) cos(n pi (j + 1/2) / nodes), in numpy's long double, so
+    that the roundoff of each a_n lies far below 1e-16.  f maps an array of
+    x to an array of values, one row per function."""
+    theta = np.arccos(np.longdouble(-1)) * (np.arange(nodes, dtype=np.longdouble) + 0.5) / nodes  # pi in long double
+    values = np.atleast_2d(f(np.cos(theta)))
+    out = values @ np.cos(np.outer(theta, np.arange(count))) * (np.longdouble(2) / nodes)
+    out[:, 0] /= 2
     return out
+
+
+def dense_operator(apply_fn, shape: tuple) -> np.ndarray:
+    """The matrix of a grid operator on spinor grids of the given node
+    shape, built column by column from apply_fn on the unit spinor grids."""
+    size = int(np.prod(shape)) * 2
+    out = np.empty((size, size), dtype=complex)
+    unit = np.zeros(size, dtype=complex)
+    for j in range(size):
+        unit[j] = 1.0
+        out[:, j] = apply_fn(unit.reshape(shape + (2,))).ravel()
+        unit[j] = 0.0
+    return out
+
+
+def crank_nicolson_dense(matrix: np.ndarray, psi: np.ndarray, dt: float, steps: int) -> list:
+    """psi and the states of `steps` Crank-Nicolson steps
+    (1 + i dt/2 H) psi+ = (1 - i dt/2 H) psi, by the step matrix
+    (1 + i dt/2 H)^-1 (1 - i dt/2 H) of one dense solve."""
+    eye = np.eye(len(matrix))
+    step = np.linalg.solve(eye + 0.5j * dt * matrix, eye - 0.5j * dt * matrix)
+    states = [psi.ravel()]
+    for _ in range(steps):
+        states.append(step @ states[-1])
+    return [state.reshape(psi.shape) for state in states]

@@ -176,11 +176,17 @@ def test_evolve_missing_grid(tmp_path):
 
 
 def test_evolve_too_large_dt_exits_1_with_error_line(tmp_path):
-    """A step at which the Cayley iteration does not contract is a solver
-    failure: exit 1, one error line, before any overflow, and no output
-    directory."""
-    out = tmp_path / "out"
+    """free_packet at dt 0.008, where the Neumann series of the Cayley step
+    used to diverge, evolves: exit 0.  At dt 3.0 one step takes more than
+    TERM_LIMIT Chebyshev terms, which is a solver failure: exit 1, one
+    error line, no warning, and no output directory."""
+    ok = tmp_path / "ok"
     res = run_cli("evolve", str(SCENARIO_DIR / "free_packet.json"), "--dt", "0.008", "--steps", "2",
+                  "--out", str(ok))
+    assert res.returncode == 0, res.stderr
+    assert json.loads((ok / "summary.json").read_text())["norm_drift"] <= 1e-13
+    out = tmp_path / "out"
+    res = run_cli("evolve", str(SCENARIO_DIR / "free_packet.json"), "--dt", "3.0", "--steps", "2",
                   "--out", str(out))
     assert res.returncode == 1, res.stderr
     lines = res.stderr.strip().splitlines()
@@ -485,14 +491,26 @@ def test_unusable_constant_or_count_is_a_load_error(scenario, message):
     assert _main("verify", json.dumps(scenario), "--suite", "jacobi") == (2, "", f"error: {message}\n")
 
 
-def test_evolve_overflowing_first_term_is_a_solver_failure(tmp_path):
-    """A dt at which the first term of the Cayley series overflows (a rough
-    psi0 on a fine grid) fails like any dt at which the series diverges:
-    exit 1 with one `error:` line and no overflow warning."""
+def test_evolve_overflowing_first_term_is_a_solver_failure(tmp_path, monkeypatch):
+    """A dt of 1e306 on a fine grid, at which tau H overflows, fails like
+    any dt whose one step takes more than TERM_LIMIT Chebyshev terms: exit
+    1 with one `error:` line, no overflow warning and no output directory,
+    decided from the series' coefficients before any generator apply."""
+    from cqm import quantum
+
+    applies = []
+    original = quantum.pauli_generator
+
+    def counting(geom):
+        op = original(geom)
+        return quantum.GridOperator(op.label, lambda psi: applies.append(1) or op.apply_fn(psi), op.symmetric)
+
+    monkeypatch.setattr(quantum, "pauli_generator", counting)
     scn = {"grid": {"axes": [[-1, 1, 201], [0, 0, 1], [0, 0, 1]], "psi0": [["1", "0"], ["0", "0"]]}}
     rc, out, err = _main("evolve", json.dumps(scn), "--steps", "2", "--dt", "1e306", "--out", str(tmp_path / "out"))
     assert (rc, out) == (1, "")
     assert err.startswith("error: ") and "reduce dt" in err and len(err.splitlines()) == 1, err
+    assert applies == [] and not (tmp_path / "out").exists()
 
 
 def _assert_exit_contract(rc, out, err):
@@ -509,7 +527,7 @@ def _assert_exit_contract(rc, out, err):
 _TEXT_ARG = st.text(max_size=4)
 _DT = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True).map(repr),
-    st.sampled_from(["5e-324", "1e-310", "2.2250738585072014e-308", "14.28", "14.29", "1e300", "0"]),
+    st.sampled_from(["5e-324", "1e-310", "2.2250738585072014e-308", "187", "188", "1e300", "0"]),
     _TEXT_ARG,
 )
 
@@ -521,7 +539,8 @@ _DT = st.one_of(
 @example(steps="2", dt="1e300", every="1")
 def test_evolve_arguments_keep_the_exit_contract(steps, dt, every):
     """--steps, --dt and --snapshot-every on larmor.json (one node, where
-    dt >= 14.29 makes the Cayley series diverge)."""
+    one step of dt 187 takes 499 Chebyshev terms and one of dt 188 more
+    than TERM_LIMIT)."""
     argv = ["--steps", steps, "--dt", dt] + ([] if every is None else ["--snapshot-every", every])
     with tempfile.TemporaryDirectory() as tmp:
         _assert_exit_contract(*_main("evolve", str(SCENARIO_DIR / "larmor.json"), *argv, "--out", tmp))

@@ -36,7 +36,8 @@ from cqm.units import DIMLESS
 from cqm.verify import _metricity_residual, _smooth_grid, bracket_as_function, run_suites
 
 from conftest import SCENARIO_DIR, derive_expr, make_special, scenario_dict
-from oracles import act_on_section, cayley_coefficient, certifying_terms, d1, grid_norm, read_snapshot, shift
+from oracles import (act_on_section, chebyshev_coefficients, crank_nicolson_dense, d1, dense_operator, grid_norm,
+                     read_snapshot, shift)
 
 
 def flat_1d_spec(n=201, half=12.0):
@@ -312,19 +313,6 @@ def test_crank_nicolson_keeps_the_norm_on_a_curved_metric():
     assert np.max(np.abs(np.diff(traj.norms))) <= 1e-13
 
 
-def test_step_guard(flat_scenario, monkeypatch):
-    """A dt at which the fixed-point updates grow fails at step 1 after a
-    few generator applies, before anything overflows."""
-    spec = GridSpec(((-2, 2, 65), (0, 0, 1), (0, 0, 1)), 0.0)
-    packet = gaussian_1d(spec, sigma=0.4)
-    applies = counted_generator(monkeypatch)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(SolverDivergence, match="at step 1;"):
-            evolve_pauli(flat_scenario.qd, packet, 1.0, 2)
-    assert 1 <= len(applies) <= 5
-
-
 def assert_steps_certified(sc, geom, psi0, dt, steps=10):
     """Every step, at every place in its block of steps, solves
     (1 + i tau H) x = (1 - i tau H) psi to 1e-13 |b|, and keeps the norm, as
@@ -363,115 +351,190 @@ def counted_generator(monkeypatch):
     return applies
 
 
-def series_lengths(monkeypatch):
-    """A list that gains, per Neumann series that evolve_pauli runs from now
-    on, the number of steps the series was asked for."""
+def block_lengths(monkeypatch):
+    """A list that gains, per series that evolve_pauli runs from now on,
+    the number of steps the series serves."""
     lengths = []
     original = quantum._cayley_block
 
-    def spy(h_apply, psi, tau, n, ring, flat_ring, out):
-        lengths.append(len(out))
-        return original(h_apply, psi, tau, n, ring, flat_ring, out)
+    def spy(*args):
+        lengths.append(len(args[-1]))  # the block's buffer of states
+        return original(*args)
 
     monkeypatch.setattr(quantum, "_cayley_block", spy)
     return lengths
 
 
 def test_cayley_residual_certifies_each_step(monkeypatch):
-    """free_packet at dt 0.006, beyond what a dt |H| <= 1.5 rule admits, over
-    10 steps (a first block of 7, then single steps), 2 steps (one partial
-    first block) and none.  Its terms shrink only about 2x each there, so
-    the first series certifies its steps at m_s = 16, 40, 68, ...: a block
-    takes more generator applies per step than single steps, and the later
-    blocks are single steps.  Every step still evolves certified."""
+    """free_packet at dt 0.008, past the dt at which the Neumann series of
+    the Cayley step diverged (tau |H| = 1.14), over 10 steps, 2 steps and
+    none: one series serves all the steps of a run of up to 42 steps (the
+    states of 383 nodes that RING_VALUES holds), and every step still
+    evolves certified."""
     sc = load_scenario(SCENARIO_DIR / "free_packet.json")
     geom = GridGeometry(sc.qd, sc.grid)
-    lengths = series_lengths(monkeypatch)
-    for steps, blocks in ((10, [7, 1, 1, 1]), (2, [2]), (0, [])):
+    lengths = block_lengths(monkeypatch)
+    for steps, blocks in ((10, [10]), (2, [2]), (0, [])):
         lengths.clear()
-        assert_steps_certified(sc, geom, sc.initial_grid(), 0.006, steps)
+        assert_steps_certified(sc, geom, sc.initial_grid(), 0.008, steps)
         assert lengths == blocks
 
 
-def test_cayley_block_at_the_term_limit():
-    """On one node with H = (r / tau) 1 the terms shrink by r each, so after
-    500 terms |t_500| = r^500 |psi|.  With r^500 = 1e-16 the first step's
-    residual bound 2 |t_500| is below 1e-14 |b| and the second's
-    (c_{2,500} + c_{1,500}) |t_500| = 2002 |t_500| is not: the block returns
-    the first step alone, the Cayley map (1 - i r)/(1 + i r) of psi.  With
-    r^500 = 1e-13 no step is certified and the block raises."""
-    psi = np.array([[[[0.6, 0.8j]]]])
-    tau = 0.05
-    ring = np.empty((2,) + psi.shape, complex)
-    states = np.empty((3,) + psi.shape, complex)
-    views = ring.reshape(2, -1).view(float), states.reshape(3, -1).view(float)
-    r = 10.0 ** (-16 / 500)
-    ms = quantum._cayley_block(lambda v: (r / tau) * v, psi, tau, 7, ring, *views)
-    assert ms == certifying_terms((r, r), psi, 3) == [443]  # t_443 certified step 1 first
-    np.testing.assert_allclose(states[0], (1 - 1j * r) / (1 + 1j * r) * psi, rtol=0, atol=1e-14)
-    r = 10.0 ** (-13 / 500)
-    with pytest.raises(SolverDivergence, match="stalled at step 7"):
-        quantum._cayley_block(lambda v: (r / tau) * v, psi, tau, 7, ring, *views)
+def test_a_step_far_past_the_neumann_limit_is_certified(flat_scenario, monkeypatch):
+    """dt 1.0 on 65 nodes of [-2, 2], where tau |H| = 256 and the Neumann
+    series of the Cayley step diverged at its first term: one step takes a
+    Chebyshev series of 400 terms and two steps more than TERM_LIMIT, so
+    the run takes blocks of one step, with no overflow or warning, and each
+    step solves the Cayley system to 1e-13 |b|."""
+    spec = GridSpec(((-2, 2, 65), (0, 0, 1), (0, 0, 1)), 0.0)
+    geom = GridGeometry(flat_scenario.qd, spec)
+    applies = counted_generator(monkeypatch)
+    lengths = block_lengths(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert_steps_certified(flat_scenario, geom, gaussian_1d(spec, sigma=0.4), 1.0, steps=2)
+    assert lengths == [1, 1] and len(applies) == 2 * 400
 
 
-# one node, H = diag(rates) / tau, psi: the terms certifying steps 1..7 of
-# the first series, and the block length the rule picks from them.  A
-# uniform shrink certifies each further step within a few terms, so it
-# picks the cap; a tail 1e-15 of psi that shrinks only 0.7x a term, like
-# free_packet's cut at the box edge, makes long blocks dear; 3e-14 of a
-# 0.5x tail puts blocks of 5 and 6 at 4 terms a step, and the tie goes to 5.
-ORACLE_CASES = [((0.3, 0.3), (0.6, 0.8j), [28, 31, 34, 37, 40, 42, 45], 7),
-                ((0.1, 0.7), (1.0, 1e-15), [15, 16, 18, 23, 35, 46, 57], 4),
-                ((0.1, 0.5), (1.0, 3e-14), [15, 16, 18, 19, 20, 24, 29], 5)]
-
-
-@pytest.mark.parametrize("rates, amplitudes, ms, pick", ORACLE_CASES)
-def test_block_length_follows_the_first_series(rates, amplitudes, ms, pick, monkeypatch):
-    """On one node with H = diag(rates) / tau the terms have closed-form
-    norms, so the m_s of the first series and the k minimising m_k / k
-    (the shorter on a tie) have closed forms (oracles.certifying_terms).
-    _cayley_block returns those m_s, and evolve_pauli runs 7 steps, then
-    blocks of the picked k and the rest.  With one rate r every block's
-    terms shrink as the first's, so the run's applies are m_7 for the first
-    block and m_k for each later one, and psi turns by (1 - i r)/(1 + i r)
-    a step.  (With two, a block leaves the slow tail only certified
-    against |b|, not against itself, so later series see another tail.)"""
-    psi = np.array(amplitudes, dtype=complex).reshape(1, 1, 1, 2)
-    rates = np.array(rates)
-    tau = 0.05
-    assert certifying_terms(rates, psi, 7) == ms
-    assert min(range(1, 8), key=lambda k: ms[k - 1] * 420 // k) == pick  # 420 = lcm(1..7): exact ratios
-    ring = np.empty((64,) + psi.shape, complex)
-    states = np.empty((7,) + psi.shape, complex)
-    views = ring.reshape(64, -1).view(float), states.reshape(7, -1).view(float)
-    assert quantum._cayley_block(lambda v: v * (rates / tau), psi, tau, 1, ring, *views) == ms
-
+def test_a_dt_past_the_term_limit_fails_before_any_apply(monkeypatch):
+    """On Larmor's node (interval [-0.14, 0.14]) one step of dt 180 takes
+    472 terms and two steps more than TERM_LIMIT = 500, so a run of 3
+    steps takes blocks of one step, each certified.  At dt 200, and at
+    dt 1e306, one step takes more than 500 terms: the run raises
+    SolverDivergence from the coefficients alone, before any generator
+    apply and with no warning."""
     sc = load_scenario(SCENARIO_DIR / "larmor.json")
     geom = GridGeometry(sc.qd, sc.grid)
-    monkeypatch.setattr(quantum, "pauli_generator",
-                        lambda geom: quantum.GridOperator("H", lambda v: v * (rates / tau), True))
+    assert quantum.TERM_LIMIT == 500
     applies = counted_generator(monkeypatch)
-    lengths = series_lengths(monkeypatch)
-    steps = 30
-    traj = evolve_pauli(sc.qd, SpinorGrid(geom.spec, psi), 2.0 * tau, steps, geom=geom)
-    later, rest = divmod(steps - 7, pick)
-    assert lengths == [7] + [pick] * later + [rest] * (rest > 0)
-    if rates[0] == rates[1]:
-        assert len(applies) == ms[6] + later * ms[pick - 1] + (ms[rest - 1] if rest else 0)
-        turn = ((1 - 1j * rates) / (1 + 1j * rates)) ** steps
-        np.testing.assert_allclose(traj.final.psi, turn * psi, rtol=0, atol=1e-13)
+    lengths = block_lengths(monkeypatch)
+    assert_steps_certified(sc, geom, sc.initial_grid(), 180.0, steps=3)
+    assert lengths == [1, 1, 1] and len(applies) == 3 * 472
+    applies.clear()
+    for dt in (200.0, 1e306):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SolverDivergence, match="more than 500 Chebyshev terms; reduce dt"):
+                evolve_pauli(sc.qd, sc.initial_grid(), dt, 2, geom=geom)
+    assert applies == []
 
 
-def test_block_coefficients_are_exact_up_to_the_cap():
-    """The c_{s,j} of the longest block, s <= MAX_STEP_BLOCK = 7, j <= 500,
-    are the integers of (1 + w)^s (1 - w)^-s exactly, and so are the sums
-    c_{s,j} + c_{s-1,j} of the residual weights; at s = 8 that sum passes
-    2^53, where float64 stops holding every integer."""
-    assert quantum.MAX_STEP_BLOCK == 7
-    c, _ = quantum._block_coefficients(7)
-    assert c.tolist() == [[cayley_coefficient(s, j) for j in range(501)] for s in range(1, 8)]
-    top = cayley_coefficient(7, 500) + cayley_coefficient(6, 500)
-    assert top < 2**53 < cayley_coefficient(8, 500) + cayley_coefficient(7, 500)
+def test_terms_that_outgrow_psi_raise(monkeypatch):
+    """A generator twice the one whose Gershgorin interval evolve_pauli
+    reads has its spectrum outside that interval, so its Chebyshev terms
+    grow as T_n(3) does: the run raises SolverDivergence at its first
+    fold, with no overflow warning, rather than sum terms the tail bound
+    does not cover."""
+    sc = load_scenario(SCENARIO_DIR / "free_packet.json")
+    geom = GridGeometry(sc.qd, sc.grid)
+    original = quantum.pauli_generator
+
+    def doubled(geom):
+        op = original(geom)
+        return quantum.GridOperator(op.label, lambda psi: 2.0 * op.apply_fn(psi), op.symmetric)
+
+    monkeypatch.setattr(quantum, "pauli_generator", doubled)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SolverDivergence, match="grow at step 1: the generator is not self-adjoint"):
+            evolve_pauli(sc.qd, sc.initial_grid(), 0.004, 10, geom=geom)
+
+
+def cayley_powers(tau, interval, steps):
+    """x -> the rows c(lam)^s, s = 1..steps, of the Cayley map
+    c(lam) = (1 - i tau lam) / (1 + i tau lam) at lam = centre + radius x."""
+    lo, hi = interval
+
+    def f(x):
+        lam = (lo + hi) / 2 + (hi - lo) / 2 * x
+        return ((1 - 1j * tau * lam) / (1 + 1j * tau * lam)) ** np.arange(1, steps + 1)[:, None]
+
+    return f
+
+
+# (tau, Gershgorin interval, steps, the most terms the bound may add to the
+# fewest that the block's exact tails need, or None): free_packet at dt
+# 0.004 and 0.008, the 24^3 flat_magnetic packet at dt 0.02, Larmor's node
+# at dt 0.1, and 65 nodes of [-2, 2] at dt 1.0
+SERIES_CASES = [(0.002, (0.0, 285.0078125), 42, 2), (0.004, (0.0, 285.0078125), 42, None),
+                (0.01, (-0.14, 52.20754129492143), 7, 2), (0.05, (-0.14, 0.14), 128, 2), (0.5, (0.0, 512.0), 1, None)]
+
+
+@pytest.mark.parametrize("tau, interval, steps, slack", SERIES_CASES,
+                         ids=["free_packet-dt0.004", "free_packet-dt0.008", "packet3d-dt0.02", "larmor-dt0.1",
+                              "65_nodes-dt1"])
+def test_cayley_series_matches_quadrature_and_bounds_its_tails(tau, interval, steps, slack):
+    """The a_n(s) of _cayley_series are the Chebyshev coefficients of
+    c(lam)^s that a long-double Gauss-Chebyshev quadrature gives
+    (oracles.chebyshev_coefficients), to 1e-14 up to each state's series
+    length N_s, and 0 past it.  The tail of the quadrature's coefficients
+    past N_s is at most 0.5e-14, each state's share of the certificate: the
+    a priori bound, which sums the computed coefficients down to their
+    roundoff and bounds the rest geometrically, holds.  Where the
+    coefficients fall fast (the three benchmark evolutions) the block's
+    length, the largest N_s, is at most two terms more than the exact
+    tails need; where they fall slowly past the roundoff of the computed
+    ones, the geometric bound costs more.  lengths[s - 1] is the largest
+    of N_1..N_s."""
+    coeffs, lengths, centre, radius = quantum._cayley_series(tau, interval, steps)
+    lo, hi = interval
+    assert (centre, radius) == (0.5 * (lo + hi), 0.5 * (hi - lo))
+    count = int(lengths[-1]) + 250  # the tail past it lies below 1e-25
+    exact = chebyshev_coefficients(cayley_powers(tau, interval, steps), count, count + 200).astype(complex)
+    own = [max(np.flatnonzero(row), default=0) for row in coeffs]
+    assert list(lengths) == list(np.maximum.accumulate(own))
+    need = 0
+    for s in range(steps):
+        n = own[s]
+        np.testing.assert_allclose(coeffs[s, :n + 1], exact[s, :n + 1], rtol=0, atol=1e-14)
+        tails = np.cumsum(np.abs(exact[s, ::-1]))[::-1]  # tails[m] = sum_{n' >= m} |a_n'|
+        assert tails[n + 1] <= 0.5e-14
+        need = max(need, int(np.argmax(tails[1:] <= 0.5e-14)))
+    if slack is not None:
+        assert lengths[-1] <= need + slack
+
+
+# (scenario, grid or None for the scenario's own, dt, steps, and per ring
+# the generator applies and the blocks of the run); the 8^3 and 15^2 grids
+# carry a spinor packet, the 1-D grid a moving Gaussian
+DENSE_CASES = {
+    "free_1d": ("flat", GridSpec(((-12, 12, 201), (0, 0, 1), (0, 0, 1)), 0.0), 0.02, 30,
+                {"default": (90, [30]), "two_slots": (138, [10, 10, 10])}),
+    "curved_magnetic": ("curved_magnetic", None, 0.02, 20,
+                        {"default": (23, [20]), "two_slots": (36, [10, 10])}),
+    "flat_magnetic": ("flat_magnetic", GridSpec(((-3, 3, 8),) * 3, 0.0), 0.05, 12,
+                      {"default": (20, [12]), "two_slots": (32, [6, 6])}),
+}
+
+
+@pytest.mark.parametrize("ring", ["default", "two_slots"])
+@pytest.mark.parametrize("name", sorted(DENSE_CASES))
+def test_states_match_a_dense_crank_nicolson_solve(name, ring, monkeypatch):
+    """Every state of a run equals the Crank-Nicolson trajectory of the
+    generator's dense matrix (oracles.dense_operator, built column by
+    column from its apply, and oracles.crank_nicolson_dense) to 1e-12, on
+    a 1-D free grid, curved_magnetic's 15^2 grid and flat_magnetic at 8^3.
+    Each run's blocks and generator applies are pinned: they follow from
+    the Gershgorin interval, dt, the grid's size and the step count alone.
+    By default one series serves the whole run.  With RING_VALUES = 1 the
+    ring has two slots, so each series is folded into its states two terms
+    at a time and the last ring is often partial, and the buffer holds
+    STATE_BLOCK = 10 states: the run takes the blocks of at most 10 steps
+    with the fewest terms."""
+    scenario, spec, dt, steps, pinned = DENSE_CASES[name]
+    sc = load_scenario(SCENARIO_DIR / f"{scenario}.json")
+    geom = GridGeometry(sc.qd, spec or sc.grid)
+    psi0 = gaussian_1d(geom.spec, sigma=1.5, k=0.5) if name == "free_1d" else spinor_packet(geom)
+    matrix = dense_operator(pauli_generator(geom).apply_fn, geom.spec.shape)
+    reference = crank_nicolson_dense(matrix, psi0.psi, dt, steps)
+    if ring == "two_slots":
+        monkeypatch.setattr(quantum, "RING_VALUES", 1)
+    applies = counted_generator(monkeypatch)
+    lengths = block_lengths(monkeypatch)
+    traj = evolve_pauli(sc.qd, psi0, dt, steps, geom=geom, snapshot_every=1)
+    assert (len(applies), lengths) == pinned[ring]
+    for (step, snap), want in zip(traj.snapshots, reference):
+        assert np.max(np.abs(snap.psi - want)) <= 1e-12, step
 
 
 def spinor_packet(geom):
@@ -503,69 +566,24 @@ def test_cayley_residual_certifies_each_step_on_other_stencils():
     assert_steps_certified(sc, geom, spinor_packet(geom), 0.02)
 
 
-# (grid, or None for the scenario's own, dt, steps, the block length that the
-# first series picks, generator applies of the run in blocks and of the run in
-# single steps); the 8^3 grid carries a spinor packet
-BLOCK_CASES = {"larmor": (None, 0.1, 200, 7, 260, 1400), "free_packet": (None, 0.004, 100, 4, 519, 642),
-               "flat_magnetic": (GridSpec(((-3, 3, 8),) * 3, 0.0), 0.05, 40, 7, 147, 600)}
-
-
-def block_case(name):
-    """The scenario, geometry, psi0, dt and steps of BLOCK_CASES[name]."""
-    spec, dt, steps = BLOCK_CASES[name][:3]
-    sc = load_scenario(SCENARIO_DIR / f"{name}.json")
-    geom = GridGeometry(sc.qd, spec or sc.grid)
-    psi0 = spinor_packet(geom) if spec else sc.initial_grid()
-    return sc, geom, psi0, dt, steps
-
-
-def assert_same_trajectory(a, b, tol=1e-13):
-    for row in ("norms", "sx", "sy", "sz", "widths"):
-        assert np.max(np.abs(getattr(a, row) - getattr(b, row))) <= tol, row
-    assert np.max(np.abs(a.final.psi - b.final.psi)) <= tol
-
-
-@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
-def test_step_blocks_follow_single_steps(name, monkeypatch):
-    """Blocks of steps from one series give the trajectory of one series per
-    step (the cap MAX_STEP_BLOCK set to 1) to 1e-13, in every observable and
-    in the final state, with fewer generator applies.  The first series
-    serves 7 steps and every later block, but the last, has the length
-    picked from it: 7 on Larmor's node and on the 8^3 packet, 4 on
-    free_packet at dt 0.004, whose cut Gaussian makes long blocks dear.
-    Each run's apply count is pinned: it follows from the terms, the
-    stopping rule and the length rule alone, not from the way the terms are
-    summed into the states."""
-    pick, block_applies, single_applies = BLOCK_CASES[name][3:]
-    sc, geom, psi0, dt, steps = block_case(name)
-    applies = counted_generator(monkeypatch)
-    lengths = series_lengths(monkeypatch)
-    assert quantum.MAX_STEP_BLOCK == 7
-    blocks = evolve_pauli(sc.qd, psi0, dt, steps, geom=geom)
-    assert len(applies) == block_applies
-    assert lengths[0] == 7 and set(lengths[1:-1]) == {pick} and sum(lengths) == steps
-    monkeypatch.setattr(quantum, "MAX_STEP_BLOCK", 1)
-    single = evolve_pauli(sc.qd, psi0, dt, steps, geom=geom)
-    assert len(applies) - block_applies == single_applies
-    assert set(lengths[len(lengths) - steps:]) == {1}
-    assert_same_trajectory(blocks, single)
-
-
-@pytest.mark.parametrize("name", ["free_packet", "larmor"])
-def test_a_ring_of_two_slots_gives_the_default_trajectory(name, monkeypatch):
-    """With RING_VALUES = 1 the term ring has two slots, so each series is
-    folded into its states two terms at a time, and the last ring of a
-    series is often partial.  The trajectory is the default ring's (501
-    slots on Larmor's node, one per term the series may take; 42 on
-    free_packet's 383 nodes) to 1e-13, with the same applies."""
-    sc, geom, psi0, dt, steps = block_case(name)
-    applies = counted_generator(monkeypatch)
-    default = evolve_pauli(sc.qd, psi0, dt, steps, geom=geom)
-    assert len(applies) == BLOCK_CASES[name][4]
-    monkeypatch.setattr(quantum, "RING_VALUES", 1)
-    two = evolve_pauli(sc.qd, psi0, dt, steps, geom=geom)
-    assert len(applies) == 2 * BLOCK_CASES[name][4]
-    assert_same_trajectory(default, two)
+def test_cayley_residual_certifies_each_step_on_other_stencils():
+    """Larmor's one node: a spin centre that is not a multiple of the
+    identity, and no offsets.  flat_magnetic at 8^3: the offsets along x1 and
+    x3 are the same at every node, those along x2 carry A_2 = q b x1 / hbar.
+    curved_magnetic's 15^2 grid: every part varies, and the flux-form
+    generator is still self-adjoint for the grid's weight, so its steps keep
+    the norm; each is certified against the |b| of its own system, though a
+    block's stopping rule scales all its steps by the |b| of the first."""
+    sc = load_scenario(SCENARIO_DIR / "larmor.json")
+    geom = GridGeometry(sc.qd, sc.grid)
+    assert_steps_certified(sc, geom, sc.initial_grid(), 2.0)
+    sc = load_scenario(SCENARIO_DIR / "flat_magnetic.json")
+    geom = GridGeometry(sc.qd, GridSpec(((-3, 3, 8),) * 3, 0.0))
+    assert_steps_certified(sc, geom, spinor_packet(geom), 0.1)
+    sc = load_scenario(SCENARIO_DIR / "curved_magnetic.json")
+    geom = GridGeometry(sc.qd, sc.grid)
+    assert geom.spec.shape == (15, 15, 1)
+    assert_steps_certified(sc, geom, spinor_packet(geom), 0.02)
 
 
 def oracle_spin_expectations(geom, grid):
@@ -631,9 +649,10 @@ def test_observables_match_separate_density_sums(curved_magnetic_scenario):
 
 
 def test_trajectory_rows_are_the_observables_of_each_state():
-    """free_packet's 383 nodes make blocks of 21 states, so 30 steps are a
-    full block and a partial one of 10: every row equals _observables of
-    its own state bit for bit.  A 0-step run records psi0 alone."""
+    """free_packet's 383 nodes make passes of 21 states, so the 30 steps
+    after psi0 are read in a full pass and a partial one of 9: every row
+    equals _observables of its own state bit for bit.  A 0-step run
+    records psi0 alone."""
     sc = load_scenario(SCENARIO_DIR / "free_packet.json")
     geom = GridGeometry(sc.qd, sc.grid)
     psi0 = sc.initial_grid()
