@@ -537,6 +537,73 @@ def test_states_match_a_dense_crank_nicolson_solve(name, ring, monkeypatch):
         assert np.max(np.abs(snap.psi - want)) <= 1e-12, step
 
 
+def assert_same_trajectory(a, b, tol=1e-13):
+    for row in ("norms", "sx", "sy", "sz", "widths"):
+        assert np.max(np.abs(getattr(a, row) - getattr(b, row))) <= tol, row
+    assert np.max(np.abs(a.final.psi - b.final.psi)) <= tol
+
+
+# (grid, or None for the scenario's own, dt, steps, the generator applies and
+# blocks of the run, and its applies in single steps); the 8^3 grid carries a
+# spinor packet
+BLOCK_CASES = {"larmor": (None, 0.1, 200, 29, [103, 97], 1200),
+               "free_packet": (None, 0.004, 100, 148, [41, 41, 18], 1700),
+               "flat_magnetic": (GridSpec(((-3, 3, 8),) * 3, 0.0), 0.05, 40, 47, [31, 9], 480)}
+
+
+def block_case(name):
+    """The scenario, geometry, psi0, dt and steps of BLOCK_CASES[name]."""
+    spec, dt, steps = BLOCK_CASES[name][:3]
+    sc = load_scenario(SCENARIO_DIR / f"{name}.json")
+    geom = GridGeometry(sc.qd, spec or sc.grid)
+    psi0 = spinor_packet(geom) if spec else sc.initial_grid()
+    return sc, geom, psi0, dt, steps
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_step_blocks_follow_single_steps(name, monkeypatch):
+    """Blocks of steps from one series give the trajectory of one series per
+    step (BLOCK_CAP set to 1) to 1e-13, in every observable and in the
+    final state, with far fewer generator applies: a series serves up to
+    128 steps on Larmor's node, 42 on free_packet's 383 nodes and 32 on the
+    8^3 packet, as many as the ring's values allow.  Each run's applies and
+    blocks are pinned."""
+    block_applies, blocks, single_applies = BLOCK_CASES[name][3:]
+    sc, geom, psi0, dt, steps = block_case(name)
+    applies = counted_generator(monkeypatch)
+    lengths = block_lengths(monkeypatch)
+    default = evolve_pauli(sc.qd, psi0, dt, steps, geom=geom)
+    assert (len(applies), lengths) == (block_applies, blocks)
+    lengths.clear()
+    monkeypatch.setattr(quantum, "BLOCK_CAP", 1)
+    single = evolve_pauli(sc.qd, psi0, dt, steps, geom=geom)
+    assert lengths == [1] * steps and len(applies) - block_applies == single_applies
+    assert_same_trajectory(default, single)
+
+
+# the generator applies and blocks of a run with a ring of two slots
+TWO_SLOT_RUNS = {"free_packet": (280, [10] * 10), "larmor": (160, [10] * 20)}
+
+
+@pytest.mark.parametrize("name", ["free_packet", "larmor"])
+def test_a_ring_of_two_slots_gives_the_default_trajectory(name, monkeypatch):
+    """With RING_VALUES = 1 the term ring has two slots, so each series is
+    folded into its states two terms at a time, and the last ring of a
+    series is often partial; the buffer holds STATE_BLOCK = 10 states, so
+    the run takes blocks of 10 steps.  The trajectory is the default ring's
+    (42 slots on free_packet's 383 nodes; 501 slots, one per term a series
+    may take, on Larmor's node) to 1e-13, in every observable and in the
+    final state.  Each run's applies and blocks are pinned."""
+    sc, geom, psi0, dt, steps = block_case(name)
+    default = evolve_pauli(sc.qd, psi0, dt, steps, geom=geom)
+    monkeypatch.setattr(quantum, "RING_VALUES", 1)
+    applies = counted_generator(monkeypatch)
+    lengths = block_lengths(monkeypatch)
+    two = evolve_pauli(sc.qd, psi0, dt, steps, geom=geom)
+    assert (len(applies), lengths) == TWO_SLOT_RUNS[name]
+    assert_same_trajectory(default, two)
+
+
 def spinor_packet(geom):
     """A normalised Gaussian packet with momentum along x1 and a tilted spin."""
     x1, x2, x3 = geom.mesh4[1:]
